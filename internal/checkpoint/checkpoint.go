@@ -31,11 +31,13 @@
 package checkpoint
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/c2c"
 	"repro/internal/mem"
@@ -111,117 +113,175 @@ type Snapshot struct {
 
 // --- encoder -----------------------------------------------------------
 
-type enc struct{ b []byte }
+// Fixed record sizes of the format, in bytes.
+const (
+	headerLen     = len(magic) + 4 + 8 // magic, version, payload length
+	crcLen        = 4
+	clusterFixed  = 8*8 + 1 // cycles, BER, RNG flag and cursor, FEC tallies
+	unitLen       = 8 + 8 + 1 + 1 + 8 + 8
+	weightsLen    = tsp.WeightRows * tsp.FloatLanes * 4
+	memVectorLen  = 8 + len(mem.VectorState{}.Words)*9
+	envelopeLen   = 8 + tsp.VectorBytes
+	linkEntryLen  = 6 * 8
+	linkMBELen    = 3 * 8
+	chipFixedLen  = tsp.NumStreams*tsp.VectorBytes + weightsLen + 4 + len(tsp.ChipState{}.Units)*unitLen + 8 + 8 + 4
+	histFixedLen  = 4*8 + 4
+	eventFixedLen = 1 + 4*8
+)
 
-func (e *enc) u8(v byte)    { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *enc) u64(v uint64) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// buf writes little-endian fields into space reserved up front: reserve
+// lengthens the blob by a computed size, and the writes fill it in order.
+// Nothing is appended a field at a time.
+type buf struct {
+	b   []byte
+	off int // next byte to fill; len(b) ends the reserved space
 }
-func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *enc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *enc) f32(v float32)  { e.u32(math.Float32bits(v)) }
-func (e *enc) bytes(v []byte) { e.b = append(e.b, v...) }
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
+
+// reserve lengthens the blob by n bytes, reallocating to the exact size
+// when the capacity falls short.
+func (w *buf) reserve(n int) {
+	if need := len(w.b) + n; need > cap(w.b) {
+		nb := make([]byte, len(w.b), need)
+		copy(nb, w.b)
+		w.b = nb
+	}
+	w.b = w.b[:len(w.b)+n]
 }
-func (e *enc) bool(v bool) {
+
+func (w *buf) u8(v byte) {
+	w.b[w.off] = v
+	w.off++
+}
+func (w *buf) u32(v uint32) {
+	binary.LittleEndian.PutUint32(w.b[w.off:], v)
+	w.off += 4
+}
+func (w *buf) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.b[w.off:], v)
+	w.off += 8
+}
+func (w *buf) i64(v int64)    { w.u64(uint64(v)) }
+func (w *buf) f64(v float64)  { w.u64(math.Float64bits(v)) }
+func (w *buf) bytes(v []byte) { w.off += copy(w.b[w.off:], v) }
+func (w *buf) str(s string) {
+	w.u32(uint32(len(s)))
+	w.off += copy(w.b[w.off:], s)
+}
+func (w *buf) bool(v bool) {
 	if v {
-		e.u8(1)
+		w.u8(1)
 	} else {
-		e.u8(0)
+		w.u8(0)
 	}
 }
 
-// EncodeCluster serializes the snapshot's cluster section (everything but
-// the obs state). Its length is what the `checkpoint.bytes` counter
-// reports: the obs section cannot count itself.
-func EncodeCluster(s *Snapshot) []byte {
-	e := &enc{b: make([]byte, 0, 1<<16)}
-	e.i64(s.CaptureCycle)
-	e.i64(s.BaseWall)
-	e.i64(s.Cadence)
-	e.f64(s.BaseBER)
-	e.bool(s.HasRNG)
-	e.u64(s.RNGState)
-	e.i64(s.Corrected)
-	e.i64(s.MBEs)
-	e.i64(s.FirstMBECycle)
+// filled panics unless every reserved byte was written: a size function
+// that disagrees with its writer is a bug, never a blob.
+func (w *buf) filled(section string) {
+	if w.off != len(w.b) {
+		panic(fmt.Sprintf("checkpoint: %s section wrote %d of %d reserved bytes", section, w.off, len(w.b)))
+	}
+}
 
-	e.u32(uint32(len(s.Chips)))
+// Writer encodes one blob in a single buffer: the header with a length
+// placeholder, the cluster section, the obs section, then the length patch
+// and the CRC over the payload in place. Cluster and Finish each reserve
+// their section's exact size before writing it. Call Cluster once, then
+// Finish once.
+type Writer struct{ w buf }
+
+// NewWriter starts a blob in b's storage (its contents are discarded). A
+// b with enough capacity for the whole blob is never reallocated.
+func NewWriter(b []byte) *Writer {
+	wr := &Writer{w: buf{b: b[:0]}}
+	wr.w.reserve(headerLen)
+	wr.w.off = copy(wr.w.b, magic)
+	wr.w.u32(Version)
+	wr.w.u64(0) // payload length, patched by Finish
+	return wr
+}
+
+// Cluster appends the snapshot's cluster section (everything but the obs
+// state) and returns its length, which is what the `checkpoint.bytes`
+// counter reports: the obs section cannot count itself.
+func (wr *Writer) Cluster(s *Snapshot) int {
+	w := &wr.w
+	start := w.off
+	w.reserve(clusterLen(s))
+	w.i64(s.CaptureCycle)
+	w.i64(s.BaseWall)
+	w.i64(s.Cadence)
+	w.f64(s.BaseBER)
+	w.bool(s.HasRNG)
+	w.u64(s.RNGState)
+	w.i64(s.Corrected)
+	w.i64(s.MBEs)
+	w.i64(s.FirstMBECycle)
+
+	w.u32(uint32(len(s.Chips)))
 	for ci := range s.Chips {
-		appendChip(e, &s.Chips[ci])
+		putChip(w, &s.Chips[ci])
 	}
 
-	e.u32(uint32(len(s.Mailboxes)))
+	w.u32(uint32(len(s.Mailboxes)))
 	for _, mb := range s.Mailboxes {
-		e.u32(uint32(len(mb)))
+		w.u32(uint32(len(mb)))
 		for _, q := range mb {
-			e.u32(uint32(len(q)))
-			for _, env := range q {
-				e.i64(env.Arrival)
-				e.bytes(env.V[:])
+			w.u32(uint32(len(q)))
+			for k := range q {
+				w.i64(q[k].Arrival)
+				w.bytes(q[k].V[:])
 			}
 		}
 	}
 
-	e.u32(uint32(len(s.Links)))
+	w.u32(uint32(len(s.Links)))
 	for _, le := range s.Links {
-		e.i64(int64(le.ID))
-		e.f64(le.State.BitErrorRate)
-		e.f64(le.State.MeanShift)
-		e.i64(int64(le.State.Health))
-		e.i64(int64(le.State.AlignedMargin))
-		e.u64(le.State.RNG)
+		w.i64(int64(le.ID))
+		w.f64(le.State.BitErrorRate)
+		w.f64(le.State.MeanShift)
+		w.i64(int64(le.State.Health))
+		w.i64(int64(le.State.AlignedMargin))
+		w.u64(le.State.RNG)
 	}
 
-	e.u32(uint32(len(s.LinkMBEs)))
+	w.u32(uint32(len(s.LinkMBEs)))
 	for _, lm := range s.LinkMBEs {
-		e.i64(int64(lm.ID))
-		e.i64(lm.Count)
-		e.i64(lm.FirstCycle)
+		w.i64(int64(lm.ID))
+		w.i64(lm.Count)
+		w.i64(lm.FirstCycle)
 	}
 
-	e.u32(uint32(len(s.Repaired)))
+	w.u32(uint32(len(s.Repaired)))
 	for _, id := range s.Repaired {
-		e.i64(int64(id))
+		w.i64(int64(id))
 	}
-	return e.b
+	w.filled("cluster")
+	return w.off - start
 }
 
-// appendChip encodes one chip's section: streams, weights, unit cursors,
-// and the raw SECDED memory words.
-func appendChip(e *enc, c *tsp.ChipState) {
-	for i := range c.Streams {
-		e.bytes(c.Streams[i][:])
-	}
-	for r := range c.Weights {
-		for j := range c.Weights[r] {
-			e.f32(c.Weights[r][j])
-		}
-	}
-	e.u32(uint32(len(c.Units)))
-	for u := range c.Units {
-		us := &c.Units[u]
-		e.i64(int64(us.PC))
-		e.i64(us.Cursor)
-		e.bool(us.Parked)
-		e.bool(us.Halted)
-		e.i64(us.Busy)
-		e.i64(us.Stall)
-	}
-	e.i64(c.Mem.CorrectedSBEs)
-	e.i64(c.Mem.DetectedMBEs)
-	e.u32(uint32(len(c.Mem.Vectors)))
-	for _, vs := range c.Mem.Vectors {
-		e.i64(int64(vs.Linear))
-		for _, w := range vs.Words {
-			e.u64(w.Data)
-			e.u8(w.Check)
-		}
-	}
+// Finish appends the obs section (a nil state encodes as absent), patches
+// the payload length into the header, appends the payload's CRC and
+// returns the blob.
+func (wr *Writer) Finish(st *obs.State) []byte {
+	w := &wr.w
+	w.reserve(obsLen(st))
+	putObs(w, st)
+	w.filled("obs")
+	payload := w.b[headerLen:]
+	binary.LittleEndian.PutUint64(w.b[len(magic)+4:], uint64(len(payload)))
+	sum := crc32.ChecksumIEEE(payload)
+	w.reserve(crcLen)
+	w.u32(sum)
+	return w.b
+}
+
+// Encode serializes the whole snapshot (cluster section + Obs) into one
+// blob.
+func Encode(s *Snapshot) []byte {
+	wr := NewWriter(make([]byte, 0, headerLen+clusterLen(s)+obsLen(s.Obs)+crcLen))
+	wr.Cluster(s)
+	return wr.Finish(s.Obs)
 }
 
 // EncodeChip serializes one chip's state standalone — the same byte layout
@@ -230,129 +290,198 @@ func appendChip(e *enc, c *tsp.ChipState) {
 // checks) can compare whole chips byte-for-byte without assembling a full
 // cluster blob.
 func EncodeChip(c *tsp.ChipState) []byte {
-	e := &enc{b: make([]byte, 0, 1<<13)}
-	appendChip(e, c)
-	return e.b
+	w := &buf{}
+	w.reserve(chipLen(c))
+	putChip(w, c)
+	return w.b
 }
 
-// encodeObs serializes the recorder state section.
-func encodeObs(s *obs.State) []byte {
-	e := &enc{}
-	if s == nil {
-		e.bool(false)
-		return e.b
+// clusterLen is the exact encoded length of s's cluster section.
+func clusterLen(s *Snapshot) int {
+	n := clusterFixed + 4
+	for ci := range s.Chips {
+		n += chipLen(&s.Chips[ci])
 	}
-	e.bool(true)
-	sortedKeys := func(m map[string]int64) []string {
-		ks := make([]string, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
+	n += 4
+	for _, mb := range s.Mailboxes {
+		n += 4
+		for _, q := range mb {
+			n += 4 + len(q)*envelopeLen
 		}
-		sort.Strings(ks)
-		return ks
 	}
+	n += 4 + len(s.Links)*linkEntryLen
+	n += 4 + len(s.LinkMBEs)*linkMBELen
+	n += 4 + len(s.Repaired)*8
+	return n
+}
+
+func chipLen(c *tsp.ChipState) int { return chipFixedLen + len(c.Mem.Vectors)*memVectorLen }
+
+// putChip writes one chip's section: streams, weights, unit cursors, and
+// the raw SECDED memory words.
+func putChip(w *buf, c *tsp.ChipState) {
+	for i := range c.Streams {
+		w.bytes(c.Streams[i][:])
+	}
+	b := w.b[w.off : w.off+weightsLen]
+	for r := range c.Weights {
+		for _, v := range c.Weights[r] {
+			binary.LittleEndian.PutUint32(b, math.Float32bits(v))
+			b = b[4:]
+		}
+	}
+	w.off += weightsLen
+	w.u32(uint32(len(c.Units)))
+	for u := range c.Units {
+		us := &c.Units[u]
+		w.i64(int64(us.PC))
+		w.i64(us.Cursor)
+		w.bool(us.Parked)
+		w.bool(us.Halted)
+		w.i64(us.Busy)
+		w.i64(us.Stall)
+	}
+	w.i64(c.Mem.CorrectedSBEs)
+	w.i64(c.Mem.DetectedMBEs)
+	w.u32(uint32(len(c.Mem.Vectors)))
+	for vi := range c.Mem.Vectors {
+		vs := &c.Mem.Vectors[vi]
+		w.i64(int64(vs.Linear))
+		b := w.b[w.off : w.off+memVectorLen-8]
+		for _, word := range vs.Words {
+			binary.LittleEndian.PutUint64(b, word.Data)
+			b[8] = word.Check
+			b = b[9:]
+		}
+		w.off += memVectorLen - 8
+	}
+}
+
+// obsLen is the exact encoded length of the obs section.
+func obsLen(s *obs.State) int {
+	n := 1
+	if s == nil {
+		return n
+	}
+	n += 4
+	for k := range s.Counters {
+		n += 4 + len(k) + 8
+	}
+	n += 4
+	for k := range s.Gauges {
+		n += 4 + len(k) + 8
+	}
+	n += 4
+	for k, h := range s.Hists {
+		n += 4 + len(k) + histFixedLen + len(h.Counts)*8
+	}
+	n += 4
+	for i := range s.Events {
+		n += 4 + len(s.Events[i].Name) + eventFixedLen
+	}
+	n += 4
+	for _, name := range s.Procs {
+		n += 8 + 4 + len(name)
+	}
+	n += 4
+	for _, name := range s.Threads {
+		n += 16 + 4 + len(name)
+	}
+	n += 8 + 4
+	for k, sr := range s.Series {
+		n += 4 + len(k) + 8 + 4 + len(sr.Samples)*16
+	}
+	return n
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// putObs writes the recorder state section, every map in sorted key order.
+func putObs(w *buf, s *obs.State) {
+	if s == nil {
+		w.bool(false)
+		return
+	}
+	w.bool(true)
 	cks := sortedKeys(s.Counters)
-	e.u32(uint32(len(cks)))
+	w.u32(uint32(len(cks)))
 	for _, k := range cks {
-		e.str(k)
-		e.i64(s.Counters[k])
+		w.str(k)
+		w.i64(s.Counters[k])
 	}
 	gks := sortedKeys(s.Gauges)
-	e.u32(uint32(len(gks)))
+	w.u32(uint32(len(gks)))
 	for _, k := range gks {
-		e.str(k)
-		e.i64(s.Gauges[k])
+		w.str(k)
+		w.i64(s.Gauges[k])
 	}
-	hks := make([]string, 0, len(s.Hists))
-	for k := range s.Hists {
-		hks = append(hks, k)
-	}
-	sort.Strings(hks)
-	e.u32(uint32(len(hks)))
+	hks := sortedKeys(s.Hists)
+	w.u32(uint32(len(hks)))
 	for _, k := range hks {
 		h := s.Hists[k]
-		e.str(k)
-		e.f64(h.Origin)
-		e.f64(h.Width)
-		e.i64(h.Underflow)
-		e.i64(h.Overflow)
-		e.u32(uint32(len(h.Counts)))
+		w.str(k)
+		w.f64(h.Origin)
+		w.f64(h.Width)
+		w.i64(h.Underflow)
+		w.i64(h.Overflow)
+		w.u32(uint32(len(h.Counts)))
 		for _, c := range h.Counts {
-			e.i64(c)
+			w.i64(c)
 		}
 	}
-	e.u32(uint32(len(s.Events)))
-	for _, ev := range s.Events {
-		e.str(ev.Name)
-		e.u8(ev.Ph)
-		e.i64(int64(ev.Pid))
-		e.i64(int64(ev.Tid))
-		e.f64(ev.TS)
-		e.f64(ev.Dur)
+	w.u32(uint32(len(s.Events)))
+	for i := range s.Events {
+		ev := &s.Events[i]
+		w.str(ev.Name)
+		w.u8(ev.Ph)
+		w.i64(int64(ev.Pid))
+		w.i64(int64(ev.Tid))
+		w.f64(ev.TS)
+		w.f64(ev.Dur)
 	}
-	pids := make([]int, 0, len(s.Procs))
-	for pid := range s.Procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	e.u32(uint32(len(pids)))
+	pids := sortedKeys(s.Procs)
+	w.u32(uint32(len(pids)))
 	for _, pid := range pids {
-		e.i64(int64(pid))
-		e.str(s.Procs[pid])
+		w.i64(int64(pid))
+		w.str(s.Procs[pid])
 	}
 	tks := make([][2]int, 0, len(s.Threads))
 	for k := range s.Threads {
 		tks = append(tks, k)
 	}
-	sort.Slice(tks, func(i, j int) bool {
-		if tks[i][0] != tks[j][0] {
-			return tks[i][0] < tks[j][0]
+	slices.SortFunc(tks, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return tks[i][1] < tks[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
-	e.u32(uint32(len(tks)))
+	w.u32(uint32(len(tks)))
 	for _, k := range tks {
-		e.i64(int64(k[0]))
-		e.i64(int64(k[1]))
-		e.str(s.Threads[k])
+		w.i64(int64(k[0]))
+		w.i64(int64(k[1]))
+		w.str(s.Threads[k])
 	}
-	e.i64(s.SeriesCadence)
-	sks := make([]string, 0, len(s.Series))
-	for k := range s.Series {
-		sks = append(sks, k)
-	}
-	sort.Strings(sks)
-	e.u32(uint32(len(sks)))
+	w.i64(s.SeriesCadence)
+	sks := sortedKeys(s.Series)
+	w.u32(uint32(len(sks)))
 	for _, k := range sks {
 		sr := s.Series[k]
-		e.str(k)
-		e.i64(int64(sr.Pid))
-		e.u32(uint32(len(sr.Samples)))
+		w.str(k)
+		w.i64(int64(sr.Pid))
+		w.u32(uint32(len(sr.Samples)))
 		for _, p := range sr.Samples {
-			e.i64(p.Cycle)
-			e.i64(p.Value)
+			w.i64(p.Cycle)
+			w.i64(p.Value)
 		}
 	}
-	return e.b
-}
-
-// Assemble frames an already-encoded cluster section and an obs state
-// into a complete checksummed blob.
-func Assemble(cluster []byte, obsState *obs.State) []byte {
-	payload := append(append([]byte(nil), cluster...), encodeObs(obsState)...)
-	e := &enc{b: make([]byte, 0, len(payload)+24)}
-	e.bytes([]byte(magic))
-	e.u32(Version)
-	e.u64(uint64(len(payload)))
-	e.bytes(payload)
-	e.u32(crc32.ChecksumIEEE(payload))
-	return e.b
-}
-
-// Encode serializes the whole snapshot (cluster section + Obs) into one
-// blob.
-func Encode(s *Snapshot) []byte {
-	return Assemble(EncodeCluster(s), s.Obs)
 }
 
 // --- decoder -----------------------------------------------------------
@@ -410,7 +539,29 @@ func (d *dec) u64() uint64 {
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *dec) bool() bool   { return d.u8() != 0 }
+
+// bool accepts only the bytes Encode writes, so every blob Decode accepts
+// re-encodes to itself.
+func (d *dec) bool() bool {
+	switch b := d.u8(); b {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		d.fail("checkpoint: bool byte %d at offset %d", b, d.off-1)
+		return false
+	}
+}
+
+// ascending fails unless a map key just read is strictly above the
+// previous one (ok): Encode emits every map in ascending key order, so a
+// repeated or out-of-order key is not a blob it wrote.
+func (d *dec) ascending(ok bool, what string) {
+	if !ok {
+		d.fail("checkpoint: %s key out of order at offset %d", what, d.off)
+	}
+}
 
 func (d *dec) str() string {
 	n := int(d.u32())
@@ -456,6 +607,9 @@ func Decode(blob []byte) (*Snapshot, error) {
 	sum := hd.u32()
 	if hd.err != nil {
 		return nil, hd.err
+	}
+	if hd.off != len(blob) {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes after the checksum: %w", len(blob)-hd.off, ErrCorrupt)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch (got %08x want %08x): %w", got, sum, ErrCorrupt)
@@ -576,19 +730,24 @@ func decodeObs(d *dec) *obs.State {
 		Threads:  map[[2]int]string{},
 		Series:   map[string]obs.SeriesState{},
 	}
+	var last string
 	n := d.count(12)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.str()
-		s.Counters[k] = d.i64()
+		d.ascending(i == 0 || k > last, "counter")
+		s.Counters[k], last = d.i64(), k
 	}
 	n = d.count(12)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.str()
-		s.Gauges[k] = d.i64()
+		d.ascending(i == 0 || k > last, "gauge")
+		s.Gauges[k], last = d.i64(), k
 	}
 	n = d.count(40)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.str()
+		d.ascending(i == 0 || k > last, "histogram")
+		last = k
 		h := obs.HistState{
 			Origin:    d.f64(),
 			Width:     d.f64(),
@@ -610,21 +769,26 @@ func decodeObs(d *dec) *obs.State {
 		ev.Dur = d.f64()
 		s.Events = append(s.Events, ev)
 	}
+	var lastPid int
 	n = d.count(12)
 	for i := 0; i < n && d.err == nil; i++ {
 		pid := int(d.i64())
-		s.Procs[pid] = d.str()
+		d.ascending(i == 0 || pid > lastPid, "process")
+		s.Procs[pid], lastPid = d.str(), pid
 	}
+	var lastThread [2]int
 	n = d.count(20)
 	for i := 0; i < n && d.err == nil; i++ {
-		pid := int(d.i64())
-		tid := int(d.i64())
-		s.Threads[[2]int{pid, tid}] = d.str()
+		k := [2]int{int(d.i64()), int(d.i64())}
+		d.ascending(i == 0 || k[0] > lastThread[0] || k[0] == lastThread[0] && k[1] > lastThread[1], "thread")
+		s.Threads[k], lastThread = d.str(), k
 	}
 	s.SeriesCadence = d.i64()
 	n = d.count(16)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.str()
+		d.ascending(i == 0 || k > last, "series")
+		last = k
 		sr := obs.SeriesState{Pid: int(d.i64())}
 		ns := d.count(16)
 		for j := 0; j < ns && d.err == nil; j++ {

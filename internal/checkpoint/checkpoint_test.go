@@ -171,11 +171,24 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointAssembleMatchesEncode: the two-step capture path (EncodeCluster,
-// then Assemble with the obs state) produces the same blob as Encode.
-func TestCheckpointAssembleMatchesEncode(t *testing.T) {
+// TestCheckpointWriterMatchesEncode: the staged capture path (Cluster, then
+// Finish with the obs state) produces the same blob as Encode whatever
+// buffer it starts from — none, a short one that must be regrown, or a
+// roomy one holding stale bytes — and reports the cluster section's
+// length.
+func TestCheckpointWriterMatchesEncode(t *testing.T) {
 	s := testSnapshot()
-	if !bytes.Equal(Encode(s), Assemble(EncodeCluster(s), s.Obs)) {
-		t.Error("Assemble(EncodeCluster(s), s.Obs) != Encode(s)")
+	want := Encode(s)
+	stale := bytes.Repeat([]byte{0xEE}, 2*len(want))
+	for _, b := range [][]byte{nil, make([]byte, 0, 100), stale} {
+		w := NewWriter(b)
+		n := w.Cluster(s)
+		got := w.Finish(s.Obs)
+		if !bytes.Equal(got, want) {
+			t.Errorf("start cap %d: Writer blob != Encode(s)", cap(b))
+		}
+		if wantN := len(want) - headerLen - obsLen(s.Obs) - crcLen; n != wantN {
+			t.Errorf("start cap %d: cluster length %d, want %d", cap(b), n, wantN)
+		}
 	}
 }

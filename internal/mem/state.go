@@ -43,7 +43,11 @@ func (m *SRAM) State() State {
 func (m *SRAM) StateDelta(prev *State) State {
 	s := m.capture(prev)
 	m.track = true
-	m.dirty = make(map[int]struct{})
+	if m.dirty == nil {
+		m.dirty = make(map[int]struct{})
+	} else {
+		clear(m.dirty)
+	}
 	return s
 }
 

@@ -213,8 +213,8 @@ type Recorder struct {
 	// must never leak into deterministic exports.
 	volatileHists map[string]*Histogram
 	events        []event
-	procs     map[int]string
-	threads   map[[2]int]string
+	procs         map[int]string
+	threads       map[[2]int]string
 	// series and the sampling cadence live in series.go; the cadence is
 	// advisory metadata the window executor reads to schedule SampleSeries
 	// calls at barriers.

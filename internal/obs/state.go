@@ -10,7 +10,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/stats"
 )
@@ -58,24 +60,23 @@ type State struct {
 // comparator covers every field, so ties are identical events and any
 // stable order of them is the same order.
 func sortEvents(ev []EventState) {
-	sort.SliceStable(ev, func(i, j int) bool {
-		a, b := ev[i], ev[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
+	slices.SortStableFunc(ev, func(a, b EventState) int {
+		if c := cmp.Compare(a.TS, b.TS); c != 0 {
+			return c
 		}
-		if a.Pid != b.Pid {
-			return a.Pid < b.Pid
+		if c := cmp.Compare(a.Pid, b.Pid); c != 0 {
+			return c
 		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
+		if c := cmp.Compare(a.Tid, b.Tid); c != 0 {
+			return c
 		}
-		if a.Ph != b.Ph {
-			return a.Ph < b.Ph
+		if c := cmp.Compare(a.Ph, b.Ph); c != 0 {
+			return c
 		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return a.Dur < b.Dur
+		return cmp.Compare(a.Dur, b.Dur)
 	})
 }
 

@@ -13,13 +13,19 @@
 // armed cadence line, so an extended quiet-phase window can never step
 // chips past a due capture (TestCheckpointCadenceMidExtendedWindow).
 //
+// A capture encodes each snapshot once, straight into its blob, in one
+// buffer sized from the previous blob: the header with a length
+// placeholder, then the cluster section (chips taken from the delta
+// baseline without a copy), then the obs section, then the length patch
+// and the CRC over the payload in place (checkpoint.Writer).
+//
 // The counter circularity — `checkpoint.bytes` must itself appear in the
-// snapshot's obs section — is resolved by a fixed capture order: encode
-// the cluster section, stamp the checkpoint.* counters and the capture
-// instant, then capture the obs state and assemble the blob. A restored
-// run performs the identical sequence at the identical cycles, so the
-// counter streams (and every later blob) match the straight run byte for
-// byte.
+// snapshot's obs section — is resolved by that fixed order: write the
+// cluster section, stamp the checkpoint.* counters (bytes = the cluster
+// section's length) and the capture instant, and only then capture the
+// obs state and write it. A restored run performs the identical sequence
+// at the identical cycles, so the counter streams (and every later blob)
+// match the straight run byte for byte.
 package runtime
 
 import (
@@ -119,23 +125,32 @@ func (cl *Cluster) DetectLocal() int64 {
 // file comment for why the stamping order matters) and advances the
 // cadence line.
 func (cl *Cluster) captureCheckpoint(t int64) {
-	snap := cl.buildSnapshot(t)
-	payload := checkpoint.EncodeCluster(snap)
+	// Blobs grow only by the obs history added since the last capture, so
+	// the previous blob's length plus a sixteenth normally holds the next
+	// one; a short buffer is regrown once, to the exact size.
+	size := 0
+	if n := len(cl.ckpts); n > 0 {
+		size = len(cl.ckpts[n-1].Blob)
+		size += size / 16
+	}
+	w := checkpoint.NewWriter(make([]byte, 0, size))
+	clusterBytes := w.Cluster(cl.buildSnapshot(t))
 	cl.rec.Counter("checkpoint.captures").Inc()
-	cl.rec.Counter("checkpoint.bytes").Add(int64(len(payload)))
+	cl.rec.Counter("checkpoint.bytes").Add(int64(clusterBytes))
 	cl.rec.Gauge("checkpoint.last_capture_cycle").Set(t)
 	if cl.rec != nil {
 		cl.rec.SetThreadName(obs.PidFabric, checkpointTid, "checkpoints")
 		cl.rec.InstantCycles(obs.PidFabric, checkpointTid, "checkpoint.capture", t)
 	}
-	blob := checkpoint.Assemble(payload, cl.rec.State())
+	blob := w.Finish(cl.rec.State())
 	cl.ckpts = append(cl.ckpts, Stored{Cycle: t, Blob: blob})
 	cl.ckptNext = (t/cl.ckptEvery + 1) * cl.ckptEvery
 }
 
 // buildSnapshot assembles the cluster section of a snapshot at run-local
 // cycle t. Called only at window barriers: pending sends are flushed, no
-// chip is faulted.
+// chip is faulted. The snapshot's Chips alias the delta baseline, so they
+// hold only until the next capture overwrites it: encode before then.
 func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		CaptureCycle:  t,
@@ -164,7 +179,7 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 			cl.ckptPrev[i] = ch.StateWithPrev(&cl.ckptPrev[i])
 		}
 	}
-	s.Chips = append(s.Chips, cl.ckptPrev...)
+	s.Chips = cl.ckptPrev
 	for _, mb := range cl.posts {
 		qs := make([][]checkpoint.Envelope, len(mb.queues))
 		for qi := range mb.queues {

@@ -387,7 +387,7 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	if cl.ckptPrev == nil {
 		t.Fatal("first capture did not arm the delta baseline")
 	}
-	full0 := checkpoint.EncodeCluster(first)
+	full0 := checkpoint.Encode(first)
 
 	// Mutate a few chips: an overwrite, a fresh vector, a latent upset,
 	// and a scrub (FlipBit then a corrected read) — every dirty path.
@@ -404,11 +404,11 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	}
 
 	delta := cl.buildSnapshot(650)
-	deltaBytes := checkpoint.EncodeCluster(delta)
+	deltaBytes := checkpoint.Encode(delta)
 
 	cl.ckptPrev = nil // drop the baseline: next capture is a full walk
 	fullSnap := cl.buildSnapshot(650)
-	fullBytes := checkpoint.EncodeCluster(fullSnap)
+	fullBytes := checkpoint.Encode(fullSnap)
 
 	if bytes.Equal(deltaBytes, full0) {
 		t.Fatal("second capture identical to the first — mutations not captured")

@@ -654,7 +654,7 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		c.nzOK[idx] = false
 
 	case isa.Write:
-		c.Mem.Write(memAddr(in), c.streamBytes(int(in.Imm)%NumStreams)[:])
+		c.Mem.Write(memAddr(in), c.streamBytes(int(in.Imm) % NumStreams)[:])
 
 	case isa.LoadWeights:
 		c.Weights[int(in.B)%WeightRows] = *c.streamLanes(int(in.A) % NumStreams)

@@ -231,7 +231,7 @@ func RunEncoderOnChip(p *EncoderParams, x [][]float32) ([][]float32, int64, erro
 	}
 	out := make([][]float32, p.Seq)
 	for i := 0; i < p.Seq; i++ {
-		f := chip.StreamFloats(encOut+i)
+		f := chip.StreamFloats(encOut + i)
 		out[i] = append([]float32(nil), f[:p.Hidden]...)
 	}
 	return out, finish, nil

@@ -356,76 +356,23 @@ func BenchmarkClusterRunSeq(b *testing.B) {
 	benchClusterRun(b, 1, func(cl *rtime.Cluster) (int64, error) { return cl.Run() })
 }
 
-// BenchmarkClusterRunPar times the user-facing parallel configuration
-// (4 workers through Run); its results are byte-identical to the
-// sequential run, so the two benchmarks measure the same simulation.
-// Speedup requires real parallel hardware: under GOMAXPROCS=1 Run routes
-// this configuration to the sequential executor (the window machinery is
-// pure overhead with nothing observing barriers).
-func BenchmarkClusterRunPar(b *testing.B) {
-	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) { return cl.Run() })
-}
-
-// BenchmarkClusterRunParWin times the conservative window executor
-// explicitly (RunParallel, 4 workers), bypassing Run's sequential
-// fallback so the window machinery is on the clock even on one core.
-func BenchmarkClusterRunParWin(b *testing.B) {
-	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) { return cl.RunParallel(4) })
-}
-
-// BenchmarkClusterRunSpec times the speculative window executor
-// explicitly (RunSpeculative, 4 workers, default depth): chips run past
-// the conservative horizon and stalls hand back the remainder at the
-// barrier. Byte-identical to Seq; the interesting read is the delta
-// against ParWin (fewer barriers) and against Seq (machinery overhead).
-func BenchmarkClusterRunSpec(b *testing.B) {
-	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) {
-		cl.SetSpeculate(true)
-		return cl.RunSpeculative(4)
-	})
-}
-
-// BenchmarkClusterRunByWorkers sweeps worker counts 1/2/4/8 for the
-// explicit conservative and speculative window executors on the 64-chip
-// cells — the scaling record BENCH_cluster.json tracks. On a single-core
-// host the sweep measures scheduling overhead versus worker count; on
-// real parallel hardware it is the multi-core scaling curve.
-func BenchmarkClusterRunByWorkers(b *testing.B) {
-	for _, spec := range []bool{false, true} {
-		exec := "par"
-		if spec {
-			exec = "spec"
-		}
+// BenchmarkClusterRunWindow times the window executor explicitly
+// (RunParallel, bypassing Run's sequential fallback so the window
+// machinery is on the clock even on one core) across speculation depths
+// and worker counts: depth 0 is the conservative executor, depth 4 runs
+// chips past the sound horizon and hands stalls back at the barrier.
+// Every cell is byte-identical to Seq. On a single-core host the worker
+// axis measures scheduling overhead versus worker count; on real
+// parallel hardware it is the multi-core scaling curve.
+func BenchmarkClusterRunWindow(b *testing.B) {
+	for _, depth := range []int64{0, 4} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, bc := range clusterBenchCases {
-				if bc.nodes != 8 {
-					continue
-				}
-				w := workers
-				s := spec
-				b.Run(fmt.Sprintf("%s/w%d/%s", exec, w, bc.name), func(b *testing.B) {
-					var finish int64
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						cl := buildBenchCluster(b, bc.pipeline, bc.nodes, w)
-						runtime.GC()
-						b.StartTimer()
-						var f int64
-						var err error
-						if s {
-							cl.SetSpeculate(true)
-							f, err = cl.RunSpeculative(w)
-						} else {
-							f, err = cl.RunParallel(w)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						finish = f
-					}
-					b.ReportMetric(float64(finish), "finish-cycles")
+			b.Run(fmt.Sprintf("depth=%d/workers=%d", depth, workers), func(b *testing.B) {
+				benchClusterRun(b, workers, func(cl *rtime.Cluster) (int64, error) {
+					cl.SetSpecDepth(depth)
+					return cl.RunParallel(workers)
 				})
-			}
+			})
 		}
 	}
 }

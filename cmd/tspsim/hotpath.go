@@ -6,9 +6,10 @@
 //	tspsim -exp hotpath -cpuprofile /tmp/hot.prof
 //	go tool pprof -top tspsim /tmp/hot.prof
 //
-// The -workers flag selects the executor (1 = sequential heap executor,
-// n>1 = window-parallel); both produce byte-identical cluster results, so
-// the printed checksum line must not change across executors or runs.
+// The -workers and -speculate-depth flags select the executor (1 worker =
+// sequential heap executor, n>1 = window-parallel at the given depth); all
+// produce byte-identical cluster results, so the printed checksum line
+// must not change across executors or runs.
 package main
 
 import (
@@ -30,7 +31,7 @@ type hotpathCase struct {
 
 // buildHotpathCluster constructs and preloads one measurement cluster,
 // mirroring the repo benchmark's setup (8 waves / 7 rounds, 2 matmuls).
-func buildHotpathCluster(hc hotpathCase, workers int) (*rtime.Cluster, error) {
+func buildHotpathCluster(hc hotpathCase) (*rtime.Cluster, error) {
 	const waves, matmuls, rounds = 8, 2, 7
 	sys, err := topo.New(topo.Config{Nodes: hc.nodes})
 	if err != nil {
@@ -42,7 +43,7 @@ func buildHotpathCluster(hc hotpathCase, workers int) (*rtime.Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err = rtime.New(sys, pp)
+		cl, err = newCluster(sys, pp)
 		if err != nil {
 			return nil, err
 		}
@@ -51,12 +52,11 @@ func buildHotpathCluster(hc hotpathCase, workers int) (*rtime.Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err = rtime.New(sys, rp)
+		cl, err = newCluster(sys, rp)
 		if err != nil {
 			return nil, err
 		}
 	}
-	cl.SetWorkers(workers)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c), -float32(c % 3), 2})
 		if hc.pipeline {
@@ -93,7 +93,7 @@ func hotpath() error {
 		var finish int64
 		var sum float64
 		for r := 0; r < reps; r++ {
-			cl, err := buildHotpathCluster(hc, workersN)
+			cl, err := buildHotpathCluster(hc)
 			if err != nil {
 				return err
 			}

@@ -28,8 +28,10 @@
 //	tspsim -exp fleet    fleet-level SLO: months of incidents across N systems
 //
 // The -workers flag sets the cluster executor parallelism for every
-// experiment: 1 (default) is the sequential executor, n > 1 the
-// deterministic window-parallel executor — results are byte-identical.
+// cluster an experiment builds: 1 (default) is the sequential executor,
+// n > 1 the deterministic window executor. -speculate-depth lets its
+// windows run that many hops past the conservative horizon (default 0).
+// Results are byte-identical at any setting.
 //
 // The -series flag writes the barrier-sampled time series (JSON, or CSV
 // when the path ends in .csv); -series-every overrides the sampling
@@ -87,13 +89,26 @@ import (
 	"repro/internal/workloads"
 )
 
-// workersN is the -workers flag value, visible to experiments that fan
-// work out themselves (serve sweeps, the par demo). Reset by run().
-var workersN = 1
+// workersN and specDepthN are the -workers and -speculate-depth flag
+// values: newCluster applies them to every cluster an experiment builds,
+// and experiments that fan work out themselves (serve sweeps, the par
+// demo) read workersN. Reset by run().
+var (
+	workersN   = 1
+	specDepthN int64
+)
 
-// speculateN is the -speculate flag value after validation (false when
-// -workers 1 forced the sequential fallback). Reset by run().
-var speculateN = false
+// newCluster builds a cluster with the executor configuration the
+// -workers and -speculate-depth flags select.
+func newCluster(sys *topo.System, programs []*isa.Program) (*rtime.Cluster, error) {
+	cl, err := rtime.New(sys, programs)
+	if err != nil {
+		return nil, err
+	}
+	cl.SetWorkers(workersN)
+	cl.SetSpecDepth(specDepthN)
+	return cl, nil
+}
 
 // checkpointEveryN is the -checkpoint-every flag value: the epoch-barrier
 // checkpoint cadence in cycles armed on the recovery-ladder experiments
@@ -157,9 +172,7 @@ func run(argv []string, errw io.Writer) int {
 	tracePath := fs.String("trace", "", "write a Perfetto-loadable Chrome trace JSON here")
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
 	workers := fs.Int("workers", 1, "cluster executor parallelism: 1 = sequential, n>1 = deterministic window-parallel execution")
-	windowMax := fs.Int64("window-max", 0, "cap on the window-parallel executor's adaptive lookahead horizon in cycles (0 = uncapped; otherwise >= one 650-cycle hop; 650 reproduces the fixed one-hop windows)")
-	speculate := fs.Bool("speculate", false, "run chips optimistically past the conservative window horizon (requires -workers > 1; every simulated observable stays byte-identical)")
-	specDepth := fs.Int64("speculate-depth", 4, "speculative window depth in 650-cycle hops past the conservative horizon (>= 1)")
+	specDepth := fs.Int64("speculate-depth", 0, "window executor speculation depth: stretch windows past the conservative horizon to up to this many 650-cycle hops past their barrier (0 = conservative windows; every simulated observable stays byte-identical)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
 	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
 	fleetCadMin := fs.Float64("fleet-cadence-min", 0, "adaptive checkpoint cadence floor in µs for the fleet experiment's policy ablation (0 = scenario default)")
@@ -213,20 +226,10 @@ func run(argv []string, errw io.Writer) int {
 		fmt.Fprintf(errw, "-workers must be >= 1 (1 = sequential executor), got %d\n", *workers)
 		return 2
 	}
-	if *windowMax != 0 && *windowMax < route.HopCycles {
-		fmt.Fprintf(errw, "-window-max must be >= one %d-cycle hop, or 0 for uncapped, got %d\n", route.HopCycles, *windowMax)
-		return 2
-	}
-	if *specDepth < 1 {
-		fmt.Fprintf(errw, "-speculate-depth must be >= 1 (hops past the conservative horizon), got %d\n", *specDepth)
+	if *specDepth < 0 {
+		fmt.Fprintf(errw, "-speculate-depth must be >= 0 (hops past the conservative horizon), got %d\n", *specDepth)
 		fs.Usage()
 		return 2
-	}
-	if *speculate && *workers == 1 {
-		// Speculation at one worker is the sequential schedule by
-		// definition — note it and run the sequential path.
-		fmt.Fprintln(errw, "note: -speculate needs -workers > 1; falling back to the sequential executor")
-		*speculate = false
 	}
 	if *fleetDrainThr < 0 {
 		fmt.Fprintf(errw, "-fleet-drain-threshold must be >= 0 (0 = scenario default), got %g\n", *fleetDrainThr)
@@ -241,30 +244,21 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 
-	// Executor parallelism: captured by every cluster built during the
-	// experiments. Restored afterwards so in-process callers (tests) see
-	// the default again.
+	// Flag values the experiments read. Reset afterwards so in-process
+	// callers (tests) see the defaults again.
 	workersN = *workers
+	specDepthN = *specDepth
 	checkpointEveryN = *ckptEvery
 	fleetDrainThresholdN = *fleetDrainThr
 	fleetCadenceMinN = *fleetCadMin
 	fleetCadenceMaxN = *fleetCadMax
-	speculateN = *speculate
-	prevWorkers := rtime.SetDefaultWorkers(*workers)
-	prevWindowMax := rtime.SetDefaultWindowMax(*windowMax)
-	prevSpeculate := rtime.SetDefaultSpeculate(*speculate)
-	prevSpecDepth := rtime.SetDefaultSpecDepth(*specDepth)
 	defer func() {
 		workersN = 1
-		speculateN = false
+		specDepthN = 0
 		checkpointEveryN = 0
 		fleetDrainThresholdN = 0
 		fleetCadenceMinN = 0
 		fleetCadenceMaxN = 0
-		rtime.SetDefaultWorkers(prevWorkers)
-		rtime.SetDefaultWindowMax(prevWindowMax)
-		rtime.SetDefaultSpeculate(prevSpeculate)
-		rtime.SetDefaultSpecDepth(prevSpecDepth)
 	}()
 
 	// Observability: when either output is requested, install a process-wide
@@ -773,12 +767,7 @@ func ladderDemo() error {
 			for d := 0; d < a.Devices(); d++ {
 				placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
 			}
-			cl, err := rtime.New(sys, placed)
-			if err != nil {
-				return nil, err
-			}
-			cl.SetWorkers(workersN)
-			return cl, nil
+			return newCluster(sys, placed)
 		},
 		MaxReplays:      4,
 		MaxFailovers:    2,
@@ -878,12 +867,7 @@ func checkpointExp() error {
 				for d := 0; d < a.Devices(); d++ {
 					placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
 				}
-				cl, err := rtime.New(sys, placed)
-				if err != nil {
-					return nil, err
-				}
-				cl.SetWorkers(workersN)
-				return cl, nil
+				return newCluster(sys, placed)
 			},
 			MaxReplays:      4,
 			MaxFailovers:    2,
@@ -984,11 +968,10 @@ func checkpointRing() (*rtime.Cluster, *topo.System, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cl, err := rtime.New(sys, progs)
+	cl, err := newCluster(sys, progs)
 	if err != nil {
 		return nil, nil, err
 	}
-	cl.SetWorkers(workersN)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		v := tsp.VectorOf([]float32{float32(c + 1), float32(c) * 0.5})
 		cl.Chip(c).SetStream(rtime.RingCur, v)
@@ -1158,41 +1141,20 @@ func serveExp() error {
 	return nil
 }
 
-// parExp demonstrates the conservative window-parallel cluster executor:
-// the same 16-chip ring all-reduce workload runs once on the sequential
-// min-heap executor and once window-parallel, and the results — finish
-// cycle, every stream register, the reduced sums — must match exactly.
-// The lookahead window is at least one C2C hop (650 cycles): a send
-// issued inside a window cannot land before the window ends, so chips
-// within a window are causally independent and free to step concurrently.
-// The horizon is adaptive — each window extends to one hop past the
-// earliest statically possible Send — and a second, compute-heavy
-// pipeline workload shows the resulting barrier-count collapse against a
-// -window-max=650 fixed-window baseline.
+// parExp demonstrates the window executor. Two workloads — a
+// communication-bound 16-chip ring all-reduce and a compute-heavy 8-stage
+// pipeline — each run once on the sequential min-heap executor and then on
+// the window executor at speculation depths 0/1/2/4/8, and every run's
+// finish cycle and stream registers must match the sequential run
+// exactly. A window is at least one C2C hop (650 cycles): a send issued
+// inside it cannot land before it ends, so chips within a window are
+// causally independent and free to step concurrently. At depth 0 each
+// window extends to one hop past the earliest statically possible Send,
+// which collapses the pipeline's quiet compute phases into a few long
+// windows; a deeper window runs chips past that horizon and hands back
+// the remainder (a rollback) when a Recv's data is not committed yet.
 func parExp() error {
-	fmt.Println("window-parallel executor — schedule-aware adaptive lookahead")
-	sys, err := topo.New(topo.Config{Nodes: 2})
-	if err != nil {
-		return err
-	}
-	const rounds, matmuls = 7, 2
-	progs, err := rtime.RingAllReducePrograms(sys, rounds, matmuls)
-	if err != nil {
-		return err
-	}
-	build := func(workers int) (*rtime.Cluster, error) {
-		cl, err := rtime.New(sys, progs)
-		if err != nil {
-			return nil, err
-		}
-		cl.SetWorkers(workers)
-		for c := 0; c < sys.NumTSPs(); c++ {
-			v := tsp.VectorOf([]float32{float32(c + 1), float32(c) * 0.5})
-			cl.Chip(c).SetStream(rtime.RingCur, v)
-			cl.Chip(c).SetStream(rtime.RingAcc, v)
-		}
-		return cl, nil
-	}
+	fmt.Println("window executor — adaptive lookahead, speculation depth sweep")
 	workers := workersN
 	if workers < 2 {
 		workers = 4
@@ -1201,80 +1163,114 @@ func parExp() error {
 		fmt.Printf("note: GOMAXPROCS=%d < %d workers — the pool spawns only the\n", g, workers)
 		fmt.Printf("parallelism the scheduler can deliver; results are identical either way\n")
 	}
-	seq, err := build(1)
+	ringSys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	seqFinish, seqErr := seq.Run()
-	seqWall := time.Since(t0)
-	par, err := build(workers)
+	ringProgs, err := rtime.RingAllReducePrograms(ringSys, 7, 2)
 	if err != nil {
 		return err
 	}
-	// RunParallel explicitly: this section demos the window executor, and
-	// plain Run would route a 1-core, recorder-less configuration to the
-	// sequential executor instead of timing windows.
-	t0 = time.Now()
-	parFinish, parErr := par.RunParallel(workers)
-	parWall := time.Since(t0)
-	spec, err := build(workers)
+	pipeSys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return err
 	}
-	spec.SetSpeculate(true)
-	t0 = time.Now()
-	specFinish, specErr := spec.RunSpeculative(workers)
-	specWall := time.Since(t0)
-	if seqErr != nil || parErr != nil || specErr != nil {
-		return fmt.Errorf("par: run failed (seq=%v par=%v spec=%v)", seqErr, parErr, specErr)
+	pipeProgs, err := rtime.PipelinePrograms(pipeSys, 6, 50)
+	if err != nil {
+		return err
 	}
-	identical := seqFinish == parFinish && seqFinish == specFinish
-	for c := 0; c < sys.NumTSPs() && identical; c++ {
-		identical = seq.Chip(c).Streams() == par.Chip(c).Streams() &&
-			seq.Chip(c).Streams() == spec.Chip(c).Streams() &&
-			seq.Chip(c).FinishCycle() == par.Chip(c).FinishCycle() &&
-			seq.Chip(c).FinishCycle() == spec.Chip(c).FinishCycle()
+	workloads := []struct {
+		name  string
+		sys   *topo.System
+		build func() (*rtime.Cluster, error)
+	}{
+		{"ring/16chip", ringSys, func() (*rtime.Cluster, error) {
+			cl, err := newCluster(ringSys, ringProgs)
+			if err != nil {
+				return nil, err
+			}
+			for c := 0; c < ringSys.NumTSPs(); c++ {
+				v := tsp.VectorOf([]float32{float32(c + 1), float32(c) * 0.5})
+				cl.Chip(c).SetStream(rtime.RingCur, v)
+				cl.Chip(c).SetStream(rtime.RingAcc, v)
+			}
+			return cl, nil
+		}},
+		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(pipeSys, pipeProgs) }},
 	}
-	// After 7 rounds of the 8-chip ring, RingAcc is the node sum.
-	sums := make([]float32, sys.NumNodes())
-	for n := range sums {
-		for local := 0; local < topo.TSPsPerNode; local++ {
-			sums[n] += float32(n*topo.TSPsPerNode + local + 1)
+
+	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
+	fmt.Println("           8-stage pipeline (6 waves, 50 matmuls/stage)")
+	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive; depth d\n", route.HopCycles)
+	fmt.Println("stretches a window to up to d hops past its barrier")
+	fmt.Printf("%-16s %-10s %10s %7s %8s %12s %9s %13s %7s %8s %12s\n",
+		"workload", "executor", "gomaxprocs", "workers", "windows", "mean_horizon",
+		"rollbacks", "rollback_rate", "wasted", "finish", "wall")
+	g := goruntime.GOMAXPROCS(0)
+	identical := true
+	var ring *rtime.Cluster
+	for _, wl := range workloads {
+		seq, err := wl.build()
+		if err != nil {
+			return err
+		}
+		t0 := time.Now()
+		seqFinish, err := seq.RunSequential()
+		if err != nil {
+			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
+		}
+		fmt.Printf("%-16s %-10s %10d %7d %8s %12s %9s %13s %7s %8d %12v\n",
+			wl.name, "sequential", g, 1, "-", "-", "-", "-", "-", seqFinish, time.Since(t0))
+		for _, depth := range []int64{0, 1, 2, 4, 8} {
+			cl, err := wl.build()
+			if err != nil {
+				return err
+			}
+			cl.SetWorkers(workers)
+			cl.SetSpecDepth(depth)
+			// RunParallel explicitly: this section times the window
+			// executor, and plain Run would route a 1-core, recorder-less
+			// configuration to the sequential executor instead.
+			t0 = time.Now()
+			finish, err := cl.RunParallel(workers)
+			wall := time.Since(t0)
+			if err != nil {
+				return fmt.Errorf("par: %s depth %d: %w", wl.name, depth, err)
+			}
+			ps := cl.ParStats()
+			fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %9d %13.4f %7d %8d %12v\n",
+				wl.name, fmt.Sprintf("depth=%d", depth), g, workers, ps.Windows, meanHorizon(ps),
+				ps.Rollbacks, rollbackRate(ps), ps.WastedCycles, finish, wall)
+			identical = identical && finish == seqFinish
+			for c := 0; c < wl.sys.NumTSPs() && identical; c++ {
+				identical = seq.Chip(c).Streams() == cl.Chip(c).Streams() &&
+					seq.Chip(c).FinishCycle() == cl.Chip(c).FinishCycle()
+			}
+		}
+		if ring == nil {
+			ring = seq
 		}
 	}
+	// After 7 rounds of the 8-chip ring, RingAcc is the node sum.
 	reduced := true
-	for c := 0; c < sys.NumTSPs() && reduced; c++ {
-		acc := par.Chip(c).StreamFloats(rtime.RingAcc)
-		reduced = acc[0] == sums[c/topo.TSPsPerNode]
+	for c := 0; c < ringSys.NumTSPs() && reduced; c++ {
+		var sum float32
+		for local := 0; local < topo.TSPsPerNode; local++ {
+			sum += float32(c/topo.TSPsPerNode*topo.TSPsPerNode + local + 1)
+		}
+		reduced = ring.Chip(c).StreamFloats(rtime.RingAcc)[0] == sum
 	}
-	ps, ss := par.ParStats(), spec.SpecStats()
-	g := goruntime.GOMAXPROCS(0)
-	fmt.Printf("workload: %d-chip ring all-reduce, %d rounds, %d matmuls/round\n",
-		sys.NumTSPs(), rounds, matmuls)
-	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive\n", route.HopCycles)
-	fmt.Printf("%-13s %10s %7s %8s %9s %13s %10s %12s\n",
-		"executor", "gomaxprocs", "workers", "windows", "rollbacks", "rollback_rate", "finish", "wall")
-	fmt.Printf("%-13s %10d %7d %8s %9s %13s %10d %12v\n",
-		"sequential", g, 1, "-", "-", "-", seqFinish, seqWall)
-	fmt.Printf("%-13s %10d %7d %8d %9s %13s %10d %12v\n",
-		"conservative", g, workers, ps.Windows, "-", "-", parFinish, parWall)
-	fmt.Printf("%-13s %10d %7d %8d %9d %13.4f %10d %12v\n",
-		"speculative", g, workers, ss.Windows, ss.Rollbacks, rollbackRate(ss), specFinish, specWall)
-	fmt.Printf("conservative windows: %d, mean horizon %.0f cycles, barrier time %v\n",
-		ps.Windows, meanHorizon(ps), time.Duration(ps.BarrierNS))
-	fmt.Printf("speculative wasted cycles (speculated then handed back): %d\n", ss.WastedCycles)
 	fmt.Printf("state byte-identical: %v   all-reduce sums correct: %v\n", identical, reduced)
 	if !identical || !reduced {
 		return fmt.Errorf("par: executor equivalence violated")
 	}
 	fmt.Println("cross-chip sends buffer per window and merge at the barrier in")
 	fmt.Println("(cycle, source, issue-order) order — the sequential interleave —")
-	fmt.Println("so counters, traces, and memories never depend on worker count")
-	return parWindowCollapse(workers)
+	fmt.Println("so counters, traces, and memories never depend on worker count or depth")
+	return nil
 }
 
-// meanHorizon is the average adaptive window length of a parallel run.
+// meanHorizon is the average window length of a window-executor run.
 func meanHorizon(ps rtime.ParStats) float64 {
 	if ps.Windows == 0 {
 		return 0
@@ -1282,117 +1278,27 @@ func meanHorizon(ps rtime.ParStats) float64 {
 	return float64(ps.HorizonCycles) / float64(ps.Windows)
 }
 
-// rollbackRate is the fraction of speculative windows in which at least
-// one chip stalled and handed back its speculated remainder.
-func rollbackRate(ss rtime.SpecStats) float64 {
-	if ss.Windows == 0 {
+// rollbackRate is the number of rollbacks per window.
+func rollbackRate(ps rtime.ParStats) float64 {
+	if ps.Windows == 0 {
 		return 0
 	}
-	return float64(ss.Rollbacks) / float64(ss.Windows)
+	return float64(ps.Rollbacks) / float64(ps.Windows)
 }
 
-// execStats reads the executor's volatile window/speculation bookkeeping
-// back out of the recorder for the profiler. Volatile counters never reach
-// the deterministic state dump, so the profiler receives them out of band.
+// execStats reads the window executor's volatile bookkeeping back out of
+// the recorder for the profiler. Volatile counters never reach the
+// deterministic state dump, so the profiler receives them out of band.
 func execStats(rec *obs.Recorder) prof.ExecStats {
 	return prof.ExecStats{
-		ParWindows:       rec.VolatileValue("runtime.par.windows"),
-		ParHorizonCycles: rec.VolatileValue("runtime.par.horizon_cycles"),
-		ParWindowChips:   rec.VolatileValue("runtime.par.window_chips"),
-		ParBarrierStalls: rec.VolatileValue("runtime.par.barrier_stalls"),
-		SpecWindows:      rec.VolatileValue("runtime.spec.windows"),
-		SpecRollbacks:    rec.VolatileValue("runtime.spec.rollbacks"),
-		SpecWastedCycles: rec.VolatileValue("runtime.spec.wasted_cycles"),
+		Windows:       rec.VolatileValue("runtime.par.windows"),
+		HorizonCycles: rec.VolatileValue("runtime.par.horizon_cycles"),
+		WindowChips:   rec.VolatileValue("runtime.par.window_chips"),
+		BarrierStalls: rec.VolatileValue("runtime.par.barrier_stalls"),
+		Depth:         specDepthN,
+		Rollbacks:     rec.VolatileValue("runtime.par.rollbacks"),
+		WastedCycles:  rec.VolatileValue("runtime.par.wasted_cycles"),
 	}
-}
-
-// parWindowCollapse is the adaptive-horizon headline: a compute-heavy
-// 8-stage pipeline (50 matmuls per stage, so each stage computes for
-// thousands of cycles between sends) runs once with the horizon capped at
-// the one-hop floor — the fixed-window partition — and once uncapped.
-// Results are byte-identical; only the barrier count collapses.
-func parWindowCollapse(workers int) error {
-	fmt.Println()
-	fmt.Println("adaptive-horizon window collapse — compute-heavy pipeline")
-	sys, err := topo.New(topo.Config{Nodes: 1})
-	if err != nil {
-		return err
-	}
-	const waves, matmuls = 6, 50
-	progs, err := rtime.PipelinePrograms(sys, waves, matmuls)
-	if err != nil {
-		return err
-	}
-	run := func(windowMax int64) (*rtime.Cluster, int64, error) {
-		cl, err := rtime.New(sys, progs)
-		if err != nil {
-			return nil, 0, err
-		}
-		cl.SetWorkers(workers)
-		cl.SetWindowMax(windowMax)
-		finish, err := cl.RunParallel(workers)
-		return cl, finish, err
-	}
-	fixed, fixedFinish, err := run(route.HopCycles)
-	if err != nil {
-		return err
-	}
-	adaptive, adaptiveFinish, err := run(0)
-	if err != nil {
-		return err
-	}
-	fp, ap := fixed.ParStats(), adaptive.ParStats()
-	fmt.Printf("workload: %d-stage pipeline, %d waves, %d matmuls/stage\n",
-		topo.TSPsPerNode, waves, matmuls)
-	fmt.Printf("fixed-650 windows:    %d (mean horizon %.0f cycles)   finish %d\n",
-		fp.Windows, meanHorizon(fp), fixedFinish)
-	fmt.Printf("adaptive windows:     %d (mean horizon %.0f cycles)   finish %d\n",
-		ap.Windows, meanHorizon(ap), adaptiveFinish)
-	if ap.Windows == 0 || fixedFinish != adaptiveFinish {
-		return fmt.Errorf("par: window collapse run diverged (fixed finish %d, adaptive finish %d)",
-			fixedFinish, adaptiveFinish)
-	}
-	ratio := float64(fp.Windows) / float64(ap.Windows)
-	fmt.Printf("window-count delta:   %.1fx fewer barriers, byte-identical results\n", ratio)
-	for c := 0; c < sys.NumTSPs(); c++ {
-		if fixed.Chip(c).Streams() != adaptive.Chip(c).Streams() {
-			return fmt.Errorf("par: chip %d state diverged between fixed and adaptive horizons", c)
-		}
-	}
-
-	// Speculation on top of the adaptive horizon: rollback rate vs window
-	// depth. Deeper windows mean fewer barriers but more speculated cycles
-	// handed back when a Recv's data has not been committed yet.
-	fmt.Println()
-	fmt.Println("speculative windows — rollback rate vs depth (same pipeline)")
-	fmt.Printf("%-6s %10s %7s %8s %9s %13s %10s\n",
-		"depth", "gomaxprocs", "workers", "windows", "rollbacks", "rollback_rate", "finish")
-	g := goruntime.GOMAXPROCS(0)
-	for _, depth := range []int64{1, 2, 4, 8} {
-		cl, err := rtime.New(sys, progs)
-		if err != nil {
-			return err
-		}
-		cl.SetWorkers(workers)
-		cl.SetSpeculate(true)
-		cl.SetSpecDepth(depth)
-		finish, err := cl.RunSpeculative(workers)
-		if err != nil {
-			return err
-		}
-		if finish != adaptiveFinish {
-			return fmt.Errorf("par: speculative depth %d finish %d != adaptive finish %d", depth, finish, adaptiveFinish)
-		}
-		for c := 0; c < sys.NumTSPs(); c++ {
-			if cl.Chip(c).Streams() != adaptive.Chip(c).Streams() {
-				return fmt.Errorf("par: chip %d state diverged under speculation depth %d", c, depth)
-			}
-		}
-		ss := cl.SpecStats()
-		fmt.Printf("%-6d %10d %7d %8d %9d %13.4f %10d\n",
-			depth, g, workers, ss.Windows, ss.Rollbacks, rollbackRate(ss), finish)
-	}
-	return nil
 }
 
 func fig9() error {

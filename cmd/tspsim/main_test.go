@@ -125,25 +125,25 @@ func TestBadFleetPolicyFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestBadWindowMaxRejected: a window cap below one hop would shrink the
-// conservative lookahead floor, so anything in (0, HopCycles) is refused.
+// TestBadWindowMaxRejected: -window-max is gone — the adaptive horizon is
+// uncapped and the fixed one-hop grid is what a 650-cycle checkpoint
+// cadence imposes — so any use of it is an unknown-flag usage error.
 func TestBadWindowMaxRejected(t *testing.T) {
 	muteStdout(t)
-	for _, v := range []string{"-1", "1", "649"} {
+	for _, v := range []string{"0", "649", "650"} {
 		var errw bytes.Buffer
 		if code := run([]string{"-exp", "fig11", "-window-max", v}, &errw); code != 2 {
 			t.Fatalf("-window-max %s: exit code = %d, want 2", v, code)
 		}
-		if !strings.Contains(errw.String(), "-window-max must be >= one") {
-			t.Errorf("-window-max %s: stderr missing cap message:\n%s", v, errw.String())
+		if !strings.Contains(errw.String(), "flag provided but not defined: -window-max") {
+			t.Errorf("-window-max %s: stderr missing the unknown-flag message:\n%s", v, errw.String())
 		}
 	}
 }
 
-// TestBadSpeculateFlagsRejected: a zero or negative speculation depth is
-// a usage error (exit 2 with the usage text), while -speculate with
-// -workers 1 is legal but meaningless — it prints a note and falls back
-// to the sequential executor instead of failing.
+// TestBadSpeculateFlagsRejected: a negative speculation depth is a usage
+// error (exit 2 with the usage text), and the removed -speculate toggle is
+// an unknown flag — depth 0 is the conservative executor.
 func TestBadSpeculateFlagsRejected(t *testing.T) {
 	muteStdout(t)
 	cases := []struct {
@@ -151,12 +151,12 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 		argv []string
 		want string
 	}{
-		{"zero depth",
-			[]string{"-exp", "fig11", "-speculate", "-workers", "2", "-speculate-depth", "0"},
-			"-speculate-depth must be >= 1"},
 		{"negative depth",
-			[]string{"-exp", "fig11", "-speculate", "-workers", "2", "-speculate-depth", "-3"},
-			"-speculate-depth must be >= 1"},
+			[]string{"-exp", "fig11", "-workers", "2", "-speculate-depth", "-1"},
+			"-speculate-depth must be >= 0"},
+		{"removed toggle",
+			[]string{"-exp", "fig11", "-speculate", "-workers", "2"},
+			"flag provided but not defined: -speculate"},
 	}
 	for _, tc := range cases {
 		var errw bytes.Buffer
@@ -166,22 +166,38 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 		if !strings.Contains(errw.String(), tc.want) {
 			t.Errorf("%s: stderr missing %q:\n%s", tc.name, tc.want, errw.String())
 		}
-		if !strings.Contains(errw.String(), "Usage") && !strings.Contains(errw.String(), "-speculate-depth int") {
+		if !strings.Contains(errw.String(), "-speculate-depth int") {
 			t.Errorf("%s: stderr missing usage text:\n%s", tc.name, errw.String())
 		}
 	}
 }
 
-// TestSpeculateSingleWorkerFallsBack: -speculate -workers 1 runs the
-// experiment on the sequential path, succeeding with a printed note.
+// TestSpeculateSingleWorkerFallsBack: every depth is legal at every
+// worker count — at -workers 1 the clusters simply run sequentially — and
+// the exported metrics do not depend on the executor configuration.
 func TestSpeculateSingleWorkerFallsBack(t *testing.T) {
 	muteStdout(t)
-	var errw bytes.Buffer
-	if code := run([]string{"-exp", "fig11", "-speculate", "-workers", "1"}, &errw); code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "falling back to the sequential executor") {
-		t.Errorf("stderr missing the fallback note:\n%s", errw.String())
+	var want []byte
+	for i, flags := range [][]string{
+		nil,
+		{"-speculate-depth", "0"},
+		{"-speculate-depth", "4", "-workers", "1"},
+		{"-speculate-depth", "4", "-workers", "2"},
+	} {
+		mp := filepath.Join(t.TempDir(), "m.json")
+		var errw bytes.Buffer
+		if code := run(append([]string{"-exp", "profile", "-metrics", mp}, flags...), &errw); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0; stderr:\n%s", flags, code, errw.String())
+		}
+		got, err := os.ReadFile(mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%v: metrics dump differs from the default executor", flags)
+		}
 	}
 }
 

@@ -38,11 +38,10 @@ func profilePipeline() (*rtime.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := rtime.New(sys, progs)
+	cl, err := newCluster(sys, progs)
 	if err != nil {
 		return nil, err
 	}
-	cl.SetWorkers(workersN)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		stage := c % topo.TSPsPerNode
 		bias := tsp.VectorOf([]float32{float32(stage + 1), 0.5, -float32(stage), 2})

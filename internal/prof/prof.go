@@ -28,21 +28,22 @@ import (
 	"repro/internal/obs"
 )
 
-// ExecStats carries the executor's window bookkeeping into the report.
+// ExecStats carries the window executor's bookkeeping into the report.
 // These values are volatile — they describe how the host executor cut
 // windows, not the simulated machine — so they never appear in the
 // obs.State the rest of the report is built from; the caller reads them
-// from runtime.Cluster.ParStats()/SpecStats() and passes them here.
+// from the recorder's volatile runtime.par.* counters and passes them
+// here. Zero Windows means a sequential run.
 type ExecStats struct {
-	// Conservative/speculative window machinery (zero = sequential run).
-	ParWindows       int64
-	ParHorizonCycles int64
-	ParWindowChips   int64
-	ParBarrierStalls int64
-	// Speculation (zero = conservative or sequential run).
-	SpecWindows      int64
-	SpecRollbacks    int64
-	SpecWastedCycles int64
+	Windows       int64
+	HorizonCycles int64
+	WindowChips   int64
+	BarrierStalls int64
+	// Depth is the speculation depth (runtime.Cluster.SetSpecDepth); the
+	// rollback section is reported only when it is above 0.
+	Depth        int64
+	Rollbacks    int64
+	WastedCycles int64
 }
 
 // Options tunes report shape; the zero value is a sensible default.
@@ -132,23 +133,12 @@ type Report struct {
 	LinkCycles    int64
 	WaitCycles    int64
 
-	// Window-parallel executor statistics (zero when the run used the
-	// sequential executor): lookahead window count, summed adaptive
-	// horizons (mean horizon = ParHorizonCycles/ParWindows), chip-window
-	// occupancy events, and barriers at which runnable chips stalled.
-	// Copied from Options.Exec — the executor's volatile bookkeeping —
-	// because none of it lives in the deterministic obs.State.
-	ParWindows       int64
-	ParHorizonCycles int64
-	ParWindowChips   int64
-	ParBarrierStalls int64
-
-	// Speculative executor statistics (zero for conservative/sequential
-	// runs): windows run, stall transitions (rollbacks), and speculated
-	// cycles handed back at stalls.
-	SpecWindows      int64
-	SpecRollbacks    int64
-	SpecWastedCycles int64
+	// Exec is the window executor's statistics, copied from Options.Exec
+	// because none of it lives in the deterministic obs.State: lookahead
+	// window count, summed adaptive horizons (mean horizon =
+	// HorizonCycles/Windows), chip-window occupancy events, barriers at
+	// which runnable chips stalled, and the speculation rollbacks.
+	Exec ExecStats
 
 	opt Options
 }
@@ -216,16 +206,10 @@ func Analyze(st *obs.State, opt Options) (*Report, error) {
 	r.analyzePhases(st)
 	r.analyzePath(spans)
 
-	// Window-parallel executor telemetry is volatile (it depends on the
-	// host partition, not the simulated machine) and never reaches the
-	// state dump; the caller hands it over via Options.Exec.
-	r.ParWindows = opt.Exec.ParWindows
-	r.ParHorizonCycles = opt.Exec.ParHorizonCycles
-	r.ParWindowChips = opt.Exec.ParWindowChips
-	r.ParBarrierStalls = opt.Exec.ParBarrierStalls
-	r.SpecWindows = opt.Exec.SpecWindows
-	r.SpecRollbacks = opt.Exec.SpecRollbacks
-	r.SpecWastedCycles = opt.Exec.SpecWastedCycles
+	// Window executor telemetry is volatile (it depends on the host
+	// partition, not the simulated machine) and never reaches the state
+	// dump; the caller hands it over via Options.Exec.
+	r.Exec = opt.Exec
 	return r, nil
 }
 

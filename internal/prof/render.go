@@ -62,21 +62,19 @@ func (r *Report) Render(w io.Writer) error {
 		}
 	}
 
-	if r.ParWindows > 0 {
+	if e := r.Exec; e.Windows > 0 {
 		fmt.Fprintf(&b, "\n-- parallel windows --\n")
 		fmt.Fprintf(&b, "windows: %d  mean horizon: %.1f cycles  mean chips/window: %.2f\n",
-			r.ParWindows,
-			float64(r.ParHorizonCycles)/float64(r.ParWindows),
-			float64(r.ParWindowChips)/float64(r.ParWindows))
-		fmt.Fprintf(&b, "barrier stalls: %d windows left runnable chips waiting\n", r.ParBarrierStalls)
-	}
-
-	if r.SpecWindows > 0 {
-		fmt.Fprintf(&b, "\n-- speculation / rollback --\n")
-		fmt.Fprintf(&b, "speculative windows: %d  rollbacks: %d  rollback rate: %.4f\n",
-			r.SpecWindows, r.SpecRollbacks,
-			float64(r.SpecRollbacks)/float64(r.SpecWindows))
-		fmt.Fprintf(&b, "wasted cycles (speculated then handed back): %d\n", r.SpecWastedCycles)
+			e.Windows,
+			float64(e.HorizonCycles)/float64(e.Windows),
+			float64(e.WindowChips)/float64(e.Windows))
+		fmt.Fprintf(&b, "barrier stalls: %d windows left runnable chips waiting\n", e.BarrierStalls)
+		if e.Depth > 0 {
+			fmt.Fprintf(&b, "\n-- speculation / rollback --\n")
+			fmt.Fprintf(&b, "depth: %d hops  rollbacks: %d  rollback rate: %.4f\n",
+				e.Depth, e.Rollbacks, float64(e.Rollbacks)/float64(e.Windows))
+			fmt.Fprintf(&b, "wasted cycles (speculated then handed back): %d\n", e.WastedCycles)
+		}
 	}
 
 	if len(r.Path) > 0 {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -352,5 +353,58 @@ func TestLadderNoUsableCheckpointFallsBackToCycle0(t *testing.T) {
 	sc.checkResult(t, res)
 	if !strings.Contains(metrics, `"checkpoint.restore_source{source=cycle0}":1`) {
 		t.Error("metrics dump missing the cycle0 restore source")
+	}
+}
+
+// TestDeltaSnapshotMatchesFullCapture pins the micro-snapshot fast path's
+// contract: a delta capture (dirty-page reuse against the previous
+// baseline) must encode to exactly the bytes of a from-scratch full walk.
+// The test drives buildSnapshot directly — first capture arms the chain,
+// targeted SRAM mutations dirty a few vectors, the second capture takes
+// the delta path, and a third with the baseline dropped is the full-walk
+// reference.
+func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
+	cl := buildRing(t, 2, 7, 1, 1)
+	if _, err := cl.RunSequential(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	first := cl.buildSnapshot(0)
+	if cl.ckptPrev == nil {
+		t.Fatal("first capture did not arm the delta baseline")
+	}
+	full0 := checkpoint.Encode(first)
+
+	// Mutate a few chips: an overwrite, a fresh vector, a latent upset,
+	// and a scrub (FlipBit then a corrected read) — every dirty path.
+	var buf [mem.VectorBytes]byte
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	cl.Chip(0).Mem.Write(mem.Addr{}, buf[:])
+	cl.Chip(1).Mem.Write(mem.Addr{Offset: 17}, buf[:])
+	cl.Chip(2).Mem.FlipBit(mem.Addr{}, 5)
+	cl.Chip(3).Mem.FlipBit(mem.Addr{}, 9)
+	if _, ok := cl.Chip(3).Mem.Read(mem.Addr{}); !ok {
+		t.Fatal("single-bit upset was not corrected")
+	}
+
+	delta := cl.buildSnapshot(650)
+	deltaBytes := checkpoint.Encode(delta)
+
+	cl.ckptPrev = nil // drop the baseline: next capture is a full walk
+	fullSnap := cl.buildSnapshot(650)
+	fullBytes := checkpoint.Encode(fullSnap)
+
+	if bytes.Equal(deltaBytes, full0) {
+		t.Fatal("second capture identical to the first — mutations not captured")
+	}
+	if !bytes.Equal(deltaBytes, fullBytes) {
+		for i := range delta.Chips {
+			if !bytes.Equal(checkpoint.EncodeChip(&delta.Chips[i]), checkpoint.EncodeChip(&fullSnap.Chips[i])) {
+				t.Errorf("chip %d: delta capture differs from full capture", i)
+			}
+		}
+		t.Fatal("delta-built snapshot encodes differently from a full capture")
 	}
 }

@@ -1,14 +1,12 @@
 package runtime
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/faultplan"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/tsp"
 )
@@ -172,50 +170,10 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	}
 }
 
-// filterParTrace strips the window-parallel executor's private trace
-// events (runtime.par.window spans and its thread-name metadata) so a
-// sequential and a parallel trace can be compared byte for byte.
-func filterParTrace(t *testing.T, dump string) string {
-	t.Helper()
-	var f struct {
-		TraceEvents     []json.RawMessage `json:"traceEvents"`
-		DisplayTimeUnit string            `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal([]byte(dump), &f); err != nil {
-		t.Fatalf("trace dump: %v", err)
-	}
-	kept := f.TraceEvents[:0]
-	for _, raw := range f.TraceEvents {
-		var e struct {
-			Name string          `json:"name"`
-			Pid  int             `json:"pid"`
-			Tid  int             `json:"tid"`
-			Args json.RawMessage `json:"args"`
-		}
-		if err := json.Unmarshal(raw, &e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Name == "runtime.par.window" {
-			continue
-		}
-		if e.Name == "thread_name" && e.Pid == obs.PidFabric && e.Tid == 1 {
-			continue
-		}
-		kept = append(kept, raw)
-	}
-	f.TraceEvents = kept
-	out, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // TestLadderFaultWorkerInvariance runs the identical fault scenario under
 // the sequential executor and the window-parallel executor at several
 // worker counts: finish cycles, ladder accounting, functional state, and
-// the full dumps (minus the par-only window artifacts) must be
-// byte-identical — the headline invariant, now including failures.
+// the raw full dumps must be byte-identical — the headline invariant, now including failures.
 func TestLadderFaultWorkerInvariance(t *testing.T) {
 	type outcome struct {
 		res     *LadderResult
@@ -253,11 +211,11 @@ func TestLadderFaultWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d: chip %d stream file differs", w, c)
 			}
 		}
-		if filterParMetrics(t, base.metrics) != filterParMetrics(t, got.metrics) {
-			t.Errorf("workers=%d: metrics dumps differ after filtering window metrics", w)
+		if base.metrics != got.metrics {
+			t.Errorf("workers=%d: metrics dumps differ", w)
 		}
-		if filterParTrace(t, base.trace) != filterParTrace(t, got.trace) {
-			t.Errorf("workers=%d: trace dumps differ after filtering window spans", w)
+		if base.trace != got.trace {
+			t.Errorf("workers=%d: trace dumps differ", w)
 		}
 	}
 }

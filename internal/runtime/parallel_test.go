@@ -2,9 +2,8 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -178,36 +177,6 @@ func assertSameResult(t *testing.T, label string, seq, par *Cluster, seqFinish, 
 	}
 }
 
-// filterParMetrics removes the runtime.par.* window metrics (which only
-// the parallel executor emits) so a sequential and a parallel metrics
-// dump can be compared key for key.
-func filterParMetrics(t *testing.T, dump string) string {
-	t.Helper()
-	var m struct {
-		Counters   map[string]int64           `json:"counters"`
-		Gauges     map[string]int64           `json:"gauges"`
-		Histograms map[string]json.RawMessage `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(dump), &m); err != nil {
-		t.Fatalf("metrics dump: %v", err)
-	}
-	for k := range m.Counters {
-		if strings.HasPrefix(k, "runtime.par.") {
-			delete(m.Counters, k)
-		}
-	}
-	for k := range m.Histograms {
-		if strings.HasPrefix(k, "runtime.par.") {
-			delete(m.Histograms, k)
-		}
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // withRecorder runs f with a fresh process-global recorder installed and
 // returns the trace and metrics dumps it produced.
 func withRecorder(t *testing.T, f func()) (trace, metrics string) {
@@ -227,11 +196,34 @@ func withRecorder(t *testing.T, f func()) (trace, metrics string) {
 	return tb.String(), mb.String()
 }
 
-// TestParallelMatchesSequential is the core equivalence suite: across
-// topology sizes, workloads, and worker counts, the window-parallel
-// executor must be indistinguishable from the sequential one — state,
-// finish cycles, and (minus the par-only window metrics) the sorted
-// metrics dump.
+// withSeriesRecorder is withRecorder with a sampling cadence armed before
+// the cluster is built, returning the series dump too.
+func withSeriesRecorder(t *testing.T, every int64, f func()) (trace, metrics, series string) {
+	t.Helper()
+	prev := obs.Get()
+	r := obs.New()
+	r.SetSeriesCadence(every)
+	obs.Set(r)
+	defer obs.Set(prev)
+	f()
+	var tb, mb, sb bytes.Buffer
+	if err := r.WriteTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteMetrics(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteSeries(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.String(), mb.String(), sb.String()
+}
+
+// TestParallelMatchesSequential sweeps the axis TestDeterminismMatrix
+// holds fixed — topology size (one and two nodes, with and without
+// background matmuls) at odd worker counts: through Run, the window
+// executor must be indistinguishable from the sequential one in state,
+// finish cycles, and the raw trace and metrics dumps.
 func TestParallelMatchesSequential(t *testing.T) {
 	type buildFn func(t *testing.T, workers int) (*Cluster, []mem.Addr)
 	cases := []struct {
@@ -259,46 +251,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 				var seqFinish, parFinish int64
 				var seqErr, parErr error
 				var addrs []mem.Addr
-				_, seqMetrics := withRecorder(t, func() {
+				seqTrace, seqMetrics := withRecorder(t, func() {
 					seq, addrs = tc.build(t, 1)
 					seqFinish, seqErr = seq.RunSequential()
 				})
-				_, parMetrics := withRecorder(t, func() {
+				parTrace, parMetrics := withRecorder(t, func() {
 					par, _ = tc.build(t, workers)
 					parFinish, parErr = par.Run()
 				})
 				assertSameResult(t, name, seq, par, seqFinish, parFinish, seqErr, parErr, addrs)
-				if filterParMetrics(t, seqMetrics) != filterParMetrics(t, parMetrics) {
-					t.Errorf("%s: metrics dumps differ after filtering window metrics", name)
+				if seqTrace != parTrace || seqMetrics != parMetrics {
+					t.Errorf("%s: dumps differ from sequential", name)
 				}
 			})
-		}
-	}
-}
-
-// TestParallelWorkerCountInvariance requires the full dumps — trace
-// included, window metrics included — to be byte-identical across worker
-// counts of the parallel executor: the window partition is a function of
-// the programs, never of the thread schedule.
-func TestParallelWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) (string, string) {
-		var tr, me string
-		tr, me = withRecorder(t, func() {
-			cl := buildRing(t, 2, 7, 1, workers)
-			if _, err := cl.RunParallel(workers); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-		})
-		return tr, me
-	}
-	tr1, me1 := run(1)
-	for _, w := range []int{2, 4, 8} {
-		trW, meW := run(w)
-		if tr1 != trW {
-			t.Errorf("trace dump differs between 1 and %d workers", w)
-		}
-		if me1 != meW {
-			t.Errorf("metrics dump differs between 1 and %d workers", w)
 		}
 	}
 }
@@ -307,18 +272,21 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 // executors with the same seed: identical per-link delivery order means
 // identical corruption, corrections, and MBE counts.
 func TestParallelBERMatchesSequential(t *testing.T) {
-	run := func(workers int) (*Cluster, int64, error) {
+	run := func(workers int, depth int64) (*Cluster, int64, error) {
 		cl := buildRing(t, 1, 7, 0, workers)
 		cl.SetBitErrorRate(2e-5, 42)
+		cl.SetSpecDepth(depth)
 		f, err := cl.Run()
 		return cl, f, err
 	}
-	seq, seqFinish, seqErr := run(1)
-	par, parFinish, parErr := run(4)
+	seq, seqFinish, seqErr := run(1, 0)
 	if seq.Corrected == 0 {
 		t.Log("note: BER produced no corrections at this seed; equivalence still checked")
 	}
-	assertSameResult(t, "ber", seq, par, seqFinish, parFinish, seqErr, parErr, nil)
+	for _, depth := range []int64{0, 4} {
+		par, parFinish, parErr := run(4, depth)
+		assertSameResult(t, fmt.Sprintf("ber/depth%d", depth), seq, par, seqFinish, parFinish, seqErr, parErr, nil)
+	}
 }
 
 // TestParallelUnderflowFaultMatchesSequential: a schedule that lies (a
@@ -351,20 +319,24 @@ func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 		return cl
 	}
 	seqFinish, seqErr := build(1).Run()
-	parFinish, parErr := build(4).Run()
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("expected underflow faults, got seq=%v par=%v", seqErr, parErr)
+	sf, ok := seqErr.(*tsp.Fault)
+	if !ok {
+		t.Fatalf("sequential: expected an underflow *tsp.Fault, got %v", seqErr)
 	}
-	sf, ok1 := seqErr.(*tsp.Fault)
-	pf, ok2 := parErr.(*tsp.Fault)
-	if !ok1 || !ok2 {
-		t.Fatalf("expected *tsp.Fault, got %T / %T", seqErr, parErr)
-	}
-	if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
-		t.Fatalf("fault identity differs: seq %+v, par %+v", sf, pf)
-	}
-	if seqFinish != parFinish {
-		t.Fatalf("fault finish differs: %d vs %d", seqFinish, parFinish)
+	for _, depth := range []int64{0, 4} {
+		par := build(4)
+		par.SetSpecDepth(depth)
+		parFinish, parErr := par.RunParallel(4)
+		pf, ok := parErr.(*tsp.Fault)
+		if !ok {
+			t.Fatalf("depth %d: expected an underflow *tsp.Fault, got %v", depth, parErr)
+		}
+		if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
+			t.Errorf("depth %d: fault identity differs: seq %+v, par %+v", depth, sf, pf)
+		}
+		if seqFinish != parFinish {
+			t.Errorf("depth %d: fault finish differs: %d vs %d", depth, seqFinish, parFinish)
+		}
 	}
 }
 

@@ -7,11 +7,11 @@
 // (§4.5).
 //
 // Two executors produce byte-identical results: a sequential min-heap
-// executor (RunSequential) and a conservative window-parallel executor
-// (RunParallel, see parallel.go) that exploits the same property the
-// paper's compiler exploits — cross-chip effects cannot propagate faster
-// than one route.HopCycles link hop — to step causally independent chips
-// concurrently.
+// executor (RunSequential) and a window executor (RunParallel, see
+// parallel.go) that exploits the same property the paper's compiler
+// exploits — cross-chip effects cannot propagate faster than one
+// route.HopCycles link hop — to step causally independent chips
+// concurrently, optionally speculating past that bound.
 package runtime
 
 import (
@@ -52,9 +52,12 @@ type Cluster struct {
 	routes   [][]*linkQueue
 	routeIDs [][]topo.LinkID
 
-	// workers is the executor parallelism captured from the package
-	// default at construction (override with SetWorkers). 1 = sequential.
-	workers int
+	// workers is the executor parallelism (SetWorkers; 1 = sequential),
+	// and specDepth the window executor's speculation depth: how many hops
+	// past its barrier a window may stretch beyond the sound horizon
+	// (SetSpecDepth; 0 = conservative windows).
+	workers   int
+	specDepth int64
 
 	// Window-send buffering (see parallel.go): while a lookahead window
 	// is executing on the worker pool, chipC2C routes sends into pend
@@ -65,37 +68,21 @@ type Cluster struct {
 	pend      [][]pendingSend
 	merge     []mergeEnt
 
-	// windowMax caps the adaptive window horizon (cycles per window;
-	// 0 = uncapped), captured from the package default at construction.
-	// parWindows/parHorizon/parBarrierNS accumulate the most recent
-	// parallel run's window count, summed horizon cycles, and wall-clock
-	// barrier time (see ParStats).
-	windowMax    int64
-	parWindows   int64
-	parHorizon   int64
-	parBarrierNS int64
-
-	// Speculation (see speculate.go): when speculate is set and workers > 1,
-	// Run routes to the speculative window executor, which extends each
-	// window up to specDepth conservative hops past the sound horizon and
-	// stalls chips at Recvs whose data has not been committed yet.
-	// specStall[i] is the inbound link chip i is stalled on (-1 = running),
-	// persistent across windows; specWindows/specRollbacks/specWasted
-	// accumulate the most recent speculative run's statistics (SpecStats).
-	speculate     bool
-	specDepth     int64
-	specStall     []int
-	specWindows   int64
-	specRollbacks int64
-	specWasted    int64
+	// par accumulates the most recent window-executor run's statistics.
+	// stall[i] is the inbound link chip i is stalled on across windows
+	// (-1 = running); stallOut[i] is the link it stalled on in the current
+	// window pass, written only by the worker stepping chip i.
+	par      ParStats
+	stall    []int
+	stallOut []int
 
 	// inSrc[dst][j] is the source chip of dst's inbound local link j (-1
-	// when unwired) — the reverse-link index the speculative executor uses
-	// to classify a stalled Recv as satisfiable or doomed.
+	// when unwired) — the reverse-link index the window executor uses to
+	// cross-check a stalled Recv classified as doomed.
 	inSrc [][]int
 
-	// c2cs[i] is chip i's fabric adapter, retained so the speculative
-	// executor can hand it to tsp.StepUntilSpec as the RecvPeeker.
+	// c2cs[i] is chip i's fabric adapter, retained so the window executor
+	// can hand it to tsp.StepUntilSpec as the RecvPeeker.
 	c2cs []*chipC2C
 
 	// Link error process (§4.5): every delivered vector passes through
@@ -160,65 +147,6 @@ type Cluster struct {
 	seriesNext  int64
 	inflightG   *obs.Gauge
 	chipDepth   []*obs.Gauge
-}
-
-// defaultWorkers is the executor parallelism new clusters start with.
-// It is read at construction time only; set it from main/test setup, not
-// concurrently with cluster construction.
-var defaultWorkers = 1
-
-// SetDefaultWorkers sets the worker count future New calls capture.
-// n < 1 is treated as 1 (sequential). Returns the previous value.
-func SetDefaultWorkers(n int) int {
-	prev := defaultWorkers
-	if n < 1 {
-		n = 1
-	}
-	defaultWorkers = n
-	return prev
-}
-
-// defaultWindowMax is the adaptive-horizon cap new clusters start with:
-// 0 means uncapped (the schedule-derived bound alone limits the window).
-// Like defaultWorkers it is read at construction time only.
-var defaultWindowMax = int64(0)
-
-// SetDefaultWindowMax sets the window cap future New calls capture.
-// n < 1 is treated as 0 (uncapped). Returns the previous value.
-func SetDefaultWindowMax(n int64) int64 {
-	prev := defaultWindowMax
-	if n < 1 {
-		n = 0
-	}
-	defaultWindowMax = n
-	return prev
-}
-
-// defaultSpeculate is the speculation toggle new clusters start with.
-// Like defaultWorkers it is read at construction time only.
-var defaultSpeculate = false
-
-// SetDefaultSpeculate sets the speculation toggle future New calls
-// capture. Returns the previous value.
-func SetDefaultSpeculate(on bool) bool {
-	prev := defaultSpeculate
-	defaultSpeculate = on
-	return prev
-}
-
-// defaultSpecDepth is the speculation depth (in conservative one-hop
-// windows past the sound horizon) new clusters start with.
-var defaultSpecDepth = int64(4)
-
-// SetDefaultSpecDepth sets the speculation depth future New calls
-// capture. n < 1 is treated as 1. Returns the previous value.
-func SetDefaultSpecDepth(n int64) int64 {
-	prev := defaultSpecDepth
-	if n < 1 {
-		n = 1
-	}
-	defaultSpecDepth = n
-	return prev
 }
 
 // mailbox is one chip's inbound message queues, per local link index.
@@ -319,10 +247,7 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	if len(programs) > sys.NumTSPs() {
 		return nil, fmt.Errorf("runtime: %d programs for %d TSPs", len(programs), sys.NumTSPs())
 	}
-	cl := &Cluster{
-		sys: sys, workers: defaultWorkers, windowMax: defaultWindowMax,
-		speculate: defaultSpeculate, specDepth: defaultSpecDepth, firstMBECycle: -1,
-	}
+	cl := &Cluster{sys: sys, workers: 1, firstMBECycle: -1}
 	if rec := obs.Get(); rec != nil {
 		cl.rec = rec
 		cl.vectors = rec.Counter("runtime.vectors_delivered")
@@ -405,89 +330,48 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 }
 
 // SetWorkers overrides the executor parallelism for this cluster: 1 runs
-// the sequential heap executor, >1 runs the window-parallel executor with
-// that many workers. Results are byte-identical either way.
+// the sequential heap executor, >1 runs the window executor with that
+// many workers. Results are byte-identical either way.
 func (cl *Cluster) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	cl.workers = n
+	cl.workers = max(n, 1)
 }
 
 // Workers reports the configured executor parallelism.
 func (cl *Cluster) Workers() int { return cl.workers }
 
-// SetWindowMax caps the window-parallel executor's adaptive horizon at n
-// cycles per window (n < 1 = uncapped). Setting it to route.HopCycles
-// reproduces the fixed one-hop window partition exactly. The cap changes
-// only wall-clock behavior and the runtime.par.* window telemetry — every
-// simulated observable is byte-identical at any cap.
-func (cl *Cluster) SetWindowMax(n int64) {
-	if n < 1 {
-		n = 0
-	}
-	cl.windowMax = n
-}
-
-// WindowMax reports the configured adaptive-horizon cap (0 = uncapped).
-func (cl *Cluster) WindowMax() int64 { return cl.windowMax }
-
-// SetSpeculate toggles the speculative window executor for this cluster.
-// It only takes effect with workers > 1; speculation at one worker is the
-// sequential schedule by definition. Every simulated observable is
-// byte-identical with it on or off — speculation changes wall-clock
-// behavior and the volatile runtime.spec.* telemetry only.
-func (cl *Cluster) SetSpeculate(on bool) { cl.speculate = on }
-
-// Speculate reports whether the speculative executor is enabled.
-func (cl *Cluster) Speculate() bool { return cl.speculate }
-
-// SetSpecDepth sets how many conservative one-hop windows past the sound
-// horizon a speculative window may extend (n < 1 is treated as 1).
+// SetSpecDepth lets the window executor stretch a window beyond the sound
+// horizon to up to n hops past its barrier; 0 (the default, and the floor
+// for any n below it) keeps conservative windows. Every
+// simulated observable is byte-identical at any depth — speculation
+// changes wall-clock behavior and the volatile runtime.par.* telemetry
+// only.
 func (cl *Cluster) SetSpecDepth(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	cl.specDepth = n
+	cl.specDepth = max(n, 0)
 }
 
 // SpecDepth reports the configured speculation depth.
 func (cl *Cluster) SpecDepth() int64 { return cl.specDepth }
 
-// ParStats summarizes the most recent window-parallel run: how many
+// ParStats summarizes the most recent window-executor run: how many
 // lookahead windows it took, the summed window horizons (so mean horizon
-// = HorizonCycles/Windows), and the wall-clock nanoseconds spent in the
-// serial barrier sections (merge + requeue). Windows and HorizonCycles
-// are deterministic; BarrierNS is wall time and varies run to run.
+// = HorizonCycles/Windows), the wall-clock nanoseconds spent in the
+// serial barrier sections (merge + requeue), how many times a chip
+// stalled at a Recv whose data was not committed yet and handed back the
+// rest of its window ("rollbacks"), and the summed cycles it handed back.
+// All of it describes the host partition, so it is recorded only here and
+// in the volatile registry — never in deterministic exports. BarrierNS is
+// wall time and varies run to run.
 type ParStats struct {
 	Windows       int64
 	HorizonCycles int64
 	BarrierNS     int64
+	Rollbacks     int64
+	WastedCycles  int64
 }
 
 // ParStats reports the most recent RunParallel's window statistics
 // (zeroes if only the sequential executor has run).
-func (cl *Cluster) ParStats() ParStats {
-	return ParStats{Windows: cl.parWindows, HorizonCycles: cl.parHorizon, BarrierNS: cl.parBarrierNS}
-}
-
-// SpecStats summarizes the most recent speculative run: how many windows
-// ran, how many chip-stall transitions ("rollbacks" — a chip hit a Recv
-// whose data was not committed yet and gave back the rest of its window),
-// and the summed cycles those stalled chips handed back. All three depend
-// on the host partition (worker count, window cuts), so they are recorded
-// only in the volatile registry and here — never in deterministic exports.
-type SpecStats struct {
-	Windows      int64
-	Rollbacks    int64
-	WastedCycles int64
-}
-
-// SpecStats reports the most recent RunSpeculative's statistics (zeroes
-// if the speculative executor has not run).
-func (cl *Cluster) SpecStats() SpecStats {
-	return SpecStats{Windows: cl.specWindows, Rollbacks: cl.specRollbacks, WastedCycles: cl.specWasted}
-}
+func (cl *Cluster) ParStats() ParStats { return cl.par }
 
 // Chip returns TSP t's chip model (for loading data and reading results).
 func (cl *Cluster) Chip(t int) *tsp.Chip { return cl.chips[t] }
@@ -693,10 +577,9 @@ func (cl *Cluster) runnableHeap() chipHeap {
 // is exactly the total order the SSN compiler reasoned about, so a correct
 // schedule never underflows a receiver. It returns the global finish cycle.
 //
-// With workers > 1 (SetWorkers / SetDefaultWorkers) the cluster runs the
-// conservative window-parallel executor instead (see parallel.go); its
-// results — finish cycle, chip state, counters, traces — are byte-identical
-// to the sequential run.
+// With workers > 1 (SetWorkers) the cluster runs the window executor
+// instead (see parallel.go); its results — finish cycle, chip state,
+// counters, traces — are byte-identical to the sequential run.
 func (cl *Cluster) Run() (int64, error) {
 	// An armed checkpoint cadence forces the window executor even at one
 	// worker: captures happen only at window barriers, so what a snapshot
@@ -705,28 +588,20 @@ func (cl *Cluster) Run() (int64, error) {
 	// Likewise an armed series cadence: samples happen only at window
 	// barriers, so the sampled values are worker-invariant by construction.
 	if cl.ckptEvery > 0 || cl.seriesEvery > 0 {
-		if cl.speculate && cl.workers > 1 {
-			return cl.RunSpeculative(cl.workers)
-		}
 		return cl.RunParallel(cl.workers)
 	}
-	if cl.workers > 1 {
-		// Windows only earn their keep when something observes the
-		// barriers. With no extra OS-level parallelism to hand the pool,
-		// no recorder wanting window metrics, and no fault machinery, the
-		// window executor produces byte-identical results to the
-		// sequential one (that equivalence is this package's enforced
-		// invariant) while paying global-barrier scheduling for nothing —
-		// the sequential executor's per-chip sliding lookahead batches
-		// strictly better. Route there; RunParallel remains available for
-		// callers that explicitly want the window machinery.
-		if min(cl.workers, goruntime.GOMAXPROCS(0)) > 1 ||
-			cl.rec != nil || cl.fplan != nil || cl.ber != 0 {
-			if cl.speculate {
-				return cl.RunSpeculative(cl.workers)
-			}
-			return cl.RunParallel(cl.workers)
-		}
+	// Windows only earn their keep when something observes the barriers.
+	// With no extra OS-level parallelism to hand the pool, no recorder
+	// wanting window metrics, and no fault machinery, the window executor
+	// produces byte-identical results to the sequential one (that
+	// equivalence is this package's enforced invariant) while paying
+	// global-barrier scheduling for nothing — the sequential executor's
+	// per-chip sliding lookahead batches strictly better. Route there;
+	// RunParallel remains available for callers that explicitly want the
+	// window machinery.
+	if cl.workers > 1 && (min(cl.workers, goruntime.GOMAXPROCS(0)) > 1 ||
+		cl.rec != nil || cl.fplan != nil || cl.ber != 0) {
+		return cl.RunParallel(cl.workers)
 	}
 	return cl.RunSequential()
 }

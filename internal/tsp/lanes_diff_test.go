@@ -1,7 +1,7 @@
 // Differential tests for the lane-typed fast path: every vector ALU
 // opcode, executed through the real lane-cached execute path, must leave
 // byte-identical architectural state to the retained reference byte path
-// (reference.go) — over arbitrary inputs including NaN payloads, Inf,
+// (reference_test.go) — over arbitrary inputs including NaN payloads, Inf,
 // denormals, and negative zero, and over every register-aliasing shape.
 package tsp
 

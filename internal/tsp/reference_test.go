@@ -9,7 +9,8 @@
 // including NaN / Inf / denormal lane payloads. The arithmetic cases apply
 // the same canonNaN the live kernels do — NaN-result payloads are an
 // architectural constant, not a codegen accident (see canonNaN in tsp.go).
-// It is test-support code, not a second production path — keep it dumb.
+// It is compiled into the tests only, never a second production path —
+// keep it dumb.
 package tsp
 
 import (

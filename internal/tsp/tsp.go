@@ -34,8 +34,8 @@
 // Decode (Float32frombits) and encode (Float32bits) are exact bit casts,
 // and the lazy encode runs the same SetFloats the eager path ran, so every
 // architectural byte observed at a boundary is bit-for-bit what the
-// original per-instruction byte path produced. reference.go retains that
-// original path verbatim as the oracle for the differential tests.
+// original per-instruction byte path produced. reference_test.go retains
+// that original path verbatim as the oracle for the differential tests.
 package tsp
 
 import (

@@ -134,26 +134,21 @@ func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
 }
 
 // Cluster is the functional multi-chip executor. It runs either a
-// sequential min-heap executor or a conservative window-parallel executor
-// (SetWorkers / SetDefaultWorkers with n > 1) whose results — finish
-// cycles, memories, counters, exported dumps — are byte-identical to the
-// sequential run: chips cannot affect each other faster than one C2C hop,
-// so chips inside one hop-bounded lookahead window execute concurrently.
+// sequential min-heap executor or, with SetWorkers(n > 1), a window
+// executor whose results — finish cycles, memories, counters, exported
+// dumps — are byte-identical to the sequential run: chips cannot affect
+// each other faster than one C2C hop, so chips inside one hop-bounded
+// lookahead window execute concurrently. SetSpecDepth lets windows
+// stretch that many hops further, speculatively, with the same results.
 type Cluster = runtime.Cluster
 
 // Cluster builds a functional multi-chip executor running one program
-// binary per TSP (programs beyond the slice, or nil entries, idle). The
-// executor parallelism defaults to SetDefaultWorkers' current value.
+// binary per TSP (programs beyond the slice, or nil entries, idle). It
+// starts sequential at speculation depth 0; configure it with SetWorkers
+// and SetSpecDepth.
 func (s *System) Cluster(programs []*isa.Program) (*Cluster, error) {
 	return runtime.New(s.topo, programs)
 }
-
-// SetDefaultWorkers sets the executor parallelism captured by clusters
-// built afterwards: 1 (the default) is the sequential executor, n > 1 the
-// deterministic window-parallel executor with n workers. Returns the
-// previous value. Set it from startup code (e.g. a -workers flag), not
-// concurrently with cluster construction.
-func SetDefaultWorkers(n int) int { return runtime.SetDefaultWorkers(n) }
 
 // Assemble compiles assembler text to a single-chip program binary.
 func Assemble(src string) (*isa.Program, error) { return isa.Assemble(src) }

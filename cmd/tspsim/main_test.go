@@ -408,3 +408,47 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 		t.Errorf("metrics missing bert.inferences{exp=fig17}; counters: %v", metrics.Counters)
 	}
 }
+
+// TestExperimentOutputGolden pins the stdout of the experiments whose
+// output is pure simulated time (no wall clock) byte for byte. The fleet,
+// serving, fault-ladder and checkpoint engines all print here, so any
+// refactor of them must leave these files unchanged. Regenerate one with
+// `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
+// only when a change is meant to move a number.
+func TestExperimentOutputGolden(t *testing.T) {
+	for _, exp := range []string{"fleet", "serve", "faults", "checkpoint"} {
+		want, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := captureStdout(t, func() {
+			var errw bytes.Buffer
+			if code := run([]string{"-exp", exp}, &errw); code != 0 {
+				t.Fatalf("-exp %s: exit code = %d, stderr:\n%s", exp, code, errw.String())
+			}
+		})
+		if !bytes.Equal(got, want) {
+			t.Errorf("-exp %s: stdout differs from testdata/%s.golden\n--- got ---\n%s", exp, exp, got)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a temporary file and
+// returns what fn printed.
+func captureStdout(t *testing.T, fn func()) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = old }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

@@ -83,3 +83,25 @@ func TestCheckpointBlobGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordedRingTraceGolden pins the SHA-256 of the recorded ring's
+// Chrome trace export at one and two workers: event order, the metadata
+// names, the counter tail and the encoder's formatting together.
+func TestRecordedRingTraceGolden(t *testing.T) {
+	const wantSHA = "7b1721496b7bde54c02b970656e2b79e71695e691656ea1e0e1ace1e5b6c7f35"
+	prev := obs.Get()
+	defer obs.Set(prev)
+	for _, workers := range []int{1, 2} {
+		cl, rec := buildRecordedRing(t, workers)
+		if _, err := cl.Run(); err != nil {
+			t.Fatalf("w%d: run: %v", workers, err)
+		}
+		h := sha256.New()
+		if err := rec.WriteTrace(h); err != nil {
+			t.Fatalf("w%d: WriteTrace: %v", workers, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantSHA {
+			t.Errorf("w%d: trace SHA-256 %s, want %s", workers, got, wantSHA)
+		}
+	}
+}

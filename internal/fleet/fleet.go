@@ -229,17 +229,24 @@ type engine struct {
 	priShedCount                                *obs.Counter
 	activeSeries, drainingSeries                *obs.Series
 	sampleEveryUS, nextSampleUS                 float64
+	// No system changes state before boundaryUS, the fleet's next
+	// incident, indicator sample, drain expiry or standby activation, so
+	// until then the routable systems split into ready and drained (in
+	// index order) and stallUntilUS is the latest stall end among them.
+	boundaryUS     float64
+	ready, drained []int
+	stallUntilUS   float64
 }
 
 // fleetTid is the PidHost trace track carrying fleet policy instants.
 const fleetTid = 2
 
-// Run simulates the fleet and returns its SLO report. The same config
-// always produces a byte-identical report (see SLOReport.JSON).
-func Run(cfg Config) (*SLOReport, error) {
+// newEngine validates cfg and builds a Run's working state and the root
+// stream the arrival process forks from.
+func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := &engine{cfg: cfg, horizonUS: cfg.HorizonDays * 24 * 3600 * 1e6}
 
@@ -292,7 +299,17 @@ func Run(cfg Config) (*SLOReport, error) {
 			ShedAboveUS: func() float64 { b, _ := e.shedBound(ci, true); return b }(),
 		})
 	}
+	return e, root, nil
+}
 
+// Run simulates the fleet and returns its SLO report. The same config
+// always produces a byte-identical report (see SLOReport.JSON).
+func Run(cfg Config) (*SLOReport, error) {
+	e, root, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = e.cfg
 	arr := root.Fork(arrivalStream)
 	mix := root.Fork(mixStream)
 	meanGapUS := 1e6 / cfg.ArrivalRatePerSec
@@ -326,11 +343,15 @@ func Run(cfg Config) (*SLOReport, error) {
 				}
 			}
 		}
-		// Advance every system through the incidents, leading indicators,
-		// and drain expiries that matured before this arrival, in index
-		// order and per-system time order — deterministic.
-		for _, st := range e.systems {
-			e.advance(st, t)
+		// At a state boundary, advance every system through the
+		// incidents, leading indicators, and drain expiries that matured
+		// before this arrival, in index order and per-system time order —
+		// deterministic. Before it, every advance would be a no-op.
+		if t >= e.boundaryUS {
+			for _, st := range e.systems {
+				e.advance(st, t)
+			}
+			e.rescan(t)
 		}
 		e.sample(t)
 
@@ -348,11 +369,8 @@ func Run(cfg Config) (*SLOReport, error) {
 			if homeDraining {
 				chosen, bestEst = -1, math.Inf(1)
 			}
-			for i, st := range e.systems {
-				if !st.routable(t) || st.draining() {
-					continue
-				}
-				if est := st.sys.EarliestStart(t); est < bestEst {
+			for _, i := range e.ready {
+				if est := e.systems[i].sys.EarliestStart(t); est < bestEst {
 					chosen, bestEst = i, est
 				}
 			}
@@ -378,14 +396,12 @@ func Run(cfg Config) (*SLOReport, error) {
 		// bound of lower-priority classes so they shed first. A drain is
 		// strictly advisory: before shedding, the router retries with
 		// draining systems included — a drain reorders traffic but must
-		// never shed a request the fleet had capacity for.
-		bound, tightened := e.shedBound(class, e.cfg.Policy.Shed.Enabled() && e.underPressure(t))
+		// never shed a request the fleet had capacity for. Pressure is a
+		// routable system draining or inside a recovery stall.
+		bound, tightened := e.shedBound(class, len(e.drained) > 0 || t < e.stallUntilUS)
 		if e.systems[chosen].sys.OverBound(t, bound) {
-			for i, st := range e.systems {
-				if !st.routable(t) || !st.draining() {
-					continue
-				}
-				if est := st.sys.EarliestStart(t); est < bestEst {
+			for _, i := range e.drained {
+				if est := e.systems[i].sys.EarliestStart(t); est < bestEst {
 					chosen, bestEst = i, est
 				}
 			}
@@ -475,16 +491,47 @@ func (e *engine) shedBound(class int, pressure bool) (float64, bool) {
 	return bound, false
 }
 
-// underPressure reports whether any routable system is draining or
-// inside a recovery stall at t — the signal that arms priority
-// shedding.
-func (e *engine) underPressure(t float64) bool {
-	for _, st := range e.systems {
-		if st.routable(t) && (st.draining() || st.sys.InStall(t)) {
-			return true
+// rescan follows an advance pass at t: it finds the next state boundary
+// (a standby's activation, a routable system's pending instants) and the
+// routing sets and stall end that hold until it.
+func (e *engine) rescan(t float64) {
+	e.boundaryUS, e.stallUntilUS = math.Inf(1), 0
+	e.ready, e.drained = e.ready[:0], e.drained[:0]
+	for i, st := range e.systems {
+		next := [3]float64{st.activeAtUS, math.Inf(1), math.Inf(1)}
+		if st.routable(t) {
+			next[0], next[1], next[2] = e.pending(st)
+			if st.draining() {
+				e.drained = append(e.drained, i)
+			} else {
+				e.ready = append(e.ready, i)
+			}
+			if end := st.sys.StallEndUS(); end > e.stallUntilUS {
+				e.stallUntilUS = end
+			}
+		}
+		for _, at := range next {
+			if at < e.boundaryUS {
+				e.boundaryUS = at
+			}
 		}
 	}
-	return false
+}
+
+// pending returns st's next incident, indicator sample (while draining
+// is armed) and drain expiry (while draining), +Inf when there is none.
+func (e *engine) pending(st *sysState) (nextEv, nextInd, nextRel float64) {
+	nextEv, nextInd, nextRel = math.Inf(1), math.Inf(1), math.Inf(1)
+	if st.next < len(st.events) {
+		nextEv = st.events[st.next].StartUS
+	}
+	if e.cfg.Policy.Drain.Enabled() && st.nextInd < len(st.indicators) {
+		nextInd = st.indicators[st.nextInd].AtUS
+	}
+	if st.draining() {
+		nextRel = st.drainUntilUS
+	}
+	return nextEv, nextInd, nextRel
 }
 
 // advance walks st forward to t, processing its incidents, leading
@@ -510,23 +557,13 @@ func (e *engine) advance(st *sysState, t float64) {
 			st.nextInd++
 		}
 	}
-	drain := e.cfg.Policy.Drain
 	for {
-		nextEv, nextInd, nextRel := math.Inf(1), math.Inf(1), math.Inf(1)
-		if st.next < len(st.events) {
-			nextEv = st.events[st.next].StartUS
-		}
-		if drain.Enabled() && st.nextInd < len(st.indicators) {
-			nextInd = st.indicators[st.nextInd].AtUS
-		}
-		if st.draining() {
-			nextRel = st.drainUntilUS
-		}
+		nextEv, nextInd, nextRel := e.pending(st)
 		switch {
 		case nextInd <= t && nextInd <= nextEv && nextInd <= nextRel:
 			s := st.indicators[st.nextInd]
 			st.nextInd++
-			if st.tracker.push(s.Level, drain.Threshold) {
+			if st.tracker.push(s.Level, e.cfg.Policy.Drain.Threshold) {
 				e.triggerDrain(st, s.AtUS)
 			}
 		case nextRel <= t && nextRel <= nextEv:

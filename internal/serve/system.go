@@ -139,6 +139,9 @@ func (s *System) OverBound(t, boundUS float64) bool {
 // InStall reports whether t falls inside a recovery-stall window.
 func (s *System) InStall(t float64) bool { return t < s.stallEnd }
 
+// StallEndUS returns the end of the latest recovery-stall window.
+func (s *System) StallEndUS() float64 { return s.stallEnd }
+
 // StallUS returns the merged stalled wall time so far.
 func (s *System) StallUS() float64 { return s.stallUS }
 

@@ -68,7 +68,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		args := json.RawMessage(fmt.Sprintf(`{"name":%q}`, procs[pid]))
+		args, _ := json.Marshal(map[string]string{"name": procs[pid]}) // a string map always encodes
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Args: args,
 		})
@@ -84,7 +84,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		return tkeys[i][1] < tkeys[j][1]
 	})
 	for _, k := range tkeys {
-		args := json.RawMessage(fmt.Sprintf(`{"name":%q}`, threads[k]))
+		args, _ := json.Marshal(map[string]string{"name": threads[k]})
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: args,
 		})

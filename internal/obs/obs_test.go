@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestNilRecorderIsSafe exercises every method on a nil recorder and nil
@@ -111,6 +113,47 @@ func TestTraceShape(t *testing.T) {
 	inst := tf.TraceEvents[3]
 	if inst.Ph != "i" || inst.Ts != 5 || inst.Pid != 0 || inst.Tid != 3 {
 		t.Fatalf("instant mis-encoded: %+v", inst)
+	}
+}
+
+// TestTraceHostileNames: process and thread names are encoded as JSON
+// strings, so control bytes, invalid UTF-8, HTML metacharacters and
+// U+2028 still export a valid trace, and every valid-UTF-8 name decodes
+// back unchanged.
+func TestTraceHostileNames(t *testing.T) {
+	names := []string{"\x01ctl", "bad\xffbyte", "<&>", "line\u2028sep", `quote"back\\`}
+	r := New()
+	for i, name := range names {
+		r.SetProcessName(i, name)
+		r.SetThreadName(i, 1, name)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Pid  int    `json:"pid"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatalf("invalid trace JSON: %v", err)
+	}
+	if len(tf.TraceEvents) != 2*len(names) {
+		t.Fatalf("got %d metadata events, want %d", len(tf.TraceEvents), 2*len(names))
+	}
+	for _, ev := range tf.TraceEvents {
+		want := names[ev.Pid]
+		if !utf8.ValidString(want) {
+			want = strings.ToValidUTF8(want, "\uFFFD")
+		}
+		if ev.Args.Name != want {
+			t.Errorf("%s pid %d: name %q, want %q", ev.Name, ev.Pid, ev.Args.Name, want)
+		}
 	}
 }
 

@@ -34,21 +34,13 @@ func recordRun(tb testing.TB, run func(Config) (*SLOReport, error), cfg Config) 
 	if err != nil {
 		d.err = err.Error()
 	}
-	var buf bytes.Buffer
-	for _, w := range []struct {
-		write func(*bytes.Buffer) error
-		dst   *[]byte
-	}{
-		{func(b *bytes.Buffer) error { return rec.WriteTrace(b) }, &d.trace},
-		{func(b *bytes.Buffer) error { return rec.WriteMetrics(b) }, &d.metrics},
-		{func(b *bytes.Buffer) error { return rec.WriteSeries(b) }, &d.series},
-	} {
-		buf.Reset()
-		if err := w.write(&buf); err != nil {
+	var trace, metrics, series bytes.Buffer
+	for _, err := range []error{rec.WriteTrace(&trace), rec.WriteMetrics(&metrics), rec.WriteSeries(&series)} {
+		if err != nil {
 			tb.Fatalf("export: %v", err)
 		}
-		*w.dst = append([]byte(nil), buf.Bytes()...)
 	}
+	d.trace, d.metrics, d.series = trace.Bytes(), metrics.Bytes(), series.Bytes()
 	return d, rep
 }
 

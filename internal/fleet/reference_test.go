@@ -1,9 +1,10 @@
 // The fleet engine's per-arrival oracle.
 //
-// referenceRun retains, verbatim in structure, the engine loop from
-// before state boundaries: every arrival advances every system, the
-// router rescans the whole fleet whenever home cannot start the request
-// at once, and the priority-shedding pressure signal rescans it again.
+// referenceRun retains, verbatim in structure, the per-arrival loop the
+// state-boundary engine replaced: every arrival advances every system,
+// the router rescans the whole fleet whenever home cannot start the
+// request at once, and the priority-shedding pressure signal rescans it
+// again.
 // It shares the engine's set-up and per-system state machine (newEngine,
 // advance, sample, finish) and differs only in when they run. It is the
 // oracle for TestFleetEngineMatchesReference and FuzzFleetConfig: Run

@@ -168,8 +168,8 @@ func TestFleetPrewarmFloorActivatesInSamePass(t *testing.T) {
 // input stays small — to a report whose request accounting closes and
 // whose exports match the per-arrival oracle byte for byte. The seed
 // corpus (testdata/fuzz/FuzzFleetConfig) holds the stressed and headline
-// scenarios, a single system, the pre-warm floor edge, infinite knobs
-// and a hostile all-invalid input.
+// scenarios, a single system, the pre-warm floor edge, expiring
+// false-positive drains, infinite knobs and a hostile all-invalid input.
 func FuzzFleetConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, systems, standby int8, serviceUS float64, depth int8,
 		rate, days, sloUS, windowUS, shedUS, warmupUS,

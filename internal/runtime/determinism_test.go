@@ -46,32 +46,47 @@ func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster
 // parks chip 1's Recv as a speculative stall must still rank it ahead of
 // chip 2's later poison fault.
 func underflowPoisonCluster(t *testing.T, workers int) *Cluster {
+	return mixedFaultCluster(t, workers, 1, 2)
+}
+
+// poisonUnderflowCluster swaps the chips: chip 1 reads the poison at cycle
+// 200 and chip 2 does the lying Recv at 100. The sequential executor
+// batches chip 1 first, so it meets the later fault first and must keep
+// stepping chip 2 up to it to report the earlier underflow.
+func poisonUnderflowCluster(t *testing.T, workers int) *Cluster {
+	return mixedFaultCluster(t, workers, 2, 1)
+}
+
+// mixedFaultCluster builds the one-node mixed-fault case: chip 0 sends at
+// cycle 0, chip recv does a Recv at 100 before the vector lands, and chip
+// read reads a double-bit-poisoned SRAM vector at 200.
+func mixedFaultCluster(t *testing.T, workers, recv, read int) *Cluster {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l01, err := localLinkIndex(sys, 0, 1)
+	out, err := localLinkIndex(sys, 0, topo.TSPID(recv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l10, err := localLinkIndex(sys, 1, 0)
+	in, err := localLinkIndex(sys, topo.TSPID(recv), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b0, b1, b2 progBuilder
-	b0.at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(l01), B: 0})
-	b1.at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(l10), B: 0})
-	b2.at(isa.MEM, 200, isa.Instruction{Op: isa.Read, Imm: 1})
-	cl, err := New(sys, []*isa.Program{&b0.p, &b1.p, &b2.p})
+	var b [3]progBuilder
+	b[0].at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(out), B: 0})
+	b[recv].at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(in), B: 0})
+	b[read].at(isa.MEM, 200, isa.Instruction{Op: isa.Read, Imm: 1})
+	cl, err := New(sys, []*isa.Program{&b[0].p, &b[1].p, &b[2].p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.SetWorkers(workers)
 	poisoned := mem.Addr{}
-	cl.Chip(2).Mem.Write(poisoned, make([]byte, mem.VectorBytes))
-	cl.Chip(2).Mem.FlipBit(poisoned, 3)
-	cl.Chip(2).Mem.FlipBit(poisoned, 4)
+	cl.Chip(read).Mem.Write(poisoned, make([]byte, mem.VectorBytes))
+	cl.Chip(read).Mem.FlipBit(poisoned, 3)
+	cl.Chip(read).Mem.FlipBit(poisoned, 4)
 	return cl
 }
 
@@ -135,7 +150,9 @@ func TestDeterminismMatrix(t *testing.T) {
 			rows = append(rows, row{w, m})
 		}
 	}
-	rows = append(rows, row{workload{"underflow-poison", underflowPoisonCluster, []mem.Addr{{}}}, modes[0]})
+	rows = append(rows,
+		row{workload{"underflow-poison", underflowPoisonCluster, []mem.Addr{{}}}, modes[0]},
+		row{workload{"poison-underflow", poisonUnderflowCluster, []mem.Addr{{}}}, modes[0]})
 
 	for _, r := range rows {
 		t.Run(r.w.name+"/"+r.m.name, func(t *testing.T) {
@@ -151,7 +168,7 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 			seq := observe(t, r.m.record, r.m.seriesEvery, build(1, 0), (*Cluster).RunSequential)
 			faulted := seq.err != nil
-			if f, ok := seq.err.(*tsp.Fault); r.w.name == "underflow-poison" && (!ok || f.Kind != tsp.ErrUnderflow || f.Cycle != 100) {
+			if f, ok := seq.err.(*tsp.Fault); (r.w.name == "underflow-poison" || r.w.name == "poison-underflow") && (!ok || f.Kind != tsp.ErrUnderflow || f.Cycle != 100) {
 				t.Fatalf("sequential: want the underflow at cycle 100, got %v", seq.err)
 			}
 			var first, depthRef runOutcome

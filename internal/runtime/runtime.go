@@ -654,14 +654,38 @@ func (cl *Cluster) runSequential() (int64, error) {
 			horizon = cl.death[e.idx]
 		}
 		next, ok := cl.chips[e.idx].StepUntil(horizon)
-		if f := cl.chips[e.idx].Fault(); f != nil {
-			return cl.chips[e.idx].FinishCycle(), f
+		if cl.chips[e.idx].Fault() != nil {
+			return cl.earliestFault(h, e.idx)
 		}
 		if ok {
 			h.push(chipHeapEntry{t: next, idx: e.idx})
 		}
 	}
 	return cl.finish()
+}
+
+// earliestFault settles a fault on chip fi against the heap: a batch runs
+// past cycles other chips have not reached, so one of them may fault
+// earlier in (cycle, chip) order. Entries ordered before the fault are
+// stepped one issue cycle at a time, the unbatched pop order, and an
+// earlier fault takes over.
+func (cl *Cluster) earliestFault(h chipHeap, fi int) (int64, error) {
+	for len(h) > 0 {
+		e := h.pop()
+		if !eventBefore(e.t, e.idx, cl.chips[fi].Fault().Cycle, fi) {
+			break
+		}
+		if cl.death != nil && e.t >= cl.death[e.idx] {
+			continue
+		}
+		next, ok := cl.chips[e.idx].StepUntil(e.t + 1)
+		if cl.chips[e.idx].Fault() != nil {
+			fi = e.idx
+		} else if ok {
+			h.push(chipHeapEntry{t: next, idx: e.idx})
+		}
+	}
+	return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
 }
 
 // finish is the common run epilogue: wedge detection in ascending chip

@@ -42,7 +42,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 			}
 			w := &weights[r]
 			for j := range out {
-				out[j] += av * w[j]
+				out[j] += float32(av * w[j])
 			}
 		}
 		for j := range out {

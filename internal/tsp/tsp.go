@@ -678,31 +678,14 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if top := c.actTop(ai, act); rows > top {
 			rows = top
 		}
+		// The kernel fills a stack copy, not the destination, because the
+		// destination may alias the activation. NaN can only arise from a
+		// non-finite input, so the canonicalizing scrub rarely runs.
 		var out Lanes
-		for r := 0; r < rows; r++ {
-			a := act[r]
-			if a == 0 {
-				continue
+		if matmul(&out, act, &c.Weights, rows) {
+			for j := range out {
+				out[j] = canonNaN(out[j])
 			}
-			w := &c.Weights[r]
-			// Unrolled 4-wide over the output lanes. Lanes accumulate
-			// independently (out[j] only ever combines with w[j]), so this
-			// reorders nothing within any lane's sum — results stay
-			// bit-identical to the scalar loop.
-			for j := 0; j+4 <= FloatLanes; j += 4 {
-				out[j] += a * w[j]
-				out[j+1] += a * w[j+1]
-				out[j+2] += a * w[j+2]
-				out[j+3] += a * w[j+3]
-			}
-		}
-		// Canonicalize before publishing: NaN can only arise here from a
-		// non-finite input, so the scrub never fires on clean data.
-		for j := 0; j+4 <= FloatLanes; j += 4 {
-			out[j] = canonNaN(out[j])
-			out[j+1] = canonNaN(out[j+1])
-			out[j+2] = canonNaN(out[j+2])
-			out[j+3] = canonNaN(out[j+3])
 		}
 		*c.laneWrite(int(in.B) % NumStreams) = out
 

@@ -353,7 +353,7 @@ func benchClusterRun(b *testing.B, workers int, exec func(cl *rtime.Cluster) (in
 
 // BenchmarkClusterRunSeq times the sequential min-heap cluster executor.
 func BenchmarkClusterRunSeq(b *testing.B) {
-	benchClusterRun(b, 1, func(cl *rtime.Cluster) (int64, error) { return cl.Run() })
+	benchClusterRun(b, 1, func(cl *rtime.Cluster) (int64, error) { return cl.RunSequential() })
 }
 
 // BenchmarkClusterRunWindow times the window executor explicitly

@@ -28,10 +28,14 @@
 //	tspsim -exp fleet    fleet-level SLO: months of incidents across N systems
 //
 // The -workers flag sets the cluster executor parallelism for every
-// cluster an experiment builds: 1 (default) is the sequential executor,
-// n > 1 the deterministic window executor. -speculate-depth lets its
-// windows run that many hops past the conservative horizon (default 0).
-// Results are byte-identical at any setting.
+// cluster an experiment builds. On a clean fabric (no recorder, fault
+// plan, bit error rate or cadence) each independent chip group runs on
+// its own sequential heap, spread over up to n goroutines. With a
+// recorder, fault plan or bit error rate, 1 (default) is the sequential
+// executor and n > 1 the deterministic window executor; a checkpoint or
+// series cadence always runs the window executor. -speculate-depth lets
+// its windows run that many hops past the conservative horizon (default
+// 0). Results are byte-identical at any setting.
 //
 // The -series flag writes the barrier-sampled time series (JSON, or CSV
 // when the path ends in .csv); -series-every overrides the sampling
@@ -171,7 +175,7 @@ func run(argv []string, errw io.Writer) int {
 	exp := fs.String("exp", "all", "experiment to run (or 'all')")
 	tracePath := fs.String("trace", "", "write a Perfetto-loadable Chrome trace JSON here")
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
-	workers := fs.Int("workers", 1, "cluster executor parallelism: 1 = sequential, n>1 = deterministic window-parallel execution")
+	workers := fs.Int("workers", 1, "cluster executor parallelism: a clean fabric runs independent chip groups on up to n goroutines; with a recorder, fault plan or BER, 1 = sequential and n>1 = deterministic window-parallel execution; a checkpoint or series cadence always runs windows (results byte-identical at any n)")
 	specDepth := fs.Int64("speculate-depth", 0, "window executor speculation depth: stretch windows past the conservative horizon to up to this many 650-cycle hops past their barrier (0 = conservative windows; every simulated observable stays byte-identical)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
 	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
@@ -223,7 +227,7 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 	if *workers < 1 {
-		fmt.Fprintf(errw, "-workers must be >= 1 (1 = sequential executor), got %d\n", *workers)
+		fmt.Fprintf(errw, "-workers must be >= 1 (1 = single-threaded), got %d\n", *workers)
 		return 2
 	}
 	if *specDepth < 0 {
@@ -1153,6 +1157,9 @@ func serveExp() error {
 // which collapses the pipeline's quiet compute phases into a few long
 // windows; a deeper window runs chips past that horizon and hands back
 // the remainder (a rollback) when a Recv's data is not committed yet.
+// A last row per workload times plain Run at the -workers count, which on
+// this clean fabric is the component executor: each connected component
+// of the static send graph on its own sequential heap, with no windows.
 func parExp() error {
 	fmt.Println("window executor — adaptive lookahead, speculation depth sweep")
 	workers := workersN
@@ -1209,10 +1216,23 @@ func parExp() error {
 	g := goruntime.GOMAXPROCS(0)
 	identical := true
 	var ring *rtime.Cluster
+	var routes []string
 	for _, wl := range workloads {
 		seq, err := wl.build()
 		if err != nil {
 			return err
+		}
+		same := func(cl *rtime.Cluster, finish, seqFinish int64) bool {
+			if finish != seqFinish {
+				return false
+			}
+			for c := 0; c < wl.sys.NumTSPs(); c++ {
+				if seq.Chip(c).Streams() != cl.Chip(c).Streams() ||
+					seq.Chip(c).FinishCycle() != cl.Chip(c).FinishCycle() {
+					return false
+				}
+			}
+			return true
 		}
 		t0 := time.Now()
 		seqFinish, err := seq.RunSequential()
@@ -1229,8 +1249,8 @@ func parExp() error {
 			cl.SetWorkers(workers)
 			cl.SetSpecDepth(depth)
 			// RunParallel explicitly: this section times the window
-			// executor, and plain Run would route a 1-core, recorder-less
-			// configuration to the sequential executor instead.
+			// executor, and plain Run routes a recorder-less configuration
+			// to the component executor instead (the last row).
 			t0 = time.Now()
 			finish, err := cl.RunParallel(workers)
 			wall := time.Since(t0)
@@ -1241,12 +1261,24 @@ func parExp() error {
 			fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %9d %13.4f %7d %8d %12v\n",
 				wl.name, fmt.Sprintf("depth=%d", depth), g, workers, ps.Windows, meanHorizon(ps),
 				ps.Rollbacks, rollbackRate(ps), ps.WastedCycles, finish, wall)
-			identical = identical && finish == seqFinish
-			for c := 0; c < wl.sys.NumTSPs() && identical; c++ {
-				identical = seq.Chip(c).Streams() == cl.Chip(c).Streams() &&
-					seq.Chip(c).FinishCycle() == cl.Chip(c).FinishCycle()
-			}
+			identical = identical && same(cl, finish, seqFinish)
 		}
+		cl, err := wl.build()
+		if err != nil {
+			return err
+		}
+		t0 = time.Now()
+		finish, err := cl.Run()
+		wall := time.Since(t0)
+		if err != nil {
+			return fmt.Errorf("par: %s Run: %w", wl.name, err)
+		}
+		ex, ps := cl.Executor(), cl.ParStats()
+		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %9d %13.4f %7d %8d %12v\n",
+			wl.name, ex.Name, g, workersN, ps.Windows, meanHorizon(ps),
+			ps.Rollbacks, rollbackRate(ps), ps.WastedCycles, finish, wall)
+		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
+		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {
 			ring = seq
 		}
@@ -1259,6 +1291,9 @@ func parExp() error {
 			sum += float32(c/topo.TSPsPerNode*topo.TSPsPerNode + local + 1)
 		}
 		reduced = ring.Chip(c).StreamFloats(rtime.RingAcc)[0] == sum
+	}
+	for _, r := range routes {
+		fmt.Println(r)
 	}
 	fmt.Printf("state byte-identical: %v   all-reduce sums correct: %v\n", identical, reduced)
 	if !identical || !reduced {

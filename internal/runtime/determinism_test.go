@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultplan"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -46,7 +47,7 @@ func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster
 // parks chip 1's Recv as a speculative stall must still rank it ahead of
 // chip 2's later poison fault.
 func underflowPoisonCluster(t *testing.T, workers int) *Cluster {
-	return mixedFaultCluster(t, workers, 1, 2)
+	return faultCluster(t, workers, nodeFaults{1, 2, 100, 200})
 }
 
 // poisonUnderflowCluster swaps the chips: chip 1 reads the poison at cycle
@@ -54,39 +55,88 @@ func underflowPoisonCluster(t *testing.T, workers int) *Cluster {
 // batches chip 1 first, so it meets the later fault first and must keep
 // stepping chip 2 up to it to report the earlier underflow.
 func poisonUnderflowCluster(t *testing.T, workers int) *Cluster {
-	return mixedFaultCluster(t, workers, 2, 1)
+	return faultCluster(t, workers, nodeFaults{2, 1, 100, 200})
 }
 
-// mixedFaultCluster builds the one-node mixed-fault case: chip 0 sends at
-// cycle 0, chip recv does a Recv at 100 before the vector lands, and chip
-// read reads a double-bit-poisoned SRAM vector at 200.
-func mixedFaultCluster(t *testing.T, workers, recv, read int) *Cluster {
+// nodeFaults is one node's mixed-fault case: the node's chip 0 sends to
+// local chip recv at cycle 0, recv does a Recv at recvAt before the vector
+// lands (650), and local chip read reads a double-bit-poisoned SRAM vector
+// at readAt.
+type nodeFaults struct {
+	recv, read     int
+	recvAt, readAt int64
+}
+
+// faultCluster builds one node per nodeFaults entry, each with its own
+// mixed faults and no traffic between nodes.
+func faultCluster(t *testing.T, workers int, nodes ...nodeFaults) *Cluster {
 	t.Helper()
-	sys, err := topo.New(topo.Config{Nodes: 1})
+	sys, err := topo.New(topo.Config{Nodes: len(nodes)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := localLinkIndex(sys, 0, topo.TSPID(recv))
-	if err != nil {
-		t.Fatal(err)
+	b := make([]progBuilder, sys.NumTSPs())
+	for n, f := range nodes {
+		src, recv := n*topo.TSPsPerNode, n*topo.TSPsPerNode+f.recv
+		out, err := localLinkIndex(sys, topo.TSPID(src), topo.TSPID(recv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := localLinkIndex(sys, topo.TSPID(recv), topo.TSPID(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[src].at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(out), B: 0})
+		b[recv].at(isa.C2C, f.recvAt, isa.Instruction{Op: isa.Recv, A: uint16(in), B: 0})
+		b[n*topo.TSPsPerNode+f.read].at(isa.MEM, f.readAt, isa.Instruction{Op: isa.Read, Imm: 1})
 	}
-	in, err := localLinkIndex(sys, topo.TSPID(recv), 0)
-	if err != nil {
-		t.Fatal(err)
+	progs := make([]*isa.Program, len(b))
+	for i := range b {
+		progs[i] = &b[i].p
 	}
-	var b [3]progBuilder
-	b[0].at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(out), B: 0})
-	b[recv].at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(in), B: 0})
-	b[read].at(isa.MEM, 200, isa.Instruction{Op: isa.Read, Imm: 1})
-	cl, err := New(sys, []*isa.Program{&b[0].p, &b[1].p, &b[2].p})
+	cl, err := New(sys, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.SetWorkers(workers)
 	poisoned := mem.Addr{}
-	cl.Chip(read).Mem.Write(poisoned, make([]byte, mem.VectorBytes))
-	cl.Chip(read).Mem.FlipBit(poisoned, 3)
-	cl.Chip(read).Mem.FlipBit(poisoned, 4)
+	for n, f := range nodes {
+		chip := cl.Chip(n*topo.TSPsPerNode + f.read)
+		chip.Mem.Write(poisoned, make([]byte, mem.VectorBytes))
+		chip.Mem.FlipBit(poisoned, 3)
+		chip.Mem.FlipBit(poisoned, 4)
+	}
+	return cl
+}
+
+// crossNodeScheduleCluster lowers an SSN schedule whose transfers chain
+// through chip 15 across both nodes of a 2-node system, so its send graph
+// is one component.
+func crossNodeScheduleCluster(t *testing.T, workers int) *Cluster {
+	t.Helper()
+	sys, err := topo.New(topo.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := core.ScheduleTransfers(sys, []core.Transfer{
+		{ID: 0, Src: 0, Dst: 15, Vectors: 4},
+		{ID: 1, Src: 15, Dst: 3, Vectors: 4, After: []core.TransferID{0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, placements, err := ProgramsFromSchedule(sys, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(sys, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetWorkers(workers)
+	for _, pl := range placements {
+		cl.Chip(pl.SrcChip).SetStream(pl.SrcStream, tsp.VectorOf([]float32{float32(pl.Transfer), float32(pl.Index)}))
+	}
 	return cl
 }
 
@@ -94,7 +144,10 @@ func mixedFaultCluster(t *testing.T, workers, recv, read int) *Cluster {
 // table: {ring, pipeline} workloads under every observation mode, plus
 // the mixed underflow+poison fault, each run by the sequential executor
 // and by the window executor at speculation depths 0/1/4 on 1/2/4
-// workers.
+// workers. The "run" rows go through Run on 1/2/4 workers instead, which
+// on their clean fabric is the component executor: multi-node ring and
+// pipeline, two nodes faulting independently, and a cross-node schedule
+// that forms one component.
 //
 // A clean run must match the sequential reference in finish cycle, chip
 // state, SRAM and FEC tallies, and — when recorded without a cadence — in
@@ -110,6 +163,10 @@ func TestDeterminismMatrix(t *testing.T) {
 		name  string
 		build func(t *testing.T, workers int) *Cluster
 		addrs []mem.Addr
+		// want is the fault a faulted workload must report; comps is how
+		// many components Run's component executor must find.
+		want  *tsp.Fault
+		comps int
 	}
 	type mode struct {
 		name        string
@@ -119,11 +176,15 @@ func TestDeterminismMatrix(t *testing.T) {
 		// sequential executor never cuts, so dumps are compared against
 		// the first window run.
 		barrierOnly bool
-		arm         func(t *testing.T, cl *Cluster)
+		// viaRun: run through Run at each worker count, not RunParallel
+		// at each depth.
+		viaRun bool
+		arm    func(t *testing.T, cl *Cluster)
 	}
-	ring := workload{"ring", func(t *testing.T, w int) *Cluster { return buildRing(t, 2, 7, 1, w) }, []mem.Addr{{}}}
-	pipeline := workload{"pipeline", func(t *testing.T, w int) *Cluster { return buildPipeline(t, 1, 3, 50, w) },
-		[]mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}}
+	ring := workload{name: "ring", build: func(t *testing.T, w int) *Cluster { return buildRing(t, 2, 7, 1, w) }, addrs: []mem.Addr{{}}}
+	pipeAddrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
+	pipeline := workload{name: "pipeline", build: func(t *testing.T, w int) *Cluster { return buildPipeline(t, 1, 3, 50, w) }, addrs: pipeAddrs}
+	underflow := &tsp.Fault{Kind: tsp.ErrUnderflow, Cycle: 100}
 	modes := []mode{
 		{name: "clean", record: true},
 		// Unrecorded on one worker is the only configuration that takes
@@ -151,8 +212,25 @@ func TestDeterminismMatrix(t *testing.T) {
 		}
 	}
 	rows = append(rows,
-		row{workload{"underflow-poison", underflowPoisonCluster, []mem.Addr{{}}}, modes[0]},
-		row{workload{"poison-underflow", poisonUnderflowCluster, []mem.Addr{{}}}, modes[0]})
+		row{workload{name: "underflow-poison", build: underflowPoisonCluster, addrs: []mem.Addr{{}}, want: underflow}, modes[0]},
+		row{workload{name: "poison-underflow", build: poisonUnderflowCluster, addrs: []mem.Addr{{}}, want: underflow}, modes[0]})
+	run := mode{name: "run", viaRun: true}
+	for _, w := range []workload{
+		{name: "ring4", build: func(t *testing.T, w int) *Cluster { return buildRing(t, 4, 7, 1, w) }, addrs: []mem.Addr{{}}, comps: 4},
+		{name: "pipeline2", build: func(t *testing.T, w int) *Cluster { return buildPipeline(t, 2, 3, 50, w) }, addrs: pipeAddrs, comps: 2},
+		// Node 1's poison at cycle 50 precedes node 0's underflow at 100.
+		{name: "two-node-faults", build: func(t *testing.T, w int) *Cluster {
+			return faultCluster(t, w, nodeFaults{1, 2, 100, 200}, nodeFaults{1, 2, 100, 50})
+		}, addrs: []mem.Addr{{}}, want: &tsp.Fault{Kind: tsp.ErrMemPoison, Cycle: 50}, comps: 4},
+		// Node 1's poison ties node 0's underflow at cycle 100; chip 1
+		// outranks chip 10.
+		{name: "two-node-fault-tie", build: func(t *testing.T, w int) *Cluster {
+			return faultCluster(t, w, nodeFaults{1, 2, 100, 200}, nodeFaults{1, 2, 150, 100})
+		}, addrs: []mem.Addr{{}}, want: underflow, comps: 4},
+		{name: "cross-node-schedule", build: crossNodeScheduleCluster, comps: 1},
+	} {
+		rows = append(rows, row{w, run})
+	}
 
 	for _, r := range rows {
 		t.Run(r.w.name+"/"+r.m.name, func(t *testing.T) {
@@ -168,15 +246,26 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 			seq := observe(t, r.m.record, r.m.seriesEvery, build(1, 0), (*Cluster).RunSequential)
 			faulted := seq.err != nil
-			if f, ok := seq.err.(*tsp.Fault); (r.w.name == "underflow-poison" || r.w.name == "poison-underflow") && (!ok || f.Kind != tsp.ErrUnderflow || f.Cycle != 100) {
-				t.Fatalf("sequential: want the underflow at cycle 100, got %v", seq.err)
+			if f, ok := seq.err.(*tsp.Fault); r.w.want != nil && (!ok || f.Kind != r.w.want.Kind || f.Cycle != r.w.want.Cycle) {
+				t.Fatalf("sequential: want %v at cycle %d, got %v", r.w.want.Kind, r.w.want.Cycle, seq.err)
+			}
+			depths := []int64{0, 1, 4}
+			if r.m.viaRun {
+				depths = []int64{0}
 			}
 			var first, depthRef runOutcome
-			for _, depth := range []int64{0, 1, 4} {
+			for _, depth := range depths {
 				for i, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("depth%d/w%d", depth, workers)
-					got := observe(t, r.m.record, r.m.seriesEvery, build(workers, depth),
-						func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) })
+					exec := func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) }
+					if r.m.viaRun {
+						name = fmt.Sprintf("run/w%d", workers)
+						exec = (*Cluster).Run
+					}
+					got := observe(t, r.m.record, r.m.seriesEvery, build(workers, depth), exec)
+					if ex := got.cl.Executor(); r.m.viaRun && (ex.Name != "components" || ex.Components != r.w.comps) {
+						t.Errorf("%s: Run chose %+v, want components over %d", name, ex, r.w.comps)
+					}
 					if first.cl == nil {
 						first = got
 					}

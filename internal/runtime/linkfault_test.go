@@ -53,7 +53,7 @@ func TestLinkFECCorrectsSilently(t *testing.T) {
 	// Corrections are timing-neutral: the clean run finishes at the same
 	// cycle.
 	clean := buildSendRecv(t, 200)
-	cleanFinish, err := clean.Run()
+	cleanFinish, err := clean.RunSequential()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	for i := range cl.stall {
 		cl.stall[i] = -1
 	}
-	h := cl.runnableHeap()
+	h := cl.runnableHeap(cl.allChips())
 	active := make([]int, 0, n)
 	retry := make([]int, 0, n)
 	nexts := make([]int64, n)

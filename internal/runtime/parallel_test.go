@@ -80,7 +80,7 @@ func buildPipeline(t *testing.T, nodes, waves, matmuls, workers int) *Cluster {
 func TestRingAllReduceFunctional(t *testing.T) {
 	const nodes = 2
 	cl := buildRing(t, nodes, 7, 1, 1)
-	finish, err := cl.Run()
+	finish, err := cl.RunSequential()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 		cl.SetWorkers(workers)
 		return cl
 	}
-	seqFinish, seqErr := build(1).Run()
+	seqFinish, seqErr := build(1).RunSequential()
 	sf, ok := seqErr.(*tsp.Fault)
 	if !ok {
 		t.Fatalf("sequential: expected an underflow *tsp.Fault, got %v", seqErr)
@@ -362,34 +362,57 @@ func TestTakeInvalidLinkUnderflows(t *testing.T) {
 	}
 }
 
+// queueExecutors are the executors the queue-retention tests drive: the
+// sequential heap, the window executor with its barrier merge, and Run's
+// component executor on two workers.
+var queueExecutors = []struct {
+	name    string
+	workers int
+	run     func(*Cluster) (int64, error)
+}{
+	{"sequential", 1, (*Cluster).RunSequential},
+	{"window", 2, func(cl *Cluster) (int64, error) { return cl.RunParallel(2) }},
+	{"components", 2, (*Cluster).Run},
+}
+
+// assertQueuesSeeded checks that no mailbox queue outgrew the capacity New
+// seeds: a push into a full buffer with a consumed prefix slides the live
+// envelopes down instead of growing.
+func assertQueuesSeeded(t *testing.T, label string, cl *Cluster) {
+	t.Helper()
+	for c, mb := range cl.posts {
+		for i := range mb.queues {
+			if got := mb.queues[i].capacity(); got > 8 {
+				t.Errorf("%s: chip %d link %d: queue capacity %d, seeded 8 (retention leak)", label, c, i, got)
+			}
+		}
+	}
+}
+
 // TestLinkQueueCapacityBounded runs a long ring workload and checks that
 // mailbox backing arrays stay bounded: the head-indexed queues reclaim
 // consumed prefixes instead of pinning them the way q = q[1:] re-slicing
 // did, so capacity tracks peak in-flight vectors, not total traffic.
 func TestLinkQueueCapacityBounded(t *testing.T) {
 	const rounds = 400
-	cl := buildRing(t, 1, rounds, 0, 1)
-	if _, err := cl.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for c, mb := range cl.posts {
-		for i := range mb.queues {
-			if got := mb.queues[i].capacity(); got > 64 {
-				t.Errorf("chip %d link %d: queue capacity %d after %d rounds (retention leak)", c, i, got, rounds)
-			}
+	for _, ex := range queueExecutors {
+		cl := buildRing(t, 2, rounds, 0, ex.workers)
+		if _, err := ex.run(cl); err != nil {
+			t.Fatalf("%s: run: %v", ex.name, err)
 		}
+		assertQueuesSeeded(t, ex.name, cl)
 	}
 }
 
 // TestLinkQueueBoundedLongPipeline drives a long pipeline run — hundreds of
-// waves flowing stage-to-stage down one node — and checks the same
+// waves flowing stage-to-stage down each node — and checks the same
 // retention property on a workload whose queues see steady one-directional
 // traffic for the whole run: every inter-stage queue moves waves*1 vectors
 // end to end, yet capacity must stay at the small steady-state in-flight
 // count, not grow with total traffic.
 func TestLinkQueueBoundedLongPipeline(t *testing.T) {
 	const waves = 500
-	sys, err := topo.New(topo.Config{Nodes: 1})
+	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,27 +420,24 @@ func TestLinkQueueBoundedLongPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(sys, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < sys.NumTSPs(); c++ {
-		cl.Chip(c).SetStream(PipeBias, tsp.VectorOf([]float32{float32(c + 1)}))
-		if c%topo.TSPsPerNode == 0 {
-			for w := 0; w < waves; w++ {
-				in := tsp.VectorOf([]float32{float32(w + 1)})
-				cl.Chip(c).Mem.Write(mem.Addr{Offset: w % mem.Addresses}, in[:])
+	for _, ex := range queueExecutors {
+		cl, err := New(sys, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.SetWorkers(ex.workers)
+		for c := 0; c < sys.NumTSPs(); c++ {
+			cl.Chip(c).SetStream(PipeBias, tsp.VectorOf([]float32{float32(c + 1)}))
+			if c%topo.TSPsPerNode == 0 {
+				for w := 0; w < waves; w++ {
+					in := tsp.VectorOf([]float32{float32(w + 1)})
+					cl.Chip(c).Mem.Write(mem.Addr{Offset: w % mem.Addresses}, in[:])
+				}
 			}
 		}
-	}
-	if _, err := cl.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for c, mb := range cl.posts {
-		for i := range mb.queues {
-			if got := mb.queues[i].capacity(); got > 64 {
-				t.Errorf("chip %d link %d: queue capacity %d after %d waves (retention leak)", c, i, got, waves)
-			}
+		if _, err := ex.run(cl); err != nil {
+			t.Fatalf("%s: run: %v", ex.name, err)
 		}
+		assertQueuesSeeded(t, ex.name, cl)
 	}
 }

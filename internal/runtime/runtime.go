@@ -6,18 +6,20 @@
 // on detected-uncorrectable errors, and N+1 hot-spare node failover
 // (§4.5).
 //
-// Two executors produce byte-identical results: a sequential min-heap
-// executor (RunSequential) and a window executor (RunParallel, see
-// parallel.go) that exploits the same property the paper's compiler
+// Three executors produce byte-identical results: a sequential min-heap
+// executor (RunSequential), the reference; a window executor (RunParallel,
+// see parallel.go) that exploits the same property the paper's compiler
 // exploits — cross-chip effects cannot propagate faster than one
 // route.HopCycles link hop — to step causally independent chips
-// concurrently, optionally speculating past that bound.
+// concurrently, optionally speculating past that bound; and a component
+// executor (see components.go) that exploits the static schedule itself —
+// chip groups whose programs never send to each other run on their own
+// heaps in parallel, with no barriers. Run picks among them.
 package runtime
 
 import (
 	"fmt"
 	"math"
-	goruntime "runtime"
 
 	"repro/internal/c2c"
 	"repro/internal/faultplan"
@@ -52,7 +54,7 @@ type Cluster struct {
 	routes   [][]*linkQueue
 	routeIDs [][]topo.LinkID
 
-	// workers is the executor parallelism (SetWorkers; 1 = sequential),
+	// workers is the executor parallelism (SetWorkers),
 	// and specDepth the window executor's speculation depth: how many hops
 	// past its barrier a window may stretch beyond the sound horizon
 	// (SetSpecDepth; 0 = conservative windows).
@@ -68,11 +70,13 @@ type Cluster struct {
 	pend      [][]pendingSend
 	merge     []mergeEnt
 
-	// par accumulates the most recent window-executor run's statistics.
+	// par accumulates the most recent window-executor run's statistics,
+	// and exec records the executor the most recent Run chose.
 	// stall[i] is the inbound link chip i is stalled on across windows
 	// (-1 = running); stallOut[i] is the link it stalled on in the current
 	// window pass, written only by the worker stepping chip i.
 	par      ParStats
+	exec     Executor
 	stall    []int
 	stallOut []int
 
@@ -161,9 +165,10 @@ type envelope struct {
 
 // linkQueue is a head-indexed FIFO of in-flight vectors. Popping advances
 // head instead of re-slicing (q = q[1:] would pin the whole backing array
-// for the life of the run); the consumed prefix is compacted away once it
-// dominates the buffer, so capacity stays proportional to the peak number
-// of simultaneously in-flight vectors, not to the total ever sent.
+// for the life of the run); a push into a full buffer first slides the
+// live envelopes over the consumed prefix (makeRoom), so the buffer grows
+// only when every slot holds an in-flight vector and capacity stays
+// bounded by the peak number in flight, not by the total ever sent.
 // Envelopes hold no pointers, so consumed slots need no clearing — the
 // bytes are simply overwritten when the slot is reused.
 type linkQueue struct {
@@ -175,15 +180,30 @@ func (q *linkQueue) len() int { return len(q.buf) - q.head }
 
 func (q *linkQueue) front() *envelope { return &q.buf[q.head] }
 
-func (q *linkQueue) push(e envelope) { q.buf = append(q.buf, e) }
+func (q *linkQueue) push(e envelope) {
+	q.makeRoom()
+	q.buf = append(q.buf, e)
+}
 
 // pushSlot appends an envelope with the given arrival and returns its
 // payload slot so the producer can fill the 320 bytes in place — the one
 // per-hop copy (source register → in-flight queue) instead of the 3–4
 // value copies the old Send/deliver/push chain made.
 func (q *linkQueue) pushSlot(arrival int64) *tsp.Vector {
+	q.makeRoom()
 	q.buf = append(q.buf, envelope{arrival: arrival})
 	return &q.buf[len(q.buf)-1].v
+}
+
+// makeRoom slides the live envelopes down over the consumed prefix when
+// the buffer is full, so a queue that never fully drains reuses its
+// capacity instead of growing.
+func (q *linkQueue) makeRoom() {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
 }
 
 // popInto advances past the front envelope, copying its payload into dst —
@@ -193,10 +213,6 @@ func (q *linkQueue) popInto(dst *tsp.Vector) {
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 32 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
 		q.head = 0
 	}
 }
@@ -329,9 +345,11 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	return cl, nil
 }
 
-// SetWorkers overrides the executor parallelism for this cluster: 1 runs
-// the sequential heap executor, >1 runs the window executor with that
-// many workers. Results are byte-identical either way.
+// SetWorkers overrides the executor parallelism for this cluster: how
+// many goroutines Run's component executor spreads chip groups over, and
+// whether a recorded, faulted or BER run takes the sequential executor
+// (1) or the window executor with that many workers (>1). Results are
+// byte-identical either way.
 func (cl *Cluster) SetWorkers(n int) {
 	cl.workers = max(n, 1)
 }
@@ -370,8 +388,23 @@ type ParStats struct {
 }
 
 // ParStats reports the most recent RunParallel's window statistics
-// (zeroes if only the sequential executor has run).
+// (zeroes if only the sequential or component executor has run).
 func (cl *Cluster) ParStats() ParStats { return cl.par }
+
+// Executor describes the executor the most recent Run chose: its name
+// ("sequential", "window" or "components"), the reason, and how many
+// independent chip groups it ran separately (1 when it ran the cluster as
+// one). Like ParStats it describes the host, not the simulated machine,
+// so it never enters a deterministic export.
+type Executor struct {
+	Name       string
+	Reason     string
+	Components int
+}
+
+// Executor reports the most recent Run's executor choice (the zero value
+// before any Run).
+func (cl *Cluster) Executor() Executor { return cl.exec }
 
 // Chip returns TSP t's chip model (for loading data and reading results).
 func (cl *Cluster) Chip(t int) *tsp.Chip { return cl.chips[t] }
@@ -561,15 +594,24 @@ func (h *chipHeap) pop() chipHeapEntry {
 	return top
 }
 
-// runnableHeap seeds the heap with every chip that has pending work.
-func (cl *Cluster) runnableHeap() chipHeap {
-	h := make(chipHeap, 0, len(cl.chips))
-	for i, chip := range cl.chips {
-		if _, t, ok := chip.NextIssue(); ok {
+// runnableHeap seeds a heap with every listed chip that has pending work.
+func (cl *Cluster) runnableHeap(chips []int) chipHeap {
+	h := make(chipHeap, 0, len(chips))
+	for _, i := range chips {
+		if _, t, ok := cl.chips[i].NextIssue(); ok {
 			h.push(chipHeapEntry{t: t, idx: i})
 		}
 	}
 	return h
+}
+
+// allChips lists every chip index in ascending order.
+func (cl *Cluster) allChips() []int {
+	all := make([]int, len(cl.chips))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // Run executes every chip to completion in globally time-ordered lockstep:
@@ -577,40 +619,61 @@ func (cl *Cluster) runnableHeap() chipHeap {
 // is exactly the total order the SSN compiler reasoned about, so a correct
 // schedule never underflows a receiver. It returns the global finish cycle.
 //
-// With workers > 1 (SetWorkers) the cluster runs the window executor
-// instead (see parallel.go); its results — finish cycle, chip state,
-// counters, traces — are byte-identical to the sequential run.
+// Run picks the executor; every choice is byte-identical to RunSequential
+// in finish cycle, chip state, counters and traces, and Executor reports
+// which one ran and why:
+//
+//   - An armed checkpoint or series cadence runs the window executor
+//     (RunParallel), even at one worker: captures and samples happen only
+//     at window barriers, so their contents are a function of the cadence
+//     and the programs, never of the worker count.
+//   - A recorder, fault plan or bit error rate runs the window executor at
+//     workers > 1 and RunSequential at one worker: those runs share one
+//     trace, one fault schedule and one delivery-ordered error RNG.
+//   - A clean fabric — none of the above — runs the component executor
+//     (see components.go): each connected component of the static send
+//     graph is its own sequential heap, handed to the workers with no
+//     window or barrier. A faulted run reports RunSequential's error and
+//     finish cycle; the chips it abandons stop at the same points at every
+//     worker count.
 func (cl *Cluster) Run() (int64, error) {
-	// An armed checkpoint cadence forces the window executor even at one
-	// worker: captures happen only at window barriers, so what a snapshot
-	// contains is a function of the cadence and the programs — never of
-	// the worker count.
-	// Likewise an armed series cadence: samples happen only at window
-	// barriers, so the sampled values are worker-invariant by construction.
-	if cl.ckptEvery > 0 || cl.seriesEvery > 0 {
+	var reason string
+	window := cl.workers > 1
+	switch {
+	case cl.ckptEvery > 0:
+		reason, window = "checkpoint cadence", true
+	case cl.seriesEvery > 0:
+		reason, window = "series cadence", true
+	case cl.rec != nil:
+		reason = "recorder"
+	case cl.fplan != nil:
+		reason = "fault plan"
+	case cl.ber != 0:
+		reason = "bit error rate"
+	default:
+		if comps, ok := cl.components(); ok {
+			cl.exec = Executor{Name: "components", Reason: "clean fabric", Components: len(comps)}
+			finish, err := cl.runComponents(comps)
+			cl.noteRunEnd(finish)
+			return finish, err
+		}
+		// A send on a link the chip lacks: one heap over every chip
+		// reaches the deliver panic in the sequential order.
+		reason, window = "send on a missing link", false
+	}
+	if window {
+		cl.exec = Executor{Name: "window", Reason: reason, Components: 1}
 		return cl.RunParallel(cl.workers)
 	}
-	// Windows only earn their keep when something observes the barriers.
-	// With no extra OS-level parallelism to hand the pool, no recorder
-	// wanting window metrics, and no fault machinery, the window executor
-	// produces byte-identical results to the sequential one (that
-	// equivalence is this package's enforced invariant) while paying
-	// global-barrier scheduling for nothing — the sequential executor's
-	// per-chip sliding lookahead batches strictly better. Route there;
-	// RunParallel remains available for callers that explicitly want the
-	// window machinery.
-	if cl.workers > 1 && (min(cl.workers, goruntime.GOMAXPROCS(0)) > 1 ||
-		cl.rec != nil || cl.fplan != nil || cl.ber != 0) {
-		return cl.RunParallel(cl.workers)
-	}
+	cl.exec = Executor{Name: "sequential", Reason: reason, Components: 1}
 	return cl.RunSequential()
 }
 
-// RunSequential is the single-threaded executor: a min-heap of chips keyed
-// by next-issue cycle, popping the earliest (ties toward the lowest chip
-// index) and executing all of that chip's instructions at that cycle. It
-// never captures checkpoints — sequential pops have no window barriers to
-// align to; use Run with a cadence armed.
+// RunSequential is the single-threaded reference executor: one min-heap
+// of every chip keyed by next-issue cycle, popping the earliest (ties
+// toward the lowest chip index) and executing all of that chip's
+// instructions at that cycle. It never captures checkpoints — sequential
+// pops have no window barriers to align to; use Run with a cadence armed.
 func (cl *Cluster) RunSequential() (int64, error) {
 	finish, err := cl.runSequential()
 	cl.noteRunEnd(finish)
@@ -618,7 +681,19 @@ func (cl *Cluster) RunSequential() (int64, error) {
 }
 
 func (cl *Cluster) runSequential() (int64, error) {
-	h := cl.runnableHeap()
+	if fi := cl.runHeap(cl.allChips()); fi >= 0 {
+		return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
+	}
+	return cl.finish()
+}
+
+// runHeap runs the listed chips on one sequential heap until each has
+// finished or parked for good, or until the earliest fault among them in
+// (cycle, chip) order, whose chip it returns (-1 when none faulted). The
+// chips must be closed under sends: none may deliver to a chip outside
+// the list while it runs.
+func (cl *Cluster) runHeap(chips []int) int {
+	h := cl.runnableHeap(chips)
 	for len(h) > 0 {
 		e := h.pop()
 		// A chip scheduled to die at or before this cycle never issues
@@ -661,15 +736,15 @@ func (cl *Cluster) runSequential() (int64, error) {
 			h.push(chipHeapEntry{t: next, idx: e.idx})
 		}
 	}
-	return cl.finish()
+	return -1
 }
 
 // earliestFault settles a fault on chip fi against the heap: a batch runs
 // past cycles other chips have not reached, so one of them may fault
 // earlier in (cycle, chip) order. Entries ordered before the fault are
 // stepped one issue cycle at a time, the unbatched pop order, and an
-// earlier fault takes over.
-func (cl *Cluster) earliestFault(h chipHeap, fi int) (int64, error) {
+// earlier fault takes over. It returns the chip of the earliest fault.
+func (cl *Cluster) earliestFault(h chipHeap, fi int) int {
 	for len(h) > 0 {
 		e := h.pop()
 		if !eventBefore(e.t, e.idx, cl.chips[fi].Fault().Cycle, fi) {
@@ -685,7 +760,7 @@ func (cl *Cluster) earliestFault(h chipHeap, fi int) (int64, error) {
 			h.push(chipHeapEntry{t: next, idx: e.idx})
 		}
 	}
-	return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
+	return fi
 }
 
 // finish is the common run epilogue: wedge detection in ascending chip

@@ -404,8 +404,8 @@ func TestSingleChipWindowRunsToCompletion(t *testing.T) {
 }
 
 // TestSpecSingleWorkerMatchesRouting: Run() with speculation armed but
-// workers=1 takes the sequential path (there is nothing to overlap),
-// matching RunSequential exactly and cutting no windows.
+// workers=1 on a clean fabric takes the component path, not the window
+// executor, matching RunSequential exactly and cutting no windows.
 func TestSpecSingleWorkerMatchesRouting(t *testing.T) {
 	ref := buildRing(t, 2, 7, 1, 1)
 	refF, refE := ref.RunSequential()

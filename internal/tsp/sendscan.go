@@ -28,6 +28,7 @@ package tsp
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -48,9 +49,10 @@ func minAdvance(in isa.Instruction) int64 {
 // on the cycles between the unit's cursor at pc=k and the issue of its
 // next Send/Transmit at index >= k (noSend when none remains before the
 // stream ends or halts). One backward pass per stream at construction;
-// NextSendBound then answers in O(NumUnits).
-func buildSendGaps(prog *isa.Program) [isa.NumUnits][]int64 {
-	var gaps [isa.NumUnits][]int64
+// NextSendBound then answers in O(NumUnits). The same pass collects the
+// sorted set of local link indices any Send/Transmit names, halted or
+// not (see SendLinks).
+func buildSendGaps(prog *isa.Program) (gaps [isa.NumUnits][]int64, links []int) {
 	for u := 0; u < int(isa.NumUnits); u++ {
 		s := prog.Streams[u]
 		if len(s) == 0 {
@@ -63,6 +65,9 @@ func buildSendGaps(prog *isa.Program) [isa.NumUnits][]int64 {
 			switch in.Op {
 			case isa.Send, isa.Transmit:
 				g[k] = 0
+				if !slices.Contains(links, int(in.A)) {
+					links = append(links, int(in.A))
+				}
 			case isa.Halt:
 				// Nothing after a HALT on this stream ever executes.
 				g[k] = noSend
@@ -76,8 +81,14 @@ func buildSendGaps(prog *isa.Program) [isa.NumUnits][]int64 {
 		}
 		gaps[u] = g
 	}
-	return gaps
+	slices.Sort(links)
+	return gaps, links
 }
+
+// SendLinks returns the sorted local link indices the program sends or
+// transmits on anywhere in its text: a superset of the links the chip can
+// ever drive, fixed at construction. The caller must not modify it.
+func (c *Chip) SendLinks() []int { return c.sendLinks }
 
 // NextSendBound returns a conservative lower bound on the cycle at which
 // this chip issues its next Send or Transmit, and whether any remains.

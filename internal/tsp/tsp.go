@@ -236,6 +236,9 @@ type Chip struct {
 	// program, so it survives SetState restores unchanged; NextSendBound
 	// gives the cluster executor its adaptive PDES lookahead.
 	sendGap [isa.NumUnits][]int64
+	// sendLinks is the program's static send-link set (SendLinks), built
+	// by the same scan.
+	sendLinks []int
 
 	// deskewDelta is the SAC−HAC drift applied by RUNTIME_DESKEW; the
 	// runtime sets it from the hac.Device state when running multi-chip.
@@ -292,7 +295,7 @@ func New(id int, prog *isa.Program, c2c C2C) *Chip {
 	for u := range c.slen {
 		c.slen[u] = len(prog.Streams[u])
 	}
-	c.sendGap = buildSendGaps(prog)
+	c.sendGap, c.sendLinks = buildSendGaps(prog)
 	for i := range c.streams {
 		// Zero bytes and zero lanes agree, so both views start valid; the
 		// all-zero vector's nonzero summary is 0.

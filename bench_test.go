@@ -358,22 +358,17 @@ func BenchmarkClusterRunSeq(b *testing.B) {
 
 // BenchmarkClusterRunWindow times the window executor explicitly
 // (RunParallel, bypassing Run's sequential fallback so the window
-// machinery is on the clock even on one core) across speculation depths
-// and worker counts: depth 0 is the conservative executor, depth 4 runs
-// chips past the sound horizon and hands stalls back at the barrier.
+// machinery is on the clock even on one core) across worker counts.
 // Every cell is byte-identical to Seq. On a single-core host the worker
 // axis measures scheduling overhead versus worker count; on real
 // parallel hardware it is the multi-core scaling curve.
 func BenchmarkClusterRunWindow(b *testing.B) {
-	for _, depth := range []int64{0, 4} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("depth=%d/workers=%d", depth, workers), func(b *testing.B) {
-				benchClusterRun(b, workers, func(cl *rtime.Cluster) (int64, error) {
-					cl.SetSpecDepth(depth)
-					return cl.RunParallel(workers)
-				})
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchClusterRun(b, workers, func(cl *rtime.Cluster) (int64, error) {
+				return cl.RunParallel(workers)
 			})
-		}
+		})
 	}
 }
 

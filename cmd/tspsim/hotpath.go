@@ -6,10 +6,10 @@
 //	tspsim -exp hotpath -cpuprofile /tmp/hot.prof
 //	go tool pprof -top tspsim /tmp/hot.prof
 //
-// The -workers and -speculate-depth flags select the executor (1 worker =
-// sequential heap executor, n>1 = window-parallel at the given depth); all
-// produce byte-identical cluster results, so the printed checksum line
-// must not change across executors or runs.
+// The -workers flag sets how many goroutines Run spreads the clean
+// fabric's independent chip groups over; every setting produces
+// byte-identical cluster results, so the printed checksum line must not
+// change across worker counts or runs.
 package main
 
 import (

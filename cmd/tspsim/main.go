@@ -33,9 +33,8 @@
 // its own sequential heap, spread over up to n goroutines. With a
 // recorder, fault plan or bit error rate, 1 (default) is the sequential
 // executor and n > 1 the deterministic window executor; a checkpoint or
-// series cadence always runs the window executor. -speculate-depth lets
-// its windows run that many hops past the conservative horizon (default
-// 0). Results are byte-identical at any setting.
+// series cadence always runs the window executor. Results are
+// byte-identical at any setting.
 //
 // The -series flag writes the barrier-sampled time series (JSON, or CSV
 // when the path ends in .csv); -series-every overrides the sampling
@@ -93,24 +92,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// workersN and specDepthN are the -workers and -speculate-depth flag
-// values: newCluster applies them to every cluster an experiment builds,
-// and experiments that fan work out themselves (serve sweeps, the par
-// demo) read workersN. Reset by run().
-var (
-	workersN   = 1
-	specDepthN int64
-)
+// workersN is the -workers flag value: newCluster applies it to every
+// cluster an experiment builds, and experiments that fan work out
+// themselves (serve sweeps, the par demo) read it. Reset by run().
+var workersN = 1
 
-// newCluster builds a cluster with the executor configuration the
-// -workers and -speculate-depth flags select.
+// newCluster builds a cluster with the executor parallelism the -workers
+// flag selects.
 func newCluster(sys *topo.System, programs []*isa.Program) (*rtime.Cluster, error) {
 	cl, err := rtime.New(sys, programs)
 	if err != nil {
 		return nil, err
 	}
 	cl.SetWorkers(workersN)
-	cl.SetSpecDepth(specDepthN)
 	return cl, nil
 }
 
@@ -176,7 +170,6 @@ func run(argv []string, errw io.Writer) int {
 	tracePath := fs.String("trace", "", "write a Perfetto-loadable Chrome trace JSON here")
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
 	workers := fs.Int("workers", 1, "cluster executor parallelism: a clean fabric runs independent chip groups on up to n goroutines; with a recorder, fault plan or BER, 1 = sequential and n>1 = deterministic window-parallel execution; a checkpoint or series cadence always runs windows (results byte-identical at any n)")
-	specDepth := fs.Int64("speculate-depth", 0, "window executor speculation depth: stretch windows past the conservative horizon to up to this many 650-cycle hops past their barrier (0 = conservative windows; every simulated observable stays byte-identical)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
 	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
 	fleetCadMin := fs.Float64("fleet-cadence-min", 0, "adaptive checkpoint cadence floor in µs for the fleet experiment's policy ablation (0 = scenario default)")
@@ -230,11 +223,6 @@ func run(argv []string, errw io.Writer) int {
 		fmt.Fprintf(errw, "-workers must be >= 1 (1 = single-threaded), got %d\n", *workers)
 		return 2
 	}
-	if *specDepth < 0 {
-		fmt.Fprintf(errw, "-speculate-depth must be >= 0 (hops past the conservative horizon), got %d\n", *specDepth)
-		fs.Usage()
-		return 2
-	}
 	if *fleetDrainThr < 0 {
 		fmt.Fprintf(errw, "-fleet-drain-threshold must be >= 0 (0 = scenario default), got %g\n", *fleetDrainThr)
 		return 2
@@ -251,14 +239,12 @@ func run(argv []string, errw io.Writer) int {
 	// Flag values the experiments read. Reset afterwards so in-process
 	// callers (tests) see the defaults again.
 	workersN = *workers
-	specDepthN = *specDepth
 	checkpointEveryN = *ckptEvery
 	fleetDrainThresholdN = *fleetDrainThr
 	fleetCadenceMinN = *fleetCadMin
 	fleetCadenceMaxN = *fleetCadMax
 	defer func() {
 		workersN = 1
-		specDepthN = 0
 		checkpointEveryN = 0
 		fleetDrainThresholdN = 0
 		fleetCadenceMinN = 0
@@ -1147,21 +1133,18 @@ func serveExp() error {
 
 // parExp demonstrates the window executor. Two workloads — a
 // communication-bound 16-chip ring all-reduce and a compute-heavy 8-stage
-// pipeline — each run once on the sequential min-heap executor and then on
-// the window executor at speculation depths 0/1/2/4/8, and every run's
-// finish cycle and stream registers must match the sequential run
-// exactly. A window is at least one C2C hop (650 cycles): a send issued
-// inside it cannot land before it ends, so chips within a window are
-// causally independent and free to step concurrently. At depth 0 each
-// window extends to one hop past the earliest statically possible Send,
-// which collapses the pipeline's quiet compute phases into a few long
-// windows; a deeper window runs chips past that horizon and hands back
-// the remainder (a rollback) when a Recv's data is not committed yet.
-// A last row per workload times plain Run at the -workers count, which on
+// pipeline — each run once on the sequential min-heap executor and once on
+// the window executor, and every run's finish cycle and stream registers
+// must match the sequential run exactly. A window is at least one C2C hop
+// (650 cycles): a send issued inside it cannot land before it ends, so
+// chips within a window are causally independent and free to step
+// concurrently. Each window extends to one hop past the earliest
+// statically possible Send, which collapses the pipeline's quiet compute
+// phases into a few long windows. A last row per workload times plain Run at the -workers count, which on
 // this clean fabric is the component executor: each connected component
 // of the static send graph on its own sequential heap, with no windows.
 func parExp() error {
-	fmt.Println("window executor — adaptive lookahead, speculation depth sweep")
+	fmt.Println("window executor — adaptive lookahead")
 	workers := workersN
 	if workers < 2 {
 		workers = 4
@@ -1208,11 +1191,9 @@ func parExp() error {
 
 	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
 	fmt.Println("           8-stage pipeline (6 waves, 50 matmuls/stage)")
-	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive; depth d\n", route.HopCycles)
-	fmt.Println("stretches a window to up to d hops past its barrier")
-	fmt.Printf("%-16s %-10s %10s %7s %8s %12s %9s %13s %7s %8s %12s\n",
-		"workload", "executor", "gomaxprocs", "workers", "windows", "mean_horizon",
-		"rollbacks", "rollback_rate", "wasted", "finish", "wall")
+	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive\n", route.HopCycles)
+	fmt.Printf("%-16s %-10s %10s %7s %8s %12s %8s %12s\n",
+		"workload", "executor", "gomaxprocs", "workers", "windows", "mean_horizon", "finish", "wall")
 	g := goruntime.GOMAXPROCS(0)
 	identical := true
 	var ring *rtime.Cluster
@@ -1239,44 +1220,38 @@ func parExp() error {
 		if err != nil {
 			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
 		}
-		fmt.Printf("%-16s %-10s %10d %7d %8s %12s %9s %13s %7s %8d %12v\n",
-			wl.name, "sequential", g, 1, "-", "-", "-", "-", "-", seqFinish, time.Since(t0))
-		for _, depth := range []int64{0, 1, 2, 4, 8} {
-			cl, err := wl.build()
-			if err != nil {
-				return err
-			}
-			cl.SetWorkers(workers)
-			cl.SetSpecDepth(depth)
-			// RunParallel explicitly: this section times the window
-			// executor, and plain Run routes a recorder-less configuration
-			// to the component executor instead (the last row).
-			t0 = time.Now()
-			finish, err := cl.RunParallel(workers)
-			wall := time.Since(t0)
-			if err != nil {
-				return fmt.Errorf("par: %s depth %d: %w", wl.name, depth, err)
-			}
-			ps := cl.ParStats()
-			fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %9d %13.4f %7d %8d %12v\n",
-				wl.name, fmt.Sprintf("depth=%d", depth), g, workers, ps.Windows, meanHorizon(ps),
-				ps.Rollbacks, rollbackRate(ps), ps.WastedCycles, finish, wall)
-			identical = identical && same(cl, finish, seqFinish)
-		}
+		fmt.Printf("%-16s %-10s %10d %7d %8s %12s %8d %12v\n",
+			wl.name, "sequential", g, 1, "-", "-", seqFinish, time.Since(t0))
 		cl, err := wl.build()
 		if err != nil {
 			return err
 		}
+		cl.SetWorkers(workers)
+		// RunParallel explicitly: this row times the window executor, and
+		// plain Run routes a recorder-less configuration to the component
+		// executor instead (the last row).
 		t0 = time.Now()
-		finish, err := cl.Run()
+		finish, err := cl.RunParallel(workers)
 		wall := time.Since(t0)
+		if err != nil {
+			return fmt.Errorf("par: %s window: %w", wl.name, err)
+		}
+		ps := cl.ParStats()
+		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %8d %12v\n",
+			wl.name, "window", g, workers, ps.Windows, meanHorizon(ps), finish, wall)
+		identical = identical && same(cl, finish, seqFinish)
+		if cl, err = wl.build(); err != nil {
+			return err
+		}
+		t0 = time.Now()
+		finish, err = cl.Run()
+		wall = time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("par: %s Run: %w", wl.name, err)
 		}
 		ex, ps := cl.Executor(), cl.ParStats()
-		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %9d %13.4f %7d %8d %12v\n",
-			wl.name, ex.Name, g, workersN, ps.Windows, meanHorizon(ps),
-			ps.Rollbacks, rollbackRate(ps), ps.WastedCycles, finish, wall)
+		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %8d %12v\n",
+			wl.name, ex.Name, g, workersN, ps.Windows, meanHorizon(ps), finish, wall)
 		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
 		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {
@@ -1301,7 +1276,7 @@ func parExp() error {
 	}
 	fmt.Println("cross-chip sends buffer per window and merge at the barrier in")
 	fmt.Println("(cycle, source, issue-order) order — the sequential interleave —")
-	fmt.Println("so counters, traces, and memories never depend on worker count or depth")
+	fmt.Println("so counters, traces, and memories never depend on worker count")
 	return nil
 }
 
@@ -1313,14 +1288,6 @@ func meanHorizon(ps rtime.ParStats) float64 {
 	return float64(ps.HorizonCycles) / float64(ps.Windows)
 }
 
-// rollbackRate is the number of rollbacks per window.
-func rollbackRate(ps rtime.ParStats) float64 {
-	if ps.Windows == 0 {
-		return 0
-	}
-	return float64(ps.Rollbacks) / float64(ps.Windows)
-}
-
 // execStats reads the window executor's volatile bookkeeping back out of
 // the recorder for the profiler. Volatile counters never reach the
 // deterministic state dump, so the profiler receives them out of band.
@@ -1330,9 +1297,6 @@ func execStats(rec *obs.Recorder) prof.ExecStats {
 		HorizonCycles: rec.VolatileValue("runtime.par.horizon_cycles"),
 		WindowChips:   rec.VolatileValue("runtime.par.window_chips"),
 		BarrierStalls: rec.VolatileValue("runtime.par.barrier_stalls"),
-		Depth:         specDepthN,
-		Rollbacks:     rec.VolatileValue("runtime.par.rollbacks"),
-		WastedCycles:  rec.VolatileValue("runtime.par.wasted_cycles"),
 	}
 }
 

@@ -286,9 +286,8 @@ func Encode(s *Snapshot) []byte {
 
 // EncodeChip serializes one chip's state standalone — the same byte layout
 // the cluster section uses, shared so per-chip micro-snapshot comparisons
-// (executor-equivalence tests, the speculative executor's stall-state
-// checks) can compare whole chips byte-for-byte without assembling a full
-// cluster blob.
+// (executor-equivalence tests) can compare whole chips byte-for-byte
+// without assembling a full cluster blob.
 func EncodeChip(c *tsp.ChipState) []byte {
 	w := &buf{}
 	w.reserve(chipLen(c))

@@ -296,7 +296,7 @@ func (r *Recorder) VolatileValue(name string, labels ...Label) int64 {
 // for name+labels that, like VolatileCounter, is excluded from every
 // deterministic export: State, LoadState, WriteMetrics, and SampleSeries
 // all ignore it. Use it for distributions shaped by the host partition
-// (window occupancy, speculation depth) rather than the simulated machine.
+// (window occupancy) rather than the simulated machine.
 func (r *Recorder) VolatileHistogram(name string, origin, width float64, bins int, labels ...Label) *Histogram {
 	if r == nil {
 		return nil

@@ -365,7 +365,7 @@ func TestVolatileCounterExcludedFromDeterministicExports(t *testing.T) {
 }
 
 // TestVolatileHistogramExcludedFromDeterministicExports mirrors the
-// volatile-counter contract for histograms: the speculative executor's
+// volatile-counter contract for histograms: the window executor's
 // window-occupancy distribution is host-partition telemetry, so it must
 // stay out of State, WriteMetrics, and series sampling while remaining
 // readable in-process.

@@ -39,11 +39,6 @@ type ExecStats struct {
 	HorizonCycles int64
 	WindowChips   int64
 	BarrierStalls int64
-	// Depth is the speculation depth (runtime.Cluster.SetSpecDepth); the
-	// rollback section is reported only when it is above 0.
-	Depth        int64
-	Rollbacks    int64
-	WastedCycles int64
 }
 
 // Options tunes report shape; the zero value is a sensible default.
@@ -56,8 +51,8 @@ type Options struct {
 	// MaxPathSegments bounds the printed critical-path segments (default
 	// 200; the attribution totals always cover the whole path).
 	MaxPathSegments int
-	// Exec is the executor's window/speculation bookkeeping (optional;
-	// zero means the report omits the window and rollback sections).
+	// Exec is the executor's window bookkeeping (optional; zero means the
+	// report omits the window section).
 	Exec ExecStats
 }
 
@@ -136,8 +131,8 @@ type Report struct {
 	// Exec is the window executor's statistics, copied from Options.Exec
 	// because none of it lives in the deterministic obs.State: lookahead
 	// window count, summed adaptive horizons (mean horizon =
-	// HorizonCycles/Windows), chip-window occupancy events, barriers at
-	// which runnable chips stalled, and the speculation rollbacks.
+	// HorizonCycles/Windows), chip-window occupancy events, and barriers
+	// at which runnable chips stalled.
 	Exec ExecStats
 
 	opt Options

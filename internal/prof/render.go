@@ -69,12 +69,6 @@ func (r *Report) Render(w io.Writer) error {
 			float64(e.HorizonCycles)/float64(e.Windows),
 			float64(e.WindowChips)/float64(e.Windows))
 		fmt.Fprintf(&b, "barrier stalls: %d windows left runnable chips waiting\n", e.BarrierStalls)
-		if e.Depth > 0 {
-			fmt.Fprintf(&b, "\n-- speculation / rollback --\n")
-			fmt.Fprintf(&b, "depth: %d hops  rollbacks: %d  rollback rate: %.4f\n",
-				e.Depth, e.Rollbacks, float64(e.Rollbacks)/float64(e.Windows))
-			fmt.Fprintf(&b, "wasted cycles (speculated then handed back): %d\n", e.WastedCycles)
-		}
 	}
 
 	if len(r.Path) > 0 {

@@ -43,9 +43,9 @@ func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster
 // underflowPoisonCluster is the mixed-fault case: in one window, chip 1
 // executes a lying Recv at cycle 100 (chip 0 sends at 0, the vector lands
 // at 650) and chip 2 reads a double-bit-poisoned SRAM vector at cycle 200.
-// The sequential executor stops at the underflow; a window executor that
-// parks chip 1's Recv as a speculative stall must still rank it ahead of
-// chip 2's later poison fault.
+// The sequential executor stops at the underflow; the window executor
+// steps both chips in one window and must rank chip 1's underflow ahead
+// of chip 2's later poison fault.
 func underflowPoisonCluster(t *testing.T, workers int) *Cluster {
 	return faultCluster(t, workers, nodeFaults{1, 2, 100, 200})
 }
@@ -143,8 +143,7 @@ func crossNodeScheduleCluster(t *testing.T, workers int) *Cluster {
 // TestDeterminismMatrix is the executor-equivalence contract in one
 // table: {ring, pipeline} workloads under every observation mode, plus
 // the mixed underflow+poison fault, each run by the sequential executor
-// and by the window executor at speculation depths 0/1/4 on 1/2/4
-// workers. The "run" rows go through Run on 1/2/4 workers instead, which
+// and by the window executor on 1/2/4 workers. The "run" rows go through Run on 1/2/4 workers instead, which
 // on their clean fabric is the component executor: multi-node ring and
 // pipeline, two nodes faulting independently, and a cross-node schedule
 // that forms one component.
@@ -153,11 +152,10 @@ func crossNodeScheduleCluster(t *testing.T, workers int) *Cluster {
 // state, SRAM and FEC tallies, and — when recorded without a cadence — in
 // its raw trace and metrics dumps. Cadence modes observe only window
 // barriers, so their dumps, series and checkpoint blobs must match the
-// first window run (depth 0, one worker); the 650-cycle checkpoint
-// cadence also clamps every window to the hop grid, the old fixed
-// partition. A faulted run must report the sequential error and finish
-// cycle, and its abandoned state and dumps must match across worker
-// counts at each depth.
+// first window run (one worker); the 650-cycle checkpoint cadence also
+// clamps every window to the hop grid, the old fixed partition. A faulted
+// run must report the sequential error and finish cycle, and its
+// abandoned state and dumps must match across worker counts.
 func TestDeterminismMatrix(t *testing.T) {
 	type workload struct {
 		name  string
@@ -176,8 +174,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		// sequential executor never cuts, so dumps are compared against
 		// the first window run.
 		barrierOnly bool
-		// viaRun: run through Run at each worker count, not RunParallel
-		// at each depth.
+		// viaRun: run through Run at each worker count, not RunParallel.
 		viaRun bool
 		arm    func(t *testing.T, cl *Cluster)
 	}
@@ -187,8 +184,6 @@ func TestDeterminismMatrix(t *testing.T) {
 	underflow := &tsp.Fault{Kind: tsp.ErrUnderflow, Cycle: 100}
 	modes := []mode{
 		{name: "clean", record: true},
-		// Unrecorded on one worker is the only configuration that takes
-		// the direct-delivery path.
 		{name: "unrecorded"},
 		{name: "faults", record: true, arm: func(t *testing.T, cl *Cluster) {
 			plan := &faultplan.Plan{Events: []faultplan.Event{{Cycle: 1955, Kind: faultplan.StuckChip, Chip: 3}}}
@@ -234,72 +229,62 @@ func TestDeterminismMatrix(t *testing.T) {
 
 	for _, r := range rows {
 		t.Run(r.w.name+"/"+r.m.name, func(t *testing.T) {
-			build := func(workers int, depth int64) func() *Cluster {
+			build := func(workers int) func() *Cluster {
 				return func() *Cluster {
 					cl := r.w.build(t, workers)
-					cl.SetSpecDepth(depth)
 					if r.m.arm != nil {
 						r.m.arm(t, cl)
 					}
 					return cl
 				}
 			}
-			seq := observe(t, r.m.record, r.m.seriesEvery, build(1, 0), (*Cluster).RunSequential)
+			seq := observe(t, r.m.record, r.m.seriesEvery, build(1), (*Cluster).RunSequential)
 			faulted := seq.err != nil
 			if f, ok := seq.err.(*tsp.Fault); r.w.want != nil && (!ok || f.Kind != r.w.want.Kind || f.Cycle != r.w.want.Cycle) {
 				t.Fatalf("sequential: want %v at cycle %d, got %v", r.w.want.Kind, r.w.want.Cycle, seq.err)
 			}
-			depths := []int64{0, 1, 4}
-			if r.m.viaRun {
-				depths = []int64{0}
-			}
-			var first, depthRef runOutcome
-			for _, depth := range depths {
-				for i, workers := range []int{1, 2, 4} {
-					name := fmt.Sprintf("depth%d/w%d", depth, workers)
-					exec := func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) }
-					if r.m.viaRun {
-						name = fmt.Sprintf("run/w%d", workers)
-						exec = (*Cluster).Run
+			var first runOutcome
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("window/w%d", workers)
+				exec := func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) }
+				if r.m.viaRun {
+					name = fmt.Sprintf("run/w%d", workers)
+					exec = (*Cluster).Run
+				}
+				got := observe(t, r.m.record, r.m.seriesEvery, build(workers), exec)
+				if ex := got.cl.Executor(); r.m.viaRun && (ex.Name != "components" || ex.Components != r.w.comps) {
+					t.Errorf("%s: Run chose %+v, want components over %d", name, ex, r.w.comps)
+				}
+				if first.cl == nil {
+					first = got
+				}
+				if faulted {
+					// Error and finish against sequential, abandoned
+					// state against w1.
+					assertSameResult(t, name, first.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
+					if got.trace != first.trace || got.metrics != first.metrics {
+						t.Errorf("%s: abandoned-run dumps differ from w1", name)
 					}
-					got := observe(t, r.m.record, r.m.seriesEvery, build(workers, depth), exec)
-					if ex := got.cl.Executor(); r.m.viaRun && (ex.Name != "components" || ex.Components != r.w.comps) {
-						t.Errorf("%s: Run chose %+v, want components over %d", name, ex, r.w.comps)
-					}
-					if first.cl == nil {
-						first = got
-					}
-					if i == 0 {
-						depthRef = got
-					}
-					if faulted {
-						// Error and finish against sequential, abandoned
-						// state against w1 at this depth.
-						assertSameResult(t, name, depthRef.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
-						if got.trace != depthRef.trace || got.metrics != depthRef.metrics {
-							t.Errorf("%s: abandoned-run dumps differ from w1 at this depth", name)
-						}
-						continue
-					}
-					assertSameResult(t, name, seq.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
-					want := seq
-					if r.m.barrierOnly {
-						want = first
-					}
-					if got.trace != want.trace || got.metrics != want.metrics {
-						t.Errorf("%s: dumps differ (trace %v, metrics %v)", name, got.trace != want.trace, got.metrics != want.metrics)
-					}
-					if got.series != first.series {
-						t.Errorf("%s: series export differs from depth0/w1", name)
-					}
-					gb, fb := got.cl.Checkpoints(), first.cl.Checkpoints()
-					if len(gb) != len(fb) {
-						t.Fatalf("%s: %d checkpoints, depth0/w1 took %d", name, len(gb), len(fb))
-					}
-					for k := range fb {
-						if !bytes.Equal(gb[k].Blob, fb[k].Blob) {
-							t.Errorf("%s: checkpoint %d blob differs from depth0/w1", name, k)
-						}
+					continue
+				}
+				assertSameResult(t, name, seq.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
+				want := seq
+				if r.m.barrierOnly {
+					want = first
+				}
+				if got.trace != want.trace || got.metrics != want.metrics {
+					t.Errorf("%s: dumps differ (trace %v, metrics %v)", name, got.trace != want.trace, got.metrics != want.metrics)
+				}
+				if got.series != first.series {
+					t.Errorf("%s: series export differs from w1", name)
+				}
+				gb, fb := got.cl.Checkpoints(), first.cl.Checkpoints()
+				if len(gb) != len(fb) {
+					t.Fatalf("%s: %d checkpoints, w1 took %d", name, len(gb), len(fb))
+				}
+				for k := range fb {
+					if !bytes.Equal(gb[k].Blob, fb[k].Blob) {
+						t.Errorf("%s: checkpoint %d blob differs from w1", name, k)
 					}
 				}
 			}

@@ -1,5 +1,4 @@
-// Window-parallel cluster execution: conservative horizons, optionally
-// stretched by speculation.
+// Window-parallel cluster execution with conservative horizons.
 //
 // The paper's machine gives the simulator the same gift it gives the
 // compiler: cross-chip effects propagate only over C2C links, and a link
@@ -19,32 +18,14 @@
 // the window may extend to that bound — the sound horizon. Compute-heavy
 // quiet phases collapse from hundreds of one-hop barriers into one.
 //
-// Speculation (SetSpecDepth) stretches a window to up to depth hops past
-// its barrier and lets chips run optimistically into it; depth 0, the
-// default, keeps every window at the sound horizon. Speculation never has
-// to undo state, thanks to the single-sender FIFO discipline of every
-// directed link: a Recv either consumes exactly the envelope the
-// sequential executor would have consumed — the queue is FIFO, nobody else
-// can take it, and commit order is (cycle, src, issue) — or finds the
-// envelope not committed yet. tsp.StepUntilSpec peeks before every Recv
-// and turns the second case into a *stall*: the chip stops at the blocked
-// Recv with no cursor motion, no counter or span emission, and no fault,
-// so the executed prefix of every chip is always a prefix of the
-// sequential execution. A "rollback" is the moment a chip hands back the
-// unexecuted remainder of its window — cheap by construction, because
-// nothing wrong was ever executed. Inside the sound horizon a peek misses
-// only where the schedule lies, so at depth 0 the machinery is idle.
+// Inside the sound horizon every envelope a Recv may legally consume was
+// sent before the window began and has already been delivered, so a Recv
+// that finds no data is a real receiver underflow — the schedule lied —
+// and faults on the spot, exactly as it does on the sequential executor.
 //
-// At the barrier the window's sends are merged and every chip whose
-// stalled link the merge has filled is re-dispatched toward the horizon,
-// to a fixpoint. A stall left over re-enters the heap keyed by its stall
-// cycle r and re-peeks whenever it heads the heap, after later flushes.
-// If it heads the heap unsatisfied it can never be satisfied: every other
-// chip's next issue is at or after r, so the awaited source's next send
-// arrives at or after r + HopCycles > r. That is a receiver underflow —
-// the schedule lied — and the executor forces the blocked Recv through
-// the normal path, which raises the exact fault the sequential executor
-// raises at r.
+// Each window is one pass: step every chip whose next issue falls inside
+// it toward the horizon, merge the window's buffered sends, surface the
+// first fault, and requeue the chips that still have work.
 //
 // Determinism is preserved by construction, not by scheduling luck:
 //
@@ -58,12 +39,9 @@
 //     Each per-source buffer is already cycle-sorted (a chip issues in
 //     nondecreasing cycle order), so the barrier runs a k-way merge over
 //     reused buffers instead of allocating and sorting a global list.
-//   - The re-dispatch set depends only on the merged queues and each
-//     chip's stall cycle, never on worker scheduling.
-//   - The barrier surfaces the first fault in (cycle, chip) order, and an
-//     unresolved stall ordered before it outranks it: the stall is run to
-//     the flush fixpoint and, if still unresolved, doomed by the heap-min
-//     argument above, so the underflow it hides is the fault reported.
+//   - The barrier surfaces the first fault in (cycle, chip) order. Chips
+//     left in the heap cannot issue before the horizon, so no fault they
+//     could raise precedes it.
 //   - Checkpoint and series cadence lines clamp every window end, so when
 //     the heap minimum crosses a line every chip has executed exactly the
 //     instructions below it and every send below it has been flushed.
@@ -73,19 +51,14 @@
 // Workers are a persistent pool (one goroutine per worker for the life of
 // the run, work handed out by an atomic index), created only when
 // GOMAXPROCS actually offers parallelism — at GOMAXPROCS=1 the executor
-// runs the window loop inline, and on a clean fabric (no recorder, no
-// fault plan, no BER) it skips send buffering entirely and delivers
-// in-place, which is observably identical there: per-link order is the
-// single sender's own cycle order, envelopes only become visible at their
-// true arrival cycles, and the clean deliver path touches nothing else.
+// runs the window loop inline.
 //
 // The result: finish cycles, memories, fault identities, counters, and
-// exported dumps are byte-identical across worker counts and speculation
-// depths, including the sequential executor.
+// exported dumps are byte-identical across worker counts, including the
+// sequential executor.
 package runtime
 
 import (
-	"fmt"
 	"math"
 	goruntime "runtime"
 	"sync"
@@ -115,12 +88,12 @@ type mergeEnt struct {
 }
 
 // RunParallel executes the cluster with the window executor on the given
-// number of workers, at the cluster's speculation depth. workers <= 1
-// still runs the window machinery single-threaded (useful for testing the
-// partition); use RunSequential for the plain heap executor. Every
-// simulated observable — finish cycle, memory, counters, traces, series,
-// checkpoints, fault identity — is byte-identical to RunSequential; only
-// wall clock and the volatile runtime.par.* telemetry differ.
+// number of workers. workers <= 1 still runs the window machinery
+// single-threaded (useful for testing the partition); use RunSequential
+// for the plain heap executor. Every simulated observable — finish cycle,
+// memory, counters, traces, series, checkpoints, fault identity — is
+// byte-identical to RunSequential; only wall clock and the volatile
+// runtime.par.* telemetry differ.
 func (cl *Cluster) RunParallel(workers int) (int64, error) {
 	finish, err := cl.runParallel(workers)
 	cl.noteRunEnd(finish)
@@ -137,32 +110,24 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	// windows — not the simulated machine, so every one lives in the
 	// volatile registry: excluded from State, metric dumps, series samples,
 	// and checkpoint snapshots. That is what lets the sequential executor
-	// and the window executor at any depth export byte-identical dumps
-	// while still reporting their own window behavior through ParStats and
-	// the volatile read-back API.
+	// and the window executor export byte-identical dumps while still
+	// reporting their own window behavior through ParStats and the
+	// volatile read-back API.
 	windowsC := cl.rec.VolatileCounter("runtime.par.windows")
 	windowChipsC := cl.rec.VolatileCounter("runtime.par.window_chips")
 	horizonC := cl.rec.VolatileCounter("runtime.par.horizon_cycles")
 	stallsC := cl.rec.VolatileCounter("runtime.par.barrier_stalls")
 	stalledC := cl.rec.VolatileCounter("runtime.par.barrier_stalled_chips")
 	occH := cl.rec.VolatileHistogram("runtime.par.window_occupancy", 0, 1, 65)
-	rollbacksC := cl.rec.VolatileCounter("runtime.par.rollbacks")
-	wastedC := cl.rec.VolatileCounter("runtime.par.wasted_cycles")
 	barrierNS := cl.rec.VolatileCounter("runtime.par.barrier_ns")
 	cl.par = ParStats{}
 
 	n := len(cl.chips)
 	if cl.pend == nil {
 		cl.pend = make([][]pendingSend, n)
-		cl.stall = make([]int, n)
-		cl.stallOut = make([]int, n)
-	}
-	for i := range cl.stall {
-		cl.stall[i] = -1
 	}
 	h := cl.runnableHeap(cl.allChips())
 	active := make([]int, 0, n)
-	retry := make([]int, 0, n)
 	nexts := make([]int64, n)
 	oks := make([]bool, n)
 
@@ -175,18 +140,8 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 		pool = newParPool(cl, k, nexts, oks)
 		defer pool.stop()
 	}
-	// On a clean fabric single-threaded delivery commutes with the barrier
-	// merge (see the package comment), so skip the buffer-and-merge copy.
-	direct := pool == nil && cl.rec == nil && cl.fplan == nil && cl.ber == 0
-	dispatch := func(chips []int, end int64) {
-		if pool == nil || len(chips) == 1 {
-			for _, i := range chips {
-				nexts[i], oks[i] = cl.stepChip(i, end)
-			}
-		} else {
-			pool.run(chips, end)
-		}
-	}
+	cl.buffering = true
+	defer func() { cl.buffering = false }()
 
 	for len(h) > 0 {
 		t := h[0].t
@@ -198,28 +153,11 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 			cl.seriesNext = (t/cl.seriesEvery + 1) * cl.seriesEvery
 		}
 		// Checkpoint at the window barrier once the heap minimum crosses
-		// the cadence line: every send issued before t has been flushed,
-		// no chip is faulted (a fault ends the run at its window's
-		// barrier), and a stall below the line would pin the minimum below
-		// it, so the cluster is a closed restart point.
+		// the cadence line: every send issued before t has been flushed
+		// and no chip is faulted (a fault ends the run at its window's
+		// barrier), so the cluster is a closed restart point.
 		if cl.ckptEvery > 0 && t >= cl.ckptNext {
 			cl.captureCheckpoint(t)
-		}
-
-		// A stalled chip at the top of the heap either clears against the
-		// last barrier's flush or can never clear (see package comment).
-		if e := h[0]; cl.stall[e.idx] >= 0 {
-			link := cl.stall[e.idx]
-			cl.stall[e.idx] = -1
-			if cl.death != nil && e.t >= cl.death[e.idx] {
-				// The chip dies at or before the stall cycle: the blocked
-				// Recv never executes, same as the ordinary death guard.
-				h.pop()
-				continue
-			}
-			if !cl.peek(topo.TSPID(e.idx), link, e.t) {
-				return cl.raiseDoomed(e.idx, e.t, link)
-			}
 		}
 
 		end := cl.windowEnd(t, h)
@@ -233,7 +171,6 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 			// next issue falls at or past its scheduled death never runs
 			// again.
 			if cl.death != nil && e.t >= cl.death[e.idx] {
-				cl.stall[e.idx] = -1
 				continue
 			}
 			active = append(active, e.idx)
@@ -249,64 +186,20 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 			stalledC.Add(int64(len(h)))
 		}
 
-		// Step every active chip toward the horizon, buffering sends
-		// (unless single-threaded on a clean fabric, where direct delivery
-		// is equivalent), then run the flush/retry fixpoint: merge the
-		// pass's sends and re-dispatch every chip whose stalled link the
-		// merge has filled. Without the retry a pool-buffered run stalls
-		// every same-window Recv (envelopes only become visible at the
-		// merge) while the direct path speculates straight through; the
-		// retry makes both paths converge. Each retried chip consumes at
-		// least the Recv it stalled on, so the loop terminates. A fault
-		// stops dispatching at once — no chip runs beyond the pass in
-		// which it surfaced — unless an unresolved stall precedes it.
-		var flushNS int64
-		cl.buffering = !direct
-		dispatch(active, end)
-		fi := cl.firstFault(active)
-		for {
-			si := cl.firstStall(active, nexts)
-			if fi >= 0 && (si < 0 || eventBefore(cl.chips[fi].Fault().Cycle, fi, nexts[si], si)) {
-				break
-			}
-			if !direct {
-				s := time.Now()
-				cl.flushPending()
-				flushNS += time.Since(s).Nanoseconds()
-			}
-			if si < 0 {
-				break
-			}
-			retry = retry[:0]
+		// Step every active chip toward the horizon, buffering its sends,
+		// then merge them. Chip state up to a fault is window-local, so a
+		// faulting chip looks exactly as it does sequentially; the run is
+		// abandoned for replay.
+		if pool == nil || len(active) == 1 {
 			for _, i := range active {
-				if link := cl.stallOut[i]; link >= 0 && cl.peek(topo.TSPID(i), link, nexts[i]) {
-					// Each re-dispatch after a miss is a rollback: the chip
-					// speculated into an empty queue, handed the remainder
-					// back, and only the merge made its envelope visible.
-					// (No wasted cycles — it resumes at the stall cycle and
-					// re-covers the handed-back range inside this window.)
-					rollbacksC.Inc()
-					cl.par.Rollbacks++
-					retry = append(retry, i)
-				}
+				nexts[i], oks[i] = cl.stepChip(i, end)
 			}
-			if len(retry) == 0 {
-				if fi >= 0 {
-					// The earliest stall precedes the fault and nothing left
-					// in flight can fill it: it is the sequential fault.
-					cl.buffering = false
-					return cl.raiseDoomed(si, nexts[si], cl.stallOut[si])
-				}
-				break
-			}
-			dispatch(retry, end)
-			fi = cl.firstFault(active)
+		} else {
+			pool.run(active, end)
 		}
-		cl.buffering = false
-		if fi >= 0 {
-			// Chip state up to a fault is window-local, so the faulting
-			// chip looks exactly as it does sequentially; the run is
-			// abandoned for replay.
+		start := time.Now()
+		cl.flushPending()
+		if fi := cl.firstFault(active); fi >= 0 {
 			return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
 		}
 
@@ -324,33 +217,16 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 		horizonC.Add(wlen)
 		cl.par.HorizonCycles += wlen
 
-		// Rollback accounting: a transition into the stalled state hands
-		// back the cycles between the stall and the window horizon — the
-		// speculation that did not pay off this round.
-		for _, i := range active {
-			link := cl.stallOut[i]
-			if link >= 0 && cl.stall[i] < 0 {
-				rollbacksC.Inc()
-				cl.par.Rollbacks++
-				if w := t + wlen - nexts[i]; w > 0 {
-					wastedC.Add(w)
-					cl.par.WastedCycles += w
-				}
-			}
-			cl.stall[i] = link
-		}
-
 		// Requeue the chips that still have work. Together with the merge
 		// above, this serial section is the per-barrier cost the adaptive
 		// horizon amortizes; it is timed (wall clock, volatile) so the
 		// profiler can attribute it.
-		start := time.Now()
 		for _, i := range active {
 			if oks[i] {
 				h.push(chipHeapEntry{t: nexts[i], idx: i})
 			}
 		}
-		ns := flushNS + time.Since(start).Nanoseconds()
+		ns := time.Since(start).Nanoseconds()
 		barrierNS.Add(ns)
 		cl.par.BarrierNS += ns
 	}
@@ -363,15 +239,14 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	return finish, err
 }
 
-// eventBefore orders two barrier events — a fault or an unresolved stall
-// at a cycle on a chip — in the sequential executor's (cycle, chip) order.
+// eventBefore orders two faults, each at a cycle on a chip, in the
+// sequential executor's (cycle, chip) order.
 func eventBefore(c1 int64, i1 int, c2 int64, i2 int) bool {
 	return c1 < c2 || (c1 == c2 && i1 < i2)
 }
 
 // firstFault returns the active chip whose fault comes first in (cycle,
-// chip) order, or -1. A stalled chip never faults (the stall happens
-// instead of executing), so stalls and faults cannot collide on one chip.
+// chip) order, or -1.
 func (cl *Cluster) firstFault(active []int) int {
 	fi := -1
 	for _, i := range active {
@@ -383,51 +258,13 @@ func (cl *Cluster) firstFault(active []int) int {
 	return fi
 }
 
-// firstStall returns the active chip whose stall comes first in (cycle,
-// chip) order, or -1.
-func (cl *Cluster) firstStall(active []int, nexts []int64) int {
-	si := -1
-	for _, i := range active {
-		if cl.stallOut[i] >= 0 && (si < 0 || eventBefore(nexts[i], i, nexts[si], si)) {
-			si = i
-		}
-	}
-	return si
-}
-
-// raiseDoomed executes chip i's blocked Recv at cycle r on the link
-// through the normal path once no envelope can reach it any more: take
-// misses, tallies runtime.receiver_underflows once, and raises the exact
-// fault the sequential executor raises at r.
-func (cl *Cluster) raiseDoomed(i int, r int64, link int) (int64, error) {
-	// Cross-check against the reverse-link index: if the awaited source
-	// could still land an envelope by r, the heap-min argument has been
-	// broken — a simulator bug (NextIssue monotonicity or NextSendBound
-	// soundness), not a schedule fault, so fail loudly.
-	if link < len(cl.inSrc[i]) {
-		if src := cl.inSrc[i][link]; src >= 0 && cl.sourceCouldSendBy(src, r) {
-			panic(fmt.Sprintf("runtime: chip %d stall on link %d at cycle %d classified doomed while source %d can still send", i, link, r, src))
-		}
-	}
-	chip := cl.chips[i]
-	chip.StepUntil(r + 1)
-	f := chip.Fault()
-	if f == nil {
-		// peek and take share one predicate and nothing was delivered in
-		// between, so the Recv must miss.
-		panic(fmt.Sprintf("runtime: chip %d doomed Recv on link %d at cycle %d did not underflow", i, link, r))
-	}
-	return chip.FinishCycle(), f
-}
-
 // windowEnd computes the current window's horizon: at least one hop past
 // the barrier, extended to one hop past the earliest cycle at which any
 // runnable chip could issue a cross-chip transfer (a send at s >= S
 // arrives at s + HopCycles >= end, so nothing sent inside the window is
-// consumable inside it), stretched to the speculation depth, and clamped
-// to the next checkpoint/series cadence line so barrier-anchored captures
-// fire exactly once per line. Always > t: both cadence lines are > t
-// after the top-of-loop capture checks.
+// consumable inside it), and clamped to the next checkpoint/series cadence
+// line so barrier-anchored captures fire exactly once per line. Always
+// > t: both cadence lines are > t after the top-of-loop capture checks.
 func (cl *Cluster) windowEnd(t int64, h chipHeap) int64 {
 	end := t + int64(route.HopCycles)
 	if len(h) == 1 {
@@ -465,9 +302,6 @@ func (cl *Cluster) windowEnd(t int64, h chipHeap) int64 {
 		} else if x := earliest + int64(route.HopCycles); x > end {
 			end = x
 		}
-		if x := t + cl.specDepth*int64(route.HopCycles); x > end && end != math.MaxInt64 {
-			end = x
-		}
 	}
 	if cl.ckptEvery > 0 && end > cl.ckptNext {
 		end = cl.ckptNext
@@ -480,29 +314,12 @@ func (cl *Cluster) windowEnd(t int64, h chipHeap) int64 {
 
 // stepChip advances one chip toward the window horizon, clamped to the
 // chip's scheduled death (instructions at or past it never execute, the
-// same predicate the sequential executor's pop guard enforces), and stops
-// early at a Recv whose envelope is not committed yet. stallOut[i]
-// records that Recv's link, or -1 when the chip ran to the horizon or out
-// of work; it is written only by the worker stepping chip i.
+// same predicate the sequential executor's pop guard enforces).
 func (cl *Cluster) stepChip(i int, end int64) (int64, bool) {
 	if cl.death != nil && cl.death[i] < end {
 		end = cl.death[i]
 	}
-	next, ok, link := cl.chips[i].StepUntilSpec(end, cl.c2cs[i])
-	cl.stallOut[i] = link
-	return next, ok
-}
-
-// sourceCouldSendBy reports whether chip src could still land an envelope
-// at or before cycle r: it is alive before its send, and its earliest
-// possible send arrives by r. Used only as the doomed-stall invariant
-// cross-check; under the heap-min argument it is always false there.
-func (cl *Cluster) sourceCouldSendBy(src int, r int64) bool {
-	b, ok := cl.chips[src].NextSendBound()
-	if !ok || b+int64(route.HopCycles) > r {
-		return false
-	}
-	return cl.death == nil || b < cl.death[src]
+	return cl.chips[i].StepUntil(end)
 }
 
 // parPool is the persistent worker pool: one goroutine per extra worker
@@ -559,6 +376,8 @@ func (p *parPool) drain() {
 	}
 }
 
+// run executes one window round: publish the round state, wake at most
+// len(active)-1 helpers (the caller is a worker too), drain alongside
 // them, and wait for the stragglers.
 func (p *parPool) run(active []int, end int64) {
 	p.active, p.end = active, end

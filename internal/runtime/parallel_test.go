@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
@@ -272,21 +271,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 // executors with the same seed: identical per-link delivery order means
 // identical corruption, corrections, and MBE counts.
 func TestParallelBERMatchesSequential(t *testing.T) {
-	run := func(workers int, depth int64) (*Cluster, int64, error) {
+	run := func(workers int) (*Cluster, int64, error) {
 		cl := buildRing(t, 1, 7, 0, workers)
 		cl.SetBitErrorRate(2e-5, 42)
-		cl.SetSpecDepth(depth)
 		f, err := cl.Run()
 		return cl, f, err
 	}
-	seq, seqFinish, seqErr := run(1, 0)
+	seq, seqFinish, seqErr := run(1)
 	if seq.Corrected == 0 {
 		t.Log("note: BER produced no corrections at this seed; equivalence still checked")
 	}
-	for _, depth := range []int64{0, 4} {
-		par, parFinish, parErr := run(4, depth)
-		assertSameResult(t, fmt.Sprintf("ber/depth%d", depth), seq, par, seqFinish, parFinish, seqErr, parErr, nil)
-	}
+	par, parFinish, parErr := run(4)
+	assertSameResult(t, "ber", seq, par, seqFinish, parFinish, seqErr, parErr, nil)
 }
 
 // TestParallelUnderflowFaultMatchesSequential: a schedule that lies (a
@@ -323,20 +319,16 @@ func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 	if !ok {
 		t.Fatalf("sequential: expected an underflow *tsp.Fault, got %v", seqErr)
 	}
-	for _, depth := range []int64{0, 4} {
-		par := build(4)
-		par.SetSpecDepth(depth)
-		parFinish, parErr := par.RunParallel(4)
-		pf, ok := parErr.(*tsp.Fault)
-		if !ok {
-			t.Fatalf("depth %d: expected an underflow *tsp.Fault, got %v", depth, parErr)
-		}
-		if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
-			t.Errorf("depth %d: fault identity differs: seq %+v, par %+v", depth, sf, pf)
-		}
-		if seqFinish != parFinish {
-			t.Errorf("depth %d: fault finish differs: %d vs %d", depth, seqFinish, parFinish)
-		}
+	parFinish, parErr := build(4).RunParallel(4)
+	pf, ok := parErr.(*tsp.Fault)
+	if !ok {
+		t.Fatalf("expected an underflow *tsp.Fault, got %v", parErr)
+	}
+	if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
+		t.Errorf("fault identity differs: seq %+v, par %+v", sf, pf)
+	}
+	if seqFinish != parFinish {
+		t.Errorf("fault finish differs: %d vs %d", seqFinish, parFinish)
 	}
 }
 

@@ -11,10 +11,10 @@
 // see parallel.go) that exploits the same property the paper's compiler
 // exploits — cross-chip effects cannot propagate faster than one
 // route.HopCycles link hop — to step causally independent chips
-// concurrently, optionally speculating past that bound; and a component
-// executor (see components.go) that exploits the static schedule itself —
-// chip groups whose programs never send to each other run on their own
-// heaps in parallel, with no barriers. Run picks among them.
+// concurrently; and a component executor (see components.go) that
+// exploits the static schedule itself — chip groups whose programs never
+// send to each other run on their own heaps in parallel, with no
+// barriers. Run picks among them.
 package runtime
 
 import (
@@ -54,17 +54,13 @@ type Cluster struct {
 	routes   [][]*linkQueue
 	routeIDs [][]topo.LinkID
 
-	// workers is the executor parallelism (SetWorkers),
-	// and specDepth the window executor's speculation depth: how many hops
-	// past its barrier a window may stretch beyond the sound horizon
-	// (SetSpecDepth; 0 = conservative windows).
-	workers   int
-	specDepth int64
+	// workers is the executor parallelism (SetWorkers).
+	workers int
 
-	// Window-send buffering (see parallel.go): while a lookahead window
-	// is executing on the worker pool, chipC2C routes sends into pend
-	// (indexed by source chip, touched only by that chip's worker) instead
-	// of delivering them; the barrier merges them in deterministic order.
+	// Window-send buffering (see parallel.go): while the window executor
+	// runs, chipC2C routes sends into pend (indexed by source chip,
+	// touched only by that chip's worker) instead of delivering them; the
+	// barrier merges them in deterministic order.
 	// merge is the barrier's reused k-way merge heap.
 	buffering bool
 	pend      [][]pendingSend
@@ -72,22 +68,8 @@ type Cluster struct {
 
 	// par accumulates the most recent window-executor run's statistics,
 	// and exec records the executor the most recent Run chose.
-	// stall[i] is the inbound link chip i is stalled on across windows
-	// (-1 = running); stallOut[i] is the link it stalled on in the current
-	// window pass, written only by the worker stepping chip i.
-	par      ParStats
-	exec     Executor
-	stall    []int
-	stallOut []int
-
-	// inSrc[dst][j] is the source chip of dst's inbound local link j (-1
-	// when unwired) — the reverse-link index the window executor uses to
-	// cross-check a stalled Recv classified as doomed.
-	inSrc [][]int
-
-	// c2cs[i] is chip i's fabric adapter, retained so the window executor
-	// can hand it to tsp.StepUntilSpec as the RecvPeeker.
-	c2cs []*chipC2C
+	par  ParStats
+	exec Executor
 
 	// Link error process (§4.5): every delivered vector passes through
 	// the frame FEC; single-bit errors are corrected in situ without
@@ -251,12 +233,6 @@ func (c *chipC2C) Recv(link int, cycle int64, dst *tsp.Vector) bool {
 	return c.cl.take(c.id, link, cycle, dst)
 }
 
-// CanRecv implements tsp.RecvPeeker: report, with no side effects, whether
-// a Recv on the link at the cycle would succeed against committed state.
-func (c *chipC2C) CanRecv(link int, cycle int64) bool {
-	return c.cl.peek(c.id, link, cycle)
-}
-
 // New builds a cluster executing programs[t] on TSP t. Programs may be nil
 // for idle chips.
 func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
@@ -284,10 +260,8 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		} else {
 			prog = &isa.Program{}
 		}
-		adapter := &chipC2C{cl: cl, id: topo.TSPID(t)}
-		chip := tsp.New(t, prog, adapter)
+		chip := tsp.New(t, prog, &chipC2C{cl: cl, id: topo.TSPID(t)})
 		cl.chips = append(cl.chips, chip)
-		cl.c2cs = append(cl.c2cs, adapter)
 		mb := &mailbox{queues: make([]linkQueue, len(sys.Out(topo.TSPID(t))))}
 		for i := range mb.queues {
 			// Seed each queue with room for a handful of in-flight vectors
@@ -314,19 +288,6 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		if cl.peerIdx[l.ID] < 0 {
 			panic(fmt.Sprintf("runtime: link %d: reverse link %d missing from chip %d adjacency", l.ID, l.Reverse, l.To))
 		}
-	}
-	// Reverse-link index: the source chip behind each inbound local link,
-	// so a stalled Recv can be classified by its sender's send bound.
-	cl.inSrc = make([][]int, sys.NumTSPs())
-	for t := 0; t < sys.NumTSPs(); t++ {
-		cl.inSrc[t] = make([]int, len(cl.posts[t].queues))
-		for j := range cl.inSrc[t] {
-			cl.inSrc[t][j] = -1
-		}
-	}
-	for i := range links {
-		l := links[i]
-		cl.inSrc[l.To][cl.peerIdx[l.ID]] = int(l.From)
 	}
 	// Pre-resolve each chip's outbound routes to destination queue
 	// pointers (stable: the queues slices are fixed-size after this loop).
@@ -357,34 +318,17 @@ func (cl *Cluster) SetWorkers(n int) {
 // Workers reports the configured executor parallelism.
 func (cl *Cluster) Workers() int { return cl.workers }
 
-// SetSpecDepth lets the window executor stretch a window beyond the sound
-// horizon to up to n hops past its barrier; 0 (the default, and the floor
-// for any n below it) keeps conservative windows. Every
-// simulated observable is byte-identical at any depth — speculation
-// changes wall-clock behavior and the volatile runtime.par.* telemetry
-// only.
-func (cl *Cluster) SetSpecDepth(n int64) {
-	cl.specDepth = max(n, 0)
-}
-
-// SpecDepth reports the configured speculation depth.
-func (cl *Cluster) SpecDepth() int64 { return cl.specDepth }
-
 // ParStats summarizes the most recent window-executor run: how many
 // lookahead windows it took, the summed window horizons (so mean horizon
-// = HorizonCycles/Windows), the wall-clock nanoseconds spent in the
-// serial barrier sections (merge + requeue), how many times a chip
-// stalled at a Recv whose data was not committed yet and handed back the
-// rest of its window ("rollbacks"), and the summed cycles it handed back.
-// All of it describes the host partition, so it is recorded only here and
-// in the volatile registry — never in deterministic exports. BarrierNS is
-// wall time and varies run to run.
+// = HorizonCycles/Windows), and the wall-clock nanoseconds spent in the
+// serial barrier sections (merge + requeue). All of it describes the
+// host partition, so it is recorded only here and in the volatile
+// registry — never in deterministic exports. BarrierNS is wall time and
+// varies run to run.
 type ParStats struct {
 	Windows       int64
 	HorizonCycles int64
 	BarrierNS     int64
-	Rollbacks     int64
-	WastedCycles  int64
 }
 
 // ParStats reports the most recent RunParallel's window statistics
@@ -522,18 +466,6 @@ func (cl *Cluster) take(dst topo.TSPID, link int, cycle int64, dstVec *tsp.Vecto
 	}
 	q.popInto(dstVec)
 	return true
-}
-
-// peek is take's side-effect-free twin: the identical availability
-// predicate with no pop and, critically, no underflow tally — a
-// speculative miss is "not committed yet", not a schedule lie.
-func (cl *Cluster) peek(dst topo.TSPID, link int, cycle int64) bool {
-	mb := cl.posts[dst]
-	if link < 0 || link >= len(mb.queues) {
-		return false
-	}
-	q := &mb.queues[link]
-	return q.len() > 0 && q.front().arrival <= cycle
 }
 
 // chipHeap is a value-typed binary min-heap of runnable chips keyed by

@@ -15,15 +15,8 @@ import (
 )
 
 // Window-executor properties beyond byte identity (TestDeterminismMatrix
-// owns that): how windows are cut, where faults and stalls surface, and
-// the pool under real parallelism.
-
-// runWindows runs a cluster on the window executor at the given
-// speculation depth.
-func runWindows(cl *Cluster, workers int, depth int64) (int64, error) {
-	cl.SetSpecDepth(depth)
-	return cl.RunParallel(workers)
-}
+// owns that): how windows are cut, where faults surface, and the pool
+// under real parallelism.
 
 // TestAdaptiveMatchesFixedAndSequential: the adaptive horizon changes how
 // many barriers a run takes and nothing else. A 650-cycle checkpoint
@@ -97,39 +90,6 @@ func TestAdaptiveWindowCollapse(t *testing.T) {
 	}
 }
 
-// TestSpecCollapsesBarriers is the perf shape speculation promises: on
-// the communication-bound ring, depth 4 must take fewer barriers than
-// conservative depth 0 (it runs chips past the send-bound horizon), while
-// recording the rollbacks it paid for them; deeper speculation can only
-// merge barriers, never add them.
-func TestSpecCollapsesBarriers(t *testing.T) {
-	windows := func(depth int64) ParStats {
-		cl := buildRing(t, 2, 7, 1, 2)
-		if _, err := runWindows(cl, 2, depth); err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		return cl.ParStats()
-	}
-	cons, spec := windows(0), windows(4)
-	if spec.Windows == 0 || spec.Windows >= cons.Windows {
-		t.Errorf("depth 4 took %d windows, depth 0 %d — speculation bought nothing", spec.Windows, cons.Windows)
-	}
-	if spec.Rollbacks == 0 {
-		t.Errorf("ring all-reduce speculated with zero rollbacks (stall detection dead?)")
-	}
-	if cons.Rollbacks != 0 || cons.WastedCycles != 0 {
-		t.Errorf("depth 0 on a correct schedule recorded speculation %+v", cons)
-	}
-	prev := int64(-1)
-	for _, depth := range []int64{1, 2, 4, 8} {
-		w := windows(depth).Windows
-		if prev >= 0 && w > prev {
-			t.Errorf("depth %d took %d windows, shallower depth took %d", depth, w, prev)
-		}
-		prev = w
-	}
-}
-
 // boundaryCluster builds the sharpest causality case the adaptive horizon
 // allows: chip 0's Send issues exactly at its static bound (a RUNTIME_
 // DESKEW with Imm 0 holds the cursor, so an overestimated bound would
@@ -165,12 +125,12 @@ func boundaryCluster(t *testing.T, workers int, recvAt int64) *Cluster {
 	return cl
 }
 
-// checkBoundaryCausality runs the boundary case at each depth and worker
-// count: a Recv at exactly send + HopCycles must consume the vector, and
-// a Recv one cycle earlier must surface the sequential executor's
-// underflow fault.
-func checkBoundaryCausality(t *testing.T, depths ...int64) {
-	t.Helper()
+// TestAdaptiveBoundarySendCausality: the send issues at cycle 100 (its
+// exact bound), arrives at 750, and the conservative window computed at
+// the first barrier ends at exactly 750 — so at every worker count a Recv
+// at 750 lands in the next window and consumes the vector, and a Recv one
+// cycle earlier surfaces the sequential executor's underflow fault.
+func TestAdaptiveBoundarySendCausality(t *testing.T) {
 	const arrival = 100 + int64(route.HopCycles)
 	want := tsp.VectorOf([]float32{42, -7, 3.5})
 
@@ -187,40 +147,27 @@ func checkBoundaryCausality(t *testing.T, depths ...int64) {
 	if !ok || sf.Kind != tsp.ErrUnderflow {
 		t.Fatalf("sequential early recv: want underflow, got %v", seqErr)
 	}
-	for _, depth := range depths {
-		for _, workers := range []int{1, 2, 8} {
-			name := fmt.Sprintf("depth%d/w%d", depth, workers)
-			par := boundaryCluster(t, workers, arrival)
-			parF, parE := runWindows(par, workers, depth)
-			assertSameResult(t, name, seq, par, seqF, parF, seqE, parE, nil)
-			if got := par.Chip(1).Stream(3); got != want {
-				t.Errorf("%s: received vector differs (recv admitted before the flush?)", name)
-			}
-			_, parErr := runWindows(boundaryCluster(t, workers, arrival-1), workers, depth)
-			if pf, ok := parErr.(*tsp.Fault); !ok || pf.Kind != sf.Kind || pf.Cycle != sf.Cycle || pf.Instr != sf.Instr {
-				t.Errorf("%s: early recv fault differs: seq %v, par %v", name, seqErr, parErr)
-			}
+	for _, workers := range []int{1, 2, 8} {
+		name := fmt.Sprintf("w%d", workers)
+		par := boundaryCluster(t, workers, arrival)
+		parF, parE := par.RunParallel(workers)
+		assertSameResult(t, name, seq, par, seqF, parF, seqE, parE, nil)
+		if got := par.Chip(1).Stream(3); got != want {
+			t.Errorf("%s: received vector differs (recv admitted before the flush?)", name)
+		}
+		_, parErr := boundaryCluster(t, workers, arrival-1).RunParallel(workers)
+		if pf, ok := parErr.(*tsp.Fault); !ok || pf.Kind != sf.Kind || pf.Cycle != sf.Cycle || pf.Instr != sf.Instr {
+			t.Errorf("%s: early recv fault differs: seq %v, par %v", name, seqErr, parErr)
 		}
 	}
 }
 
-// TestAdaptiveBoundarySendCausality: the send issues at cycle 100 (its
-// exact bound), arrives at 750, and the conservative window computed at
-// the first barrier ends at exactly 750 — so a Recv at 750 lands in the
-// next window and succeeds.
-func TestAdaptiveBoundarySendCausality(t *testing.T) { checkBoundaryCausality(t, 0) }
-
-// TestSpecBoundarySendCausality: under speculation the window runs past
-// 750, so the receiver must park at the Recv until the barrier flush
-// delivers the vector instead of consuming an empty queue.
-func TestSpecBoundarySendCausality(t *testing.T) { checkBoundaryCausality(t, 1, 4) }
-
 // checkFaultPlan runs the ring under a fault plan (and an optional
-// checkpoint cadence) at depths 0/1/4 and workers 1/2/8. Against the
-// sequential executor only the abandonment identity is promised on a
-// faulted run — same error, same finish (a window steps surviving chips
-// toward its horizon before the barrier surfaces the fault); across worker
-// counts at one depth, the abandoned state and full dumps must match.
+// checkpoint cadence) at workers 1/2/8. Against the sequential executor
+// only the abandonment identity is promised on a faulted run — same
+// error, same finish (a window steps surviving chips toward its horizon
+// before the barrier surfaces the fault); across worker counts, the
+// abandoned state and full dumps must match.
 func checkFaultPlan(t *testing.T, ckptEvery int64, events func(sys *topo.System) []faultplan.Event) {
 	t.Helper()
 	build := func(workers int) *Cluster {
@@ -237,21 +184,19 @@ func checkFaultPlan(t *testing.T, ckptEvery int64, events func(sys *topo.System)
 	if seqE == nil {
 		t.Fatalf("expected the fault plan to abandon the run")
 	}
-	for _, depth := range []int64{0, 1, 4} {
-		var ref runOutcome
-		for _, workers := range []int{1, 2, 8} {
-			name := fmt.Sprintf("depth%d/w%d", depth, workers)
-			got := observe(t, true, 0, func() *Cluster { return build(workers) },
-				func(cl *Cluster) (int64, error) { return runWindows(cl, workers, depth) })
-			if ref.cl == nil {
-				ref = got
-			}
-			// Error and finish against sequential, abandoned state and
-			// dumps against w1 at this depth.
-			assertSameResult(t, name, ref.cl, got.cl, seqF, got.finish, seqE, got.err, nil)
-			if got.trace != ref.trace || got.metrics != ref.metrics {
-				t.Errorf("%s: dumps differ from w1", name)
-			}
+	var ref runOutcome
+	for _, workers := range []int{1, 2, 8} {
+		name := fmt.Sprintf("w%d", workers)
+		got := observe(t, true, 0, func() *Cluster { return build(workers) },
+			func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) })
+		if ref.cl == nil {
+			ref = got
+		}
+		// Error and finish against sequential, abandoned state and dumps
+		// against w1.
+		assertSameResult(t, name, ref.cl, got.cl, seqF, got.finish, seqE, got.err, nil)
+		if got.trace != ref.trace || got.metrics != ref.metrics {
+			t.Errorf("%s: dumps differ from w1", name)
 		}
 	}
 }
@@ -306,19 +251,18 @@ func TestSpecFaultMidSpeculatedWindow(t *testing.T) {
 // the schedule-derived horizon (~4000 cycles) dwarfs a 650-cycle
 // checkpoint cadence. Window ends must clamp to the cadence lines so every
 // capture still fires, once per line, and a snapshot captured
-// mid-collapsed-phase must restore into a cluster at any depth and finish
-// to the straight run's exact state (exercising the micro-snapshot
-// baseline invalidation on restore).
+// mid-collapsed-phase must restore into a cluster at another worker count
+// and finish to the straight run's exact state (exercising the
+// micro-snapshot baseline invalidation on restore).
 func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 	const ckptEvery = 650
-	build := func(workers int, depth int64) *Cluster {
+	build := func(workers int) *Cluster {
 		cl := buildPipeline(t, 1, 3, 50, workers)
 		cl.SetCheckpointCadence(ckptEvery)
-		cl.SetSpecDepth(depth)
 		return cl
 	}
 	addrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
-	straight := build(1, 0)
+	straight := build(1)
 	sF, sE := straight.Run()
 	if sE != nil {
 		t.Fatalf("straight run: %v", sE)
@@ -334,27 +278,24 @@ func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int64{0, 4} {
-		var restored *Cluster
-		var rF int64
-		var rE error
-		withPrimedRecorder(t, snap.Obs, func() {
-			restored = build(8, depth)
-			if err := restored.RestoreSnapshot(snap); err != nil {
-				t.Fatal(err)
-			}
-			rF, rE = restored.Run()
-		})
-		assertSameResult(t, fmt.Sprintf("restore-mid-window/depth%d", depth), straight, restored, sF, rF, sE, rE, addrs)
-	}
+	var restored *Cluster
+	var rF int64
+	var rE error
+	withPrimedRecorder(t, snap.Obs, func() {
+		restored = build(8)
+		if err := restored.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		rF, rE = restored.Run()
+	})
+	assertSameResult(t, "restore-mid-window", straight, restored, sF, rF, sE, rE, addrs)
 }
 
 // TestAdaptivePoolUnderRealParallelism raises GOMAXPROCS so the
 // persistent worker pool actually spawns (the pool sizes itself to
 // min(workers, GOMAXPROCS)-1 and runs inline on a single-proc host) and
-// checks executor equivalence with live cross-thread handoff at both
-// conservative and speculative depths; under -race this is the
-// memory-model audit of the round and stall-and-merge protocol.
+// checks executor equivalence with live cross-thread handoff; under -race
+// this is the memory-model audit of the round and merge protocol.
 func TestAdaptivePoolUnderRealParallelism(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(prev)
@@ -363,15 +304,13 @@ func TestAdaptivePoolUnderRealParallelism(t *testing.T) {
 	seqRF, seqRE := seqR.RunSequential()
 	seqP := buildPipeline(t, 1, 6, 50, 1)
 	seqPF, seqPE := seqP.RunSequential()
-	for _, depth := range []int64{0, 4} {
-		parR := buildRing(t, 2, 7, 1, 4)
-		parRF, parRE := runWindows(parR, 4, depth)
-		assertSameResult(t, fmt.Sprintf("pool/ring/depth%d", depth), seqR, parR, seqRF, parRF, seqRE, parRE, []mem.Addr{{}})
-		parP := buildPipeline(t, 1, 6, 50, 4)
-		parPF, parPE := runWindows(parP, 4, depth)
-		assertSameResult(t, fmt.Sprintf("pool/pipeline/depth%d", depth), seqP, parP, seqPF, parPF, seqPE, parPE,
-			[]mem.Addr{{Offset: 0}, {Offset: 1}})
-	}
+	parR := buildRing(t, 2, 7, 1, 4)
+	parRF, parRE := parR.RunParallel(4)
+	assertSameResult(t, "pool/ring", seqR, parR, seqRF, parRF, seqRE, parRE, []mem.Addr{{}})
+	parP := buildPipeline(t, 1, 6, 50, 4)
+	parPF, parPE := parP.RunParallel(4)
+	assertSameResult(t, "pool/pipeline", seqP, parP, seqPF, parPF, seqPE, parPE,
+		[]mem.Addr{{Offset: 0}, {Offset: 1}})
 }
 
 // TestSingleChipWindowRunsToCompletion pins the len(heap)==1 fast path:
@@ -403,35 +342,17 @@ func TestSingleChipWindowRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestSpecSingleWorkerMatchesRouting: Run() with speculation armed but
-// workers=1 on a clean fabric takes the component path, not the window
-// executor, matching RunSequential exactly and cutting no windows.
+// TestSpecSingleWorkerMatchesRouting: Run() at workers=1 on a clean
+// fabric takes the component path, not the window executor, matching
+// RunSequential exactly and cutting no windows.
 func TestSpecSingleWorkerMatchesRouting(t *testing.T) {
 	ref := buildRing(t, 2, 7, 1, 1)
 	refF, refE := ref.RunSequential()
 
 	cl := buildRing(t, 2, 7, 1, 1)
-	cl.SetSpecDepth(4)
 	f, err := cl.Run()
-	assertSameResult(t, "spec-w1", ref, cl, refF, f, refE, err, []mem.Addr{{}})
+	assertSameResult(t, "run-w1", ref, cl, refF, f, refE, err, []mem.Addr{{}})
 	if ps := cl.ParStats(); ps.Windows != 0 {
 		t.Errorf("workers=1 Run cut %d windows, want 0", ps.Windows)
-	}
-}
-
-// TestSetSpecDepthFloorsAtZero: depth 0 is the conservative executor and
-// the floor — a negative depth is not an error, it is depth 0.
-func TestSetSpecDepthFloorsAtZero(t *testing.T) {
-	cl := buildRing(t, 1, 1, 0, 1)
-	if d := cl.SpecDepth(); d != 0 {
-		t.Fatalf("default depth %d, want 0", d)
-	}
-	cl.SetSpecDepth(-3)
-	if d := cl.SpecDepth(); d != 0 {
-		t.Errorf("SetSpecDepth(-3) left depth %d, want 0", d)
-	}
-	cl.SetSpecDepth(4)
-	if d := cl.SpecDepth(); d != 4 {
-		t.Errorf("SetSpecDepth(4) left depth %d", d)
 	}
 }

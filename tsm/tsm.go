@@ -133,19 +133,19 @@ func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
 	return collective.Broadcast(s.topo, topo.TSPID(root), bytes)
 }
 
-// Cluster is the functional multi-chip executor. It runs either a
-// sequential min-heap executor or, with SetWorkers(n > 1), a window
-// executor whose results — finish cycles, memories, counters, exported
-// dumps — are byte-identical to the sequential run: chips cannot affect
-// each other faster than one C2C hop, so chips inside one hop-bounded
-// lookahead window execute concurrently. SetSpecDepth lets windows
-// stretch that many hops further, speculatively, with the same results.
+// Cluster is the functional multi-chip executor. Run picks a sequential
+// min-heap executor, a window executor or a component executor, and
+// SetWorkers(n) is its one setting: how many goroutines share the work.
+// Every choice produces byte-identical results — finish cycles, memories,
+// counters, exported dumps: chips cannot affect each other faster than one
+// C2C hop, so chips inside one hop-bounded lookahead window execute
+// concurrently, and chip groups that never send to each other run on
+// their own heaps.
 type Cluster = runtime.Cluster
 
 // Cluster builds a functional multi-chip executor running one program
 // binary per TSP (programs beyond the slice, or nil entries, idle). It
-// starts sequential at speculation depth 0; configure it with SetWorkers
-// and SetSpecDepth.
+// starts at one worker; configure it with SetWorkers.
 func (s *System) Cluster(programs []*isa.Program) (*Cluster, error) {
 	return runtime.New(s.topo, programs)
 }

@@ -9,7 +9,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -263,8 +262,8 @@ func BenchmarkFig20CompilerOpt(b *testing.B) {
 	b.ReportMetric(100*res.ThroughputGain, "throughput-gain-%")
 }
 
-// clusterBenchCases are the workload × scale grid shared by the Seq and
-// Par cluster-executor benchmarks: the node-local ring all-reduce and the
+// clusterBenchCases are the workload × scale grid of the cluster-executor
+// benchmark: the node-local ring all-reduce and the
 // 8-stage software pipeline from internal/runtime's workload generators,
 // at one node (8 chips), two nodes (16), and eight nodes (64).
 var clusterBenchCases = []struct {
@@ -282,7 +281,7 @@ var clusterBenchCases = []struct {
 
 // buildBenchCluster constructs and preloads one benchmark cluster. Run
 // consumes cluster state, so each iteration rebuilds (outside the timer).
-func buildBenchCluster(b *testing.B, pipeline bool, nodes, workers int) *rtime.Cluster {
+func buildBenchCluster(b *testing.B, pipeline bool, nodes int) *rtime.Cluster {
 	b.Helper()
 	const waves, matmuls, rounds = 8, 2, 7
 	sys, err := topo.New(topo.Config{Nodes: nodes})
@@ -302,7 +301,6 @@ func buildBenchCluster(b *testing.B, pipeline bool, nodes, workers int) *rtime.C
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl.SetWorkers(workers)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c), -float32(c % 3), 2})
 		if pipeline {
@@ -321,23 +319,21 @@ func buildBenchCluster(b *testing.B, pipeline bool, nodes, workers int) *rtime.C
 	return cl
 }
 
-// benchClusterRun times one executor configuration across the workload
-// grid, reporting simulated cycles per wall second. exec runs the built
-// cluster (Run for the user-facing routing, or an explicit executor entry
-// point to measure the window machinery itself).
-func benchClusterRun(b *testing.B, workers int, exec func(cl *rtime.Cluster) (int64, error)) {
+// BenchmarkClusterRunSeq times the sequential min-heap cluster executor
+// across the workload grid, reporting simulated cycles per wall second.
+func BenchmarkClusterRunSeq(b *testing.B) {
 	for _, bc := range clusterBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
 			var finish int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl := buildBenchCluster(b, bc.pipeline, bc.nodes, workers)
+				cl := buildBenchCluster(b, bc.pipeline, bc.nodes)
 				// Collect the construction garbage off the clock so the
 				// timed region measures the executor, not GC assists
 				// triggered by the rebuild churn.
 				runtime.GC()
 				b.StartTimer()
-				f, err := exec(cl)
+				f, err := cl.RunSequential()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -347,27 +343,6 @@ func benchClusterRun(b *testing.B, workers int, exec func(cl *rtime.Cluster) (in
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(finish)*float64(b.N)/s/1e6, "Msim-cycles/s")
 			}
-		})
-	}
-}
-
-// BenchmarkClusterRunSeq times the sequential min-heap cluster executor.
-func BenchmarkClusterRunSeq(b *testing.B) {
-	benchClusterRun(b, 1, func(cl *rtime.Cluster) (int64, error) { return cl.RunSequential() })
-}
-
-// BenchmarkClusterRunWindow times the window executor explicitly
-// (RunParallel, bypassing Run's sequential fallback so the window
-// machinery is on the clock even on one core) across worker counts.
-// Every cell is byte-identical to Seq. On a single-core host the worker
-// axis measures scheduling overhead versus worker count; on real
-// parallel hardware it is the multi-core scaling curve.
-func BenchmarkClusterRunWindow(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchClusterRun(b, workers, func(cl *rtime.Cluster) (int64, error) {
-				return cl.RunParallel(workers)
-			})
 		})
 	}
 }

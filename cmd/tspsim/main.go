@@ -22,7 +22,7 @@
 //	tspsim -exp fit      model capacity planning over global SRAM
 //	tspsim -exp scaling  strong vs weak scaling study
 //	tspsim -exp serve    inference serving under load
-//	tspsim -exp par      window-parallel executor equivalence + speedup
+//	tspsim -exp par      executor equivalence: sequential heap vs Run()
 //	tspsim -exp checkpoint  epoch checkpointing: resume cost vs cycle-0 replay
 //	tspsim -exp profile  flight-recorder series + critical-path profiler
 //	tspsim -exp fleet    fleet-level SLO: months of incidents across N systems
@@ -30,15 +30,12 @@
 // The -workers flag sets the cluster executor parallelism for every
 // cluster an experiment builds. On a clean fabric (no recorder, fault
 // plan, bit error rate or cadence) each independent chip group runs on
-// its own sequential heap, spread over up to n goroutines. With a
-// recorder, fault plan or bit error rate, 1 (default) is the sequential
-// executor and n > 1 the deterministic window executor; a checkpoint or
-// series cadence always runs the window executor. Results are
-// byte-identical at any setting.
+// its own sequential heap, spread over up to n goroutines. Every other
+// run is sequential. Results are byte-identical at any setting.
 //
 // The -series flag writes the barrier-sampled time series (JSON, or CSV
 // when the path ends in .csv); -series-every overrides the sampling
-// cadence in cycles (default 2x the 650-cycle hop window). The
+// cadence in cycles (default 2x the 650-cycle C2C hop). The
 // -profile-report flag runs the post-run profiler over everything the
 // recorder captured and writes the deterministic text report:
 //
@@ -149,7 +146,7 @@ var experiments = []struct {
 	{"fit", "model capacity planning over global SRAM", fit},
 	{"scaling", "strong vs weak scaling study", scaling},
 	{"serve", "inference serving under load", serveExp},
-	{"par", "window-parallel executor equivalence and speedup", parExp},
+	{"par", "executor equivalence: sequential heap vs Run()", parExp},
 	{"checkpoint", "epoch checkpointing: resume cost vs cycle-0 replay", checkpointExp},
 	{"hotpath", "executor hot-loop throughput (sim-cycles per wall-second)", hotpath},
 	{"profile", "flight-recorder series and critical-path profiler", profileExp},
@@ -169,7 +166,7 @@ func run(argv []string, errw io.Writer) int {
 	exp := fs.String("exp", "all", "experiment to run (or 'all')")
 	tracePath := fs.String("trace", "", "write a Perfetto-loadable Chrome trace JSON here")
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
-	workers := fs.Int("workers", 1, "cluster executor parallelism: a clean fabric runs independent chip groups on up to n goroutines; with a recorder, fault plan or BER, 1 = sequential and n>1 = deterministic window-parallel execution; a checkpoint or series cadence always runs windows (results byte-identical at any n)")
+	workers := fs.Int("workers", 1, "cluster executor parallelism: a clean fabric runs independent chip groups on up to n goroutines; everything else is sequential (results byte-identical at any n)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
 	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
 	fleetCadMin := fs.Float64("fleet-cadence-min", 0, "adaptive checkpoint cadence floor in µs for the fleet experiment's policy ablation (0 = scenario default)")
@@ -261,8 +258,8 @@ func run(argv []string, errw io.Writer) int {
 		defer obs.Set(nil)
 	}
 	// Time-series sampling: arming a cadence on the recorder makes every
-	// cluster built afterwards sample its counters and gauges at window
-	// barriers. The default cadence is two hop windows, the same grid the
+	// cluster built afterwards sample its counters and gauges at heap
+	// barriers. The default cadence is two C2C hops, the same grid the
 	// checkpoint ladder uses.
 	if rec != nil && (*seriesPath != "" || *profilePath != "" || *seriesEvery > 0) {
 		every := *seriesEvery
@@ -314,7 +311,7 @@ func run(argv []string, errw io.Writer) int {
 		}
 	}
 	if *profilePath != "" {
-		rep, err := prof.Analyze(rec.State(), prof.Options{Exec: execStats(rec)})
+		rep, err := prof.Analyze(rec.State(), prof.Options{})
 		if err != nil {
 			fmt.Fprintf(errw, "profile-report: %v\n", err)
 			return 1
@@ -1131,28 +1128,16 @@ func serveExp() error {
 	return nil
 }
 
-// parExp demonstrates the window executor. Two workloads — a
+// parExp demonstrates executor equivalence. Two workloads — a
 // communication-bound 16-chip ring all-reduce and a compute-heavy 8-stage
-// pipeline — each run once on the sequential min-heap executor and once on
-// the window executor, and every run's finish cycle and stream registers
-// must match the sequential run exactly. A window is at least one C2C hop
-// (650 cycles): a send issued inside it cannot land before it ends, so
-// chips within a window are causally independent and free to step
-// concurrently. Each window extends to one hop past the earliest
-// statically possible Send, which collapses the pipeline's quiet compute
-// phases into a few long windows. A last row per workload times plain Run at the -workers count, which on
-// this clean fabric is the component executor: each connected component
-// of the static send graph on its own sequential heap, with no windows.
+// pipeline — each run once on the sequential min-heap executor and once
+// through plain Run at the -workers count, which on this clean fabric is
+// the component executor: each connected component of the static send
+// graph on its own sequential heap, with no barriers between them. Every
+// run's finish cycle and stream registers must match the sequential run
+// exactly.
 func parExp() error {
-	fmt.Println("window executor — adaptive lookahead")
-	workers := workersN
-	if workers < 2 {
-		workers = 4
-	}
-	if g := goruntime.GOMAXPROCS(0); g < workers {
-		fmt.Printf("note: GOMAXPROCS=%d < %d workers — the pool spawns only the\n", g, workers)
-		fmt.Printf("parallelism the scheduler can deliver; results are identical either way\n")
-	}
+	fmt.Println("executor equivalence — sequential heap vs Run()")
 	ringSys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		return err
@@ -1191,9 +1176,8 @@ func parExp() error {
 
 	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
 	fmt.Println("           8-stage pipeline (6 waves, 50 matmuls/stage)")
-	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive\n", route.HopCycles)
-	fmt.Printf("%-16s %-10s %10s %7s %8s %12s %8s %12s\n",
-		"workload", "executor", "gomaxprocs", "workers", "windows", "mean_horizon", "finish", "wall")
+	fmt.Printf("%-16s %-10s %10s %7s %8s %12s\n",
+		"workload", "executor", "gomaxprocs", "workers", "finish", "wall")
 	g := goruntime.GOMAXPROCS(0)
 	identical := true
 	var ring *rtime.Cluster
@@ -1220,38 +1204,21 @@ func parExp() error {
 		if err != nil {
 			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
 		}
-		fmt.Printf("%-16s %-10s %10d %7d %8s %12s %8d %12v\n",
-			wl.name, "sequential", g, 1, "-", "-", seqFinish, time.Since(t0))
+		fmt.Printf("%-16s %-10s %10d %7d %8d %12v\n",
+			wl.name, "sequential", g, 1, seqFinish, time.Since(t0))
 		cl, err := wl.build()
 		if err != nil {
 			return err
 		}
-		cl.SetWorkers(workers)
-		// RunParallel explicitly: this row times the window executor, and
-		// plain Run routes a recorder-less configuration to the component
-		// executor instead (the last row).
 		t0 = time.Now()
-		finish, err := cl.RunParallel(workers)
+		finish, err := cl.Run()
 		wall := time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("par: %s window: %w", wl.name, err)
-		}
-		ps := cl.ParStats()
-		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %8d %12v\n",
-			wl.name, "window", g, workers, ps.Windows, meanHorizon(ps), finish, wall)
-		identical = identical && same(cl, finish, seqFinish)
-		if cl, err = wl.build(); err != nil {
-			return err
-		}
-		t0 = time.Now()
-		finish, err = cl.Run()
-		wall = time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("par: %s Run: %w", wl.name, err)
 		}
-		ex, ps := cl.Executor(), cl.ParStats()
-		fmt.Printf("%-16s %-10s %10d %7d %8d %12.0f %8d %12v\n",
-			wl.name, ex.Name, g, workersN, ps.Windows, meanHorizon(ps), finish, wall)
+		ex := cl.Executor()
+		fmt.Printf("%-16s %-10s %10d %7d %8d %12v\n",
+			wl.name, ex.Name, g, workersN, finish, wall)
 		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
 		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {
@@ -1274,30 +1241,7 @@ func parExp() error {
 	if !identical || !reduced {
 		return fmt.Errorf("par: executor equivalence violated")
 	}
-	fmt.Println("cross-chip sends buffer per window and merge at the barrier in")
-	fmt.Println("(cycle, source, issue-order) order — the sequential interleave —")
-	fmt.Println("so counters, traces, and memories never depend on worker count")
 	return nil
-}
-
-// meanHorizon is the average window length of a window-executor run.
-func meanHorizon(ps rtime.ParStats) float64 {
-	if ps.Windows == 0 {
-		return 0
-	}
-	return float64(ps.HorizonCycles) / float64(ps.Windows)
-}
-
-// execStats reads the window executor's volatile bookkeeping back out of
-// the recorder for the profiler. Volatile counters never reach the
-// deterministic state dump, so the profiler receives them out of band.
-func execStats(rec *obs.Recorder) prof.ExecStats {
-	return prof.ExecStats{
-		Windows:       rec.VolatileValue("runtime.par.windows"),
-		HorizonCycles: rec.VolatileValue("runtime.par.horizon_cycles"),
-		WindowChips:   rec.VolatileValue("runtime.par.window_chips"),
-		BarrierStalls: rec.VolatileValue("runtime.par.barrier_stalls"),
-	}
 }
 
 func fig9() error {

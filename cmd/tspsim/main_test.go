@@ -125,9 +125,8 @@ func TestBadFleetPolicyFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestBadWindowMaxRejected: -window-max is gone — the adaptive horizon is
-// uncapped and the fixed one-hop grid is what a 650-cycle checkpoint
-// cadence imposes — so any use of it is an unknown-flag usage error.
+// TestBadWindowMaxRejected: -window-max is gone along with the window
+// executor it capped, so any use of it is an unknown-flag usage error.
 func TestBadWindowMaxRejected(t *testing.T) {
 	muteStdout(t)
 	for _, v := range []string{"0", "649", "650"} {
@@ -142,8 +141,7 @@ func TestBadWindowMaxRejected(t *testing.T) {
 }
 
 // TestBadSpeculateFlagsRejected: the removed speculation toggle and depth
-// flags are unknown flags — every window is the conservative one, and
-// -workers is the only executor setting.
+// flags are unknown flags — -workers is the only executor setting.
 func TestBadSpeculateFlagsRejected(t *testing.T) {
 	muteStdout(t)
 	cases := []struct {

@@ -79,7 +79,7 @@ func ringCrossCheck() error {
 	if err != nil {
 		return err
 	}
-	rep, err := prof.Analyze(rec.State(), prof.Options{Exec: execStats(rec)})
+	rep, err := prof.Analyze(rec.State(), prof.Options{})
 	if err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func profileExp() error {
 	if err != nil {
 		return err
 	}
-	rep, err := prof.Analyze(rec.State(), prof.Options{TopLinks: 8, MaxPathSegments: 24, Exec: execStats(rec)})
+	rep, err := prof.Analyze(rec.State(), prof.Options{TopLinks: 8, MaxPathSegments: 24})
 	if err != nil {
 		return err
 	}

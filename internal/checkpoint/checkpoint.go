@@ -1,7 +1,7 @@
 // Package checkpoint serializes epoch-barrier snapshots of a cluster
 // mid-execution (§4.5's determinism dividend): because the machine's state
 // at any cycle is a pure function of the program, a snapshot taken at a
-// window barrier is a complete restart point, and the recovery ladder can
+// heap barrier is a complete restart point, and the recovery ladder can
 // resume a replay from the last good barrier instead of cycle 0.
 //
 // The format is versioned, byte-stable, and checksummed:
@@ -78,7 +78,7 @@ type LinkMBE struct {
 	FirstCycle int64
 }
 
-// Snapshot is a cluster's complete state at one window barrier.
+// Snapshot is a cluster's complete state at one heap barrier.
 type Snapshot struct {
 	// CaptureCycle is the run-local cycle of the barrier; BaseWall the
 	// wall cycle of the run's cycle 0; Cadence the armed checkpoint

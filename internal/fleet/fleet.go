@@ -125,8 +125,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: ServiceUS %g must be positive and finite", c.ServiceUS)
 	case c.PipelineDepth < 1:
 		return fmt.Errorf("fleet: PipelineDepth %d must be >= 1", c.PipelineDepth)
-	case c.ArrivalRatePerSec <= 0 || math.IsNaN(c.ArrivalRatePerSec):
-		return fmt.Errorf("fleet: ArrivalRatePerSec %g must be positive", c.ArrivalRatePerSec)
+	case c.ArrivalRatePerSec <= 0 || math.IsNaN(c.ArrivalRatePerSec) || math.IsInf(c.ArrivalRatePerSec, 0):
+		// An infinite rate makes every arrival gap zero, so Run would never
+		// advance past t = 0.
+		return fmt.Errorf("fleet: ArrivalRatePerSec %g must be positive and finite", c.ArrivalRatePerSec)
 	case c.HorizonDays <= 0 || math.IsNaN(c.HorizonDays) || math.IsInf(c.HorizonDays, 0):
 		return fmt.Errorf("fleet: HorizonDays %g must be positive and finite", c.HorizonDays)
 	case c.SLOTargetUS <= 0 || math.IsNaN(c.SLOTargetUS):

@@ -218,6 +218,7 @@ func TestFleetConfigValidate(t *testing.T) {
 		func(c *Config) { c.ServiceUS = 0 },
 		func(c *Config) { c.PipelineDepth = 0 },
 		func(c *Config) { c.ArrivalRatePerSec = 0 },
+		func(c *Config) { c.ArrivalRatePerSec = math.Inf(1) },
 		func(c *Config) { c.HorizonDays = -1 },
 		func(c *Config) { c.SLOTargetUS = 0 },
 		func(c *Config) { c.ShedAboveUS = -1 },
@@ -248,6 +249,7 @@ func TestFleetConfigValidateDirect(t *testing.T) {
 		{"negative warmup", func(c *Config) { c.WarmupUS = -1 }},
 		{"negative shed bound", func(c *Config) { c.ShedAboveUS = -1 }},
 		{"NaN service", func(c *Config) { c.ServiceUS = math.NaN() }},
+		{"infinite arrival rate", func(c *Config) { c.ArrivalRatePerSec = math.Inf(1) }},
 		{"class share not positive", func(c *Config) {
 			c.Mix = []TrafficClass{{Name: "a", Share: 0, ServiceMult: 1}, {Name: "b", Share: 1, ServiceMult: 1}}
 		}},

@@ -8,9 +8,8 @@ import "sync/atomic"
 // threading a recorder through each workload's signature.
 //
 // The global is an atomic pointer: installation happens before any
-// workload runs, but the window-parallel cluster executor (see
-// internal/runtime) may construct per-link instrumentation from worker
-// goroutines, so reads must be race-free. The Recorder itself is safe
+// workload runs, but parallel sweeps (serve.SaturationSweepParallel) read
+// it from worker goroutines, so reads must be race-free. The Recorder itself is safe
 // for concurrent use. When no recorder is installed, Get returns nil
 // and every instrumented path degrades to a nil-check.
 var active atomic.Pointer[Recorder]

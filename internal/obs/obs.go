@@ -12,14 +12,14 @@
 //     internal/stats.Histogram), all exported maps are emitted in sorted
 //     key order, and trace events are sorted by (ts, pid, tid, ph, name,
 //     dur) at export time. Sorting — rather than append order — is what
-//     keeps dumps byte-identical now that the window-parallel cluster
-//     executor (internal/runtime) records from several goroutines: the
-//     *multiset* of events a run produces is deterministic even when the
-//     append interleaving is not.
+//     keeps dumps byte-identical when several goroutines record into one
+//     recorder (serve.SaturationSweepParallel runs its load points
+//     concurrently): the *multiset* of events a run produces is
+//     deterministic even when the append interleaving is not.
 //
 //  2. Race-freedom. Counters and gauges are atomics, histograms and the
-//     trace sink are mutex-protected, so concurrently stepped chips can
-//     share one recorder. Values that commute (counter sums, histogram
+//     trace sink are mutex-protected, so concurrent workers can share one
+//     recorder. Values that commute (counter sums, histogram
 //     bins) are deterministic under any interleaving.
 //
 //  3. Zero cost when disabled. Every handle (*Counter, *Gauge,
@@ -208,16 +208,16 @@ type Recorder struct {
 	// nanoseconds) can be collected without breaking byte-identical runs.
 	volatiles map[string]*Counter
 	// volatileHists are the histogram analogue of volatiles: partition- or
-	// timing-dependent distributions (e.g. window occupancy, which depends
-	// on how the executor cut windows, not on the simulated machine) that
-	// must never leak into deterministic exports.
+	// timing-dependent distributions (how a host executor happened to
+	// split the work, not the simulated machine) that must never leak
+	// into deterministic exports.
 	volatileHists map[string]*Histogram
 	events        []event
 	procs         map[int]string
 	threads       map[[2]int]string
 	// series and the sampling cadence live in series.go; the cadence is
-	// advisory metadata the window executor reads to schedule SampleSeries
-	// calls at barriers.
+	// advisory metadata the cluster runtime reads to schedule SampleSeries
+	// calls at heap barriers.
 	series      map[string]*Series
 	seriesEvery int64
 }

@@ -251,8 +251,8 @@ func TestGlobalDefault(t *testing.T) {
 }
 
 // TestConcurrentRecordingDeterministic hammers one recorder from many
-// goroutines — the access pattern of the window-parallel cluster
-// executor — and checks (a) no race (run under -race in CI), (b) the
+// goroutines — the access pattern of serve.SaturationSweepParallel's
+// concurrent load points — and checks (a) no race (run under -race in CI), (b) the
 // exported dumps are byte-identical to a sequential recording of the
 // same event multiset, because export sorts events and counter sums
 // commute.
@@ -365,8 +365,8 @@ func TestVolatileCounterExcludedFromDeterministicExports(t *testing.T) {
 }
 
 // TestVolatileHistogramExcludedFromDeterministicExports mirrors the
-// volatile-counter contract for histograms: the window executor's
-// window-occupancy distribution is host-partition telemetry, so it must
+// volatile-counter contract for histograms: a distribution of how the
+// host split the work is host-partition telemetry, so it must
 // stay out of State, WriteMetrics, and series sampling while remaining
 // readable in-process.
 func TestVolatileHistogramExcludedFromDeterministicExports(t *testing.T) {

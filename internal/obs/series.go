@@ -4,10 +4,10 @@
 // A Series is an append-only sequence of (cycle, value) samples for one
 // metric. Series fill two ways: instrumented code appends directly
 // (serve's queue-depth track), or the runtime calls SampleSeries at a
-// window barrier and the recorder snapshots every registered counter and
+// heap barrier and the recorder snapshots every registered counter and
 // gauge into a series named by the metric's canonical key. Barriers are
 // worker-invariant points — every send issued before the barrier cycle
-// has been flushed, counter values commute — so the sampled series are
+// has been delivered, counter values commute — so the sampled series are
 // byte-identical across worker counts, the same argument that makes the
 // flat metrics dump stable.
 //
@@ -140,7 +140,7 @@ func (r *Recorder) NumSeries() int {
 // SampleSeries snapshots every registered counter and gauge into its
 // series at the given cycle, creating series (under PidFabric) on first
 // sight of a metric. Call it only from points where the counter values
-// are execution-order invariant — window barriers — so the resulting
+// are execution-order invariant — heap barriers — so the resulting
 // series match across worker counts. Nil-recorder calls are no-ops.
 func (r *Recorder) SampleSeries(cycle int64) {
 	if r == nil {

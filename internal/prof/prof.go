@@ -28,19 +28,6 @@ import (
 	"repro/internal/obs"
 )
 
-// ExecStats carries the window executor's bookkeeping into the report.
-// These values are volatile — they describe how the host executor cut
-// windows, not the simulated machine — so they never appear in the
-// obs.State the rest of the report is built from; the caller reads them
-// from the recorder's volatile runtime.par.* counters and passes them
-// here. Zero Windows means a sequential run.
-type ExecStats struct {
-	Windows       int64
-	HorizonCycles int64
-	WindowChips   int64
-	BarrierStalls int64
-}
-
 // Options tunes report shape; the zero value is a sensible default.
 type Options struct {
 	// TopLinks bounds the link table and heatmap rows (default 8; <0
@@ -51,9 +38,6 @@ type Options struct {
 	// MaxPathSegments bounds the printed critical-path segments (default
 	// 200; the attribution totals always cover the whole path).
 	MaxPathSegments int
-	// Exec is the executor's window bookkeeping (optional; zero means the
-	// report omits the window section).
-	Exec ExecStats
 }
 
 func (o *Options) defaults() {
@@ -128,13 +112,6 @@ type Report struct {
 	LinkCycles    int64
 	WaitCycles    int64
 
-	// Exec is the window executor's statistics, copied from Options.Exec
-	// because none of it lives in the deterministic obs.State: lookahead
-	// window count, summed adaptive horizons (mean horizon =
-	// HorizonCycles/Windows), chip-window occupancy events, and barriers
-	// at which runnable chips stalled.
-	Exec ExecStats
-
 	opt Options
 }
 
@@ -175,7 +152,7 @@ func Analyze(st *obs.State, opt Options) (*Report, error) {
 	opt.defaults()
 	r := &Report{opt: opt}
 
-	// Chip spans in integer cycles. Host (serving) and fabric (window
+	// Chip spans in integer cycles. Host (serving) and fabric (checkpoint
 	// bookkeeping) pseudo-processes are not machine timeline.
 	var spans []span
 	for _, e := range st.Events {
@@ -200,11 +177,6 @@ func Analyze(st *obs.State, opt Options) (*Report, error) {
 	r.analyzeLinks(st)
 	r.analyzePhases(st)
 	r.analyzePath(spans)
-
-	// Window executor telemetry is volatile (it depends on the host
-	// partition, not the simulated machine) and never reaches the state
-	// dump; the caller hands it over via Options.Exec.
-	r.Exec = opt.Exec
 	return r, nil
 }
 

@@ -62,15 +62,6 @@ func (r *Report) Render(w io.Writer) error {
 		}
 	}
 
-	if e := r.Exec; e.Windows > 0 {
-		fmt.Fprintf(&b, "\n-- parallel windows --\n")
-		fmt.Fprintf(&b, "windows: %d  mean horizon: %.1f cycles  mean chips/window: %.2f\n",
-			e.Windows,
-			float64(e.HorizonCycles)/float64(e.Windows),
-			float64(e.WindowChips)/float64(e.Windows))
-		fmt.Fprintf(&b, "barrier stalls: %d windows left runnable chips waiting\n", e.BarrierStalls)
-	}
-
 	if len(r.Path) > 0 {
 		fmt.Fprintf(&b, "\n-- critical path --\n")
 		fmt.Fprintf(&b, "total %d cycles = compute %d (%s) + link %d (%s) + wait %d (%s)\n",

@@ -1,8 +1,7 @@
 // Benchmark for a clean cross-node lowered schedule: every node forwards
 // to the next in a ring of nodes, so the static send graph is one
 // component and Run takes a single heap at any worker count. It times the
-// case the component executor cannot split, against which RunParallel's
-// windows are the alternative.
+// case the component executor cannot split.
 package runtime
 
 import (
@@ -58,28 +57,20 @@ func crossNodeRingSchedule(b *testing.B, workers int) *Cluster {
 }
 
 func BenchmarkCrossNodeSchedule(b *testing.B) {
-	for _, ex := range []struct {
-		name string
-		run  func(*Cluster) (int64, error)
-	}{
-		{"run", (*Cluster).Run},
-		{"window", func(cl *Cluster) (int64, error) { return cl.RunParallel(cl.workers) }},
-	} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", ex.name, workers), func(b *testing.B) {
-				var finish int64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cl := crossNodeRingSchedule(b, workers)
-					b.StartTimer()
-					f, err := ex.run(cl)
-					if err != nil {
-						b.Fatal(err)
-					}
-					finish = f
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("run/workers=%d", workers), func(b *testing.B) {
+			var finish int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cl := crossNodeRingSchedule(b, workers)
+				b.StartTimer()
+				f, err := cl.Run()
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(finish), "finish-cycles")
-			})
-		}
+				finish = f
+			}
+			b.ReportMetric(float64(finish), "finish-cycles")
+		})
 	}
 }

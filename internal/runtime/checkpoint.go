@@ -1,17 +1,17 @@
-// Epoch-barrier checkpointing: capture the whole cluster at window
+// Epoch-barrier checkpointing: capture the whole cluster at heap
 // barriers, restore it into a freshly built cluster mid-flight.
 //
 // Capture points are worker-invariant by construction: arming a cadence
-// forces Run through the window-parallel executor (workers == 1 runs the
-// same window machinery single-threaded), and the capture check fires
-// only at the top of the window loop — when the heap minimum has crossed
-// the cadence line and every pending send from earlier windows has been
-// flushed into the mailboxes. At that instant the mailbox queues ARE the
-// complete in-flight link state, which is what makes the snapshot a
-// closed restart point rather than a drain protocol. The adaptive
-// horizon preserves this: windowEnd clamps every window to the next
-// armed cadence line, so an extended quiet-phase window can never step
-// chips past a due capture (TestCheckpointCadenceMidExtendedWindow).
+// routes Run to the sequential executor at any worker count, and the
+// capture check fires only at the top of a heap pop (runHeap) — when the
+// heap minimum has crossed the cadence line, so every chip has executed
+// exactly the instructions below it and every send below it has been
+// delivered into the mailboxes. At that instant the mailbox queues ARE
+// the complete in-flight link state, which is what makes the snapshot a
+// closed restart point rather than a drain protocol. Batching preserves
+// this: runHeap clamps every batch horizon to the next armed cadence
+// line, so a long quiet-phase batch can never step a chip past a due
+// capture (TestCheckpointCadenceMidExtendedWindow).
 //
 // A capture encodes each snapshot once, straight into its blob, in one
 // buffer sized from the previous blob: the header with a length
@@ -52,10 +52,10 @@ type Stored struct {
 }
 
 // SetCheckpointCadence arms (or, with 0, disarms) checkpoint capture
-// every `every` cycles. Captures land on the first window barrier at or
+// every `every` cycles. Captures land on the first heap barrier at or
 // past each cadence multiple, so the captured state is identical at any
-// worker count; Run routes through the window executor whenever a cadence
-// is armed. Cycle 0 is never captured — a fault before the first cadence
+// worker count; Run takes the sequential executor whenever a cadence is
+// armed. Cycle 0 is never captured — a fault before the first cadence
 // line replays from scratch, which costs the same.
 func (cl *Cluster) SetCheckpointCadence(every int64) {
 	if every < 0 {
@@ -121,7 +121,7 @@ func (cl *Cluster) DetectLocal() int64 {
 	return cl.endCycle
 }
 
-// captureCheckpoint snapshots the cluster at window barrier t (see the
+// captureCheckpoint snapshots the cluster at heap barrier t (see the
 // file comment for why the stamping order matters) and advances the
 // cadence line.
 func (cl *Cluster) captureCheckpoint(t int64) {
@@ -148,8 +148,8 @@ func (cl *Cluster) captureCheckpoint(t int64) {
 }
 
 // buildSnapshot assembles the cluster section of a snapshot at run-local
-// cycle t. Called only at window barriers: pending sends are flushed, no
-// chip is faulted. The snapshot's Chips alias the delta baseline, so they
+// cycle t. Called only at heap barriers: every send below t is
+// delivered, no chip is faulted. The snapshot's Chips alias the delta baseline, so they
 // hold only until the next capture overwrites it: encode before then.
 func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{

@@ -7,14 +7,15 @@
 // vector. Each one is closed under delivery — every queue a component
 // writes belongs to one of its own chips — so components can run to
 // completion independently, each on its own sequential heap (runHeap),
-// with no window, barrier, send buffer or merge. Their heaps are also
+// with no barrier between them. Their heaps are also
 // shallower: a chip's batch horizon is the minimum next issue over its
 // own component, not over the whole cluster.
 //
 // This is sound only on a clean fabric. A recorder shares one trace
 // timeline, a fault plan one schedule of deaths and carrier losses, and a
-// bit error rate one cluster-wide error RNG drawn in delivery order, so
-// those runs keep the sequential and window executors (see Run).
+// bit error rate one cluster-wide error RNG drawn in delivery order, and a
+// checkpoint or series cadence captures the whole cluster at once, so
+// those runs take the sequential executor (see Run).
 //
 // Faults follow a canonical abandonment point. Each component stops at
 // its own earliest (cycle, chip) fault, settled exactly as RunSequential
@@ -84,7 +85,6 @@ func (cl *Cluster) components() (comps [][]int, ok bool) {
 // it reaches first: it may panic with another component's value, or
 // return an earlier fault without panicking.
 func (cl *Cluster) runComponents(comps [][]int) (int64, error) {
-	cl.par = ParStats{}
 	faults := make([]int, len(comps))
 	panics := make([]any, len(comps))
 	k := max(1, min(cl.workers, goruntime.GOMAXPROCS(0), len(comps)))

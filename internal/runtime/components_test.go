@@ -91,9 +91,9 @@ func TestRunExecutorChoice(t *testing.T) {
 	}{
 		{"clean", 1, nil, Executor{"components", "clean fabric", 2}},
 		{"clean-w2", 2, nil, Executor{"components", "clean fabric", 2}},
-		{"checkpoint", 1, func(cl *Cluster) { cl.SetCheckpointCadence(650) }, Executor{"window", "checkpoint cadence", 1}},
+		{"checkpoint", 1, func(cl *Cluster) { cl.SetCheckpointCadence(650) }, Executor{"sequential", "checkpoint cadence", 1}},
 		{"ber-w1", 1, func(cl *Cluster) { cl.SetBitErrorRate(1e-9, 1) }, Executor{"sequential", "bit error rate", 1}},
-		{"ber-w2", 2, func(cl *Cluster) { cl.SetBitErrorRate(1e-9, 1) }, Executor{"window", "bit error rate", 1}},
+		{"ber-w2", 2, func(cl *Cluster) { cl.SetBitErrorRate(1e-9, 1) }, Executor{"sequential", "bit error rate", 1}},
 	} {
 		cl := buildRing(t, 2, 3, 0, tc.workers)
 		if tc.arm != nil {
@@ -115,23 +115,8 @@ func TestRunExecutorChoice(t *testing.T) {
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cl.Executor(), (Executor{"window", "recorder", 1}); got != want {
+	if got, want := cl.Executor(), (Executor{"sequential", "recorder", 1}); got != want {
 		t.Errorf("recorded: Executor() = %+v, want %+v", got, want)
-	}
-
-	// The component path resets the window statistics of an earlier run.
-	cl = buildRing(t, 2, 3, 0, 2)
-	if _, err := cl.RunParallel(2); err != nil {
-		t.Fatal(err)
-	}
-	if cl.ParStats().Windows == 0 {
-		t.Fatal("window run cut no windows")
-	}
-	if _, err := cl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ps := cl.ParStats(); ps != (ParStats{}) {
-		t.Errorf("component run left window stats %+v", ps)
 	}
 }
 

@@ -40,12 +40,11 @@ func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster
 	return o
 }
 
-// underflowPoisonCluster is the mixed-fault case: in one window, chip 1
-// executes a lying Recv at cycle 100 (chip 0 sends at 0, the vector lands
-// at 650) and chip 2 reads a double-bit-poisoned SRAM vector at cycle 200.
-// The sequential executor stops at the underflow; the window executor
-// steps both chips in one window and must rank chip 1's underflow ahead
-// of chip 2's later poison fault.
+// underflowPoisonCluster is the mixed-fault case: chip 1 executes a lying
+// Recv at cycle 100 (chip 0 sends at 0, the vector lands at 650) and chip
+// 2 reads a double-bit-poisoned SRAM vector at cycle 200. The sequential
+// executor must stop at chip 1's underflow, ahead of chip 2's later
+// poison fault.
 func underflowPoisonCluster(t *testing.T, workers int) *Cluster {
 	return faultCluster(t, workers, nodeFaults{1, 2, 100, 200})
 }
@@ -142,20 +141,21 @@ func crossNodeScheduleCluster(t *testing.T, workers int) *Cluster {
 
 // TestDeterminismMatrix is the executor-equivalence contract in one
 // table: {ring, pipeline} workloads under every observation mode, plus
-// the mixed underflow+poison fault, each run by the sequential executor
-// and by the window executor on 1/2/4 workers. The "run" rows go through Run on 1/2/4 workers instead, which
-// on their clean fabric is the component executor: multi-node ring and
+// the mixed underflow+poison fault, each run by RunSequential and then
+// through Run on 1/2/4 workers. Every mode but "unrecorded" keeps Run on
+// the sequential executor, with the mode's reason. The unrecorded mode and
+// the "run" rows take the component executor: multi-node ring and
 // pipeline, two nodes faulting independently, and a cross-node schedule
 // that forms one component.
 //
-// A clean run must match the sequential reference in finish cycle, chip
-// state, SRAM and FEC tallies, and — when recorded without a cadence — in
-// its raw trace and metrics dumps. Cadence modes observe only window
-// barriers, so their dumps, series and checkpoint blobs must match the
-// first window run (one worker); the 650-cycle checkpoint cadence also
-// clamps every window to the hop grid, the old fixed partition. A faulted
-// run must report the sequential error and finish cycle, and its
-// abandoned state and dumps must match across worker counts.
+// A run must match the sequential reference in finish cycle, error, chip
+// state, SRAM and FEC tallies, and in its raw trace, metrics and series
+// dumps and every checkpoint blob. Cadence modes capture at heap
+// barriers; the 650-cycle checkpoint cadence also clamps every batch to
+// the hop grid. The one exception is a faulted component run: each
+// component stops at its own earliest fault, so only its error and finish
+// cycle match the sequential run, and its abandoned state and dumps must
+// match across worker counts.
 func TestDeterminismMatrix(t *testing.T) {
 	type workload struct {
 		name  string
@@ -170,22 +170,19 @@ func TestDeterminismMatrix(t *testing.T) {
 		name        string
 		record      bool
 		seriesEvery int64
-		// barrierOnly: the mode observes window barriers, which the
-		// sequential executor never cuts, so dumps are compared against
-		// the first window run.
-		barrierOnly bool
-		// viaRun: run through Run at each worker count, not RunParallel.
-		viaRun bool
+		// reason is why Run must pick the sequential executor; empty when
+		// it must pick the component executor.
+		reason string
 		arm    func(t *testing.T, cl *Cluster)
 	}
-	ring := workload{name: "ring", build: func(t *testing.T, w int) *Cluster { return buildRing(t, 2, 7, 1, w) }, addrs: []mem.Addr{{}}}
+	ring := workload{name: "ring", build: func(t *testing.T, w int) *Cluster { return buildRing(t, 2, 7, 1, w) }, addrs: []mem.Addr{{}}, comps: 2}
 	pipeAddrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
-	pipeline := workload{name: "pipeline", build: func(t *testing.T, w int) *Cluster { return buildPipeline(t, 1, 3, 50, w) }, addrs: pipeAddrs}
+	pipeline := workload{name: "pipeline", build: func(t *testing.T, w int) *Cluster { return buildPipeline(t, 1, 3, 50, w) }, addrs: pipeAddrs, comps: 1}
 	underflow := &tsp.Fault{Kind: tsp.ErrUnderflow, Cycle: 100}
 	modes := []mode{
-		{name: "clean", record: true},
+		{name: "clean", record: true, reason: "recorder"},
 		{name: "unrecorded"},
-		{name: "faults", record: true, arm: func(t *testing.T, cl *Cluster) {
+		{name: "faults", record: true, reason: "recorder", arm: func(t *testing.T, cl *Cluster) {
 			plan := &faultplan.Plan{Events: []faultplan.Event{{Cycle: 1955, Kind: faultplan.StuckChip, Chip: 3}}}
 			compiled, err := plan.Compile(cl.sys)
 			if err != nil {
@@ -193,8 +190,8 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 			cl.SetFaultPlan(compiled, 0, 1)
 		}},
-		{name: "checkpoint", record: true, barrierOnly: true, arm: func(t *testing.T, cl *Cluster) { cl.SetCheckpointCadence(650) }},
-		{name: "series", record: true, seriesEvery: 1300, barrierOnly: true},
+		{name: "checkpoint", record: true, reason: "checkpoint cadence", arm: func(t *testing.T, cl *Cluster) { cl.SetCheckpointCadence(650) }},
+		{name: "series", record: true, seriesEvery: 1300, reason: "series cadence"},
 	}
 	type row struct {
 		w workload
@@ -209,7 +206,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	rows = append(rows,
 		row{workload{name: "underflow-poison", build: underflowPoisonCluster, addrs: []mem.Addr{{}}, want: underflow}, modes[0]},
 		row{workload{name: "poison-underflow", build: poisonUnderflowCluster, addrs: []mem.Addr{{}}, want: underflow}, modes[0]})
-	run := mode{name: "run", viaRun: true}
+	run := mode{name: "run"}
 	for _, w := range []workload{
 		{name: "ring4", build: func(t *testing.T, w int) *Cluster { return buildRing(t, 4, 7, 1, w) }, addrs: []mem.Addr{{}}, comps: 4},
 		{name: "pipeline2", build: func(t *testing.T, w int) *Cluster { return buildPipeline(t, 2, 3, 50, w) }, addrs: pipeAddrs, comps: 2},
@@ -239,52 +236,41 @@ func TestDeterminismMatrix(t *testing.T) {
 				}
 			}
 			seq := observe(t, r.m.record, r.m.seriesEvery, build(1), (*Cluster).RunSequential)
-			faulted := seq.err != nil
 			if f, ok := seq.err.(*tsp.Fault); r.w.want != nil && (!ok || f.Kind != r.w.want.Kind || f.Cycle != r.w.want.Cycle) {
 				t.Fatalf("sequential: want %v at cycle %d, got %v", r.w.want.Kind, r.w.want.Cycle, seq.err)
 			}
+			want := Executor{"sequential", r.m.reason, 1}
+			if r.m.reason == "" {
+				want = Executor{"components", "clean fabric", r.w.comps}
+			}
 			var first runOutcome
 			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("window/w%d", workers)
-				exec := func(cl *Cluster) (int64, error) { return cl.RunParallel(workers) }
-				if r.m.viaRun {
-					name = fmt.Sprintf("run/w%d", workers)
-					exec = (*Cluster).Run
-				}
-				got := observe(t, r.m.record, r.m.seriesEvery, build(workers), exec)
-				if ex := got.cl.Executor(); r.m.viaRun && (ex.Name != "components" || ex.Components != r.w.comps) {
-					t.Errorf("%s: Run chose %+v, want components over %d", name, ex, r.w.comps)
+				name := fmt.Sprintf("run/w%d", workers)
+				got := observe(t, r.m.record, r.m.seriesEvery, build(workers), (*Cluster).Run)
+				if ex := got.cl.Executor(); ex != want {
+					t.Errorf("%s: Run chose %+v, want %+v", name, ex, want)
 				}
 				if first.cl == nil {
 					first = got
 				}
-				if faulted {
+				ref := seq
+				if seq.err != nil && want.Name == "components" {
 					// Error and finish against sequential, abandoned
-					// state against w1.
-					assertSameResult(t, name, first.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
-					if got.trace != first.trace || got.metrics != first.metrics {
-						t.Errorf("%s: abandoned-run dumps differ from w1", name)
-					}
-					continue
+					// state and dumps against w1.
+					ref = first
 				}
-				assertSameResult(t, name, seq.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
-				want := seq
-				if r.m.barrierOnly {
-					want = first
+				assertSameResult(t, name, ref.cl, got.cl, seq.finish, got.finish, seq.err, got.err, r.w.addrs)
+				if got.trace != ref.trace || got.metrics != ref.metrics || got.series != ref.series {
+					t.Errorf("%s: dumps differ (trace %v, metrics %v, series %v)", name,
+						got.trace != ref.trace, got.metrics != ref.metrics, got.series != ref.series)
 				}
-				if got.trace != want.trace || got.metrics != want.metrics {
-					t.Errorf("%s: dumps differ (trace %v, metrics %v)", name, got.trace != want.trace, got.metrics != want.metrics)
+				gb, rb := got.cl.Checkpoints(), ref.cl.Checkpoints()
+				if len(gb) != len(rb) {
+					t.Fatalf("%s: %d checkpoints, want %d", name, len(gb), len(rb))
 				}
-				if got.series != first.series {
-					t.Errorf("%s: series export differs from w1", name)
-				}
-				gb, fb := got.cl.Checkpoints(), first.cl.Checkpoints()
-				if len(gb) != len(fb) {
-					t.Fatalf("%s: %d checkpoints, w1 took %d", name, len(gb), len(fb))
-				}
-				for k := range fb {
-					if !bytes.Equal(gb[k].Blob, fb[k].Blob) {
-						t.Errorf("%s: checkpoint %d blob differs from w1", name, k)
+				for k := range rb {
+					if !bytes.Equal(gb[k].Blob, rb[k].Blob) {
+						t.Errorf("%s: checkpoint %d blob differs", name, k)
 					}
 				}
 			}

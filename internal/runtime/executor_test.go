@@ -220,9 +220,10 @@ func withSeriesRecorder(t *testing.T, every int64, f func()) (trace, metrics, se
 
 // TestParallelMatchesSequential sweeps the axis TestDeterminismMatrix
 // holds fixed — topology size (one and two nodes, with and without
-// background matmuls) at odd worker counts: through Run, the window
-// executor must be indistinguishable from the sequential one in state,
-// finish cycles, and the raw trace and metrics dumps.
+// background matmuls) at odd worker counts: through Run, a recorded run
+// (the sequential executor) must match RunSequential in state, finish
+// cycles, and the raw trace and metrics dumps, and an unrecorded one (the
+// component executor) in state and finish cycles.
 func TestParallelMatchesSequential(t *testing.T) {
 	type buildFn func(t *testing.T, workers int) (*Cluster, []mem.Addr)
 	cases := []struct {
@@ -262,32 +263,44 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if seqTrace != parTrace || seqMetrics != parMetrics {
 					t.Errorf("%s: dumps differ from sequential", name)
 				}
+				comp, _ := tc.build(t, workers)
+				compFinish, compErr := comp.Run()
+				if ex := comp.Executor(); ex.Name != "components" {
+					t.Errorf("%s: unrecorded Run chose %+v, want components", name, ex)
+				}
+				assertSameResult(t, name+"/unrecorded", seq, comp, seqFinish, compFinish, seqErr, compErr, addrs)
 			})
 		}
 	}
 }
 
-// TestParallelBERMatchesSequential runs the link error process under both
-// executors with the same seed: identical per-link delivery order means
-// identical corruption, corrections, and MBE counts.
+// TestParallelBERMatchesSequential runs the link error process through
+// Run at four workers and through RunSequential with the same seed: Run
+// must keep the run on one heap, and identical per-link delivery order
+// means identical corruption, corrections, and MBE counts.
 func TestParallelBERMatchesSequential(t *testing.T) {
-	run := func(workers int) (*Cluster, int64, error) {
+	build := func(workers int) *Cluster {
 		cl := buildRing(t, 1, 7, 0, workers)
 		cl.SetBitErrorRate(2e-5, 42)
-		f, err := cl.Run()
-		return cl, f, err
+		return cl
 	}
-	seq, seqFinish, seqErr := run(1)
+	seq := build(1)
+	seqFinish, seqErr := seq.RunSequential()
 	if seq.Corrected == 0 {
 		t.Log("note: BER produced no corrections at this seed; equivalence still checked")
 	}
-	par, parFinish, parErr := run(4)
+	par := build(4)
+	parFinish, parErr := par.Run()
+	if got, want := par.Executor(), (Executor{"sequential", "bit error rate", 1}); got != want {
+		t.Errorf("Executor() = %+v, want %+v", got, want)
+	}
 	assertSameResult(t, "ber", seq, par, seqFinish, parFinish, seqErr, parErr, nil)
 }
 
 // TestParallelUnderflowFaultMatchesSequential: a schedule that lies (a
 // Recv before the hop completes) must produce the identical fault — kind,
-// unit, cycle, instruction — and finish cycle under both executors.
+// unit, cycle, instruction — and finish cycle through RunSequential and
+// through Run's component executor at four workers.
 func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 	build := func(workers int) *Cluster {
 		sys, err := topo.New(topo.Config{Nodes: 1})
@@ -319,7 +332,7 @@ func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 	if !ok {
 		t.Fatalf("sequential: expected an underflow *tsp.Fault, got %v", seqErr)
 	}
-	parFinish, parErr := build(4).RunParallel(4)
+	parFinish, parErr := build(4).Run()
 	pf, ok := parErr.(*tsp.Fault)
 	if !ok {
 		t.Fatalf("expected an underflow *tsp.Fault, got %v", parErr)
@@ -355,15 +368,13 @@ func TestTakeInvalidLinkUnderflows(t *testing.T) {
 }
 
 // queueExecutors are the executors the queue-retention tests drive: the
-// sequential heap, the window executor with its barrier merge, and Run's
-// component executor on two workers.
+// sequential heap and Run's component executor on two workers.
 var queueExecutors = []struct {
 	name    string
 	workers int
 	run     func(*Cluster) (int64, error)
 }{
 	{"sequential", 1, (*Cluster).RunSequential},
-	{"window", 2, func(cl *Cluster) (int64, error) { return cl.RunParallel(2) }},
 	{"components", 2, (*Cluster).Run},
 }
 
@@ -374,7 +385,7 @@ func assertQueuesSeeded(t *testing.T, label string, cl *Cluster) {
 	t.Helper()
 	for c, mb := range cl.posts {
 		for i := range mb.queues {
-			if got := mb.queues[i].capacity(); got > 8 {
+			if got := cap(mb.queues[i].buf); got > 8 {
 				t.Errorf("%s: chip %d link %d: queue capacity %d, seeded 8 (retention leak)", label, c, i, got)
 			}
 		}

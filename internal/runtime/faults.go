@@ -1,5 +1,5 @@
 // Fault-plan integration: the cluster consumes a compiled faultplan as
-// cycle-stamped events merged into both executors, and exposes the
+// cycle-stamped events merged into the sequential executor, and exposes the
 // deterministic health telemetry (heartbeats, per-link FEC records) the
 // §4.5 monitor diagnoses.
 //
@@ -94,7 +94,7 @@ func (cl *Cluster) physLink(l topo.Link) *c2c.Link {
 // noteLinkMBE records an uncorrectable frame for the health report. cycle
 // is run-local. The "first" records keep the minimum cycle rather than
 // the first note: the batched sequential executor may deliver one chip's
-// lookahead-window sends before another chip's earlier-cycle sends, so
+// lookahead-batch sends before another chip's earlier-cycle sends, so
 // note order is not globally cycle-sorted — but the minimum is the same
 // earliest MBE every executor observes.
 func (cl *Cluster) noteLinkMBE(l topo.LinkID, cycle int64) {

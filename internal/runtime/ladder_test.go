@@ -170,9 +170,8 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestLadderFaultWorkerInvariance runs the identical fault scenario under
-// the sequential executor and the window-parallel executor at several
-// worker counts: finish cycles, ladder accounting, functional state, and
+// TestLadderFaultWorkerInvariance runs the identical fault scenario at
+// several worker counts: finish cycles, ladder accounting, functional state, and
 // the raw full dumps must be byte-identical — the headline invariant, now including failures.
 func TestLadderFaultWorkerInvariance(t *testing.T) {
 	type outcome struct {

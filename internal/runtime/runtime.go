@@ -6,15 +6,13 @@
 // on detected-uncorrectable errors, and N+1 hot-spare node failover
 // (§4.5).
 //
-// Three executors produce byte-identical results: a sequential min-heap
-// executor (RunSequential), the reference; a window executor (RunParallel,
-// see parallel.go) that exploits the same property the paper's compiler
-// exploits — cross-chip effects cannot propagate faster than one
-// route.HopCycles link hop — to step causally independent chips
-// concurrently; and a component executor (see components.go) that
+// Two executors produce byte-identical results, both on one stepping loop
+// (runHeap): a sequential min-heap executor (RunSequential), the
+// reference, which also captures the checkpoint and series cadences at
+// its heap barriers; and a component executor (see components.go) that
 // exploits the static schedule itself — chip groups whose programs never
 // send to each other run on their own heaps in parallel, with no
-// barriers. Run picks among them.
+// barriers. Run picks between them.
 package runtime
 
 import (
@@ -54,22 +52,10 @@ type Cluster struct {
 	routes   [][]*linkQueue
 	routeIDs [][]topo.LinkID
 
-	// workers is the executor parallelism (SetWorkers).
-	workers int
-
-	// Window-send buffering (see parallel.go): while the window executor
-	// runs, chipC2C routes sends into pend (indexed by source chip,
-	// touched only by that chip's worker) instead of delivering them; the
-	// barrier merges them in deterministic order.
-	// merge is the barrier's reused k-way merge heap.
-	buffering bool
-	pend      [][]pendingSend
-	merge     []mergeEnt
-
-	// par accumulates the most recent window-executor run's statistics,
+	// workers is the component executor's goroutine count (SetWorkers),
 	// and exec records the executor the most recent Run chose.
-	par  ParStats
-	exec Executor
+	workers int
+	exec    Executor
 
 	// Link error process (§4.5): every delivered vector passes through
 	// the frame FEC; single-bit errors are corrected in situ without
@@ -111,7 +97,7 @@ type Cluster struct {
 	linkTx     map[topo.LinkID]string
 
 	// Checkpointing (see checkpoint.go): capture every ckptEvery cycles at
-	// window barriers; ckptNext is the next cadence line, ckptFrom the
+	// heap barriers; ckptNext is the next cadence line, ckptFrom the
 	// cycle this cluster was restored at (0 for a fresh run), ckpts the
 	// captured store, oldest first.
 	ckptEvery int64
@@ -126,7 +112,7 @@ type Cluster struct {
 	ckptPrev []tsp.ChipState
 
 	// Series sampling (see series.go): snapshot every registered counter
-	// and gauge into obs time series at window barriers every seriesEvery
+	// and gauge into obs time series at heap barriers every seriesEvery
 	// cycles; seriesNext is the next cadence line. chipDepth holds the
 	// lazily resolved per-chip mailbox-depth gauges set at each sample.
 	seriesEvery int64
@@ -199,9 +185,6 @@ func (q *linkQueue) popInto(dst *tsp.Vector) {
 	}
 }
 
-// cap reports the backing-array capacity (tested: bounded on long runs).
-func (q *linkQueue) capacity() int { return cap(q.buf) }
-
 // chipC2C adapts the cluster's mailboxes to the tsp.C2C interface for one
 // chip.
 type chipC2C struct {
@@ -210,21 +193,11 @@ type chipC2C struct {
 }
 
 func (c *chipC2C) Send(link int, v *tsp.Vector, cycle int64) {
-	if c.cl.buffering {
-		// The register may be overwritten before the barrier flushes, so
-		// buffered sends must copy the payload now.
-		c.cl.pend[c.id] = append(c.cl.pend[c.id], pendingSend{link: link, cycle: cycle, v: *v})
-		return
-	}
 	c.cl.deliver(c.id, link, v, cycle)
 }
 
 func (c *chipC2C) Transmit(link int, cycle int64) {
 	// The alignment notification is a vector like any other.
-	if c.cl.buffering {
-		c.cl.pend[c.id] = append(c.cl.pend[c.id], pendingSend{link: link, cycle: cycle})
-		return
-	}
 	var zero tsp.Vector
 	c.cl.deliver(c.id, link, &zero, cycle)
 }
@@ -306,11 +279,9 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	return cl, nil
 }
 
-// SetWorkers overrides the executor parallelism for this cluster: how
-// many goroutines Run's component executor spreads chip groups over, and
-// whether a recorded, faulted or BER run takes the sequential executor
-// (1) or the window executor with that many workers (>1). Results are
-// byte-identical either way.
+// SetWorkers sets how many goroutines Run's component executor spreads
+// independent chip groups over. Every other run is sequential. Results
+// are byte-identical at any setting.
 func (cl *Cluster) SetWorkers(n int) {
 	cl.workers = max(n, 1)
 }
@@ -318,28 +289,22 @@ func (cl *Cluster) SetWorkers(n int) {
 // Workers reports the configured executor parallelism.
 func (cl *Cluster) Workers() int { return cl.workers }
 
-// ParStats summarizes the most recent window-executor run: how many
-// lookahead windows it took, the summed window horizons (so mean horizon
-// = HorizonCycles/Windows), and the wall-clock nanoseconds spent in the
-// serial barrier sections (merge + requeue). All of it describes the
-// host partition, so it is recorded only here and in the volatile
-// registry — never in deterministic exports. BarrierNS is wall time and
-// varies run to run.
+// ParStats is the record Cluster.ParStats returns; every field is zero.
 type ParStats struct {
 	Windows       int64
 	HorizonCycles int64
 	BarrierNS     int64
 }
 
-// ParStats reports the most recent RunParallel's window statistics
-// (zeroes if only the sequential or component executor has run).
-func (cl *Cluster) ParStats() ParStats { return cl.par }
+// ParStats always returns the zero value. It is kept only for
+// bench/tspbench, which still reads it.
+func (cl *Cluster) ParStats() ParStats { return ParStats{} }
 
 // Executor describes the executor the most recent Run chose: its name
-// ("sequential", "window" or "components"), the reason, and how many
-// independent chip groups it ran separately (1 when it ran the cluster as
-// one). Like ParStats it describes the host, not the simulated machine,
-// so it never enters a deterministic export.
+// ("sequential" or "components"), the reason, and how many independent
+// chip groups it ran separately (1 when it ran the cluster as one). It
+// describes the host, not the simulated machine, so it never enters a
+// deterministic export.
 type Executor struct {
 	Name       string
 	Reason     string
@@ -551,31 +516,26 @@ func (cl *Cluster) allChips() []int {
 // is exactly the total order the SSN compiler reasoned about, so a correct
 // schedule never underflows a receiver. It returns the global finish cycle.
 //
-// Run picks the executor; every choice is byte-identical to RunSequential
+// Run picks the executor; both choices are byte-identical to RunSequential
 // in finish cycle, chip state, counters and traces, and Executor reports
 // which one ran and why:
 //
-//   - An armed checkpoint or series cadence runs the window executor
-//     (RunParallel), even at one worker: captures and samples happen only
-//     at window barriers, so their contents are a function of the cadence
-//     and the programs, never of the worker count.
-//   - A recorder, fault plan or bit error rate runs the window executor at
-//     workers > 1 and RunSequential at one worker: those runs share one
-//     trace, one fault schedule and one delivery-ordered error RNG.
-//   - A clean fabric — none of the above — runs the component executor
-//     (see components.go): each connected component of the static send
-//     graph is its own sequential heap, handed to the workers with no
-//     window or barrier. A faulted run reports RunSequential's error and
-//     finish cycle; the chips it abandons stop at the same points at every
-//     worker count.
+//   - A clean fabric runs the component executor (see components.go):
+//     each connected component of the static send graph is its own
+//     sequential heap, handed to up to SetWorkers goroutines. A faulted
+//     run reports RunSequential's error and finish cycle; the chips it
+//     abandons stop at the same points at every worker count.
+//   - Every other run takes RunSequential: a checkpoint or series cadence
+//     (captured at heap barriers), a recorder (one trace), a fault plan
+//     (one fault schedule), a bit error rate (one delivery-ordered error
+//     RNG), or a send on a link the chip lacks.
 func (cl *Cluster) Run() (int64, error) {
 	var reason string
-	window := cl.workers > 1
 	switch {
 	case cl.ckptEvery > 0:
-		reason, window = "checkpoint cadence", true
+		reason = "checkpoint cadence"
 	case cl.seriesEvery > 0:
-		reason, window = "series cadence", true
+		reason = "series cadence"
 	case cl.rec != nil:
 		reason = "recorder"
 	case cl.fplan != nil:
@@ -591,11 +551,7 @@ func (cl *Cluster) Run() (int64, error) {
 		}
 		// A send on a link the chip lacks: one heap over every chip
 		// reaches the deliver panic in the sequential order.
-		reason, window = "send on a missing link", false
-	}
-	if window {
-		cl.exec = Executor{Name: "window", Reason: reason, Components: 1}
-		return cl.RunParallel(cl.workers)
+		reason = "send on a missing link"
 	}
 	cl.exec = Executor{Name: "sequential", Reason: reason, Components: 1}
 	return cl.RunSequential()
@@ -604,19 +560,21 @@ func (cl *Cluster) Run() (int64, error) {
 // RunSequential is the single-threaded reference executor: one min-heap
 // of every chip keyed by next-issue cycle, popping the earliest (ties
 // toward the lowest chip index) and executing all of that chip's
-// instructions at that cycle. It never captures checkpoints — sequential
-// pops have no window barriers to align to; use Run with a cadence armed.
+// instructions at that cycle. Armed checkpoint and series cadences are
+// captured at its heap barriers (see runHeap), plus one final series
+// sample at the finish cycle of a run that ends without error.
 func (cl *Cluster) RunSequential() (int64, error) {
-	finish, err := cl.runSequential()
+	var finish int64
+	var err error
+	if fi := cl.runHeap(cl.allChips()); fi >= 0 {
+		finish, err = cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
+	} else if finish, err = cl.finish(); err == nil && cl.seriesEvery > 0 {
+		// Close every series at the finish cycle so post-run analysis sees
+		// end-of-run totals without needing the flat metrics dump.
+		cl.sampleSeries(finish)
+	}
 	cl.noteRunEnd(finish)
 	return finish, err
-}
-
-func (cl *Cluster) runSequential() (int64, error) {
-	if fi := cl.runHeap(cl.allChips()); fi >= 0 {
-		return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
-	}
-	return cl.finish()
 }
 
 // runHeap runs the listed chips on one sequential heap until each has
@@ -624,9 +582,29 @@ func (cl *Cluster) runSequential() (int64, error) {
 // (cycle, chip) order, whose chip it returns (-1 when none faulted). The
 // chips must be closed under sends: none may deliver to a chip outside
 // the list while it runs.
+//
+// The top of each pop is a barrier: every listed chip has executed
+// exactly the instructions below the heap minimum, and every send below
+// it has been delivered into the mailboxes, which then hold the complete
+// in-flight link state. Armed cadences fire there, once the minimum has
+// crossed their line, and every batch horizon is clamped to the next
+// line, so no chip steps past a due capture. A capture's contents are
+// therefore a function of the cadence and the programs alone. Cadences
+// are only armed on runs that take RunSequential, so the component
+// executor's concurrent heaps never reach these branches.
 func (cl *Cluster) runHeap(chips []int) int {
 	h := cl.runnableHeap(chips)
 	for len(h) > 0 {
+		// Series before checkpoint at the same barrier, so a snapshot's obs
+		// section carries the barrier's sample and a restored run resumes
+		// with identical series state.
+		if t := h[0].t; cl.seriesEvery > 0 && t >= cl.seriesNext {
+			cl.sampleSeries(t)
+			cl.seriesNext = (t/cl.seriesEvery + 1) * cl.seriesEvery
+		}
+		if t := h[0].t; cl.ckptEvery > 0 && t >= cl.ckptNext {
+			cl.captureCheckpoint(t)
+		}
 		e := h.pop()
 		// A chip scheduled to die at or before this cycle never issues
 		// again: its remaining program is abandoned, and only its silence
@@ -634,17 +612,17 @@ func (cl *Cluster) runHeap(chips []int) int {
 		if cl.death != nil && e.t >= cl.death[e.idx] {
 			continue
 		}
-		// Batch the popped chip through the same conservative lookahead
-		// the window-parallel executor exploits: with every other chip's
-		// next issue at or after m = h[0].t, all cross-chip data this chip
-		// can legally consume before m + HopCycles is already in its
-		// mailboxes (a vector sent at cycle s is invisible before
-		// s + HopCycles, and every send before m has been delivered).
-		// Chip-local effects commute across chips, per-link delivery order
-		// is each single sender's own cycle order either way, and shared
-		// tallies and trace exports are order-independent, so the result
-		// is byte-identical to the one-cycle-at-a-time pop order — while
-		// paying one heap round-trip per window instead of one per cycle.
+		// Batch the popped chip through the conservative lookahead: with
+		// every other chip's next issue at or after m = h[0].t, all
+		// cross-chip data this chip can legally consume before
+		// m + HopCycles is already in its mailboxes (a vector sent at
+		// cycle s is invisible before s + HopCycles, and every send before
+		// m has been delivered). Chip-local effects commute across chips,
+		// per-link delivery order is each single sender's own cycle order
+		// either way, and shared tallies and trace exports are
+		// order-independent, so the result is byte-identical to the
+		// one-cycle-at-a-time pop order — while paying one heap round-trip
+		// per batch instead of one per cycle.
 		horizon := e.t + 1
 		if len(h) > 0 {
 			if m := h[0].t + int64(route.HopCycles); m > horizon {
@@ -655,9 +633,16 @@ func (cl *Cluster) runHeap(chips []int) int {
 			// already queued, so it may run out entirely.
 			horizon = math.MaxInt64
 		}
+		// Both cadence lines are past e.t after the checks above, so the
+		// clamped horizon still makes progress.
+		if cl.ckptEvery > 0 && horizon > cl.ckptNext {
+			horizon = cl.ckptNext
+		}
+		if cl.seriesEvery > 0 && horizon > cl.seriesNext {
+			horizon = cl.seriesNext
+		}
 		if cl.death != nil && cl.death[e.idx] < horizon {
-			// Same clamp as the parallel stepChip: instructions at or
-			// past the scheduled death never execute.
+			// Instructions at or past the scheduled death never execute.
 			horizon = cl.death[e.idx]
 		}
 		next, ok := cl.chips[e.idx].StepUntil(horizon)
@@ -669,6 +654,12 @@ func (cl *Cluster) runHeap(chips []int) int {
 		}
 	}
 	return -1
+}
+
+// eventBefore orders two faults, each at a cycle on a chip, in the
+// sequential executor's (cycle, chip) order.
+func eventBefore(c1 int64, i1 int, c2 int64, i2 int) bool {
+	return c1 < c2 || (c1 == c2 && i1 < i2)
 }
 
 // earliestFault settles a fault on chip fi against the heap: a batch runs

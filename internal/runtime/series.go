@@ -1,25 +1,25 @@
 // Barrier-cadence time-series sampling: the flight-recorder feed.
 //
 // Sampling reuses the worker-invariant capture point checkpointing proved
-// out: arming a cadence forces Run through the window-parallel executor,
-// and the sample check fires only at the top of the window loop, when the
-// heap minimum has crossed the cadence line and every send from earlier
-// windows has been flushed into the mailboxes. At that instant counter
-// values are a function of the completed windows (counter increments
-// commute) and the mailbox queues ARE the in-flight link state, so the
-// instantaneous queue-depth gauges set here — which would be
-// executor-order-dependent anywhere else — are byte-identical across
-// worker counts. Like checkpoint capture, sampling survives the adaptive
-// horizon because windowEnd clamps every window to the next armed
-// cadence line before stepping any chip.
+// out: arming a cadence routes Run to the sequential executor, and the
+// sample check fires only at the top of a heap pop (runHeap), when the
+// heap minimum has crossed the cadence line and every send below it has
+// been delivered into the mailboxes. At that instant counter values are a
+// function of the instructions executed below the line (counter
+// increments commute) and the mailbox queues ARE the in-flight link
+// state, so the instantaneous queue-depth gauges set here — which would
+// be batch-order-dependent anywhere else — are byte-identical across
+// worker counts. Like checkpoint capture, sampling survives batching
+// because runHeap clamps every batch horizon to the next armed cadence
+// line before stepping any chip.
 package runtime
 
 import "repro/internal/obs"
 
 // SetSeriesCadence arms (or, with 0, disarms) time-series sampling every
-// `every` cycles. Samples land on the first window barrier at or past
+// `every` cycles. Samples land on the first heap barrier at or past
 // each cadence multiple, plus one final sample at the finish cycle; Run
-// routes through the window executor whenever a cadence is armed.
+// takes the sequential executor whenever a cadence is armed.
 // Negative cadences clamp to 0.
 func (cl *Cluster) SetSeriesCadence(every int64) {
 	if every < 0 {
@@ -36,7 +36,7 @@ func (cl *Cluster) SeriesCadence() int64 { return cl.seriesEvery }
 
 // sampleSeries snapshots the cluster's instantaneous occupancy gauges and
 // then every registered counter and gauge into the recorder's series at
-// window-barrier cycle t. Only called from barrier code (and the run
+// heap-barrier cycle t. Only called from barrier code (and the run
 // epilogue) — see the file comment for why that placement is load-bearing.
 func (cl *Cluster) sampleSeries(t int64) {
 	if cl.rec == nil {

@@ -92,10 +92,11 @@ func TestSeriesWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSeriesCadenceForcesWindowExecutor: arming only a series cadence (no
-// workers, no checkpoints) must still route Run through the barrier
-// executor — otherwise no samples would ever be taken.
-func TestSeriesCadenceForcesWindowExecutor(t *testing.T) {
+// TestSeriesCadenceRoutesSequential: arming only a series cadence (no
+// workers, no checkpoints) must route Run to the sequential executor,
+// whose heap barriers take the samples — otherwise none would ever be
+// taken.
+func TestSeriesCadenceRoutesSequential(t *testing.T) {
 	prev := obs.Get()
 	r := obs.New()
 	r.SetSeriesCadence(route.HopCycles)
@@ -109,6 +110,9 @@ func TestSeriesCadenceForcesWindowExecutor(t *testing.T) {
 	finish, err := cl.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := cl.Executor(), (Executor{"sequential", "series cadence", 1}); got != want {
+		t.Errorf("Executor() = %+v, want %+v", got, want)
 	}
 	s := r.Series("runtime.inflight_vectors", obs.PidFabric)
 	if s.Len() < 2 {

@@ -116,9 +116,7 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 // runs matmulsPerStage 80-row MXM products, interior stages forward the
 // activation down the chain, and the last stage commits each wave's
 // result to SRAM word w. Waves are software-pipelined one window apart,
-// so the cluster ramps from one busy chip to all eight and back — the
-// occupancy profile that exercises the parallel executor's barrier-stall
-// accounting.
+// so the cluster ramps from one busy chip to all eight and back.
 //
 // The caller preloads stage 0's SRAM words 0..waves-1 with the inputs and
 // every chip's Streams[PipeBias] with that stage's bias before Run.

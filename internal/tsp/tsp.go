@@ -231,13 +231,9 @@ type Chip struct {
 	parked [isa.NumUnits]bool
 	halted [isa.NumUnits]bool
 
-	// sendGap[u][k] lower-bounds the cursor advance from pc=k to the unit's
-	// next Send/Transmit (see sendscan.go). Purely a function of the static
-	// program, so it survives SetState restores unchanged; NextSendBound
-	// gives the cluster executor its adaptive PDES lookahead.
-	sendGap [isa.NumUnits][]int64
-	// sendLinks is the program's static send-link set (SendLinks), built
-	// by the same scan.
+	// sendLinks is the program's static send-link set (SendLinks, see
+	// sendscan.go). Purely a function of the program, so it survives
+	// SetState restores unchanged.
 	sendLinks []int
 
 	// deskewDelta is the SAC−HAC drift applied by RUNTIME_DESKEW; the
@@ -295,7 +291,7 @@ func New(id int, prog *isa.Program, c2c C2C) *Chip {
 	for u := range c.slen {
 		c.slen[u] = len(prog.Streams[u])
 	}
-	c.sendGap, c.sendLinks = buildSendGaps(prog)
+	c.sendLinks = scanSendLinks(prog)
 	for i := range c.streams {
 		// Zero bytes and zero lanes agree, so both views start valid; the
 		// all-zero vector's nonzero summary is 0.
@@ -468,10 +464,10 @@ func (c *Chip) FinishCycle() int64 {
 // an issue opportunity earlier than its own cycle. Unit cursors only move
 // forward (every latency is ≥ 0, and RuntimeDeskew can hold a cursor at
 // the current cycle but never rewind it), so once NextIssue reports time
-// t, no future call on this chip reports a time < t. The window-parallel
-// cluster executor (internal/runtime) depends on this: a chip whose next
-// issue is at or beyond the window horizon stays beyond it for the whole
-// window, so excluding it from the window is safe.
+// t, no future call on this chip reports a time < t. The cluster's heap
+// executor (internal/runtime) depends on this: a chip keyed in the heap at
+// its next issue cannot issue earlier, so the heap minimum bounds every
+// chip's next instruction.
 func (c *Chip) NextIssue() (isa.Unit, int64, bool) {
 	best := isa.NumUnits
 	var bestT int64

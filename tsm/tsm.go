@@ -134,13 +134,13 @@ func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
 }
 
 // Cluster is the functional multi-chip executor. Run picks a sequential
-// min-heap executor, a window executor or a component executor, and
-// SetWorkers(n) is its one setting: how many goroutines share the work.
-// Every choice produces byte-identical results — finish cycles, memories,
-// counters, exported dumps: chips cannot affect each other faster than one
-// C2C hop, so chips inside one hop-bounded lookahead window execute
-// concurrently, and chip groups that never send to each other run on
-// their own heaps.
+// min-heap executor or a component executor, and SetWorkers(n) is its one
+// setting: how many goroutines the component executor spreads the work
+// over. Both produce byte-identical results — finish cycles, memories,
+// counters, exported dumps: on a clean fabric, chip groups whose programs
+// never send to each other run on their own heaps in parallel; every
+// other run (recorder, fault plan, bit error rate, checkpoint or series
+// cadence) runs on one heap.
 type Cluster = runtime.Cluster
 
 // Cluster builds a functional multi-chip executor running one program

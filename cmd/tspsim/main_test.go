@@ -404,12 +404,13 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 
 // TestExperimentOutputGolden pins the stdout of the experiments whose
 // output is pure simulated time (no wall clock) byte for byte. The fleet,
-// serving, fault-ladder and checkpoint engines all print here, so any
-// refactor of them must leave these files unchanged. Regenerate one with
+// serving, fault-ladder and checkpoint engines and the Fig 8 dynamic
+// network all print here, so any refactor of them must leave these files
+// unchanged. Regenerate one with
 // `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
 // only when a change is meant to move a number.
 func TestExperimentOutputGolden(t *testing.T) {
-	for _, exp := range []string{"fleet", "serve", "faults", "checkpoint"} {
+	for _, exp := range []string{"fleet", "serve", "faults", "checkpoint", "fig8"} {
 		want, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
 		if err != nil {
 			t.Fatal(err)

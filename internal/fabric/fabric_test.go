@@ -1,6 +1,10 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
 	"testing"
 
 	"repro/internal/route"
@@ -241,4 +245,66 @@ func TestDynamicEmptyRoutePanics(t *testing.T) {
 		}
 	}()
 	NewDynamic(node8(t), 0).Inject(0, nil, 0)
+}
+
+// TestDeliveriesPinned hashes every Delivery of seeded, contended runs of
+// both dynamic baselines: Dynamic on the Fig 8 contention routes, and
+// Adaptive at detour thresholds of 0–3 slots with detours taken. Any
+// change to the event loop, the arbitration-tie draws or the detour draw
+// moves a hash.
+func TestDeliveriesPinned(t *testing.T) {
+	sys := node8(t)
+	hashOf := func(h hash.Hash, seed uint64, dels []Delivery) {
+		fmt.Fprintf(h, "seed %d n %d\n", seed, len(dels))
+		for _, d := range dels {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", d.VectorID, d.Src, d.Dst, d.Depart, d.Arrival)
+		}
+	}
+
+	dyn := sha256.New()
+	routeA := append(directRoute(t, sys, 0, 1), directRoute(t, sys, 1, 3)...)
+	routeB := directRoute(t, sys, 1, 3)
+	for seed := uint64(0); seed < 8; seed++ {
+		d := NewDynamic(sys, seed)
+		for v := 0; v < 50; v++ {
+			d.Inject(v, routeA, int64(v)*2*route.SlotCycles)
+			d.Inject(100+v, routeB, int64(v)*2*route.SlotCycles+route.HopCycles)
+		}
+		hashOf(dyn, seed, d.Run())
+	}
+
+	adp := sha256.New()
+	for slots := int64(0); slots <= 3; slots++ {
+		detours := 0
+		for seed := uint64(1); seed <= 3; seed++ {
+			a := NewAdaptive(sys, seed, slots*route.SlotCycles)
+			for v := 0; v < 40; v++ {
+				a.Inject(v, 0, 1, int64(v)*2)
+				a.Inject(100+v, 2, 1, int64(v)*3)
+			}
+			dels := a.Run()
+			for _, d := range dels {
+				if d.Arrival-d.Depart >= 2*route.HopCycles {
+					detours++
+				}
+			}
+			hashOf(adp, seed, dels)
+		}
+		if detours == 0 {
+			t.Fatalf("threshold %d slots: no detours taken", slots)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		h    hash.Hash
+		want string
+	}{
+		{"dynamic", dyn, "e609d0e333bf25831fb1f3cf6b661f879e819dc288410b4ff9135a06f78573df"},
+		{"adaptive", adp, "0633250a076efe6da19362ba7d61a95e0dc32a1c4db8050137ff267b7a2405b2"},
+	} {
+		if got := hex.EncodeToString(c.h.Sum(nil)); got != c.want {
+			t.Errorf("%s deliveries hash = %s, want %s", c.name, got, c.want)
+		}
+	}
 }

@@ -716,50 +716,12 @@ func ladderDemo() error {
 	if err != nil {
 		return err
 	}
-	const devices = 2 * topo.TSPsPerNode
-	alloc, err := rtime.NewAllocation(sys, devices)
+	ladder, err := ringLadder(sys, checkpointEveryN, faultplan.Event{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1})
 	if err != nil {
 		return err
 	}
-	var flapLink topo.LinkID = -1
-	for _, lid := range sys.Out(0) {
-		if sys.Link(lid).To == 1 {
-			flapLink = lid
-			break
-		}
-	}
-	plan := &faultplan.Plan{Events: []faultplan.Event{
-		{Cycle: 1000, Until: 2000, Kind: faultplan.LinkFlap, Link: flapLink},
-		{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1},
-	}}
-	compiled, err := plan.Compile(sys)
-	if err != nil {
-		return err
-	}
-	for _, e := range compiled.Events() {
+	for _, e := range ladder.Plan.Events() {
 		fmt.Printf("  plan: %s\n", e)
-	}
-	const rounds = 7
-	ladder := &rtime.Ladder{
-		Sys:     sys,
-		Alloc:   alloc,
-		Plan:    compiled,
-		Monitor: faultplan.NewMonitor(4, 650),
-		Build: func(a *rtime.Allocation) (*rtime.Cluster, error) {
-			progs, err := rtime.RingAllReducePrograms(sys, rounds, 0)
-			if err != nil {
-				return nil, err
-			}
-			placed := make([]*isa.Program, sys.NumTSPs())
-			for d := 0; d < a.Devices(); d++ {
-				placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
-			}
-			return newCluster(sys, placed)
-		},
-		MaxReplays:      4,
-		MaxFailovers:    2,
-		Seed:            7,
-		CheckpointEvery: checkpointEveryN,
 	}
 	res, err := ladder.Run()
 	if err != nil {
@@ -777,6 +739,46 @@ func ladderDemo() error {
 		res.Finish, res.Base+res.Finish, clock.USOfCycles(res.Base))
 	fmt.Println("  identical seed ⇒ byte-identical counters/traces at any -workers count, faults included")
 	return nil
+}
+
+// ringLadder is the recovery-ladder scenario the fault experiments walk:
+// a 7-round ring all-reduce on two nodes of sys, a link flap on the first
+// 0→1 link over cycles 1000–2000 followed by extra, a 4-MBE/650-cycle
+// monitor, 4 replays and 2 failovers, seed 7, capturing a checkpoint
+// every cadence cycles (0 = off).
+func ringLadder(sys *topo.System, cadence int64, extra ...faultplan.Event) (*rtime.Ladder, error) {
+	alloc, err := rtime.NewAllocation(sys, 2*topo.TSPsPerNode)
+	if err != nil {
+		return nil, err
+	}
+	plan := &faultplan.Plan{Events: append([]faultplan.Event{
+		{Cycle: 1000, Until: 2000, Kind: faultplan.LinkFlap, Link: sys.Between(0, 1)[0]},
+	}, extra...)}
+	compiled, err := plan.Compile(sys)
+	if err != nil {
+		return nil, err
+	}
+	return &rtime.Ladder{
+		Sys:     sys,
+		Alloc:   alloc,
+		Plan:    compiled,
+		Monitor: faultplan.NewMonitor(4, 650),
+		Build: func(a *rtime.Allocation) (*rtime.Cluster, error) {
+			progs, err := rtime.RingAllReducePrograms(sys, 7, 0)
+			if err != nil {
+				return nil, err
+			}
+			placed := make([]*isa.Program, sys.NumTSPs())
+			for d := 0; d < a.Devices(); d++ {
+				placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
+			}
+			return newCluster(sys, placed)
+		},
+		MaxReplays:      4,
+		MaxFailovers:    2,
+		Seed:            7,
+		CheckpointEvery: cadence,
+	}, nil
 }
 
 // availabilityDemo sweeps mean-time-between-faults over one serving
@@ -819,47 +821,12 @@ func checkpointExp() error {
 	if err != nil {
 		return err
 	}
-	var flapLink topo.LinkID = -1
-	for _, lid := range sys.Out(0) {
-		if sys.Link(lid).To == 1 {
-			flapLink = lid
-			break
-		}
-	}
-	plan := &faultplan.Plan{Events: []faultplan.Event{
-		{Cycle: 1000, Until: 2000, Kind: faultplan.LinkFlap, Link: flapLink},
-	}}
-	compiled, err := plan.Compile(sys)
-	if err != nil {
-		return err
-	}
 	// One ladder run at the given cadence, under a scoped recorder so the
 	// checkpoint counters belong to this run alone.
 	runLadder := func(cadence int64) (*rtime.LadderResult, int64, int64, error) {
-		alloc, err := rtime.NewAllocation(sys, 2*topo.TSPsPerNode)
+		ladder, err := ringLadder(sys, cadence)
 		if err != nil {
 			return nil, 0, 0, err
-		}
-		ladder := &rtime.Ladder{
-			Sys:     sys,
-			Alloc:   alloc,
-			Plan:    compiled,
-			Monitor: faultplan.NewMonitor(4, 650),
-			Build: func(a *rtime.Allocation) (*rtime.Cluster, error) {
-				progs, err := rtime.RingAllReducePrograms(sys, 7, 0)
-				if err != nil {
-					return nil, err
-				}
-				placed := make([]*isa.Program, sys.NumTSPs())
-				for d := 0; d < a.Devices(); d++ {
-					placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
-				}
-				return newCluster(sys, placed)
-			},
-			MaxReplays:      4,
-			MaxFailovers:    2,
-			Seed:            7,
-			CheckpointEvery: cadence,
 		}
 		prev := obs.Get()
 		r := obs.New()
@@ -1115,7 +1082,7 @@ func serveExp() error {
 	periodUS := clock.USOfCycles(dep.Schedule.Makespan) / 4
 	fmt.Printf("pipeline period %.0f µs (capacity %.0f inf/s)\n", periodUS, 1e6/periodUS)
 	fmt.Printf("%6s %12s %10s %10s %12s\n", "load", "through/s", "p50(us)", "p99(us)", "utilization")
-	rs, err := serve.SaturationSweepParallel(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, workersN)
+	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, workersN)
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,6 @@
 // scheduled fabric does not.
 package baseline
 
-import "math"
-
 // A100 microarchitectural constants.
 const (
 	// A100PeakFP16TFlops is dense FP16 tensor-core peak.
@@ -108,14 +106,3 @@ const (
 	V100ClusterGPUs   = 432
 	V100ClusterTFlops = 2800.0
 )
-
-// GaussianJitter draws a deterministic sample from an approximately normal
-// distribution — used by PCIe transfer models. (Kept here so baseline and
-// workloads share one definition.)
-func GaussianJitter(u1, u2 float64, std float64) float64 {
-	// Box-Muller with guards; callers supply uniforms from sim.RNG.
-	if u1 <= 0 {
-		u1 = 1e-12
-	}
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2) * std
-}

@@ -1,12 +1,6 @@
 package fabric
 
-import (
-	"container/heap"
-
-	"repro/internal/route"
-	"repro/internal/sim"
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // Adaptive is the second conventional baseline of Fig 8: a minimal-path
 // router that *reacts* to congestion. Each vector prefers its minimal
@@ -19,24 +13,14 @@ import (
 // tensor arrive *out of order*, requiring reorder buffers downstream. The
 // SSN fabric exhibits neither.
 type Adaptive struct {
-	sys       *topo.System
-	rng       *sim.RNG
+	dynNet
 	threshold int64 // queue depth (cycles of backlog) that triggers detours
-	events    dynQueue
-	seq       uint64
-	nextFree  map[topo.LinkID]int64
-	done      []Delivery
 }
 
 // NewAdaptive creates the adaptive baseline. threshold is the backlog (in
 // cycles) on the minimal first hop beyond which a vector detours.
 func NewAdaptive(sys *topo.System, seed uint64, threshold int64) *Adaptive {
-	a := &Adaptive{
-		sys: sys, rng: sim.NewRNG(seed), threshold: threshold,
-		nextFree: make(map[topo.LinkID]int64),
-	}
-	heap.Init(&a.events)
-	return a
+	return &Adaptive{dynNet: newDynNet(sys, seed), threshold: threshold}
 }
 
 // Inject queues a vector from src to dst starting at the given cycle. The
@@ -47,49 +31,24 @@ func (a *Adaptive) Inject(id int, src, dst topo.TSPID, depart int64) {
 	if len(direct) == 0 {
 		panic("fabric: adaptive baseline requires adjacent src/dst")
 	}
-	a.seq++
-	heap.Push(&a.events, &dynEvent{
-		time: depart, tie: a.rng.Uint64(), seq: a.seq,
-		vector: id, links: []topo.LinkID{direct[0]}, hop: 0,
+	a.push(&dynEvent{
+		time: depart, vector: id, links: []topo.LinkID{direct[0]},
 		depart: depart, src: src, dst: dst,
 	})
 }
 
 // Run drains all traffic, returning deliveries in completion order.
-func (a *Adaptive) Run() []Delivery {
-	for a.events.Len() > 0 {
-		e := heap.Pop(&a.events).(*dynEvent)
-		if e.hop == 0 && a.nextFree[e.links[0]]-e.time > a.threshold {
-			// Back-pressure sensed on the minimal link: reroute
-			// through a random common neighbor (Fig 8 step 3).
-			detours := a.sys.NonMinimalPaths(e.src, e.dst)
-			if len(detours) > 0 {
-				p := detours[a.rng.Intn(len(detours))]
-				e.links = a.sys.PathLinks(p, 0)
-			}
-		}
-		l := e.links[e.hop]
-		start := e.time
-		if nf := a.nextFree[l]; nf > start {
-			start = nf
-		}
-		a.nextFree[l] = start + route.SlotCycles
-		arrive := start + route.HopCycles
-		if e.hop+1 < len(e.links) {
-			a.seq++
-			heap.Push(&a.events, &dynEvent{
-				time: arrive, tie: a.rng.Uint64(), seq: a.seq,
-				vector: e.vector, links: e.links, hop: e.hop + 1,
-				depart: e.depart, src: e.src,
-			})
-			continue
-		}
-		a.done = append(a.done, Delivery{
-			VectorID: e.vector, Src: e.src, Dst: a.sys.Link(l).To,
-			Depart: e.depart, Arrival: arrive,
-		})
+func (a *Adaptive) Run() []Delivery { return a.run(a.detour) }
+
+// detour reroutes a vector through a random common neighbor (Fig 8 step
+// 3) when back-pressure is sensed on its minimal link.
+func (a *Adaptive) detour(e *dynEvent) {
+	if a.nextFree[e.links[0]]-e.time <= a.threshold {
+		return
 	}
-	return a.done
+	if detours := a.sys.NonMinimalPaths(e.src, e.dst); len(detours) > 0 {
+		e.links = a.sys.PathLinks(detours[a.rng.Intn(len(detours))], 0)
+	}
 }
 
 // ReorderCount counts how many deliveries of the same (src,dst) flow

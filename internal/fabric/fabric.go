@@ -162,7 +162,12 @@ func (s *Scheduled) Reservations() int {
 // Vectors are source-routed (for comparability) but experience queueing
 // delay under contention. Arbitration ties are broken by a seeded RNG,
 // modeling the races a real router's allocator resolves unpredictably.
-type Dynamic struct {
+type Dynamic struct{ dynNet }
+
+// dynNet is the event loop both dynamic baselines share: a heap of hop
+// events ordered by (time, random tie, injection sequence), and each
+// link's next free cycle.
+type dynNet struct {
 	sys      *topo.System
 	rng      *sim.RNG
 	events   dynQueue
@@ -207,13 +212,58 @@ func (q *dynQueue) Pop() interface{} {
 	return e
 }
 
+func newDynNet(sys *topo.System, seed uint64) dynNet {
+	return dynNet{sys: sys, rng: sim.NewRNG(seed), nextFree: make(map[topo.LinkID]int64)}
+}
+
+// push queues e with the next sequence number and a fresh arbitration
+// tie: exactly one RNG draw per push.
+func (n *dynNet) push(e *dynEvent) {
+	n.seq++
+	e.seq, e.tie = n.seq, n.rng.Uint64()
+	heap.Push(&n.events, e)
+}
+
+// run drains all traffic and returns the deliveries in completion order.
+// Each popped hop queues behind the link's earlier winners, then forwards
+// to the next hop or delivers. detour, when non-nil, may replace a
+// vector's route as it reaches its injection port (hop 0).
+func (n *dynNet) run(detour func(*dynEvent)) []Delivery {
+	for n.events.Len() > 0 {
+		e := heap.Pop(&n.events).(*dynEvent)
+		if e.hop == 0 && detour != nil {
+			detour(e)
+		}
+		l := e.links[e.hop]
+		start := e.time
+		if nf := n.nextFree[l]; nf > start {
+			start = nf // queueing delay behind earlier winners
+		}
+		n.nextFree[l] = start + route.SlotCycles
+		arrive := start + route.HopCycles
+		if e.hop+1 < len(e.links) {
+			n.push(&dynEvent{
+				time: arrive, vector: e.vector, links: e.links, hop: e.hop + 1,
+				depart: e.depart, src: e.src,
+			})
+			continue
+		}
+		n.done = append(n.done, Delivery{
+			VectorID: e.vector,
+			Src:      e.src,
+			Dst:      n.sys.Link(l).To,
+			Depart:   e.depart,
+			Arrival:  arrive,
+		})
+	}
+	return n.done
+}
+
 // NewDynamic creates a baseline network. The seed perturbs arbitration
 // outcomes: different seeds model different runs of a non-deterministic
 // machine.
 func NewDynamic(sys *topo.System, seed uint64) *Dynamic {
-	d := &Dynamic{sys: sys, rng: sim.NewRNG(seed), nextFree: make(map[topo.LinkID]int64)}
-	heap.Init(&d.events)
-	return d
+	return &Dynamic{newDynNet(sys, seed)}
 }
 
 // Inject enqueues a vector for transmission along the given route starting
@@ -222,42 +272,12 @@ func (d *Dynamic) Inject(id int, links []topo.LinkID, depart int64) {
 	if len(links) == 0 {
 		panic("fabric: empty route")
 	}
-	d.seq++
-	heap.Push(&d.events, &dynEvent{
-		time: depart, tie: d.rng.Uint64(), seq: d.seq,
-		vector: id, links: links, hop: 0, depart: depart,
+	d.push(&dynEvent{
+		time: depart, vector: id, links: links, depart: depart,
 		src: d.sys.Link(links[0]).From,
 	})
 }
 
 // Run processes all queued traffic and returns the deliveries in completion
 // order.
-func (d *Dynamic) Run() []Delivery {
-	for d.events.Len() > 0 {
-		e := heap.Pop(&d.events).(*dynEvent)
-		l := e.links[e.hop]
-		start := e.time
-		if nf := d.nextFree[l]; nf > start {
-			start = nf // queueing delay behind earlier winners
-		}
-		d.nextFree[l] = start + route.SlotCycles
-		arrive := start + route.HopCycles
-		if e.hop+1 < len(e.links) {
-			d.seq++
-			heap.Push(&d.events, &dynEvent{
-				time: arrive, tie: d.rng.Uint64(), seq: d.seq,
-				vector: e.vector, links: e.links, hop: e.hop + 1,
-				depart: e.depart, src: e.src,
-			})
-			continue
-		}
-		d.done = append(d.done, Delivery{
-			VectorID: e.vector,
-			Src:      e.src,
-			Dst:      d.sys.Link(l).To,
-			Depart:   e.depart,
-			Arrival:  arrive,
-		})
-	}
-	return d.done
-}
+func (d *Dynamic) Run() []Delivery { return d.run(nil) }

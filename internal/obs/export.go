@@ -35,7 +35,7 @@ type traceFile struct {
 // Output is deterministic: metadata events sort by pid/tid, data events
 // sort by (ts, pid, tid, ph, name, dur). Sorting — not append order —
 // is what keeps the dump byte-identical when events were recorded from
-// several worker goroutines (serve.SaturationSweepParallel): the
+// several worker goroutines (serve.SaturationSweep): the
 // event multiset is deterministic even when the interleaving is not.
 // Timestamps are microseconds, the format's native unit.
 func (r *Recorder) WriteTrace(w io.Writer) error {

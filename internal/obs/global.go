@@ -8,7 +8,7 @@ import "sync/atomic"
 // threading a recorder through each workload's signature.
 //
 // The global is an atomic pointer: installation happens before any
-// workload runs, but parallel sweeps (serve.SaturationSweepParallel) read
+// workload runs, but parallel sweeps (serve.SaturationSweep) read
 // it from worker goroutines, so reads must be race-free. The Recorder itself is safe
 // for concurrent use. When no recorder is installed, Get returns nil
 // and every instrumented path degrades to a nil-check.

@@ -13,7 +13,7 @@
 //     key order, and trace events are sorted by (ts, pid, tid, ph, name,
 //     dur) at export time. Sorting — rather than append order — is what
 //     keeps dumps byte-identical when several goroutines record into one
-//     recorder (serve.SaturationSweepParallel runs its load points
+//     recorder (serve.SaturationSweep runs its load points
 //     concurrently): the *multiset* of events a run produces is
 //     deterministic even when the append interleaving is not.
 //
@@ -202,19 +202,9 @@ type Recorder struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	// volatiles are wall-clock/host-side counters kept OUT of the
-	// deterministic registry: they never appear in State, metric dumps,
-	// or series samples, so timing-dependent values (e.g. barrier
-	// nanoseconds) can be collected without breaking byte-identical runs.
-	volatiles map[string]*Counter
-	// volatileHists are the histogram analogue of volatiles: partition- or
-	// timing-dependent distributions (how a host executor happened to
-	// split the work, not the simulated machine) that must never leak
-	// into deterministic exports.
-	volatileHists map[string]*Histogram
-	events        []event
-	procs         map[int]string
-	threads       map[[2]int]string
+	events   []event
+	procs    map[int]string
+	threads  map[[2]int]string
 	// series and the sampling cadence live in series.go; the cadence is
 	// advisory metadata the cluster runtime reads to schedule SampleSeries
 	// calls at heap barriers.
@@ -225,14 +215,12 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder {
 	return &Recorder{
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		hists:         map[string]*Histogram{},
-		volatiles:     map[string]*Counter{},
-		volatileHists: map[string]*Histogram{},
-		procs:         map[int]string{},
-		threads:       map[[2]int]string{},
-		series:        map[string]*Series{},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
+		procs:    map[int]string{},
+		threads:  map[[2]int]string{},
+		series:   map[string]*Series{},
 	}
 }
 
@@ -256,73 +244,6 @@ func (r *Recorder) Counter(name string, labels ...Label) *Counter {
 	}
 	r.mu.Unlock()
 	return c
-}
-
-// VolatileCounter returns (creating on first use) a counter for
-// name+labels that is excluded from every deterministic export: State,
-// LoadState, WriteMetrics, and SampleSeries all ignore it. Use it for
-// host-side measurements (wall-clock time, allocation tallies) whose
-// values legitimately differ between byte-identical runs. VolatileValue
-// reads it back by name.
-func (r *Recorder) VolatileCounter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	c, ok := r.volatiles[k]
-	if !ok {
-		c = &Counter{}
-		r.volatiles[k] = c
-	}
-	r.mu.Unlock()
-	return c
-}
-
-// VolatileValue reads a volatile counter's current value (0 when the
-// recorder is nil or the counter was never created).
-func (r *Recorder) VolatileValue(name string, labels ...Label) int64 {
-	if r == nil {
-		return 0
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	c := r.volatiles[k]
-	r.mu.Unlock()
-	return c.Value()
-}
-
-// VolatileHistogram returns (creating on first use) a fixed-bin histogram
-// for name+labels that, like VolatileCounter, is excluded from every
-// deterministic export: State, LoadState, WriteMetrics, and SampleSeries
-// all ignore it. Use it for distributions shaped by the host partition
-// (window occupancy) rather than the simulated machine.
-func (r *Recorder) VolatileHistogram(name string, origin, width float64, bins int, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	h, ok := r.volatileHists[k]
-	if !ok {
-		h = &Histogram{h: stats.NewHistogram(origin, width, bins)}
-		r.volatileHists[k] = h
-	}
-	r.mu.Unlock()
-	return h
-}
-
-// VolatileHist reads back a volatile histogram by name (nil when the
-// recorder is nil or the histogram was never created).
-func (r *Recorder) VolatileHist(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	h := r.volatileHists[k]
-	r.mu.Unlock()
-	return h
 }
 
 // Gauge returns (creating on first use) the gauge for name+labels.

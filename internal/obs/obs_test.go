@@ -251,7 +251,7 @@ func TestGlobalDefault(t *testing.T) {
 }
 
 // TestConcurrentRecordingDeterministic hammers one recorder from many
-// goroutines — the access pattern of serve.SaturationSweepParallel's
+// goroutines — the access pattern of serve.SaturationSweep's
 // concurrent load points — and checks (a) no race (run under -race in CI), (b) the
 // exported dumps are byte-identical to a sequential recording of the
 // same event multiset, because export sorts events and counter sums
@@ -304,114 +304,5 @@ func TestConcurrentRecordingDeterministic(t *testing.T) {
 	}
 	if seqMe != parMe {
 		t.Error("metrics dump differs between sequential and concurrent recording")
-	}
-}
-
-// TestVolatileCounterExcludedFromDeterministicExports: volatile counters
-// carry wall-clock measurements, so they must never leak into the
-// byte-identical surfaces (State, WriteMetrics, SampleSeries) and must
-// survive a LoadState that replaces the deterministic registry.
-func TestVolatileCounterExcludedFromDeterministicExports(t *testing.T) {
-	r := New()
-	r.Counter("runtime.par.windows").Add(7)
-	v := r.VolatileCounter("runtime.par.barrier_ns")
-	v.Add(12345)
-	if got := r.VolatileValue("runtime.par.barrier_ns"); got != 12345 {
-		t.Fatalf("VolatileValue = %d, want 12345", got)
-	}
-	if got := r.VolatileValue("never.created"); got != 0 {
-		t.Fatalf("VolatileValue of unknown counter = %d, want 0", got)
-	}
-	if r.VolatileCounter("runtime.par.barrier_ns") != v {
-		t.Fatal("second VolatileCounter resolved a different handle")
-	}
-
-	st := r.State()
-	if _, ok := st.Counters["runtime.par.barrier_ns"]; ok {
-		t.Fatal("volatile counter leaked into State")
-	}
-	if st.Counters["runtime.par.windows"] != 7 {
-		t.Fatal("deterministic counter missing from State")
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatalf("WriteMetrics: %v", err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("barrier_ns")) {
-		t.Fatal("volatile counter leaked into WriteMetrics")
-	}
-
-	r.SampleSeries(100)
-	if n := r.NumSeries(); n != 1 {
-		t.Fatalf("SampleSeries created %d series, want 1 (volatile excluded)", n)
-	}
-
-	r2 := New()
-	r2.VolatileCounter("runtime.par.barrier_ns").Add(999)
-	r2.LoadState(st)
-	if got := r2.VolatileValue("runtime.par.barrier_ns"); got != 999 {
-		t.Fatalf("LoadState disturbed volatile counter: %d, want 999", got)
-	}
-	if got := r2.Counter("runtime.par.windows").Value(); got != 7 {
-		t.Fatalf("LoadState counter = %d, want 7", got)
-	}
-
-	var nr *Recorder
-	nr.VolatileCounter("x").Add(1)
-	if nr.VolatileValue("x") != 0 {
-		t.Fatal("nil recorder volatile counter accumulated")
-	}
-}
-
-// TestVolatileHistogramExcludedFromDeterministicExports mirrors the
-// volatile-counter contract for histograms: a distribution of how the
-// host split the work is host-partition telemetry, so it must
-// stay out of State, WriteMetrics, and series sampling while remaining
-// readable in-process.
-func TestVolatileHistogramExcludedFromDeterministicExports(t *testing.T) {
-	r := New()
-	r.Histogram("keep.me", 0, 1, 8).Add(3)
-	h := r.VolatileHistogram("runtime.par.window_occupancy", 0, 1, 8)
-	h.Add(2)
-	h.Add(5)
-	if r.VolatileHistogram("runtime.par.window_occupancy", 0, 1, 8) != h {
-		t.Fatal("second VolatileHistogram resolved a different handle")
-	}
-	if r.VolatileHist("runtime.par.window_occupancy") != h {
-		t.Fatal("VolatileHist read-back missed the registered histogram")
-	}
-	if r.VolatileHist("never.created") != nil {
-		t.Fatal("VolatileHist invented a histogram")
-	}
-
-	st := r.State()
-	if _, ok := st.Hists["runtime.par.window_occupancy"]; ok {
-		t.Fatal("volatile histogram leaked into State")
-	}
-	if _, ok := st.Hists["keep.me"]; !ok {
-		t.Fatal("deterministic histogram missing from State")
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatalf("WriteMetrics: %v", err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("window_occupancy")) {
-		t.Fatal("volatile histogram leaked into WriteMetrics")
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("keep.me")) {
-		t.Fatal("deterministic histogram missing from WriteMetrics")
-	}
-
-	r.LoadState(st)
-	if got := r.VolatileHist("runtime.par.window_occupancy"); got != h {
-		t.Fatal("LoadState disturbed the volatile histogram registry")
-	}
-
-	var nr *Recorder
-	nr.VolatileHistogram("x", 0, 1, 4).Add(1) // nil handle, nil-safe Add
-	if nr.VolatileHist("x") != nil {
-		t.Fatal("nil recorder VolatileHist read back a handle")
 	}
 }

@@ -124,9 +124,9 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 	// Time-series telemetry (armed by a recorder sampling cadence): the
 	// admission-queue depth, the host backlog, and the in-flight batch
 	// estimate, sampled on a deterministic arrival stride. Each load level
-	// gets its own rate-labeled series, so the parallel saturation sweep's
-	// concurrent Run calls write disjoint series and the sorted export is
-	// identical to the sequential sweep's.
+	// gets its own rate-labeled series, so SaturationSweep's concurrent
+	// Run calls write disjoint series and the sorted export is identical
+	// at every worker count.
 	var depthSeries, backlogSeries, inflightSeries *obs.Series
 	sampleStride := 0
 	if rec != nil && rec.SeriesCadence() > 0 {
@@ -279,53 +279,31 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 
 // SaturationSweep runs the scenario across load levels (fractions of the
 // pipeline's capacity 1/ServiceUS) and returns one Result per level.
-func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64) ([]Result, error) {
-	return SaturationSweepParallel(serviceUS, depth, loads, requests, seed, 1)
-}
-
-// SaturationSweepParallel is SaturationSweep with the load levels fanned
-// out over workers goroutines. Each level's Run is an independent,
-// seed-determined simulation, and the shared observability sinks are
-// concurrency-safe commuting aggregates, so results (and metric totals)
-// are identical to the sequential sweep regardless of worker count.
-func SaturationSweepParallel(serviceUS float64, depth int, loads []float64, requests int, seed uint64, workers int) ([]Result, error) {
+// max(1, min(workers, len(loads))) goroutines claim levels through an
+// atomic cursor. Each level's Run is an independent, seed-determined
+// simulation, and the shared observability sinks are concurrency-safe
+// commuting aggregates, so results (and every export) are identical at
+// any worker count. The first failing level's error, in load order, is
+// returned.
+func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64, workers int) ([]Result, error) {
 	capacity := 1e6 / serviceUS
-	cfg := func(l float64) Config {
-		return Config{
-			ServiceUS:         serviceUS,
-			PipelineDepth:     depth,
-			ArrivalRatePerSec: l * capacity,
-			Requests:          requests,
-			Seed:              seed,
-		}
-	}
 	out := make([]Result, len(loads))
-	if workers <= 1 || len(loads) < 2 {
-		for i, l := range loads {
-			r, err := Run(cfg(l))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	if workers > len(loads) {
-		workers = len(loads)
-	}
 	errs := make([]error, len(loads))
-	var cursor atomic.Int64
+	k := max(1, min(workers, len(loads)))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	wg.Add(k)
+	for w := 0; w < k; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(loads) {
-					return
-				}
-				out[i], errs[i] = Run(cfg(loads[i]))
+			for i := int(next.Add(1)) - 1; i < len(loads); i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = Run(Config{
+					ServiceUS:         serviceUS,
+					PipelineDepth:     depth,
+					ArrivalRatePerSec: loads[i] * capacity,
+					Requests:          requests,
+					Seed:              seed,
+				})
 			}
 		}()
 	}

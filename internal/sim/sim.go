@@ -1,19 +1,14 @@
-// Package sim provides a deterministic discrete-event simulation kernel.
+// Package sim provides integer-picosecond time and seeded RNG streams,
+// the two primitives the deterministic models build on.
 //
-// All model time is kept as an integer number of picoseconds so that the
-// simulation is exactly reproducible across runs and platforms: there is no
-// floating-point accumulation anywhere on the time axis. Events with equal
-// timestamps are ordered by a monotonically increasing sequence number, which
-// gives the event queue a total order and makes every run bit-identical.
-//
-// The kernel is intentionally single-threaded. Determinism — the property the
-// reproduced paper is built around — is far easier to guarantee (and to test)
-// when the simulated machine is advanced by one totally ordered event loop.
+// Model time is kept as an integer number of picoseconds so that results
+// are exactly reproducible across runs and platforms: there is no
+// floating-point accumulation anywhere on the time axis. Every stochastic
+// component owns a private SplitMix64 stream, seeded or forked from a
+// stable id, so no draw depends on unrelated code or on scheduling order.
 package sim
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in simulated time, in integer picoseconds.
 type Time int64
@@ -47,144 +42,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
 	}
 }
-
-// Event is a scheduled callback.
-type event struct {
-	at   Time
-	seq  uint64
-	fire func()
-}
-
-// eventQueue is a value-typed 4-ary min-heap ordered by (at, seq). Events
-// are stored by value — no per-Push allocation, no interface boxing — and
-// the wider fan-out halves the tree depth versus a binary heap, trading a
-// few extra comparisons per sift-down for far fewer cache-missing levels.
-// The (at, seq) key is a strict total order (seq is unique), so heap
-// restructuring can never reorder two events that compare equal and every
-// drain order is reproducible.
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push appends e and sifts it up toward the root (parent of i is (i-1)/4).
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !h.less(i, p) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// pop removes and returns the minimum event, sifting the displaced tail
-// element down (children of i are 4i+1 .. 4i+4).
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the callback for GC
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		min := i
-		first := 4*i + 1
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
-			if h.less(c, min) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// Engine is the discrete-event simulation engine.
-type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	fired  uint64
-	halted bool
-}
-
-// NewEngine returns an engine with the clock at time zero.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// EventsFired reports how many events have been executed.
-func (e *Engine) EventsFired() uint64 { return e.fired }
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// a deterministic model must never rewrite history.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, fire: fn})
-}
-
-// After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// Halt stops the run loop after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
-// Run executes events until the queue drains or Halt is called.
-// It returns the final simulated time.
-func (e *Engine) Run() Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.fired++
-		ev.fire()
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued; the clock is advanced to the deadline.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		if e.queue[0].at > deadline {
-			break
-		}
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.fired++
-		ev.fire()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -2,116 +2,9 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestEngineOrdersEventsByTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(30*Nanosecond, func() { order = append(order, 3) })
-	e.At(10*Nanosecond, func() { order = append(order, 1) })
-	e.At(20*Nanosecond, func() { order = append(order, 2) })
-	end := e.Run()
-	if end != 30*Nanosecond {
-		t.Fatalf("end time = %v, want 30ns", end)
-	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestEngineTiesBreakBySchedulingOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 16; i++ {
-		i := i
-		e.At(5*Nanosecond, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("tie-break order = %v; want FIFO", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 100 {
-			e.After(Nanosecond, tick)
-		}
-	}
-	e.At(0, tick)
-	end := e.Run()
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-	if end != 99*Nanosecond {
-		t.Fatalf("end = %v, want 99ns", end)
-	}
-}
-
-func TestEnginePanicsOnPastEvent(t *testing.T) {
-	e := NewEngine()
-	e.At(10*Nanosecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(5*Nanosecond, func() {})
-	})
-	e.Run()
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Nanosecond, func() {
-			fired++
-			if fired == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if fired != 3 {
-		t.Fatalf("fired = %d, want 3 (halt should stop the loop)", fired)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Microsecond, func() { fired++ })
-	}
-	now := e.RunUntil(5 * Microsecond)
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
-	}
-	if now != 5*Microsecond {
-		t.Fatalf("now = %v, want 5us", now)
-	}
-	// Advancing to an empty region still moves the clock.
-	now = e.RunUntil(20 * Microsecond)
-	if fired != 10 || now != 20*Microsecond {
-		t.Fatalf("fired=%d now=%v, want 10, 20us", fired, now)
-	}
-}
 
 func TestTimeString(t *testing.T) {
 	cases := []struct {
@@ -216,106 +109,4 @@ func TestRNGIntnPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-// Property: replaying an identical event program yields an identical trace.
-func TestEngineReplayDeterminism(t *testing.T) {
-	run := func() []Time {
-		e := NewEngine()
-		r := NewRNG(2024)
-		var trace []Time
-		var step func()
-		step = func() {
-			trace = append(trace, e.Now())
-			if len(trace) < 500 {
-				e.After(Time(r.Intn(1000)+1)*Nanosecond, step)
-			}
-		}
-		e.At(0, step)
-		e.Run()
-		return trace
-	}
-	t1, t2 := run(), run()
-	if len(t1) != len(t2) {
-		t.Fatal("trace lengths differ")
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			t.Fatalf("traces diverge at %d: %v vs %v", i, t1[i], t2[i])
-		}
-	}
-}
-
-// TestEventQueueDrainOrderProperty drives the 4-ary value heap with
-// randomized timestamp batches and asserts the drain order equals a
-// reference stable sort by (at, seq) — the total order the engine's
-// determinism guarantee rests on.
-func TestEventQueueDrainOrderProperty(t *testing.T) {
-	rng := NewRNG(0xD15C0)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(257)
-		e := NewEngine()
-		type rec struct {
-			at  Time
-			idx int
-		}
-		scheduled := make([]rec, 0, n)
-		var got []int
-		for i := 0; i < n; i++ {
-			// Narrow timestamp range to force many (at) ties; seq breaks them.
-			at := Time(rng.Intn(32)) * Nanosecond
-			scheduled = append(scheduled, rec{at: at, idx: i})
-			i := i
-			e.At(at, func() { got = append(got, i) })
-		}
-		want := append([]rec(nil), scheduled...)
-		sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
-		if e.Run() != want[n-1].at {
-			t.Fatalf("trial %d: end time mismatch", trial)
-		}
-		for i := range want {
-			if got[i] != want[i].idx {
-				t.Fatalf("trial %d: drain[%d] = event %d, want %d", trial, i, got[i], want[i].idx)
-			}
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events left queued", trial, e.Pending())
-		}
-	}
-}
-
-// TestEventQueueInterleavedPushPop mixes scheduling with execution —
-// events that schedule more events, including at the current instant —
-// and checks the engine never fires out of (at, seq) order.
-func TestEventQueueInterleavedPushPop(t *testing.T) {
-	rng := NewRNG(0xBEEF)
-	e := NewEngine()
-	var lastAt Time = -1
-	fired := 0
-	var spawn func(depth int) func()
-	spawn = func(depth int) func() {
-		return func() {
-			if e.Now() < lastAt {
-				t.Fatalf("time went backwards: %v after %v", e.Now(), lastAt)
-			}
-			lastAt = e.Now()
-			fired++
-			if depth < 3 {
-				kids := rng.Intn(3)
-				for k := 0; k < kids; k++ {
-					e.After(Time(rng.Intn(5))*Nanosecond, spawn(depth+1))
-				}
-			}
-		}
-	}
-	for i := 0; i < 100; i++ {
-		e.At(Time(rng.Intn(50))*Nanosecond, spawn(0))
-	}
-	e.Run()
-	if fired < 100 {
-		t.Fatalf("fired %d < 100 root events", fired)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events left queued", e.Pending())
-	}
 }

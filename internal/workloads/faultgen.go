@@ -180,9 +180,9 @@ func (p FaultProfile) Draw(r *sim.RNG, horizonUS float64) ([]FaultEvent, Inciden
 			break
 		}
 		tally.Faults++
-		cadence := 0.0
+		ckpt := p.Checkpoint
 		if ctl != nil {
-			cadence = ctl.Observe(at)
+			ckpt.CadenceUS = ctl.Observe(at)
 		}
 		ev := FaultEvent{Incident: serve.Incident{StartUS: at, ReplayUS: p.ReplayStallUS, CapacityFrac: capacity}}
 		if r.Float64() < p.ReplayFrac {
@@ -190,15 +190,7 @@ func (p FaultProfile) Draw(r *sim.RNG, horizonUS float64) ([]FaultEvent, Inciden
 			// barrier (or replay from cycle 0 without checkpointing).
 			tally.Replays++
 			ev.Kind = KindReplay
-			if ctl != nil {
-				stall := p.Checkpoint.RestoreUS + math.Mod(at, cadence)
-				if stall > p.ReplayStallUS {
-					stall = p.ReplayStallUS
-				}
-				ev.ReplayUS = stall
-			} else {
-				ev.ReplayUS = p.Checkpoint.replayStall(at, p.ReplayStallUS)
-			}
+			ev.ReplayUS = ckpt.replayStall(at, p.ReplayStallUS)
 		} else {
 			// Node loss: replay plus rebuild on the remapped TSPs. No
 			// checkpoint shortcut — the remap invalidates snapshots.

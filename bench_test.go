@@ -130,12 +130,11 @@ func BenchmarkFig10NonMinimal(b *testing.B) {
 // reports the wire efficiency.
 func BenchmarkFig11Encoding(b *testing.B) {
 	link := c2c.New(c2c.IntraNode(), sim.NewRNG(1))
-	var f c2c.Frame
+	var v [c2c.VectorBytes]byte
 	b.SetBytes(c2c.VectorBytes)
 	for i := 0; i < b.N; i++ {
-		f.Payload[0] = byte(i)
-		rx, _, _ := c2c.Receive(link.Transmit(f))
-		f = rx
+		v[0] = byte(i)
+		link.TransferVector(&v)
 	}
 	b.ReportMetric(100*c2c.EncodingEfficiency(), "wire-efficiency-%")
 }

@@ -75,24 +75,10 @@ func fleetExp() error {
 // fleetPolicyAblation prints the proactive-vs-reactive table: the shared
 // stressed two-tier scenario under four policy stacks — reactive-only,
 // predictive draining, draining + adaptive checkpoint cadence, and the
-// full stack with per-class priority shedding. The -fleet-* flags
-// override the scenario's policy knobs.
+// full stack with per-class priority shedding.
 func fleetPolicyAblation() error {
 	fmt.Println("\nproactive vs reactive — policy ablation, stressed two-tier mix (14 days)")
-	cfg, drain, adaptive, shed := fleet.StressedScenario()
-	if fleetDrainThresholdN > 0 {
-		drain.Threshold = fleetDrainThresholdN
-	}
-	if fleetCadenceMinN > 0 {
-		adaptive.Min = fleetCadenceMinN
-	}
-	if fleetCadenceMaxN > 0 {
-		adaptive.Max = fleetCadenceMaxN
-	}
-	if adaptive.Min > adaptive.Max {
-		return fmt.Errorf("fleet: adaptive cadence bounds [%g, %g] inverted after -fleet-cadence overrides", adaptive.Min, adaptive.Max)
-	}
-	pts, err := fleet.PolicySweep(cfg, drain, adaptive, shed)
+	pts, err := fleet.PolicySweep(fleet.StressedScenario())
 	if err != nil {
 		return err
 	}

@@ -41,11 +41,6 @@
 //
 //	tspsim -exp profile -series series.json -profile-report report.txt
 //
-// The -fleet-drain-threshold, -fleet-cadence-min, and -fleet-cadence-max
-// flags override the proactive-policy knobs of `-exp fleet`'s policy
-// ablation (0 keeps the stressed scenario's defaults); conflicting
-// cadence bounds are a usage error.
-//
 // The -checkpoint-every flag arms epoch-barrier checkpointing (a cadence
 // in cycles) on the recovery-ladder experiments, so replays resume from
 // the last clean barrier instead of cycle 0. -checkpoint-save writes one
@@ -110,15 +105,6 @@ func newCluster(sys *topo.System, programs []*isa.Program) (*rtime.Cluster, erro
 // (0 = off, replays restart from cycle 0). Reset by run().
 var checkpointEveryN int64
 
-// fleetDrainThresholdN, fleetCadenceMinN, and fleetCadenceMaxN carry the
-// -fleet-* policy flags into the fleet experiment's proactive-policy
-// ablation: 0 keeps the stressed scenario's defaults. Reset by run().
-var (
-	fleetDrainThresholdN float64
-	fleetCadenceMinN     float64
-	fleetCadenceMaxN     float64
-)
-
 var experiments = []struct {
 	name string
 	desc string
@@ -168,9 +154,6 @@ func run(argv []string, errw io.Writer) int {
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
 	workers := fs.Int("workers", 1, "cluster executor parallelism: a clean fabric runs independent chip groups on up to n goroutines; everything else is sequential (results byte-identical at any n)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
-	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
-	fleetCadMin := fs.Float64("fleet-cadence-min", 0, "adaptive checkpoint cadence floor in µs for the fleet experiment's policy ablation (0 = scenario default)")
-	fleetCadMax := fs.Float64("fleet-cadence-max", 0, "adaptive checkpoint cadence ceiling in µs for the fleet experiment's policy ablation (0 = scenario default)")
 	ckptSave := fs.String("checkpoint-save", "", "run the canonical ring workload with checkpointing and write its last snapshot to this file (skips -exp)")
 	restoreFrom := fs.String("restore-from", "", "decode the snapshot file, restore it into the canonical ring workload, and finish the run (skips -exp)")
 	seriesPath := fs.String("series", "", "write the barrier-sampled time series here (JSON, or CSV when the path ends in .csv)")
@@ -220,32 +203,14 @@ func run(argv []string, errw io.Writer) int {
 		fmt.Fprintf(errw, "-workers must be >= 1 (1 = single-threaded), got %d\n", *workers)
 		return 2
 	}
-	if *fleetDrainThr < 0 {
-		fmt.Fprintf(errw, "-fleet-drain-threshold must be >= 0 (0 = scenario default), got %g\n", *fleetDrainThr)
-		return 2
-	}
-	if *fleetCadMin < 0 || *fleetCadMax < 0 {
-		fmt.Fprintf(errw, "-fleet-cadence-min/-fleet-cadence-max must be >= 0 (0 = scenario default), got %g/%g\n", *fleetCadMin, *fleetCadMax)
-		return 2
-	}
-	if *fleetCadMin > 0 && *fleetCadMax > 0 && *fleetCadMin > *fleetCadMax {
-		fmt.Fprintf(errw, "-fleet-cadence-min %g conflicts with -fleet-cadence-max %g (need min <= max)\n", *fleetCadMin, *fleetCadMax)
-		return 2
-	}
 
 	// Flag values the experiments read. Reset afterwards so in-process
 	// callers (tests) see the defaults again.
 	workersN = *workers
 	checkpointEveryN = *ckptEvery
-	fleetDrainThresholdN = *fleetDrainThr
-	fleetCadenceMinN = *fleetCadMin
-	fleetCadenceMaxN = *fleetCadMax
 	defer func() {
 		workersN = 1
 		checkpointEveryN = 0
-		fleetDrainThresholdN = 0
-		fleetCadenceMinN = 0
-		fleetCadenceMaxN = 0
 	}()
 
 	// Observability: when either output is requested, install a process-wide
@@ -656,10 +621,10 @@ func faults() error {
 	cfg := c2c.IntraNode()
 	cfg.BitErrorRate = 1e-4
 	link := c2c.New(cfg, sim.NewRNG(5))
-	var frame c2c.Frame
 	corrected, mbes := 0, 0
 	for i := 0; i < 5000; i++ {
-		_, c, m := link.Receive(link.Transmit(frame))
+		var payload [c2c.VectorBytes]byte
+		c, m := link.TransferVector(&payload)
 		corrected += c
 		if m {
 			mbes++
@@ -794,7 +759,7 @@ func availabilityDemo() error {
 		Seed:              21,
 	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5)
+	pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, workloads.Checkpointing{})
 	if err != nil {
 		return err
 	}
@@ -892,7 +857,7 @@ func checkpointExp() error {
 		{CadenceUS: 500, RestoreUS: 500},
 	}
 	for _, ck := range rows {
-		pts, err := workloads.AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 1, 0.7, 10_000, 5, ck)
+		pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, ck)
 		if err != nil {
 			return err
 		}

@@ -261,24 +261,15 @@ func (l *Link) AlignedLatencyCycles() int {
 	return l.MinLatencyCycles() + clipJitter + l.alignedMargin
 }
 
-// Frame is one vector on the wire.
-type Frame struct {
-	// Payload carries the 320-byte vector.
-	Payload [VectorBytes]byte
-	// Tag carries the 2-byte control field (stream identifier at the
-	// receiver). There is no destination address: the path is scheduled.
-	Tag uint16
-	// fec carries the SECDED stripes protecting the payload, present
-	// only while the frame is "on the wire".
-	fec ecc.FECFrame
-	// corrupt marks frames whose injected errors exceeded FEC capability.
-	corrupt bool
-}
-
-// Transmit encodes the payload with FEC and applies the link's bit-error
-// process. The returned frame is what the receiver sees.
-func (l *Link) Transmit(f Frame) Frame {
-	f.fec = ecc.EncodeFrame(f.Payload[:])
+// TransferVector runs one payload through the wire pipeline in place:
+// FEC encode, the link's bit-error process, then SECDED decode of every
+// stripe. It returns the number of corrected single-bit errors and
+// whether an uncorrectable error was detected. FEC corrects in situ; on a
+// detected-uncorrectable error the payload carries the best-effort decode
+// and must be treated as poisoned — the runtime must replay, because the
+// fabric never retries (§4.5).
+func (l *Link) TransferVector(payload *[VectorBytes]byte) (corrected int, mbe bool) {
+	fec := ecc.EncodeFrame(payload[:])
 	l.framesTx.Inc()
 	l.slotCycles.Add(VectorSlotCycles)
 	if ber := l.cfg.BitErrorRate; ber > 0 {
@@ -286,47 +277,6 @@ func (l *Link) Transmit(f Frame) Frame {
 		// With realistic BERs (<1e-12) a per-bit loop is exact but
 		// wasteful; fault-injection experiments use large BERs where
 		// the loop is fine and exactness matters.
-		for b := 0; b < bits; b++ {
-			if l.rng.Bernoulli(ber) {
-				f.fec.InjectBitError(b)
-				l.bitErrsInjected.Inc()
-			}
-		}
-	}
-	return f
-}
-
-// Receive runs FEC decode on a frame arriving over this link, counting
-// corrections and detected-uncorrectable errors into the link's
-// observability counters. Semantics match the package-level Receive.
-func (l *Link) Receive(f Frame) (Frame, int, bool) {
-	out, corrected, mbe := Receive(f)
-	l.framesRx.Inc()
-	l.sbesCorrected.Add(int64(corrected))
-	if mbe {
-		l.mbesDetected.Inc()
-	}
-	return out, corrected, mbe
-}
-
-// TransferVector runs one payload through the full wire pipeline —
-// Transmit's FEC encode and bit-error process, then Receive's decode —
-// in place, without materializing Frame values. It consumes the link's
-// RNG stream bit-for-bit identically to Receive(Transmit(f)) and moves
-// the same observability counters, so swapping a caller between the two
-// forms changes nothing observable; it exists because the frame-value
-// plumbing cost three 328-byte copies per hop on the runtime's delivery
-// path. On a detected-uncorrectable error the payload carries the
-// best-effort decode and must be treated as poisoned, exactly as
-// Receive's frame would.
-func (l *Link) TransferVector(payload *[VectorBytes]byte) (corrected int, mbe bool) {
-	fec := ecc.EncodeFrame(payload[:])
-	l.framesTx.Inc()
-	l.slotCycles.Add(VectorSlotCycles)
-	if ber := l.cfg.BitErrorRate; ber > 0 {
-		bits := VectorBytes * 8
-		// Same exact per-bit process as Transmit: identical RNG draws in
-		// identical order.
 		for b := 0; b < bits; b++ {
 			if l.rng.Bernoulli(ber) {
 				fec.InjectBitError(b)
@@ -353,20 +303,6 @@ func (l *Link) TransferVector(payload *[VectorBytes]byte) (corrected int, mbe bo
 	}
 	return corrected, mbe
 }
-
-// Receive runs FEC decode. It returns the delivered frame, the number of
-// corrected single-bit errors, and whether an uncorrectable error was
-// detected (in which case the runtime must replay — the fabric never
-// retries, per §4.5).
-func Receive(f Frame) (Frame, int, bool) {
-	payload, corrected, mbe := ecc.DecodeFrame(f.fec)
-	copy(f.Payload[:], payload)
-	f.corrupt = mbe
-	return f, corrected, mbe
-}
-
-// Corrupt reports whether the frame carries a detected-uncorrectable error.
-func (f Frame) Corrupt() bool { return f.corrupt }
 
 // LinkState is a point-in-time copy of one link's mutable state: the
 // error process, the per-link manufacturing variation, the monitor-visible

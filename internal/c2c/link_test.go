@@ -98,25 +98,18 @@ func TestDeterministicDraws(t *testing.T) {
 
 func TestTransmitCleanLink(t *testing.T) {
 	l := New(IntraNode(), sim.NewRNG(8))
-	var f Frame
-	for i := range f.Payload {
-		f.Payload[i] = byte(i)
+	var v [VectorBytes]byte
+	for i := range v {
+		v[i] = byte(i)
 	}
-	f.Tag = 0x1234
-	rx, corrected, mbe := Receive(l.Transmit(f))
+	corrected, mbe := l.TransferVector(&v)
 	if corrected != 0 || mbe {
 		t.Fatalf("clean link: corrected=%d mbe=%v", corrected, mbe)
 	}
-	if rx.Tag != 0x1234 {
-		t.Fatal("tag lost in transit")
-	}
-	for i := range rx.Payload {
-		if rx.Payload[i] != byte(i) {
+	for i := range v {
+		if v[i] != byte(i) {
 			t.Fatalf("payload byte %d corrupted", i)
 		}
-	}
-	if rx.Corrupt() {
-		t.Fatal("clean frame marked corrupt")
 	}
 }
 
@@ -126,22 +119,21 @@ func TestTransmitWithSBEsCorrects(t *testing.T) {
 	cfg := IntraNode()
 	cfg.BitErrorRate = 1e-4
 	l := New(cfg, sim.NewRNG(9))
-	var f Frame
-	for i := range f.Payload {
-		f.Payload[i] = byte(i * 3)
+	var want [VectorBytes]byte
+	for i := range want {
+		want[i] = byte(i * 3)
 	}
 	totalCorrected, mbes := 0, 0
 	for i := 0; i < 2000; i++ {
-		rx, corrected, mbe := Receive(l.Transmit(f))
+		v := want
+		corrected, mbe := l.TransferVector(&v)
 		totalCorrected += corrected
 		if mbe {
 			mbes++
 			continue
 		}
-		for j := range rx.Payload {
-			if rx.Payload[j] != f.Payload[j] {
-				t.Fatalf("frame %d: corrected frame still has wrong byte %d", i, j)
-			}
+		if v != want {
+			t.Fatalf("frame %d: corrected payload still differs", i)
 		}
 	}
 	if totalCorrected == 0 {
@@ -157,11 +149,10 @@ func TestTransmitWithBurstDetects(t *testing.T) {
 	cfg := IntraNode()
 	cfg.BitErrorRate = 0.01 // guarantees multi-bit stripes
 	l := New(cfg, sim.NewRNG(10))
-	var f Frame
 	mbes := 0
 	for i := 0; i < 100; i++ {
-		_, _, mbe := Receive(l.Transmit(f))
-		if mbe {
+		var v [VectorBytes]byte
+		if _, mbe := l.TransferVector(&v); mbe {
 			mbes++
 		}
 	}

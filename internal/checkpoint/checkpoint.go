@@ -284,17 +284,6 @@ func Encode(s *Snapshot) []byte {
 	return wr.Finish(s.Obs)
 }
 
-// EncodeChip serializes one chip's state standalone — the same byte layout
-// the cluster section uses, shared so per-chip micro-snapshot comparisons
-// (executor-equivalence tests) can compare whole chips byte-for-byte
-// without assembling a full cluster blob.
-func EncodeChip(c *tsp.ChipState) []byte {
-	w := &buf{}
-	w.reserve(chipLen(c))
-	putChip(w, c)
-	return w.b
-}
-
 // clusterLen is the exact encoded length of s's cluster section.
 func clusterLen(s *Snapshot) int {
 	n := clusterFixed + 4

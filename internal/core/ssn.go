@@ -97,7 +97,7 @@ func ScheduleTransfers(sys *topo.System, transfers []Transfer) (*CommSchedule, e
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[TransferID]*ScheduledTransfer, len(transfers))
+	arrivals := make(map[TransferID]int64, len(transfers))
 	net := fabric.NewScheduled(sys)
 	cs := &CommSchedule{Fabric: net}
 
@@ -108,51 +108,19 @@ func ScheduleTransfers(sys *topo.System, transfers []Transfer) (*CommSchedule, e
 		}
 		ready := tr.Earliest
 		for _, dep := range tr.After {
-			d, ok := byID[dep]
+			a, ok := arrivals[dep]
 			if !ok {
 				return nil, fmt.Errorf("core: transfer %d depends on unknown %d", tr.ID, dep)
 			}
-			if d.Arrival > ready {
-				ready = d.Arrival
+			if a > ready {
+				ready = a
 			}
 		}
-		routes, err := route.SpreadTensorWith(sys, tr.Src, tr.Dst, tr.Vectors,
-			route.SpreadOpts{AllowNonMinimal: !tr.MinimalOnly, Intermediate: tr.Intermediate, SharedBy: tr.SharedBy})
+		st, err := scheduleOne(sys, net, cs, tr, ready)
 		if err != nil {
 			return nil, fmt.Errorf("core: transfer %d: %w", tr.ID, err)
 		}
-		st := ScheduledTransfer{Transfer: tr, Depart: -1}
-		// Per-path cursors keep a transfer's vectors back-to-back on
-		// their own path while skipping slots other transfers own.
-		cursors := map[string]int64{}
-		for i, r := range routes {
-			key := pathKey(r.Links)
-			from := ready
-			if c, ok := cursors[key]; ok && c > from {
-				from = c
-			}
-			depart := net.NextFreeSlot(r.Links, from)
-			arrival, err := net.ScheduleVector(int(tr.ID)<<20|i, r.Links, depart)
-			if err != nil {
-				return nil, fmt.Errorf("core: transfer %d vector %d: %w", tr.ID, i, err)
-			}
-			cursors[key] = depart + route.SlotCycles
-			cs.Slots = append(cs.Slots, VectorSlot{
-				Transfer: tr.ID, Index: i, Route: r,
-				Depart: depart, Arrival: arrival,
-			})
-			if st.Depart < 0 || depart < st.Depart {
-				st.Depart = depart
-			}
-			if arrival > st.Arrival {
-				st.Arrival = arrival
-			}
-		}
-		if st.Arrival > cs.Makespan {
-			cs.Makespan = st.Arrival
-		}
-		byID[tr.ID] = &st
-		cs.Transfers = append(cs.Transfers, st)
+		arrivals[tr.ID] = st.Arrival
 	}
 	// Feed the process-global observability sink (nil-safe no-op when no
 	// recorder is installed), so every compiled schedule in every
@@ -379,7 +347,7 @@ func CompileGraph(sys *topo.System, g *graph.Graph, deviceToTSP func(int) topo.T
 				SharedBy:     len(moves),
 			}
 			nextID++
-			st, err := scheduleOne(sys, net, cs, tr)
+			st, err := scheduleOne(sys, net, cs, tr, tr.Earliest)
 			if err != nil {
 				return nil, fmt.Errorf("core: moving %s to op %s: %w", g.Tensor(mv.tensor).Name, op.Name, err)
 			}
@@ -424,26 +392,29 @@ func CompileGraph(sys *topo.System, g *graph.Graph, deviceToTSP func(int) topo.T
 // links obs.TidLinkBase+).
 const compiledTid = 50
 
-// scheduleOne spreads and reserves one transfer on an existing fabric,
-// appending to the schedule. Shared by CompileGraph.
-func scheduleOne(sys *topo.System, net *fabric.Scheduled, cs *CommSchedule, tr Transfer) (ScheduledTransfer, error) {
-	routes, err := route.SpreadTensorWith(sys, tr.Src, tr.Dst, tr.Vectors,
+// scheduleOne spreads one transfer per §4.3 and reserves each vector the
+// earliest conflict-free slot at or after ready on every link of its
+// route, appending to the schedule. Both compilers share it.
+func scheduleOne(sys *topo.System, net *fabric.Scheduled, cs *CommSchedule, tr Transfer, ready int64) (ScheduledTransfer, error) {
+	routes, err := route.SpreadTensor(sys, tr.Src, tr.Dst, tr.Vectors,
 		route.SpreadOpts{AllowNonMinimal: !tr.MinimalOnly, Intermediate: tr.Intermediate, SharedBy: tr.SharedBy})
 	if err != nil {
 		return ScheduledTransfer{}, err
 	}
 	st := ScheduledTransfer{Transfer: tr, Depart: -1}
+	// Per-path cursors keep a transfer's vectors back-to-back on their
+	// own path while skipping slots other transfers own.
 	cursors := map[string]int64{}
 	for i, r := range routes {
 		key := pathKey(r.Links)
-		from := tr.Earliest
+		from := ready
 		if c, ok := cursors[key]; ok && c > from {
 			from = c
 		}
 		depart := net.NextFreeSlot(r.Links, from)
 		arrival, err := net.ScheduleVector(int(tr.ID)<<20|i, r.Links, depart)
 		if err != nil {
-			return ScheduledTransfer{}, err
+			return ScheduledTransfer{}, fmt.Errorf("vector %d: %w", i, err)
 		}
 		cursors[key] = depart + route.SlotCycles
 		cs.Slots = append(cs.Slots, VectorSlot{

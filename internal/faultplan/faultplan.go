@@ -1,5 +1,5 @@
 // Package faultplan is the deterministic fault-injection subsystem of the
-// §4.5 reproduction: a seeded, cycle-stamped schedule of hardware faults
+// §4.5 reproduction: a cycle-stamped schedule of hardware faults
 // (link carrier loss, link flaps, BER excursions, node deaths, stuck
 // chips) that the cluster executor (internal/runtime) consumes as events,
 // plus the health monitor that *detects* those faults from heartbeat
@@ -9,12 +9,11 @@
 //	            → N+1 node failover → degraded serving.
 //
 // Everything here is deterministic by construction. A Plan is explicit
-// data; Generate draws one from a SplitMix64 stream; Compile indexes it
-// for O(1) queries; and the monitor's deadline math is pure arithmetic on
-// observed heartbeat cycles. Identical seeds therefore produce identical
-// faults, identical detections, and — because the runtime merges fault
-// events into both executors at the same cycles — byte-identical runs at
-// any worker count, failures included.
+// data; Compile indexes it for O(1) queries; and the monitor's deadline
+// math is pure arithmetic on observed heartbeat cycles. Identical plans
+// therefore produce identical detections and — because the runtime
+// merges fault events into every executor at the same cycles —
+// byte-identical runs at any worker count, failures included.
 //
 // Events are stamped in *wall-clock* fabric cycles: a replay re-bases the
 // program at a later wall cycle, so transient events (flaps, excursions
@@ -28,7 +27,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -263,81 +261,4 @@ func (c *Compiled) LinkBERAt(l topo.LinkID, w int64) (float64, bool) {
 func (c *Compiled) DeathCycle(t topo.TSPID) (int64, bool) {
 	d := c.death[t]
 	return d, d != neverDies
-}
-
-// GenConfig parameterizes a random fault schedule for sweeps.
-type GenConfig struct {
-	// Horizon is the wall-clock window to fill with faults.
-	Horizon int64
-	// MeanGapCycles is the mean exponential gap between faults (the MTBF
-	// expressed in fabric cycles).
-	MeanGapCycles float64
-	// FlapWeight, ExcursionWeight, DeathWeight, StuckWeight are the
-	// relative odds of each fault kind (zero disables a kind; all zero
-	// defaults to flaps only).
-	FlapWeight, ExcursionWeight, DeathWeight, StuckWeight float64
-	// FlapCycles is a flap's duration; ExcursionCycles and ExcursionBER
-	// shape BER excursions. Zero durations default to one hop-ish window.
-	FlapCycles, ExcursionCycles int64
-	ExcursionBER                float64
-}
-
-// Generate draws a fault plan from a seeded SplitMix64 stream: exponential
-// inter-fault gaps, kind by weighted choice, and uniformly drawn victims.
-// The same (sys, cfg, seed) always yields the same plan.
-func Generate(sys *topo.System, cfg GenConfig, seed uint64) (*Plan, error) {
-	if cfg.Horizon <= 0 || cfg.MeanGapCycles <= 0 {
-		return nil, fmt.Errorf("faultplan: Generate needs a positive horizon and mean gap")
-	}
-	wf, we, wd, ws := cfg.FlapWeight, cfg.ExcursionWeight, cfg.DeathWeight, cfg.StuckWeight
-	if wf+we+wd+ws <= 0 {
-		wf = 1
-	}
-	flapDur := cfg.FlapCycles
-	if flapDur <= 0 {
-		flapDur = 650
-	}
-	excDur := cfg.ExcursionCycles
-	if excDur <= 0 {
-		excDur = 4 * 650
-	}
-	excBER := cfg.ExcursionBER
-	if excBER <= 0 {
-		excBER = 2e-3
-	}
-	rng := sim.NewRNG(seed)
-	p := &Plan{}
-	w := int64(0)
-	for {
-		u := rng.Float64()
-		if u <= 0 {
-			u = 1e-12
-		}
-		w += int64(-math.Log(u)*cfg.MeanGapCycles) + 1
-		if w >= cfg.Horizon {
-			break
-		}
-		pick := rng.Float64() * (wf + we + wd + ws)
-		e := Event{Cycle: w}
-		switch {
-		case pick < wf:
-			e.Kind = LinkFlap
-			e.Link = topo.LinkID(rng.Intn(len(sys.Links())))
-			e.Until = w + flapDur
-		case pick < wf+we:
-			e.Kind = BERExcursion
-			e.Link = topo.LinkID(rng.Intn(len(sys.Links())))
-			e.Until = w + excDur
-			e.BER = excBER
-		case pick < wf+we+wd:
-			e.Kind = NodeDeath
-			e.Node = topo.NodeID(rng.Intn(sys.NumNodes()))
-		default:
-			e.Kind = StuckChip
-			e.Chip = topo.TSPID(rng.Intn(sys.NumTSPs()))
-		}
-		p.Events = append(p.Events, e)
-	}
-	p.Sort()
-	return p, nil
 }

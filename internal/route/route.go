@@ -206,15 +206,6 @@ type VectorRoute struct {
 	Links []topo.LinkID
 }
 
-// SpreadTensor deterministically assigns each of a tensor's vectors to a
-// route: the optimal split across the minimal path and the available
-// non-minimal paths between src and dst. All TSPs compute the identical
-// assignment from the same static inputs — this is what "deterministic
-// load balancing" means in §4.3.
-func SpreadTensor(sys *topo.System, src, dst topo.TSPID, vectors int) ([]VectorRoute, error) {
-	return SpreadTensorOpt(sys, src, dst, vectors, true)
-}
-
 // SpreadOpts tunes the §4.3 load-balancing decision with the compiler's
 // global knowledge of concurrent traffic.
 type SpreadOpts struct {
@@ -233,13 +224,12 @@ type SpreadOpts struct {
 	SharedBy int
 }
 
-// SpreadTensorOpt is SpreadTensor with non-minimal spreading optional.
-func SpreadTensorOpt(sys *topo.System, src, dst topo.TSPID, vectors int, allowNonMinimal bool) ([]VectorRoute, error) {
-	return SpreadTensorWith(sys, src, dst, vectors, SpreadOpts{AllowNonMinimal: allowNonMinimal})
-}
-
-// SpreadTensorWith is the fully optioned spreading primitive.
-func SpreadTensorWith(sys *topo.System, src, dst topo.TSPID, vectors int, opts SpreadOpts) ([]VectorRoute, error) {
+// SpreadTensor deterministically assigns each of a tensor's vectors to a
+// route: the optimal split across the minimal path and the non-minimal
+// paths opts allows between src and dst. All TSPs compute the identical
+// assignment from the same static inputs — this is what "deterministic
+// load balancing" means in §4.3.
+func SpreadTensor(sys *topo.System, src, dst topo.TSPID, vectors int, opts SpreadOpts) ([]VectorRoute, error) {
 	if src == dst {
 		return nil, fmt.Errorf("route: src == dst")
 	}

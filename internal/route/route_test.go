@@ -135,7 +135,7 @@ func TestSpreadTensorWithinNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Large tensor: spreads over 1 minimal + 6 non-minimal routes.
-	routes, err := SpreadTensor(sys, 0, 7, 1000)
+	routes, err := SpreadTensor(sys, 0, 7, 1000, SpreadOpts{AllowNonMinimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSpreadTensorWithinNode(t *testing.T) {
 		t.Fatalf("expected both minimal and non-minimal routes: %v", hopCount)
 	}
 	// Small tensor: minimal only.
-	small, err := SpreadTensor(sys, 0, 7, 5)
+	small, err := SpreadTensor(sys, 0, 7, 5, SpreadOpts{AllowNonMinimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestSpreadTensorDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err1 := SpreadTensor(sys, 1, 6, 500)
-	r2, err2 := SpreadTensor(sys, 1, 6, 500)
+	r1, err1 := SpreadTensor(sys, 1, 6, 500, SpreadOpts{AllowNonMinimal: true})
+	r2, err2 := SpreadTensor(sys, 1, 6, 500, SpreadOpts{AllowNonMinimal: true})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -194,7 +194,7 @@ func TestSpreadTensorAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := SpreadTensor(sys, 0, 15, 100)
+	routes, err := SpreadTensor(sys, 0, 15, 100, SpreadOpts{AllowNonMinimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSpreadTensorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SpreadTensor(sys, 3, 3, 10); err == nil {
+	if _, err := SpreadTensor(sys, 3, 3, 10, SpreadOpts{AllowNonMinimal: true}); err == nil {
 		t.Fatal("src==dst should error")
 	}
 }

@@ -63,7 +63,7 @@ func TestSpreadTensorWithIntermediateFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ban every intermediate: forced minimal-only even for big tensors.
-	routes, err := SpreadTensorWith(sys, 0, 7, 1000, SpreadOpts{
+	routes, err := SpreadTensor(sys, 0, 7, 1000, SpreadOpts{
 		AllowNonMinimal: true,
 		Intermediate:    func(topo.TSPID) bool { return false },
 	})
@@ -76,7 +76,7 @@ func TestSpreadTensorWithIntermediateFilter(t *testing.T) {
 		}
 	}
 	// Allow only TSP 3 as an intermediate: detours all pass through 3.
-	routes, err = SpreadTensorWith(sys, 0, 7, 1000, SpreadOpts{
+	routes, err = SpreadTensor(sys, 0, 7, 1000, SpreadOpts{
 		AllowNonMinimal: true,
 		Intermediate:    func(x topo.TSPID) bool { return x == 3 },
 	})
@@ -107,7 +107,7 @@ func TestSpreadTensorParallelCableRotation(t *testing.T) {
 	// Find two TSPs in different nodes connected via a multi-cable
 	// gateway pair. Use a multi-hop route and check link diversity on
 	// some hop.
-	routes, err := SpreadTensor(sys, 0, 71, 12)
+	routes, err := SpreadTensor(sys, 0, 71, 12, SpreadOpts{AllowNonMinimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSpreadTensorErrorsOnDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SpreadTensorWith(sys, 0, 0, 5, SpreadOpts{}); err == nil {
+	if _, err := SpreadTensor(sys, 0, 0, 5, SpreadOpts{}); err == nil {
 		t.Fatal("src==dst must error")
 	}
 }
@@ -139,7 +139,7 @@ func TestVectorRouteLinksMatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := SpreadTensor(sys, 2, 6, 200)
+	routes, err := SpreadTensor(sys, 2, 6, 200, SpreadOpts{AllowNonMinimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

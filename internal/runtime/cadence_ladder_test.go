@@ -1,21 +1,19 @@
 package runtime
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/faultplan"
 	"repro/internal/topo"
 )
 
-// newBurstScenario is the two-generation replay scenario the adaptive
-// cadence tests walk: the first flap swallows the round-1 send before
+// newBurstScenario is a two-fault replay walk at a fixed checkpoint
+// cadence: the first flap swallows the round-1 send before
 // any clean snapshot exists, so the replay re-bases to cycle 0; the
 // second flap lands inside the re-based attempt's wall window (base
 // 7834, round-4 send at wall 10714), so the ladder diagnoses two faults
-// at two distinct horizons — two cadence observations.
-func newBurstScenario(t *testing.T, workers int, adaptive checkpoint.CadencePolicy) *ladderScenario {
+// at two distinct horizons.
+func newBurstScenario(t *testing.T, workers int) *ladderScenario {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
@@ -44,132 +42,38 @@ func newBurstScenario(t *testing.T, workers int, adaptive checkpoint.CadencePoli
 		MaxFailovers:    2,
 		Seed:            7,
 		CheckpointEvery: 650,
-		AdaptiveCadence: adaptive,
 	}
 	return sc
 }
 
-// TestLadderAdaptiveCadencePinned: an adaptive policy pinned at the
-// static cadence (Min == Max == CheckpointEvery) is inert — the walk,
-// the result, and the full trace and metrics dumps are byte-identical
-// to the fixed-cadence ladder, and the controller reports no moves.
-func TestLadderAdaptiveCadencePinned(t *testing.T) {
-	var static *LadderResult
-	sTrace, sMetrics := withRecorder(t, func() {
-		sc := newResumeScenario(t, 1, 650)
-		var err error
-		static, err = sc.ladder.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	var pinned *LadderResult
-	pTrace, pMetrics := withRecorder(t, func() {
-		sc := newResumeScenario(t, 1, 650)
-		sc.ladder.AdaptiveCadence = checkpoint.CadencePolicy{Min: 650, Max: 650}
-		var err error
-		pinned, err = sc.ladder.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if pinned.CadenceTightens != 0 || pinned.CadenceRelaxes != 0 {
-		t.Fatalf("pinned cadence adjusted: +%d/-%d", pinned.CadenceTightens, pinned.CadenceRelaxes)
-	}
-	if pinned.FinalCadence != 650 || static.FinalCadence != 650 {
-		t.Errorf("final cadences %d/%d, want 650 for both", pinned.FinalCadence, static.FinalCadence)
-	}
-	if pinned.Finish != static.Finish || pinned.Base != static.Base ||
-		pinned.Resumes != static.Resumes || pinned.Replays != static.Replays {
-		t.Errorf("pinned walk diverged: finish/base/resumes/replays %d/%d/%d/%d != %d/%d/%d/%d",
-			pinned.Finish, pinned.Base, pinned.Resumes, pinned.Replays,
-			static.Finish, static.Base, static.Resumes, static.Replays)
-	}
-	if pTrace != sTrace {
-		t.Error("pinned adaptive cadence changed the trace dump")
-	}
-	if pMetrics != sMetrics {
-		t.Error("pinned adaptive cadence changed the metrics dump")
-	}
-}
-
-// TestLadderAdaptiveCadenceTightensUnderBurst: two faults inside the
-// burst window tighten the checkpoint cadence one step for the final
-// attempt, the adjustment stays inside the policy bounds, it is stamped
-// as a counter and a trace instant, the functional result is untouched,
-// and the whole walk is byte-identical across worker counts.
-func TestLadderAdaptiveCadenceTightensUnderBurst(t *testing.T) {
-	pol := checkpoint.CadencePolicy{Min: 100, Max: 650, BurstFaults: 2, BurstWindow: 1 << 20}
-	run := func(workers int) (*ladderScenario, *LadderResult, string, string) {
-		var sc *ladderScenario
+// TestLadderBurstWalk: two faults at two horizons replay twice; the
+// first replay re-bases to cycle 0 (no clean snapshot precedes the
+// first flap), the second resumes from a snapshot, the functional result
+// is right, and the whole walk is byte-identical across worker counts.
+func TestLadderBurstWalk(t *testing.T) {
+	run := func(workers int) (*LadderResult, string, string) {
 		var res *LadderResult
 		trace, metrics := withRecorder(t, func() {
-			sc = newBurstScenario(t, workers, pol)
+			sc := newBurstScenario(t, workers)
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
+			sc.checkResult(t, res)
 		})
-		return sc, res, trace, metrics
+		return res, trace, metrics
 	}
-	sc, res, trace, metrics := run(1)
-	if res.Replays != 2 || res.Failovers != 0 {
-		t.Fatalf("replays/failovers = %d/%d, want 2/0", res.Replays, res.Failovers)
+	res, trace, metrics := run(1)
+	if res.Replays != 2 || res.Resumes != 1 || res.Failovers != 0 {
+		t.Fatalf("replays/resumes/failovers = %d/%d/%d, want 2/1/0", res.Replays, res.Resumes, res.Failovers)
 	}
-	if res.CadenceTightens != 1 || res.CadenceRelaxes != 0 {
-		t.Errorf("tightens/relaxes = %d/%d, want 1/0", res.CadenceTightens, res.CadenceRelaxes)
-	}
-	if res.FinalCadence != 325 {
-		t.Errorf("final cadence %d, want 325 (650 halved once)", res.FinalCadence)
-	}
-	if res.FinalCadence < int64(pol.Min) || res.FinalCadence > int64(pol.Max) {
-		t.Errorf("final cadence %d escaped bounds [%g, %g]", res.FinalCadence, pol.Min, pol.Max)
-	}
-	// The tightened attempt still resumed from a snapshot and finished
-	// with the right answer.
-	if res.Resumes != 1 {
-		t.Errorf("resumes = %d, want 1 (the tightened attempt resumes)", res.Resumes)
-	}
-	sc.checkResult(t, res)
-	if !strings.Contains(metrics, `"recovery.cadence_tightens":1`) {
-		t.Error("metrics dump missing recovery.cadence_tightens")
-	}
-	if !strings.Contains(trace, `"recovery.cadence_tighten"`) {
-		t.Error("trace dump missing the recovery.cadence_tighten instant")
-	}
-
-	// The same walk without adaptation reaches the identical functional
-	// result at the static cadence: adaptation repositions snapshots, it
-	// never changes what the program computes.
-	var res0 *LadderResult
-	withRecorder(t, func() {
-		sc0 := newBurstScenario(t, 1, checkpoint.CadencePolicy{})
-		var err error
-		res0, err = sc0.ladder.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc0.checkResult(t, res0)
-	})
-	if res0.Finish != res.Finish || res0.Replays != res.Replays {
-		t.Errorf("static walk finish/replays %d/%d != adaptive %d/%d",
-			res0.Finish, res0.Replays, res.Finish, res.Replays)
-	}
-	if res0.CadenceTightens != 0 || res0.FinalCadence != 650 {
-		t.Errorf("static walk reported adaptation: +%d, final %d", res0.CadenceTightens, res0.FinalCadence)
-	}
-
-	// Worker invariance, dumps included.
 	for _, w := range []int{2, 8} {
-		scW, resW, traceW, metricsW := run(w)
-		if resW.Finish != res.Finish || resW.FinalCadence != res.FinalCadence ||
-			resW.CadenceTightens != res.CadenceTightens {
-			t.Errorf("workers=%d: finish/cadence/tightens %d/%d/%d != %d/%d/%d",
-				w, resW.Finish, resW.FinalCadence, resW.CadenceTightens,
-				res.Finish, res.FinalCadence, res.CadenceTightens)
+		resW, traceW, metricsW := run(w)
+		if resW.Finish != res.Finish || resW.Base != res.Base || resW.Resumes != res.Resumes {
+			t.Errorf("workers=%d: finish/base/resumes %d/%d/%d != %d/%d/%d",
+				w, resW.Finish, resW.Base, resW.Resumes, res.Finish, res.Base, res.Resumes)
 		}
-		scW.checkResult(t, resW)
 		if traceW != trace {
 			t.Errorf("workers=%d: trace dump differs", w)
 		}
@@ -177,15 +81,4 @@ func TestLadderAdaptiveCadenceTightensUnderBurst(t *testing.T) {
 			t.Errorf("workers=%d: metrics dump differs", w)
 		}
 	}
-}
-
-// TestLadderAdaptiveCadenceRejectsBadPolicy: inverted bounds fail fast.
-func TestLadderAdaptiveCadenceRejectsBadPolicy(t *testing.T) {
-	withRecorder(t, func() {
-		sc := newResumeScenario(t, 1, 650)
-		sc.ladder.AdaptiveCadence = checkpoint.CadencePolicy{Min: 650, Max: 100}
-		if _, err := sc.ladder.Run(); err == nil {
-			t.Fatal("inverted cadence bounds accepted")
-		}
-	})
 }

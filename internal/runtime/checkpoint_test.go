@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -401,7 +402,7 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	}
 	if !bytes.Equal(deltaBytes, fullBytes) {
 		for i := range delta.Chips {
-			if !bytes.Equal(checkpoint.EncodeChip(&delta.Chips[i]), checkpoint.EncodeChip(&fullSnap.Chips[i])) {
+			if !reflect.DeepEqual(delta.Chips[i], fullSnap.Chips[i]) {
 				t.Errorf("chip %d: delta capture differs from full capture", i)
 			}
 		}

@@ -40,6 +40,9 @@ const recoveryTid = 3
 // re-emplacing state on known-good hardware.
 const RecoveryTurnaroundCycles = 1024
 
+// characterizeIters is the reflect-protocol depth of a link repair.
+const characterizeIters = 64
+
 // nodeFault escalates a diagnosed node/chip death out of the replay rung:
 // returned as a build error from inside RunWithReplay, it aborts the
 // replay loop so the ladder can fail the nodes over instead of burning
@@ -67,8 +70,6 @@ type Ladder struct {
 	// MaxFailovers bounds node retirements before the ladder gives up.
 	MaxReplays   int
 	MaxFailovers int
-	// CharacterizeIters is the reflect-protocol depth of a link repair.
-	CharacterizeIters int
 	// Seed feeds the per-link error models (shared across attempts so
 	// re-characterization margins persist).
 	Seed uint64
@@ -78,14 +79,6 @@ type Ladder struct {
 	// original cycle-0 replay rung. Corrupted or missing snapshots fall
 	// back to cycle 0 automatically (the corrupted-checkpoint rung).
 	CheckpointEvery int64
-	// AdaptiveCadence replaces the fixed CheckpointEvery with a
-	// burst-tightening / quiet-relaxing controller (bounds in cycles):
-	// each diagnosed fault is an observation, and the next attempt
-	// checkpoints at the cadence in effect. The zero value keeps the
-	// fixed cadence; it only applies when CheckpointEvery > 0. The
-	// controller is pure arithmetic over detection cycles, so the walk
-	// stays byte-identical across worker counts.
-	AdaptiveCadence checkpoint.CadencePolicy
 }
 
 // LadderResult reports a completed ladder walk.
@@ -110,12 +103,6 @@ type LadderResult struct {
 	// retired onto spares.
 	RepairedLinks []topo.LinkID
 	FailedNodes   []topo.NodeID
-	// Adaptive-cadence footprint: adjustments the controller took and
-	// the checkpoint cadence the final attempt ran at (CheckpointEvery
-	// when adaptation is off).
-	CadenceTightens int
-	CadenceRelaxes  int
-	FinalCadence    int64
 	// Cluster is the successful run's cluster, for reading results.
 	Cluster *Cluster
 }
@@ -126,48 +113,7 @@ type LadderResult struct {
 func (ld *Ladder) Run() (*LadderResult, error) {
 	rec := obs.Get()
 	rec.SetThreadName(obs.PidFabric, recoveryTid, "recovery")
-	iters := ld.CharacterizeIters
-	if iters <= 0 {
-		iters = 64
-	}
-	res := &LadderResult{FinalCadence: ld.CheckpointEvery}
-	if err := ld.AdaptiveCadence.Validate(); err != nil {
-		return nil, err
-	}
-	var cadCtl *checkpoint.CadenceController
-	if ld.AdaptiveCadence.Enabled() && ld.CheckpointEvery > 0 {
-		cadCtl = checkpoint.NewCadenceController(ld.AdaptiveCadence, float64(ld.CheckpointEvery))
-	}
-	cadence := func() int64 {
-		if cadCtl != nil {
-			return int64(cadCtl.Cadence())
-		}
-		return ld.CheckpointEvery
-	}
-	// observeFault folds one diagnosed fault into the cadence controller
-	// and stamps any adjustment it takes.
-	observeFault := func(atCycle int64) {
-		if cadCtl == nil {
-			return
-		}
-		tight, relax := cadCtl.Tightens(), cadCtl.Relaxes()
-		cadCtl.Observe(float64(atCycle))
-		if cadCtl.Tightens() > tight {
-			rec.Counter("recovery.cadence_tightens").Inc()
-			rec.InstantCycles(obs.PidFabric, recoveryTid, "recovery.cadence_tighten", atCycle)
-		}
-		if cadCtl.Relaxes() > relax {
-			rec.Counter("recovery.cadence_relaxes").Inc()
-			rec.InstantCycles(obs.PidFabric, recoveryTid, "recovery.cadence_relax", atCycle)
-		}
-	}
-	defer func() {
-		if cadCtl != nil {
-			res.CadenceTightens = cadCtl.Tightens()
-			res.CadenceRelaxes = cadCtl.Relaxes()
-			res.FinalCadence = int64(cadCtl.Cadence())
-		}
-	}()
+	res := &LadderResult{}
 	// Per-link physical error models live here, not on any one cluster, so
 	// a link repaired after attempt N keeps its widened margin in N+1.
 	physLinks := map[topo.LinkID]*c2c.Link{}
@@ -183,7 +129,7 @@ func (ld *Ladder) Run() (*LadderResult, error) {
 				return nil, err
 			}
 			if ld.CheckpointEvery > 0 {
-				cl.SetCheckpointCadence(cadence())
+				cl.SetCheckpointCadence(ld.CheckpointEvery)
 			}
 			if last == nil {
 				cl.ShareLinkModels(physLinks, physRNG)
@@ -198,15 +144,6 @@ func (ld *Ladder) Run() (*LadderResult, error) {
 			diag := ld.Monitor.Diagnose(last.HealthReport(horizon, ld.Monitor.IntervalCycles))
 			if nf := ld.escalations(diag, repaired); nf != nil {
 				return nil, nf
-			}
-			// Every diagnosed fault that leads to another attempt is one
-			// cadence observation at its detection horizon; the attempt
-			// built here checkpoints at whatever cadence that left in
-			// effect. (A fault that escalates to failover is observed once,
-			// by the next generation's diagnosis of the same horizon.)
-			observeFault(horizon)
-			if ld.CheckpointEvery > 0 {
-				cl.SetCheckpointCadence(cadence())
 			}
 			// The resume rung: restore the newest clean snapshot preceding
 			// the detection cycle. Undecodable snapshots are skipped toward
@@ -255,7 +192,7 @@ func (ld *Ladder) Run() (*LadderResult, error) {
 				}
 				phys := cl.physLink(ld.Sys.Link(lid))
 				phys.SetHealth(c2c.Degraded)
-				hac.Recharacterize(phys, iters)
+				hac.Recharacterize(phys, characterizeIters)
 				repaired[lid] = true
 				res.RepairedLinks = append(res.RepairedLinks, lid)
 				rec.Counter("recovery.link_repairs").Inc()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 )
 
@@ -100,6 +101,29 @@ func TestRunDegradedValidation(t *testing.T) {
 	}
 	if _, err := RunDegraded(cfg, []Incident{{StartUS: 0, CapacityFrac: 2}}); err == nil {
 		t.Error("CapacityFrac > 1 should be rejected")
+	}
+	// Non-finite inputs must fail rather than yield a plausible result: a
+	// NaN incident sorted ahead of a real stall would swallow the stall,
+	// and a NaN service time or arrival rate would give NaN percentiles
+	// and infinite throughput.
+	stall := Incident{StartUS: 100_000, ReplayUS: 50_000, CapacityFrac: 1}
+	for _, start := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		incs := []Incident{{StartUS: start, ReplayUS: 10, CapacityFrac: 1}, stall}
+		if res, err := RunDegraded(cfg, incs); err == nil {
+			t.Errorf("StartUS %g accepted: %+v", start, res)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		c := cfg
+		c.ServiceUS = bad
+		if res, err := RunDegraded(c, nil); err == nil {
+			t.Errorf("ServiceUS %g accepted: %+v", bad, res)
+		}
+		c = cfg
+		c.ArrivalRatePerSec = bad
+		if res, err := RunDegraded(c, nil); err == nil {
+			t.Errorf("ArrivalRatePerSec %g accepted: %+v", bad, res)
+		}
 	}
 }
 

@@ -43,12 +43,6 @@ type Config struct {
 	Requests int
 	// Seed drives the arrival process.
 	Seed uint64
-	// MaxQueueDepth bounds the host admission queue: a request that
-	// arrives while MaxQueueDepth admitted requests are still waiting for
-	// their pipeline slot is shed — counted, excluded from the latency
-	// percentiles, never queued. Zero means unbounded admission (the
-	// original behavior).
-	MaxQueueDepth int
 }
 
 // Result summarizes a serving run.
@@ -85,9 +79,6 @@ type DegradedResult struct {
 	DegradedRequests int
 	// AvailableFrac is 1 − (total stall time / wall time).
 	AvailableFrac float64
-	// ShedRequests were rejected by the bounded admission queue; they
-	// appear in no percentile, because they were never served.
-	ShedRequests int
 }
 
 // Run simulates the scenario with no incidents.
@@ -107,7 +98,7 @@ func Run(cfg Config) (Result, error) {
 // the system stalls until the next incident restores capacity, and a
 // schedule that ends on one is rejected.
 func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
-	if cfg.ServiceUS <= 0 || cfg.PipelineDepth < 1 || cfg.Requests < 1 || cfg.ArrivalRatePerSec <= 0 || cfg.MaxQueueDepth < 0 {
+	if !positiveFinite(cfg.ServiceUS) || cfg.PipelineDepth < 1 || cfg.Requests < 1 || !positiveFinite(cfg.ArrivalRatePerSec) {
 		return DegradedResult{}, fmt.Errorf("serve: invalid config %+v", cfg)
 	}
 	incs := append([]Incident(nil), incidents...)
@@ -119,7 +110,7 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 	meanGapUS := 1e6 / cfg.ArrivalRatePerSec
 
 	rec := obs.Get()
-	var reqCount, queuedCount, replayedCount, degradedCount, shedCount *obs.Counter
+	var reqCount, queuedCount, replayedCount, degradedCount *obs.Counter
 	var latHist *obs.Histogram
 	// Time-series telemetry (armed by a recorder sampling cadence): the
 	// admission-queue depth, the host backlog, and the in-flight batch
@@ -151,9 +142,6 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 			replayedCount = rec.Counter("serve.replayed_requests")
 			degradedCount = rec.Counter("serve.degraded_requests")
 		}
-		if cfg.MaxQueueDepth > 0 {
-			shedCount = rec.Counter("serve.shed_requests")
-		}
 	}
 
 	// The pipeline admits a new inference every ServiceUS (initiation
@@ -165,8 +153,8 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 	sys := NewSystem(cfg.ServiceUS, cfg.PipelineDepth)
 	nextInc := 0
 	// qStarts[qHead:] are the start times of admitted requests still
-	// waiting for their pipeline slot — the admission queue the bound
-	// applies to.
+	// waiting for their pipeline slot — the admission queue the
+	// serve.queue_depth series samples.
 	var qStarts []float64
 	qHead := 0
 	res := DegradedResult{AvailableFrac: 1}
@@ -195,9 +183,7 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 			}
 		}
 		// Requests admitted earlier whose slot has opened by now have left
-		// the admission queue; if the bound is armed and the queue is
-		// full, this arrival is shed — the arrival process itself is
-		// untouched, so the admitted stream stays deterministic.
+		// the admission queue.
 		for qHead < len(qStarts) && qStarts[qHead] <= arrival {
 			qHead++
 		}
@@ -217,14 +203,6 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 				inflight = int64(cfg.PipelineDepth)
 			}
 			inflightSeries.Add(cyc, inflight)
-		}
-		if cfg.MaxQueueDepth > 0 && len(qStarts)-qHead >= cfg.MaxQueueDepth {
-			res.ShedRequests++
-			if rec != nil {
-				reqCount.Inc()
-				shedCount.Inc()
-			}
-			continue
 		}
 		start, done := sys.Admit(arrival, 1)
 		if start > arrival {
@@ -263,18 +241,22 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 		return lat[idx]
 	}
 	res.AvailableFrac = sys.AvailableFrac(sys.LastDoneUS())
-	// Shed requests were never served: percentiles and throughput cover
-	// the admitted stream only.
-	admitted := cfg.Requests - res.ShedRequests
 	res.Result = Result{
 		Requests:    cfg.Requests,
-		Throughput:  float64(admitted) / (sys.LastDoneUS() / 1e6),
+		Throughput:  float64(cfg.Requests) / (sys.LastDoneUS() / 1e6),
 		P50US:       pct(50),
 		P99US:       pct(99),
 		MaxUS:       lat[len(lat)-1],
 		Utilization: sys.BusyUS() / sys.LastDoneUS(),
 	}
 	return res, nil
+}
+
+// positiveFinite reports whether x is a usable rate or duration: NaN
+// and ±Inf would turn every percentile and the throughput into NaN or
+// Inf instead of failing.
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // SaturationSweep runs the scenario across load levels (fractions of the

@@ -170,14 +170,16 @@ func (s *System) AvailableFrac(wallUS float64) float64 {
 	return f
 }
 
-// ValidateIncidents checks a sorted incident schedule: negative replay
-// costs and capacity fractions outside [0, 1] are rejected, and so is a
+// ValidateIncidents checks a sorted incident schedule: non-finite start
+// times, negative replay costs and capacity fractions outside [0, 1] are
+// rejected, and so is a
 // schedule whose final incident is a total outage (CapacityFrac == 0) —
 // nothing after it could ever restore capacity, so the stall would be
 // unbounded.
 func ValidateIncidents(incs []Incident) error {
 	for i, inc := range incs {
-		if inc.ReplayUS < 0 || inc.CapacityFrac < 0 || inc.CapacityFrac > 1 ||
+		if math.IsNaN(inc.StartUS) || math.IsInf(inc.StartUS, 0) ||
+			inc.ReplayUS < 0 || inc.CapacityFrac < 0 || inc.CapacityFrac > 1 ||
 			math.IsNaN(inc.ReplayUS) || math.IsNaN(inc.CapacityFrac) || math.IsInf(inc.ReplayUS, 0) {
 			return fmt.Errorf("serve: invalid incident %+v", inc)
 		}

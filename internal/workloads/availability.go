@@ -70,17 +70,13 @@ func (c Checkpointing) replayStall(at, replayStallUS float64) float64 {
 // consumes one of spares; once they are gone every further failover
 // removes 1/(spares+1) of capacity. Replay stalls cost replayStallUS;
 // failovers cost an additional rebuild of the same length.
-func AvailabilityVsMTBF(cfg serve.Config, mtbfHours []float64, spares int, replayFrac, replayStallUS float64, seed uint64) ([]AvailabilityPoint, error) {
-	return AvailabilityVsMTBFCheckpointed(cfg, mtbfHours, spares, replayFrac, replayStallUS, seed, Checkpointing{})
-}
-
-// AvailabilityVsMTBFCheckpointed is AvailabilityVsMTBF with the ladder's
-// checkpointing modeled: repairable faults stall for the restore cost
-// plus the mid-epoch remainder instead of the full replay. Failovers are
-// unchanged — a snapshot captured under the old device→chip mapping is
-// useless after the remap, so the rebuilt run starts from cycle 0 either
-// way.
-func AvailabilityVsMTBFCheckpointed(cfg serve.Config, mtbfHours []float64, spares int, replayFrac, replayStallUS float64, seed uint64, ckpt Checkpointing) ([]AvailabilityPoint, error) {
+//
+// ckpt models the ladder's checkpointing: repairable faults stall for the
+// restore cost plus the mid-epoch remainder instead of the full replay.
+// Failovers are unchanged — a snapshot captured under the old device→chip
+// mapping is useless after the remap, so the rebuilt run starts from
+// cycle 0 either way. The zero value is no checkpointing.
+func AvailabilityVsMTBF(cfg serve.Config, mtbfHours []float64, spares int, replayFrac, replayStallUS float64, seed uint64, ckpt Checkpointing) ([]AvailabilityPoint, error) {
 	if cfg.Requests < 1 || cfg.ArrivalRatePerSec <= 0 {
 		return nil, fmt.Errorf("workloads: invalid serve config %+v", cfg)
 	}

@@ -22,7 +22,7 @@ func availCfg() serve.Config {
 func TestAvailabilityVsMTBFMonotone(t *testing.T) {
 	// MTBFs chosen so the 0.66 s horizon sees many → few → zero faults.
 	mtbfs := []float64{1e-5, 1e-4, 1e-2}
-	pts, err := AvailabilityVsMTBF(availCfg(), mtbfs, 1, 0.5, 10_000, 5)
+	pts, err := AvailabilityVsMTBF(availCfg(), mtbfs, 1, 0.5, 10_000, 5, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAvailabilityVsMTBFMonotone(t *testing.T) {
 		}
 	}
 
-	again, err := AvailabilityVsMTBF(availCfg(), mtbfs, 1, 0.5, 10_000, 5)
+	again, err := AvailabilityVsMTBF(availCfg(), mtbfs, 1, 0.5, 10_000, 5, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAvailabilityVsMTBFMonotone(t *testing.T) {
 func TestAvailabilityVsMTBFSpareExhaustion(t *testing.T) {
 	// All faults are failovers (replayFrac 0) at a fault-every-7ms pace:
 	// far more node losses than the single spare can absorb.
-	pts, err := AvailabilityVsMTBF(availCfg(), []float64{2e-6}, 1, 0, 5_000, 13)
+	pts, err := AvailabilityVsMTBF(availCfg(), []float64{2e-6}, 1, 0, 5_000, 13, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestAvailabilityVsMTBFSpareExhaustion(t *testing.T) {
 }
 
 func TestAvailabilityVsMTBFValidation(t *testing.T) {
-	if _, err := AvailabilityVsMTBF(availCfg(), []float64{-1}, 1, 0.5, 1000, 1); err == nil {
+	if _, err := AvailabilityVsMTBF(availCfg(), []float64{-1}, 1, 0.5, 1000, 1, Checkpointing{}); err == nil {
 		t.Error("negative MTBF should be rejected")
 	}
-	if _, err := AvailabilityVsMTBF(availCfg(), []float64{1}, -1, 0.5, 1000, 1); err == nil {
+	if _, err := AvailabilityVsMTBF(availCfg(), []float64{1}, -1, 0.5, 1000, 1, Checkpointing{}); err == nil {
 		t.Error("negative spares should be rejected")
 	}
-	if _, err := AvailabilityVsMTBF(availCfg(), []float64{1}, 1, 1.5, 1000, 1); err == nil {
+	if _, err := AvailabilityVsMTBF(availCfg(), []float64{1}, 1, 1.5, 1000, 1, Checkpointing{}); err == nil {
 		t.Error("replayFrac > 1 should be rejected")
 	}
 }

@@ -6,28 +6,20 @@ import (
 )
 
 // Checkpointing shortens replay stalls and never lengthens them: tighter
-// cadences stall less, availability is monotone in the cadence, and the
-// zero-value Checkpointing reproduces the original sweep exactly.
+// cadences stall less and availability is monotone in the cadence.
 func TestAvailabilityVsMTBFCheckpointed(t *testing.T) {
 	cfg := availCfg()
 	mtbfs := []float64{1e-5, 1e-4}
 	const replayStallUS = 10_000
 
-	base, err := AvailabilityVsMTBF(cfg, mtbfs, 1, 1, replayStallUS, 5)
+	base, err := AvailabilityVsMTBF(cfg, mtbfs, 1, 1, replayStallUS, 5, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	off, err := AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 1, 1, replayStallUS, 5, Checkpointing{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, off) {
-		t.Fatal("zero-value Checkpointing changed the sweep")
 	}
 
 	prev := base
 	for _, cadenceUS := range []float64{8_000, 2_000, 500} {
-		pts, err := AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 1, 1, replayStallUS, 5,
+		pts, err := AvailabilityVsMTBF(cfg, mtbfs, 1, 1, replayStallUS, 5,
 			Checkpointing{CadenceUS: cadenceUS, RestoreUS: 100})
 		if err != nil {
 			t.Fatal(err)
@@ -49,12 +41,12 @@ func TestAvailabilityVsMTBFCheckpointed(t *testing.T) {
 	}
 
 	// Determinism.
-	a, err := AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 1, 0.5, replayStallUS, 5,
+	a, err := AvailabilityVsMTBF(cfg, mtbfs, 1, 0.5, replayStallUS, 5,
 		Checkpointing{CadenceUS: 2_000, RestoreUS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 1, 0.5, replayStallUS, 5,
+	b, err := AvailabilityVsMTBF(cfg, mtbfs, 1, 0.5, replayStallUS, 5,
 		Checkpointing{CadenceUS: 2_000, RestoreUS: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +60,11 @@ func TestAvailabilityVsMTBFCheckpointed(t *testing.T) {
 // so an all-failover schedule is identical with and without it.
 func TestCheckpointingDoesNotShortenFailovers(t *testing.T) {
 	cfg := availCfg()
-	base, err := AvailabilityVsMTBF(cfg, []float64{2e-6}, 1, 0, 5_000, 13)
+	base, err := AvailabilityVsMTBF(cfg, []float64{2e-6}, 1, 0, 5_000, 13, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := AvailabilityVsMTBFCheckpointed(cfg, []float64{2e-6}, 1, 0, 5_000, 13,
+	ck, err := AvailabilityVsMTBF(cfg, []float64{2e-6}, 1, 0, 5_000, 13,
 		Checkpointing{CadenceUS: 500, RestoreUS: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +76,15 @@ func TestCheckpointingDoesNotShortenFailovers(t *testing.T) {
 
 func TestCheckpointingValidation(t *testing.T) {
 	cfg := availCfg()
-	if _, err := AvailabilityVsMTBFCheckpointed(cfg, []float64{1}, 1, 0.5, 1000, 1,
+	if _, err := AvailabilityVsMTBF(cfg, []float64{1}, 1, 0.5, 1000, 1,
 		Checkpointing{CadenceUS: -1}); err == nil {
 		t.Error("negative cadence should be rejected")
 	}
-	if _, err := AvailabilityVsMTBFCheckpointed(cfg, []float64{1}, 1, 0.5, 1000, 1,
+	if _, err := AvailabilityVsMTBF(cfg, []float64{1}, 1, 0.5, 1000, 1,
 		Checkpointing{CadenceUS: 100, RestoreUS: -1}); err == nil {
 		t.Error("negative restore cost should be rejected")
 	}
-	if _, err := AvailabilityVsMTBFCheckpointed(cfg, []float64{1}, 1, 0.5, 1000, 1,
+	if _, err := AvailabilityVsMTBF(cfg, []float64{1}, 1, 0.5, 1000, 1,
 		Checkpointing{CadenceUS: 100, RestoreUS: 2000}); err == nil {
 		t.Error("restore cost above the replay stall should be rejected")
 	}

@@ -56,16 +56,18 @@ func TestReplayStallNeverExceedsCycleZero(t *testing.T) {
 	}
 }
 
-// The zero-value Checkpointing reproduces AvailabilityVsMTBF byte for
-// byte: identical JSON encodings, not merely DeepEqual values.
+// The zero-value Checkpointing is the cycle-0 sweep byte for byte: it
+// matches checkpointing whose restore costs the whole replay, so every
+// resume falls back to cycle 0. Identical JSON encodings, not merely
+// DeepEqual values.
 func TestZeroValueCheckpointingByteForByte(t *testing.T) {
 	cfg := availCfg()
 	mtbfs := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	base, err := AvailabilityVsMTBF(cfg, mtbfs, 2, 0.6, 10_000, 17)
+	base, err := AvailabilityVsMTBF(cfg, mtbfs, 2, 0.6, 10_000, 17, Checkpointing{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := AvailabilityVsMTBFCheckpointed(cfg, mtbfs, 2, 0.6, 10_000, 17, Checkpointing{})
+	ck, err := AvailabilityVsMTBF(cfg, mtbfs, 2, 0.6, 10_000, 17, Checkpointing{CadenceUS: 2_000, RestoreUS: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

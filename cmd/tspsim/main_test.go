@@ -387,16 +387,21 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentOutputGolden pins the stdout of the experiments whose
-// output is pure simulated time (no wall clock) byte for byte. The fleet,
-// serving, fault-ladder and checkpoint engines, the Fig 8 dynamic
-// network and the SSN schedules (trace runs ScheduleTransfers, fig16
-// reaches it through the all-reduce, fig20 runs CompileGraph) all print
-// here, so any refactor of them must leave these files unchanged. Regenerate one with
-// `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
+// TestExperimentOutputGolden pins the stdout of every experiment whose
+// output is pure simulated time (no wall clock) byte for byte: the paper
+// figures and tables, the fleet, serving, fault-ladder and checkpoint
+// engines, the Fig 8 dynamic network and the SSN schedules (trace runs
+// ScheduleTransfers, fig16 reaches it through the all-reduce, fig20 runs
+// CompileGraph). Any refactor must leave these files unchanged. Regenerate
+// one with `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
 // only when a change is meant to move a number.
 func TestExperimentOutputGolden(t *testing.T) {
-	for _, exp := range []string{"fleet", "serve", "faults", "checkpoint", "fig8", "trace", "fig16", "fig20"} {
+	for _, exp := range []string{
+		"fig2", "table1", "table2", "sync", "fig8", "fig9", "fig10", "fig11",
+		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
+		"sec56", "faults", "trace", "fit", "scaling", "serve", "checkpoint",
+		"profile", "fleet",
+	} {
 		want, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
 		if err != nil {
 			t.Fatal(err)

@@ -80,26 +80,20 @@ func AvailabilityVsMTBF(cfg serve.Config, mtbfHours []float64, spares int, repla
 	if cfg.Requests < 1 || cfg.ArrivalRatePerSec <= 0 {
 		return nil, fmt.Errorf("workloads: invalid serve config %+v", cfg)
 	}
-	if spares < 0 || replayFrac < 0 || replayFrac > 1 || replayStallUS <= 0 {
-		return nil, fmt.Errorf("workloads: invalid fault parameters")
-	}
-	if ckpt.CadenceUS < 0 || ckpt.RestoreUS < 0 || (ckpt.enabled() && ckpt.RestoreUS > replayStallUS) {
-		return nil, fmt.Errorf("workloads: invalid checkpointing %+v", ckpt)
-	}
 	// The run's horizon: expected arrival span plus drain slack.
 	horizonUS := float64(cfg.Requests) / cfg.ArrivalRatePerSec * 1e6 * 1.1
 	rng := sim.NewRNG(seed)
 	var out []AvailabilityPoint
 	for li, mtbf := range mtbfHours {
-		if mtbf <= 0 {
-			return nil, fmt.Errorf("workloads: MTBF %g must be positive", mtbf)
-		}
 		profile := FaultProfile{
 			MTBFHours:     mtbf,
 			Spares:        spares,
 			ReplayFrac:    replayFrac,
 			ReplayStallUS: replayStallUS,
 			Checkpoint:    ckpt,
+		}
+		if err := profile.Validate(); err != nil {
+			return nil, err
 		}
 		events, tally := profile.Draw(rng.Fork(uint64(li)), horizonUS)
 		pt := AvailabilityPoint{

@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -92,5 +94,22 @@ func TestAvailabilityVsMTBFValidation(t *testing.T) {
 	}
 	if _, err := AvailabilityVsMTBF(availCfg(), []float64{1}, 1, 1.5, 1000, 1, Checkpointing{}); err == nil {
 		t.Error("replayFrac > 1 should be rejected")
+	}
+	// A NaN MTBF never lets a drawn fault pass the horizon, so an
+	// unchecked draw appends events forever. On timeout the test panics
+	// rather than fails, so the runaway draw cannot exhaust memory while
+	// the remaining tests run.
+	done := make(chan error, 1)
+	go func() {
+		_, err := AvailabilityVsMTBF(availCfg(), []float64{math.NaN()}, 1, 0.5, 1000, 1, Checkpointing{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("NaN MTBF should be rejected")
+		}
+	case <-time.After(time.Second):
+		panic("AvailabilityVsMTBF with a NaN MTBF did not return within 1s")
 	}
 }

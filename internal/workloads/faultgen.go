@@ -112,10 +112,13 @@ func (p FaultProfile) Validate() error {
 	if p.MTBFHours <= 0 || math.IsNaN(p.MTBFHours) || math.IsInf(p.MTBFHours, 0) {
 		return fmt.Errorf("workloads: MTBF %g must be positive and finite", p.MTBFHours)
 	}
-	if p.Spares < 0 || p.ReplayFrac < 0 || p.ReplayFrac > 1 || p.ReplayStallUS <= 0 {
+	// The negated comparisons also reject NaN.
+	if p.Spares < 0 || !(p.ReplayFrac >= 0 && p.ReplayFrac <= 1) ||
+		!(p.ReplayStallUS > 0) || math.IsInf(p.ReplayStallUS, 0) {
 		return fmt.Errorf("workloads: invalid fault parameters %+v", p)
 	}
-	if p.Checkpoint.CadenceUS < 0 || p.Checkpoint.RestoreUS < 0 ||
+	if !(p.Checkpoint.CadenceUS >= 0) || math.IsInf(p.Checkpoint.CadenceUS, 0) ||
+		!(p.Checkpoint.RestoreUS >= 0) || math.IsInf(p.Checkpoint.RestoreUS, 0) ||
 		(p.Checkpoint.enabled() && p.Checkpoint.RestoreUS > p.ReplayStallUS) {
 		return fmt.Errorf("workloads: invalid checkpointing %+v", p.Checkpoint)
 	}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -143,6 +144,13 @@ func TestFaultProfileValidate(t *testing.T) {
 		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: 0},
 		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: 100,
 			Checkpoint: Checkpointing{CadenceUS: 10, RestoreUS: 200}},
+		{MTBFHours: 1, Spares: 1, ReplayFrac: math.NaN(), ReplayStallUS: 100},
+		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: math.NaN()},
+		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: math.Inf(1)},
+		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: 100,
+			Checkpoint: Checkpointing{CadenceUS: math.NaN(), RestoreUS: 10}},
+		{MTBFHours: 1, Spares: 1, ReplayFrac: 0.5, ReplayStallUS: 100,
+			Checkpoint: Checkpointing{CadenceUS: 10, RestoreUS: math.NaN()}},
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("profile %+v should be rejected", p)

@@ -9,7 +9,6 @@
 package repro_test
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
@@ -18,14 +17,10 @@ import (
 	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/hac"
-	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/route"
-	rtime "repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/tsp"
 	"repro/internal/workloads"
 )
 
@@ -261,90 +256,6 @@ func BenchmarkFig20CompilerOpt(b *testing.B) {
 	b.ReportMetric(100*res.ThroughputGain, "throughput-gain-%")
 }
 
-// clusterBenchCases are the workload × scale grid of the cluster-executor
-// benchmark: the node-local ring all-reduce and the
-// 8-stage software pipeline from internal/runtime's workload generators,
-// at one node (8 chips), two nodes (16), and eight nodes (64).
-var clusterBenchCases = []struct {
-	name     string
-	pipeline bool
-	nodes    int
-}{
-	{"allreduce/8chip", false, 1},
-	{"allreduce/16chip", false, 2},
-	{"allreduce/64chip", false, 8},
-	{"pipeline/8chip", true, 1},
-	{"pipeline/16chip", true, 2},
-	{"pipeline/64chip", true, 8},
-}
-
-// buildBenchCluster constructs and preloads one benchmark cluster. Run
-// consumes cluster state, so each iteration rebuilds (outside the timer).
-func buildBenchCluster(b *testing.B, pipeline bool, nodes int) *rtime.Cluster {
-	b.Helper()
-	const waves, matmuls, rounds = 8, 2, 7
-	sys, err := topo.New(topo.Config{Nodes: nodes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var progs []*isa.Program
-	if pipeline {
-		progs, err = rtime.PipelinePrograms(sys, waves, matmuls)
-	} else {
-		progs, err = rtime.RingAllReducePrograms(sys, rounds, matmuls)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := rtime.New(sys, progs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for c := 0; c < sys.NumTSPs(); c++ {
-		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c), -float32(c % 3), 2})
-		if pipeline {
-			cl.Chip(c).SetStream(rtime.PipeBias, v)
-			if c%topo.TSPsPerNode == 0 {
-				for w := 0; w < waves; w++ {
-					in := tsp.VectorOf([]float32{float32(c + w + 1)})
-					cl.Chip(c).Mem.Write(mem.Addr{Offset: w}, in[:])
-				}
-			}
-		} else {
-			cl.Chip(c).SetStream(rtime.RingCur, v)
-			cl.Chip(c).SetStream(rtime.RingAcc, v)
-		}
-	}
-	return cl
-}
-
-// BenchmarkClusterRunSeq times the sequential min-heap cluster executor
-// across the workload grid, reporting simulated cycles per wall second.
-func BenchmarkClusterRunSeq(b *testing.B) {
-	for _, bc := range clusterBenchCases {
-		b.Run(bc.name, func(b *testing.B) {
-			var finish int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cl := buildBenchCluster(b, bc.pipeline, bc.nodes)
-				// Collect the construction garbage off the clock so the
-				// timed region measures the executor, not GC assists
-				// triggered by the rebuild churn.
-				runtime.GC()
-				b.StartTimer()
-				f, err := cl.RunSequential()
-				if err != nil {
-					b.Fatal(err)
-				}
-				finish = f
-			}
-			b.ReportMetric(float64(finish), "finish-cycles")
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(finish)*float64(b.N)/s/1e6, "Msim-cycles/s")
-			}
-		})
-	}
-}
 
 // BenchmarkSec56LatencyBound evaluates the hierarchical All-Reduce latency
 // floor on the 256-TSP system.

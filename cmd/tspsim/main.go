@@ -59,7 +59,6 @@ import (
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/c2c"
 	"repro/internal/checkpoint"
@@ -134,7 +133,6 @@ var experiments = []struct {
 	{"serve", "inference serving under load", serveExp},
 	{"par", "executor equivalence: sequential heap vs Run()", parExp},
 	{"checkpoint", "epoch checkpointing: resume cost vs cycle-0 replay", checkpointExp},
-	{"hotpath", "executor hot-loop throughput (sim-cycles per wall-second)", hotpath},
 	{"profile", "flight-recorder series and critical-path profiler", profileExp},
 	{"fleet", "fleet-level SLO: months of incidents across N systems", fleetExp},
 }
@@ -159,7 +157,7 @@ func run(argv []string, errw io.Writer) int {
 	seriesPath := fs.String("series", "", "write the barrier-sampled time series here (JSON, or CSV when the path ends in .csv)")
 	seriesEvery := fs.Int64("series-every", 0, "time-series sampling cadence in cycles (0 = default cadence when -series or -profile-report is set)")
 	profilePath := fs.String("profile-report", "", "run the post-run profiler over the recorded trace and write the text report here")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run here (e.g. with -exp hotpath)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run here")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit here")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -1108,9 +1106,7 @@ func parExp() error {
 
 	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
 	fmt.Println("           8-stage pipeline (6 waves, 50 matmuls/stage)")
-	fmt.Printf("%-16s %-10s %10s %7s %8s %12s\n",
-		"workload", "executor", "gomaxprocs", "workers", "finish", "wall")
-	g := goruntime.GOMAXPROCS(0)
+	fmt.Printf("%-16s %-10s %8s\n", "workload", "executor", "finish")
 	identical := true
 	var ring *rtime.Cluster
 	var routes []string
@@ -1131,26 +1127,21 @@ func parExp() error {
 			}
 			return true
 		}
-		t0 := time.Now()
 		seqFinish, err := seq.RunSequential()
 		if err != nil {
 			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
 		}
-		fmt.Printf("%-16s %-10s %10d %7d %8d %12v\n",
-			wl.name, "sequential", g, 1, seqFinish, time.Since(t0))
+		fmt.Printf("%-16s %-10s %8d\n", wl.name, "sequential", seqFinish)
 		cl, err := wl.build()
 		if err != nil {
 			return err
 		}
-		t0 = time.Now()
 		finish, err := cl.Run()
-		wall := time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("par: %s Run: %w", wl.name, err)
 		}
 		ex := cl.Executor()
-		fmt.Printf("%-16s %-10s %10d %7d %8d %12v\n",
-			wl.name, ex.Name, g, workersN, finish, wall)
+		fmt.Printf("%-16s %-10s %8d\n", wl.name, ex.Name, finish)
 		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
 		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -387,33 +388,39 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentOutputGolden pins the stdout of every experiment whose
-// output is pure simulated time (no wall clock) byte for byte: the paper
-// figures and tables, the fleet, serving, fault-ladder and checkpoint
-// engines, the Fig 8 dynamic network and the SSN schedules (trace runs
-// ScheduleTransfers, fig16 reaches it through the all-reduce, fig20 runs
-// CompileGraph). Any refactor must leave these files unchanged. Regenerate
-// one with `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
+// TestExperimentOutputGolden pins the stdout of every experiment byte for
+// byte: the paper figures and tables, the fleet, serving, fault-ladder and
+// checkpoint engines, the Fig 8 dynamic network, the executor table and
+// the SSN schedules (trace runs ScheduleTransfers, fig16 reaches it through
+// the all-reduce, fig20 runs CompileGraph). It walks the experiments slice,
+// so an experiment added without a golden fails here. `-exp all` at
+// -workers 1 and 4 must print the goldens joined by their headers. Any
+// refactor must leave these files unchanged. Regenerate one with
+// `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
 // only when a change is meant to move a number.
 func TestExperimentOutputGolden(t *testing.T) {
-	for _, exp := range []string{
-		"fig2", "table1", "table2", "sync", "fig8", "fig9", "fig10", "fig11",
-		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
-		"sec56", "faults", "trace", "fit", "scaling", "serve", "checkpoint",
-		"profile", "fleet",
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
+	runExp := func(args ...string) []byte {
+		return captureStdout(t, func() {
+			var errw bytes.Buffer
+			if code := run(args, &errw); code != 0 {
+				t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errw.String())
+			}
+		})
+	}
+	var all bytes.Buffer
+	for _, e := range experiments {
+		want, err := os.ReadFile(filepath.Join("testdata", e.name+".golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := captureStdout(t, func() {
-			var errw bytes.Buffer
-			if code := run([]string{"-exp", exp}, &errw); code != 0 {
-				t.Fatalf("-exp %s: exit code = %d, stderr:\n%s", exp, code, errw.String())
-			}
-		})
-		if !bytes.Equal(got, want) {
-			t.Errorf("-exp %s: stdout differs from testdata/%s.golden\n--- got ---\n%s", exp, exp, got)
+		if got := runExp("-exp", e.name); !bytes.Equal(got, want) {
+			t.Errorf("-exp %s: stdout differs from testdata/%s.golden\n--- got ---\n%s", e.name, e.name, got)
+		}
+		fmt.Fprintf(&all, "==== %s — %s ====\n%s\n", e.name, e.desc, want)
+	}
+	for _, w := range []string{"1", "4"} {
+		if got := runExp("-exp", "all", "-workers", w); !bytes.Equal(got, all.Bytes()) {
+			t.Errorf("-exp all -workers %s: stdout differs from the joined goldens", w)
 		}
 	}
 }

@@ -73,73 +73,96 @@ func buildPipeline(t *testing.T, nodes, waves, matmuls, workers int) *Cluster {
 	return cl
 }
 
-// TestRingAllReduceFunctional checks the generator's semantics under the
-// sequential executor: after 7 rounds every chip holds its node's
-// elementwise sum, both in the stream file and committed to SRAM.
+// TestRingAllReduceFunctional checks the generator's semantics: after 7
+// rounds every chip holds its node's elementwise sum, both in the stream
+// file and committed to SRAM, and the finish cycle does not depend on the
+// node count (the rings are node-local).
 func TestRingAllReduceFunctional(t *testing.T) {
-	const nodes = 2
-	cl := buildRing(t, nodes, 7, 1, 1)
-	finish, err := cl.RunSequential()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if finish <= 7*650 {
-		t.Fatalf("finish %d implausibly early", finish)
-	}
-	for c := 0; c < nodes*topo.TSPsPerNode; c++ {
-		node := c / topo.TSPsPerNode
-		want := make([]float32, 4)
-		for l := 0; l < topo.TSPsPerNode; l++ {
-			for i, x := range contribution(node*topo.TSPsPerNode + l) {
-				want[i] += x
+	for _, tc := range []struct {
+		nodes, matmuls int
+		finish         int64
+	}{
+		{2, 1, 5605},
+		{1, 2, 6165},
+		{8, 2, 6165},
+	} {
+		cl := buildRing(t, tc.nodes, 7, tc.matmuls, 1)
+		finish, err := cl.RunSequential()
+		if err != nil {
+			t.Fatalf("%d nodes: run: %v", tc.nodes, err)
+		}
+		if finish != tc.finish {
+			t.Errorf("%d nodes, %d matmuls: finish %d, want %d", tc.nodes, tc.matmuls, finish, tc.finish)
+		}
+		for c := 0; c < tc.nodes*topo.TSPsPerNode; c++ {
+			node := c / topo.TSPsPerNode
+			want := make([]float32, 4)
+			for l := 0; l < topo.TSPsPerNode; l++ {
+				for i, x := range contribution(node*topo.TSPsPerNode + l) {
+					want[i] += x
+				}
 			}
-		}
-		got := cl.Chip(c).StreamFloats(RingAcc)
-		for i := range want {
-			if math.Abs(float64(got[i]-want[i])) > 1e-4 {
-				t.Fatalf("chip %d acc[%d] = %f, want %f", c, i, got[i], want[i])
+			got := cl.Chip(c).StreamFloats(RingAcc)
+			for i := range want {
+				if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+					t.Fatalf("%d nodes: chip %d acc[%d] = %f, want %f", tc.nodes, c, i, got[i], want[i])
+				}
 			}
-		}
-		data, ok := cl.Chip(c).Mem.Read(mem.Addr{})
-		if !ok {
-			t.Fatalf("chip %d: no SRAM result", c)
-		}
-		acc := cl.Chip(c).Stream(RingAcc)
-		if !bytes.Equal(data, acc[:]) {
-			t.Fatalf("chip %d: SRAM result differs from stream", c)
+			data, ok := cl.Chip(c).Mem.Read(mem.Addr{})
+			if !ok {
+				t.Fatalf("%d nodes: chip %d: no SRAM result", tc.nodes, c)
+			}
+			acc := cl.Chip(c).Stream(RingAcc)
+			if !bytes.Equal(data, acc[:]) {
+				t.Fatalf("%d nodes: chip %d: SRAM result differs from stream", tc.nodes, c)
+			}
 		}
 	}
 }
 
 // TestPipelineFunctional checks the pipeline generator: each wave's output
-// is the input plus every stage's bias, committed to the last stage's
-// SRAM word per wave.
+// is the input plus every stage's bias, committed to each node's last
+// stage's SRAM word per wave.
 func TestPipelineFunctional(t *testing.T) {
-	const waves = 3
-	cl := buildPipeline(t, 1, waves, 1, 1)
-	if _, err := cl.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	last := topo.TSPsPerNode - 1
 	var biasSum [4]float32
 	for s := 0; s < topo.TSPsPerNode; s++ {
 		for i, x := range []float32{float32(s + 1), 0.5, -float32(s), 2} {
 			biasSum[i] += x
 		}
 	}
-	for w := 0; w < waves; w++ {
-		data, ok := cl.Chip(last).Mem.Read(mem.Addr{Offset: w})
-		if !ok {
-			t.Fatalf("wave %d: no result", w)
+	for _, tc := range []struct {
+		nodes, waves, matmuls int
+		finish                int64
+	}{
+		{1, 3, 1, 6570},
+		{1, 8, 2, 10250},
+		{8, 8, 2, 10250},
+	} {
+		cl := buildPipeline(t, tc.nodes, tc.waves, tc.matmuls, 1)
+		finish, err := cl.Run()
+		if err != nil {
+			t.Fatalf("%d nodes: run: %v", tc.nodes, err)
 		}
-		var v tsp.Vector
-		copy(v[:], data)
-		got := v.Floats()
-		in := contribution(0 + w)
-		for i := range in {
-			want := in[i] + biasSum[i]
-			if math.Abs(float64(got[i]-want)) > 1e-4 {
-				t.Fatalf("wave %d lane %d = %f, want %f", w, i, got[i], want)
+		if finish != tc.finish {
+			t.Errorf("%d nodes, %d waves, %d matmuls: finish %d, want %d", tc.nodes, tc.waves, tc.matmuls, finish, tc.finish)
+		}
+		for n := 0; n < tc.nodes; n++ {
+			first, last := n*topo.TSPsPerNode, n*topo.TSPsPerNode+topo.TSPsPerNode-1
+			for w := 0; w < tc.waves; w++ {
+				data, ok := cl.Chip(last).Mem.Read(mem.Addr{Offset: w})
+				if !ok {
+					t.Fatalf("%d nodes: node %d wave %d: no result", tc.nodes, n, w)
+				}
+				var v tsp.Vector
+				copy(v[:], data)
+				got := v.Floats()
+				in := contribution(first + w)
+				for i := range in {
+					want := in[i] + biasSum[i]
+					if math.Abs(float64(got[i]-want)) > 1e-4 {
+						t.Fatalf("%d nodes: node %d wave %d lane %d = %f, want %f", tc.nodes, n, w, i, got[i], want)
+					}
+				}
 			}
 		}
 	}

@@ -100,16 +100,16 @@ func BenchmarkAblationScheduledVsDynamic(b *testing.B) {
 				dynLast = del.Arrival
 			}
 		}
-		s := fabric.NewScheduled(sys)
+		s := fabric.NewScheduled()
 		ssnLast = 0
 		for v := 0; v < flows; v++ {
 			slotA := s.NextFreeSlot(routeA, int64(v)*2*route.SlotCycles)
-			a1, err := s.ScheduleVector(v, routeA, slotA)
+			a1, err := s.ScheduleVector(routeA, slotA)
 			if err != nil {
 				b.Fatal(err)
 			}
 			slotB := s.NextFreeSlot(routeB, int64(v)*2*route.SlotCycles+route.HopCycles)
-			a2, err := s.ScheduleVector(1000+v, routeB, slotB)
+			a2, err := s.ScheduleVector(routeB, slotB)
 			if err != nil {
 				b.Fatal(err)
 			}

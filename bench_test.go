@@ -256,7 +256,6 @@ func BenchmarkFig20CompilerOpt(b *testing.B) {
 	b.ReportMetric(100*res.ThroughputGain, "throughput-gain-%")
 }
 
-
 // BenchmarkSec56LatencyBound evaluates the hierarchical All-Reduce latency
 // floor on the 256-TSP system.
 func BenchmarkSec56LatencyBound(b *testing.B) {

@@ -386,15 +386,15 @@ func fig8() error {
 		}
 	}
 	ssnArrival := func() int64 {
-		s := fabric.NewScheduled(sys)
+		s := fabric.NewScheduled()
 		var arr int64
 		for v := 0; v < 50; v++ {
 			slotA := s.NextFreeSlot(routeA, int64(v)*2*route.SlotCycles)
-			if _, err := s.ScheduleVector(v, routeA, slotA); err != nil {
+			if _, err := s.ScheduleVector(routeA, slotA); err != nil {
 				panic(err)
 			}
 			slotB := s.NextFreeSlot(routeB, int64(v)*2*route.SlotCycles+route.HopCycles)
-			a, err := s.ScheduleVector(100+v, routeB, slotB)
+			a, err := s.ScheduleVector(routeB, slotB)
 			if err != nil {
 				panic(err)
 			}

@@ -194,12 +194,6 @@ func (l *Link) Instrument(rec *obs.Recorder, labels ...obs.Label) {
 	l.slotCycles = rec.Counter("c2c.slot_cycles", labels...)
 }
 
-// Config returns the link's physical configuration.
-func (l *Link) Config() Config { return l.cfg }
-
-// Health returns the link's monitor-visible state.
-func (l *Link) Health() Health { return l.health }
-
 // SetHealth records a state transition. Entering a non-healthy state
 // counts as a flap; re-characterization (hac.Recharacterize) restores
 // Healthy.

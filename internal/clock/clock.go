@@ -74,16 +74,6 @@ func New(ppm float64, phase sim.Time) *Clock {
 	return &Clock{freqMilliHz: freqMilliHz, ppm: ppm, phasePs: phase}
 }
 
-// NewNominal returns an ideal 900 MHz clock with zero phase, used by tests
-// and by analytic models that do not care about drift.
-func NewNominal() *Clock { return New(0, 0) }
-
-// PPM returns the frequency error this clock was built with.
-func (c *Clock) PPM() float64 { return c.ppm }
-
-// Phase returns the global time of local cycle 0.
-func (c *Clock) Phase() sim.Time { return c.phasePs }
-
 // TimeOfCycle returns the global time at which local cycle n begins.
 // time = phase + n * (1e12 ps/s * 1000 mHz-per-Hz) / freqMilliHz, rounded
 // down; the multiplication is done in big-enough integer pieces to avoid

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNominalClockPeriod(t *testing.T) {
-	c := NewNominal()
+	c := New(0, 0)
 	// 900 cycles of a 900 MHz clock is exactly 1 microsecond.
 	if got := c.TimeOfCycle(900); got != sim.Microsecond {
 		t.Fatalf("900 cycles = %v, want 1us", got)
@@ -24,7 +24,7 @@ func TestClockPhase(t *testing.T) {
 	if c.TimeOfCycle(0) != 123*sim.Nanosecond {
 		t.Fatalf("cycle 0 at %v, want 123ns", c.TimeOfCycle(0))
 	}
-	if c.Phase() != 123*sim.Nanosecond {
+	if c.phasePs != 123*sim.Nanosecond {
 		t.Fatal("phase accessor mismatch")
 	}
 }
@@ -51,7 +51,7 @@ func TestFastAndSlowClocksDrift(t *testing.T) {
 
 func TestCycleAtInvertsTimeOfCycle(t *testing.T) {
 	clocks := []*Clock{
-		NewNominal(),
+		New(0, 0),
 		New(+37.5, 17*sim.Nanosecond),
 		New(-88.25, 999*sim.Nanosecond),
 	}
@@ -96,7 +96,7 @@ func TestNegativeCyclePanics(t *testing.T) {
 			t.Error("TimeOfCycle(-1) did not panic")
 		}
 	}()
-	NewNominal().TimeOfCycle(-1)
+	New(0, 0).TimeOfCycle(-1)
 }
 
 func TestCyclesToTimeIsRelative(t *testing.T) {
@@ -111,20 +111,20 @@ func TestDriftDrawDeterministicAndBounded(t *testing.T) {
 	d := Drift{MaxPPM: 50, MaxPhase: sim.Microsecond}
 	c1 := d.Draw(rng, 7)
 	c2 := d.Draw(rng, 7)
-	if c1.PPM() != c2.PPM() || c1.Phase() != c2.Phase() {
+	if c1.ppm != c2.ppm || c1.phasePs != c2.phasePs {
 		t.Fatal("Draw for the same chip id must be deterministic")
 	}
 	other := d.Draw(rng, 8)
-	if other.PPM() == c1.PPM() {
+	if other.ppm == c1.ppm {
 		t.Fatal("different chips should draw different ppm")
 	}
 	for id := 0; id < 200; id++ {
 		c := d.Draw(rng, id)
-		if c.PPM() < -50 || c.PPM() > 50 {
-			t.Fatalf("ppm %f out of range", c.PPM())
+		if c.ppm < -50 || c.ppm > 50 {
+			t.Fatalf("ppm %f out of range", c.ppm)
 		}
-		if c.Phase() < 0 || c.Phase() >= sim.Microsecond {
-			t.Fatalf("phase %v out of range", c.Phase())
+		if c.phasePs < 0 || c.phasePs >= sim.Microsecond {
+			t.Fatalf("phase %v out of range", c.phasePs)
 		}
 	}
 }

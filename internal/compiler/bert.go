@@ -108,10 +108,6 @@ func (c BERTConfig) ActivationBytes() int64 {
 	return int64(c.Seq) * int64(c.Hidden) * 2
 }
 
-// FFNIntermediateBytes is the mid-layer tensor [Seq×4·Hidden] — what
-// crosses devices when a partition cuts inside a layer.
-func (c BERTConfig) FFNIntermediateBytes() int64 { return 4 * c.ActivationBytes() }
-
 // Partition assigns encoder layers to devices (pipelined model
 // parallelism).
 type Partition struct {

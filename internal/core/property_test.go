@@ -151,13 +151,15 @@ func TestPropertySharedSplitConservesVectors(t *testing.T) {
 		k := int(k8 % 8)
 		shared := int(s8%6) + 1
 		s := route.OptimalSplitShared(v, k, shared)
-		if s.Total() != v {
-			return false
-		}
+		total := s.Minimal
 		for _, n := range s.NonMinimal {
 			if n < 0 {
 				return false
 			}
+			total += n
+		}
+		if total != v {
+			return false
 		}
 		// Never worse than minimal-only.
 		return s.CompletionCycles() <= route.PathCompletionCycles(1, v) || v == 0

@@ -98,7 +98,7 @@ func ScheduleTransfers(sys *topo.System, transfers []Transfer) (*CommSchedule, e
 		return nil, err
 	}
 	arrivals := make(map[TransferID]int64, len(transfers))
-	net := fabric.NewScheduled(sys)
+	net := fabric.NewScheduled()
 	cs := &CommSchedule{Fabric: net}
 
 	for _, idx := range order {
@@ -239,25 +239,6 @@ func (cs *CommSchedule) Verify() error {
 	return nil
 }
 
-// LinkUtilization returns per-link busy fractions over the schedule's
-// makespan, keyed by link id (only links that carried traffic appear).
-func (cs *CommSchedule) LinkUtilization() map[topo.LinkID]float64 {
-	busy := map[topo.LinkID]int64{}
-	for _, s := range cs.Slots {
-		for _, l := range s.Route.Links {
-			busy[l] += route.SlotCycles
-		}
-	}
-	out := make(map[topo.LinkID]float64, len(busy))
-	if cs.Makespan == 0 {
-		return out
-	}
-	for l, b := range busy {
-		out[l] = float64(b) / float64(cs.Makespan)
-	}
-	return out
-}
-
 // OpSchedule is a fully compiled program: op start cycles plus the
 // communication schedule binding devices together.
 type OpSchedule struct {
@@ -294,7 +275,7 @@ func CompileGraph(sys *topo.System, g *graph.Graph, deviceToTSP func(int) topo.T
 	}
 
 	deviceCursor := make([]int64, g.Devices())
-	net := fabric.NewScheduled(sys)
+	net := fabric.NewScheduled()
 	cs := &CommSchedule{Fabric: net}
 	nextID := TransferID(0)
 	// tensorReady[t] is the cycle tensor t exists on its producer.
@@ -412,7 +393,7 @@ func scheduleOne(sys *topo.System, net *fabric.Scheduled, cs *CommSchedule, tr T
 			from = c
 		}
 		depart := net.NextFreeSlot(r.Links, from)
-		arrival, err := net.ScheduleVector(int(tr.ID)<<20|i, r.Links, depart)
+		arrival, err := net.ScheduleVector(r.Links, depart)
 		if err != nil {
 			return ScheduledTransfer{}, fmt.Errorf("vector %d: %w", i, err)
 		}

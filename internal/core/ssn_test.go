@@ -183,13 +183,20 @@ func TestLinkUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	util := cs.LinkUtilization()
-	if len(util) == 0 {
-		t.Fatal("no utilization recorded")
+	// Every slot occupies each link of its route for one slot time; no
+	// link may be busy for longer than the schedule's makespan.
+	busy := map[topo.LinkID]int64{}
+	for _, s := range cs.Slots {
+		for _, l := range s.Route.Links {
+			busy[l] += route.SlotCycles
+		}
 	}
-	for l, u := range util {
-		if u <= 0 || u > 1 {
-			t.Fatalf("link %d utilization %f out of range", l, u)
+	if len(busy) == 0 {
+		t.Fatal("no link carried traffic")
+	}
+	for l, b := range busy {
+		if b > cs.Makespan {
+			t.Fatalf("link %d busy %d cycles, longer than the %d-cycle makespan", l, b, cs.Makespan)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestFrameExhaustiveCheckBitCorrection(t *testing.T) {
 	for w := 0; w < FrameWords; w++ {
 		for c := 0; c < 8; c++ {
 			bad := clean
-			bad.Words[w] = FlipCheckBit(bad.Words[w], c)
+			bad.Words[w] = flipCheckBit(bad.Words[w], c)
 			got, corrected, mbe := DecodeFrame(bad)
 			if mbe || corrected != 1 {
 				t.Fatalf("stripe %d check bit %d: corrected=%d mbe=%v", w, c, corrected, mbe)
@@ -75,7 +75,7 @@ func TestFrameRandomDoubleBitDetection(t *testing.T) {
 		if bit < 64 {
 			return FlipDataBit(w, bit)
 		}
-		return FlipCheckBit(w, bit-64)
+		return flipCheckBit(w, bit-64)
 	}
 	for trial := 0; trial < 4000; trial++ {
 		stripe := int(rng.Uint64() % FrameWords)

@@ -139,9 +139,3 @@ func FlipDataBit(w Word72, i int) Word72 {
 	w.Data ^= 1 << uint(i)
 	return w
 }
-
-// FlipCheckBit returns a copy of w with check bit i (0..7) flipped.
-func FlipCheckBit(w Word72, i int) Word72 {
-	w.Check ^= 1 << uint(i)
-	return w
-}

@@ -36,7 +36,7 @@ func TestAllSingleCheckBitErrorsCorrected(t *testing.T) {
 	data := uint64(0xfeedface00112233)
 	w := Encode(data)
 	for i := 0; i < 8; i++ {
-		bad := FlipCheckBit(w, i)
+		bad := flipCheckBit(w, i)
 		got, res := Decode(bad)
 		if res != CorrectedSBE {
 			t.Fatalf("check bit %d: result %v, want corrected", i, res)
@@ -63,7 +63,7 @@ func TestAllDoubleBitErrorsDetected(t *testing.T) {
 	// Data bit + check bit pairs.
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 8; j++ {
-			bad := FlipCheckBit(FlipDataBit(w, i), j)
+			bad := flipCheckBit(FlipDataBit(w, i), j)
 			_, res := Decode(bad)
 			if res != DetectedMBE {
 				t.Fatalf("data %d + check %d: result %v, want detected MBE", i, j, res)
@@ -73,7 +73,7 @@ func TestAllDoubleBitErrorsDetected(t *testing.T) {
 	// Check bit pairs.
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			bad := FlipCheckBit(FlipCheckBit(w, i), j)
+			bad := flipCheckBit(flipCheckBit(w, i), j)
 			_, res := Decode(bad)
 			if res != DetectedMBE {
 				t.Fatalf("check bits (%d,%d): result %v, want detected MBE", i, j, res)
@@ -165,4 +165,10 @@ func TestResultString(t *testing.T) {
 		DetectedMBE.String() != "detected-mbe" || Result(99).String() != "unknown" {
 		t.Fatal("Result.String mismatch")
 	}
+}
+
+// flipCheckBit returns a copy of w with check bit i (0..7) flipped.
+func flipCheckBit(w Word72, i int) Word72 {
+	w.Check ^= 1 << uint(i)
+	return w
 }

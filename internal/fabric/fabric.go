@@ -31,11 +31,8 @@ import (
 // Scheduled is the SSN fabric: a reservation table per link plus the
 // deterministic delivery rule.
 type Scheduled struct {
-	sys *topo.System
 	// slots[link] holds the reserved departure cycles, kept sorted.
 	slots map[topo.LinkID][]int64
-	// deliveries records the arrival of each scheduled vector.
-	deliveries []Delivery
 }
 
 // Delivery reports one vector's transit.
@@ -47,8 +44,8 @@ type Delivery struct {
 }
 
 // NewScheduled creates an empty SSN fabric over the system.
-func NewScheduled(sys *topo.System) *Scheduled {
-	return &Scheduled{sys: sys, slots: make(map[topo.LinkID][]int64)}
+func NewScheduled() *Scheduled {
+	return &Scheduled{slots: make(map[topo.LinkID][]int64)}
 }
 
 // reserve claims [start, start+Slot) on the link, failing on any overlap.
@@ -70,7 +67,7 @@ func (s *Scheduled) reserve(l topo.LinkID, start int64) error {
 // previous one), and returns the deterministic arrival cycle at the
 // destination. A slot conflict on any hop fails the whole reservation —
 // the compiler must pick a different slot; nothing is queued.
-func (s *Scheduled) ScheduleVector(id int, links []topo.LinkID, depart int64) (int64, error) {
+func (s *Scheduled) ScheduleVector(links []topo.LinkID, depart int64) (int64, error) {
 	if len(links) == 0 {
 		return 0, fmt.Errorf("fabric: empty route")
 	}
@@ -93,11 +90,6 @@ func (s *Scheduled) ScheduleVector(id int, links []topo.LinkID, depart int64) (i
 		}
 		committed++
 	}
-	src := s.sys.Link(links[0]).From
-	dst := s.sys.Link(links[len(links)-1]).To
-	s.deliveries = append(s.deliveries, Delivery{
-		VectorID: id, Src: src, Dst: dst, Depart: depart, Arrival: t,
-	})
 	return t, nil
 }
 
@@ -144,18 +136,6 @@ func (s *Scheduled) probe(links []topo.LinkID, depart int64) (bool, int64) {
 		t += route.HopCycles
 	}
 	return true, 0
-}
-
-// Deliveries returns every scheduled delivery, in scheduling order.
-func (s *Scheduled) Deliveries() []Delivery { return s.deliveries }
-
-// Reservations returns the number of reserved (link, slot) pairs.
-func (s *Scheduled) Reservations() int {
-	n := 0
-	for _, v := range s.slots {
-		n += len(v)
-	}
-	return n
 }
 
 // Dynamic is the conventional baseline: per-link FIFOs with arbitration.

@@ -32,9 +32,9 @@ func directRoute(t *testing.T, sys *topo.System, a, b topo.TSPID) []topo.LinkID 
 
 func TestScheduledDeterministicArrival(t *testing.T) {
 	sys := node8(t)
-	s := NewScheduled(sys)
+	s := NewScheduled()
 	r := directRoute(t, sys, 0, 1)
-	arr, err := s.ScheduleVector(1, r, 100)
+	arr, err := s.ScheduleVector(r, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,56 +45,60 @@ func TestScheduledDeterministicArrival(t *testing.T) {
 
 func TestScheduledSlotConflictRejected(t *testing.T) {
 	sys := node8(t)
-	s := NewScheduled(sys)
+	s := NewScheduled()
 	r := directRoute(t, sys, 0, 1)
-	if _, err := s.ScheduleVector(1, r, 100); err != nil {
+	if _, err := s.ScheduleVector(r, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Same slot: conflict.
-	if _, err := s.ScheduleVector(2, r, 100); err == nil {
+	if _, err := s.ScheduleVector(r, 100); err == nil {
 		t.Fatal("duplicate slot must be rejected")
 	}
 	// Overlapping slot (within SlotCycles): conflict.
-	if _, err := s.ScheduleVector(3, r, 100+route.SlotCycles-1); err == nil {
+	if _, err := s.ScheduleVector(r, 100+route.SlotCycles-1); err == nil {
 		t.Fatal("overlapping slot must be rejected")
 	}
 	// Next full slot: fine.
-	if _, err := s.ScheduleVector(4, r, 100+route.SlotCycles); err != nil {
+	if _, err := s.ScheduleVector(r, 100+route.SlotCycles); err != nil {
 		t.Fatalf("adjacent slot should fit: %v", err)
 	}
 	// Earlier non-overlapping slot: fine (reservations are a set, not a
 	// cursor).
-	if _, err := s.ScheduleVector(5, r, 100-route.SlotCycles); err != nil {
+	if _, err := s.ScheduleVector(r, 100-route.SlotCycles); err != nil {
 		t.Fatalf("earlier slot should fit: %v", err)
 	}
 }
 
 func TestScheduledMultiHopRollback(t *testing.T) {
 	sys := node8(t)
-	s := NewScheduled(sys)
+	s := NewScheduled()
 	// Occupy the second hop of a 0→3→7 route at the exact arrival slot.
 	hop2 := directRoute(t, sys, 3, 7)
-	if _, err := s.ScheduleVector(1, hop2, 100+route.HopCycles); err != nil {
+	if _, err := s.ScheduleVector(hop2, 100+route.HopCycles); err != nil {
 		t.Fatal(err)
 	}
 	twoHop := append(directRoute(t, sys, 0, 3), hop2...)
-	if _, err := s.ScheduleVector(2, twoHop, 100); err == nil {
+	if _, err := s.ScheduleVector(twoHop, 100); err == nil {
 		t.Fatal("second-hop conflict must fail the whole route")
 	}
 	// The first hop must have been rolled back: reusing its slot works.
-	if _, err := s.ScheduleVector(3, directRoute(t, sys, 0, 3), 100); err != nil {
+	if _, err := s.ScheduleVector(directRoute(t, sys, 0, 3), 100); err != nil {
 		t.Fatalf("rollback failed: %v", err)
 	}
-	if s.Reservations() != 2 {
-		t.Fatalf("reservations = %d, want 2", s.Reservations())
+	reserved := 0
+	for _, slots := range s.slots {
+		reserved += len(slots)
+	}
+	if reserved != 2 {
+		t.Fatalf("reservations = %d, want 2", reserved)
 	}
 }
 
 func TestScheduledVirtualCutThroughTiming(t *testing.T) {
 	sys := node8(t)
-	s := NewScheduled(sys)
+	s := NewScheduled()
 	links := append(directRoute(t, sys, 0, 3), directRoute(t, sys, 3, 7)...)
-	arr, err := s.ScheduleVector(1, links, 0)
+	arr, err := s.ScheduleVector(links, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +109,10 @@ func TestScheduledVirtualCutThroughTiming(t *testing.T) {
 
 func TestNextFreeSlotSkipsReservations(t *testing.T) {
 	sys := node8(t)
-	s := NewScheduled(sys)
+	s := NewScheduled()
 	r := directRoute(t, sys, 0, 1)
 	for i := 0; i < 10; i++ {
-		if _, err := s.ScheduleVector(i, r, int64(i)*route.SlotCycles); err != nil {
+		if _, err := s.ScheduleVector(r, int64(i)*route.SlotCycles); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,14 +120,14 @@ func TestNextFreeSlotSkipsReservations(t *testing.T) {
 	if free != 10*route.SlotCycles {
 		t.Fatalf("next free = %d, want %d", free, 10*route.SlotCycles)
 	}
-	if _, err := s.ScheduleVector(99, r, free); err != nil {
+	if _, err := s.ScheduleVector(r, free); err != nil {
 		t.Fatalf("NextFreeSlot returned an unschedulable slot: %v", err)
 	}
 }
 
 func TestScheduledEmptyRouteErrors(t *testing.T) {
-	s := NewScheduled(node8(t))
-	if _, err := s.ScheduleVector(0, nil, 0); err == nil {
+	s := NewScheduled()
+	if _, err := s.ScheduleVector(nil, 0); err == nil {
 		t.Fatal("empty route must error")
 	}
 }
@@ -198,19 +202,23 @@ func TestFig8VarianceComparison(t *testing.T) {
 	// Scheduled: the compiler serializes the contending flows into
 	// distinct slots; arrivals are identical across "runs" by
 	// construction (same schedule → same reservation table).
-	runSSN := func() []Delivery {
-		s := NewScheduled(sys)
+	runSSN := func() []int64 {
+		s := NewScheduled()
+		var arrivals []int64
 		for v := 0; v < vecsPerFlow; v++ {
 			slotA := s.NextFreeSlot(routeA, int64(v)*gap)
-			if _, err := s.ScheduleVector(v, routeA, slotA); err != nil {
+			a, err := s.ScheduleVector(routeA, slotA)
+			if err != nil {
 				t.Fatal(err)
 			}
 			slotB := s.NextFreeSlot(routeB, int64(v)*gap+route.HopCycles)
-			if _, err := s.ScheduleVector(100+v, routeB, slotB); err != nil {
+			b, err := s.ScheduleVector(routeB, slotB)
+			if err != nil {
 				t.Fatal(err)
 			}
+			arrivals = append(arrivals, a, b)
 		}
-		return s.Deliveries()
+		return arrivals
 	}
 	d1, d2 := runSSN(), runSSN()
 	for i := range d1 {

@@ -74,11 +74,6 @@ type Diagnosis struct {
 	DetectCycle int64
 }
 
-// Healthy reports whether the diagnosis found nothing wrong.
-func (d Diagnosis) Healthy() bool {
-	return len(d.DeadNodes) == 0 && len(d.StuckChips) == 0 && len(d.SuspectLinks) == 0
-}
-
 // Diagnose applies the deadline math to a report. It is pure arithmetic on
 // the report's cycle stamps, so identical reports yield identical
 // diagnoses regardless of executor or worker count.

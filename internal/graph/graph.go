@@ -105,9 +105,6 @@ func (g *Graph) Tensor(id TensorID) Tensor { return g.tensors[id] }
 // NumOps returns the operation count.
 func (g *Graph) NumOps() int { return len(g.ops) }
 
-// NumTensors returns the tensor count.
-func (g *Graph) NumTensors() int { return len(g.tensors) }
-
 // Devices returns the number of distinct devices referenced (max id + 1).
 func (g *Graph) Devices() int {
 	max := -1
@@ -151,23 +148,4 @@ func (g *Graph) CommEdges() []CommEdge {
 		}
 	}
 	return edges
-}
-
-// TotalFLOPCycles sums op durations per device; the returned slice is
-// indexed by device id. Useful for load-balance analysis (Fig 20).
-func (g *Graph) TotalFLOPCycles() []int64 {
-	out := make([]int64, g.Devices())
-	for _, op := range g.ops {
-		out[op.Device] += op.Cycles
-	}
-	return out
-}
-
-// TotalCommBytes sums cross-device tensor bytes.
-func (g *Graph) TotalCommBytes() int64 {
-	var total int64
-	for _, e := range g.CommEdges() {
-		total += g.tensors[e.Tensor].Bytes
-	}
-	return total
 }

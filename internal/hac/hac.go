@@ -276,9 +276,6 @@ type Tree struct {
 	Levels [][]*Edge
 }
 
-// Height returns the tree height in hops.
-func (t *Tree) Height() int { return len(t.Levels) }
-
 // Align aligns the whole tree level by level (parents must hold the
 // reference before children can inherit it). It returns the worst per-edge
 // result.

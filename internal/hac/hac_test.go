@@ -23,7 +23,7 @@ func intraNodeLink(seed, id uint64) *c2c.Link {
 }
 
 func TestCounterWrap(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	if d.HAC(0) != 0 || d.SAC(0) != 0 {
 		t.Fatal("counters must start at 0")
 	}
@@ -39,7 +39,7 @@ func TestCounterWrap(t *testing.T) {
 }
 
 func TestAdjustHAC(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	d.AdjustHAC(5)
 	if got := d.HAC(0); got != 5 {
 		t.Fatalf("HAC after +5 = %d", got)
@@ -55,7 +55,7 @@ func TestAdjustHAC(t *testing.T) {
 }
 
 func TestDeltaTracksDrift(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	if d.Delta(0) != 0 {
 		t.Fatal("fresh device should have zero delta")
 	}
@@ -82,7 +82,7 @@ func TestSignedModRange(t *testing.T) {
 }
 
 func TestNextEpochBoundary(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	// At t=0 the HAC is 0 exactly at a cycle start: boundary is now.
 	if b := d.NextEpochBoundary(0); b != 0 {
 		t.Fatalf("boundary at 0 = %v", b)
@@ -104,7 +104,7 @@ func TestNextEpochBoundary(t *testing.T) {
 }
 
 func TestNextEpochBoundaryWithOffset(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	d.AdjustHAC(100)
 	b := d.NextEpochBoundary(1)
 	if h := d.HAC(b); h != 0 {
@@ -169,8 +169,8 @@ func TestChainAlignment(t *testing.T) {
 	// A 4-hop chain: the root's reference must propagate to the leaf.
 	devs := newDevices(t, 5, 3)
 	tree := BuildChain(devs, func(i int) *c2c.Link { return intraNodeLink(3, uint64(i)) }, 10_000)
-	if tree.Height() != 4 {
-		t.Fatalf("height = %d, want 4", tree.Height())
+	if len(tree.Levels) != 4 {
+		t.Fatalf("height = %d, want 4", len(tree.Levels))
 	}
 	r := tree.Align(0, 2, 10, 500)
 	if !r.Converged {
@@ -189,8 +189,8 @@ func TestStarAlignment(t *testing.T) {
 	// The intra-node topology: TSP 0 is parent of the other seven.
 	devs := newDevices(t, 8, 4)
 	tree := BuildStar(devs, func(i int) *c2c.Link { return intraNodeLink(4, uint64(i)) }, 10_000)
-	if tree.Height() != 1 {
-		t.Fatalf("height = %d, want 1", tree.Height())
+	if len(tree.Levels) != 1 {
+		t.Fatalf("height = %d, want 1", len(tree.Levels))
 	}
 	r := tree.Align(0, 2, 10, 500)
 	if !r.Converged {
@@ -330,13 +330,13 @@ func TestRuntimeDeskewRealigns(t *testing.T) {
 func TestRuntimeDeskewDirection(t *testing.T) {
 	// A device whose SAC is ahead of its HAC (fast local clock) must
 	// stall longer than target; one behind must stall less.
-	fast := NewDevice(0, clock.NewNominal())
+	fast := NewDevice(0, clock.New(0, 0))
 	fast.AdjustHAC(-10) // HAC behind SAC: δt = SAC−HAC = +10
 	resume := RuntimeDeskew(fast, 0, 100)
 	if want := fast.Clock.CyclesToTime(110); resume != want {
 		t.Fatalf("fast device resume = %v, want %v", resume, want)
 	}
-	slow := NewDevice(1, clock.NewNominal())
+	slow := NewDevice(1, clock.New(0, 0))
 	slow.AdjustHAC(+10) // δt = −10
 	resume = RuntimeDeskew(slow, 0, 100)
 	if want := slow.Clock.CyclesToTime(90); resume != want {
@@ -345,7 +345,7 @@ func TestRuntimeDeskewDirection(t *testing.T) {
 }
 
 func TestRuntimeDeskewRebasesSAC(t *testing.T) {
-	d := NewDevice(0, clock.NewNominal())
+	d := NewDevice(0, clock.New(0, 0))
 	d.AdjustHAC(33)
 	RuntimeDeskew(d, 0, 100)
 	if d.Delta(12345) != 0 {
@@ -359,5 +359,5 @@ func TestBuildChainValidation(t *testing.T) {
 			t.Error("chain of one device should panic")
 		}
 	}()
-	BuildChain([]*Device{NewDevice(0, clock.NewNominal())}, nil, 1)
+	BuildChain([]*Device{NewDevice(0, clock.New(0, 0))}, nil, 1)
 }

@@ -38,8 +38,8 @@ func TestBuildFromTopologyCoversAllTSPs(t *testing.T) {
 		t.Fatalf("tree covers %d devices with %d edges, want 16/15", len(seen), edges)
 	}
 	// Tree height equals the BFS eccentricity of the root.
-	if tree.Height() != sys.Eccentricity(0) {
-		t.Fatalf("height %d != eccentricity %d", tree.Height(), sys.Eccentricity(0))
+	if len(tree.Levels) != sys.Eccentricity(0) {
+		t.Fatalf("height %d != eccentricity %d", len(tree.Levels), sys.Eccentricity(0))
 	}
 }
 

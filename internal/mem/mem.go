@@ -1,5 +1,5 @@
-// Package mem models the TSP's on-chip SRAM and the system's global shared
-// address space (paper Fig 3).
+// Package mem models the TSP's on-chip SRAM, each device's share of the
+// system's global shared address space (paper Fig 3).
 //
 // Each chip holds 220 MiB of SRAM organized as 2 hemispheres × 44 slices ×
 // 2 banks × 4096 addresses, where each address names one 320-byte vector.
@@ -236,55 +236,4 @@ func (m *SRAM) FlipBit(addr Addr, bit int) {
 	}
 	v.words[bit/64] = ecc.FlipDataBit(v.words[bit/64], bit%64)
 	m.touch(lin)
-}
-
-// VectorsResident reports how many vectors have been materialized.
-func (m *SRAM) VectorsResident() int { return len(m.vecs) }
-
-// GlobalAddr names one vector anywhere in the system: the rank-5 tensor
-// [Device, Hemisphere, Slice, Bank, Offset] of Fig 3.
-type GlobalAddr struct {
-	Device int
-	Addr
-}
-
-func (g GlobalAddr) String() string {
-	return fmt.Sprintf("[d%d h%d s%d b%d +%d]", g.Device, g.Hemisphere, g.Slice, g.Bank, g.Offset)
-}
-
-// Global is the logically shared, physically distributed memory of an
-// N-device system.
-type Global struct {
-	chips []*SRAM
-}
-
-// NewGlobal builds the global memory for n devices.
-func NewGlobal(n int) *Global {
-	g := &Global{chips: make([]*SRAM, n)}
-	for i := range g.chips {
-		g.chips[i] = NewSRAM()
-	}
-	return g
-}
-
-// Devices returns the number of devices.
-func (g *Global) Devices() int { return len(g.chips) }
-
-// Chip returns device i's SRAM.
-func (g *Global) Chip(i int) *SRAM { return g.chips[i] }
-
-// Read fetches a vector from the global address space.
-func (g *Global) Read(a GlobalAddr) ([]byte, bool) {
-	return g.chips[a.Device].Read(a.Addr)
-}
-
-// Write stores a vector into the global address space.
-func (g *Global) Write(a GlobalAddr, data []byte) {
-	g.chips[a.Device].Write(a.Addr, data)
-}
-
-// CapacityBytes returns the total global memory capacity: 220 MiB per
-// device, limited only by the network's scale.
-func (g *Global) CapacityBytes() int64 {
-	return int64(len(g.chips)) * ChipBytes
 }

@@ -27,19 +27,14 @@ type State struct {
 	Vectors       []VectorState
 }
 
-// State captures the memory's resident vectors and error tallies.
-func (m *SRAM) State() State {
-	return m.capture(nil)
-}
-
-// StateDelta captures the memory like State, but reuses the previous
-// capture's encoding for every vector that has not been touched since —
-// the SRAM-side half of the micro-snapshot fast path. The first call (or
-// the first after SetState) arms dirty-page tracking and performs a full
-// capture; subsequent calls only re-encode vectors the dirty set names.
-// The returned State is byte-for-byte identical to what State() would
-// produce, so delta-built checkpoints encode to the same blob as
-// full-capture ones.
+// StateDelta captures the memory's resident vectors and error tallies,
+// reusing the previous capture's encoding for every vector that has not
+// been touched since — the SRAM-side half of the micro-snapshot fast
+// path. The first call (or the first after SetState) arms dirty-page
+// tracking and performs a full capture; subsequent calls only re-encode
+// vectors the dirty set names. The returned State is byte-for-byte
+// identical to a full capture, so delta-built checkpoints encode to the
+// same blob as full-capture ones.
 func (m *SRAM) StateDelta(prev *State) State {
 	s := m.capture(prev)
 	m.track = true

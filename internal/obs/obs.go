@@ -224,9 +224,6 @@ func New() *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Counter returns (creating on first use) the counter for name+labels.
 // Two call sites resolving the same canonical key share one counter, so
 // aggregation across instances is the default. Returns nil on a nil

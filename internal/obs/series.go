@@ -51,24 +51,6 @@ func (s *Series) Add(cycle, value int64) {
 	s.mu.Unlock()
 }
 
-// Len reports the number of samples (0 for nil).
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
-}
-
-// Pid reports the trace process the series renders under (0 for nil).
-func (s *Series) Pid() int {
-	if s == nil {
-		return 0
-	}
-	return s.pid
-}
-
 // snapshot copies the sample slice.
 func (s *Series) snapshot() []SamplePoint {
 	s.mu.Lock()

@@ -12,20 +12,20 @@ func TestSeriesAddAndOverwrite(t *testing.T) {
 	s := r.Series("runtime.inflight", PidFabric)
 	s.Add(650, 3)
 	s.Add(1300, 5)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.snapshot()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.snapshot()))
 	}
 	// Re-sampling the same barrier overwrites, never duplicates.
 	s.Add(1300, 7)
-	if s.Len() != 2 {
-		t.Fatalf("Len after overwrite = %d, want 2", s.Len())
+	if len(s.snapshot()) != 2 {
+		t.Fatalf("Len after overwrite = %d, want 2", len(s.snapshot()))
 	}
 	got := s.snapshot()
 	if got[1].Cycle != 1300 || got[1].Value != 7 {
 		t.Fatalf("last sample = %+v, want {1300 7}", got[1])
 	}
-	if s.Pid() != PidFabric {
-		t.Fatalf("Pid = %d, want %d", s.Pid(), PidFabric)
+	if s.pid != PidFabric {
+		t.Fatalf("Pid = %d, want %d", s.pid, PidFabric)
 	}
 	// Same name+labels resolves to the same series; pid argument only
 	// matters on first creation.
@@ -79,8 +79,6 @@ func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Add(650, 1)
-		_ = s.Len()
-		_ = s.Pid()
 		_ = r.Series("x", PidHost)
 		r.SetSeriesCadence(650)
 		_ = r.SeriesCadence()
@@ -254,12 +252,12 @@ func TestSeriesStateRoundTrip(t *testing.T) {
 	}
 	// The restored series keeps accepting samples exactly where it left off.
 	s := r2.Series("serve.queue_depth", PidHost, L("rate", "125000"))
-	if s.Len() != 1 {
-		t.Fatalf("restored serve series Len = %d, want 1", s.Len())
+	if len(s.snapshot()) != 1 {
+		t.Fatalf("restored serve series Len = %d, want 1", len(s.snapshot()))
 	}
 	s.Add(1800, 9)
-	if s.Len() != 2 {
-		t.Errorf("append after restore: Len = %d, want 2", s.Len())
+	if len(s.snapshot()) != 2 {
+		t.Errorf("append after restore: Len = %d, want 2", len(s.snapshot()))
 	}
 }
 

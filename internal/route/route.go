@@ -48,15 +48,6 @@ type Split struct {
 	NonMinimal []int
 }
 
-// Total returns the number of vectors allocated.
-func (s Split) Total() int {
-	t := s.Minimal
-	for _, n := range s.NonMinimal {
-		t += n
-	}
-	return t
-}
-
 // CompletionCycles returns the completion time of the split: the slowest
 // path's completion.
 func (s Split) CompletionCycles() int64 {
@@ -189,14 +180,6 @@ func Speedup(msgBytes, nonMinimalPaths int) float64 {
 func CrossoverBytes() int {
 	vectors := HopCycles/SlotCycles + 1
 	return vectors * VectorBytes
-}
-
-// PlanHop is one link traversal in a routed plan.
-type PlanHop struct {
-	Link topo.LinkID
-	// Depart is the hop's departure offset in cycles relative to the
-	// vector's injection.
-	Depart int64
 }
 
 // VectorRoute is the compile-time route of one vector: the ordered links it

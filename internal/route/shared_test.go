@@ -11,7 +11,7 @@ func TestOptimalSplitSharedReducesDetourLoad(t *testing.T) {
 	// shrinks relative to the exclusive split.
 	exclusive := OptimalSplit(4000, 3)
 	shared := OptimalSplitShared(4000, 3, 4)
-	if shared.Total() != 4000 || exclusive.Total() != 4000 {
+	if total(shared) != 4000 || total(exclusive) != 4000 {
 		t.Fatal("vector conservation")
 	}
 	exDetour, shDetour := 0, 0
@@ -39,7 +39,7 @@ func TestOptimalSplitSharedDegenerates(t *testing.T) {
 	if s := OptimalSplitShared(100, 0, 4); s.Minimal != 100 {
 		t.Fatal("no detours → all minimal")
 	}
-	if s := OptimalSplitShared(0, 3, 4); s.Total() != 0 {
+	if s := OptimalSplitShared(0, 3, 4); total(s) != 0 {
 		t.Fatal("zero vectors")
 	}
 }

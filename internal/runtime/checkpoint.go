@@ -67,9 +67,6 @@ func (cl *Cluster) SetCheckpointCadence(every int64) {
 	}
 }
 
-// CheckpointCadence reports the armed cadence (0 = disarmed).
-func (cl *Cluster) CheckpointCadence() int64 { return cl.ckptEvery }
-
 // Checkpoints returns the snapshots captured so far, oldest first. The
 // returned slice is the live store — callers that need isolation must
 // copy it.

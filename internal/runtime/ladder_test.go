@@ -146,8 +146,8 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	if len(res.FailedNodes) != 1 || res.FailedNodes[0] != 1 {
 		t.Errorf("FailedNodes = %v, want [1]", res.FailedNodes)
 	}
-	if sc.alloc.Spare() != -1 {
-		t.Errorf("spare should be consumed, got %d", sc.alloc.Spare())
+	if len(sc.alloc.spares) != 0 {
+		t.Errorf("spare should be consumed, %v remain", sc.alloc.spares)
 	}
 	if res.Base == 0 {
 		t.Error("successful attempt should be re-based after the failures")

@@ -262,8 +262,8 @@ func TestAllocationSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.OverheadFraction() < 0.11 || a.OverheadFraction() > 0.112 {
-		t.Fatalf("overhead = %.3f, want ~0.111", a.OverheadFraction())
+	if got := float64(len(a.spares)) / float64(sys.NumNodes()); got < 0.11 || got > 0.112 {
+		t.Fatalf("overhead = %.3f, want ~0.111", got)
 	}
 	if err := a.VerifyConnected(); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestAllocationSpare(t *testing.T) {
 	if err := a.VerifyConnected(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Healthy(topo.TSPID(17)) {
+	if !a.failed[topo.TSPID(17).Node()] {
 		t.Fatal("TSP on failed node reported healthy")
 	}
 }
@@ -307,7 +307,7 @@ func TestAllocationFailureModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.FailNode(a.Spare()); err == nil {
+	if err := a.FailNode(a.spares[0]); err == nil {
 		t.Fatal("failing the spare should error")
 	}
 	if err := a.FailNode(0); err != nil {
@@ -338,7 +338,7 @@ func TestReducedOverheadLargerSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.OverheadFraction() > 0.031 {
-		t.Fatalf("overhead = %.3f, want ~0.03", a.OverheadFraction())
+	if got := float64(len(a.spares)) / float64(sys.NumNodes()); got > 0.031 {
+		t.Fatalf("overhead = %.3f, want ~0.03", got)
 	}
 }

@@ -31,9 +31,6 @@ func (cl *Cluster) SetSeriesCadence(every int64) {
 	}
 }
 
-// SeriesCadence reports the armed sampling cadence (0 = disarmed).
-func (cl *Cluster) SeriesCadence() int64 { return cl.seriesEvery }
-
 // sampleSeries snapshots the cluster's instantaneous occupancy gauges and
 // then every registered counter and gauge into the recorder's series at
 // heap-barrier cycle t. Only called from barrier code (and the run

@@ -104,8 +104,8 @@ func TestSeriesCadenceRoutesSequential(t *testing.T) {
 	defer obs.Set(prev)
 
 	cl := buildRing(t, 2, 7, 1, 1)
-	if cl.SeriesCadence() != route.HopCycles {
-		t.Fatalf("cluster did not inherit cadence from recorder: %d", cl.SeriesCadence())
+	if cl.seriesEvery != route.HopCycles {
+		t.Fatalf("cluster did not inherit cadence from recorder: %d", cl.seriesEvery)
 	}
 	finish, err := cl.Run()
 	if err != nil {
@@ -114,13 +114,11 @@ func TestSeriesCadenceRoutesSequential(t *testing.T) {
 	if got, want := cl.Executor(), (Executor{"sequential", "series cadence", 1}); got != want {
 		t.Errorf("Executor() = %+v, want %+v", got, want)
 	}
-	s := r.Series("runtime.inflight_vectors", obs.PidFabric)
-	if s.Len() < 2 {
-		t.Fatalf("only %d samples recorded", s.Len())
+	samples := r.State().Series["runtime.inflight_vectors"].Samples
+	if len(samples) < 2 {
+		t.Fatalf("only %d samples recorded", len(samples))
 	}
 	// The epilogue stamps one final sample at the finish cycle.
-	st := r.State()
-	samples := st.Series["runtime.inflight_vectors"].Samples
 	if last := samples[len(samples)-1]; last.Cycle != finish {
 		t.Errorf("last sample at cycle %d, want finish %d", last.Cycle, finish)
 	}

@@ -48,8 +48,6 @@ type Allocation struct {
 	tspOf []topo.TSPID
 	// spares are the reserved nodes still available, ascending.
 	spares []topo.NodeID
-	// reserved is the number of spares provisioned at construction.
-	reserved int
 	// failed marks retired nodes.
 	failed map[topo.NodeID]bool
 }
@@ -94,7 +92,7 @@ func NewAllocationWithPolicy(sys *topo.System, devices int, policy SparePolicy) 
 	if devices > usable {
 		return nil, fmt.Errorf("runtime: %d devices exceed %d non-spare TSPs", devices, usable)
 	}
-	a := &Allocation{sys: sys, spares: spares, reserved: len(spares), failed: map[topo.NodeID]bool{}}
+	a := &Allocation{sys: sys, spares: spares, failed: map[topo.NodeID]bool{}}
 	for n, d := topo.NodeID(0), 0; d < devices; n++ {
 		if isSpare[n] {
 			continue
@@ -112,23 +110,6 @@ func (a *Allocation) TSPOf(device int) topo.TSPID { return a.tspOf[device] }
 
 // Devices returns the number of logical devices in the allocation.
 func (a *Allocation) Devices() int { return len(a.tspOf) }
-
-// Spare returns the next spare node (the default target of the next
-// failover), or −1 when none remain.
-func (a *Allocation) Spare() topo.NodeID {
-	if len(a.spares) == 0 {
-		return -1
-	}
-	return a.spares[0]
-}
-
-// SpareCount reports how many reserve nodes remain available.
-func (a *Allocation) SpareCount() int { return len(a.spares) }
-
-// OverheadFraction reports the sparing overhead: reserved / total nodes.
-func (a *Allocation) OverheadFraction() float64 {
-	return float64(a.reserved) / float64(a.sys.NumNodes())
-}
 
 // takeSpare removes and returns the best spare for a failure on node n:
 // a spare in n's rack when one is available (the failover then stays
@@ -184,9 +165,6 @@ func (a *Allocation) FailNode(n topo.NodeID) error {
 	obs.Get().Counter("runtime.devices_remapped").Add(moved)
 	return nil
 }
-
-// Healthy reports whether a TSP is on a live node.
-func (a *Allocation) Healthy(t topo.TSPID) bool { return !a.failed[t.Node()] }
 
 // VerifyConnected proves the program's current mapping is fully routable
 // through live TSPs only: every pair of in-use TSPs must remain mutually

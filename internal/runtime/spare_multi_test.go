@@ -17,10 +17,10 @@ func TestAllocationPerRackSpares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAllocationWithPolicy: %v", err)
 	}
-	if a.SpareCount() != 2 {
-		t.Fatalf("SpareCount = %d, want 2", a.SpareCount())
+	if len(a.spares) != 2 {
+		t.Fatalf("spares = %v, want 2", a.spares)
 	}
-	if got := a.OverheadFraction(); got < 0.11 || got > 0.112 {
+	if got := float64(len(a.spares)) / float64(a.sys.NumNodes()); got < 0.11 || got > 0.112 {
 		t.Errorf("per-rack overhead = %v, want ~1/9", got)
 	}
 	// Packing skips the spare nodes: devices land on nodes 0–7 and 9–16.
@@ -63,8 +63,8 @@ func TestAllocationPerRackSpares(t *testing.T) {
 	}
 
 	// Both spares consumed: a third failure is unrecoverable.
-	if a.SpareCount() != 0 {
-		t.Fatalf("SpareCount = %d after two failovers", a.SpareCount())
+	if len(a.spares) != 0 {
+		t.Fatalf("spares %v remain after two failovers", a.spares)
 	}
 	if err := a.FailNode(5); err == nil {
 		t.Fatal("third failure should exhaust the spares")
@@ -118,8 +118,8 @@ func TestAllocationSpareNodeFailure(t *testing.T) {
 	if err := a.FailNode(8); err != nil {
 		t.Fatalf("failing idle spare 8: %v", err)
 	}
-	if a.SpareCount() != 1 || a.Spare() != 17 {
-		t.Fatalf("spares after retiring 8: count=%d next=%d", a.SpareCount(), a.Spare())
+	if len(a.spares) != 1 || a.spares[0] != 17 {
+		t.Fatalf("spares after retiring 8: %v, want [17]", a.spares)
 	}
 	if err := a.FailNode(17); err == nil {
 		t.Fatal("failing the last spare should error")

@@ -28,9 +28,9 @@ func TestServeSeriesRecorded(t *testing.T) {
 		if _, err := RunDegraded(cfg, nil); err != nil {
 			t.Fatal(err)
 		}
+		st := r.State()
 		for _, name := range []string{"serve.queue_depth", "serve.backlog_us", "serve.batch_inflight"} {
-			s := r.Series(name, obs.PidHost, obs.L("rate", "12500"))
-			if s.Len() == 0 {
+			if len(st.Series[name+"{rate=12500}"].Samples) == 0 {
 				t.Fatalf("series %s{rate=12500} has no samples", name)
 			}
 		}

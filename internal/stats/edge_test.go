@@ -115,8 +115,8 @@ func TestSummaryLargeNStability(t *testing.T) {
 		// Values 1e9 + (i mod 2): mean 1e9+0.5, variance 0.25 exactly.
 		s.Add(1e9 + float64(i%2))
 	}
-	if s.N() != n {
-		t.Fatalf("N = %d, want %d", s.N(), n)
+	if s.n != n {
+		t.Fatalf("N = %d, want %d", s.n, n)
 	}
 	if got, want := s.Mean(), 1e9+0.5; math.Abs(got-want) > 1e-3 {
 		t.Errorf("Mean = %v, want %v", got, want)

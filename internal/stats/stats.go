@@ -40,9 +40,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// N returns the sample count.
-func (s *Summary) N() int64 { return s.n }
-
 // Min returns the smallest sample (+Inf if empty).
 func (s *Summary) Min() float64 { return s.min }
 
@@ -200,30 +197,4 @@ func Percentile(samples []float64, p float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// MeanOf returns the arithmetic mean of the slice (NaN if empty).
-func MeanOf(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range samples {
-		sum += x
-	}
-	return sum / float64(len(samples))
-}
-
-// StdOf returns the population standard deviation of the slice.
-func StdOf(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	m := MeanOf(samples)
-	var ss float64
-	for _, x := range samples {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples)))
 }

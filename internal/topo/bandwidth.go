@@ -98,19 +98,6 @@ func BandwidthProfile() []ProfilePoint {
 	return pts
 }
 
-// BisectionGBps counts the bandwidth crossing the balanced node-level
-// bisection of an explicitly constructed system (both directions).
-func (s *System) BisectionGBps() float64 {
-	half := NodeID(s.cfg.Nodes / 2)
-	links := 0
-	for _, l := range s.links {
-		if (l.From.Node() < half) != (l.To.Node() < half) {
-			links++
-		}
-	}
-	return float64(links) * LinkGBps
-}
-
 // ChannelLoads computes, for each link, the traffic crossing it when every
 // TSP sends one unit of traffic spread equally over all other TSPs, with
 // each pair's flow divided evenly across *all* of its minimal paths (and
@@ -201,18 +188,6 @@ func sortByDist(order []TSPID, dist []int) {
 		}
 		order[j+1] = v
 	}
-}
-
-// MaxChannelLoad returns the largest ChannelLoads entry; the uniform-traffic
-// throughput per TSP is link capacity divided by this number.
-func (s *System) MaxChannelLoad() float64 {
-	var m float64
-	for _, l := range s.ChannelLoads() {
-		if l > m {
-			m = l
-		}
-	}
-	return m
 }
 
 // PackagingDiameter returns the paper's hop accounting for the worst-case

@@ -6,8 +6,8 @@ func TestDistanceAvoiding(t *testing.T) {
 	s := mustNew(t, 2)
 	dead := func(x TSPID) bool { return false }
 	// No faults: matches plain distance.
-	if got := s.DistanceAvoiding(0, 9, dead); got != s.Distance(0, 9) {
-		t.Fatalf("fault-free avoiding distance %d != %d", got, s.Distance(0, 9))
+	if got := s.DistanceAvoiding(0, 9, dead); got != s.bfs(0)[9] {
+		t.Fatalf("fault-free avoiding distance %d != %d", got, s.bfs(0)[9])
 	}
 	// Self distance is zero regardless.
 	if s.DistanceAvoiding(3, 3, dead) != 0 {

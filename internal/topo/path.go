@@ -34,15 +34,6 @@ func (s *System) bfs(src TSPID) []int {
 	return dist
 }
 
-// Distance returns the minimal hop count between two TSPs (-1 if
-// disconnected).
-func (s *System) Distance(a, b TSPID) int {
-	if a == b {
-		return 0
-	}
-	return s.bfs(a)[b]
-}
-
 // Eccentricity returns the largest minimal distance from src to any TSP,
 // or -1 if some TSP is unreachable.
 func (s *System) Eccentricity(src TSPID) int {
@@ -75,9 +66,6 @@ func (s *System) Diameter() int {
 	}
 	return diam
 }
-
-// Connected reports whether every TSP can reach every other.
-func (s *System) Connected() bool { return s.Eccentricity(0) >= 0 }
 
 // DistanceAvoiding returns the minimal hop count from a to b through live
 // TSPs only (-1 if unreachable). dead TSPs neither forward nor terminate

@@ -17,8 +17,7 @@ func benchVector() Vector {
 	for i := range f {
 		f[i] = float32(i)*0.25 - 7
 	}
-	var v Vector
-	v.SetFloats(f)
+	v := VectorOf(f[:])
 	return v
 }
 

@@ -52,8 +52,7 @@ func hostileVector(r *diffRNG) Vector {
 	for i := range f {
 		f[i] = math.Float32frombits(hostileBits(r))
 	}
-	var v Vector
-	v.SetFloats(f)
+	v := VectorOf(f[:])
 	return v
 }
 

@@ -131,7 +131,7 @@ matmul s4 s10 3
 	direct.SetStream(2, VectorOf([]float32{0, 1, 0}))
 	direct.SetStream(3, VectorOf([]float32{5, 5, 5}))
 	direct.SetStream(4, VectorOf([]float32{2, 3, 4}))
-	snap := direct.State()
+	snap := direct.StateWithPrev(nil)
 	if _, f := direct.Run(); f != nil {
 		t.Fatal(f)
 	}

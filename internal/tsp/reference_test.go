@@ -2,7 +2,7 @@
 //
 // This file retains, verbatim in structure, the pre-fast-path functional
 // kernels: every operand is decoded with Vector.Floats, every result is
-// eagerly re-encoded with Vector.SetFloats, and no state is cached between
+// eagerly re-encoded with VectorOf, and no state is cached between
 // instructions. It exists as the oracle for the differential tests
 // (lanes_diff_test.go): the lane-typed execute path must produce
 // byte-identical stream registers for every opcode over arbitrary inputs,
@@ -48,9 +48,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 		for j := range out {
 			out[j] = canonNaN(out[j])
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VAdd, isa.VSub, isa.VMul:
 		af := a.Floats()
@@ -66,9 +64,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 				out[i] = canonNaN(af[i] * bf[i])
 			}
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VRsqrt:
 		af := a.Floats()
@@ -78,9 +74,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 				out[i] = float32(1 / math.Sqrt(float64(af[i])))
 			}
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VSplat:
 		af := a.Floats()
@@ -92,9 +86,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 		for i := range out {
 			out[i] = af[lane]
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VCopy:
 		return a, true
@@ -109,9 +101,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 				out[i] = bf[i]
 			}
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VRelu:
 		af := a.Floats()
@@ -121,9 +111,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 				out[i] = af[i]
 			}
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VExp:
 		af := a.Floats()
@@ -131,9 +119,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 		for i := range out {
 			out[i] = float32(math.Exp(float64(af[i])))
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 
 	case isa.VScale:
 		af := a.Floats()
@@ -142,9 +128,7 @@ func refVectorOp(op isa.Op, a, b Vector, imm int32, weights *[WeightRows][FloatL
 		for i := range out {
 			out[i] = canonNaN(af[i] * k)
 		}
-		var res Vector
-		res.SetFloats(out)
-		return res, true
+		return VectorOf(out[:]), true
 	}
 	return Vector{}, false
 }

@@ -30,7 +30,7 @@ func TestStallAccountingSyncNotify(t *testing.T) {
 	syncAdv := isa.Latency(isa.Instruction{Op: isa.Sync})
 	wake := int64(100) + NotifyLatency
 	want := wake - syncAdv
-	stalls := chip.Stalls()
+	stalls := chip.stall
 	if stalls[isa.VXM] != want || stalls[isa.MXM] != want {
 		t.Errorf("stalls VXM=%d MXM=%d, want %d each", stalls[isa.VXM], stalls[isa.MXM], want)
 	}
@@ -61,7 +61,7 @@ func TestStallAccountingDeskew(t *testing.T) {
 	}
 	adv := isa.Latency(isa.Instruction{Op: isa.Deskew})
 	want := EpochCycles - (100 + adv)
-	if got := chip.Stalls()[isa.ICU]; got != want {
+	if got := chip.stall[isa.ICU]; got != want {
 		t.Errorf("deskew stall = %d, want %d", got, want)
 	}
 }
@@ -77,14 +77,14 @@ func TestStallSurvivesStateRoundTrip(t *testing.T) {
 	if _, f := chip.Run(); f != nil {
 		t.Fatal(f)
 	}
-	want := chip.Stalls()
+	want := chip.stall
 	if want[isa.VXM] == 0 {
 		t.Fatal("workload produced no stall")
 	}
 
 	restored := New(0, prog, nil)
-	restored.SetState(chip.State())
-	if got := restored.Stalls(); got != want {
+	restored.SetState(chip.StateWithPrev(nil))
+	if got := restored.stall; got != want {
 		t.Errorf("restored stalls = %v, want %v", got, want)
 	}
 }

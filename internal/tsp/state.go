@@ -31,39 +31,25 @@ type ChipState struct {
 	Mem     mem.State
 }
 
-// State captures the chip's architectural and micro-architectural state.
-// The chip must not be faulted: a fault means the run is being abandoned,
-// and the snapshot would bake the poisoned state into every restore.
-func (c *Chip) State() ChipState {
-	if c.fault != nil {
-		panic("tsp: State() on a faulted chip")
-	}
-	return c.capture(c.Mem.State())
-}
-
-// StateWithPrev captures the chip like State, but takes the micro-snapshot
-// fast path: the SRAM's dirty-page tracking reuses prev's encoding for
-// every vector untouched since the previous capture (mem.StateDelta), so
-// steady-cadence captures pay only for the memory the chip actually wrote
-// since last time. prev must be the immediately preceding StateWithPrev
-// capture of this same chip (or nil to start a delta chain with a full
-// capture) — each call resets the dirty baseline, which is also why the
-// read-only State() above never routes through here. The result is
-// byte-identical to a full State() capture.
+// StateWithPrev captures the chip's architectural and micro-architectural
+// state through the micro-snapshot fast path: the SRAM's dirty-page
+// tracking reuses prev's encoding for every vector untouched since the
+// previous capture (mem.StateDelta), so steady-cadence captures pay only
+// for the memory the chip actually wrote since last time. prev must be the
+// immediately preceding StateWithPrev capture of this same chip (or nil to
+// start a delta chain with a full capture); each call resets the dirty
+// baseline. The chip must not be faulted: a fault means the run is being
+// abandoned, and the snapshot would bake the poisoned state into every
+// restore.
 func (c *Chip) StateWithPrev(prev *ChipState) ChipState {
 	if c.fault != nil {
-		panic("tsp: State() on a faulted chip")
+		panic("tsp: StateWithPrev on a faulted chip")
 	}
 	var pm *mem.State
 	if prev != nil {
 		pm = &prev.Mem
 	}
-	return c.capture(c.Mem.StateDelta(pm))
-}
-
-// capture assembles the chip-side state around an already-captured memory.
-func (c *Chip) capture(ms mem.State) ChipState {
-	s := ChipState{Weights: c.Weights, Mem: ms}
+	s := ChipState{Weights: c.Weights, Mem: c.Mem.StateDelta(pm)}
 	for i := range s.Streams {
 		// Materialize lane-cached registers so the snapshot carries the
 		// architectural bytes — the determinism boundary.

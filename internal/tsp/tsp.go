@@ -32,7 +32,7 @@
 //     and a lane read (ALU operand, LoadWeights) lazily decodes bytes.
 //
 // Decode (Float32frombits) and encode (Float32bits) are exact bit casts,
-// and the lazy encode runs the same SetFloats the eager path ran, so every
+// and the lazy encode runs the same encoder the eager path ran, so every
 // architectural byte observed at a boundary is bit-for-bit what the
 // original per-instruction byte path produced. reference_test.go retains
 // that original path verbatim as the oracle for the differential tests.
@@ -104,12 +104,6 @@ func (v *Vector) Floats() [FloatLanes]float32 {
 	var out Lanes
 	v.decodeInto(&out)
 	return out
-}
-
-// SetFloats encodes 80 float32 lanes into the vector.
-func (v *Vector) SetFloats(f [FloatLanes]float32) {
-	l := Lanes(f)
-	v.encodeFrom(&l)
 }
 
 // VectorOf builds a vector from a float slice (up to 80 lanes; the rest
@@ -258,29 +252,6 @@ type Chip struct {
 	faultCount  *obs.Counter
 
 	fault *Fault
-}
-
-// Occupancy returns each unit's busy (non-NOP, non-stall) cycles so far —
-// the dynamic utilization profile of the program.
-func (c *Chip) Occupancy() [isa.NumUnits]int64 { return c.busy }
-
-// Stalls returns each unit's accumulated wait cycles so far: time parked
-// on SYNC, held at a DESKEW epoch boundary, or drift-stalled by
-// RUNTIME_DESKEW. Busy + stall + idle partitions a unit's timeline.
-func (c *Chip) Stalls() [isa.NumUnits]int64 { return c.stall }
-
-// Utilization returns busy/finish per unit as fractions (zero before any
-// work).
-func (c *Chip) Utilization() [isa.NumUnits]float64 {
-	var out [isa.NumUnits]float64
-	total := c.FinishCycle()
-	if total == 0 {
-		return out
-	}
-	for u := range out {
-		out[u] = float64(c.busy[u]) / float64(total)
-	}
-	return out
 }
 
 // New creates a chip with fresh memory, loaded with the program. The

@@ -56,8 +56,7 @@ func TestVectorFloatCodec(t *testing.T) {
 	for i := range lanes {
 		lanes[i] = float32(i) * 1.5
 	}
-	var v Vector
-	v.SetFloats(lanes)
+	v := VectorOf(lanes[:])
 	got := v.Floats()
 	for i := range lanes {
 		if got[i] != lanes[i] {

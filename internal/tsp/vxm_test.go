@@ -170,21 +170,11 @@ vadd s1 s2 s3
 	if _, f := chip.Run(); f != nil {
 		t.Fatal(f)
 	}
-	occ := chip.Occupancy()
-	if occ[isa.MXM] != 100 {
-		t.Fatalf("MXM busy = %d, want 100", occ[isa.MXM])
+	if chip.busy[isa.MXM] != 100 {
+		t.Fatalf("MXM busy = %d, want 100", chip.busy[isa.MXM])
 	}
 	// NOPs don't count as busy: VXM only did the 2-cycle vadd.
-	if occ[isa.VXM] != 2 {
-		t.Fatalf("VXM busy = %d, want 2", occ[isa.VXM])
-	}
-	util := chip.Utilization()
-	if util[isa.MXM] <= util[isa.VXM] {
-		t.Fatal("MXM should dominate utilization")
-	}
-	// Fresh chip has zero utilization.
-	fresh := New(1, mustProg(t, "nop 1"), nil)
-	if u := fresh.Utilization(); u[isa.MXM] != 0 {
-		t.Fatal("fresh chip utilization should be zero")
+	if chip.busy[isa.VXM] != 2 {
+		t.Fatalf("VXM busy = %d, want 2", chip.busy[isa.VXM])
 	}
 }

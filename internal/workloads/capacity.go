@@ -50,8 +50,3 @@ func FitModel(params int64, bytesPerParam int64) (ModelFit, error) {
 		SystemFraction: float64(tsps) / float64(topo.MaxTSPs),
 	}, nil
 }
-
-// GlobalMemoryBytes is the aggregate SRAM of an n-TSP system.
-func GlobalMemoryBytes(tsps int) int64 {
-	return int64(tsps) * mem.ChipBytes
-}

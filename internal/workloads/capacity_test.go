@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/topo"
 )
 
@@ -71,11 +72,11 @@ func TestFitValidation(t *testing.T) {
 
 func TestGlobalMemoryMatchesAbstract(t *testing.T) {
 	// Abstract: 10,440 TSPs → more than 2 TB.
-	if tb := float64(GlobalMemoryBytes(topo.MaxTSPs)) / 1e12; tb < 2.0 || tb > 2.5 {
+	if tb := float64(topo.MaxTSPs*mem.ChipBytes) / 1e12; tb < 2.0 || tb > 2.5 {
 		t.Fatalf("max system memory = %.2f TB", tb)
 	}
 	// §2.2: 264 TSPs → ~56 GiB.
-	if gib := float64(GlobalMemoryBytes(264)) / (1 << 30); gib < 56 || gib > 57 {
+	if gib := float64(264*mem.ChipBytes) / (1 << 30); gib < 56 || gib > 57 {
 		t.Fatalf("264-TSP memory = %.2f GiB", gib)
 	}
 }

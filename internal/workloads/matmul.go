@@ -160,18 +160,3 @@ func fig15Config(tsps, n int) Fig15Point {
 		SpeedupVsV100Cluster: tf / 2800.0,
 	}
 }
-
-// Fig14GraphStats exposes the communication volume of a Fig 14 config for
-// analysis.
-func Fig14GraphStats(rowSplits int) (commBytes int64, edges int, err error) {
-	split := compiler.MatmulSplit{
-		M: fig14M, N: fig14N, K: fig14K,
-		ColSplits: fig14ColSplits, RowSplits: rowSplits,
-		Dtype: compiler.FP16,
-	}
-	g, err := split.BuildGraph()
-	if err != nil {
-		return 0, 0, err
-	}
-	return g.TotalCommBytes(), len(g.CommEdges()), nil
-}

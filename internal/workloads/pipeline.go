@@ -1,10 +1,7 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/topo"
 )
 
@@ -15,52 +12,6 @@ import (
 // detour paths. This workload quantifies the §4.4 claim that the ring
 // wiring "enables efficient nearest-neighbor communication ... for
 // inference using pipelined model parallelism".
-
-// PipelineResult summarizes one wiring's pipeline compile.
-type PipelineResult struct {
-	Wiring topo.Wiring
-	// MakespanCycles is a single inference's end-to-end latency.
-	MakespanCycles int64
-	// BoundaryCycles is the average per-boundary transfer time.
-	BoundaryCycles int64
-}
-
-// PipelineInference compiles an 8-stage pipeline (one stage per node TSP,
-// stageCycles of compute each, actBytes activations between stages) onto a
-// node with the given wiring.
-func PipelineInference(wiring topo.Wiring, stageCycles int64, actBytes int64) (PipelineResult, error) {
-	sys, err := topo.New(topo.Config{Nodes: 1, LocalWiring: wiring})
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	g := graph.New()
-	cur := g.AddInput("input", actBytes)
-	for stage := 0; stage < topo.TSPsPerNode; stage++ {
-		_, out := g.AddOp(fmt.Sprintf("stage%d", stage), stage, stageCycles,
-			[]graph.TensorID{cur}, actBytes)
-		cur = out
-	}
-	os, err := core.CompileGraph(sys, g, func(d int) topo.TSPID { return topo.TSPID(d) })
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	if err := os.Comms.Verify(); err != nil {
-		return PipelineResult{}, err
-	}
-	var commTotal int64
-	for _, tr := range os.Comms.Transfers {
-		commTotal += tr.Arrival - tr.Depart
-	}
-	boundaries := int64(len(os.Comms.Transfers))
-	if boundaries == 0 {
-		boundaries = 1
-	}
-	return PipelineResult{
-		Wiring:         wiring,
-		MakespanCycles: os.Makespan,
-		BoundaryCycles: commTotal / boundaries,
-	}, nil
-}
 
 // PipelineSteadyState schedules all eight ring-neighbor boundary tensors
 // *concurrently* — the steady state of a full pipeline, where every stage

@@ -6,22 +6,6 @@ import (
 	"repro/internal/topo"
 )
 
-func TestPipelineInferenceLatency(t *testing.T) {
-	for _, w := range []topo.Wiring{topo.FullyConnected, topo.TripleRing} {
-		res, err := PipelineInference(w, 10_000, 256<<10)
-		if err != nil {
-			t.Fatalf("%v: %v", w, err)
-		}
-		// 8 stages of 10k cycles plus 7 boundary transfers.
-		if res.MakespanCycles <= 80_000 {
-			t.Fatalf("%v: makespan %d too small", w, res.MakespanCycles)
-		}
-		if res.BoundaryCycles <= 0 {
-			t.Fatalf("%v: no boundary time", w)
-		}
-	}
-}
-
 // TestSec44RingWinsSteadyState reproduces §4.4's rationale: with all eight
 // boundaries streaming concurrently (pipeline steady state), the
 // triple-connected ring's dedicated cables beat the fully connected

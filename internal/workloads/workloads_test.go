@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/collective"
+	"repro/internal/compiler"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -382,19 +383,30 @@ func TestBuildCholeskyProgramValidation(t *testing.T) {
 	}
 }
 
+// TestFig14GraphStats lowers Fig 14's matmul at R=1 and R=4 row splits:
+// only row splits put partial products on the network.
 func TestFig14GraphStats(t *testing.T) {
-	bytes1, edges1, err := Fig14GraphStats(1)
-	if err != nil {
-		t.Fatal(err)
+	stats := func(rowSplits int) (int64, int) {
+		split := compiler.MatmulSplit{
+			M: fig14M, N: fig14N, K: fig14K,
+			ColSplits: fig14ColSplits, RowSplits: rowSplits,
+			Dtype: compiler.FP16,
+		}
+		g, err := split.BuildGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bytes int64
+		for _, e := range g.CommEdges() {
+			bytes += g.Tensor(e.Tensor).Bytes
+		}
+		return bytes, len(g.CommEdges())
 	}
 	// R=1: no reduction traffic (reduce consumes the local partial).
-	if edges1 != 0 || bytes1 != 0 {
+	if bytes1, edges1 := stats(1); edges1 != 0 || bytes1 != 0 {
 		t.Fatalf("R=1 traffic %d/%d, want none", bytes1, edges1)
 	}
-	bytes4, edges4, err := Fig14GraphStats(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bytes4, edges4 := stats(4)
 	if edges4 != 8*3 {
 		t.Fatalf("R=4 edges = %d, want 24", edges4)
 	}

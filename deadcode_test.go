@@ -176,66 +176,26 @@ func (c *repoChecker) check(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// exportKey names obj the way deadExportAllowlist does, or returns ""
-// when obj is not a package-level function or type, or a method, of a
-// repro/internal package.
-func exportKey(obj types.Object) string {
-	pkg := obj.Pkg()
-	if pkg == nil || !strings.HasPrefix(pkg.Path(), "repro/internal/") {
-		return ""
-	}
-	rel := strings.TrimPrefix(pkg.Path(), "repro/internal/")
-	switch o := obj.(type) {
-	case *types.Func:
-		sig := o.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil {
-			named := receiverNamed(recv.Type())
-			if named == nil {
-				return "" // interface method
-			}
-			return rel + "." + named.Obj().Name() + "." + o.Name()
-		}
-		return rel + "." + o.Name()
-	case *types.TypeName:
-		if o.Parent() != pkg.Scope() {
-			return ""
-		}
-		return rel + "." + o.Name()
-	}
-	return ""
-}
-
-// receiverNamed is the named type behind a method receiver, or nil for an
-// interface method.
-func receiverNamed(t types.Type) *types.Named {
+// recvNamed is the named type method m is declared on.
+func recvNamed(m *types.Func) *types.Named {
+	t := m.Type().(*types.Signature).Recv().Type()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, isIface := n.Underlying().(*types.Interface); isIface {
-		return nil
-	}
-	return n.Origin()
+	return t.(*types.Named).Origin()
 }
 
 // satisfiesInterface reports whether m's receiver type implements one of
 // ifaces that has a method named like m: such a method is reached through
 // the interface, where no reference to it appears.
 func satisfiesInterface(m *types.Func, ifaces []*types.Interface) bool {
-	named := receiverNamed(m.Type().(*types.Signature).Recv().Type())
+	named := recvNamed(m)
 	for _, iface := range ifaces {
-		has := false
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == m.Name() {
-				has = true
-				break
+			if iface.Method(i).Name() == m.Name() &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				return true
 			}
-		}
-		if has && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
-			return true
 		}
 	}
 	return false
@@ -286,16 +246,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var decls []decl
 	declOf := map[types.Object]int{}
 	inReceiver := map[*ast.Ident]bool{}
-	add := func(name *ast.Ident, from, to token.Pos) {
-		if name.IsExported() {
-			obj := c.info.Defs[name]
-			declOf[obj] = len(decls)
-			decls = append(decls, decl{exportKey(obj), obj, from, to})
-		}
-	}
 	for _, path := range paths {
-		if !strings.HasPrefix(path, "repro/internal/") {
+		rel, ok := strings.CutPrefix(path, "repro/internal/")
+		if !ok {
 			continue
+		}
+		add := func(name *ast.Ident, from, to token.Pos) {
+			if !name.IsExported() {
+				return
+			}
+			obj := c.info.Defs[name]
+			key := rel + "." + name.Name
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				key = rel + "." + recvNamed(fn).Obj().Name() + "." + name.Name
+			}
+			declOf[obj] = len(decls)
+			decls = append(decls, decl{key, obj, from, to})
 		}
 		for _, f := range c.files[path] {
 			for _, d := range f.Decls {

@@ -23,6 +23,9 @@ type ladderScenario struct {
 	ladder  *Ladder
 	rounds  int
 	workers int
+	// progs is generated once and placed by every attempt's build, so
+	// every rung runs the same program objects.
+	progs []*isa.Program
 }
 
 const ladderDevices = 2 * topo.TSPsPerNode
@@ -79,14 +82,17 @@ func newLadderScenario(t *testing.T, workers int) *ladderScenario {
 // each device's local index, so after a failover the moved devices form
 // the same ring on the spare node's chips.
 func (sc *ladderScenario) build(a *Allocation) (*Cluster, error) {
-	progs, err := RingAllReducePrograms(sc.sys, sc.rounds, 0)
-	if err != nil {
-		return nil, err
+	if sc.progs == nil {
+		progs, err := RingAllReducePrograms(sc.sys, sc.rounds, 0)
+		if err != nil {
+			return nil, err
+		}
+		sc.progs = progs
 	}
 	placed := make([]*isa.Program, sc.sys.NumTSPs())
 	for d := 0; d < a.Devices(); d++ {
 		t := a.TSPOf(d)
-		placed[t] = progs[t]
+		placed[t] = sc.progs[t]
 	}
 	cl, err := New(sc.sys, placed)
 	if err != nil {

@@ -207,7 +207,8 @@ func (c *chipC2C) Recv(link int, cycle int64, dst *tsp.Vector) bool {
 }
 
 // New builds a cluster executing programs[t] on TSP t. Programs may be nil
-// for idle chips.
+// for idle chips. Programs are read-only to the cluster and may be shared:
+// chips given the same *isa.Program share its program-derived tables.
 func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	if len(programs) > sys.NumTSPs() {
 		return nil, fmt.Errorf("runtime: %d programs for %d TSPs", len(programs), sys.NumTSPs())
@@ -226,14 +227,21 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 			cl.SetSeriesCadence(every)
 		}
 	}
+	idle := &isa.Program{}
+	loaded := map[*isa.Program]*tsp.Chip{}
 	for t := 0; t < sys.NumTSPs(); t++ {
-		var prog *isa.Program
+		prog := idle
 		if t < len(programs) && programs[t] != nil {
 			prog = programs[t]
-		} else {
-			prog = &isa.Program{}
 		}
-		chip := tsp.New(t, prog, &chipC2C{cl: cl, id: topo.TSPID(t)})
+		port := &chipC2C{cl: cl, id: topo.TSPID(t)}
+		var chip *tsp.Chip
+		if sib, ok := loaded[prog]; ok {
+			chip = tsp.NewLike(t, sib, port)
+		} else {
+			chip = tsp.New(t, prog, port)
+			loaded[prog] = chip
+		}
 		cl.chips = append(cl.chips, chip)
 		mb := &mailbox{queues: make([]linkQueue, len(sys.Out(topo.TSPID(t))))}
 		for i := range mb.queues {

@@ -68,7 +68,8 @@ func localLinkIndex(sys *topo.System, from, to topo.TSPID) (int, error) {
 // and each program ends by committing RingAcc to SRAM address {0,0,0,0}.
 //
 // The caller preloads Streams[RingCur] = Streams[RingAcc] = the chip's
-// contribution on every chip before Run.
+// contribution on every chip before Run. Chips of one role share one
+// *isa.Program, and callers must not modify it.
 func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*isa.Program, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("workgen: rounds %d < 1", rounds)
@@ -80,6 +81,9 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 	// +652, background matmuls from +656; 720 leaves slack, and each
 	// 80-row matmul occupies the MXM for 80 cycles.
 	period := int64(720 + 80*matmulsPerRound)
+	// A chip's program depends only on its (next, prev) local link
+	// indices, so every chip of one role gets the same program.
+	byRole := map[[2]int]*isa.Program{}
 	progs := make([]*isa.Program, sys.NumTSPs())
 	for c := 0; c < sys.NumTSPs(); c++ {
 		node, local := c/topo.TSPsPerNode, c%topo.TSPsPerNode
@@ -93,6 +97,11 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 		if err != nil {
 			return nil, err
 		}
+		role := [2]int{nextIdx, prevIdx}
+		if p, ok := byRole[role]; ok {
+			progs[c] = p
+			continue
+		}
 		var b progBuilder
 		for r := 0; r < rounds; r++ {
 			start := int64(r) * period
@@ -105,6 +114,7 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 		}
 		b.at(isa.MEM, int64(rounds)*period, isa.Instruction{Op: isa.Write, A: 0, B: 0, C: 0, Imm: RingAcc})
 		p := b.p
+		byRole[role] = &p
 		progs[c] = &p
 	}
 	return progs, nil
@@ -119,7 +129,8 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 // so the cluster ramps from one busy chip to all eight and back.
 //
 // The caller preloads stage 0's SRAM words 0..waves-1 with the inputs and
-// every chip's Streams[PipeBias] with that stage's bias before Run.
+// every chip's Streams[PipeBias] with that stage's bias before Run. Chips
+// of one role share one *isa.Program, and callers must not modify it.
 func PipelinePrograms(sys *topo.System, waves, matmulsPerStage int) ([]*isa.Program, error) {
 	if waves < 1 {
 		return nil, fmt.Errorf("workgen: waves %d < 1", waves)
@@ -135,10 +146,12 @@ func PipelinePrograms(sys *topo.System, waves, matmulsPerStage int) ([]*isa.Prog
 	if fit := int64(10+80*matmulsPerStage) + 40; fit > period {
 		period = fit
 	}
+	// A chip's program depends only on its stage and its (next, prev)
+	// local link indices, so every chip of one role gets the same program.
+	byRole := map[[3]int]*isa.Program{}
 	progs := make([]*isa.Program, sys.NumTSPs())
 	for c := 0; c < sys.NumTSPs(); c++ {
 		stage := c % topo.TSPsPerNode
-		var b progBuilder
 		var nextIdx, prevIdx int
 		var err error
 		if stage > 0 {
@@ -151,6 +164,12 @@ func PipelinePrograms(sys *topo.System, waves, matmulsPerStage int) ([]*isa.Prog
 				return nil, err
 			}
 		}
+		role := [3]int{stage, nextIdx, prevIdx}
+		if p, ok := byRole[role]; ok {
+			progs[c] = p
+			continue
+		}
+		var b progBuilder
 		for w := 0; w < waves; w++ {
 			win := int64(w+stage) * period
 			if stage == 0 {
@@ -169,6 +188,7 @@ func PipelinePrograms(sys *topo.System, waves, matmulsPerStage int) ([]*isa.Prog
 			}
 		}
 		p := b.p
+		byRole[role] = &p
 		progs[c] = &p
 	}
 	return progs, nil

@@ -32,5 +32,6 @@ func scanSendLinks(prog *isa.Program) (links []int) {
 
 // SendLinks returns the sorted local link indices the program sends or
 // transmits on anywhere in its text: a superset of the links the chip can
-// ever drive, fixed at construction. The caller must not modify it.
+// ever drive, fixed at construction and shared by every chip built from
+// this one with NewLike. The caller must not modify it.
 func (c *Chip) SendLinks() []int { return c.sendLinks }

@@ -227,7 +227,7 @@ type Chip struct {
 
 	// sendLinks is the program's static send-link set (SendLinks, see
 	// sendscan.go). Purely a function of the program, so it survives
-	// SetState restores unchanged.
+	// SetState restores unchanged and chips built by NewLike share it.
 	sendLinks []int
 
 	// deskewDelta is the SAC−HAC drift applied by RUNTIME_DESKEW; the
@@ -256,13 +256,24 @@ type Chip struct {
 
 // New creates a chip with fresh memory, loaded with the program. The
 // process-global recorder (obs.Get), if any, is attached automatically so
-// CLI-level tracing observes every chip without plumbing.
+// CLI-level tracing observes every chip without plumbing. The chip only
+// reads the program, so one program may be shared by many chips.
 func New(id int, prog *isa.Program, c2c C2C) *Chip {
-	c := &Chip{ID: id, Mem: mem.NewSRAM(), prog: prog, c2c: c2c}
+	return newChip(id, prog, scanSendLinks(prog), c2c)
+}
+
+// NewLike creates a chip with fresh memory, loaded with sib's program. It
+// shares sib's read-only program-derived tables instead of rescanning the
+// program text, so a cluster pays the scan once per distinct program.
+func NewLike(id int, sib *Chip, c2c C2C) *Chip {
+	return newChip(id, sib.prog, sib.sendLinks, c2c)
+}
+
+func newChip(id int, prog *isa.Program, sendLinks []int, c2c C2C) *Chip {
+	c := &Chip{ID: id, Mem: mem.NewSRAM(), prog: prog, c2c: c2c, sendLinks: sendLinks}
 	for u := range c.slen {
 		c.slen[u] = len(prog.Streams[u])
 	}
-	c.sendLinks = scanSendLinks(prog)
 	for i := range c.streams {
 		// Zero bytes and zero lanes agree, so both views start valid; the
 		// all-zero vector's nonzero summary is 0.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,7 +34,7 @@ type traceFile struct {
 
 // WriteTrace exports the recorded events as Chrome trace-event JSON.
 // Output is deterministic: metadata events sort by pid/tid, data events
-// sort by (ts, pid, tid, ph, name, dur). Sorting — not append order —
+// sort by compareEvents, a total order. Sorting — not append order —
 // is what keeps the dump byte-identical when events were recorded from
 // several worker goroutines (serve.SaturationSweep): the
 // event multiset is deterministic even when the interleaving is not.
@@ -45,7 +46,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	// Snapshot the mutable state under the lock; sort and encode outside.
 	r.mu.Lock()
-	events := append([]event(nil), r.events...)
+	events := append([]EventState(nil), r.events...)
 	procs := make(map[int]string, len(r.procs))
 	for pid, name := range r.procs {
 		procs[pid] = name
@@ -89,32 +90,14 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: args,
 		})
 	}
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.ts != b.ts {
-			return a.ts < b.ts
-		}
-		if a.pid != b.pid {
-			return a.pid < b.pid
-		}
-		if a.tid != b.tid {
-			return a.tid < b.tid
-		}
-		if a.ph != b.ph {
-			return a.ph < b.ph
-		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		return a.dur < b.dur
-	})
+	slices.SortFunc(events, compareEvents)
 	for _, e := range events {
-		te := traceEvent{Name: e.name, Ph: string(e.ph), Ts: e.ts, Pid: e.pid, Tid: e.tid}
-		if e.ph == 'X' {
-			d := e.dur
+		te := traceEvent{Name: e.Name, Ph: string(e.Ph), Ts: e.TS, Pid: e.Pid, Tid: e.Tid}
+		if e.Ph == 'X' {
+			d := e.Dur
 			te.Dur = &d
 		}
-		if e.ph == 'i' {
+		if e.Ph == 'i' {
 			te.S = "t" // thread-scoped instant
 		}
 		out.TraceEvents = append(out.TraceEvents, te)

@@ -179,17 +179,6 @@ func (h *Histogram) Hist() *stats.Histogram {
 	return h.h
 }
 
-// event is one trace entry; ts/dur are microseconds (the Chrome
-// trace-event native unit).
-type event struct {
-	name string
-	ph   byte // 'X' complete span, 'i' instant
-	pid  int
-	tid  int
-	ts   float64
-	dur  float64
-}
-
 // Recorder is the registry and trace sink. The zero value of *Recorder
 // (nil) is a fully functional no-op: every method checks the receiver, so
 // instrumented code never needs its own guard for correctness — explicit
@@ -202,7 +191,7 @@ type Recorder struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	events   []event
+	events   []EventState
 	procs    map[int]string
 	threads  map[[2]int]string
 	// series and the sampling cadence live in series.go; the cadence is
@@ -303,7 +292,7 @@ func (r *Recorder) SpanUS(pid, tid int, name string, startUS, durUS float64) {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, event{name: name, ph: 'X', pid: pid, tid: tid, ts: startUS, dur: durUS})
+	r.events = append(r.events, EventState{Name: name, Ph: 'X', Pid: pid, Tid: tid, TS: startUS, Dur: durUS})
 	r.mu.Unlock()
 }
 
@@ -318,7 +307,7 @@ func (r *Recorder) InstantUS(pid, tid int, name string, tsUS float64) {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, event{name: name, ph: 'i', pid: pid, tid: tid, ts: tsUS})
+	r.events = append(r.events, EventState{Name: name, Ph: 'i', Pid: pid, Tid: tid, TS: tsUS})
 	r.mu.Unlock()
 }
 

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -301,5 +304,56 @@ func TestConcurrentRecordingDeterministic(t *testing.T) {
 	}
 	if seqMe != parMe {
 		t.Error("metrics dump differs between sequential and concurrent recording")
+	}
+}
+
+// TestTraceOrderIgnoresAppendOrder records one event multiset in several
+// shuffled orders. The multiset holds events that tie on every value and
+// differ only in the sign of a zero ts or dur, so only a total sort order
+// makes the exports agree: WriteTrace bytes and State's event order must be
+// the same for every shuffle.
+func TestTraceOrderIgnoresAppendOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	var events []EventState
+	for _, ts := range []float64{0, negZero, 1.5} {
+		for _, dur := range []float64{0, negZero, 2} {
+			for _, name := range []string{"a", "b"} {
+				events = append(events,
+					EventState{Name: name, Ph: 'X', Pid: 1, Tid: 2, TS: ts, Dur: dur},
+					EventState{Name: name, Ph: 'X', Pid: 1, Tid: 2, TS: ts, Dur: dur},
+					EventState{Name: name, Ph: 'i', Pid: 0, Tid: 2, TS: ts})
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var wantTrace, wantState string
+	for trial := 0; trial < 8; trial++ {
+		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+		r := New()
+		for _, e := range events {
+			if e.Ph == 'X' {
+				r.SpanUS(e.Pid, e.Tid, e.Name, e.TS, e.Dur)
+			} else {
+				r.InstantUS(e.Pid, e.Tid, e.Name, e.TS)
+			}
+		}
+		var tr bytes.Buffer
+		if err := r.WriteTrace(&tr); err != nil {
+			t.Fatal(err)
+		}
+		st := fmt.Sprint(r.State().Events)
+		if trial == 0 {
+			wantTrace, wantState = tr.String(), st
+			if !strings.Contains(wantTrace, `"ts":-0`) || !strings.Contains(wantTrace, `"dur":-0`) {
+				t.Fatal("trace lost the sign of a zero")
+			}
+			continue
+		}
+		if tr.String() != wantTrace {
+			t.Fatalf("shuffle %d: WriteTrace bytes differ", trial)
+		}
+		if st != wantState {
+			t.Fatalf("shuffle %d: State event order differs", trial)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package obs
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 
@@ -26,10 +27,12 @@ type HistState struct {
 	Counts    []int64
 }
 
-// EventState is one trace event in exportable form.
+// EventState is one trace event, as the recorder holds it and as a
+// checkpoint carries it. TS and Dur are microseconds (the Chrome
+// trace-event native unit).
 type EventState struct {
 	Name string
-	Ph   byte
+	Ph   byte // 'X' complete span, 'i' instant
 	Pid  int
 	Tid  int
 	TS   float64
@@ -56,28 +59,34 @@ type State struct {
 	SeriesCadence int64
 }
 
-// sortEvents orders events by the WriteTrace export comparator. The
-// comparator covers every field, so ties are identical events and any
-// stable order of them is the same order.
-func sortEvents(ev []EventState) {
-	slices.SortStableFunc(ev, func(a, b EventState) int {
-		if c := cmp.Compare(a.TS, b.TS); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Pid, b.Pid); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Tid, b.Tid); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Ph, b.Ph); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Name, b.Name); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Dur, b.Dur)
-	})
+// compareEvents is the export order of trace events: (ts, pid, tid, ph,
+// name, dur), then the bit patterns of ts and dur. The last key makes the
+// order total, so events that compare equal are bit-identical and any sort
+// of any permutation gives the same sequence: -0 and +0, which compare
+// equal as numbers, still sort apart. WriteTrace and State both sort by it.
+func compareEvents(a, b EventState) int {
+	if c := cmp.Compare(a.TS, b.TS); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pid, b.Pid); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tid, b.Tid); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Ph, b.Ph); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(math.Float64bits(a.TS), math.Float64bits(b.TS)); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(a.Dur), math.Float64bits(b.Dur))
 }
 
 // State captures the recorder's full registry and trace sink. Returns nil
@@ -91,7 +100,7 @@ func (r *Recorder) State() *State {
 		Counters:      make(map[string]int64, len(r.counters)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
 		Hists:         make(map[string]HistState, len(r.hists)),
-		Events:        make([]EventState, 0, len(r.events)),
+		Events:        append(make([]EventState, 0, len(r.events)), r.events...),
 		Procs:         make(map[int]string, len(r.procs)),
 		Threads:       make(map[[2]int]string, len(r.threads)),
 		Series:        make(map[string]SeriesState, len(r.series)),
@@ -117,11 +126,6 @@ func (r *Recorder) State() *State {
 		}
 		s.Hists[k] = hs
 	}
-	for _, e := range r.events {
-		s.Events = append(s.Events, EventState{
-			Name: e.name, Ph: e.ph, Pid: e.pid, Tid: e.tid, TS: e.ts, Dur: e.dur,
-		})
-	}
 	for pid, name := range r.procs {
 		s.Procs[pid] = name
 	}
@@ -132,7 +136,7 @@ func (r *Recorder) State() *State {
 		s.Series[k] = SeriesState{Pid: sr.pid, Samples: sr.snapshot()}
 	}
 	r.mu.Unlock()
-	sortEvents(s.Events)
+	slices.SortFunc(s.Events, compareEvents)
 	return s
 }
 
@@ -164,12 +168,7 @@ func (r *Recorder) LoadState(s *State) {
 		sh.SetState(hs.Underflow, hs.Overflow, hs.Counts)
 		r.hists[k] = &Histogram{h: sh}
 	}
-	r.events = make([]event, 0, len(s.Events))
-	for _, e := range s.Events {
-		r.events = append(r.events, event{
-			name: e.Name, ph: e.Ph, pid: e.Pid, tid: e.Tid, ts: e.TS, dur: e.Dur,
-		})
-	}
+	r.events = append(make([]EventState, 0, len(s.Events)), s.Events...)
 	r.procs = make(map[int]string, len(s.Procs))
 	for pid, name := range s.Procs {
 		r.procs[pid] = name

@@ -20,10 +20,9 @@
 //
 // The [320]byte form is the architectural truth at every determinism
 // boundary — SRAM, C2C frames, checkpoints, golden dumps — but it is the
-// wrong shape for the ALUs: re-deriving 80 float32 lanes with per-lane
-// bit fiddling on every operand of every vector instruction dominated the
-// simulator's hot loop. Each stream register therefore carries both
-// representations with per-register validity bits:
+// wrong shape for the ALUs, which compute on 80 float32 lanes. Each stream
+// register therefore carries both representations with per-register
+// validity bits:
 //
 //   - a byte write (Recv, Read, SetStream, SetState) stores bytes and
 //     invalidates the lane cache;
@@ -31,15 +30,23 @@
 //   - a byte read (Send, Write, Stream, State) lazily re-encodes lanes,
 //     and a lane read (ALU operand, LoadWeights) lazily decodes bytes.
 //
-// Decode (Float32frombits) and encode (Float32bits) are exact bit casts,
-// and the lazy encode runs the same encoder the eager path ran, so every
-// architectural byte observed at a boundary is bit-for-bit what the
-// original per-instruction byte path produced. reference_test.go retains
-// that original path verbatim as the oracle for the differential tests.
+// Decode and encode are exact bit copies. On a little-endian host the bytes
+// already are the lanes in memory order, so each is one 320-byte copy
+// (codec_le.go); big-endian hosts cast lane by lane (codec_other.go). Every
+// architectural byte observed at a boundary is therefore bit-for-bit what
+// the original per-instruction byte path produced. reference_test.go
+// retains that original path verbatim as the oracle for the differential
+// tests.
+//
+// VADD and MATMUL run whole-vector kernels: on amd64, SSE2 assembly over
+// four lanes per instruction (vadd_amd64.s, matmul_amd64.s); elsewhere the
+// Go loops vaddGeneric and matmulGeneric, which the assembly is fuzzed
+// against. Each kernel reports whether any result lane is NaN, and only
+// then does execute scrub payloads to the canonical NaN (canonNaN). The
+// other vector ops stay scalar Go loops.
 package tsp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -75,29 +82,6 @@ type Vector [VectorBytes]byte
 // Lanes is the decoded 80-lane float32 view of a vector — the shape the
 // vector ALUs compute on.
 type Lanes [FloatLanes]float32
-
-// decodeInto decodes the vector's 80 little-endian float32 lanes into out.
-// Four lanes per step: each lane is an independent exact bit cast, so the
-// unroll only trims loop overhead on the simulator's hottest conversion.
-func (v *Vector) decodeInto(out *Lanes) {
-	for i := 0; i+4 <= FloatLanes; i += 4 {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[i*4:]))
-		out[i+1] = math.Float32frombits(binary.LittleEndian.Uint32(v[i*4+4:]))
-		out[i+2] = math.Float32frombits(binary.LittleEndian.Uint32(v[i*4+8:]))
-		out[i+3] = math.Float32frombits(binary.LittleEndian.Uint32(v[i*4+12:]))
-	}
-}
-
-// encodeFrom encodes 80 float32 lanes into the vector (the exact inverse
-// bit cast of decodeInto, unrolled the same way).
-func (v *Vector) encodeFrom(f *Lanes) {
-	for i := 0; i+4 <= FloatLanes; i += 4 {
-		binary.LittleEndian.PutUint32(v[i*4:], math.Float32bits(f[i]))
-		binary.LittleEndian.PutUint32(v[i*4+4:], math.Float32bits(f[i+1]))
-		binary.LittleEndian.PutUint32(v[i*4+8:], math.Float32bits(f[i+2]))
-		binary.LittleEndian.PutUint32(v[i*4+12:], math.Float32bits(f[i+3]))
-	}
-}
 
 // Floats decodes the vector's 80 float32 lanes.
 func (v *Vector) Floats() [FloatLanes]float32 {
@@ -365,6 +349,14 @@ func canonNaN(x float32) float32 {
 		return math.Float32frombits(canonNaNBits)
 	}
 	return x
+}
+
+// canonNaNLanes canonicalizes every NaN lane of a kernel's result. The
+// kernels report whether any lane is NaN, so it runs only then.
+func canonNaNLanes(f *Lanes) {
+	for i := range f {
+		f[i] = canonNaN(f[i])
+	}
 }
 
 // laneWrite marks stream i lane-authoritative and returns its lane array
@@ -664,9 +656,7 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		// non-finite input, so the canonicalizing scrub rarely runs.
 		var out Lanes
 		if matmul(&out, act, &c.Weights, rows) {
-			for j := range out {
-				out[j] = canonNaN(out[j])
-			}
+			canonNaNLanes(&out)
 		}
 		*c.laneWrite(int(in.B) % NumStreams) = out
 
@@ -674,11 +664,8 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		a := c.streamLanes(int(in.A) % NumStreams)
 		b := c.streamLanes(int(in.B) % NumStreams)
 		out := c.laneWrite(int(in.C) % NumStreams)
-		for i := 0; i+4 <= FloatLanes; i += 4 {
-			out[i] = canonNaN(a[i] + b[i])
-			out[i+1] = canonNaN(a[i+1] + b[i+1])
-			out[i+2] = canonNaN(a[i+2] + b[i+2])
-			out[i+3] = canonNaN(a[i+3] + b[i+3])
+		if vadd(out, a, b) {
+			canonNaNLanes(out)
 		}
 
 	case isa.VSub:

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -256,4 +257,90 @@ func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 		rF, rE = restored.Run()
 	})
 	assertSameResult(t, "restore-mid-window", straight, restored, sF, rF, sE, rE, addrs)
+}
+
+// TestChipHeapRescheduleMatchesPopPush: runHeap runs the chip at the top
+// of the heap, then keys it in place and sifts it down (reschedule), where
+// it used to pop it and push it back. Over random (t, idx) heaps with many
+// equal t, both must pop the same sequence, ties going to the lower index,
+// and secondT must be the key the pop exposes: the batch horizon's base.
+func TestChipHeapRescheduleMatchesPopPush(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := range 500 {
+		var inPlace, popPush chipHeap
+		for i := range 1 + rng.IntN(12) {
+			e := chipHeapEntry{t: int64(rng.IntN(4)), idx: i}
+			inPlace.push(e)
+			popPush.push(e)
+		}
+		for step := 0; len(popPush) > 0; step++ {
+			top := popPush.pop()
+			if inPlace[0] != top {
+				t.Fatalf("trial %d step %d: top %+v, pop-then-push %+v", trial, step, inPlace[0], top)
+			}
+			m, ok := inPlace.secondT()
+			if ok != (len(popPush) > 0) || ok && m != popPush[0].t {
+				t.Fatalf("trial %d step %d: secondT (%d, %v), rest %v", trial, step, m, ok, popPush)
+			}
+			// A batch never moves a chip's next issue backwards, and one
+			// in four leaves the heap (finished, parked or faulted).
+			next, stay := top.t+int64(rng.IntN(3)), rng.IntN(4) > 0
+			if stay {
+				popPush.push(chipHeapEntry{t: next, idx: top.idx})
+			}
+			inPlace.reschedule(next, stay)
+		}
+		if len(inPlace) != 0 {
+			t.Fatalf("trial %d: %d entries left after pop-then-push drained", trial, len(inPlace))
+		}
+	}
+}
+
+// TestFaultedChipLeavesHeap: a chip that faults in its batch reports !ok
+// from StepUntil, so runHeap's reschedule takes it out of the heap before
+// earliestFault settles the fault against the other chips, as the pop did
+// before. Chip 0 underflows at cycle 10 while chips 1 and 2 wait at 0.
+func TestFaultedChipLeavesHeap(t *testing.T) {
+	build := func() *Cluster {
+		sys, err := topo.New(topo.Config{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0, p1 := &isa.Program{}, &isa.Program{}
+		p0.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: 10})
+		p0.AppendTo(isa.C2C, isa.Instruction{Op: isa.Recv, A: 0, B: 3})
+		p1.AppendTo(isa.MEM, isa.Instruction{Op: isa.Nop, Imm: 1000})
+		cl, err := New(sys, []*isa.Program{p0, p1, p1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	cl := build()
+	h := cl.runnableHeap(cl.allChips())
+	e := h[0]
+	if e.idx != 0 || len(h) != 3 {
+		t.Fatalf("heap %v, want chip 0 on top of 3", h)
+	}
+	next, ok := cl.chips[e.idx].StepUntil(e.t + int64(route.HopCycles))
+	h.reschedule(next, ok)
+	f := cl.chips[e.idx].Fault()
+	if f == nil || f.Kind != tsp.ErrUnderflow || f.Cycle != 10 {
+		t.Fatalf("chip 0 fault %v, want an underflow at 10", f)
+	}
+	for _, x := range h {
+		if x.idx == e.idx {
+			t.Fatalf("faulted chip still in the heap: %v", h)
+		}
+	}
+	if len(h) != 2 {
+		t.Fatalf("heap %v, want chips 1 and 2", h)
+	}
+	if fi := cl.earliestFault(h, e.idx); fi != 0 {
+		t.Fatalf("earliestFault = chip %d, want 0", fi)
+	}
+	_, err := build().RunSequential()
+	if sf, ok := err.(*tsp.Fault); !ok || *sf != *f {
+		t.Fatalf("RunSequential error %v, want %v", err, f)
+	}
 }

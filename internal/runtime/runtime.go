@@ -156,11 +156,19 @@ func (q *linkQueue) push(e envelope) {
 // pushSlot appends an envelope with the given arrival and returns its
 // payload slot so the producer can fill the 320 bytes in place — the one
 // per-hop copy (source register → in-flight queue) instead of the 3–4
-// value copies the old Send/deliver/push chain made.
+// value copies the old Send/deliver/push chain made. The producer
+// overwrites the whole payload, so a reused slot is not zeroed first.
 func (q *linkQueue) pushSlot(arrival int64) *tsp.Vector {
 	q.makeRoom()
-	q.buf = append(q.buf, envelope{arrival: arrival})
-	return &q.buf[len(q.buf)-1].v
+	n := len(q.buf)
+	if n < cap(q.buf) {
+		q.buf = q.buf[:n+1]
+	} else {
+		q.buf = append(q.buf, envelope{})
+	}
+	e := &q.buf[n]
+	e.arrival = arrival
+	return &e.v
 }
 
 // makeRoom slides the live envelopes down over the consumed prefix when
@@ -479,24 +487,54 @@ func (h *chipHeap) pop() chipHeapEntry {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q = q[:n]
-	*h = q
+	*h = q[:n]
+	h.down()
+	return top
+}
+
+// reschedule settles the chip at the top after it ran: back in the heap
+// at its next issue cycle when ok, out of it otherwise. Keying the top in
+// place and sifting it down leaves the same set as a pop followed by a
+// push, so the pop sequence is the same.
+func (h *chipHeap) reschedule(next int64, ok bool) {
+	if !ok {
+		h.pop()
+		return
+	}
+	(*h)[0].t = next
+	h.down()
+}
+
+// down sifts the top entry down to its place.
+func (h chipHeap) down() {
+	n := len(h)
 	i := 0
 	for {
 		min := i
-		if l := 2*i + 1; l < n && q.less(l, min) {
+		if l := 2*i + 1; l < n && h.less(l, min) {
 			min = l
 		}
-		if r := 2*i + 2; r < n && q.less(r, min) {
+		if r := 2*i + 2; r < n && h.less(r, min) {
 			min = r
 		}
 		if min == i {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
+}
+
+// secondT returns the least key below the top, the top's two children
+// holding the minimum of the rest; ok is false when the top is alone.
+func (h chipHeap) secondT() (t int64, ok bool) {
+	switch {
+	case len(h) > 2 && h[2].t < h[1].t:
+		return h[2].t, true
+	case len(h) > 1:
+		return h[1].t, true
+	}
+	return 0, false
 }
 
 // runnableHeap seeds a heap with every listed chip that has pending work.
@@ -613,15 +651,17 @@ func (cl *Cluster) runHeap(chips []int) int {
 		if t := h[0].t; cl.ckptEvery > 0 && t >= cl.ckptNext {
 			cl.captureCheckpoint(t)
 		}
-		e := h.pop()
+		// The chip at the top runs there and is rescheduled in place.
+		e := h[0]
 		// A chip scheduled to die at or before this cycle never issues
 		// again: its remaining program is abandoned, and only its silence
 		// (receiver underflows, missed heartbeats) is observable.
 		if cl.death != nil && e.t >= cl.death[e.idx] {
+			h.pop()
 			continue
 		}
-		// Batch the popped chip through the conservative lookahead: with
-		// every other chip's next issue at or after m = h[0].t, all
+		// Batch the top chip through the conservative lookahead: with
+		// every other chip's next issue at or after m = h.secondT(), all
 		// cross-chip data this chip can legally consume before
 		// m + HopCycles is already in its mailboxes (a vector sent at
 		// cycle s is invisible before s + HopCycles, and every send before
@@ -632,8 +672,8 @@ func (cl *Cluster) runHeap(chips []int) int {
 		// one-cycle-at-a-time pop order — while paying one heap round-trip
 		// per batch instead of one per cycle.
 		horizon := e.t + 1
-		if len(h) > 0 {
-			if m := h[0].t + int64(route.HopCycles); m > horizon {
+		if m, ok := h.secondT(); ok {
+			if m += int64(route.HopCycles); m > horizon {
 				horizon = m
 			}
 		} else {
@@ -654,11 +694,11 @@ func (cl *Cluster) runHeap(chips []int) int {
 			horizon = cl.death[e.idx]
 		}
 		next, ok := cl.chips[e.idx].StepUntil(horizon)
+		// A faulted chip reports !ok, so it leaves the heap here and
+		// earliestFault settles it against the other chips only.
+		h.reschedule(next, ok)
 		if cl.chips[e.idx].Fault() != nil {
 			return cl.earliestFault(h, e.idx)
-		}
-		if ok {
-			h.push(chipHeapEntry{t: next, idx: e.idx})
 		}
 	}
 	return -1
@@ -674,21 +714,22 @@ func eventBefore(c1 int64, i1 int, c2 int64, i2 int) bool {
 // past cycles other chips have not reached, so one of them may fault
 // earlier in (cycle, chip) order. Entries ordered before the fault are
 // stepped one issue cycle at a time, the unbatched pop order, and an
-// earlier fault takes over. It returns the chip of the earliest fault.
+// earlier fault takes over. h must not hold chip fi. It returns the chip
+// of the earliest fault.
 func (cl *Cluster) earliestFault(h chipHeap, fi int) int {
 	for len(h) > 0 {
-		e := h.pop()
+		e := h[0]
 		if !eventBefore(e.t, e.idx, cl.chips[fi].Fault().Cycle, fi) {
 			break
 		}
 		if cl.death != nil && e.t >= cl.death[e.idx] {
+			h.pop()
 			continue
 		}
 		next, ok := cl.chips[e.idx].StepUntil(e.t + 1)
+		h.reschedule(next, ok)
 		if cl.chips[e.idx].Fault() != nil {
 			fi = e.idx
-		} else if ok {
-			h.push(chipHeapEntry{t: next, idx: e.idx})
 		}
 	}
 	return fi

@@ -80,7 +80,7 @@ func BenchmarkHotpathVAddByteCold(b *testing.B) {
 
 // BenchmarkHotpathMatMulDense runs an 80-row matmul with a fully dense
 // activation vector — the nzTop bound cannot prune anything, so this is
-// the raw FMA kernel.
+// the raw MXM kernel.
 func BenchmarkHotpathMatMulDense(b *testing.B) {
 	c := New(0, &isa.Program{}, nil)
 	c.SetStream(1, benchVector())

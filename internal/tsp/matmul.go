@@ -5,12 +5,13 @@ var _ = [1]struct{}{}[FloatLanes-80]
 
 // matmulGeneric is the portable MXM kernel and the oracle the amd64 one is
 // fuzzed against: out = Σ act[r]·w[r] over rows r < rows with a nonzero
-// activation, each lane summed from +0 in row order. It reports whether a
-// lane is NaN, so the caller scrubs payloads only then. The float32
-// conversion rounds each product before the add; without it arm64,
-// ppc64le, s390x and riscv64 fuse the two into an FMA and MatMul bytes
-// would depend on GOARCH.
+// activation, each lane summed from +0 in row order. It writes every lane
+// of out, which must not alias act. It reports whether a lane is NaN, so
+// the caller scrubs payloads only then. The float32 conversion rounds each
+// product before the add; without it arm64, ppc64le, s390x and riscv64
+// fuse the two into an FMA and MatMul bytes would depend on GOARCH.
 func matmulGeneric(out, act *Lanes, w *[WeightRows][FloatLanes]float32, rows int) (nan bool) {
+	*out = Lanes{}
 	for r := 0; r < rows; r++ {
 		a := act[r]
 		if a == 0 {

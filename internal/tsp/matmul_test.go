@@ -55,14 +55,17 @@ func TestMatMulFlagsEveryNaNLane(t *testing.T) {
 	}
 }
 
-// FuzzMatMulKernel checks the live kernel (SSE2 assembly on amd64) against
-// matmulGeneric, bit for bit: every output lane once NaN payloads are
-// canonicalized, and the NaN flag. seed fills the 80 activation lanes and
-// an 80-row weight tile; each word is drawn from hostileBits with
-// probability hostile/256 and is otherwise a finite value with a random
-// mantissa. patch then overwrites words with arbitrary bits, six bytes
-// each: a little-endian uint16 position (activation lanes 0-79, then the
-// weights row-major) and the uint32 bits. The kernel runs rows%81 rows.
+// FuzzMatMulKernel checks the live kernel against matmulGeneric, bit for
+// bit: every output lane once NaN payloads are canonicalized, and the NaN
+// flag. The live kernel is the AVX assembly on an amd64 host whose CPUID
+// reports AVX usable (useAVX), and matmulGeneric itself elsewhere. Both
+// outputs start out filled with junk, so each kernel must define all 80
+// lanes. seed fills the 80 activation lanes and an 80-row weight tile;
+// each word is drawn from hostileBits with probability hostile/256 and is
+// otherwise a finite value with a random mantissa. patch then overwrites
+// words with arbitrary bits, six bytes each: a little-endian uint16
+// position (activation lanes 0-79, then the weights row-major) and the
+// uint32 bits. The kernel runs rows%81 rows.
 //
 // The seed corpus (testdata/fuzz/FuzzMatMulKernel) holds dense finite
 // rows, sparse and dense hostile mixes, zero rows, +0 and -0 activations
@@ -101,6 +104,9 @@ func FuzzMatMulKernel(f *testing.F) {
 		n := int(rows) % (FloatLanes + 1)
 
 		var got, want Lanes
+		for i := range got {
+			got[i], want[i] = word(), word()
+		}
 		gotNaN := matmul(&got, &act, &w, n)
 		wantNaN := matmulGeneric(&want, &act, &w, n)
 		if gotNaN != wantNaN {

@@ -38,12 +38,15 @@
 // retains that original path verbatim as the oracle for the differential
 // tests.
 //
-// VADD and MATMUL run whole-vector kernels: on amd64, SSE2 assembly over
-// four lanes per instruction (vadd_amd64.s, matmul_amd64.s); elsewhere the
-// Go loops vaddGeneric and matmulGeneric, which the assembly is fuzzed
-// against. Each kernel reports whether any result lane is NaN, and only
-// then does execute scrub payloads to the canonical NaN (canonNaN). The
-// other vector ops stay scalar Go loops.
+// VADD and MATMUL run whole-vector kernels, which the Go loops vaddGeneric
+// and matmulGeneric define. On amd64, VADD runs SSE2 assembly over four
+// lanes per instruction (vadd_amd64.s), and MATMUL runs AVX assembly over
+// eight lanes per instruction (matmul_amd64.s) when CPUID reports AVX
+// usable at package init, and matmulGeneric otherwise. Elsewhere both run
+// the Go loops, which the assembly is fuzzed against. Each kernel reports
+// whether any result lane is NaN, and only then does execute scrub
+// payloads to the canonical NaN (canonNaN). The other vector ops stay
+// scalar Go loops.
 package tsp
 
 import (
@@ -201,8 +204,15 @@ type Chip struct {
 	prog *isa.Program
 	// slen caches len(prog.Streams[u]) so the per-instruction unit scan
 	// (NextIssue/unitDone) reads a chip-local array instead of chasing the
-	// program's slice headers.
-	slen [isa.NumUnits]int
+	// program's slice headers. units[:nunits] lists, in ascending order,
+	// the units whose stream is non-empty: the only ones NextIssue scans.
+	// Both are purely functions of the program, so they survive SetState
+	// restores unchanged. They stay chip-local (32 bytes), where a table
+	// shared like sendLinks would cost an allocation per program and a
+	// pointer chase per issue.
+	slen   [isa.NumUnits]int32
+	units  [isa.NumUnits]isa.Unit
+	nunits uint8
 
 	pc     [isa.NumUnits]int
 	cursor [isa.NumUnits]int64
@@ -255,8 +265,12 @@ func NewLike(id int, sib *Chip, c2c C2C) *Chip {
 
 func newChip(id int, prog *isa.Program, sendLinks []int, c2c C2C) *Chip {
 	c := &Chip{ID: id, Mem: mem.NewSRAM(), prog: prog, c2c: c2c, sendLinks: sendLinks}
-	for u := range c.slen {
-		c.slen[u] = len(prog.Streams[u])
+	for u := isa.Unit(0); u < isa.NumUnits; u++ {
+		c.slen[u] = int32(len(prog.Streams[u]))
+		if c.slen[u] > 0 {
+			c.units[c.nunits] = u
+			c.nunits++
+		}
 	}
 	for i := range c.streams {
 		// Zero bytes and zero lanes agree, so both views start valid; the
@@ -417,7 +431,7 @@ func (c *Chip) Done() bool {
 }
 
 func (c *Chip) unitDone(u isa.Unit) bool {
-	return c.halted[u] || c.pc[u] >= c.slen[u]
+	return c.halted[u] || c.pc[u] >= int(c.slen[u])
 }
 
 // FinishCycle returns the largest unit cursor — the chip's completion time.
@@ -445,7 +459,8 @@ func (c *Chip) FinishCycle() int64 {
 func (c *Chip) NextIssue() (isa.Unit, int64, bool) {
 	best := isa.NumUnits
 	var bestT int64
-	for u := isa.Unit(0); u < isa.NumUnits; u++ {
+	// Ascending units keep ties going to the lowest unit.
+	for _, u := range c.units[:c.nunits] {
 		if c.unitDone(u) || c.parked[u] {
 			continue
 		}
@@ -456,34 +471,14 @@ func (c *Chip) NextIssue() (isa.Unit, int64, bool) {
 	return best, bestT, best != isa.NumUnits
 }
 
-// Step executes the earliest pending instruction. It returns false when the
-// chip has finished or faulted or is fully parked.
-func (c *Chip) Step() bool {
-	if c.fault != nil {
-		return false
-	}
-	u, t, ok := c.NextIssue()
-	if !ok {
-		if !c.Done() && c.anyParked() {
-			c.setFault(&Fault{Kind: ErrDeadlock, Cycle: c.FinishCycle()})
-		}
-		return false
-	}
-	in := c.prog.Streams[u][c.pc[u]]
-	c.pc[u]++
-	c.execute(u, in, t)
-	return c.fault == nil
-}
-
 // StepUntil executes every pending instruction with issue cycle < horizon,
 // in NextIssue order, stopping early on fault. It returns the chip's next
 // issue cycle (≥ horizon) and true while instructions remain runnable, or
 // (0, false) when the chip ran out of runnable work or faulted.
 //
-// Unlike Step, StepUntil never classifies "no runnable work" as a
-// deadlock: the cluster executor calls it only on chips it believes
-// runnable and performs its own wedge analysis across all chips in the
-// run epilogue, exactly as the sequential executor always has.
+// StepUntil never classifies "no runnable work" as a deadlock: the
+// cluster executor performs its own wedge analysis across all chips in the
+// run epilogue, and Run classifies a single chip.
 func (c *Chip) StepUntil(horizon int64) (int64, bool) {
 	for c.fault == nil {
 		u, t, ok := c.NextIssue()
@@ -493,9 +488,15 @@ func (c *Chip) StepUntil(horizon int64) (int64, bool) {
 		if t >= horizon {
 			return t, true
 		}
-		in := c.prog.Streams[u][c.pc[u]]
+		in := &c.prog.Streams[u][c.pc[u]]
 		c.pc[u]++
-		c.execute(u, in, t)
+		if in.Op == isa.Nop {
+			// Schedule padding only moves the unit's cursor (t is the
+			// cursor), so it retires here without a dispatch.
+			c.cursor[u] += isa.Latency(*in)
+			continue
+		}
+		c.execute(u, *in, t)
 	}
 	return 0, false
 }
@@ -522,10 +523,14 @@ func (c *Chip) anyParked() bool {
 	return false
 }
 
-// Run executes until completion, fault, or full park. It returns the finish
-// cycle and the fault (nil on clean completion).
+// Run executes until completion, fault, or full park. A chip left
+// unfinished with a unit parked faults with ErrDeadlock at its finish
+// cycle. It returns the finish cycle and the fault (nil on clean
+// completion).
 func (c *Chip) Run() (int64, *Fault) {
-	for c.Step() {
+	c.StepUntil(math.MaxInt64)
+	if c.fault == nil && !c.Done() && c.anyParked() {
+		c.setFault(&Fault{Kind: ErrDeadlock, Cycle: c.FinishCycle()})
 	}
 	return c.FinishCycle(), c.fault
 }
@@ -651,14 +656,22 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if top := c.actTop(ai, act); rows > top {
 			rows = top
 		}
-		// The kernel fills a stack copy, not the destination, because the
-		// destination may alias the activation. NaN can only arise from a
-		// non-finite input, so the canonicalizing scrub rarely runs.
-		var out Lanes
-		if matmul(&out, act, &c.Weights, rows) {
-			canonNaNLanes(&out)
+		// Every kernel defines all 80 lanes, so it writes the destination
+		// in place unless that aliases the activation, which it reads
+		// while it writes; then it fills a stack copy. NaN can only arise
+		// from a non-finite input, so the canonicalizing scrub rarely runs.
+		if bi := int(in.B) % NumStreams; bi != ai {
+			out := c.laneWrite(bi)
+			if matmul(out, act, &c.Weights, rows) {
+				canonNaNLanes(out)
+			}
+		} else {
+			var out Lanes
+			if matmul(&out, act, &c.Weights, rows) {
+				canonNaNLanes(&out)
+			}
+			*c.laneWrite(bi) = out
 		}
-		*c.laneWrite(int(in.B) % NumStreams) = out
 
 	case isa.VAdd:
 		a := c.streamLanes(int(in.A) % NumStreams)

@@ -34,7 +34,33 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	progs, err := allReducePrograms(sys)
+	if err != nil {
+		return nil, 0, err
+	}
+	cl, err := runtime.New(sys, progs)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i := 0; i < n; i++ {
+		cl.Chip(i).SetStream(1, tsp.VectorOf(inputs[i]))
+	}
+	finish, err := cl.Run()
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([][]float32, n)
+	for i := 0; i < n; i++ {
+		f := cl.Chip(i).StreamFloats(20)
+		out[i] = append([]float32(nil), f[:]...)
+	}
+	return out, finish, nil
+}
 
+// allReducePrograms builds the direct-exchange programs for the 8 chips
+// of a one-node system.
+func allReducePrograms(sys *topo.System) ([]*isa.Program, error) {
+	const n = topo.TSPsPerNode
 	// Per chip: local link index of the cable to each peer.
 	linkTo := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -52,7 +78,7 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 				}
 			}
 			if found < 0 {
-				return nil, 0, fmt.Errorf("workloads: no link %d→%d", i, j)
+				return nil, fmt.Errorf("workloads: no link %d→%d", i, j)
 			}
 			linkTo[i][j] = found
 		}
@@ -97,22 +123,5 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 		}
 		progs[i] = p
 	}
-
-	cl, err := runtime.New(sys, progs)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := 0; i < n; i++ {
-		cl.Chip(i).SetStream(1, tsp.VectorOf(inputs[i]))
-	}
-	finish, err := cl.Run()
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		f := cl.Chip(i).StreamFloats(20)
-		out[i] = append([]float32(nil), f[:]...)
-	}
-	return out, finish, nil
+	return progs, nil
 }

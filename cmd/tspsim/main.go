@@ -631,12 +631,6 @@ func faults() error {
 	fmt.Printf("5000 frames at BER 1e-4: %d SBEs corrected in situ, %d detected MBEs → replay\n",
 		corrected, mbes)
 
-	// N+1 failover on a 9-node rack.
-	sys, err := topo.New(topo.Config{Nodes: 9})
-	if err != nil {
-		return err
-	}
-	_ = sys
 	fmt.Printf("cable inventory (9 racks): ")
 	big, err := topo.New(topo.Config{Nodes: 81})
 	if err != nil {
@@ -706,7 +700,7 @@ func ladderDemo() error {
 
 // ringLadder is the recovery-ladder scenario the fault experiments walk:
 // a 7-round ring all-reduce on two nodes of sys, a link flap on the first
-// 0→1 link over cycles 1000–2000 followed by extra, a 4-MBE/650-cycle
+// 0→1 link over cycles 1000–2000 followed by extra, a 4-MBE/one-hop
 // monitor, 4 replays and 2 failovers, seed 7, capturing a checkpoint
 // every cadence cycles (0 = off).
 func ringLadder(sys *topo.System, cadence int64, extra ...faultplan.Event) (*rtime.Ladder, error) {
@@ -725,7 +719,7 @@ func ringLadder(sys *topo.System, cadence int64, extra ...faultplan.Event) (*rti
 		Sys:     sys,
 		Alloc:   alloc,
 		Plan:    compiled,
-		Monitor: faultplan.NewMonitor(4, 650),
+		Monitor: faultplan.NewMonitor(4, route.HopCycles),
 		Build: func(a *rtime.Allocation) (*rtime.Cluster, error) {
 			progs, err := rtime.RingAllReducePrograms(sys, 7, 0)
 			if err != nil {

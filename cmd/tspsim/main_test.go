@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // muteStdout redirects the experiments' report output to /dev/null for the
@@ -345,11 +347,13 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	}
 	var trace struct {
 		TraceEvents []struct {
-			Name string   `json:"name"`
-			Ph   string   `json:"ph"`
-			TS   *float64 `json:"ts"`
-			Pid  *int     `json:"pid"`
-			Tid  *int     `json:"tid"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   *float64       `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Pid  *int           `json:"pid"`
+			Tid  *int           `json:"tid"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
@@ -370,6 +374,35 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	}
 	if !sawSpan {
 		t.Error("trace contains no complete (ph=X) spans")
+	}
+	// Each BERT experiment lays its inferences end to end on a host track
+	// of its own: no two thread names share a track, and no span on a
+	// host track starts before the one before it ends.
+	named := map[[2]int]string{}
+	end := map[[2]int]float64{}
+	for _, ev := range trace.TraceEvents {
+		track := [2]int{*ev.Pid, *ev.Tid}
+		switch {
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			if prev, ok := named[track]; ok {
+				t.Errorf("track %v named both %q and %v", track, prev, ev.Args["name"])
+			}
+			named[track] = fmt.Sprint(ev.Args["name"])
+		case ev.Ph == "X" && *ev.Pid == obs.PidHost:
+			if *ev.TS < end[track]-1e-3 {
+				t.Fatalf("span %s on track %v starts at %.3f, before the previous span ends at %.3f", ev.Name, track, *ev.TS, end[track])
+			}
+			end[track] = *ev.TS + ev.Dur
+		}
+	}
+	for _, want := range []string{"bert:fig17", "bert:bertbase"} {
+		found := false
+		for _, name := range named {
+			found = found || name == want
+		}
+		if !found {
+			t.Errorf("no trace track named %q; tracks: %v", want, named)
+		}
 	}
 
 	// The metrics dump must carry the fig17 counters.

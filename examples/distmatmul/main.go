@@ -48,19 +48,9 @@ func functionalRowSplit() {
 		log.Fatal(err)
 	}
 	topo := sys.Topology()
-	// Local link indices of the 0↔1 cable on each chip.
-	link01 := -1
-	for i, lid := range topo.Out(0) {
-		if topo.Link(lid).To == 1 {
-			link01 = i
-		}
-	}
-	link10 := -1
-	for i, lid := range topo.Out(1) {
-		if topo.Link(lid).To == 0 {
-			link10 = i
-		}
-	}
+	// Ports of the 0↔1 cable on each chip.
+	link01, _ := topo.PortTo(0, 1)
+	link10, _ := topo.PortTo(1, 0)
 
 	// Chip 1: partial over weight rows 2..3, ready at cycle 4
 	// (2 × load_weights + 2-row matmul), then send.

@@ -40,8 +40,7 @@ const (
 // TrafficClass is one slice of the arrival stream: Share of requests
 // whose service time is ServiceMult times the system's base ServiceUS
 // (e.g. interactive short sequences vs long batch scoring). A class may
-// carry its own SLO target and shed bound; zero values inherit the
-// fleet-wide Config knobs. Priority orders classes under the
+// carry its own SLO target; zero inherits Config.SLOTargetUS. Priority orders classes under the
 // priority-shedding policy: 0 is the most important tier, higher
 // priorities shed earlier when ShedPolicy is armed.
 type TrafficClass struct {
@@ -52,9 +51,6 @@ type TrafficClass struct {
 	// inherit): a batch request can be "good" at a latency that would
 	// violate the interactive tier's bound.
 	SLOTargetUS float64 `json:"slo_target_us,omitempty"`
-	// ShedAboveUS overrides Config.ShedAboveUS for this class (0 =
-	// inherit).
-	ShedAboveUS float64 `json:"shed_above_us,omitempty"`
 	// Priority is the shed order under Policy.Shed: 0 first-class,
 	// larger values shed earlier.
 	Priority int `json:"priority,omitempty"`
@@ -150,7 +146,7 @@ func (c Config) Validate() error {
 		sum := 0.0
 		for _, cl := range c.Mix {
 			if cl.Share <= 0 || cl.ServiceMult <= 0 || cl.Priority < 0 ||
-				cl.SLOTargetUS < 0 || cl.ShedAboveUS < 0 ||
+				cl.SLOTargetUS < 0 ||
 				math.IsNaN(cl.Share) || math.IsNaN(cl.ServiceMult) {
 				return fmt.Errorf("fleet: invalid traffic class %+v", cl)
 			}
@@ -413,7 +409,7 @@ func Run(cfg Config) (*SLOReport, error) {
 			e.shedCount.Inc()
 			if class >= 0 {
 				e.report.Classes[class].Shed++
-				if tightened && !e.systems[chosen].sys.OverBound(t, e.baseBound(class)) {
+				if tightened && !e.systems[chosen].sys.OverBound(t, e.cfg.ShedAboveUS) {
 					// Shed only because priority shedding tightened the
 					// bound — the cost side of protecting tier 0.
 					e.report.PriorityShed++
@@ -468,22 +464,14 @@ func (e *engine) classTarget(cl TrafficClass) float64 {
 	return e.cfg.SLOTargetUS
 }
 
-// baseBound resolves a class's shed bound before priority tightening.
-func (e *engine) baseBound(class int) float64 {
-	if class >= 0 && e.cfg.Mix[class].ShedAboveUS > 0 {
-		return e.cfg.Mix[class].ShedAboveUS
-	}
-	return e.cfg.ShedAboveUS
-}
-
 // shedBound resolves the effective shed bound for a class, applying the
 // priority-shedding factor when the fleet is under pressure, and reports
-// whether the bound was tightened below the class's base bound.
+// whether the bound was tightened below Config.ShedAboveUS.
 // Tightening only under pressure keeps calm windows untouched: priority
 // shedding sacrifices the batch tier to protect tier 0 exactly when a
 // fault is impending or recovering, not all the time.
 func (e *engine) shedBound(class int, pressure bool) (float64, bool) {
-	bound := e.baseBound(class)
+	bound := e.cfg.ShedAboveUS
 	if class < 0 || bound <= 0 || !pressure || !e.cfg.Policy.Shed.Enabled() {
 		return bound, false
 	}

@@ -262,9 +262,6 @@ func TestFleetConfigValidateDirect(t *testing.T) {
 		{"negative class SLO target", func(c *Config) {
 			c.Mix = []TrafficClass{{Name: "a", Share: 1, ServiceMult: 1, SLOTargetUS: -1}}
 		}},
-		{"negative class shed bound", func(c *Config) {
-			c.Mix = []TrafficClass{{Name: "a", Share: 1, ServiceMult: 1, ShedAboveUS: -1}}
-		}},
 		{"negative drain threshold", func(c *Config) { c.Policy.Drain.Threshold = -0.5 }},
 		{"idle-stall fraction above one", func(c *Config) {
 			c.Policy.Drain = DrainPolicy{Threshold: 0.4, IdleStallFrac: 1.5}

@@ -125,7 +125,7 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 			e.shedCount.Inc()
 			if class >= 0 {
 				e.report.Classes[class].Shed++
-				if tightened && !e.systems[chosen].sys.OverBound(t, e.baseBound(class)) {
+				if tightened && !e.systems[chosen].sys.OverBound(t, e.cfg.ShedAboveUS) {
 					// Shed only because priority shedding tightened the
 					// bound — the cost side of protecting tier 0.
 					e.report.PriorityShed++

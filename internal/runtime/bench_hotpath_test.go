@@ -25,7 +25,7 @@ func BenchmarkHotpathDeliverTake(b *testing.B) {
 	// Chip 0's link 0 leads to some peer; find the peer's inbound index.
 	l := cl.sys.Link(cl.routeIDs[0][0])
 	dst := l.To
-	inIdx := cl.peerIdx[l.ID]
+	inIdx := sys.Port(l.Reverse)
 	var payload, out tsp.Vector
 	payload[0] = 0xab
 	b.ReportAllocs()

@@ -13,16 +13,15 @@ import (
 	"repro/internal/topo"
 )
 
-// ringLink returns the link chip a → chip b used by the ring workloads.
+// ringLink returns the link chip a → chip b used by the ring workloads:
+// the first of the parallel links between them.
 func ringLink(t *testing.T, sys *topo.System, a, b topo.TSPID) topo.LinkID {
 	t.Helper()
-	for _, lid := range sys.Out(a) {
-		if sys.Link(lid).To == b {
-			return lid
-		}
+	ls := sys.Between(a, b)
+	if len(ls) == 0 {
+		t.Fatalf("no %d→%d link", a, b)
 	}
-	t.Fatalf("no %d→%d link", a, b)
-	return -1
+	return ls[0]
 }
 
 // withPrimedRecorder is withRecorder for restored runs: the fresh

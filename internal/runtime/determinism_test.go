@@ -74,24 +74,17 @@ func faultCluster(t *testing.T, workers int, nodes ...nodeFaults) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]progBuilder, sys.NumTSPs())
+	b := make([]isa.Builder, sys.NumTSPs())
 	for n, f := range nodes {
-		src, recv := n*topo.TSPsPerNode, n*topo.TSPsPerNode+f.recv
-		out, err := localLinkIndex(sys, topo.TSPID(src), topo.TSPID(recv))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := localLinkIndex(sys, topo.TSPID(recv), topo.TSPID(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[src].at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(out), B: 0})
-		b[recv].at(isa.C2C, f.recvAt, isa.Instruction{Op: isa.Recv, A: uint16(in), B: 0})
-		b[n*topo.TSPsPerNode+f.read].at(isa.MEM, f.readAt, isa.Instruction{Op: isa.Read, Imm: 1})
+		src, recv := topo.TSPID(n*topo.TSPsPerNode), topo.TSPID(n*topo.TSPsPerNode+f.recv)
+		out, in := linkIndex(t, sys, src, recv), linkIndex(t, sys, recv, src)
+		b[src].At(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(out), B: 0})
+		b[recv].At(isa.C2C, f.recvAt, isa.Instruction{Op: isa.Recv, A: uint16(in), B: 0})
+		b[n*topo.TSPsPerNode+f.read].At(isa.MEM, f.readAt, isa.Instruction{Op: isa.Read, Imm: 1})
 	}
 	progs := make([]*isa.Program, len(b))
 	for i := range b {
-		progs[i] = &b[i].p
+		progs[i] = b[i].Program()
 	}
 	cl, err := New(sys, progs)
 	if err != nil {

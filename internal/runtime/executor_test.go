@@ -330,20 +330,11 @@ func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l01, err := localLinkIndex(sys, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l10, err := localLinkIndex(sys, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b0, b1 progBuilder
-		b0.at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(l01), B: 0})
+		var b0, b1 isa.Builder
+		b0.At(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(linkIndex(t, sys, 0, 1)), B: 0})
 		// The hop lands at 650; receiving at 100 underflows.
-		b1.at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(l10), B: 0})
-		p0, p1 := b0.p, b1.p
-		cl, err := New(sys, []*isa.Program{&p0, &p1})
+		b1.At(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(linkIndex(t, sys, 1, 0)), B: 0})
+		cl, err := New(sys, []*isa.Program{b0.Program(), b1.Program()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,10 +367,9 @@ func TestTakeInvalidLinkUnderflows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b progBuilder
-	b.at(isa.C2C, 0, isa.Instruction{Op: isa.Recv, A: 99, B: 0})
-	p := b.p
-	cl, err := New(sys, []*isa.Program{&p})
+	var b isa.Builder
+	b.At(isa.C2C, 0, isa.Instruction{Op: isa.Recv, A: 99, B: 0})
+	cl, err := New(sys, []*isa.Program{b.Program()})
 	if err != nil {
 		t.Fatal(err)
 	}

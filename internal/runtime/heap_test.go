@@ -67,21 +67,11 @@ func boundaryCluster(t *testing.T, workers int, recvAt int64) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l01, err := localLinkIndex(sys, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l10, err := localLinkIndex(sys, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, p1 := &isa.Program{}, &isa.Program{}
-	p0.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: 100})
-	p0.AppendTo(isa.C2C, isa.Instruction{Op: isa.RuntimeDeskew, Imm: 0})
-	p0.AppendTo(isa.C2C, isa.Instruction{Op: isa.Send, A: uint16(l01), B: 5})
-	p1.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: int32(recvAt)})
-	p1.AppendTo(isa.C2C, isa.Instruction{Op: isa.Recv, A: uint16(l10), B: 3})
-	cl, err := New(sys, []*isa.Program{p0, p1})
+	var b0, b1 isa.Builder
+	b0.At(isa.C2C, 100, isa.Instruction{Op: isa.RuntimeDeskew, Imm: 0})
+	b0.After(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(linkIndex(t, sys, 0, 1)), B: 5})
+	b1.At(isa.C2C, recvAt, isa.Instruction{Op: isa.Recv, A: uint16(linkIndex(t, sys, 1, 0)), B: 3})
+	cl, err := New(sys, []*isa.Program{b0.Program(), b1.Program()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +190,7 @@ func TestSpecFaultMidSpeculatedWindow(t *testing.T) {
 		}},
 		{"link-down", func(sys *topo.System) []faultplan.Event {
 			// Carrier loss on the ring link 0→1, armed over round 2's send.
-			for _, lid := range sys.Out(0) {
-				if sys.Link(lid).To == 1 {
-					return []faultplan.Event{{Cycle: 900, Until: 4000, Kind: faultplan.LinkDown, Link: lid}}
-				}
-			}
-			t.Fatal("no 0→1 link in the ring topology")
-			return nil
+			return []faultplan.Event{{Cycle: 900, Until: 4000, Kind: faultplan.LinkDown, Link: ringLink(t, sys, 0, 1)}}
 		}},
 	}
 	for _, tc := range cases {

@@ -42,16 +42,7 @@ func newLadderScenario(t *testing.T, workers int) *ladderScenario {
 	}
 	const rounds = 7
 	// The ring link chip 0 → chip 1 (used by every round's first send).
-	var flapLink topo.LinkID = -1
-	for _, lid := range sys.Out(0) {
-		if sys.Link(lid).To == 1 {
-			flapLink = lid
-			break
-		}
-	}
-	if flapLink < 0 {
-		t.Fatal("no 0→1 link")
-	}
+	flapLink := ringLink(t, sys, 0, 1)
 	// Attempt 1 occupies wall cycles [0, ~5045): the flap swallows the
 	// round-2 send at cycle 1440. The node death at 9000 lands inside
 	// attempt 2's re-based window.

@@ -62,51 +62,31 @@ func TestFunctionalFourStagePipeline(t *testing.T) {
 	// relu (2) ≈ small; window of 100 cycles is generous.
 	const window = 100
 	const hop = 650
-	linkIdx := func(from, to topo.TSPID) int {
-		for i, lid := range sys.Out(from) {
-			if sys.Link(lid).To == to {
-				return i
-			}
-		}
-		t.Fatalf("no link %d→%d", from, to)
-		return -1
-	}
-
 	progs := make([]*isa.Program, 8)
 	for s := 0; s < stages; s++ {
-		p := &isa.Program{}
+		var b isa.Builder
 		start := int64(s) * (window + hop)
 		// Receive the activation (stages > 0).
 		if s > 0 {
-			p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: int32(start)})
-			p.AppendTo(isa.C2C, isa.Instruction{
-				Op: isa.Recv, A: uint16(linkIdx(topo.TSPID(s), topo.TSPID(s-1))), B: 0,
+			b.At(isa.C2C, start, isa.Instruction{
+				Op: isa.Recv, A: uint16(linkIndex(t, sys, topo.TSPID(s), topo.TSPID(s-1))), B: 0,
 			})
 		}
 		// Compute: weights live in streams 1..k (preloaded), activation
-		// in stream 0. MXM ops padded to start after the recv.
-		p.AppendTo(isa.MXM, isa.Instruction{Op: isa.Nop, Imm: int32(start + 2)})
+		// in stream 0. MXM ops start after the recv.
 		for r := 0; r < k; r++ {
-			p.AppendTo(isa.MXM, isa.Instruction{Op: isa.LoadWeights, A: uint16(1 + r), B: uint16(r)})
+			b.After(isa.MXM, start+2, isa.Instruction{Op: isa.LoadWeights, A: uint16(1 + r), B: uint16(r)})
 		}
-		p.AppendTo(isa.MXM, isa.Instruction{Op: isa.MatMul, A: 0, B: 30, Imm: k})
+		b.After(isa.MXM, 0, isa.Instruction{Op: isa.MatMul, A: 0, B: 30, Imm: k})
 		// ReLU on the VXM after the matmul retires (k loads + k rows).
-		p.AppendTo(isa.VXM, isa.Instruction{Op: isa.Nop, Imm: int32(start + 2 + int64(2*k) + 2)})
-		p.AppendTo(isa.VXM, isa.Instruction{Op: isa.VRelu, A: 30, C: 31})
+		b.At(isa.VXM, start+2+int64(2*k)+2, isa.Instruction{Op: isa.VRelu, A: 30, C: 31})
 		// Forward (stages < last): send after the window closes.
 		if s < stages-1 {
-			p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: int32(start + window - 1)})
-			if s > 0 {
-				// The C2C stream already consumed start+1 cycles
-				// (nop+recv); pad the remainder only.
-				p.Streams[isa.C2C] = p.Streams[isa.C2C][:1+1]
-				p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: int32(window - 2)})
-			}
-			p.AppendTo(isa.C2C, isa.Instruction{
-				Op: isa.Send, A: uint16(linkIdx(topo.TSPID(s), topo.TSPID(s+1))), B: 31,
+			b.At(isa.C2C, start+window-1, isa.Instruction{
+				Op: isa.Send, A: uint16(linkIndex(t, sys, topo.TSPID(s), topo.TSPID(s+1))), B: 31,
 			})
 		}
-		progs[s] = p
+		progs[s] = b.Program()
 	}
 
 	cl, err := New(sys, progs)

@@ -30,19 +30,12 @@ import (
 )
 
 // Cluster executes one program binary per TSP over the constructed
-// topology. Chip link index i is the i-th entry of the topology's Out()
-// adjacency for that TSP, a stable compile-time numbering shared by the
-// scheduler and the hardware.
+// topology. A chip's link index is its topology port (topo.System.Port),
+// the compile-time numbering the scheduler and the hardware share.
 type Cluster struct {
 	sys   *topo.System
 	chips []*tsp.Chip
 	posts []*mailbox
-
-	// peerIdx[l] is the local inbound link index on link l's destination
-	// chip: the position of l.Reverse within Out(l.To). Precomputed at
-	// construction so deliver is O(1) and inconsistent wiring fails at
-	// New, not mid-run.
-	peerIdx []int
 
 	// routes[src][link] is the destination inbound queue for source chip
 	// src's local outbound link index, and routeIDs[src][link] the global
@@ -259,25 +252,6 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		}
 		cl.posts = append(cl.posts, mb)
 	}
-	// Resolve every link's inbound local index on its destination chip up
-	// front: a miswired topology (a link whose reverse is absent from the
-	// peer's adjacency) is a construction bug and must fail loudly here,
-	// not on the first delivery deep into a run.
-	links := sys.Links()
-	cl.peerIdx = make([]int, len(links))
-	for i := range links {
-		l := links[i]
-		cl.peerIdx[l.ID] = -1
-		for j, lid := range sys.Out(l.To) {
-			if lid == l.Reverse {
-				cl.peerIdx[l.ID] = j
-				break
-			}
-		}
-		if cl.peerIdx[l.ID] < 0 {
-			panic(fmt.Sprintf("runtime: link %d: reverse link %d missing from chip %d adjacency", l.ID, l.Reverse, l.To))
-		}
-	}
 	// Pre-resolve each chip's outbound routes to destination queue
 	// pointers (stable: the queues slices are fixed-size after this loop).
 	cl.routes = make([][]*linkQueue, sys.NumTSPs())
@@ -288,7 +262,7 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		cl.routeIDs[t] = make([]topo.LinkID, len(out))
 		for j, lid := range out {
 			l := sys.Link(lid)
-			cl.routes[t][j] = &cl.posts[l.To].queues[cl.peerIdx[lid]]
+			cl.routes[t][j] = &cl.posts[l.To].queues[sys.Port(l.Reverse)]
 			cl.routeIDs[t][j] = lid
 		}
 	}

@@ -20,16 +20,14 @@ func node8(t *testing.T) *topo.System {
 	return s
 }
 
-// linkIndex finds chip `from`'s local index of its link to `to`.
+// linkIndex returns chip `from`'s port on its first link to `to`.
 func linkIndex(t *testing.T, sys *topo.System, from, to topo.TSPID) int {
 	t.Helper()
-	for i, lid := range sys.Out(from) {
-		if sys.Link(lid).To == to {
-			return i
-		}
+	port, ok := sys.PortTo(from, to)
+	if !ok {
+		t.Fatalf("no link %d→%d", from, to)
 	}
-	t.Fatalf("no link %d→%d", from, to)
-	return -1
+	return port
 }
 
 func asm(t *testing.T, src string) *isa.Program {

@@ -57,15 +57,6 @@ func ProgramsFromSchedule(sys *topo.System, cs *core.CommSchedule) ([]*isa.Progr
 	placements := make([]VectorPlacement, 0, len(cs.Slots))
 	seq := 0
 
-	localIndex := func(from topo.TSPID, link topo.LinkID) (int, error) {
-		for i, lid := range sys.Out(from) {
-			if lid == link {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("runtime: link %d does not leave TSP %d", link, from)
-	}
-
 	nextStream := make([]int, sys.NumTSPs())
 	claimStream := func(chip int) int {
 		s := 8 + nextStream[chip]%56
@@ -86,28 +77,23 @@ func ProgramsFromSchedule(sys *topo.System, cs *core.CommSchedule) ([]*isa.Progr
 		t := slot.Depart
 		for h, link := range links {
 			from := path[h]
-			idx, err := localIndex(from, link)
-			if err != nil {
-				return nil, nil, err
+			if sys.Link(link).From != from {
+				return nil, nil, fmt.Errorf("runtime: link %d does not leave TSP %d", link, from)
 			}
 			// Send from `from` at the scheduled hop departure.
 			seq++
 			events[from] = append(events[from], chipEvent{
 				at: t + int64(h)*HopMargin, seq: seq,
-				instr: isa.Instruction{Op: isa.Send, A: uint16(idx), B: uint16(stream)},
+				instr: isa.Instruction{Op: isa.Send, A: uint16(sys.Port(link)), B: uint16(stream)},
 			})
 			// Receive at the next TSP.
 			to := path[h+1]
 			arrive := t + route.HopCycles + int64(h+1)*HopMargin
 			rxStream := claimStream(int(to))
-			revIdx, err := localIndex(to, sys.Link(link).Reverse)
-			if err != nil {
-				return nil, nil, err
-			}
 			seq++
 			events[to] = append(events[to], chipEvent{
 				at: arrive, seq: seq,
-				instr: isa.Instruction{Op: isa.Recv, A: uint16(revIdx), B: uint16(rxStream)},
+				instr: isa.Instruction{Op: isa.Recv, A: uint16(sys.Port(sys.Link(link).Reverse)), B: uint16(rxStream)},
 			})
 			stream = rxStream
 			t += route.HopCycles
@@ -128,17 +114,11 @@ func ProgramsFromSchedule(sys *topo.System, cs *core.CommSchedule) ([]*isa.Progr
 			}
 			return evs[i].seq < evs[j].seq
 		})
-		p := &isa.Program{}
-		cursor := int64(0)
+		var b isa.Builder
 		for _, e := range evs {
-			if cursor < e.at {
-				p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: int32(e.at - cursor)})
-				cursor = e.at
-			}
-			p.AppendTo(isa.C2C, e.instr)
-			cursor += isa.Latency(e.instr)
+			b.After(isa.C2C, e.at, e.instr)
 		}
-		progs[chip] = p
+		progs[chip] = b.Program()
 	}
 	return progs, placements, nil
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/route"
 	"repro/internal/topo"
 )
 
@@ -28,36 +29,6 @@ const (
 	// scratch is the MXM's throwaway output stream in both generators.
 	scratch = 40
 )
-
-// progBuilder appends instructions at absolute issue cycles, inserting NOP
-// padding to move each unit's cursor forward. Scheduling an instruction
-// before the unit's current cursor is a generator bug and panics.
-type progBuilder struct {
-	p      isa.Program
-	cursor [isa.NumUnits]int64
-}
-
-func (b *progBuilder) at(u isa.Unit, t int64, in isa.Instruction) {
-	if t < b.cursor[u] {
-		panic(fmt.Sprintf("workgen: unit %v scheduled at %d behind cursor %d", u, t, b.cursor[u]))
-	}
-	if pad := t - b.cursor[u]; pad > 0 {
-		b.p.AppendTo(u, isa.Instruction{Op: isa.Nop, Imm: int32(pad)})
-		b.cursor[u] += pad
-	}
-	b.p.AppendTo(u, in)
-	b.cursor[u] += isa.Latency(in)
-}
-
-// localLinkIndex resolves the local outbound link index from → to.
-func localLinkIndex(sys *topo.System, from, to topo.TSPID) (int, error) {
-	for i, lid := range sys.Out(from) {
-		if sys.Link(lid).To == to {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("workgen: no link %d→%d", from, to)
-}
 
 // RingAllReducePrograms builds a node-local ring all-reduce over every
 // node of the system: each chip passes the circulating vector to its
@@ -89,33 +60,30 @@ func RingAllReducePrograms(sys *topo.System, rounds, matmulsPerRound int) ([]*is
 		node, local := c/topo.TSPsPerNode, c%topo.TSPsPerNode
 		next := topo.TSPID(node*topo.TSPsPerNode + (local+1)%topo.TSPsPerNode)
 		prev := topo.TSPID(node*topo.TSPsPerNode + (local+topo.TSPsPerNode-1)%topo.TSPsPerNode)
-		nextIdx, err := localLinkIndex(sys, topo.TSPID(c), next)
-		if err != nil {
-			return nil, err
-		}
-		prevIdx, err := localLinkIndex(sys, topo.TSPID(c), prev)
-		if err != nil {
-			return nil, err
+		nextIdx, okNext := sys.PortTo(topo.TSPID(c), next)
+		prevIdx, okPrev := sys.PortTo(topo.TSPID(c), prev)
+		if !okNext || !okPrev {
+			return nil, fmt.Errorf("workgen: chip %d is not wired to ring neighbors %d and %d", c, next, prev)
 		}
 		role := [2]int{nextIdx, prevIdx}
 		if p, ok := byRole[role]; ok {
 			progs[c] = p
 			continue
 		}
-		var b progBuilder
+		var b isa.Builder
 		for r := 0; r < rounds; r++ {
 			start := int64(r) * period
-			b.at(isa.C2C, start, isa.Instruction{Op: isa.Send, A: uint16(nextIdx), B: RingCur})
-			b.at(isa.C2C, start+650, isa.Instruction{Op: isa.Recv, A: uint16(prevIdx), B: RingCur})
-			b.at(isa.VXM, start+652, isa.Instruction{Op: isa.VAdd, A: RingAcc, B: RingCur, C: RingAcc})
+			b.At(isa.C2C, start, isa.Instruction{Op: isa.Send, A: uint16(nextIdx), B: RingCur})
+			b.At(isa.C2C, start+route.HopCycles, isa.Instruction{Op: isa.Recv, A: uint16(prevIdx), B: RingCur})
+			b.At(isa.VXM, start+652, isa.Instruction{Op: isa.VAdd, A: RingAcc, B: RingCur, C: RingAcc})
 			for m := 0; m < matmulsPerRound; m++ {
-				b.at(isa.MXM, start+656+int64(m)*80, isa.Instruction{Op: isa.MatMul, A: RingCur, B: scratch, Imm: 80})
+				b.At(isa.MXM, start+656+int64(m)*80, isa.Instruction{Op: isa.MatMul, A: RingCur, B: scratch, Imm: 80})
 			}
 		}
-		b.at(isa.MEM, int64(rounds)*period, isa.Instruction{Op: isa.Write, A: 0, B: 0, C: 0, Imm: RingAcc})
-		p := b.p
-		byRole[role] = &p
-		progs[c] = &p
+		b.At(isa.MEM, int64(rounds)*period, isa.Instruction{Op: isa.Write, A: 0, B: 0, C: 0, Imm: RingAcc})
+		p := b.Program()
+		byRole[role] = p
+		progs[c] = p
 	}
 	return progs, nil
 }
@@ -153,43 +121,42 @@ func PipelinePrograms(sys *topo.System, waves, matmulsPerStage int) ([]*isa.Prog
 	for c := 0; c < sys.NumTSPs(); c++ {
 		stage := c % topo.TSPsPerNode
 		var nextIdx, prevIdx int
-		var err error
+		okNext, okPrev := true, true
 		if stage > 0 {
-			if prevIdx, err = localLinkIndex(sys, topo.TSPID(c), topo.TSPID(c-1)); err != nil {
-				return nil, err
-			}
+			prevIdx, okPrev = sys.PortTo(topo.TSPID(c), topo.TSPID(c-1))
 		}
 		if stage < topo.TSPsPerNode-1 {
-			if nextIdx, err = localLinkIndex(sys, topo.TSPID(c), topo.TSPID(c+1)); err != nil {
-				return nil, err
-			}
+			nextIdx, okNext = sys.PortTo(topo.TSPID(c), topo.TSPID(c+1))
+		}
+		if !okNext || !okPrev {
+			return nil, fmt.Errorf("workgen: chip %d is not wired to its pipeline neighbors", c)
 		}
 		role := [3]int{stage, nextIdx, prevIdx}
 		if p, ok := byRole[role]; ok {
 			progs[c] = p
 			continue
 		}
-		var b progBuilder
+		var b isa.Builder
 		for w := 0; w < waves; w++ {
 			win := int64(w+stage) * period
 			if stage == 0 {
-				b.at(isa.MEM, win, isa.Instruction{Op: isa.Read, A: 0, B: 0, C: uint16(w), Imm: PipeData})
+				b.At(isa.MEM, win, isa.Instruction{Op: isa.Read, A: 0, B: 0, C: uint16(w), Imm: PipeData})
 			} else {
-				b.at(isa.C2C, win, isa.Instruction{Op: isa.Recv, A: uint16(prevIdx), B: PipeData})
+				b.At(isa.C2C, win, isa.Instruction{Op: isa.Recv, A: uint16(prevIdx), B: PipeData})
 			}
-			b.at(isa.VXM, win+6, isa.Instruction{Op: isa.VAdd, A: PipeData, B: PipeBias, C: PipeData})
+			b.At(isa.VXM, win+6, isa.Instruction{Op: isa.VAdd, A: PipeData, B: PipeBias, C: PipeData})
 			for m := 0; m < matmulsPerStage; m++ {
-				b.at(isa.MXM, win+10+int64(m)*80, isa.Instruction{Op: isa.MatMul, A: PipeData, B: scratch, Imm: 80})
+				b.At(isa.MXM, win+10+int64(m)*80, isa.Instruction{Op: isa.MatMul, A: PipeData, B: scratch, Imm: 80})
 			}
 			if stage < topo.TSPsPerNode-1 {
-				b.at(isa.C2C, win+20, isa.Instruction{Op: isa.Send, A: uint16(nextIdx), B: PipeData})
+				b.At(isa.C2C, win+20, isa.Instruction{Op: isa.Send, A: uint16(nextIdx), B: PipeData})
 			} else {
-				b.at(isa.MEM, win+20, isa.Instruction{Op: isa.Write, A: 0, B: 0, C: uint16(w), Imm: PipeData})
+				b.At(isa.MEM, win+20, isa.Instruction{Op: isa.Write, A: 0, B: 0, C: uint16(w), Imm: PipeData})
 			}
 		}
-		p := b.p
-		byRole[role] = &p
-		progs[c] = &p
+		p := b.Program()
+		byRole[role] = p
+		progs[c] = p
 	}
 	return progs, nil
 }

@@ -160,6 +160,9 @@ type System struct {
 	links  []Link
 	// out[t] lists the unidirectional links leaving TSP t.
 	out [][]LinkID
+	// port[l] is link l's index in out[l.From]; checkPortBudget caps a
+	// TSP at 11 links, so a byte holds it.
+	port []uint8
 	// between caches directed TSP-pair -> link ids.
 	between map[[2]TSPID][]LinkID
 }
@@ -201,6 +204,12 @@ func New(cfg Config) (*System, error) {
 	if err := s.checkPortBudget(); err != nil {
 		return nil, err
 	}
+	s.port = make([]uint8, len(s.links))
+	for _, out := range s.out {
+		for i, lid := range out {
+			s.port[lid] = uint8(i)
+		}
+	}
 	return s, nil
 }
 
@@ -233,6 +242,22 @@ func (s *System) Out(t TSPID) []LinkID { return s.out[t] }
 // Between returns the ids of links from a directly to b (possibly several
 // parallel cables), or nil when the TSPs are not adjacent.
 func (s *System) Between(a, b TSPID) []LinkID { return s.between[[2]TSPID{a, b}] }
+
+// Port returns link l's chip-local port number: its index in
+// Out(l.From). A program's SEND names a port on the sending chip and its
+// RECV a port on the receiving chip, so the vector on link l is received
+// on port Port(Link(l).Reverse).
+func (s *System) Port(l LinkID) int { return int(s.port[l]) }
+
+// PortTo returns the port on a of the first link from a to b, and false
+// when the TSPs are not adjacent.
+func (s *System) PortTo(a, b TSPID) (int, bool) {
+	ls := s.Between(a, b)
+	if len(ls) == 0 {
+		return 0, false
+	}
+	return int(s.port[ls[0]]), true
+}
 
 // addCable installs one full-duplex cable as two mirrored links.
 func (s *System) addCable(a, b TSPID, kind Kind, cable c2c.Config) {

@@ -249,15 +249,38 @@ func TestFullScaleSystem(t *testing.T) {
 	}
 }
 
+// TestLinksAreMirrored checks every link has its mirror, that Port
+// numbers each link by its place in Out, and that PortTo names the first
+// of the parallel cables Between lists.
 func TestLinksAreMirrored(t *testing.T) {
-	s := mustNew(t, 3)
-	for _, l := range s.Links() {
-		r := s.Link(l.Reverse)
-		if r.From != l.To || r.To != l.From || r.Reverse != l.ID {
-			t.Fatalf("link %d not mirrored: %+v / %+v", l.ID, l, r)
+	for _, cfg := range []Config{{Nodes: 1}, {Nodes: 1, LocalWiring: TripleRing}, {Nodes: 3}, {Nodes: 9}} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Kind != l.Kind || r.Cable != l.Cable {
-			t.Fatal("mirror link config mismatch")
+		for _, l := range s.Links() {
+			r := s.Link(l.Reverse)
+			if r.From != l.To || r.To != l.From || r.Reverse != l.ID {
+				t.Fatalf("%v: link %d not mirrored: %+v / %+v", s, l.ID, l, r)
+			}
+			if r.Kind != l.Kind || r.Cable != l.Cable {
+				t.Fatalf("%v: mirror link config mismatch", s)
+			}
+			if out := s.Out(l.From); out[s.Port(l.ID)] != l.ID {
+				t.Fatalf("%v: link %d has port %d, but Out(%d)[%d] = %d", s, l.ID, s.Port(l.ID), l.From, s.Port(l.ID), out[s.Port(l.ID)])
+			}
+		}
+		for a := TSPID(0); int(a) < s.NumTSPs(); a++ {
+			for b := TSPID(0); int(b) < s.NumTSPs(); b++ {
+				port, ok := s.PortTo(a, b)
+				between := s.Between(a, b)
+				if ok != (len(between) > 0) {
+					t.Fatalf("%v: PortTo(%d, %d) ok = %v, Between has %d links", s, a, b, ok, len(between))
+				}
+				if ok && s.Out(a)[port] != between[0] {
+					t.Fatalf("%v: PortTo(%d, %d) = %d names link %d, Between starts with %d", s, a, b, port, s.Out(a)[port], between[0])
+				}
+			}
 		}
 	}
 }

@@ -90,8 +90,9 @@ type issue struct {
 }
 
 // runByScan runs the chip one instruction at a time, each chosen by next
-// and dispatched through execute, NOPs included, then classifies a
-// deadlock as Run does. It returns the (unit, pc, cycle) issue sequence.
+// and dispatched through execute, except that a NOP retires by moving its
+// unit's cursor, then classifies a deadlock as Run does. It returns the
+// (unit, pc, cycle) issue sequence.
 func runByScan(c *Chip, next func(*Chip) (isa.Unit, int64, bool)) []issue {
 	var seq []issue
 	for c.fault == nil {
@@ -102,6 +103,10 @@ func runByScan(c *Chip, next func(*Chip) (isa.Unit, int64, bool)) []issue {
 		seq = append(seq, issue{u, c.pc[u], t})
 		in := c.prog.Streams[u][c.pc[u]]
 		c.pc[u]++
+		if in.Op == isa.Nop {
+			c.cursor[u] = t + isa.Latency(in)
+			continue
+		}
 		c.execute(u, in, t)
 	}
 	if c.fault == nil && !c.Done() && c.anyParked() {

@@ -535,26 +535,23 @@ func (c *Chip) Run() (int64, *Fault) {
 	return c.FinishCycle(), c.fault
 }
 
+// execute dispatches in, issued on unit u at cycle t. NOPs never reach it:
+// StepUntil retires them by moving the unit's cursor.
 func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 	adv := isa.Latency(in)
-	if in.Op != isa.Nop {
-		c.busy[u] += adv
-		if c.rec != nil {
-			name := ""
-			if int(in.Op) < len(opSpanName) {
-				name = opSpanName[in.Op]
-			} else {
-				name = in.Op.String()
-			}
-			c.instrCount[u].Inc()
-			c.busyCycles[u].Add(adv)
-			c.rec.SpanCycles(c.ID, int(u), name, t, adv)
+	c.busy[u] += adv
+	if c.rec != nil {
+		name := ""
+		if int(in.Op) < len(opSpanName) {
+			name = opSpanName[in.Op]
+		} else {
+			name = in.Op.String()
 		}
+		c.instrCount[u].Inc()
+		c.busyCycles[u].Add(adv)
+		c.rec.SpanCycles(c.ID, int(u), name, t, adv)
 	}
 	switch in.Op {
-	case isa.Nop:
-		// Pure schedule padding.
-
 	case isa.Sync:
 		c.parked[u] = true
 		c.cursor[u] = t + adv

@@ -30,6 +30,11 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 	if len(inputs) != n {
 		return nil, 0, fmt.Errorf("workloads: need %d inputs, got %d", n, len(inputs))
 	}
+	for i, in := range inputs {
+		if len(in) > tsp.FloatLanes {
+			return nil, 0, fmt.Errorf("workloads: input %d has %d lanes, a vector holds %d", i, len(in), tsp.FloatLanes)
+		}
+	}
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return nil, 0, err
@@ -61,67 +66,38 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 // of a one-node system.
 func allReducePrograms(sys *topo.System) ([]*isa.Program, error) {
 	const n = topo.TSPsPerNode
-	// Per chip: local link index of the cable to each peer.
-	linkTo := make([][]int, n)
-	for i := 0; i < n; i++ {
-		linkTo[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				linkTo[i][j] = -1
-				continue
-			}
-			found := -1
-			for idx, lid := range sys.Out(topo.TSPID(i)) {
-				if sys.Link(lid).To == topo.TSPID(j) {
-					found = idx
-					break
-				}
-			}
-			if found < 0 {
-				return nil, fmt.Errorf("workloads: no link %d→%d", i, j)
-			}
-			linkTo[i][j] = found
-		}
-	}
-
-	// Static schedule: chip i sends to peer p at cycle rank(p) ∈ 0..6;
-	// arrivals land by rank+HopCycles; receives issue from recvStart,
-	// accumulation after the last receive.
+	// Static schedule: chip i sends to its peers back to back from cycle
+	// 0, so every vector lands by 7+HopCycles; receives issue from
+	// recvStart, and accumulation starts one cycle after the last receive
+	// retires.
 	const recvStart = route.HopCycles + 10
 	progs := make([]*isa.Program, n)
 	for i := 0; i < n; i++ {
-		p := &isa.Program{}
-		rank := 0
+		var b isa.Builder
+		ports := make([]int, 0, n-1) // chip i's port to each peer, in peer order
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			// Sends issue back to back from cycle 0.
-			p.AppendTo(isa.C2C, isa.Instruction{
-				Op: isa.Send, A: uint16(linkTo[i][j]), B: 1,
-			})
-			rank++
-		}
-		// Pad to the receive window, then drain the 7 inbound links.
-		p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Nop, Imm: recvStart - 7})
-		rx := 0
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+			port, ok := sys.PortTo(topo.TSPID(i), topo.TSPID(j))
+			if !ok {
+				return nil, fmt.Errorf("workloads: no link %d→%d", i, j)
 			}
-			p.AppendTo(isa.C2C, isa.Instruction{
-				Op: isa.Recv, A: uint16(linkTo[i][j]), B: uint16(10 + rx),
-			})
-			rx++
+			ports = append(ports, port)
+			b.After(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(port), B: 1})
 		}
-		// Accumulate: s20 = s1 + s10 + … + s16, after the last recv
-		// (recvStart + 7 issue cycles).
-		p.AppendTo(isa.VXM, isa.Instruction{Op: isa.Nop, Imm: recvStart + 8})
-		p.AppendTo(isa.VXM, isa.Instruction{Op: isa.VAdd, A: 1, B: 10, C: 20})
+		// Drain the 7 inbound links into s10..s16: the vector from a peer
+		// arrives on the port that faces it.
+		var done int64
+		for rx, port := range ports {
+			done = b.After(isa.C2C, recvStart, isa.Instruction{Op: isa.Recv, A: uint16(port), B: uint16(10 + rx)})
+		}
+		// Accumulate: s20 = s1 + s10 + … + s16.
+		b.After(isa.VXM, done+1, isa.Instruction{Op: isa.VAdd, A: 1, B: 10, C: 20})
 		for k := 1; k < n-1; k++ {
-			p.AppendTo(isa.VXM, isa.Instruction{Op: isa.VAdd, A: 20, B: uint16(10 + k), C: 20})
+			b.After(isa.VXM, 0, isa.Instruction{Op: isa.VAdd, A: 20, B: uint16(10 + k), C: 20})
 		}
-		progs[i] = p
+		progs[i] = b.Program()
 	}
 	return progs, nil
 }

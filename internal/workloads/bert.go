@@ -13,8 +13,17 @@ import (
 	"repro/internal/topo"
 )
 
-// bertTid is the host-side trace track carrying per-inference spans.
-const bertTid = 2
+// Host-side trace tracks (obs.PidHost) carrying each BERT latency
+// experiment's per-inference spans, apart from serve's (tid 1) and the
+// fleet engine's (tid 2).
+const (
+	fig17Tid    = 3
+	bertBaseTid = 4
+)
+
+// latencyBins is the bin count of a BERT latency histogram; bins are 5 µs
+// wide, as in the paper.
+const latencyBins = 200
 
 // maxInferenceSpans bounds trace spans per experiment; the histogram and
 // counters always cover every simulated inference.
@@ -113,24 +122,38 @@ type Fig17Result struct {
 // comes from the host-side PCIe transfers (DMA scheduling, host jitter),
 // exactly the cause the paper names for its residual variance.
 func Fig17(runs int, seed uint64) (*Fig17Result, error) {
-	dep, err := DeployBERT(compiler.BERTLarge(), 4, true)
+	return bertLatency("fig17", fig17Tid, compiler.BERTLarge(), 4, 200, runs, seed)
+}
+
+// BERTBaseSingleTSP reproduces §5.4's companion claim: "when executing
+// BERT-Base on a single TSP, we see a similar relationship between the
+// estimated and measured latency, where their results are within 2% of
+// each other."
+func BERTBaseSingleTSP(runs int, seed uint64) (*Fig17Result, error) {
+	return bertLatency("bertbase", bertBaseTid, compiler.BERTBase(), 1, 100, runs, seed)
+}
+
+// bertLatency executes `runs` simulated inferences of cfg deployed on
+// devices TSPs. Its histograms start below µs under the compiler's
+// estimate; exp labels its metrics and names its host trace track tid.
+func bertLatency(exp string, tid int, cfg compiler.BERTConfig, devices int, below float64, runs int, seed uint64) (*Fig17Result, error) {
+	dep, err := DeployBERT(cfg, devices, true)
 	if err != nil {
 		return nil, err
 	}
 	est := dep.EstimateMicros()
-	// 5 µs bins covering estimate ± a generous window.
-	origin := math.Floor(est/5)*5 - 200
-	hist := stats.NewHistogram(origin, 5, 200)
+	origin := math.Floor(est/5)*5 - below
+	hist := stats.NewHistogram(origin, 5, latencyBins)
 	rng := sim.NewRNG(seed)
 	sum := 0.0
-	p99src := make([]float64, 0, runs)
+	samples := make([]float64, 0, runs)
 	maxUS := 0.0
-	inst := newBERTInstrumentation("fig17", dep, origin)
+	inst := newBERTInstrumentation(exp, tid, dep, origin)
 	for i := 0; i < runs; i++ {
 		us := dep.simulateOnce(rng)
 		hist.Add(us)
 		sum += us
-		p99src = append(p99src, us)
+		samples = append(samples, us)
 		if us > maxUS {
 			maxUS = us
 		}
@@ -141,7 +164,7 @@ func Fig17(runs int, seed uint64) (*Fig17Result, error) {
 		Runs:          runs,
 		Hist:          hist,
 		EstimateUS:    est,
-		P99US:         stats.Percentile(p99src, 99),
+		P99US:         stats.Percentile(samples, 99),
 		MaxUS:         maxUS,
 		MeanErrorFrac: math.Abs(mean-est) / est,
 	}, nil
@@ -166,6 +189,7 @@ func (d *BERTDeployment) simulateOnce(rng *sim.RNG) float64 {
 // binning, and back-to-back per-inference spans on the host timeline.
 type bertInstrumentation struct {
 	rec        *obs.Recorder
+	tid        int
 	inferences *obs.Counter
 	latency    *obs.Histogram
 	suppressed *obs.Counter
@@ -174,18 +198,19 @@ type bertInstrumentation struct {
 	t float64
 }
 
-func newBERTInstrumentation(exp string, dep *BERTDeployment, histOrigin float64) *bertInstrumentation {
+func newBERTInstrumentation(exp string, tid int, dep *BERTDeployment, histOrigin float64) *bertInstrumentation {
 	rec := obs.Get()
 	if rec == nil {
 		return &bertInstrumentation{}
 	}
 	rec.SetProcessName(obs.PidHost, "host")
-	rec.SetThreadName(obs.PidHost, bertTid, "bert:"+exp)
+	rec.SetThreadName(obs.PidHost, tid, "bert:"+exp)
 	rec.Gauge("bert.estimate_cycles", obs.L("exp", exp)).Set(dep.EstimateCycles())
 	return &bertInstrumentation{
 		rec:        rec,
+		tid:        tid,
 		inferences: rec.Counter("bert.inferences", obs.L("exp", exp)),
-		latency:    rec.Histogram("bert.latency_us", histOrigin, 5, 200, obs.L("exp", exp)),
+		latency:    rec.Histogram("bert.latency_us", histOrigin, 5, latencyBins, obs.L("exp", exp)),
 		suppressed: rec.Counter("bert.inference_spans_suppressed", obs.L("exp", exp)),
 	}
 }
@@ -197,49 +222,11 @@ func (b *bertInstrumentation) record(i int, us float64) {
 	b.inferences.Inc()
 	b.latency.Add(us)
 	if i < maxInferenceSpans {
-		b.rec.SpanUS(obs.PidHost, bertTid, fmt.Sprintf("inf%d", i), b.t, us)
+		b.rec.SpanUS(obs.PidHost, b.tid, fmt.Sprintf("inf%d", i), b.t, us)
 	} else {
 		b.suppressed.Inc()
 	}
 	b.t += us
-}
-
-// BERTBaseSingleTSP reproduces §5.4's companion claim: "when executing
-// BERT-Base on a single TSP, we see a similar relationship between the
-// estimated and measured latency, where their results are within 2% of
-// each other."
-func BERTBaseSingleTSP(runs int, seed uint64) (*Fig17Result, error) {
-	dep, err := DeployBERT(compiler.BERTBase(), 1, true)
-	if err != nil {
-		return nil, err
-	}
-	est := dep.EstimateMicros()
-	origin := math.Floor(est/5)*5 - 100
-	hist := stats.NewHistogram(origin, 5, 120)
-	rng := sim.NewRNG(seed)
-	sum := 0.0
-	samples := make([]float64, 0, runs)
-	maxUS := 0.0
-	inst := newBERTInstrumentation("bertbase", dep, origin)
-	for i := 0; i < runs; i++ {
-		us := dep.simulateOnce(rng)
-		hist.Add(us)
-		sum += us
-		samples = append(samples, us)
-		if us > maxUS {
-			maxUS = us
-		}
-		inst.record(i, us)
-	}
-	mean := sum / float64(runs)
-	return &Fig17Result{
-		Runs:          runs,
-		Hist:          hist,
-		EstimateUS:    est,
-		P99US:         stats.Percentile(samples, 99),
-		MaxUS:         maxUS,
-		MeanErrorFrac: math.Abs(mean-est) / est,
-	}, nil
 }
 
 // Fig18Point is one bar of Fig 18: encoders scaled with devices.

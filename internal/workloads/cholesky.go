@@ -87,30 +87,10 @@ func Fig19(sizes []int, tspCounts []int) []Fig19Point {
 // The matrix (p ≤ 80, one float32 lane per row) is stored column-major:
 // column j lives at memory address [h0, s0, b0, offset j]. Lane-mask
 // vectors (mask_k: lanes ≥ k set to 1) are program constants at [h0, s1,
-// b0, offset k]. The generated program is statically scheduled: a builder
-// tracks every functional unit's cycle cursor and inserts NOP padding so
-// cross-unit data dependencies are satisfied by *time*, never by
-// interlocks — the same discipline the paper's compiler applies.
-
-// progBuilder emits instructions with explicit schedule-time dependency
-// resolution.
-type progBuilder struct {
-	prog   *isa.Program
-	cursor [isa.NumUnits]int64
-}
-
-// emit appends in to unit u, padding so it does not issue before
-// notBefore. It returns the instruction's completion cycle.
-func (b *progBuilder) emit(u isa.Unit, in isa.Instruction, notBefore int64) int64 {
-	if b.cursor[u] < notBefore {
-		pad := notBefore - b.cursor[u]
-		b.prog.AppendTo(u, isa.Instruction{Op: isa.Nop, Imm: int32(pad)})
-		b.cursor[u] = notBefore
-	}
-	b.prog.AppendTo(u, in)
-	b.cursor[u] += isa.Latency(in)
-	return b.cursor[u]
-}
+// b0, offset k]. The generated program is statically scheduled: an
+// isa.Builder tracks every functional unit's cycle cursor and inserts NOP
+// padding so cross-unit data dependencies are satisfied by *time*, never
+// by interlocks — the same discipline the paper's compiler applies.
 
 // Cholesky memory layout.
 const (
@@ -124,22 +104,22 @@ func BuildCholeskyProgram(p int) (*isa.Program, error) {
 	if p < 1 || p > tsp.FloatLanes {
 		return nil, fmt.Errorf("workloads: functional Cholesky supports 1..%d rows, got %d", tsp.FloatLanes, p)
 	}
-	b := &progBuilder{prog: &isa.Program{}}
+	var b isa.Builder
 	// lastWrite[j] is the completion time of the latest write to col j.
 	lastWrite := make([]int64, p)
 
 	read := func(slice, offset int, stream uint16, notBefore int64) int64 {
-		return b.emit(isa.MEM, isa.Instruction{
+		return b.After(isa.MEM, notBefore, isa.Instruction{
 			Op: isa.Read, A: uint16(slice), B: 0, C: uint16(offset), Imm: int32(stream),
-		}, notBefore)
+		})
 	}
 	write := func(offset int, stream uint16, notBefore int64) int64 {
-		return b.emit(isa.MEM, isa.Instruction{
+		return b.After(isa.MEM, notBefore, isa.Instruction{
 			Op: isa.Write, A: cholColSlice, B: 0, C: uint16(offset), Imm: int32(stream),
-		}, notBefore)
+		})
 	}
 	vxm := func(op isa.Op, a, bb, c uint16, imm int32, notBefore int64) int64 {
-		return b.emit(isa.VXM, isa.Instruction{Op: op, A: a, B: bb, C: c, Imm: imm}, notBefore)
+		return b.After(isa.VXM, notBefore, isa.Instruction{Op: op, A: a, B: bb, C: c, Imm: imm})
 	}
 
 	for k := 0; k < p; k++ {
@@ -152,7 +132,7 @@ func BuildCholeskyProgram(p int) (*isa.Program, error) {
 		tScaled := vxm(isa.VMul, 1, 3, 4, 0, tRsqrt)
 		// s6 = s4 masked to lanes >= k: the L column.
 		tMask := read(cholMaskSlice, k, 5, 0)
-		tL := vxm(isa.VMul, 4, 5, 6, 0, max64(tScaled, tMask))
+		tL := vxm(isa.VMul, 4, 5, 6, 0, max(tScaled, tMask))
 		lastWrite[k] = write(k, 6, tL)
 
 		// Trailing update: col_j -= L_k[j] · L_k for j > k.
@@ -160,27 +140,25 @@ func BuildCholeskyProgram(p int) (*isa.Program, error) {
 			tSp := vxm(isa.VSplat, 6, 0, 7, int32(j), tL)
 			tRj := read(cholColSlice, j, 8, lastWrite[j])
 			tMul := vxm(isa.VMul, 6, 7, 9, 0, tSp)
-			tSub := vxm(isa.VSub, 8, 9, 10, 0, max64(tMul, tRj))
+			tSub := vxm(isa.VSub, 8, 9, 10, 0, max(tMul, tRj))
 			lastWrite[j] = write(j, 10, tSub)
 		}
 	}
-	b.emit(isa.ICU, isa.Instruction{Op: isa.Halt}, b.cursor[isa.VXM])
-	return b.prog, nil
+	b.After(isa.ICU, b.Cursor(isa.VXM), isa.Instruction{Op: isa.Halt})
+	return b.Program(), nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// RunCholeskyOnChip factors the SPD matrix a (p×p, row-major slice of
-// columns? no — a[i][j], symmetric) on one simulated chip and returns L
-// (lower triangular, column-major columns). It also returns the chip's
-// finish cycle.
+// RunCholeskyOnChip factors the symmetric positive-definite p×p matrix a
+// (a[i][j] is row i, column j; p ≤ 80) on one simulated chip. It returns
+// the lower-triangular factor L, indexed the same way, and the chip's
+// finish cycle. A matrix that is not square is an error.
 func RunCholeskyOnChip(a [][]float32) ([][]float32, int64, error) {
 	p := len(a)
+	for i, row := range a {
+		if len(row) != p {
+			return nil, 0, fmt.Errorf("workloads: Cholesky needs a square matrix, row %d of %d has %d entries", i, p, len(row))
+		}
+	}
 	prog, err := BuildCholeskyProgram(p)
 	if err != nil {
 		return nil, 0, err

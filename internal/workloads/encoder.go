@@ -57,19 +57,19 @@ const (
 	encOut    = 56 // 56..63: final outputs per token
 )
 
-// encBuilder wraps progBuilder with VXM/MXM helpers that chain cursor
+// encBuilder extends isa.Builder with VXM/MXM helpers that chain cursor
 // dependencies implicitly (everything on two units, strictly ordered).
 type encBuilder struct {
-	b *progBuilder
+	isa.Builder
 	t int64 // running dependency time
 }
 
 func (e *encBuilder) vxm(op isa.Op, a, bb, c uint16, imm int32) {
-	e.t = e.b.emit(isa.VXM, isa.Instruction{Op: op, A: a, B: bb, C: c, Imm: imm}, e.t)
+	e.t = e.After(isa.VXM, e.t, isa.Instruction{Op: op, A: a, B: bb, C: c, Imm: imm})
 }
 
 func (e *encBuilder) mxm(op isa.Op, a, bb uint16, imm int32) {
-	e.t = e.b.emit(isa.MXM, isa.Instruction{Op: op, A: a, B: bb, Imm: imm}, e.t)
+	e.t = e.After(isa.MXM, e.t, isa.Instruction{Op: op, A: a, B: bb, Imm: imm})
 }
 
 // laneSumSplat emits ops computing splat(Σ lanes[0..n) of src) into dst,
@@ -89,7 +89,7 @@ func BuildEncoderProgram(p *EncoderParams) (*isa.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := &encBuilder{b: &progBuilder{prog: &isa.Program{}}}
+	e := &encBuilder{}
 	s, h := p.Seq, p.Hidden
 
 	// Weight streams are preloaded at fixed offsets well above the
@@ -99,9 +99,9 @@ func BuildEncoderProgram(p *EncoderParams) (*isa.Program, error) {
 	loadWeightsFromMem := func(slice int, rows int) {
 		for r := 0; r < rows; r++ {
 			// MEM read into scratch, then LoadWeights from it.
-			e.t = e.b.emit(isa.MEM, isa.Instruction{
+			e.t = e.After(isa.MEM, e.t, isa.Instruction{
 				Op: isa.Read, A: uint16(slice), B: 0, C: uint16(r), Imm: encTmp,
-			}, e.t)
+			})
 			e.mxm(isa.LoadWeights, encTmp, uint16(r), 0)
 		}
 	}
@@ -174,8 +174,8 @@ func BuildEncoderProgram(p *EncoderParams) (*isa.Program, error) {
 		e.vxm(isa.VAdd, uint16(encOut+i), encTmp2, uint16(encOut+i), 0)
 	}
 
-	e.b.emit(isa.ICU, isa.Instruction{Op: isa.Halt}, e.t)
-	return e.b.prog, nil
+	e.After(isa.ICU, e.t, isa.Instruction{Op: isa.Halt})
+	return e.Program(), nil
 }
 
 // Memory slices staging the weight matrices.

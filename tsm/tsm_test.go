@@ -239,3 +239,37 @@ func TestEncoderAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestFunctionalEntryPointsRejectHostileShapes feeds the functional
+// entry points inputs of the wrong shape: each must return an error, not
+// panic and not silently drop data.
+func TestFunctionalEntryPointsRejectHostileShapes(t *testing.T) {
+	vectors := func(n, lanes int) [][]float32 {
+		out := make([][]float32, n)
+		for i := range out {
+			out[i] = make([]float32, lanes)
+		}
+		return out
+	}
+	wide := vectors(8, 1)
+	wide[3] = make([]float32, 81)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"cholesky ragged", func() error { _, _, err := Cholesky([][]float32{{4, 2}, {2}}); return err }},
+		{"cholesky wide rows", func() error { _, _, err := Cholesky([][]float32{{4, 2, 1}, {2, 5, 1}}); return err }},
+		{"cholesky nil row", func() error { _, _, err := Cholesky([][]float32{{4, 2}, nil}); return err }},
+		{"cholesky empty", func() error { _, _, err := Cholesky(nil); return err }},
+		{"cholesky 81x81", func() error { _, _, err := Cholesky(vectors(81, 81)); return err }},
+		{"all-reduce 81 lanes", func() error { _, _, err := FunctionalAllReduce(wide); return err }},
+		{"all-reduce 7 inputs", func() error { _, _, err := FunctionalAllReduce(vectors(7, 1)); return err }},
+		{"all-reduce 9 inputs", func() error { _, _, err := FunctionalAllReduce(vectors(9, 1)); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil {
+				t.Error("accepted a malformed input")
+			}
+		})
+	}
+}

@@ -49,8 +49,11 @@ func functionalRowSplit() {
 	}
 	topo := sys.Topology()
 	// Ports of the 0↔1 cable on each chip.
-	link01, _ := topo.PortTo(0, 1)
-	link10, _ := topo.PortTo(1, 0)
+	link01, ok01 := topo.PortTo(0, 1)
+	link10, ok10 := topo.PortTo(1, 0)
+	if !ok01 || !ok10 {
+		log.Fatal("chips 0 and 1 share no cable")
+	}
 
 	// Chip 1: partial over weight rows 2..3, ready at cycle 4
 	// (2 × load_weights + 2-row matmul), then send.

@@ -40,9 +40,10 @@ const (
 // TrafficClass is one slice of the arrival stream: Share of requests
 // whose service time is ServiceMult times the system's base ServiceUS
 // (e.g. interactive short sequences vs long batch scoring). A class may
-// carry its own SLO target; zero inherits Config.SLOTargetUS. Priority orders classes under the
-// priority-shedding policy: 0 is the most important tier, higher
-// priorities shed earlier when ShedPolicy is armed.
+// carry its own SLO target; zero inherits Config.SLOTargetUS. Priority
+// orders classes under the priority-shedding policy: 0 is the most
+// important tier, higher priorities shed earlier when ShedPolicy is
+// armed.
 type TrafficClass struct {
 	Name        string  `json:"name"`
 	Share       float64 `json:"share"`

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -418,6 +420,64 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	}
 	if metrics.Counters["bert.inferences{exp=fig17}"] == 0 {
 		t.Errorf("metrics missing bert.inferences{exp=fig17}; counters: %v", metrics.Counters)
+	}
+}
+
+// TestRecordedDumpsPinned pins the SHA-256 of the -trace, -metrics and
+// -series dumps of every experiment that records serving, fault, checkpoint
+// or profile events, at -workers 1 and 4. TestExperimentOutputGolden pins
+// only stdout; these are the bytes a recorder refactor must reproduce.
+// A change that is meant to move a dump recomputes its hash with
+// `go run ./cmd/tspsim -exp <name> -trace t.json -metrics m.json -series s.json`
+// and `sha256sum`.
+func TestRecordedDumpsPinned(t *testing.T) {
+	muteStdout(t)
+	want := map[string][3]string{ // trace, metrics, series
+		"serve": {
+			"986dd644056805b3738c6636d0dd04bfe3cb9f28b050fe87dc34ec70f5413beb",
+			"dad37b2548652fc9c75616682c9642656b0b27371095927ab1adf8eab6757240",
+			"0360b13673d72ed29ca4de7c40b9735c83d1a4ef8c3015a973256ab5ef80093a",
+		},
+		"profile": {
+			"7d2fddc49a8943862f56184f09dbf44c8fc8e225ba55073bac846df39b7cba53",
+			"734e58bcd4f92b5f2143ca39dc536e7b191d77a942a022c8b9b7b146f58a15c6",
+			"7e8b3eb9389509c00f6cbec3bbbbba7d7518420a4eaee63577b278b889b5d1ef",
+		},
+		"faults": {
+			"87a035167c5a7798a3b1e51edce3345e0c2dec4e137a785f217f39a2d5fab63d",
+			"b998ea7ccaac9653b4ae73ebdfc4eb0f146ffb5db5f8185dc6f12fc37e7f7c22",
+			"a5805c30a56240d4cacc8d92765910b12f0e5fae8b431c51275531d0d055b718",
+		},
+		"checkpoint": {
+			"c66c08729af468530265ccee383a4212c68dceb46502b8216484535521f8e8d3",
+			"c44f370666aa77f79d08b975a0469828a336114dfeeaed9ea05ccebde88bcb42",
+			"42bbe0520f69994cb6e56cd52aaa75bb23ee330b673705a6d86e065aae1977d0",
+		},
+	}
+	dir := t.TempDir()
+	for _, exp := range []string{"serve", "profile", "faults", "checkpoint"} {
+		for _, w := range []string{"1", "4"} {
+			paths := [3]string{
+				filepath.Join(dir, exp+w+"-trace.json"),
+				filepath.Join(dir, exp+w+"-metrics.json"),
+				filepath.Join(dir, exp+w+"-series.json"),
+			}
+			var errw bytes.Buffer
+			if code := run([]string{"-exp", exp, "-workers", w,
+				"-trace", paths[0], "-metrics", paths[1], "-series", paths[2]}, &errw); code != 0 {
+				t.Fatalf("-exp %s -workers %s: exit code = %d, stderr:\n%s", exp, w, code, errw.String())
+			}
+			for i, p := range paths {
+				raw, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(raw)
+				if got := hex.EncodeToString(sum[:]); got != want[exp][i] {
+					t.Errorf("-exp %s -workers %s: %s hash %s, want %s", exp, w, filepath.Base(p), got, want[exp][i])
+				}
+			}
+		}
 	}
 }
 

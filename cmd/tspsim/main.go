@@ -84,8 +84,7 @@ import (
 )
 
 // workersN is the -workers flag value: newCluster applies it to every
-// cluster an experiment builds, and experiments that fan work out
-// themselves (serve sweeps, the par demo) read it. Reset by run().
+// cluster an experiment builds, and nothing else reads it. Reset by run().
 var workersN = 1
 
 // newCluster builds a cluster with the executor parallelism the -workers
@@ -1039,7 +1038,7 @@ func serveExp() error {
 	periodUS := clock.USOfCycles(dep.Schedule.Makespan) / 4
 	fmt.Printf("pipeline period %.0f µs (capacity %.0f inf/s)\n", periodUS, 1e6/periodUS)
 	fmt.Printf("%6s %12s %10s %10s %12s\n", "load", "through/s", "p50(us)", "p99(us)", "utilization")
-	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, workersN)
+	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9)
 	if err != nil {
 		return err
 	}

@@ -34,48 +34,30 @@ type traceFile struct {
 
 // WriteTrace exports the recorded events as Chrome trace-event JSON.
 // Output is deterministic: metadata events sort by pid/tid, data events
-// sort by compareEvents, a total order. Sorting — not append order —
-// is what keeps the dump byte-identical when events were recorded from
-// several worker goroutines (serve.SaturationSweep): the
-// event multiset is deterministic even when the interleaving is not.
+// sort by compareEvents, a total order, so the dump does not depend on
+// the order the recorder's one writer appended them in. The sort runs on
+// a copy and leaves the recorder as it was.
 // Timestamps are microseconds, the format's native unit.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ns"}`+"\n")
 		return err
 	}
-	// Snapshot the mutable state under the lock; sort and encode outside.
-	r.mu.Lock()
-	events := append([]EventState(nil), r.events...)
-	procs := make(map[int]string, len(r.procs))
-	for pid, name := range r.procs {
-		procs[pid] = name
-	}
-	threads := make(map[[2]int]string, len(r.threads))
-	for k, name := range r.threads {
-		threads[k] = name
-	}
-	series := make(map[string]*Series, len(r.series))
-	for k, s := range r.series {
-		series[k] = s
-	}
-	r.mu.Unlock()
-
 	out := traceFile{DisplayTimeUnit: "ns", TraceEvents: []traceEvent{}}
 	// Metadata: process and thread names, sorted for stable output.
-	pids := make([]int, 0, len(procs))
-	for pid := range procs {
+	pids := make([]int, 0, len(r.procs))
+	for pid := range r.procs {
 		pids = append(pids, pid)
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		args, _ := json.Marshal(map[string]string{"name": procs[pid]}) // a string map always encodes
+		args, _ := json.Marshal(map[string]string{"name": r.procs[pid]}) // a string map always encodes
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Args: args,
 		})
 	}
-	tkeys := make([][2]int, 0, len(threads))
-	for k := range threads {
+	tkeys := make([][2]int, 0, len(r.threads))
+	for k := range r.threads {
 		tkeys = append(tkeys, k)
 	}
 	sort.Slice(tkeys, func(i, j int) bool {
@@ -85,11 +67,12 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		return tkeys[i][1] < tkeys[j][1]
 	})
 	for _, k := range tkeys {
-		args, _ := json.Marshal(map[string]string{"name": threads[k]})
+		args, _ := json.Marshal(map[string]string{"name": r.threads[k]})
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: args,
 		})
 	}
+	events := slices.Clone(r.events)
 	slices.SortFunc(events, compareEvents)
 	for _, e := range events {
 		te := traceEvent{Name: e.Name, Ph: string(e.Ph), Ts: e.TS, Pid: e.Pid, Tid: e.Tid}
@@ -107,14 +90,14 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	// series name, samples in cycle order — a deterministic tail that is
 	// absent entirely when no series were recorded, keeping pre-series
 	// traces byte-identical.
-	snames := make([]string, 0, len(series))
-	for k := range series {
+	snames := make([]string, 0, len(r.series))
+	for k := range r.series {
 		snames = append(snames, k)
 	}
 	sort.Strings(snames)
 	for _, k := range snames {
-		s := series[k]
-		for _, p := range s.snapshot() {
+		s := r.series[k]
+		for _, p := range s.samples {
 			args := json.RawMessage(fmt.Sprintf(`{"value":%d}`, p.Value))
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
 				Name: k, Ph: "C", Ts: clock.USOfCycles(p.Cycle), Pid: s.pid, Args: args,
@@ -154,30 +137,14 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 		Histograms: map[string]histDump{},
 	}
 	if r != nil {
-		// Snapshot the registry maps under the lock; the handles themselves
-		// are safe to read concurrently.
-		r.mu.Lock()
-		counters := make(map[string]*Counter, len(r.counters))
 		for k, c := range r.counters {
-			counters[k] = c
+			out.Counters[k] = c.v
 		}
-		gauges := make(map[string]*Gauge, len(r.gauges))
 		for k, g := range r.gauges {
-			gauges[k] = g
+			out.Gauges[k] = g.v
 		}
-		hists := make(map[string]*Histogram, len(r.hists))
 		for k, h := range r.hists {
-			hists[k] = h
-		}
-		r.mu.Unlock()
-		for k, c := range counters {
-			out.Counters[k] = c.Value()
-		}
-		for k, g := range gauges {
-			out.Gauges[k] = g.Value()
-		}
-		for k, h := range hists {
-			sh := h.Hist()
+			sh := h.h
 			d := histDump{
 				Origin:    sh.BinStart(0),
 				Width:     sh.BinStart(1) - sh.BinStart(0),
@@ -243,15 +210,9 @@ type seriesFile struct {
 func (r *Recorder) WriteSeries(w io.Writer) error {
 	out := seriesFile{Series: map[string]seriesDump{}}
 	if r != nil {
-		r.mu.Lock()
 		out.Cadence = r.seriesEvery
-		series := make(map[string]*Series, len(r.series))
 		for k, s := range r.series {
-			series[k] = s
-		}
-		r.mu.Unlock()
-		for k, s := range series {
-			out.Series[k] = seriesDump{Pid: s.pid, Samples: s.snapshot()}
+			out.Series[k] = seriesDump{Pid: s.pid, Samples: s.samples}
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -265,14 +226,8 @@ func (r *Recorder) WriteSeriesCSV(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("series,pid,cycle,value\n")
 	if r != nil {
-		r.mu.Lock()
-		series := make(map[string]*Series, len(r.series))
-		for k, s := range r.series {
-			series[k] = s
-		}
-		r.mu.Unlock()
-		names := make([]string, 0, len(series))
-		for k := range series {
+		names := make([]string, 0, len(r.series))
+		for k := range r.series {
 			names = append(names, k)
 		}
 		sort.Strings(names)
@@ -283,8 +238,8 @@ func (r *Recorder) WriteSeriesCSV(w io.Writer) error {
 			if strings.ContainsAny(name, ",\"") {
 				name = `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 			}
-			s := series[k]
-			for _, p := range s.snapshot() {
+			s := r.series[k]
+			for _, p := range s.samples {
 				fmt.Fprintf(&b, "%s,%d,%d,%d\n", name, s.pid, p.Cycle, p.Value)
 			}
 		}

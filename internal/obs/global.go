@@ -7,11 +7,10 @@ import "sync/atomic"
 // like `tspsim -trace out.json` can observe every experiment without
 // threading a recorder through each workload's signature.
 //
-// The global is an atomic pointer: installation happens before any
-// workload runs, but parallel sweeps (serve.SaturationSweep) read
-// it from worker goroutines, so reads must be race-free. The Recorder itself is safe
-// for concurrent use. When no recorder is installed, Get returns nil
-// and every instrumented path degrades to a nil-check.
+// The global is an atomic pointer, so a read never races an install, on
+// whichever goroutine it happens. The Recorder it points to has one
+// writer (see the package doc). When no recorder is installed, Get
+// returns nil and every instrumented path degrades to a nil-check.
 var active atomic.Pointer[Recorder]
 
 // Set installs (or, with nil, removes) the process-global recorder.

@@ -10,17 +10,15 @@
 //     same seed must produce byte-identical dumps. Counters and gauges are
 //     integer-valued, histograms carry integer bin counts (reusing
 //     internal/stats.Histogram), all exported maps are emitted in sorted
-//     key order, and trace events are sorted by (ts, pid, tid, ph, name,
-//     dur) at export time. Sorting — rather than append order — is what
-//     keeps dumps byte-identical when several goroutines record into one
-//     recorder (serve.SaturationSweep runs its load points
-//     concurrently): the *multiset* of events a run produces is
-//     deterministic even when the append interleaving is not.
+//     key order, and trace events are sorted by compareEvents, a total
+//     order, at export time. Sorting — rather than append order — keeps
+//     dumps independent of the order the layers happened to record in.
 //
-//  2. Race-freedom. Counters and gauges are atomics, histograms and the
-//     trace sink are mutex-protected, so concurrent workers can share one
-//     recorder. Values that commute (counter sums, histogram
-//     bins) are deterministic under any interleaving.
+//  2. One writer. A Recorder holds no locks: one goroutine records into a
+//     given recorder at a time. The cluster runtime sends every recorded
+//     run to its sequential executor, and serve sweeps its load levels in
+//     order. A parallel traced run would need one recorder per component,
+//     merged at export.
 //
 //  3. Zero cost when disabled. Every handle (*Counter, *Gauge,
 //     *Histogram) and the *Recorder itself are nil-safe: methods on nil
@@ -41,8 +39,6 @@ package obs
 import (
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/stats"
@@ -111,83 +107,54 @@ func key(name string, labels []Label) string {
 }
 
 // Counter is a monotonically increasing integer. The nil counter is a
-// valid no-op sink. Increments are atomic so chips stepped on different
-// workers may share one counter; the sum is deterministic regardless of
-// interleaving.
-type Counter struct{ v atomic.Int64 }
+// valid no-op sink. Two call sites that resolve the same key share one
+// counter, so their counts add up. It is a plain integer: only the one
+// goroutine that records into its Recorder may add to it.
+type Counter struct{ v int64 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a last-value-wins integer. The nil gauge is a valid no-op
-// sink. Concurrent writers would make "last" nondeterministic, so gauges
-// are only set from sequential code (barriers, experiment epilogues).
-type Gauge struct{ v atomic.Int64 }
+// sink.
+type Gauge struct{ v int64 }
 
 // Set records the gauge value.
 func (g *Gauge) Set(v int64) {
 	if g != nil {
-		g.v.Store(v)
+		g.v = v
 	}
 }
 
-// Value returns the last set value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Histogram wraps a stats.Histogram behind a nil-safe, mutex-protected
-// handle. Bin increments commute, so totals are deterministic under
-// concurrent recording.
-type Histogram struct {
-	mu sync.Mutex
-	h  *stats.Histogram
-}
+// Histogram wraps a stats.Histogram behind a nil-safe handle. Like every
+// handle it holds no lock: its Recorder's one writer adds to it.
+type Histogram struct{ h *stats.Histogram }
 
 // Add records a sample.
 func (h *Histogram) Add(x float64) {
 	if h != nil {
-		h.mu.Lock()
 		h.h.Add(x)
-		h.mu.Unlock()
 	}
-}
-
-// Hist exposes the underlying stats.Histogram (nil for the nil handle).
-func (h *Histogram) Hist() *stats.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
 }
 
 // Recorder is the registry and trace sink. The zero value of *Recorder
 // (nil) is a fully functional no-op: every method checks the receiver, so
 // instrumented code never needs its own guard for correctness — explicit
 // `if rec != nil` guards exist only to skip argument construction on hot
-// paths. All methods are safe for concurrent use; handle resolution
-// (Counter/Gauge/Histogram) is expected on setup paths, the per-event
-// span/instant calls take one short mutex.
+// paths. Handle resolution (Counter/Gauge/Histogram) is expected on setup
+// paths.
+//
+// A Recorder has one writer: one goroutine records into it at a time, and
+// nothing in it is locked. Exports sort, so their bytes do not depend on
+// the order that writer recorded in.
 type Recorder struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -222,13 +189,11 @@ func (r *Recorder) Counter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	k := key(name, labels)
-	r.mu.Lock()
 	c, ok := r.counters[k]
 	if !ok {
 		c = &Counter{}
 		r.counters[k] = c
 	}
-	r.mu.Unlock()
 	return c
 }
 
@@ -238,13 +203,11 @@ func (r *Recorder) Gauge(name string, labels ...Label) *Gauge {
 		return nil
 	}
 	k := key(name, labels)
-	r.mu.Lock()
 	g, ok := r.gauges[k]
 	if !ok {
 		g = &Gauge{}
 		r.gauges[k] = g
 	}
-	r.mu.Unlock()
 	return g
 }
 
@@ -255,13 +218,11 @@ func (r *Recorder) Histogram(name string, origin, width float64, bins int, label
 		return nil
 	}
 	k := key(name, labels)
-	r.mu.Lock()
 	h, ok := r.hists[k]
 	if !ok {
 		h = &Histogram{h: stats.NewHistogram(origin, width, bins)}
 		r.hists[k] = h
 	}
-	r.mu.Unlock()
 	return h
 }
 
@@ -271,9 +232,7 @@ func (r *Recorder) SetProcessName(pid int, name string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.procs[pid] = name
-	r.mu.Unlock()
 }
 
 // SetThreadName names a (pid, tid) track.
@@ -281,9 +240,7 @@ func (r *Recorder) SetThreadName(pid, tid int, name string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.threads[[2]int{pid, tid}] = name
-	r.mu.Unlock()
 }
 
 // SpanUS records a complete span with microsecond start and duration.
@@ -291,9 +248,7 @@ func (r *Recorder) SpanUS(pid, tid int, name string, startUS, durUS float64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.events = append(r.events, EventState{Name: name, Ph: 'X', Pid: pid, Tid: tid, TS: startUS, Dur: durUS})
-	r.mu.Unlock()
 }
 
 // SpanCycles records a complete span given in 900 MHz core cycles.
@@ -306,9 +261,7 @@ func (r *Recorder) InstantUS(pid, tid int, name string, tsUS float64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.events = append(r.events, EventState{Name: name, Ph: 'i', Pid: pid, Tid: tid, TS: tsUS})
-	r.mu.Unlock()
 }
 
 // InstantCycles records an instant event at a core-cycle timestamp.
@@ -321,7 +274,5 @@ func (r *Recorder) NumEvents() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.events)
 }

@@ -5,18 +5,15 @@
 // metric. Series fill two ways: instrumented code appends directly
 // (serve's queue-depth track), or the runtime calls SampleSeries at a
 // heap barrier and the recorder snapshots every registered counter and
-// gauge into a series named by the metric's canonical key. Barriers are
-// worker-invariant points — every send issued before the barrier cycle
-// has been delivered, counter values commute — so the sampled series are
-// byte-identical across worker counts, the same argument that makes the
-// flat metrics dump stable.
+// gauge into a series named by the metric's canonical key. At a barrier
+// every send issued before the barrier cycle has been delivered, so the
+// sampled series are byte-identical across worker counts, the same
+// argument that makes the flat metrics dump stable.
 //
 // Like every obs handle, the nil *Series and nil *Recorder are valid
 // no-op sinks: instrumented hot paths pay one predictable branch when
 // observability is off.
 package obs
-
-import "sync"
 
 // SamplePoint is one (simulated cycle, value) observation.
 type SamplePoint struct {
@@ -25,12 +22,10 @@ type SamplePoint struct {
 }
 
 // Series is an append-only per-metric time series keyed by simulated
-// cycle. The nil series is a valid no-op sink. Appends are
-// mutex-protected so host-side code (serve) can record while other
-// goroutines resolve handles; the simulator itself appends only from
-// single-threaded barrier code.
+// cycle. The nil series is a valid no-op sink. It holds no lock: its
+// Recorder's one writer appends to it, host-side code (serve) directly and
+// the simulator from barrier code.
 type Series struct {
-	mu      sync.Mutex
 	pid     int
 	samples []SamplePoint
 }
@@ -42,20 +37,11 @@ func (s *Series) Add(cycle, value int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	if n := len(s.samples); n > 0 && s.samples[n-1].Cycle == cycle {
 		s.samples[n-1].Value = value
 	} else {
 		s.samples = append(s.samples, SamplePoint{Cycle: cycle, Value: value})
 	}
-	s.mu.Unlock()
-}
-
-// snapshot copies the sample slice.
-func (s *Series) snapshot() []SamplePoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SamplePoint(nil), s.samples...)
 }
 
 // Series returns (creating on first use) the series for name+labels,
@@ -66,14 +52,6 @@ func (r *Recorder) Series(name string, pid int, labels ...Label) *Series {
 		return nil
 	}
 	k := key(name, labels)
-	r.mu.Lock()
-	s := r.seriesLocked(k, pid)
-	r.mu.Unlock()
-	return s
-}
-
-// seriesLocked is the create-on-first-use body; callers hold r.mu.
-func (r *Recorder) seriesLocked(k string, pid int) *Series {
 	s, ok := r.series[k]
 	if !ok {
 		s = &Series{pid: pid}
@@ -93,9 +71,7 @@ func (r *Recorder) SetSeriesCadence(every int64) {
 	if every < 0 {
 		every = 0
 	}
-	r.mu.Lock()
 	r.seriesEvery = every
-	r.mu.Unlock()
 }
 
 // SeriesCadence reports the armed sampling cadence (0 = disarmed, and
@@ -104,8 +80,6 @@ func (r *Recorder) SeriesCadence() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.seriesEvery
 }
 
@@ -114,8 +88,6 @@ func (r *Recorder) NumSeries() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.series)
 }
 
@@ -128,12 +100,10 @@ func (r *Recorder) SampleSeries(cycle int64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	for k, c := range r.counters {
-		r.seriesLocked(k, PidFabric).Add(cycle, c.v.Load())
+		r.Series(k, PidFabric).Add(cycle, c.v)
 	}
 	for k, g := range r.gauges {
-		r.seriesLocked(k, PidFabric).Add(cycle, g.v.Load())
+		r.Series(k, PidFabric).Add(cycle, g.v)
 	}
-	r.mu.Unlock()
 }

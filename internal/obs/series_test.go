@@ -12,15 +12,15 @@ func TestSeriesAddAndOverwrite(t *testing.T) {
 	s := r.Series("runtime.inflight", PidFabric)
 	s.Add(650, 3)
 	s.Add(1300, 5)
-	if len(s.snapshot()) != 2 {
-		t.Fatalf("Len = %d, want 2", len(s.snapshot()))
+	if len(s.samples) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.samples))
 	}
 	// Re-sampling the same barrier overwrites, never duplicates.
 	s.Add(1300, 7)
-	if len(s.snapshot()) != 2 {
-		t.Fatalf("Len after overwrite = %d, want 2", len(s.snapshot()))
+	if len(s.samples) != 2 {
+		t.Fatalf("Len after overwrite = %d, want 2", len(s.samples))
 	}
-	got := s.snapshot()
+	got := s.samples
 	if got[1].Cycle != 1300 || got[1].Value != 7 {
 		t.Fatalf("last sample = %+v, want {1300 7}", got[1])
 	}
@@ -252,12 +252,12 @@ func TestSeriesStateRoundTrip(t *testing.T) {
 	}
 	// The restored series keeps accepting samples exactly where it left off.
 	s := r2.Series("serve.queue_depth", PidHost, L("rate", "125000"))
-	if len(s.snapshot()) != 1 {
-		t.Fatalf("restored serve series Len = %d, want 1", len(s.snapshot()))
+	if len(s.samples) != 1 {
+		t.Fatalf("restored serve series Len = %d, want 1", len(s.samples))
 	}
 	s.Add(1800, 9)
-	if len(s.snapshot()) != 2 {
-		t.Errorf("append after restore: Len = %d, want 2", len(s.snapshot()))
+	if len(s.samples) != 2 {
+		t.Errorf("append after restore: Len = %d, want 2", len(s.samples))
 	}
 }
 

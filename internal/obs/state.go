@@ -6,7 +6,7 @@
 // gauge values, histogram bin contents, the trace-event multiset, and the
 // process/thread name tables. Events are captured in export order (the
 // same total order WriteTrace sorts by), which makes the captured form
-// independent of the append interleaving the worker goroutines produced.
+// independent of the order they were appended in.
 package obs
 
 import (
@@ -95,7 +95,6 @@ func (r *Recorder) State() *State {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	s := &State{
 		Counters:      make(map[string]int64, len(r.counters)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
@@ -107,10 +106,10 @@ func (r *Recorder) State() *State {
 		SeriesCadence: r.seriesEvery,
 	}
 	for k, c := range r.counters {
-		s.Counters[k] = c.v.Load()
+		s.Counters[k] = c.v
 	}
 	for k, g := range r.gauges {
-		s.Gauges[k] = g.v.Load()
+		s.Gauges[k] = g.v
 	}
 	for k, h := range r.hists {
 		sh := h.h
@@ -133,9 +132,8 @@ func (r *Recorder) State() *State {
 		s.Threads[k] = name
 	}
 	for k, sr := range r.series {
-		s.Series[k] = SeriesState{Pid: sr.pid, Samples: sr.snapshot()}
+		s.Series[k] = SeriesState{Pid: sr.pid, Samples: append([]SamplePoint(nil), sr.samples...)}
 	}
-	r.mu.Unlock()
 	slices.SortFunc(s.Events, compareEvents)
 	return s
 }
@@ -148,19 +146,13 @@ func (r *Recorder) LoadState(s *State) {
 	if r == nil || s == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters = make(map[string]*Counter, len(s.Counters))
 	for k, v := range s.Counters {
-		c := &Counter{}
-		c.v.Store(v)
-		r.counters[k] = c
+		r.counters[k] = &Counter{v: v}
 	}
 	r.gauges = make(map[string]*Gauge, len(s.Gauges))
 	for k, v := range s.Gauges {
-		g := &Gauge{}
-		g.v.Store(v)
-		r.gauges[k] = g
+		r.gauges[k] = &Gauge{v: v}
 	}
 	r.hists = make(map[string]*Histogram, len(s.Hists))
 	for k, hs := range s.Hists {

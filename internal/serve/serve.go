@@ -13,8 +13,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
@@ -115,9 +113,8 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 	// Time-series telemetry (armed by a recorder sampling cadence): the
 	// admission-queue depth, the host backlog, and the in-flight batch
 	// estimate, sampled on a deterministic arrival stride. Each load level
-	// gets its own rate-labeled series, so SaturationSweep's concurrent
-	// Run calls write disjoint series and the sorted export is identical
-	// at every worker count.
+	// gets its own rate-labeled series, so the levels of a SaturationSweep
+	// write disjoint series.
 	var depthSeries, backlogSeries, inflightSeries *obs.Series
 	sampleStride := 0
 	if rec != nil && rec.SeriesCadence() > 0 {
@@ -260,40 +257,24 @@ func positiveFinite(x float64) bool {
 }
 
 // SaturationSweep runs the scenario across load levels (fractions of the
-// pipeline's capacity 1/ServiceUS) and returns one Result per level.
-// max(1, min(workers, len(loads))) goroutines claim levels through an
-// atomic cursor. Each level's Run is an independent, seed-determined
-// simulation, and the shared observability sinks are concurrency-safe
-// commuting aggregates, so results (and every export) are identical at
-// any worker count. The first failing level's error, in load order, is
-// returned.
-func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64, workers int) ([]Result, error) {
+// pipeline's capacity 1/ServiceUS), in order, and returns one Result per
+// level. Each level's Run is an independent, seed-determined simulation.
+// The first failing level's error is returned.
+func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64) ([]Result, error) {
 	capacity := 1e6 / serviceUS
 	out := make([]Result, len(loads))
-	errs := make([]error, len(loads))
-	k := max(1, min(workers, len(loads)))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for w := 0; w < k; w++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(loads); i = int(next.Add(1)) - 1 {
-				out[i], errs[i] = Run(Config{
-					ServiceUS:         serviceUS,
-					PipelineDepth:     depth,
-					ArrivalRatePerSec: loads[i] * capacity,
-					Requests:          requests,
-					Seed:              seed,
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i, load := range loads {
+		r, err := Run(Config{
+			ServiceUS:         serviceUS,
+			PipelineDepth:     depth,
+			ArrivalRatePerSec: load * capacity,
+			Requests:          requests,
+			Seed:              seed,
+		})
 		if err != nil {
 			return nil, err
 		}
+		out[i] = r
 	}
 	return out, nil
 }

@@ -213,7 +213,9 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 //	rec.WriteMetricsFile("metrics.json")
 //
 // With no recorder installed every instrumentation point is a nil-safe
-// no-op.
+// no-op. A recorder has one writer: record into it from one goroutine at
+// a time. Its exports sort, so their bytes do not depend on the order it
+// recorded in.
 type Recorder = obs.Recorder
 
 // EnableObservability installs (and returns) a fresh process-wide recorder.

@@ -55,8 +55,9 @@ const Version = 2
 const magic = "TSPCKPT\x01"
 
 // ErrCorrupt is wrapped by every Decode failure — truncation, bad magic,
-// unknown version, or checksum mismatch — so callers can treat all of
-// them as "this snapshot is unusable, fall back".
+// unknown version, checksum mismatch, or content Encode never writes —
+// so callers can treat all of them as "this snapshot is unusable, fall
+// back".
 var ErrCorrupt = errors.New("corrupt checkpoint")
 
 // Envelope is one in-flight vector on a mailbox queue.
@@ -743,6 +744,11 @@ func decodeObs(d *dec) *obs.State {
 			Overflow:  d.i64(),
 		}
 		bins := d.count(8)
+		// Encode writes only shapes stats.NewHistogram accepts, and
+		// LoadState panics on any other.
+		if bins == 0 || math.IsNaN(h.Origin) || math.IsInf(h.Origin, 0) || !(h.Width > 0) || math.IsInf(h.Width, 1) {
+			d.fail("checkpoint: histogram %q has origin %v, width %v and %d bins", k, h.Origin, h.Width, bins)
+		}
 		for b := 0; b < bins && d.err == nil; b++ {
 			h.Counts = append(h.Counts, d.i64())
 		}

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -168,6 +169,29 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	blob[len(magic)] = Version + 1
 	if _, err := Decode(blob); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("want ErrCorrupt for unknown version, got %v", err)
+	}
+}
+
+// TestCheckpointBadHistogramRejected: a histogram shape Encode never
+// writes — no bins, a non-finite origin, a width that is not positive and
+// finite — fails Decode with ErrCorrupt instead of reaching LoadState,
+// whose stats.NewHistogram panics on it.
+func TestCheckpointBadHistogramRejected(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, h := range []obs.HistState{
+		{Origin: 0, Width: 1},
+		{Origin: 0, Width: 0, Counts: []int64{1}},
+		{Origin: 0, Width: -1, Counts: []int64{1}},
+		{Origin: 0, Width: nan, Counts: []int64{1}},
+		{Origin: 0, Width: inf, Counts: []int64{1}},
+		{Origin: nan, Width: 1, Counts: []int64{1}},
+		{Origin: -inf, Width: 1, Counts: []int64{1}},
+	} {
+		s := testSnapshot()
+		s.Obs.Hists["bad"] = h
+		if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("histogram %+v: want ErrCorrupt, got %v", h, err)
+		}
 	}
 }
 

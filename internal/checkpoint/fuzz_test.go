@@ -5,21 +5,29 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // FuzzCheckpointDecode: Decode never panics, fails only with ErrCorrupt,
 // and every blob it accepts re-encodes to itself byte for byte — which
-// also pins the single-buffer Writer against the decoder. The CRC rejects
+// also pins the single-buffer Writer against the decoder. An accepted obs
+// section loads into a fresh recorder and exports without a panic. The
+// CRC rejects
 // nearly every mutated blob before the payload parser runs, so each input
 // that carries a blob header is also checked with its payload re-framed
 // under a correct length and checksum.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(Encode(testSnapshot()))
+	zeroWidth := testSnapshot()
+	zeroWidth.Obs.Hists["bad"] = obs.HistState{Counts: []int64{1}}
+	f.Add(Encode(zeroWidth))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRoundTrip(t, data)
 		if len(data) >= headerLen+crcLen && string(data[:len(magic)]) == magic {
@@ -38,6 +46,15 @@ func checkRoundTrip(t *testing.T, blob []byte) {
 	}
 	if got := Encode(s); !bytes.Equal(got, blob) {
 		t.Fatalf("accepted blob of %d bytes re-encodes to %d different bytes", len(blob), len(got))
+	}
+	if s.Obs != nil {
+		// Export errors (a NaN timestamp has no JSON form) are fine; a
+		// panic is not.
+		r := obs.New()
+		r.LoadState(s.Obs)
+		_ = r.WriteTrace(io.Discard)
+		_ = r.WriteMetrics(io.Discard)
+		_ = r.WriteSeries(io.Discard)
 	}
 }
 

@@ -29,14 +29,39 @@ type EncoderParams struct {
 	W2               [][]float32 // [FFN][Hidden]
 }
 
-// Validate checks dimensions.
+// Validate checks dimensions: the demo range, and the rows and columns of
+// every weight matrix.
 func (p *EncoderParams) Validate() error {
 	if p.Seq < 1 || p.Seq > 8 || p.Hidden < 1 || p.Hidden > 16 || p.FFN < 1 || p.FFN > 64 {
 		return fmt.Errorf("workloads: encoder dims out of demo range")
 	}
-	if len(p.Wq) != p.Hidden || len(p.Wk) != p.Hidden || len(p.Wv) != p.Hidden ||
-		len(p.W1) != p.Hidden || len(p.W2) != p.FFN {
-		return fmt.Errorf("workloads: weight shapes wrong")
+	for _, w := range []struct {
+		name       string
+		m          [][]float32
+		rows, cols int
+	}{
+		{"Wq", p.Wq, p.Hidden, p.Hidden},
+		{"Wk", p.Wk, p.Hidden, p.Hidden},
+		{"Wv", p.Wv, p.Hidden, p.Hidden},
+		{"W1", p.W1, p.Hidden, p.FFN},
+		{"W2", p.W2, p.FFN, p.Hidden},
+	} {
+		if err := checkMatrix(w.name, w.m, w.rows, w.cols); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkMatrix fails unless m is rows×cols.
+func checkMatrix(name string, m [][]float32, rows, cols int) error {
+	if len(m) != rows {
+		return fmt.Errorf("workloads: %s has %d rows, want %d", name, len(m), rows)
+	}
+	for r, row := range m {
+		if len(row) != cols {
+			return fmt.Errorf("workloads: %s row %d has %d entries, want %d", name, r, len(row), cols)
+		}
 	}
 	return nil
 }
@@ -190,11 +215,11 @@ const (
 // RunEncoderOnChip executes the layer for token embeddings x ([Seq][Hidden])
 // and returns the per-token outputs ([Seq][Hidden]) plus the finish cycle.
 func RunEncoderOnChip(p *EncoderParams, x [][]float32) ([][]float32, int64, error) {
-	if len(x) != p.Seq {
-		return nil, 0, fmt.Errorf("workloads: %d tokens, want %d", len(x), p.Seq)
-	}
 	prog, err := BuildEncoderProgram(p)
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := checkMatrix("tokens", x, p.Seq, p.Hidden); err != nil {
 		return nil, 0, err
 	}
 	chip := tsp.New(0, prog, nil)

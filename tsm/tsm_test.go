@@ -253,6 +253,17 @@ func TestFunctionalEntryPointsRejectHostileShapes(t *testing.T) {
 	}
 	wide := vectors(8, 1)
 	wide[3] = make([]float32, 81)
+	encoder := func(hidden int) *EncoderParams {
+		return &EncoderParams{
+			Seq: 2, Hidden: hidden, FFN: 8,
+			Wq: vectors(hidden, hidden), Wk: vectors(hidden, hidden), Wv: vectors(hidden, hidden),
+			W1: vectors(hidden, 8), W2: vectors(8, hidden),
+		}
+	}
+	wideWq := encoder(4)
+	wideWq.Wq[1] = make([]float32, 100)
+	shortW2 := encoder(4)
+	shortW2.W2[7] = make([]float32, 3)
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -265,6 +276,14 @@ func TestFunctionalEntryPointsRejectHostileShapes(t *testing.T) {
 		{"all-reduce 81 lanes", func() error { _, _, err := FunctionalAllReduce(wide); return err }},
 		{"all-reduce 7 inputs", func() error { _, _, err := FunctionalAllReduce(vectors(7, 1)); return err }},
 		{"all-reduce 9 inputs", func() error { _, _, err := FunctionalAllReduce(vectors(9, 1)); return err }},
+		{"encoder 6-value token at hidden 4", func() error {
+			_, _, err := Encoder(encoder(4), [][]float32{make([]float32, 6), make([]float32, 4)})
+			return err
+		}},
+		{"encoder 3-value token at hidden 4", func() error { _, _, err := Encoder(encoder(4), vectors(2, 3)); return err }},
+		{"encoder Wq row 100 wide", func() error { _, _, err := Encoder(wideWq, vectors(2, 4)); return err }},
+		{"encoder W2 row 3 wide", func() error { _, _, err := Encoder(shortW2, vectors(2, 4)); return err }},
+		{"encoder 3 tokens at seq 2", func() error { _, _, err := Encoder(encoder(4), vectors(3, 4)); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err == nil {

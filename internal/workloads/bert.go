@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/compiler"
@@ -254,9 +255,12 @@ func Fig18() ([]Fig18Point, error) {
 			return nil, err
 		}
 		// Steady-state pipelined throughput: one inference per stage
-		// time; every device carries 6 encoders.
-		layersPerDevice := c.encoders / c.tsps
-		stageCycles := int64(layersPerDevice) * bert.LayerCycles()
+		// time, set by the device that carries the most encoders.
+		perDevice := make([]int, c.tsps)
+		for _, d := range part.DeviceOf {
+			perDevice[d]++
+		}
+		stageCycles := int64(slices.Max(perDevice)) * bert.LayerCycles()
 		infPerSec := float64(compiler.TSPClockHz) / float64(stageCycles)
 		tops := infPerSec * float64(bert.TotalOps()) / 1e12
 		if base == 0 {
@@ -268,7 +272,6 @@ func Fig18() ([]Fig18Point, error) {
 			RealizedTOPs:         tops,
 			NormalizedThroughput: tops / base,
 		})
-		_ = part
 	}
 	return pts, nil
 }

@@ -147,7 +147,7 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 			sh := h.h
 			d := histDump{
 				Origin:    sh.BinStart(0),
-				Width:     sh.BinStart(1) - sh.BinStart(0),
+				Width:     sh.Width(),
 				Bins:      sh.Bins(),
 				Total:     sh.Total(),
 				Underflow: sh.Underflow(),

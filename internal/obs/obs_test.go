@@ -243,6 +243,31 @@ func TestGlobalDefault(t *testing.T) {
 	}
 }
 
+// TestHistogramWidthExported: the metrics dump and State carry a
+// histogram's own width. Worked out as BinStart(1) - BinStart(0), a width
+// of 1 at origin 1e20 rounds to 0, a shape checkpoint.Decode rejects and
+// LoadState cannot rebuild.
+func TestHistogramWidthExported(t *testing.T) {
+	r := New()
+	r.Histogram("h", 1e20, 1, 4).Add(1e20)
+	if w := r.State().Hists["h"].Width; w != 1 {
+		t.Errorf("State width = %v, want 1", w)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Histograms map[string]struct{ Width float64 } `json:"histograms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if w := m.Histograms["h"].Width; w != 1 {
+		t.Errorf("metrics width = %v, want 1", w)
+	}
+}
+
 // TestTraceOrderIgnoresAppendOrder records one event multiset in several
 // shuffled orders. The multiset holds events that tie on every value and
 // differ only in the sign of a zero ts or dur, so only a total sort order

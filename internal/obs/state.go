@@ -115,7 +115,7 @@ func (r *Recorder) State() *State {
 		sh := h.h
 		hs := HistState{
 			Origin:    sh.BinStart(0),
-			Width:     sh.BinStart(1) - sh.BinStart(0),
+			Width:     sh.Width(),
 			Underflow: sh.Underflow(),
 			Overflow:  sh.Overflow(),
 			Counts:    make([]int64, sh.Bins()),

@@ -128,6 +128,9 @@ func (h *Histogram) Bins() int { return len(h.counts) }
 // BinStart returns the lower edge of bin i.
 func (h *Histogram) BinStart(i int) float64 { return h.origin + float64(i)*h.width }
 
+// Width returns the bin width.
+func (h *Histogram) Width() float64 { return h.width }
+
 // Overflow returns the count of samples above the histogram range.
 func (h *Histogram) Overflow() int64 { return h.overflow }
 

@@ -761,6 +761,11 @@ func decodeObs(d *dec) *obs.State {
 		ev.Tid = int(d.i64())
 		ev.TS = d.f64()
 		ev.Dur = d.f64()
+		// Recorded times are finite, and a restored recorder exports its
+		// trace, which has no form for NaN or ±Inf.
+		if math.IsNaN(ev.TS) || math.IsInf(ev.TS, 0) || math.IsNaN(ev.Dur) || math.IsInf(ev.Dur, 0) {
+			d.fail("checkpoint: trace event %q has ts %v and dur %v", ev.Name, ev.TS, ev.Dur)
+		}
 		s.Events = append(s.Events, ev)
 	}
 	var lastPid int

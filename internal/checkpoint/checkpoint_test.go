@@ -195,6 +195,25 @@ func TestCheckpointBadHistogramRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointNonFiniteEventRejected: a trace event whose ts or dur is
+// NaN or ±Inf fails Decode with ErrCorrupt. A recorder restored from it
+// could not export its trace, which has no JSON form for those values.
+func TestCheckpointNonFiniteEventRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, e := range []obs.EventState{
+			{Name: "ts", Ph: 'X', TS: bad, Dur: 1},
+			{Name: "dur", Ph: 'X', TS: 1, Dur: bad},
+			{Name: "instant", Ph: 'i', TS: bad},
+		} {
+			s := testSnapshot()
+			s.Obs.Events = append(s.Obs.Events, e)
+			if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("event %s = %v: want ErrCorrupt, got %v", e.Name, bad, err)
+			}
+		}
+	}
+}
+
 // TestCheckpointWriterMatchesEncode: the staged capture path (Cluster, then
 // Finish with the obs state) produces the same blob as Encode whatever
 // buffer it starts from — none, a short one that must be regrown, or a

@@ -48,13 +48,19 @@ func checkRoundTrip(t *testing.T, blob []byte) {
 		t.Fatalf("accepted blob of %d bytes re-encodes to %d different bytes", len(blob), len(got))
 	}
 	if s.Obs != nil {
-		// Export errors (a NaN timestamp has no JSON form) are fine; a
-		// panic is not.
+		// Decode admits only what a recorder can hold, so a restored
+		// recorder exports every dump.
 		r := obs.New()
 		r.LoadState(s.Obs)
-		_ = r.WriteTrace(io.Discard)
-		_ = r.WriteMetrics(io.Discard)
-		_ = r.WriteSeries(io.Discard)
+		if err := r.WriteTrace(io.Discard); err != nil {
+			t.Fatalf("accepted obs section does not export its trace: %v", err)
+		}
+		if err := r.WriteMetrics(io.Discard); err != nil {
+			t.Fatalf("accepted obs section does not export its metrics: %v", err)
+		}
+		if err := r.WriteSeries(io.Discard); err != nil {
+			t.Fatalf("accepted obs section does not export its series: %v", err)
+		}
 	}
 }
 

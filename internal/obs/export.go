@@ -2,48 +2,63 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/clock"
 )
 
-// traceEvent is the Chrome trace-event JSON wire form. See
-// the Trace Event Format spec; Perfetto and chrome://tracing load it.
-type traceEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Ts   float64         `json:"ts"`
-	Dur  *float64        `json:"dur,omitempty"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	S    string          `json:"s,omitempty"`
-	Args json.RawMessage `json:"args,omitempty"`
-}
+// traceBufPool keeps WriteTrace's output buffer between calls, the way
+// encoding/json pools its encode buffer. A trace is megabytes: a buffer
+// per call would be regrown from nothing, and dropping the pool let the
+// heap shrink enough that the pages it returned were faulted back in by
+// the next cluster set-up (EXPERIMENTS.md "Trace export cost").
+var traceBufPool sync.Pool // of *[]byte
 
-// traceFile is the object form of the trace format: an event array plus
-// display hints.
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// WriteTrace exports the recorded events as Chrome trace-event JSON.
-// Output is deterministic: metadata events sort by pid/tid, data events
-// sort by compareEvents, a total order, so the dump does not depend on
-// the order the recorder's one writer appended them in. The sort runs on
-// a copy and leaves the recorder as it was.
+// WriteTrace exports the recorded events as Chrome trace-event JSON: an
+// object with a traceEvents array and a displayTimeUnit hint, then a
+// newline. Output is deterministic: metadata events sort by pid/tid, data
+// events by compareEvents, a total order, so the dump does not depend on
+// the order the recorder's one writer appended them in. The sort runs in
+// place on the recorder's event list (sortEvents), so WriteTrace writes
+// to the recorder and falls under the one-writer rule.
+//
+// The bytes are those encoding/json writes for the same document, HTML
+// escaping included, built by appending into one pooled buffer and handed
+// to w in one Write. A NaN or infinite timestamp or duration has no JSON
+// form: WriteTrace then returns an error and writes nothing.
 // Timestamps are microseconds, the format's native unit.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ns"}`+"\n")
 		return err
 	}
-	out := traceFile{DisplayTimeUnit: "ns", TraceEvents: []traceEvent{}}
+	bp, _ := traceBufPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer traceBufPool.Put(bp)
+	b, err := r.appendTrace((*bp)[:0])
+	*bp = b[:0]
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendTrace appends the trace document to b.
+func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
+	b = append(b, `{"traceEvents":[`...)
+	first := len(b) // events after the first are preceded by a comma
 	// Metadata: process and thread names, sorted for stable output.
 	pids := make([]int, 0, len(r.procs))
 	for pid := range r.procs {
@@ -51,10 +66,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		args, _ := json.Marshal(map[string]string{"name": r.procs[pid]}) // a string map always encodes
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Args: args,
-		})
+		b = append(openEvent(b, first), `"process_name","ph":"M","ts":0`...)
+		b = appendNameArgs(appendPidTid(b, pid, 0), r.procs[pid])
 	}
 	tkeys := make([][2]int, 0, len(r.threads))
 	for k := range r.threads {
@@ -67,23 +80,26 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		return tkeys[i][1] < tkeys[j][1]
 	})
 	for _, k := range tkeys {
-		args, _ := json.Marshal(map[string]string{"name": r.threads[k]})
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: args,
-		})
+		b = append(openEvent(b, first), `"thread_name","ph":"M","ts":0`...)
+		b = appendNameArgs(appendPidTid(b, k[0], k[1]), r.threads[k])
 	}
-	events := slices.Clone(r.events)
-	slices.SortFunc(events, compareEvents)
-	for _, e := range events {
-		te := traceEvent{Name: e.Name, Ph: string(e.Ph), Ts: e.TS, Pid: e.Pid, Tid: e.Tid}
+	r.sortEvents()
+	for _, e := range r.events {
+		if !finite(e.TS) || e.Ph == 'X' && !finite(e.Dur) {
+			return b, fmt.Errorf("obs: trace event %q at ts %v, dur %v: %w", e.Name, e.TS, e.Dur, errNonFinite)
+		}
+		b = appendString(openEvent(b, first), e.Name)
+		b = appendString(append(b, `,"ph":`...), string(e.Ph))
+		b = appendFloat(append(b, `,"ts":`...), e.TS)
 		if e.Ph == 'X' {
-			d := e.Dur
-			te.Dur = &d
+			b = append(b, `,"dur":`...)
+			b = appendFloat(b, e.Dur)
 		}
+		b = appendPidTid(b, e.Pid, e.Tid)
 		if e.Ph == 'i' {
-			te.S = "t" // thread-scoped instant
+			b = append(b, `,"s":"t"`...) // thread-scoped instant
 		}
-		out.TraceEvents = append(out.TraceEvents, te)
+		b = append(b, '}')
 	}
 	// Counter tracks: one "ph":"C" event per series sample, so Perfetto
 	// renders live utilization lanes next to the spans. Grouped by sorted
@@ -95,17 +111,113 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		snames = append(snames, k)
 	}
 	sort.Strings(snames)
+	var name []byte // a series' name, escaped once for all its samples
 	for _, k := range snames {
 		s := r.series[k]
+		name = appendString(name[:0], k)
 		for _, p := range s.samples {
-			args := json.RawMessage(fmt.Sprintf(`{"value":%d}`, p.Value))
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: k, Ph: "C", Ts: clock.USOfCycles(p.Cycle), Pid: s.pid, Args: args,
-			})
+			b = append(append(openEvent(b, first), name...), `,"ph":"C","ts":`...)
+			b = appendFloat(b, clock.USOfCycles(p.Cycle))
+			b = append(appendPidTid(b, s.pid, 0), `,"args":{"value":`...)
+			b = append(strconv.AppendInt(b, p.Value, 10), "}}"...)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return append(b, `],"displayTimeUnit":"ns"}`+"\n"...), nil
+}
+
+// errNonFinite marks a trace value JSON cannot carry.
+var errNonFinite = errors.New("NaN or infinite value has no JSON form")
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// openEvent opens an event object up to its name's value, preceded by a
+// comma unless b holds no event after first.
+func openEvent(b []byte, first int) []byte {
+	if len(b) > first {
+		b = append(b, ',')
+	}
+	return append(b, `{"name":`...)
+}
+
+func appendPidTid(b []byte, pid, tid int) []byte {
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	return strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+}
+
+// appendNameArgs closes a metadata event with its {"name":…} args.
+func appendNameArgs(b []byte, name string) []byte {
+	return append(appendString(append(b, `,"args":{"name":`...), name), "}}"...)
+}
+
+// appendFloat appends a finite float as encoding/json does: like
+// strconv's shortest 'f' form, or 'e' form with an unpadded exponent
+// below 1e-6 and from 1e21 up.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string the way encoding/json does with
+// HTML escaping on: control bytes, '"', '\\', '<', '>' and '&' escaped,
+// U+2028 and U+2029 escaped, and each byte of invalid UTF-8 written as
+// \ufffd.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // histDump is the metrics-JSON form of one histogram: integer bin counts

@@ -15,10 +15,13 @@
 //     dumps independent of the order the layers happened to record in.
 //
 //  2. One writer. A Recorder holds no locks: one goroutine records into a
-//     given recorder at a time. The cluster runtime sends every recorded
-//     run to its sequential executor, and serve sweeps its load levels in
-//     order. A parallel traced run would need one recorder per component,
-//     merged at export.
+//     given recorder, and exports it, at a time. Exports write too: State
+//     and WriteTrace put the recorder's event list into compareEvents
+//     order in place, sorting only the events appended since the last
+//     export. The cluster runtime sends every recorded run to its
+//     sequential executor, and serve sweeps its load levels in order. A
+//     parallel traced run would need one recorder per component, merged
+//     at export.
 //
 //  3. Zero cost when disabled. Every handle (*Counter, *Gauge,
 //     *Histogram) and the *Recorder itself are nil-safe: methods on nil
@@ -151,16 +154,19 @@ func (h *Histogram) Add(x float64) {
 // paths. Handle resolution (Counter/Gauge/Histogram) is expected on setup
 // paths.
 //
-// A Recorder has one writer: one goroutine records into it at a time, and
-// nothing in it is locked. Exports sort, so their bytes do not depend on
-// the order that writer recorded in.
+// A Recorder has one writer: one goroutine records into it or exports it
+// at a time, and nothing in it is locked. Exports sort, so their bytes do
+// not depend on the order that writer recorded in.
 type Recorder struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	events   []EventState
-	procs    map[int]string
-	threads  map[[2]int]string
+	// sorted is the watermark of events: events[:sorted] are in
+	// compareEvents order, left so by the last export (sortEvents).
+	sorted  int
+	procs   map[int]string
+	threads map[[2]int]string
 	// series and the sampling cadence live in series.go; the cadence is
 	// advisory metadata the cluster runtime reads to schedule SampleSeries
 	// calls at heap barriers.

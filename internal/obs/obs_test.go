@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -273,6 +275,12 @@ func TestHistogramWidthExported(t *testing.T) {
 // differ only in the sign of a zero ts or dur, so only a total sort order
 // makes the exports agree: WriteTrace bytes and State's event order must be
 // the same for every shuffle.
+//
+// Each trial also records the multiset in batches with exports between
+// them, so the exports merge new events into the prefix the last one
+// sorted: a batch that interleaves with the prefix, one that sorts before
+// all of it, and one appended after LoadState of an unsorted list. Those
+// dumps must equal a fresh recorder's too.
 func TestTraceOrderIgnoresAppendOrder(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	var events []EventState
@@ -286,35 +294,76 @@ func TestTraceOrderIgnoresAppendOrder(t *testing.T) {
 			}
 		}
 	}
+	sorted := slices.Clone(events)
+	slices.SortFunc(sorted, compareEvents)
+	third := len(sorted) / 3
+	var prefix, inside []EventState
+	for i := third; i < 2*third; i++ {
+		if i%2 == 0 {
+			prefix = append(prefix, sorted[i])
+		} else {
+			inside = append(inside, sorted[i])
+		}
+	}
+	before, after := slices.Clone(sorted[:third]), slices.Clone(sorted[2*third:])
+
 	rng := rand.New(rand.NewPCG(1, 2))
-	var wantTrace, wantState string
-	for trial := 0; trial < 8; trial++ {
-		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
-		r := New()
-		for _, e := range events {
+	shuffle := func(es []EventState) {
+		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	}
+	record := func(r *Recorder, es []EventState) {
+		for _, e := range es {
 			if e.Ph == 'X' {
 				r.SpanUS(e.Pid, e.Tid, e.Name, e.TS, e.Dur)
 			} else {
 				r.InstantUS(e.Pid, e.Tid, e.Name, e.TS)
 			}
 		}
+	}
+	dumps := func(r *Recorder) (trace, state string) {
 		var tr bytes.Buffer
 		if err := r.WriteTrace(&tr); err != nil {
 			t.Fatal(err)
 		}
-		st := fmt.Sprint(r.State().Events)
+		return tr.String(), fmt.Sprint(r.State().Events)
+	}
+	var wantTrace, wantState string
+	for trial := 0; trial < 8; trial++ {
+		shuffle(events)
+		r := New()
+		record(r, events)
+		tr, st := dumps(r)
 		if trial == 0 {
-			wantTrace, wantState = tr.String(), st
+			wantTrace, wantState = tr, st
 			if !strings.Contains(wantTrace, `"ts":-0`) || !strings.Contains(wantTrace, `"dur":-0`) {
 				t.Fatal("trace lost the sign of a zero")
 			}
-			continue
 		}
-		if tr.String() != wantTrace {
+		if tr != wantTrace {
 			t.Fatalf("shuffle %d: WriteTrace bytes differ", trial)
 		}
 		if st != wantState {
 			t.Fatalf("shuffle %d: State event order differs", trial)
+		}
+
+		for _, b := range [][]EventState{prefix, inside, before, after} {
+			shuffle(b)
+		}
+		r = New()
+		record(r, prefix)
+		r.State()
+		record(r, inside)
+		if err := r.WriteTrace(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		record(r, before)
+		s := r.State()
+		shuffle(s.Events)
+		r = New()
+		r.LoadState(s)
+		record(r, after)
+		if tr, st := dumps(r); tr != wantTrace || st != wantState {
+			t.Fatalf("shuffle %d: dumps after batched exports differ from a fresh recorder's", trial)
 		}
 	}
 }

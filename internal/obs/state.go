@@ -64,6 +64,8 @@ type State struct {
 // order total, so events that compare equal are bit-identical and any sort
 // of any permutation gives the same sequence: -0 and +0, which compare
 // equal as numbers, still sort apart. WriteTrace and State both sort by it.
+// Because the order is total, sorting in parts and merging (sortEvents)
+// gives the same sequence as one sort of the whole list.
 func compareEvents(a, b EventState) int {
 	if c := cmp.Compare(a.TS, b.TS); c != 0 {
 		return c
@@ -89,12 +91,55 @@ func compareEvents(a, b EventState) int {
 	return cmp.Compare(math.Float64bits(a.Dur), math.Float64bits(b.Dur))
 }
 
+// sortEvents puts the recorder's event list into compareEvents order in
+// place. Events below the watermark are already in order from the last
+// export, so it sorts only the events appended since and merges them in.
+// New events almost always sort after the old ones: the run that follows
+// the watermark in order joins it with one compare per event, and a
+// binary search finds where the rest start to interleave with the prefix.
+func (r *Recorder) sortEvents() {
+	ev := r.events
+	n := r.sorted
+	for n < len(ev) && (n == 0 || compareEvents(ev[n-1], ev[n]) <= 0) {
+		n++
+	}
+	if n < len(ev) {
+		slices.SortFunc(ev[n:], compareEvents)
+		p, _ := slices.BinarySearchFunc(ev[:n], ev[n], compareEvents)
+		mergeEvents(ev[p:], n-p)
+	}
+	r.sorted = len(ev)
+}
+
+// mergeEvents merges the sorted runs ev[:m] and ev[m:] in place. Only the
+// first run is copied out: the merge writes forward, never past the next
+// unread event of the second.
+func mergeEvents(ev []EventState, m int) {
+	left := slices.Clone(ev[:m])
+	i, j, k := 0, m, 0
+	for ; i < len(left) && j < len(ev); k++ {
+		if compareEvents(ev[j], left[i]) < 0 {
+			ev[k] = ev[j]
+			j++
+		} else {
+			ev[k] = left[i]
+			i++
+		}
+	}
+	copy(ev[k:], left[i:])
+}
+
 // State captures the recorder's full registry and trace sink. Returns nil
-// on a nil recorder (observability off — nothing to restore).
+// on a nil recorder (observability off — nothing to restore). The events
+// come out in compareEvents order: State sorts the recorder's own event
+// list in place (sortEvents) and returns a copy of it, so it writes to
+// the recorder and falls under the one-writer rule like any recording
+// call.
 func (r *Recorder) State() *State {
 	if r == nil {
 		return nil
 	}
+	r.sortEvents()
 	s := &State{
 		Counters:      make(map[string]int64, len(r.counters)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
@@ -134,7 +179,6 @@ func (r *Recorder) State() *State {
 	for k, sr := range r.series {
 		s.Series[k] = SeriesState{Pid: sr.pid, Samples: append([]SamplePoint(nil), sr.samples...)}
 	}
-	slices.SortFunc(s.Events, compareEvents)
 	return s
 }
 
@@ -161,6 +205,7 @@ func (r *Recorder) LoadState(s *State) {
 		r.hists[k] = &Histogram{h: sh}
 	}
 	r.events = append(make([]EventState, 0, len(s.Events)), s.Events...)
+	r.sorted = 0
 	r.procs = make(map[int]string, len(s.Procs))
 	for pid, name := range s.Procs {
 		r.procs[pid] = name

@@ -328,12 +328,21 @@ func (c *Chip) streamLanes(i int) *Lanes {
 
 // actTop returns 1 + the highest nonzero lane of stream i (whose lanes
 // the caller has already resolved to f), computing and caching it on
-// demand. The reverse scan checks four lanes per step, so a dense vector
-// pays ~20 compares and a sparse one stops at its live prefix.
+// demand. It is small enough to inline, so the cached case, most MatMuls,
+// costs no call.
 func (c *Chip) actTop(i int, f *Lanes) int {
 	if c.nzOK[i] {
 		return int(c.nzTop[i])
 	}
+	return c.scanActTop(i, f)
+}
+
+// scanActTop computes and caches actTop's value. The reverse scan checks
+// four lanes per step, so a dense vector pays ~20 compares and a sparse
+// one stops at its live prefix.
+//
+//go:noinline
+func (c *Chip) scanActTop(i int, f *Lanes) int {
 	top := FloatLanes
 	for top >= 4 && f[top-1] == 0 && f[top-2] == 0 && f[top-3] == 0 && f[top-4] == 0 {
 		top -= 4

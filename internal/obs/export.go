@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -86,14 +85,13 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	r.sortEvents()
 	for _, e := range r.events {
 		if !finite(e.TS) || e.Ph == 'X' && !finite(e.Dur) {
-			return b, fmt.Errorf("obs: trace event %q at ts %v, dur %v: %w", e.Name, e.TS, e.Dur, errNonFinite)
+			return b, fmt.Errorf("obs: trace event %q at ts %v, dur %v: JSON has no form for NaN or ±Inf", e.Name, e.TS, e.Dur)
 		}
 		b = appendString(openEvent(b, first), e.Name)
 		b = appendString(append(b, `,"ph":`...), string(e.Ph))
 		b = appendFloat(append(b, `,"ts":`...), e.TS)
 		if e.Ph == 'X' {
-			b = append(b, `,"dur":`...)
-			b = appendFloat(b, e.Dur)
+			b = appendFloat(append(b, `,"dur":`...), e.Dur)
 		}
 		b = appendPidTid(b, e.Pid, e.Tid)
 		if e.Ph == 'i' {
@@ -124,9 +122,6 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	}
 	return append(b, `],"displayTimeUnit":"ns"}`+"\n"...), nil
 }
-
-// errNonFinite marks a trace value JSON cannot carry.
-var errNonFinite = errors.New("NaN or infinite value has no JSON form")
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 

@@ -359,8 +359,7 @@ func TestTraceOrderIgnoresAppendOrder(t *testing.T) {
 		record(r, before)
 		s := r.State()
 		shuffle(s.Events)
-		r = New()
-		r.LoadState(s)
+		r.LoadState(s) // over a watermark that covers every event
 		record(r, after)
 		if tr, st := dumps(r); tr != wantTrace || st != wantState {
 			t.Fatalf("shuffle %d: dumps after batched exports differ from a fresh recorder's", trial)

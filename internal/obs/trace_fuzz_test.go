@@ -99,8 +99,10 @@ func checkTrace(t *testing.T, r *Recorder) {
 //	7 LoadState of the current state with its events reversed
 //	8 WriteTrace, checked against the oracle
 //
-// and the trace is checked once more at the end. Seeds are in
-// testdata/fuzz/FuzzWriteTrace.
+// and the trace is checked once more at the end. The seeds in
+// testdata/fuzz/FuzzWriteTrace cover hostile names, every Ph byte, both
+// sides of the float format switches, non-finite values, series samples,
+// and exports between batches of appends.
 func FuzzWriteTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := &traceOps{b: data}
@@ -144,17 +146,6 @@ func FuzzWriteTrace(f *testing.F) {
 		}
 		checkTrace(t, r)
 	})
-}
-
-// TestWriteTraceEveryPh exports one span-shaped event per Ph byte: the
-// phase is written as string(Ph), so bytes past 0x7f become two-byte
-// UTF-8 and control bytes are escaped, exactly as encoding/json does.
-func TestWriteTraceEveryPh(t *testing.T) {
-	r := New()
-	for ph := 0; ph < 256; ph++ {
-		r.events = append(r.events, EventState{Name: "e", Ph: byte(ph), Pid: ph % 3, TS: float64(ph), Dur: 1})
-	}
-	checkTrace(t, r)
 }
 
 // TestWriteTraceNonFinite: a NaN or infinite ts, or dur on a span, fails

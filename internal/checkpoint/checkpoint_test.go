@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -94,6 +96,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	}
+}
+
+// TestCheckpointBytesPinned pins the SHA-256 of Encode(testSnapshot()).
+// Round trips cannot catch a layout that Encode and Decode get wrong the
+// same way, and the recorded ring's blobs hold all-zero weights and no
+// SRAM vector; this snapshot has nonzero weights at rows 0 and 159, one
+// SRAM vector and every other section populated.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const want = "81de0c3a87023c1d2a67ae964965dd23b4abe790e40ff46feb28802fb84c0789"
+	sum := sha256.Sum256(Encode(testSnapshot()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("Encode(testSnapshot()) SHA-256 %s, want %s", got, want)
 	}
 }
 

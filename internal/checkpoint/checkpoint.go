@@ -31,13 +31,11 @@
 package checkpoint
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 
 	"repro/internal/c2c"
 	"repro/internal/mem"
@@ -130,23 +128,11 @@ const (
 	eventFixedLen = 1 + 4*8
 )
 
-// buf writes little-endian fields into space reserved up front: reserve
-// lengthens the blob by a computed size, and the writes fill it in order.
-// Nothing is appended a field at a time.
+// buf writes little-endian fields into a blob allocated at its exact
+// size. Nothing is appended a field at a time.
 type buf struct {
 	b   []byte
-	off int // next byte to fill; len(b) ends the reserved space
-}
-
-// reserve lengthens the blob by n bytes, reallocating to the exact size
-// when the capacity falls short.
-func (w *buf) reserve(n int) {
-	if need := len(w.b) + n; need > cap(w.b) {
-		nb := make([]byte, len(w.b), need)
-		copy(nb, w.b)
-		w.b = nb
-	}
-	w.b = w.b[:len(w.b)+n]
+	off int // next byte to fill
 }
 
 func (w *buf) u8(v byte) {
@@ -176,39 +162,32 @@ func (w *buf) bool(v bool) {
 	}
 }
 
-// filled panics unless every reserved byte was written: a size function
-// that disagrees with its writer is a bug, never a blob.
-func (w *buf) filled(section string) {
+// Encode serializes the whole snapshot (cluster section + Obs) into one
+// blob.
+func Encode(s *Snapshot) []byte { return EncodeView(s, s.Obs.View()) }
+
+// EncodeView serializes s's cluster section, with v as the obs section (a
+// nil v encodes as absent), into one blob allocated at its exact size: the
+// header, both sections, then the CRC over the payload. s.Obs is ignored.
+func EncodeView(s *Snapshot, v *obs.View) []byte {
+	payload := ClusterLen(s) + obsLen(v)
+	w := &buf{b: make([]byte, headerLen+payload+crcLen)}
+	w.off = copy(w.b, magic)
+	w.u32(Version)
+	w.u64(uint64(payload))
+	putCluster(w, s)
+	putObs(w, v)
+	w.u32(crc32.ChecksumIEEE(w.b[headerLen:w.off]))
+	// A length function that disagrees with its writer is a bug, never a
+	// blob.
 	if w.off != len(w.b) {
-		panic(fmt.Sprintf("checkpoint: %s section wrote %d of %d reserved bytes", section, w.off, len(w.b)))
+		panic(fmt.Sprintf("checkpoint: wrote %d of %d bytes", w.off, len(w.b)))
 	}
+	return w.b
 }
 
-// Writer encodes one blob in a single buffer: the header with a length
-// placeholder, the cluster section, the obs section, then the length patch
-// and the CRC over the payload in place. Cluster and Finish each reserve
-// their section's exact size before writing it. Call Cluster once, then
-// Finish once.
-type Writer struct{ w buf }
-
-// NewWriter starts a blob in b's storage (its contents are discarded). A
-// b with enough capacity for the whole blob is never reallocated.
-func NewWriter(b []byte) *Writer {
-	wr := &Writer{w: buf{b: b[:0]}}
-	wr.w.reserve(headerLen)
-	wr.w.off = copy(wr.w.b, magic)
-	wr.w.u32(Version)
-	wr.w.u64(0) // payload length, patched by Finish
-	return wr
-}
-
-// Cluster appends the snapshot's cluster section (everything but the obs
-// state) and returns its length, which is what the `checkpoint.bytes`
-// counter reports: the obs section cannot count itself.
-func (wr *Writer) Cluster(s *Snapshot) int {
-	w := &wr.w
-	start := w.off
-	w.reserve(clusterLen(s))
+// putCluster writes the cluster section: everything but the obs state.
+func putCluster(w *buf, s *Snapshot) {
 	w.i64(s.CaptureCycle)
 	w.i64(s.BaseWall)
 	w.i64(s.Cadence)
@@ -257,36 +236,12 @@ func (wr *Writer) Cluster(s *Snapshot) int {
 	for _, id := range s.Repaired {
 		w.i64(int64(id))
 	}
-	w.filled("cluster")
-	return w.off - start
 }
 
-// Finish appends the obs section (a nil state encodes as absent), patches
-// the payload length into the header, appends the payload's CRC and
-// returns the blob.
-func (wr *Writer) Finish(st *obs.State) []byte {
-	w := &wr.w
-	w.reserve(obsLen(st))
-	putObs(w, st)
-	w.filled("obs")
-	payload := w.b[headerLen:]
-	binary.LittleEndian.PutUint64(w.b[len(magic)+4:], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(payload)
-	w.reserve(crcLen)
-	w.u32(sum)
-	return w.b
-}
-
-// Encode serializes the whole snapshot (cluster section + Obs) into one
-// blob.
-func Encode(s *Snapshot) []byte {
-	wr := NewWriter(make([]byte, 0, headerLen+clusterLen(s)+obsLen(s.Obs)+crcLen))
-	wr.Cluster(s)
-	return wr.Finish(s.Obs)
-}
-
-// clusterLen is the exact encoded length of s's cluster section.
-func clusterLen(s *Snapshot) int {
+// ClusterLen is the exact encoded length of s's cluster section, which is
+// what the `checkpoint.bytes` counter reports: the obs section cannot
+// count itself.
+func ClusterLen(s *Snapshot) int {
 	n := clusterFixed + 4
 	for ci := range s.Chips {
 		n += chipLen(&s.Chips[ci])
@@ -312,13 +267,7 @@ func putChip(w *buf, c *tsp.ChipState) {
 	for i := range c.Streams {
 		w.bytes(c.Streams[i][:])
 	}
-	b := w.b[w.off : w.off+weightsLen]
-	for r := range c.Weights {
-		for _, v := range c.Weights[r] {
-			binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-			b = b[4:]
-		}
-	}
+	putWeights(w.b[w.off:w.off+weightsLen], &c.Weights)
 	w.off += weightsLen
 	w.u32(uint32(len(c.Units)))
 	for u := range c.Units {
@@ -347,76 +296,64 @@ func putChip(w *buf, c *tsp.ChipState) {
 }
 
 // obsLen is the exact encoded length of the obs section.
-func obsLen(s *obs.State) int {
+func obsLen(v *obs.View) int {
 	n := 1
-	if s == nil {
+	if v == nil {
 		return n
 	}
 	n += 4
-	for k := range s.Counters {
-		n += 4 + len(k) + 8
+	for _, e := range v.Counters {
+		n += 4 + len(e.Key) + 8
 	}
 	n += 4
-	for k := range s.Gauges {
-		n += 4 + len(k) + 8
+	for _, e := range v.Gauges {
+		n += 4 + len(e.Key) + 8
 	}
 	n += 4
-	for k, h := range s.Hists {
-		n += 4 + len(k) + histFixedLen + len(h.Counts)*8
+	for _, e := range v.Hists {
+		n += 4 + len(e.Key) + histFixedLen + len(e.Val.Counts)*8
 	}
 	n += 4
-	for i := range s.Events {
-		n += 4 + len(s.Events[i].Name) + eventFixedLen
+	for i := range v.Events {
+		n += 4 + len(v.Events[i].Name) + eventFixedLen
 	}
 	n += 4
-	for _, name := range s.Procs {
-		n += 8 + 4 + len(name)
+	for _, e := range v.Procs {
+		n += 8 + 4 + len(e.Val)
 	}
 	n += 4
-	for _, name := range s.Threads {
-		n += 16 + 4 + len(name)
+	for _, e := range v.Threads {
+		n += 16 + 4 + len(e.Val)
 	}
 	n += 8 + 4
-	for k, sr := range s.Series {
-		n += 4 + len(k) + 8 + 4 + len(sr.Samples)*16
+	for _, e := range v.Series {
+		n += 4 + len(e.Key) + 8 + 4 + len(e.Val.Samples)*16
 	}
 	return n
 }
 
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
-}
-
-// putObs writes the recorder state section, every map in sorted key order.
-func putObs(w *buf, s *obs.State) {
-	if s == nil {
+// putObs writes the recorder state section, every registry in the view's
+// ascending key order.
+func putObs(w *buf, v *obs.View) {
+	if v == nil {
 		w.bool(false)
 		return
 	}
 	w.bool(true)
-	cks := sortedKeys(s.Counters)
-	w.u32(uint32(len(cks)))
-	for _, k := range cks {
-		w.str(k)
-		w.i64(s.Counters[k])
+	w.u32(uint32(len(v.Counters)))
+	for _, e := range v.Counters {
+		w.str(e.Key)
+		w.i64(e.Val)
 	}
-	gks := sortedKeys(s.Gauges)
-	w.u32(uint32(len(gks)))
-	for _, k := range gks {
-		w.str(k)
-		w.i64(s.Gauges[k])
+	w.u32(uint32(len(v.Gauges)))
+	for _, e := range v.Gauges {
+		w.str(e.Key)
+		w.i64(e.Val)
 	}
-	hks := sortedKeys(s.Hists)
-	w.u32(uint32(len(hks)))
-	for _, k := range hks {
-		h := s.Hists[k]
-		w.str(k)
+	w.u32(uint32(len(v.Hists)))
+	for _, e := range v.Hists {
+		h := &e.Val
+		w.str(e.Key)
 		w.f64(h.Origin)
 		w.f64(h.Width)
 		w.i64(h.Underflow)
@@ -426,9 +363,9 @@ func putObs(w *buf, s *obs.State) {
 			w.i64(c)
 		}
 	}
-	w.u32(uint32(len(s.Events)))
-	for i := range s.Events {
-		ev := &s.Events[i]
+	w.u32(uint32(len(v.Events)))
+	for i := range v.Events {
+		ev := &v.Events[i]
 		w.str(ev.Name)
 		w.u8(ev.Ph)
 		w.i64(int64(ev.Pid))
@@ -436,37 +373,24 @@ func putObs(w *buf, s *obs.State) {
 		w.f64(ev.TS)
 		w.f64(ev.Dur)
 	}
-	pids := sortedKeys(s.Procs)
-	w.u32(uint32(len(pids)))
-	for _, pid := range pids {
-		w.i64(int64(pid))
-		w.str(s.Procs[pid])
+	w.u32(uint32(len(v.Procs)))
+	for _, e := range v.Procs {
+		w.i64(int64(e.Key))
+		w.str(e.Val)
 	}
-	tks := make([][2]int, 0, len(s.Threads))
-	for k := range s.Threads {
-		tks = append(tks, k)
+	w.u32(uint32(len(v.Threads)))
+	for _, e := range v.Threads {
+		w.i64(int64(e.Key[0]))
+		w.i64(int64(e.Key[1]))
+		w.str(e.Val)
 	}
-	slices.SortFunc(tks, func(a, b [2]int) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
-	w.u32(uint32(len(tks)))
-	for _, k := range tks {
-		w.i64(int64(k[0]))
-		w.i64(int64(k[1]))
-		w.str(s.Threads[k])
-	}
-	w.i64(s.SeriesCadence)
-	sks := sortedKeys(s.Series)
-	w.u32(uint32(len(sks)))
-	for _, k := range sks {
-		sr := s.Series[k]
-		w.str(k)
-		w.i64(int64(sr.Pid))
-		w.u32(uint32(len(sr.Samples)))
-		for _, p := range sr.Samples {
+	w.i64(v.SeriesCadence)
+	w.u32(uint32(len(v.Series)))
+	for _, e := range v.Series {
+		w.str(e.Key)
+		w.i64(int64(e.Val.Pid))
+		w.u32(uint32(len(e.Val.Samples)))
+		for _, p := range e.Val.Samples {
 			w.i64(p.Cycle)
 			w.i64(p.Value)
 		}
@@ -527,7 +451,6 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
 
 // bool accepts only the bytes Encode writes, so every blob Decode accepts
 // re-encodes to itself.
@@ -561,16 +484,27 @@ func (d *dec) str() string {
 	return string(b)
 }
 
-// count reads a collection length and sanity-bounds it against the bytes
-// remaining (each element needs at least min bytes), so a corrupted count
-// cannot drive a huge allocation.
+// count reads a collection length and bounds it by the bytes remaining:
+// each element is at least min bytes on the wire, so a count that could
+// not fit is corrupt, and no count can drive an allocation larger than a
+// constant times the blob (TestDecodeAllocationBounded).
 func (d *dec) count(min int) int {
 	n := int(d.u32())
-	if d.err == nil && min > 0 && n > (len(d.b)-d.off)/min+1 {
+	if d.err == nil && n > (len(d.b)-d.off)/min {
 		d.fail("checkpoint: implausible element count %d at offset %d", n, d.off)
 		return 0
 	}
 	return n
+}
+
+// grow returns room for n decoded elements: nil for none, as appending to
+// a nil slice leaves it, so a decoded snapshot is the one Decode built by
+// appending.
+func grow[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Decode parses and verifies a blob. Any structural problem — short blob,
@@ -616,16 +550,17 @@ func Decode(blob []byte) (*Snapshot, error) {
 	s.MBEs = d.i64()
 	s.FirstMBECycle = d.i64()
 
-	nChips := d.count(tsp.NumStreams * tsp.VectorBytes)
-	for ci := 0; ci < nChips && d.err == nil; ci++ {
-		var c tsp.ChipState
+	// Chips decode in place: a ChipState is 72 KB.
+	if n := d.count(chipFixedLen); n > 0 {
+		s.Chips = make([]tsp.ChipState, n)
+	}
+	for ci := 0; ci < len(s.Chips) && d.err == nil; ci++ {
+		c := &s.Chips[ci]
 		for i := range c.Streams {
 			copy(c.Streams[i][:], d.take(tsp.VectorBytes))
 		}
-		for r := range c.Weights {
-			for j := range c.Weights[r] {
-				c.Weights[r][j] = d.f32()
-			}
+		if b := d.take(weightsLen); b != nil {
+			getWeights(&c.Weights, b)
 		}
 		nUnits := d.count(8)
 		if d.err == nil && nUnits != len(c.Units) {
@@ -643,7 +578,8 @@ func Decode(blob []byte) (*Snapshot, error) {
 		}
 		c.Mem.CorrectedSBEs = d.i64()
 		c.Mem.DetectedMBEs = d.i64()
-		nVecs := d.count(8 + 9*tsp.VectorBytes/8)
+		nVecs := d.count(memVectorLen)
+		c.Mem.Vectors = grow[mem.VectorState](nVecs)
 		for v := 0; v < nVecs && d.err == nil; v++ {
 			vs := mem.VectorState{Linear: int(d.i64())}
 			for w := range vs.Words {
@@ -652,15 +588,15 @@ func Decode(blob []byte) (*Snapshot, error) {
 			}
 			c.Mem.Vectors = append(c.Mem.Vectors, vs)
 		}
-		s.Chips = append(s.Chips, c)
 	}
 
 	nMB := d.count(4)
+	s.Mailboxes = grow[[][]Envelope](nMB)
 	for i := 0; i < nMB && d.err == nil; i++ {
 		nQ := d.count(4)
 		mb := make([][]Envelope, 0, nQ)
 		for q := 0; q < nQ && d.err == nil; q++ {
-			nE := d.count(8 + tsp.VectorBytes)
+			nE := d.count(envelopeLen)
 			queue := make([]Envelope, 0, nE)
 			for k := 0; k < nE && d.err == nil; k++ {
 				var env Envelope
@@ -673,7 +609,8 @@ func Decode(blob []byte) (*Snapshot, error) {
 		s.Mailboxes = append(s.Mailboxes, mb)
 	}
 
-	nLinks := d.count(8 * 5)
+	nLinks := d.count(linkEntryLen)
+	s.Links = grow[LinkEntry](nLinks)
 	for i := 0; i < nLinks && d.err == nil; i++ {
 		le := LinkEntry{ID: topo.LinkID(d.i64())}
 		le.State.BitErrorRate = d.f64()
@@ -684,7 +621,8 @@ func Decode(blob []byte) (*Snapshot, error) {
 		s.Links = append(s.Links, le)
 	}
 
-	nMBEs := d.count(24)
+	nMBEs := d.count(linkMBELen)
+	s.LinkMBEs = grow[LinkMBE](nMBEs)
 	for i := 0; i < nMBEs && d.err == nil; i++ {
 		s.LinkMBEs = append(s.LinkMBEs, LinkMBE{
 			ID:         topo.LinkID(d.i64()),
@@ -694,6 +632,7 @@ func Decode(blob []byte) (*Snapshot, error) {
 	}
 
 	nRep := d.count(8)
+	s.Repaired = grow[topo.LinkID](nRep)
 	for i := 0; i < nRep && d.err == nil; i++ {
 		s.Repaired = append(s.Repaired, topo.LinkID(d.i64()))
 	}
@@ -744,6 +683,7 @@ func decodeObs(d *dec) *obs.State {
 			Overflow:  d.i64(),
 		}
 		bins := d.count(8)
+		h.Counts = grow[int64](bins)
 		// Encode writes only shapes stats.NewHistogram accepts, and
 		// LoadState panics on any other.
 		if bins == 0 || math.IsNaN(h.Origin) || math.IsInf(h.Origin, 0) || !(h.Width > 0) || math.IsInf(h.Width, 1) {
@@ -754,7 +694,8 @@ func decodeObs(d *dec) *obs.State {
 		}
 		s.Hists[k] = h
 	}
-	n = d.count(37)
+	n = d.count(4 + eventFixedLen)
+	s.Events = grow[obs.EventState](n)
 	for i := 0; i < n && d.err == nil; i++ {
 		ev := obs.EventState{Name: d.str(), Ph: d.u8()}
 		ev.Pid = int(d.i64())
@@ -790,6 +731,7 @@ func decodeObs(d *dec) *obs.State {
 		last = k
 		sr := obs.SeriesState{Pid: int(d.i64())}
 		ns := d.count(16)
+		sr.Samples = grow[obs.SamplePoint](ns)
 		for j := 0; j < ns && d.err == nil; j++ {
 			sr.Samples = append(sr.Samples, obs.SamplePoint{Cycle: d.i64(), Value: d.i64()})
 		}

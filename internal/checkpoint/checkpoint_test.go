@@ -229,24 +229,38 @@ func TestCheckpointNonFiniteEventRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriterMatchesEncode: the staged capture path (Cluster, then
-// Finish with the obs state) produces the same blob as Encode whatever
-// buffer it starts from — none, a short one that must be regrown, or a
-// roomy one holding stale bytes — and reports the cluster section's
-// length.
-func TestCheckpointWriterMatchesEncode(t *testing.T) {
+// TestCheckpointEncodeViewMatchesEncode: encoding the obs section from a
+// live recorder's View gives the bytes Encode gives for the State the
+// recorder exports, before and after the recorder grows new names (which
+// its kept name order must place), and ClusterLen is the length of the
+// cluster section.
+func TestCheckpointEncodeViewMatchesEncode(t *testing.T) {
 	s := testSnapshot()
-	want := Encode(s)
-	stale := bytes.Repeat([]byte{0xEE}, 2*len(want))
-	for _, b := range [][]byte{nil, make([]byte, 0, 100), stale} {
-		w := NewWriter(b)
-		n := w.Cluster(s)
-		got := w.Finish(s.Obs)
+	r := obs.New()
+	r.LoadState(s.Obs)
+	check := func(stage string) {
+		t.Helper()
+		got := EncodeView(s, r.View())
+		s.Obs = r.State()
+		want := Encode(s)
 		if !bytes.Equal(got, want) {
-			t.Errorf("start cap %d: Writer blob != Encode(s)", cap(b))
+			t.Errorf("%s: EncodeView(s, r.View()) != Encode(s) with s.Obs = r.State()", stage)
 		}
-		if wantN := len(want) - headerLen - obsLen(s.Obs) - crcLen; n != wantN {
-			t.Errorf("start cap %d: cluster length %d, want %d", cap(b), n, wantN)
+		if n := len(want) - headerLen - obsLen(s.Obs.View()) - crcLen; ClusterLen(s) != n {
+			t.Errorf("%s: ClusterLen %d, cluster section %d bytes", stage, ClusterLen(s), n)
 		}
 	}
+	check("loaded")
+	// Names that sort before, between and after the loaded ones.
+	r.Counter("a.first").Inc()
+	r.Counter("g.middle").Add(3)
+	r.Gauge("z.last").Set(-1)
+	r.Histogram("b.hist", 0, 2, 4).Add(3)
+	r.Series("a.series", 7).Add(650, 1)
+	r.SampleSeries(1950)
+	r.InstantCycles(1, 2, "checkpoint.capture", 1950)
+	r.SpanCycles(2, 1, "early", 0, 10)
+	r.SetProcessName(0, "chip 0")
+	r.SetThreadName(0, 3, "mxm")
+	check("grown")
 }

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,20 +77,16 @@ func frame(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
-// TestCheckpointFuzzCorpus keeps the checked-in seed corpus meaningful:
-// the "valid" seed is a blob Decode accepts and re-encodes exactly, and
-// every other seed (truncations and bit flips of it) is rejected with
-// ErrCorrupt. A format change that invalidates the seed fails here; the
-// corpus must then be regenerated from a current blob.
-func TestCheckpointFuzzCorpus(t *testing.T) {
+// readCorpus returns the checked-in seed corpus of FuzzCheckpointDecode,
+// keyed by file name.
+func readCorpus(t *testing.T) map[string][]byte {
+	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 2 {
-		t.Fatalf("%d corpus entries, want the valid blob and its variants", len(entries))
-	}
+	seeds := map[string][]byte{}
 	for _, e := range entries {
 		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
@@ -103,14 +102,110 @@ func TestCheckpointFuzzCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		s, err := Decode([]byte(blob))
+		seeds[e.Name()] = []byte(blob)
+	}
+	return seeds
+}
+
+// TestCheckpointFuzzCorpus keeps the checked-in seed corpus meaningful:
+// the "valid" seed is a blob Decode accepts and re-encodes exactly, and
+// every other seed (truncations and bit flips of it) is rejected with
+// ErrCorrupt. A format change that invalidates the seed fails here; the
+// corpus must then be regenerated from a current blob.
+func TestCheckpointFuzzCorpus(t *testing.T) {
+	seeds := readCorpus(t)
+	if len(seeds) < 2 {
+		t.Fatalf("%d corpus entries, want the valid blob and its variants", len(seeds))
+	}
+	for name, blob := range seeds {
+		s, err := Decode(blob)
 		switch {
-		case e.Name() == "valid" && err != nil:
+		case name == "valid" && err != nil:
 			t.Errorf("valid seed rejected: %v", err)
-		case e.Name() == "valid" && !bytes.Equal(Encode(s), []byte(blob)):
+		case name == "valid" && !bytes.Equal(Encode(s), blob):
 			t.Error("valid seed does not re-encode to itself")
-		case e.Name() != "valid" && !errors.Is(err, ErrCorrupt):
-			t.Errorf("%s: want ErrCorrupt, got %v", e.Name(), err)
+		case name != "valid" && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
 		}
+	}
+}
+
+// Decode allocates at most decodeAllocPerByte bytes per blob byte, plus
+// decodeAllocFixed for the snapshot and error values every call may
+// make. The largest ratio is a count of empty mailboxes or queues: 4
+// bytes on the wire, a 24-byte slice header in memory.
+const (
+	decodeAllocPerByte = 8
+	decodeAllocFixed   = 1 << 10
+)
+
+// TestDecodeAllocationBounded: what Decode allocates is bounded by the
+// size of its input, on every corpus seed, on a valid blob, and on
+// crafted blobs that claim, for each collection in turn, as many elements
+// as the bytes left could hold (the most its count check lets through).
+// Each element then decodes from zero bytes, so most of these blobs fail
+// after the allocation their count drove.
+func TestDecodeAllocationBounded(t *testing.T) {
+	blobs := readCorpus(t)
+	blobs["encoded"] = Encode(testSnapshot())
+	// Maps grow as their entries decode, so their allocation shows on an
+	// accepted blob with many short names.
+	many := testSnapshot()
+	for i := 0; i < 20000; i++ {
+		k := strconv.Itoa(100000 + i)
+		many.Obs.Counters[k] = int64(i)
+		many.Obs.Series[k] = obs.SeriesState{Samples: []obs.SamplePoint{{Cycle: int64(i)}}}
+	}
+	blobs["many-names"] = Encode(many)
+
+	const room = 1 << 20 // zero bytes after each crafted count
+	le := binary.LittleEndian
+	empty := func(n int) []byte { return make([]byte, 4*n) } // n empty collections
+	cluster := make([]byte, clusterFixed)
+	obsOn := append(append(slices.Clone(cluster), empty(5)...), 1) // every cluster collection empty, obs present
+	hist := le.AppendUint32(nil, 1)
+	hist = append(hist, 'h')
+	hist = le.AppendUint64(hist, 0)
+	hist = le.AppendUint64(hist, math.Float64bits(1))
+	hist = append(hist, make([]byte, 16)...)
+	series := le.AppendUint32(nil, 1)
+	series = append(series, 's', 0, 0, 0, 0, 0, 0, 0, 0)
+	for _, c := range []struct {
+		name   string
+		prefix []byte
+		min    int
+	}{
+		{"chips", cluster, chipFixedLen},
+		{"mailboxes", append(slices.Clone(cluster), empty(1)...), 4},
+		{"queues", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0), 4},
+		{"envelopes", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0, 1, 0, 0, 0), envelopeLen},
+		{"links", append(slices.Clone(cluster), empty(2)...), linkEntryLen},
+		{"link-mbes", append(slices.Clone(cluster), empty(3)...), linkMBELen},
+		{"repaired", append(slices.Clone(cluster), empty(4)...), 8},
+		{"counters", obsOn, 12},
+		{"gauges", append(slices.Clone(obsOn), empty(1)...), 12},
+		{"histograms", append(slices.Clone(obsOn), empty(2)...), 4 + histFixedLen},
+		{"bins", append(append(slices.Clone(obsOn), empty(2)...), append([]byte{1, 0, 0, 0}, hist...)...), 8},
+		{"events", append(slices.Clone(obsOn), empty(3)...), 4 + eventFixedLen},
+		{"processes", append(slices.Clone(obsOn), empty(4)...), 12},
+		{"threads", append(slices.Clone(obsOn), empty(5)...), 20},
+		{"series", append(slices.Clone(obsOn), empty(8)...), 16}, // six tables, then the 8-byte cadence
+		{"samples", append(append(slices.Clone(obsOn), empty(8)...), append([]byte{1, 0, 0, 0}, series...)...), 16},
+	} {
+		p := le.AppendUint32(slices.Clone(c.prefix), room/uint32(c.min))
+		blobs["max-"+c.name] = frame(append(p, make([]byte, room)...))
+	}
+
+	for name, blob := range blobs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(blob)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		limit := uint64(decodeAllocPerByte*len(blob) + decodeAllocFixed)
+		if got > limit {
+			t.Errorf("%s: Decode of %d bytes allocated %d (limit %d; err %v)", name, len(blob), got, limit, err)
+		}
+		t.Logf("%s: %d bytes, allocated %d (%.2f per byte), err %v", name, len(blob), got, float64(got)/float64(len(blob)), err)
 	}
 }

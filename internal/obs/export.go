@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,28 +60,13 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	b = append(b, `{"traceEvents":[`...)
 	first := len(b) // events after the first are preceded by a comma
 	// Metadata: process and thread names, sorted for stable output.
-	pids := make([]int, 0, len(r.procs))
-	for pid := range r.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
+	for _, p := range entries(r.procs, cmp.Compare[int]) {
 		b = append(openEvent(b, first), `"process_name","ph":"M","ts":0`...)
-		b = appendNameArgs(appendPidTid(b, pid, 0), r.procs[pid])
+		b = appendNameArgs(appendPidTid(b, p.Key, 0), p.Val)
 	}
-	tkeys := make([][2]int, 0, len(r.threads))
-	for k := range r.threads {
-		tkeys = append(tkeys, k)
-	}
-	sort.Slice(tkeys, func(i, j int) bool {
-		if tkeys[i][0] != tkeys[j][0] {
-			return tkeys[i][0] < tkeys[j][0]
-		}
-		return tkeys[i][1] < tkeys[j][1]
-	})
-	for _, k := range tkeys {
+	for _, t := range entries(r.threads, compareTracks) {
 		b = append(openEvent(b, first), `"thread_name","ph":"M","ts":0`...)
-		b = appendNameArgs(appendPidTid(b, k[0], k[1]), r.threads[k])
+		b = appendNameArgs(appendPidTid(b, t.Key[0], t.Key[1]), t.Val)
 	}
 	r.sortEvents()
 	for _, e := range r.events {
@@ -104,15 +90,10 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	// series name, samples in cycle order — a deterministic tail that is
 	// absent entirely when no series were recorded, keeping pre-series
 	// traces byte-identical.
-	snames := make([]string, 0, len(r.series))
-	for k := range r.series {
-		snames = append(snames, k)
-	}
-	sort.Strings(snames)
 	var name []byte // a series' name, escaped once for all its samples
-	for _, k := range snames {
-		s := r.series[k]
-		name = appendString(name[:0], k)
+	for _, e := range r.byName.series.sorted() {
+		s := e.Val
+		name = appendString(name[:0], e.Key)
 		for _, p := range s.samples {
 			b = append(append(openEvent(b, first), name...), `,"ph":"C","ts":`...)
 			b = appendFloat(b, clock.USOfCycles(p.Cycle))

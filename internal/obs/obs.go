@@ -15,10 +15,11 @@
 //     dumps independent of the order the layers happened to record in.
 //
 //  2. One writer. A Recorder holds no locks: one goroutine records into a
-//     given recorder, and exports it, at a time. Exports write too: State
-//     and WriteTrace put the recorder's event list into compareEvents
+//     given recorder, and exports it, at a time. Exports write too: State,
+//     View and WriteTrace put the recorder's event list into compareEvents
 //     order in place, sorting only the events appended since the last
-//     export. The cluster runtime sends every recorded run to its
+//     export, and View and WriteTrace sort the kept name order of a
+//     registry that grew. The cluster runtime sends every recorded run to its
 //     sequential executor, and serve sweeps its load levels in order. A
 //     parallel traced run would need one recorder per component, merged
 //     at export.
@@ -172,6 +173,14 @@ type Recorder struct {
 	// calls at heap barriers.
 	series      map[string]*Series
 	seriesEvery int64
+	// byName keeps the string-keyed registries in ascending name order
+	// for View and the trace export (keyOrder, state.go).
+	byName struct {
+		counters keyOrder[*Counter]
+		gauges   keyOrder[*Gauge]
+		hists    keyOrder[*Histogram]
+		series   keyOrder[*Series]
+	}
 }
 
 // New returns an empty recorder.
@@ -199,6 +208,7 @@ func (r *Recorder) Counter(name string, labels ...Label) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[k] = c
+		r.byName.counters.add(k, c)
 	}
 	return c
 }
@@ -213,6 +223,7 @@ func (r *Recorder) Gauge(name string, labels ...Label) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[k] = g
+		r.byName.gauges.add(k, g)
 	}
 	return g
 }
@@ -228,6 +239,7 @@ func (r *Recorder) Histogram(name string, origin, width float64, bins int, label
 	if !ok {
 		h = &Histogram{h: stats.NewHistogram(origin, width, bins)}
 		r.hists[k] = h
+		r.byName.hists.add(k, h)
 	}
 	return h
 }

@@ -56,6 +56,7 @@ func (r *Recorder) Series(name string, pid int, labels ...Label) *Series {
 	if !ok {
 		s = &Series{pid: pid}
 		r.series[k] = s
+		r.byName.series.add(k, s)
 	}
 	return s
 }

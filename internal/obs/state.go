@@ -7,6 +7,12 @@
 // process/thread name tables. Events are captured in export order (the
 // same total order WriteTrace sorts by), which makes the captured form
 // independent of the order they were appended in.
+//
+// State copies all of it. A checkpoint capture instead encodes a View:
+// the same state laid out in encoding order, sharing the recorder's event
+// list and series samples and taking names from the order the recorder
+// keeps, so a capture costs the bytes it writes, not a copy and a sort of
+// the whole history.
 package obs
 
 import (
@@ -157,18 +163,7 @@ func (r *Recorder) State() *State {
 		s.Gauges[k] = g.v
 	}
 	for k, h := range r.hists {
-		sh := h.h
-		hs := HistState{
-			Origin:    sh.BinStart(0),
-			Width:     sh.Width(),
-			Underflow: sh.Underflow(),
-			Overflow:  sh.Overflow(),
-			Counts:    make([]int64, sh.Bins()),
-		}
-		for i := range hs.Counts {
-			hs.Counts[i] = sh.Count(i)
-		}
-		s.Hists[k] = hs
+		s.Hists[k] = histState(h)
 	}
 	for pid, name := range r.procs {
 		s.Procs[pid] = name
@@ -180,6 +175,22 @@ func (r *Recorder) State() *State {
 		s.Series[k] = SeriesState{Pid: sr.pid, Samples: append([]SamplePoint(nil), sr.samples...)}
 	}
 	return s
+}
+
+// histState captures one histogram's shape and bin counts.
+func histState(h *Histogram) HistState {
+	sh := h.h
+	hs := HistState{
+		Origin:    sh.BinStart(0),
+		Width:     sh.Width(),
+		Underflow: sh.Underflow(),
+		Overflow:  sh.Overflow(),
+		Counts:    make([]int64, sh.Bins()),
+	}
+	for i := range hs.Counts {
+		hs.Counts[i] = sh.Count(i)
+	}
+	return hs
 }
 
 // LoadState replaces the recorder's entire contents with a captured
@@ -222,4 +233,132 @@ func (r *Recorder) LoadState(s *State) {
 		}
 	}
 	r.seriesEvery = s.SeriesCadence
+	r.byName.counters = orderOf(r.counters)
+	r.byName.gauges = orderOf(r.gauges)
+	r.byName.hists = orderOf(r.hists)
+	r.byName.series = orderOf(r.series)
+}
+
+// Entry is one keyed registry entry of a View.
+type Entry[K, V any] struct {
+	Key K
+	Val V
+}
+
+// View is a recorder's state laid out in the order a checkpoint encodes
+// it: every registry as entries in ascending key order, the events in the
+// order State gives them. It carries what State carries without State's
+// copies.
+type View struct {
+	Counters, Gauges []Entry[string, int64]
+	Hists            []Entry[string, HistState]
+	Events           []EventState
+	Procs            []Entry[int, string]
+	Threads          []Entry[[2]int, string]
+	SeriesCadence    int64
+	Series           []Entry[string, SeriesState]
+}
+
+// View returns the recorder's state for a checkpoint capture without
+// copying its history: the events are the recorder's own list, put into
+// compareEvents order in place as State does, and every series' samples
+// are its own slice. Names come from the recorder's kept order, which is
+// sorted again only after a registry grew. Like State, View writes to the
+// recorder; the view holds only until the recorder's next write. Returns
+// nil on a nil recorder.
+func (r *Recorder) View() *View {
+	if r == nil {
+		return nil
+	}
+	r.sortEvents()
+	return &View{
+		Counters:      mapValues(r.byName.counters.sorted(), func(c *Counter) int64 { return c.v }),
+		Gauges:        mapValues(r.byName.gauges.sorted(), func(g *Gauge) int64 { return g.v }),
+		Hists:         mapValues(r.byName.hists.sorted(), histState),
+		Events:        r.events,
+		Procs:         entries(r.procs, cmp.Compare[int]),
+		Threads:       entries(r.threads, compareTracks),
+		SeriesCadence: r.seriesEvery,
+		Series: mapValues(r.byName.series.sorted(), func(s *Series) SeriesState {
+			return SeriesState{Pid: s.pid, Samples: s.samples}
+		}),
+	}
+}
+
+// View returns the state in encoding order, sorting a copy of every map's
+// keys. The events keep their slice order. Returns nil on a nil state.
+func (s *State) View() *View {
+	if s == nil {
+		return nil
+	}
+	return &View{
+		Counters:      entries(s.Counters, strings.Compare),
+		Gauges:        entries(s.Gauges, strings.Compare),
+		Hists:         entries(s.Hists, strings.Compare),
+		Events:        s.Events,
+		Procs:         entries(s.Procs, cmp.Compare[int]),
+		Threads:       entries(s.Threads, compareTracks),
+		SeriesCadence: s.SeriesCadence,
+		Series:        entries(s.Series, strings.Compare),
+	}
+}
+
+// keyOrder keeps one string-keyed registry's entries in ascending key
+// order. A registry that gains an entry appends it (add), and the next
+// sorted call sorts the list again, so once a run has resolved its
+// metrics an export sorts nothing.
+type keyOrder[T any] struct {
+	es      []Entry[string, T]
+	inOrder bool // es is in ascending key order
+}
+
+func (o *keyOrder[T]) add(k string, v T) {
+	o.es = append(o.es, Entry[string, T]{k, v})
+	o.inOrder = false
+}
+
+func (o *keyOrder[T]) sorted() []Entry[string, T] {
+	if !o.inOrder {
+		slices.SortFunc(o.es, func(a, b Entry[string, T]) int { return strings.Compare(a.Key, b.Key) })
+		o.inOrder = true
+	}
+	return o.es
+}
+
+// orderOf is the key order of a registry rebuilt wholesale (LoadState),
+// sorted at once.
+func orderOf[T any](m map[string]T) keyOrder[T] {
+	o := keyOrder[T]{es: make([]Entry[string, T], 0, len(m))}
+	for k, v := range m {
+		o.add(k, v)
+	}
+	o.sorted()
+	return o
+}
+
+// mapValues maps every entry's value through f, keeping the order.
+func mapValues[T, V any](es []Entry[string, T], f func(T) V) []Entry[string, V] {
+	out := make([]Entry[string, V], len(es))
+	for i, e := range es {
+		out[i] = Entry[string, V]{e.Key, f(e.Val)}
+	}
+	return out
+}
+
+// entries returns m's entries in ascending key order under compare.
+func entries[K comparable, V any](m map[K]V, compare func(a, b K) int) []Entry[K, V] {
+	out := make([]Entry[K, V], 0, len(m))
+	for k, v := range m {
+		out = append(out, Entry[K, V]{k, v})
+	}
+	slices.SortFunc(out, func(a, b Entry[K, V]) int { return compare(a.Key, b.Key) })
+	return out
+}
+
+// compareTracks orders (pid, tid) trace tracks by pid, then tid.
+func compareTracks(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }

@@ -1,8 +1,13 @@
-// Micro-benchmark for one cadence capture of the 16-chip recorded ring:
-// snapshot build, single-pass blob encode, counter stamping and the
-// recorder state export. "full" drops the delta baseline first, so every
-// chip's SRAM is walked and re-encoded; "delta" keeps the baseline the
-// run's own captures armed, the steady-cadence path.
+// Micro-benchmarks for the cadence captures of the 16-chip recorded ring.
+// "full" and "delta" time one capture: snapshot build, counter stamping
+// and the blob encode from the live recorder. "full" drops the delta
+// baseline first, so every chip's SRAM is walked and re-encoded; "delta"
+// keeps the baseline the run's own captures armed, the steady-cadence
+// path. Both re-prime the recorder with LoadState, which leaves its event
+// list at exact capacity, so the capture's one instant event regrows it
+// inside the timer. "run" times the whole recorded ring with its nine
+// captures ("cadence") and with the cadence off ("off"): the difference
+// is what the captures cost a run.
 package runtime
 
 import (
@@ -42,4 +47,23 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			}
 		})
 	}
+	b.Run("run", func(b *testing.B) {
+		for _, mode := range []struct {
+			name  string
+			every int64
+		}{{"cadence", recRingCadence}, {"off", 0}} {
+			b.Run(mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					cl, _ := buildRecordedRing(b, 1)
+					cl.SetCheckpointCadence(mode.every)
+					b.StartTimer()
+					if _, err := cl.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }

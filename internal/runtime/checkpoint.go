@@ -13,19 +13,21 @@
 // line, so a long quiet-phase batch can never step a chip past a due
 // capture (TestCheckpointCadenceMidExtendedWindow).
 //
-// A capture encodes each snapshot once, straight into its blob, in one
-// buffer sized from the previous blob: the header with a length
-// placeholder, then the cluster section (chips taken from the delta
-// baseline without a copy), then the obs section, then the length patch
-// and the CRC over the payload in place (checkpoint.Writer).
+// A capture costs about the bytes it writes. Each chip captures in place
+// into its delta baseline, which the snapshot's Chips then are, and
+// re-encodes only the SRAM vectors it wrote since the last capture. The
+// blob is allocated once at its exact size and encoded straight from the
+// baseline and from the live recorder's View, which shares the event list
+// and series samples instead of copying them and keeps its names sorted
+// between captures (checkpoint.EncodeView).
 //
 // The counter circularity — `checkpoint.bytes` must itself appear in the
-// snapshot's obs section — is resolved by that fixed order: write the
+// snapshot's obs section — is resolved by a fixed order: build the
 // cluster section, stamp the checkpoint.* counters (bytes = the cluster
-// section's length) and the capture instant, and only then capture the
-// obs state and write it. A restored run performs the identical sequence
-// at the identical cycles, so the counter streams (and every later blob)
-// match the straight run byte for byte.
+// section's length, checkpoint.ClusterLen) and the capture instant, and
+// only then take the obs view and encode. A restored run performs the
+// identical sequence at the identical cycles, so the counter streams (and
+// every later blob) match the straight run byte for byte.
 package runtime
 
 import (
@@ -122,32 +124,24 @@ func (cl *Cluster) DetectLocal() int64 {
 // file comment for why the stamping order matters) and advances the
 // cadence line.
 func (cl *Cluster) captureCheckpoint(t int64) {
-	// Blobs grow only by the obs history added since the last capture, so
-	// the previous blob's length plus a sixteenth normally holds the next
-	// one; a short buffer is regrown once, to the exact size.
-	size := 0
-	if n := len(cl.ckpts); n > 0 {
-		size = len(cl.ckpts[n-1].Blob)
-		size += size / 16
-	}
-	w := checkpoint.NewWriter(make([]byte, 0, size))
-	clusterBytes := w.Cluster(cl.buildSnapshot(t))
+	s := cl.buildSnapshot(t)
 	cl.rec.Counter("checkpoint.captures").Inc()
-	cl.rec.Counter("checkpoint.bytes").Add(int64(clusterBytes))
+	cl.rec.Counter("checkpoint.bytes").Add(int64(checkpoint.ClusterLen(s)))
 	cl.rec.Gauge("checkpoint.last_capture_cycle").Set(t)
 	if cl.rec != nil {
 		cl.rec.SetThreadName(obs.PidFabric, checkpointTid, "checkpoints")
 		cl.rec.InstantCycles(obs.PidFabric, checkpointTid, "checkpoint.capture", t)
 	}
-	blob := w.Finish(cl.rec.State())
+	blob := checkpoint.EncodeView(s, cl.rec.View())
 	cl.ckpts = append(cl.ckpts, Stored{Cycle: t, Blob: blob})
 	cl.ckptNext = (t/cl.ckptEvery + 1) * cl.ckptEvery
 }
 
 // buildSnapshot assembles the cluster section of a snapshot at run-local
 // cycle t. Called only at heap barriers: every send below t is
-// delivered, no chip is faulted. The snapshot's Chips alias the delta baseline, so they
-// hold only until the next capture overwrites it: encode before then.
+// delivered, no chip is faulted. The snapshot's Chips are the delta
+// baseline itself, so they hold only until the next capture overwrites
+// them: encode before then.
 func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		CaptureCycle:  t,
@@ -162,19 +156,15 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 		s.HasRNG = true
 		s.RNGState = cl.errRNG.State()
 	}
-	// Chip capture takes the micro-snapshot fast path: each chip's SRAM
-	// tracks dirty vectors between barrier captures, so every capture
-	// after the first re-encodes only what the chip wrote since the last
-	// one. The captured bytes are identical to a full State() walk.
+	// Each chip captures in place into its baseline, which its SRAM's
+	// dirty tracking compares against: every capture after the first
+	// re-encodes only the vectors the chip wrote since the last one. A
+	// fresh (zero) baseline is a full walk; the bytes are the same.
 	if cl.ckptPrev == nil {
 		cl.ckptPrev = make([]tsp.ChipState, len(cl.chips))
-		for i, ch := range cl.chips {
-			cl.ckptPrev[i] = ch.StateWithPrev(nil)
-		}
-	} else {
-		for i, ch := range cl.chips {
-			cl.ckptPrev[i] = ch.StateWithPrev(&cl.ckptPrev[i])
-		}
+	}
+	for i, ch := range cl.chips {
+		ch.CaptureState(&cl.ckptPrev[i])
 	}
 	s.Chips = cl.ckptPrev
 	for _, mb := range cl.posts {
@@ -256,7 +246,7 @@ func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 		cl.errRNG = nil
 	}
 	for i := range cl.chips {
-		cl.chips[i].SetState(s.Chips[i])
+		cl.chips[i].SetState(&s.Chips[i])
 	}
 	// SetState reset each SRAM's dirty tracking; drop the stale baselines
 	// so the next capture starts a fresh delta chain with a full walk.

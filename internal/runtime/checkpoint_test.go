@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -406,5 +407,97 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 			}
 		}
 		t.Fatal("delta-built snapshot encodes differently from a full capture")
+	}
+}
+
+// TestRestoreEquivalenceNonzeroState is TestRestoreEquivalence on state
+// the recorded ring never holds: a pipeline whose chips carry distinct
+// nonzero weights and whose last stage writes SRAM between captures. A
+// restored run's first capture walks every chip in full, and every blob
+// it captures must equal the straight run's delta-chain blob. Each
+// decoded snapshot must also carry the chips' weights, so a weight layout
+// that encode and decode get wrong the same way fails here too.
+func TestRestoreEquivalenceNonzeroState(t *testing.T) {
+	const (
+		waves   = 12
+		cadence = 1300
+		last    = topo.TSPsPerNode - 1 // the stage that writes SRAM
+	)
+	build := func(workers int, weights bool) *Cluster {
+		cl := buildPipeline(t, 1, waves, 1, workers)
+		if weights {
+			for c := 0; c < topo.TSPsPerNode; c++ {
+				w := &cl.Chip(c).Weights
+				for r := range w {
+					for j := range w[r] {
+						w[r][j] = float32(1+(c+1)*(r+2)*(j+3)%97) / 1024
+					}
+				}
+			}
+		}
+		cl.SetCheckpointCadence(cadence)
+		return cl
+	}
+
+	var straight *Cluster
+	var sFinish int64
+	var sErr error
+	sTrace, sMetrics := withRecorder(t, func() {
+		straight = build(1, true)
+		sFinish, sErr = straight.Run()
+	})
+	if sErr != nil {
+		t.Fatal(sErr)
+	}
+	store := append([]Stored(nil), straight.Checkpoints()...)
+	if len(store) < 3 {
+		t.Fatalf("%d captures, want at least 3", len(store))
+	}
+	written := map[int]bool{} // SRAM vectors resident on the last stage, by capture
+	addrs := make([]mem.Addr, waves)
+	for w := range addrs {
+		addrs[w] = mem.Addr{Offset: w}
+	}
+	for i, st := range store {
+		snap, err := checkpoint.Decode(st.Blob)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		for c := range snap.Chips {
+			if snap.Chips[c].Weights != straight.Chip(c).Weights {
+				t.Fatalf("checkpoint %d: chip %d weights differ from the chip's", i, c)
+			}
+		}
+		written[len(snap.Chips[last].Mem.Vectors)] = true
+		for _, workers := range []int{1, 2} {
+			var restored *Cluster
+			var rFinish int64
+			var rErr error
+			rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func() {
+				restored = build(workers, false)
+				if err := restored.RestoreSnapshot(snap); err != nil {
+					t.Fatalf("restore checkpoint %d: %v", i, err)
+				}
+				restored.SeedCheckpoints(store[:i+1])
+				rFinish, rErr = restored.Run()
+			})
+			label := fmt.Sprintf("ckpt%d/w%d", i, workers)
+			assertSameResult(t, label, straight, restored, sFinish, rFinish, sErr, rErr, addrs)
+			if rTrace != sTrace || rMetrics != sMetrics {
+				t.Errorf("%s: trace or metrics dump differs from the straight run", label)
+			}
+			got := restored.Checkpoints()
+			if len(got) != len(store) {
+				t.Fatalf("%s: %d checkpoints after restore, straight run has %d", label, len(got), len(store))
+			}
+			for j := i + 1; j < len(store); j++ {
+				if !bytes.Equal(got[j].Blob, store[j].Blob) {
+					t.Errorf("%s: checkpoint %d blob differs from the straight run's", label, j)
+				}
+			}
+		}
+	}
+	if len(written) < 3 {
+		t.Errorf("the last stage's SRAM took %d distinct sizes over %d captures; the test needs writes between captures", len(written), len(store))
 	}
 }

@@ -97,11 +97,12 @@ type Cluster struct {
 	ckptNext  int64
 	ckptFrom  int64
 	ckpts     []Stored
-	// ckptPrev holds each chip's previous capture, the baseline for the
-	// micro-snapshot fast path (tsp.StateWithPrev): cadence captures after
-	// the first re-encode only the SRAM vectors the chip dirtied since the
-	// last barrier snapshot. Nil until the first capture; invalidated by
-	// RestoreSnapshot (the restored memory resets its dirty tracking).
+	// ckptPrev holds each chip's previous capture, the baseline each
+	// capture overwrites in place (tsp.Chip.CaptureState): cadence captures
+	// after the first re-encode only the SRAM vectors the chip dirtied
+	// since the last barrier snapshot. Nil until the first capture;
+	// invalidated by RestoreSnapshot (the restored memory resets its dirty
+	// tracking).
 	ckptPrev []tsp.ChipState
 
 	// Series sampling (see series.go): snapshot every registered counter

@@ -171,9 +171,16 @@ func TestIssueOrderMatchesAllUnitScan(t *testing.T) {
 	}
 }
 
-// sameEnd compares finished chips' faults and StateWithPrev with want's.
-// A faulted chip refuses StateWithPrev, so the faults are cleared once
+// sameEnd compares finished chips' faults and captured states with
+// want's. A faulted chip refuses CaptureState, so the faults are cleared once
 // compared.
+// captured returns a full capture of c's state.
+func captured(c *Chip) *ChipState {
+	s := new(ChipState)
+	c.CaptureState(s)
+	return s
+}
+
 func sameEnd(t *testing.T, seed uint64, want *Chip, chips ...*Chip) {
 	t.Helper()
 	wf := want.fault
@@ -184,9 +191,9 @@ func sameEnd(t *testing.T, seed uint64, want *Chip, chips ...*Chip) {
 		c.fault = nil
 	}
 	want.fault = nil
-	ws := want.StateWithPrev(nil)
+	ws := captured(want)
 	for _, c := range chips {
-		gs := c.StateWithPrev(nil)
+		gs := captured(c)
 		// Units, Streams and Weights are arrays, which == compares much
 		// faster than reflect does.
 		if gs.Units != ws.Units || gs.Streams != ws.Streams || gs.Weights != ws.Weights || !reflect.DeepEqual(gs.Mem, ws.Mem) {

@@ -137,7 +137,7 @@ matmul s4 s10 3
 	direct.SetStream(2, VectorOf([]float32{0, 1, 0}))
 	direct.SetStream(3, VectorOf([]float32{5, 5, 5}))
 	direct.SetStream(4, VectorOf([]float32{2, 3, 4}))
-	snap := direct.StateWithPrev(nil)
+	snap := captured(direct)
 	if _, f := direct.Run(); f != nil {
 		t.Fatal(f)
 	}

@@ -83,7 +83,7 @@ func TestStallSurvivesStateRoundTrip(t *testing.T) {
 	}
 
 	restored := New(0, prog, nil)
-	restored.SetState(chip.StateWithPrev(nil))
+	restored.SetState(captured(chip))
 	if got := restored.stall; got != want {
 		t.Errorf("restored stalls = %v, want %v", got, want)
 	}

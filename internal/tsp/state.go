@@ -6,6 +6,11 @@
 // execution exactly where the original left off. Snapshots are taken only
 // at clean points — no pending fault — because a faulted attempt is
 // abandoned for replay, never checkpointed.
+//
+// Both directions work through a pointer: CaptureState writes into a
+// ChipState the caller keeps (the cluster keeps one per chip as its delta
+// baseline) and SetState reads from one, so neither copies the 72 KB
+// state through a temporary.
 package tsp
 
 import (
@@ -31,25 +36,21 @@ type ChipState struct {
 	Mem     mem.State
 }
 
-// StateWithPrev captures the chip's architectural and micro-architectural
-// state through the micro-snapshot fast path: the SRAM's dirty-page
-// tracking reuses prev's encoding for every vector untouched since the
-// previous capture (mem.StateDelta), so steady-cadence captures pay only
-// for the memory the chip actually wrote since last time. prev must be the
-// immediately preceding StateWithPrev capture of this same chip (or nil to
-// start a delta chain with a full capture); each call resets the dirty
-// baseline. The chip must not be faulted: a fault means the run is being
-// abandoned, and the snapshot would bake the poisoned state into every
-// restore.
-func (c *Chip) StateWithPrev(prev *ChipState) ChipState {
+// CaptureState captures the chip's architectural and micro-architectural
+// state into s in place, so the 72 KB state is never copied through a
+// temporary. s must be the zero ChipState (a full capture) or hold this
+// chip's immediately preceding capture: the SRAM's dirty-page tracking
+// then reuses s's encoding of every vector untouched since
+// (mem.StateDelta), so steady-cadence captures pay only for the memory the
+// chip wrote since last time. Each call resets the dirty baseline. The
+// chip must not be faulted: a fault means the run is being abandoned, and
+// the snapshot would bake the poisoned state into every restore.
+func (c *Chip) CaptureState(s *ChipState) {
 	if c.fault != nil {
-		panic("tsp: StateWithPrev on a faulted chip")
+		panic("tsp: CaptureState on a faulted chip")
 	}
-	var pm *mem.State
-	if prev != nil {
-		pm = &prev.Mem
-	}
-	s := ChipState{Weights: c.Weights, Mem: c.Mem.StateDelta(pm)}
+	s.Weights = c.Weights
+	s.Mem = c.Mem.StateDelta(&s.Mem)
 	for i := range s.Streams {
 		// Materialize lane-cached registers so the snapshot carries the
 		// architectural bytes — the determinism boundary.
@@ -65,14 +66,13 @@ func (c *Chip) StateWithPrev(prev *ChipState) ChipState {
 			Stall:  c.stall[u],
 		}
 	}
-	return s
 }
 
 // SetState restores a captured state into the chip. The chip must be
 // loaded with the same program the snapshot was taken under; the deskew
 // oracle (SetDeskewDelta), recorder attachment, and C2C binding are
 // construction-time wiring and are left untouched.
-func (c *Chip) SetState(s ChipState) {
+func (c *Chip) SetState(s *ChipState) {
 	c.streams = s.Streams
 	for i := range c.streams {
 		c.byteOK[i] = true

@@ -497,9 +497,8 @@ func (d *dec) count(min int) int {
 	return n
 }
 
-// grow returns room for n decoded elements: nil for none, as appending to
-// a nil slice leaves it, so a decoded snapshot is the one Decode built by
-// appending.
+// grow returns room for n decoded elements, and nil for none: a
+// collection Encode wrote empty decodes as a nil slice.
 func grow[T any](n int) []T {
 	if n == 0 {
 		return nil

@@ -140,11 +140,11 @@ const (
 )
 
 // TestDecodeAllocationBounded: what Decode allocates is bounded by the
-// size of its input, on every corpus seed, on a valid blob, and on
-// crafted blobs that claim, for each collection in turn, as many elements
-// as the bytes left could hold (the most its count check lets through).
-// Each element then decodes from zero bytes, so most of these blobs fail
-// after the allocation their count drove.
+// size of its input, on every corpus seed, on valid blobs, and on crafted
+// blobs that claim, for each collection in turn, the largest count the
+// decoder lets through in front of a run of zero bytes. Each element then
+// decodes from zeros, so most of these blobs fail after the allocation
+// their count drove.
 func TestDecodeAllocationBounded(t *testing.T) {
 	blobs := readCorpus(t)
 	blobs["encoded"] = Encode(testSnapshot())
@@ -158,8 +158,26 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	}
 	blobs["many-names"] = Encode(many)
 
-	const room = 1 << 20 // zero bytes after each crafted count
+	const room = 1 << 18 // zero bytes after each crafted count
 	le := binary.LittleEndian
+	crafted := func(prefix []byte, n uint32) []byte {
+		p := le.AppendUint32(slices.Clone(prefix), n)
+		return frame(append(p, make([]byte, room)...))
+	}
+	// maxCount is the largest count Decode accepts after prefix: counts
+	// above it fail the count check, so a binary search finds it.
+	maxCount := func(prefix []byte) uint32 {
+		lo, hi := uint32(0), uint32(room)
+		for lo < hi {
+			mid := hi - (hi-lo)/2
+			if _, err := Decode(crafted(prefix, mid)); err != nil && strings.Contains(err.Error(), "implausible element count") {
+				hi = mid - 1
+			} else {
+				lo = mid
+			}
+		}
+		return lo
+	}
 	empty := func(n int) []byte { return make([]byte, 4*n) } // n empty collections
 	cluster := make([]byte, clusterFixed)
 	obsOn := append(append(slices.Clone(cluster), empty(5)...), 1) // every cluster collection empty, obs present
@@ -173,27 +191,29 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		prefix []byte
-		min    int
 	}{
-		{"chips", cluster, chipFixedLen},
-		{"mailboxes", append(slices.Clone(cluster), empty(1)...), 4},
-		{"queues", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0), 4},
-		{"envelopes", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0, 1, 0, 0, 0), envelopeLen},
-		{"links", append(slices.Clone(cluster), empty(2)...), linkEntryLen},
-		{"link-mbes", append(slices.Clone(cluster), empty(3)...), linkMBELen},
-		{"repaired", append(slices.Clone(cluster), empty(4)...), 8},
-		{"counters", obsOn, 12},
-		{"gauges", append(slices.Clone(obsOn), empty(1)...), 12},
-		{"histograms", append(slices.Clone(obsOn), empty(2)...), 4 + histFixedLen},
-		{"bins", append(append(slices.Clone(obsOn), empty(2)...), append([]byte{1, 0, 0, 0}, hist...)...), 8},
-		{"events", append(slices.Clone(obsOn), empty(3)...), 4 + eventFixedLen},
-		{"processes", append(slices.Clone(obsOn), empty(4)...), 12},
-		{"threads", append(slices.Clone(obsOn), empty(5)...), 20},
-		{"series", append(slices.Clone(obsOn), empty(8)...), 16}, // six tables, then the 8-byte cadence
-		{"samples", append(append(slices.Clone(obsOn), empty(8)...), append([]byte{1, 0, 0, 0}, series...)...), 16},
+		{"chips", cluster},
+		{"mailboxes", append(slices.Clone(cluster), empty(1)...)},
+		{"queues", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0)},
+		{"envelopes", append(append(slices.Clone(cluster), empty(1)...), 1, 0, 0, 0, 1, 0, 0, 0)},
+		{"links", append(slices.Clone(cluster), empty(2)...)},
+		{"link-mbes", append(slices.Clone(cluster), empty(3)...)},
+		{"repaired", append(slices.Clone(cluster), empty(4)...)},
+		{"counters", obsOn},
+		{"gauges", append(slices.Clone(obsOn), empty(1)...)},
+		{"histograms", append(slices.Clone(obsOn), empty(2)...)},
+		{"bins", append(append(slices.Clone(obsOn), empty(2)...), append([]byte{1, 0, 0, 0}, hist...)...)},
+		{"events", append(slices.Clone(obsOn), empty(3)...)},
+		{"processes", append(slices.Clone(obsOn), empty(4)...)},
+		{"threads", append(slices.Clone(obsOn), empty(5)...)},
+		{"series", append(slices.Clone(obsOn), empty(8)...)}, // six tables, then the 8-byte cadence
+		{"samples", append(append(slices.Clone(obsOn), empty(8)...), append([]byte{1, 0, 0, 0}, series...)...)},
 	} {
-		p := le.AppendUint32(slices.Clone(c.prefix), room/uint32(c.min))
-		blobs["max-"+c.name] = frame(append(p, make([]byte, room)...))
+		n := maxCount(c.prefix)
+		if n == 0 {
+			t.Errorf("%s: no count accepted; the crafted prefix does not reach the collection", c.name)
+		}
+		blobs["max-"+c.name] = crafted(c.prefix, n)
 	}
 
 	for name, blob := range blobs {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -309,24 +308,21 @@ func (r *Recorder) WriteSeries(w io.Writer) error {
 
 // WriteSeriesCSV exports the series as CSV with a fixed header
 // (series,pid,cycle,value), rows sorted by series name then sample
-// order — a shape spreadsheet tooling ingests directly.
+// order — a shape spreadsheet tooling ingests directly. The names come
+// from the recorder's kept order, which a grown registry re-sorts in
+// place, so WriteSeriesCSV falls under the one-writer rule.
 func (r *Recorder) WriteSeriesCSV(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("series,pid,cycle,value\n")
 	if r != nil {
-		names := make([]string, 0, len(r.series))
-		for k := range r.series {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
+		for _, e := range r.byName.series.sorted() {
 			// Canonical keys with labels contain commas; RFC 4180 quoting
 			// keeps the rows machine-parseable.
-			name := k
+			name := e.Key
 			if strings.ContainsAny(name, ",\"") {
 				name = `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 			}
-			s := r.series[k]
+			s := e.Val
 			for _, p := range s.samples {
 				fmt.Fprintf(&b, "%s,%d,%d,%d\n", name, s.pid, p.Cycle, p.Value)
 			}

@@ -18,11 +18,11 @@
 //     given recorder, and exports it, at a time. Exports write too: State,
 //     View and WriteTrace put the recorder's event list into compareEvents
 //     order in place, sorting only the events appended since the last
-//     export, and View and WriteTrace sort the kept name order of a
-//     registry that grew. The cluster runtime sends every recorded run to its
-//     sequential executor, and serve sweeps its load levels in order. A
-//     parallel traced run would need one recorder per component, merged
-//     at export.
+//     export, and View, WriteTrace and WriteSeriesCSV sort the kept name
+//     order of a registry that grew. The cluster runtime sends every
+//     recorded run to its sequential executor, and serve sweeps its load
+//     levels in order. A parallel traced run would need one recorder per
+//     component, merged at export.
 //
 //  3. Zero cost when disabled. Every handle (*Counter, *Gauge,
 //     *Histogram) and the *Recorder itself are nil-safe: methods on nil
@@ -174,7 +174,7 @@ type Recorder struct {
 	series      map[string]*Series
 	seriesEvery int64
 	// byName keeps the string-keyed registries in ascending name order
-	// for View and the trace export (keyOrder, state.go).
+	// for View and the series exports (keyOrder, state.go).
 	byName struct {
 		counters keyOrder[*Counter]
 		gauges   keyOrder[*Gauge]

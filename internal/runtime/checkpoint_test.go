@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultplan"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -412,19 +414,38 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 
 // TestRestoreEquivalenceNonzeroState is TestRestoreEquivalence on state
 // the recorded ring never holds: a pipeline whose chips carry distinct
-// nonzero weights and whose last stage writes SRAM between captures. A
-// restored run's first capture walks every chip in full, and every blob
-// it captures must equal the straight run's delta-chain blob. Each
-// decoded snapshot must also carry the chips' weights, so a weight layout
-// that encode and decode get wrong the same way fails here too.
+// nonzero weights and whose last stage writes SRAM between captures, to
+// new words and over old ones. A restored run's first capture walks every
+// chip in full, and every blob it captures must equal the straight run's
+// delta-chain blob. Each decoded snapshot must also carry the chips'
+// weights, so a weight layout that encode and decode get wrong the same
+// way fails here too.
 func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 	const (
 		waves   = 12
 		cadence = 1300
 		last    = topo.TSPsPerNode - 1 // the stage that writes SRAM
 	)
+	sys, err := topo.New(topo.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := PipelinePrograms(sys, waves, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last stage writes wave w to word w mod 3 instead of w, so the
+	// delta chain must re-encode overwritten vectors, not only new ones.
+	p := *progs[last]
+	p.Streams[isa.MEM] = slices.Clone(p.Streams[isa.MEM])
+	for k, in := range p.Streams[isa.MEM] {
+		if in.Op == isa.Write {
+			p.Streams[isa.MEM][k].C = in.C % 3
+		}
+	}
+	progs[last] = &p
 	build := func(workers int, weights bool) *Cluster {
-		cl := buildPipeline(t, 1, waves, 1, workers)
+		cl := newPipeline(t, sys, progs, waves, workers)
 		if weights {
 			for c := 0; c < topo.TSPsPerNode; c++ {
 				w := &cl.Chip(c).Weights
@@ -453,11 +474,8 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 	if len(store) < 3 {
 		t.Fatalf("%d captures, want at least 3", len(store))
 	}
-	written := map[int]bool{} // SRAM vectors resident on the last stage, by capture
-	addrs := make([]mem.Addr, waves)
-	for w := range addrs {
-		addrs[w] = mem.Addr{Offset: w}
-	}
+	addrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
+	var lastMem [][]mem.VectorState // the last stage's SRAM at each capture
 	for i, st := range store {
 		snap, err := checkpoint.Decode(st.Blob)
 		if err != nil {
@@ -468,7 +486,7 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 				t.Fatalf("checkpoint %d: chip %d weights differ from the chip's", i, c)
 			}
 		}
-		written[len(snap.Chips[last].Mem.Vectors)] = true
+		lastMem = append(lastMem, snap.Chips[last].Mem.Vectors)
 		for _, workers := range []int{1, 2} {
 			var restored *Cluster
 			var rFinish int64
@@ -497,7 +515,14 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 			}
 		}
 	}
-	if len(written) < 3 {
-		t.Errorf("the last stage's SRAM took %d distinct sizes over %d captures; the test needs writes between captures", len(written), len(store))
+	// The test needs an overwrite between two captures: the same words
+	// resident in both, holding different bytes.
+	overwritten := false
+	for i := 1; i < len(lastMem); i++ {
+		a, b := lastMem[i-1], lastMem[i]
+		overwritten = overwritten || len(a) == len(b) && len(a) > 0 && !reflect.DeepEqual(a, b)
+	}
+	if !overwritten {
+		t.Error("no capture saw an overwritten SRAM vector")
 	}
 }

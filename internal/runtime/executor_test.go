@@ -54,6 +54,13 @@ func buildPipeline(t *testing.T, nodes, waves, matmuls, workers int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newPipeline(t, sys, progs, waves, workers)
+}
+
+// newPipeline builds a cluster from pipeline programs and preloads it as
+// buildPipeline does.
+func newPipeline(t *testing.T, sys *topo.System, progs []*isa.Program, waves, workers int) *Cluster {
+	t.Helper()
 	cl, err := New(sys, progs)
 	if err != nil {
 		t.Fatal(err)

@@ -267,7 +267,7 @@ func putChip(w *buf, c *tsp.ChipState) {
 	for i := range c.Streams {
 		w.bytes(c.Streams[i][:])
 	}
-	putWeights(w.b[w.off:w.off+weightsLen], &c.Weights)
+	putWeights(w.b[w.off:w.off+weightsLen], c.Weights)
 	w.off += weightsLen
 	w.u32(uint32(len(c.Units)))
 	for u := range c.Units {
@@ -549,17 +549,18 @@ func Decode(blob []byte) (*Snapshot, error) {
 	s.MBEs = d.i64()
 	s.FirstMBECycle = d.i64()
 
-	// Chips decode in place: a ChipState is 72 KB.
 	if n := d.count(chipFixedLen); n > 0 {
 		s.Chips = make([]tsp.ChipState, n)
 	}
 	for ci := 0; ci < len(s.Chips) && d.err == nil; ci++ {
 		c := &s.Chips[ci]
+		c.Streams = new([tsp.NumStreams]tsp.Vector)
+		c.Weights = new([tsp.WeightRows][tsp.FloatLanes]float32)
 		for i := range c.Streams {
 			copy(c.Streams[i][:], d.take(tsp.VectorBytes))
 		}
 		if b := d.take(weightsLen); b != nil {
-			getWeights(&c.Weights, b)
+			getWeights(c.Weights, b)
 		}
 		nUnits := d.count(8)
 		if d.err == nil && nUnits != len(c.Units) {

@@ -20,7 +20,10 @@ import (
 // format: populated chip state, queued envelopes, link models, MBE
 // records, the repaired set, and a full obs registry.
 func testSnapshot() *Snapshot {
-	var chip tsp.ChipState
+	chip := tsp.ChipState{
+		Streams: new([tsp.NumStreams]tsp.Vector),
+		Weights: new([tsp.WeightRows][tsp.FloatLanes]float32),
+	}
 	for i := range chip.Streams[0] {
 		chip.Streams[0][i] = byte(i * 3)
 	}

@@ -14,7 +14,7 @@ import (
 // weights_other.go keeps the per-float loops for big-endian hosts.
 
 // The views below need the matrix to be exactly its encoding's size.
-var _ = [1]struct{}{}[unsafe.Sizeof(tsp.ChipState{}.Weights)-weightsLen]
+var _ = [1]struct{}{}[unsafe.Sizeof(*tsp.ChipState{}.Weights)-weightsLen]
 
 // weightBytes views the matrix as its encoding.
 func weightBytes(m *[tsp.WeightRows][tsp.FloatLanes]float32) []byte {

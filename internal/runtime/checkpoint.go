@@ -14,12 +14,13 @@
 // capture (TestCheckpointCadenceMidExtendedWindow).
 //
 // A capture costs about the bytes it writes. Each chip captures in place
-// into its delta baseline, which the snapshot's Chips then are, and
-// re-encodes only the SRAM vectors it wrote since the last capture. The
-// blob is allocated once at its exact size and encoded straight from the
-// baseline and from the live recorder's View, which shares the event list
-// and series samples instead of copying them and keeps its names sorted
-// between captures (checkpoint.EncodeView).
+// into its delta baseline, which the snapshot's Chips then are: the
+// baseline points at the chip's registers and weights instead of copying
+// them, and re-encodes only the SRAM vectors the chip wrote since the last
+// capture. The blob is allocated once at its exact size and encoded
+// straight from the baseline and from the live recorder's View, which
+// shares the event list and series samples instead of copying them and
+// keeps its names sorted between captures (checkpoint.EncodeView).
 //
 // The counter circularity — `checkpoint.bytes` must itself appear in the
 // snapshot's obs section — is resolved by a fixed order: build the
@@ -140,8 +141,8 @@ func (cl *Cluster) captureCheckpoint(t int64) {
 // buildSnapshot assembles the cluster section of a snapshot at run-local
 // cycle t. Called only at heap barriers: every send below t is
 // delivered, no chip is faulted. The snapshot's Chips are the delta
-// baseline itself, so they hold only until the next capture overwrites
-// them: encode before then.
+// baseline itself and point at the chips' own registers, so they hold
+// only until the chips run on: encode before then.
 func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		CaptureCycle:  t,

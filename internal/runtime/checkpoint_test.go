@@ -482,7 +482,7 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 		for c := range snap.Chips {
-			if snap.Chips[c].Weights != straight.Chip(c).Weights {
+			if *snap.Chips[c].Weights != straight.Chip(c).Weights {
 				t.Fatalf("checkpoint %d: chip %d weights differ from the chip's", i, c)
 			}
 		}

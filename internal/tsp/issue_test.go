@@ -174,10 +174,13 @@ func TestIssueOrderMatchesAllUnitScan(t *testing.T) {
 // sameEnd compares finished chips' faults and captured states with
 // want's. A faulted chip refuses CaptureState, so the faults are cleared once
 // compared.
-// captured returns a full capture of c's state.
+// captured returns a full capture of c's state that owns its arrays, so
+// it still holds once c runs on.
 func captured(c *Chip) *ChipState {
 	s := new(ChipState)
 	c.CaptureState(s)
+	streams, weights := *s.Streams, *s.Weights
+	s.Streams, s.Weights = &streams, &weights
 	return s
 }
 
@@ -196,7 +199,7 @@ func sameEnd(t *testing.T, seed uint64, want *Chip, chips ...*Chip) {
 		gs := captured(c)
 		// Units, Streams and Weights are arrays, which == compares much
 		// faster than reflect does.
-		if gs.Units != ws.Units || gs.Streams != ws.Streams || gs.Weights != ws.Weights || !reflect.DeepEqual(gs.Mem, ws.Mem) {
+		if gs.Units != ws.Units || *gs.Streams != *ws.Streams || *gs.Weights != *ws.Weights || !reflect.DeepEqual(gs.Mem, ws.Mem) {
 			t.Fatalf("seed %d: final state differs: units %+v, scan %+v", seed, gs.Units, ws.Units)
 		}
 	}

@@ -7,10 +7,11 @@
 // at clean points — no pending fault — because a faulted attempt is
 // abandoned for replay, never checkpointed.
 //
-// Both directions work through a pointer: CaptureState writes into a
-// ChipState the caller keeps (the cluster keeps one per chip as its delta
-// baseline) and SetState reads from one, so neither copies the 72 KB
-// state through a temporary.
+// A capture copies nothing it does not have to: a ChipState points at the
+// chip's own register file and weight matrix instead of holding copies,
+// and its SRAM part reuses the previous capture's encoding of every vector
+// the chip did not write since. The checkpoint encoder then copies the
+// arrays once, into the blob. A restore copies them into the chip.
 package tsp
 
 import (
@@ -28,34 +29,38 @@ type UnitState struct {
 	Stall  int64
 }
 
-// ChipState is a point-in-time copy of one chip mid-execution.
+// ChipState is one chip's state mid-execution. Streams and Weights point
+// at a register file and a weight matrix: CaptureState points them at the
+// chip's own arrays, Decode at arrays of its own.
 type ChipState struct {
-	Streams [NumStreams]Vector
-	Weights [WeightRows][FloatLanes]float32
+	Streams *[NumStreams]Vector
+	Weights *[WeightRows][FloatLanes]float32
 	Units   [isa.NumUnits]UnitState
 	Mem     mem.State
 }
 
-// CaptureState captures the chip's architectural and micro-architectural
-// state into s in place, so the 72 KB state is never copied through a
-// temporary. s must be the zero ChipState (a full capture) or hold this
-// chip's immediately preceding capture: the SRAM's dirty-page tracking
-// then reuses s's encoding of every vector untouched since
-// (mem.StateDelta), so steady-cadence captures pay only for the memory the
-// chip wrote since last time. Each call resets the dirty baseline. The
-// chip must not be faulted: a fault means the run is being abandoned, and
-// the snapshot would bake the poisoned state into every restore.
+// CaptureState captures the chip's state into s in place. Streams and
+// Weights point at the chip's own arrays, so s reads the chip as it is
+// until the chip runs again: encode it before then. s must be the zero
+// ChipState (a full capture) or hold this chip's immediately preceding
+// capture: the SRAM's dirty-page tracking then reuses s's encoding of
+// every vector untouched since (mem.StateDelta), so steady-cadence
+// captures pay only for the memory the chip wrote since last time. Each
+// call resets the dirty baseline. The chip must not be faulted: a fault
+// means the run is being abandoned, and the snapshot would bake the
+// poisoned state into every restore.
 func (c *Chip) CaptureState(s *ChipState) {
 	if c.fault != nil {
 		panic("tsp: CaptureState on a faulted chip")
 	}
-	s.Weights = c.Weights
-	s.Mem = c.Mem.StateDelta(&s.Mem)
-	for i := range s.Streams {
+	for i := range c.streams {
 		// Materialize lane-cached registers so the snapshot carries the
 		// architectural bytes — the determinism boundary.
-		s.Streams[i] = *c.streamBytes(i)
+		c.streamBytes(i)
 	}
+	s.Streams = &c.streams
+	s.Weights = &c.Weights
+	s.Mem = c.Mem.StateDelta(&s.Mem)
 	for u := range s.Units {
 		s.Units[u] = UnitState{
 			PC:     c.pc[u],
@@ -73,7 +78,8 @@ func (c *Chip) CaptureState(s *ChipState) {
 // oracle (SetDeskewDelta), recorder attachment, and C2C binding are
 // construction-time wiring and are left untouched.
 func (c *Chip) SetState(s *ChipState) {
-	c.streams = s.Streams
+	c.streams = *s.Streams
+	c.Weights = *s.Weights
 	for i := range c.streams {
 		c.byteOK[i] = true
 		c.laneOK[i] = false
@@ -81,7 +87,6 @@ func (c *Chip) SetState(s *ChipState) {
 		// with nzTop=0, and the restored bytes are authoritative now.
 		c.nzOK[i] = false
 	}
-	c.Weights = s.Weights
 	c.Mem.SetState(s.Mem)
 	for u := range s.Units {
 		c.pc[u] = s.Units[u].PC

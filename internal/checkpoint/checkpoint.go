@@ -26,8 +26,8 @@
 // histograms, trace events, name tables) so a restored run's dumps are
 // byte-identical to the straight run's. The sections are split because
 // the `checkpoint.bytes` counter must itself be inside the obs section:
-// it is stamped after the cluster section is encoded and before the obs
-// state is captured, in both the straight and the restored run.
+// it is stamped with the cluster section's length (ClusterLen) before the
+// obs view is taken, in both the straight and the restored run.
 package checkpoint
 
 import (

@@ -171,9 +171,6 @@ func TestIssueOrderMatchesAllUnitScan(t *testing.T) {
 	}
 }
 
-// sameEnd compares finished chips' faults and captured states with
-// want's. A faulted chip refuses CaptureState, so the faults are cleared once
-// compared.
 // captured returns a full capture of c's state that owns its arrays, so
 // it still holds once c runs on.
 func captured(c *Chip) *ChipState {
@@ -184,6 +181,9 @@ func captured(c *Chip) *ChipState {
 	return s
 }
 
+// sameEnd compares finished chips' faults and captured states with
+// want's. A faulted chip refuses CaptureState, so the faults are cleared
+// once compared.
 func sameEnd(t *testing.T, seed uint64, want *Chip, chips ...*Chip) {
 	t.Helper()
 	wf := want.fault

@@ -1,6 +1,11 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -134,5 +139,54 @@ func TestDrawAdaptiveCadenceNeverWorse(t *testing.T) {
 	}
 	if !tightened {
 		t.Error("no seed tightened the cadence at 5h MTBF — burst detection dead")
+	}
+}
+
+// TestDrawWithIndicatorsPinned pins the SHA-256 of DrawWithIndicators'
+// events, samples and tally for a profile whose faults fall closer
+// together than LeadUS, so neighbouring pre-fault ramps interleave with
+// each other and with the ambient grid.
+func TestDrawWithIndicatorsPinned(t *testing.T) {
+	p := indicatorProfile()
+	p.MTBFHours = 0.25 // 15 min between faults against a 2 h lead window
+	horizon := 3.0 * 24 * 3600 * 1e6
+	for _, tc := range []struct {
+		seed uint64
+		sha  string
+	}{
+		{1, "a1c12bf79f85da3bc6d1453f9f598602cce653daae45fc7a30719f1c436a295f"},
+		{2, "4e8dd9d1e009f6d34c716b4ea27e3b561382bc2c4a5535feab6dee547a16dc5f"},
+	} {
+		events, samples, tally := p.DrawWithIndicators(sim.NewRNG(tc.seed), horizon)
+		close := 0
+		for i := 1; i < len(events); i++ {
+			if events[i].StartUS-events[i-1].StartUS < p.LeadUS {
+				close++
+			}
+		}
+		if close == 0 {
+			t.Fatalf("seed %d: no two faults within LeadUS; the ramps do not interleave", tc.seed)
+		}
+		h := sha256.New()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		f := func(v float64) { put(math.Float64bits(v)) }
+		for _, ev := range events {
+			f(ev.StartUS)
+			f(ev.ReplayUS)
+			f(ev.CapacityFrac)
+			put(uint64(ev.Kind))
+		}
+		for _, s := range samples {
+			f(s.AtUS)
+			f(s.Level)
+		}
+		fmt.Fprintf(h, "%+v", tally)
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha {
+			t.Errorf("seed %d (%d events, %d samples): SHA-256 = %s, want %s", tc.seed, len(events), len(samples), got, tc.sha)
+		}
 	}
 }

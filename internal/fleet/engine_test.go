@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -234,4 +235,73 @@ func clampFleetHorizon(c *Config) {
 		maxUS = math.Min(maxUS, 1000*c.Fault.LeadUS)
 	}
 	c.HorizonDays = math.Min(c.HorizonDays, maxUS/(24*3600*1e6))
+}
+
+// arrivalTimesUS draws cfg's first n arrival times exactly as
+// referenceRun does, one draw per arrival.
+func arrivalTimesUS(cfg Config, n int) []float64 {
+	arr := sim.NewRNG(cfg.Seed).Fork(arrivalStream)
+	meanGapUS := 1e6 / cfg.ArrivalRatePerSec
+	ts := make([]float64, n)
+	t := 0.0
+	for i := range ts {
+		u := arr.Float64()
+		if u <= 0 {
+			u = 1e-12
+		}
+		t += -math.Log(u) * meanGapUS
+		ts[i] = t
+	}
+	return ts
+}
+
+// Run draws arrivals a block at a time; the oracle draws one per
+// arrival. Horizons that end exactly after a full block (the next block
+// is empty), one arrival into a block, and before the first arrival
+// must match the oracle byte for byte, with no Mix and with a Mix of
+// more classes than an int8 can index.
+func TestFleetArrivalBlockBoundaries(t *testing.T) {
+	base, drain, adaptive, shed := StressedScenario()
+	base.Fault.MTBFHours = 0.05 // faults inside the few-minute horizons
+	base.Fault.LeadUS = 6e7
+	base.Policy = Policy{Drain: drain, Shed: shed}
+	base.Fault.Adaptive = adaptive
+	wide := make([]TrafficClass, 200)
+	for ci := range wide {
+		wide[ci] = TrafficClass{
+			Name: fmt.Sprintf("c%d", ci), Share: 1.0 / float64(len(wide)),
+			ServiceMult: float64(1 + ci%5), Priority: ci % 7,
+		}
+		if ci%3 == 0 {
+			wide[ci].SLOTargetUS = 3e8
+		}
+	}
+	times := arrivalTimesUS(base, 2*arrivalBlock+2)
+	for _, requests := range []int{0, 1, arrivalBlock, arrivalBlock + 1, 2 * arrivalBlock} {
+		// End the horizon midway between the last arrival kept and the
+		// first one past it.
+		endUS := times[0] / 2
+		if requests > 0 {
+			endUS = (times[requests-1] + times[requests]) / 2
+		}
+		for _, mix := range []struct {
+			name    string
+			classes []TrafficClass
+		}{{"no-mix", nil}, {"200-classes", wide}} {
+			cfg := base
+			cfg.HorizonDays = endUS / (24 * 3600 * 1e6)
+			cfg.Mix = mix.classes
+			want, _ := recordRun(t, referenceRun, cfg)
+			got, rep := recordRun(t, Run, cfg)
+			if want.err != "" {
+				t.Fatalf("%d requests %s: oracle failed: %s", requests, mix.name, want.err)
+			}
+			if d := diffDumps(got, want); d != "" {
+				t.Errorf("%d requests %s: %s", requests, mix.name, d)
+			}
+			if rep.Requests != int64(requests) {
+				t.Errorf("%s: %d requests, want %d", mix.name, rep.Requests, requests)
+			}
+		}
+	}
 }

@@ -163,9 +163,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// sysState is one system's runtime state.
+// sysState is one system's runtime state. The engine keeps the systems
+// in one flat slice with the serving state held by value, so the router's
+// scan reads each slot time at a fixed stride.
 type sysState struct {
-	sys    *serve.System
+	sys    serve.System
 	events []workloads.FaultEvent
 	tally  workloads.IncidentTally
 	next   int // next unactivated event
@@ -205,7 +207,7 @@ func (s *sysState) draining() bool { return s.sys.Draining() }
 type engine struct {
 	cfg       Config
 	horizonUS float64
-	systems   []*sysState
+	systems   []sysState
 	// policy state: index of the next unscheduled standby, plus the
 	// pre-warm queue — drain triggers that started warming a standby,
 	// consumed in order by capacity-loss activations.
@@ -217,7 +219,11 @@ type engine struct {
 	classWinGood      [][]int64
 	classWinTotal     [][]int64
 	classHist         []*latHist
-	report            SLOReport
+	// noClass and classes are each traffic class's routing constants;
+	// noClass serves the single class of a config without a Mix.
+	noClass classPlan
+	classes []classPlan
+	report  SLOReport
 	// obs handles (nil-safe when no recorder is installed).
 	rec                                         *obs.Recorder
 	reqCount, shedCount, rebalCount, violCount  *obs.Counter
@@ -235,6 +241,15 @@ type engine struct {
 	boundaryUS     float64
 	ready, drained []int
 	stallUntilUS   float64
+}
+
+// classPlan is one traffic class's per-request constants, resolved once
+// in newEngine: its service multiplier, its SLO target, and shedBound's
+// result calm ([0]) and under pressure ([1]).
+type classPlan struct {
+	mult, targetUS float64
+	shedUS         [2]float64
+	tightened      [2]bool
 }
 
 // fleetTid is the PidHost trace track carrying fleet policy instants.
@@ -255,11 +270,12 @@ func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 	// stable id), so arming them never moves a fault.
 	total := cfg.Systems + cfg.Standby
 	root := sim.NewRNG(cfg.Seed)
-	e.systems = make([]*sysState, total)
+	e.systems = make([]sysState, total)
 	for i := range e.systems {
 		events, indicators, tally := cfg.Fault.DrawWithIndicators(root.Fork(sysStreamBase+uint64(i)), e.horizonUS)
-		st := &sysState{
-			sys:        serve.NewSystem(cfg.ServiceUS, cfg.PipelineDepth),
+		st := &e.systems[i]
+		*st = sysState{
+			sys:        *serve.NewSystem(cfg.ServiceUS, cfg.PipelineDepth),
 			events:     events,
 			tally:      tally,
 			indicators: indicators,
@@ -271,7 +287,6 @@ func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 			st.standby = true
 			st.activeAtUS = math.Inf(1)
 		}
-		e.systems[i] = st
 	}
 	e.nextStandby = cfg.Systems
 
@@ -290,12 +305,15 @@ func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 		}
 	}
 	e.wireObs()
+	e.noClass = e.classPlan(-1)
 	for ci, cl := range cfg.Mix {
+		plan := e.classPlan(ci)
+		e.classes = append(e.classes, plan)
 		e.report.Classes = append(e.report.Classes, ClassReport{
 			Name:        cl.Name,
 			Priority:    cl.Priority,
-			SLOTargetUS: e.classTarget(cl),
-			ShedAboveUS: func() float64 { b, _ := e.shedBound(ci, true); return b }(),
+			SLOTargetUS: plan.targetUS,
+			ShedAboveUS: plan.shedUS[1],
 		})
 	}
 	return e, root, nil
@@ -309,50 +327,35 @@ func Run(cfg Config) (*SLOReport, error) {
 		return nil, err
 	}
 	cfg = e.cfg
-	arr := root.Fork(arrivalStream)
-	mix := root.Fork(mixStream)
-	meanGapUS := 1e6 / cfg.ArrivalRatePerSec
-
-	t := 0.0
-	var reqIdx int64
-	for {
-		// Open-loop Poisson arrivals: exponential gaps via inverse
-		// transform, exactly the serve package's process.
-		u := arr.Float64()
-		if u <= 0 {
-			u = 1e-12
-		}
-		t += -math.Log(u) * meanGapUS
-		if t >= e.horizonUS {
-			break
-		}
-		// Traffic class (its own stream, so enabling a mix never perturbs
-		// the arrival process).
-		mult := 1.0
-		class := -1
-		if len(cfg.Mix) > 0 {
-			x := mix.Float64()
-			acc := 0.0
-			for ci, cl := range cfg.Mix {
-				acc += cl.Share
-				mult = cl.ServiceMult
-				class = ci
-				if x < acc {
-					break
-				}
+	feed := newArrivalFeed(root, cfg, e.horizonUS)
+	nextHome := 0
+	// k indexes the current block of n arrivals; a spent block is
+	// refilled, and an empty refill ends the stream.
+	for k, n := 0, 0; ; k++ {
+		if k == n {
+			if n, k = feed.fill(), 0; n == 0 {
+				break
 			}
+		}
+		t := feed.at[k]
+		class := feed.class[k]
+		plan := &e.noClass
+		if class >= 0 {
+			plan = &e.classes[class]
 		}
 		// At a state boundary, advance every system through the
 		// incidents, leading indicators, and drain expiries that matured
 		// before this arrival, in index order and per-system time order —
 		// deterministic. Before it, every advance would be a no-op.
 		if t >= e.boundaryUS {
-			for _, st := range e.systems {
-				e.advance(st, t)
+			for i := range e.systems {
+				e.advance(&e.systems[i], t)
 			}
 			e.rescan(t)
 		}
-		e.sample(t)
+		if e.sampleEveryUS != 0 && t >= e.nextSampleUS {
+			e.sample(t)
+		}
 
 		// Route: requests have an affinity home (round-robin over the
 		// initial actives); a request leaves home only when home cannot
@@ -360,23 +363,33 @@ func Run(cfg Config) (*SLOReport, error) {
 		// drain — and then joins the non-draining system with the
 		// earliest free slot (drain-and-redistribute). Draining systems
 		// take traffic again only when every routable system drains.
-		home := int(reqIdx % int64(cfg.Systems))
-		reqIdx++
-		chosen, bestEst := home, e.systems[home].sys.EarliestStart(t)
-		homeDraining := e.systems[home].draining()
-		if bestEst > t || homeDraining {
+		//
+		// Every engine time is finite and >= 0, or +Inf, and the bit
+		// patterns of such float64s order exactly as their values do.
+		// So the scans compare max(bits(slot free), bits(t)), which is
+		// bits(EarliestStart(t)), as uint64, with the same strict <:
+		// the lowest index wins a tie, and home wins it first.
+		home := nextHome
+		if nextHome++; nextHome == cfg.Systems {
+			nextHome = 0
+		}
+		tBits := math.Float64bits(t)
+		hs := &e.systems[home]
+		chosen, best := home, max(math.Float64bits(hs.sys.SlotFreeUS()), tBits)
+		homeDraining := hs.draining()
+		if best > tBits || homeDraining {
 			if homeDraining {
-				chosen, bestEst = -1, math.Inf(1)
+				chosen, best = -1, infBits
 			}
 			for _, i := range e.ready {
-				if est := e.systems[i].sys.EarliestStart(t); est < bestEst {
-					chosen, bestEst = i, est
+				if est := max(math.Float64bits(e.systems[i].sys.SlotFreeUS()), tBits); est < best {
+					chosen, best = i, est
 				}
 			}
 			if chosen < 0 {
 				// The whole routable fleet is draining: the drain is
 				// advisory, home serves anyway.
-				chosen, bestEst = home, e.systems[home].sys.EarliestStart(t)
+				chosen, best = home, max(math.Float64bits(hs.sys.SlotFreeUS()), tBits)
 			}
 		}
 
@@ -397,20 +410,24 @@ func Run(cfg Config) (*SLOReport, error) {
 		// draining systems included — a drain reorders traffic but must
 		// never shed a request the fleet had capacity for. Pressure is a
 		// routable system draining or inside a recovery stall.
-		bound, tightened := e.shedBound(class, len(e.drained) > 0 || t < e.stallUntilUS)
+		bound, tightened := plan.shedUS[0], plan.tightened[0]
+		if len(e.drained) > 0 || t < e.stallUntilUS {
+			bound, tightened = plan.shedUS[1], plan.tightened[1]
+		}
 		if e.systems[chosen].sys.OverBound(t, bound) {
 			for _, i := range e.drained {
-				if est := e.systems[i].sys.EarliestStart(t); est < bestEst {
-					chosen, bestEst = i, est
+				if est := max(math.Float64bits(e.systems[i].sys.SlotFreeUS()), tBits); est < best {
+					chosen, best = i, est
 				}
 			}
 		}
-		if e.systems[chosen].sys.OverBound(t, bound) {
+		st := &e.systems[chosen]
+		if st.sys.OverBound(t, bound) {
 			e.report.Shed++
 			e.shedCount.Inc()
 			if class >= 0 {
 				e.report.Classes[class].Shed++
-				if tightened && !e.systems[chosen].sys.OverBound(t, e.cfg.ShedAboveUS) {
+				if tightened && !st.sys.OverBound(t, e.cfg.ShedAboveUS) {
 					// Shed only because priority shedding tightened the
 					// bound — the cost side of protecting tier 0.
 					e.report.PriorityShed++
@@ -428,18 +445,15 @@ func Run(cfg Config) (*SLOReport, error) {
 				e.drainedReqCount.Inc()
 			}
 		}
-		st := e.systems[chosen]
-		_, done := st.sys.Admit(t, mult)
+		_, done := st.sys.Admit(t, plan.mult)
 		st.requests++
 		lat := done - t
 		e.hist.add(lat)
-		target := cfg.SLOTargetUS
 		if class >= 0 {
-			target = e.classTarget(cfg.Mix[class])
 			e.classHist[class].add(lat)
 			e.report.Classes[class].Served++
 		}
-		if lat <= target {
+		if lat <= plan.targetUS {
 			e.winGood[w]++
 			if class >= 0 {
 				e.classWinGood[class][w]++
@@ -450,11 +464,94 @@ func Run(cfg Config) (*SLOReport, error) {
 	}
 	// Flush incidents that struck after the last arrival so per-system
 	// availability covers the whole horizon.
-	for _, st := range e.systems {
-		e.advance(st, e.horizonUS)
+	for i := range e.systems {
+		e.advance(&e.systems[i], e.horizonUS)
 	}
 	e.finish()
 	return &e.report, nil
+}
+
+// infBits is math.Float64bits(math.Inf(1)), the ready scan's empty best.
+const infBits = 0x7ff0000000000000
+
+// classPlan resolves class's constants (-1 is the single class of a
+// config without a Mix).
+func (e *engine) classPlan(class int) classPlan {
+	p := classPlan{mult: 1, targetUS: e.cfg.SLOTargetUS}
+	if class >= 0 {
+		cl := e.cfg.Mix[class]
+		p.mult, p.targetUS = cl.ServiceMult, e.classTarget(cl)
+	}
+	p.shedUS[0], p.tightened[0] = e.shedBound(class, false)
+	p.shedUS[1], p.tightened[1] = e.shedBound(class, true)
+	return p
+}
+
+// arrivalBlock is how many arrivals Run draws ahead of routing.
+const arrivalBlock = 256
+
+// arrivalFeed draws the open-loop arrival process a block at a time,
+// off the routing path. Its streams are forked per run and never read
+// fleet state, so drawing ahead consumes exactly the draws, in the
+// order, that drawing one arrival per request would.
+type arrivalFeed struct {
+	arr, mix             *sim.RNG
+	mixes                []TrafficClass
+	meanGapUS, horizonUS float64
+	t                    float64 // the latest arrival drawn
+	// at and class hold the current block: arrival times and traffic
+	// class indices (-1 without a Mix).
+	at    [arrivalBlock]float64
+	class [arrivalBlock]int
+}
+
+func newArrivalFeed(root *sim.RNG, cfg Config, horizonUS float64) *arrivalFeed {
+	return &arrivalFeed{
+		arr:       root.Fork(arrivalStream),
+		mix:       root.Fork(mixStream),
+		mixes:     cfg.Mix,
+		meanGapUS: 1e6 / cfg.ArrivalRatePerSec,
+		horizonUS: horizonUS,
+	}
+}
+
+// fill draws the next block of arrivals and returns how many fell
+// inside the horizon; 0 means the stream has ended.
+func (f *arrivalFeed) fill() int {
+	n := 0
+	for n < arrivalBlock && f.t < f.horizonUS {
+		// Open-loop Poisson arrivals: exponential gaps via inverse
+		// transform, exactly the serve package's process.
+		u := f.arr.Float64()
+		if u <= 0 {
+			u = 1e-12
+		}
+		f.t += -math.Log(u) * f.meanGapUS
+		if f.t >= f.horizonUS {
+			break
+		}
+		f.at[n] = f.t
+		n++
+	}
+	// Traffic classes (their own stream, so enabling a mix never
+	// perturbs the arrival process): one draw per arrival inside the
+	// horizon.
+	for k := range f.class[:n] {
+		class := -1
+		if len(f.mixes) > 0 {
+			x := f.mix.Float64()
+			acc := 0.0
+			for ci, cl := range f.mixes {
+				acc += cl.Share
+				class = ci
+				if x < acc {
+					break
+				}
+			}
+		}
+		f.class[k] = class
+	}
+	return n
 }
 
 // classTarget resolves a class's SLO target against the fleet default.
@@ -488,7 +585,8 @@ func (e *engine) shedBound(class int, pressure bool) (float64, bool) {
 func (e *engine) rescan(t float64) {
 	e.boundaryUS, e.stallUntilUS = math.Inf(1), 0
 	e.ready, e.drained = e.ready[:0], e.drained[:0]
-	for i, st := range e.systems {
+	for i := range e.systems {
+		st := &e.systems[i]
 		next := [3]float64{st.activeAtUS, math.Inf(1), math.Inf(1)}
 		if st.routable(t) {
 			next[0], next[1], next[2] = e.pending(st)
@@ -658,7 +756,7 @@ func (e *engine) activateEvent(st *sysState, ev workloads.FaultEvent) {
 		// the fleet is short a system — power on the next standby. A
 		// pre-warmed standby only owes the unpaid share of its warmup.
 		if e.nextStandby < len(e.systems) {
-			sp := e.systems[e.nextStandby]
+			sp := &e.systems[e.nextStandby]
 			sp.activeAtUS = ev.StartUS + e.cfg.WarmupUS
 			if len(e.prewarmedAt) > 0 {
 				ready := e.prewarmedAt[0] + e.cfg.WarmupUS
@@ -724,7 +822,8 @@ func (e *engine) wireObs() {
 		if e.cfg.Policy.Drain.Enabled() {
 			e.drainingSeries = e.rec.Series("fleet.draining_systems", obs.PidHost)
 		}
-		for i, st := range e.systems {
+		for i := range e.systems {
+			st := &e.systems[i]
 			st.backlogSeries = e.rec.Series("fleet.backlog_us", obs.PidHost, obs.Li("sys", i))
 			st.capacitySeries = e.rec.Series("fleet.capacity_centi", obs.PidHost, obs.Li("sys", i))
 		}
@@ -738,7 +837,8 @@ func (e *engine) sample(t float64) {
 	}
 	cyc := clock.CyclesOfUS(t)
 	active, draining := int64(0), int64(0)
-	for _, st := range e.systems {
+	for i := range e.systems {
+		st := &e.systems[i]
 		if !st.routable(t) {
 			continue
 		}
@@ -819,7 +919,8 @@ func (e *engine) finish() {
 		cr.P999US = e.classHist[ci].percentile(99.9)
 	}
 	r.PerSystem = make([]SystemReport, len(e.systems))
-	for i, st := range e.systems {
+	for i := range e.systems {
+		st := &e.systems[i]
 		sr := SystemReport{
 			ID:                i,
 			Standby:           st.standby,

@@ -59,8 +59,8 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 		// Advance every system through the incidents, leading indicators,
 		// and drain expiries that matured before this arrival, in index
 		// order and per-system time order — deterministic.
-		for _, st := range e.systems {
-			e.advance(st, t)
+		for i := range e.systems {
+			e.advance(&e.systems[i], t)
 		}
 		e.sample(t)
 
@@ -78,7 +78,8 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 			if homeDraining {
 				chosen, bestEst = -1, math.Inf(1)
 			}
-			for i, st := range e.systems {
+			for i := range e.systems {
+				st := &e.systems[i]
 				if !st.routable(t) || st.draining() {
 					continue
 				}
@@ -111,7 +112,8 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 		// never shed a request the fleet had capacity for.
 		bound, tightened := e.shedBound(class, e.cfg.Policy.Shed.Enabled() && e.referencePressure(t))
 		if e.systems[chosen].sys.OverBound(t, bound) {
-			for i, st := range e.systems {
+			for i := range e.systems {
+				st := &e.systems[i]
 				if !st.routable(t) || !st.draining() {
 					continue
 				}
@@ -143,7 +145,7 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 				e.drainedReqCount.Inc()
 			}
 		}
-		st := e.systems[chosen]
+		st := &e.systems[chosen]
 		_, done := st.sys.Admit(t, mult)
 		st.requests++
 		lat := done - t
@@ -165,8 +167,8 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 	}
 	// Flush incidents that struck after the last arrival so per-system
 	// availability covers the whole horizon.
-	for _, st := range e.systems {
-		e.advance(st, e.horizonUS)
+	for i := range e.systems {
+		e.advance(&e.systems[i], e.horizonUS)
 	}
 	e.finish()
 	return &e.report, nil
@@ -176,7 +178,8 @@ func referenceRun(cfg Config) (*SLOReport, error) {
 // inside a recovery stall at t — the signal that arms priority
 // shedding.
 func (e *engine) referencePressure(t float64) bool {
-	for _, st := range e.systems {
+	for i := range e.systems {
+		st := &e.systems[i]
 		if st.routable(t) && (st.draining() || st.sys.InStall(t)) {
 			return true
 		}

@@ -123,6 +123,10 @@ func (s *System) SetDraining(d bool) { s.draining = d }
 // fault.
 func (s *System) Draining() bool { return s.draining }
 
+// SlotFreeUS returns when the next initiation slot opens:
+// EarliestStart(t) is the later of it and t.
+func (s *System) SlotFreeUS() float64 { return s.slotFree }
+
 // Idle reports whether the system has no booked work at t — a drained
 // system is idle once its admitted backlog has run dry, so a fault
 // landing then interrupts nothing and skips the replay share of its

@@ -8,9 +8,10 @@ package workloads
 // consume a spare, and post-spare losses shed capacity.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/serve"
@@ -243,7 +244,10 @@ func (p FaultProfile) DrawWithIndicators(r *sim.RNG, horizonUS float64) ([]Fault
 	if p.LeadUS <= 0 {
 		return events, nil, tally
 	}
-	var samples []IndicatorSample
+	// Sized once: the ambient grid holds at most horizonUS/LeadUS
+	// readings (+1 absorbs the division's rounding), each fault at most
+	// rampSamples.
+	samples := make([]IndicatorSample, 0, int(horizonUS/p.LeadUS)+1+rampSamples*len(events))
 	// Ambient grid: one low-level reading every LeadUS, each drawn from a
 	// grid-indexed fork so the grid never shifts with the fault count.
 	for k := int64(1); float64(k)*p.LeadUS < horizonUS; k++ {
@@ -264,7 +268,7 @@ func (p FaultProfile) DrawWithIndicators(r *sim.RNG, horizonUS float64) ([]Fault
 			samples = append(samples, IndicatorSample{AtUS: t, Level: (rampFloor + (1-rampFloor)*u) * frac})
 		}
 	}
-	sort.SliceStable(samples, func(a, b int) bool { return samples[a].AtUS < samples[b].AtUS })
+	slices.SortStableFunc(samples, func(a, b IndicatorSample) int { return cmp.Compare(a.AtUS, b.AtUS) })
 	return events, samples, tally
 }
 

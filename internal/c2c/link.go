@@ -268,14 +268,12 @@ func (l *Link) TransferVector(payload *[VectorBytes]byte) (corrected int, mbe bo
 	l.slotCycles.Add(VectorSlotCycles)
 	if ber := l.cfg.BitErrorRate; ber > 0 {
 		bits := VectorBytes * 8
-		// With realistic BERs (<1e-12) a per-bit loop is exact but
-		// wasteful; fault-injection experiments use large BERs where
-		// the loop is fine and exactness matters.
-		for b := 0; b < bits; b++ {
-			if l.rng.Bernoulli(ber) {
-				fec.InjectBitError(b)
-				l.bitErrsInjected.Inc()
-			}
+		// One Bernoulli(ber) draw per bit, in bit order: exact at any
+		// BER, and each draw is an integer compare. Fault-injection
+		// experiments use large BERs where exactness matters.
+		for b := l.rng.FirstBernoulli(bits, ber); b < bits; b += 1 + l.rng.FirstBernoulli(bits-b-1, ber) {
+			fec.InjectBitError(b)
+			l.bitErrsInjected.Inc()
 		}
 	}
 	for i := range fec.Words {

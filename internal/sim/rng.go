@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a deterministic SplitMix64 pseudo-random generator.
 //
 // The simulation must be reproducible run-to-run, so every stochastic model
@@ -34,7 +36,11 @@ func (r *RNG) SetState(s uint64) { r.state = s }
 // Uint64 returns the next 64 uniform random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return mix64(r.state)
+}
+
+// mix64 is SplitMix64's output function of a stream state.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -74,5 +80,34 @@ func (r *RNG) NormFloat64() float64 {
 	return s - 6
 }
 
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
+// FirstBernoulli makes up to n Bernoulli(p) draws and returns the index
+// of the first success, or n when none succeeds. It consumes exactly the
+// draws a loop of Float64() < p tests would: one per trial, up to and
+// including the first success.
+func (r *RNG) FirstBernoulli(n int, p float64) int {
+	below := bernoulliBelow(p)
+	s := r.state
+	for i := 0; i < n; i++ {
+		s += 0x9e3779b97f4a7c15
+		if mix64(s)>>11 < below {
+			r.state = s
+			return i
+		}
+	}
+	r.state = s
+	return n
+}
+
+// bernoulliBelow returns the integer form of the test Float64() < p:
+// Float64 is u/2^53 for u, a draw's top 53 bits, so the test holds
+// exactly when u < ceil(p·2^53). p <= 0 or NaN gives 0 (never); p >= 1
+// gives 2^53 (always).
+func bernoulliBelow(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0
+}

@@ -110,3 +110,60 @@ func TestRNGIntnPanicsOnZero(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
+
+// bernoulliProbes spans every branch of FirstBernoulli's threshold:
+// never, subnormal, rare, common, always, and NaN.
+var bernoulliProbes = []float64{-1, 0, math.SmallestNonzeroFloat64, 1e-9, 1e-6, 1e-3, 0.5, 1, 2, math.NaN()}
+
+// FirstBernoulli must hit the same trials as a loop of Float64() < p and
+// leave the stream at the same cursor.
+func TestFirstBernoulliMatchesLoop(t *testing.T) {
+	for _, p := range bernoulliProbes {
+		for seed := uint64(1); seed <= 20; seed++ {
+			for _, n := range []int{0, 1, 7, 2560} {
+				loop := NewRNG(seed)
+				var want []int
+				for i := 0; i < n; i++ {
+					if loop.Float64() < p {
+						want = append(want, i)
+					}
+				}
+				r := NewRNG(seed)
+				var got []int
+				for i := r.FirstBernoulli(n, p); i < n; i += 1 + r.FirstBernoulli(n-i-1, p) {
+					got = append(got, i)
+				}
+				if len(got) != len(want) || r.State() != loop.State() {
+					t.Fatalf("p=%g seed %d n %d: hits %v, loop %v; state %#x, loop %#x", p, seed, n, got, want, r.State(), loop.State())
+				}
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("p=%g seed %d n %d: hits %v, loop %v", p, seed, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The integer threshold agrees with Float64() < p on both sides of
+// every boundary, including probabilities that are exact multiples of
+// 2^-53 and their neighbours.
+func TestBernoulliBelowExact(t *testing.T) {
+	probes := append([]float64{}, bernoulliProbes...)
+	for _, k := range []float64{1, 2, 3, 1 << 20, 1<<53 - 1} {
+		p := k / (1 << 53)
+		probes = append(probes, p, math.Nextafter(p, 0), math.Nextafter(p, 2))
+	}
+	for _, p := range probes {
+		below := bernoulliBelow(p)
+		for _, u := range []uint64{0, 1, 2, below - 1, below, below + 1, 1<<53 - 1} {
+			if u >= 1<<53 {
+				continue
+			}
+			if want, got := float64(u)/(1<<53) < p, u < below; got != want {
+				t.Errorf("p=%g u=%d: integer test %v, Float64 test %v", p, u, got, want)
+			}
+		}
+	}
+}

@@ -4,8 +4,9 @@
 // baseline first, so every chip's SRAM is walked and re-encoded; "delta"
 // keeps the baseline the run's own captures armed, the steady-cadence
 // path. Both re-prime the recorder with LoadState, which leaves its event
-// list at exact capacity, so the capture's one instant event regrows it
-// inside the timer. "run" times the whole recorded ring with its nine
+// list at exact capacity, then record one capture instant before the
+// timer starts, so the list regrows there and the capture's own instant
+// appends in place: the timer covers the capture alone. "run" times the whole recorded ring with its nine
 // captures ("cadence") and with the cadence off ("off"): the difference
 // is what the captures cost a run.
 package runtime
@@ -38,6 +39,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				rec.LoadState(base)
+				rec.InstantCycles(obs.PidFabric, checkpointTid, "checkpoint.capture", t)
 				cl.ckpts = cl.ckpts[:n]
 				if mode.full {
 					cl.ckptPrev = nil

@@ -245,11 +245,12 @@ type engine struct {
 
 // classPlan is one traffic class's per-request constants, resolved once
 // in newEngine: its service multiplier, its SLO target, and shedBound's
-// result calm ([0]) and under pressure ([1]).
+// bound calm and under pressure, with whether priority shedding
+// tightened the pressured one.
 type classPlan struct {
-	mult, targetUS float64
-	shedUS         [2]float64
-	tightened      [2]bool
+	mult, targetUS    float64
+	calmUS, pressedUS float64
+	tightened         bool
 }
 
 // fleetTid is the PidHost trace track carrying fleet policy instants.
@@ -313,7 +314,7 @@ func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 			Name:        cl.Name,
 			Priority:    cl.Priority,
 			SLOTargetUS: plan.targetUS,
-			ShedAboveUS: plan.shedUS[1],
+			ShedAboveUS: plan.pressedUS,
 		})
 	}
 	return e, root, nil
@@ -327,7 +328,13 @@ func Run(cfg Config) (*SLOReport, error) {
 		return nil, err
 	}
 	cfg = e.cfg
-	feed := newArrivalFeed(root, cfg, e.horizonUS)
+	feed := &arrivalFeed{
+		arr:       root.Fork(arrivalStream),
+		mix:       root.Fork(mixStream),
+		mixes:     cfg.Mix,
+		meanGapUS: 1e6 / cfg.ArrivalRatePerSec,
+		horizonUS: e.horizonUS,
+	}
 	nextHome := 0
 	// k indexes the current block of n arrivals; a spent block is
 	// refilled, and an empty refill ends the stream.
@@ -410,9 +417,9 @@ func Run(cfg Config) (*SLOReport, error) {
 		// draining systems included — a drain reorders traffic but must
 		// never shed a request the fleet had capacity for. Pressure is a
 		// routable system draining or inside a recovery stall.
-		bound, tightened := plan.shedUS[0], plan.tightened[0]
+		bound, tightened := plan.calmUS, false
 		if len(e.drained) > 0 || t < e.stallUntilUS {
-			bound, tightened = plan.shedUS[1], plan.tightened[1]
+			bound, tightened = plan.pressedUS, plan.tightened
 		}
 		if e.systems[chosen].sys.OverBound(t, bound) {
 			for _, i := range e.drained {
@@ -482,8 +489,8 @@ func (e *engine) classPlan(class int) classPlan {
 		cl := e.cfg.Mix[class]
 		p.mult, p.targetUS = cl.ServiceMult, e.classTarget(cl)
 	}
-	p.shedUS[0], p.tightened[0] = e.shedBound(class, false)
-	p.shedUS[1], p.tightened[1] = e.shedBound(class, true)
+	p.calmUS, _ = e.shedBound(class, false)
+	p.pressedUS, p.tightened = e.shedBound(class, true)
 	return p
 }
 
@@ -503,16 +510,6 @@ type arrivalFeed struct {
 	// class indices (-1 without a Mix).
 	at    [arrivalBlock]float64
 	class [arrivalBlock]int
-}
-
-func newArrivalFeed(root *sim.RNG, cfg Config, horizonUS float64) *arrivalFeed {
-	return &arrivalFeed{
-		arr:       root.Fork(arrivalStream),
-		mix:       root.Fork(mixStream),
-		mixes:     cfg.Mix,
-		meanGapUS: 1e6 / cfg.ArrivalRatePerSec,
-		horizonUS: horizonUS,
-	}
 }
 
 // fill draws the next block of arrivals and returns how many fell

@@ -1,10 +1,11 @@
 package tsp
 
-// matmul_amd64.s hard-codes 80 lanes, so 320-byte weight rows.
+// matmul_amd64.s and matmul512_amd64.s hard-code 80 lanes, so 320-byte
+// weight rows.
 var _ = [1]struct{}{}[FloatLanes-80]
 
-// matmulGeneric is the portable MXM kernel and the oracle the amd64 one is
-// fuzzed against: out = Σ act[r]·w[r] over rows r < rows with a nonzero
+// matmulGeneric is the portable MXM kernel and the oracle the amd64 ones
+// are fuzzed against: out = Σ act[r]·w[r] over rows r < rows with a nonzero
 // activation, each lane summed from +0 in row order. It writes every lane
 // of out, which must not alias act. It reports whether a lane is NaN, so
 // the caller scrubs payloads only then. The float32 conversion rounds each

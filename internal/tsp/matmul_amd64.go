@@ -1,11 +1,17 @@
 package tsp
 
-// useAVX selects the MXM kernel once, from CPUID (cpuid_amd64.s): the AVX
-// one in matmul_amd64.s where the CPU and OS support it, matmulGeneric
-// otherwise.
-var useAVX = hasAVX()
+// useAVX512 and useAVX select the MXM kernel once, from CPUID
+// (cpuid_amd64.s): the AVX-512 one in matmul512_amd64.s where the CPU and
+// OS support AVX-512F, else the AVX one in matmul_amd64.s where they
+// support AVX, else matmulGeneric.
+var (
+	useAVX512 = hasAVX512()
+	useAVX    = hasAVX()
+)
 
 func hasAVX() bool
+
+func hasAVX512() bool
 
 // matmulAVX is matmulGeneric in AVX assembly (matmul_amd64.s), bit for bit
 // except NaN payloads.
@@ -13,7 +19,16 @@ func hasAVX() bool
 //go:noescape
 func matmulAVX(out, act *Lanes, w *[WeightRows][FloatLanes]float32, rows int) (nan bool)
 
+// matmulAVX512 is matmulGeneric in AVX-512F assembly (matmul512_amd64.s),
+// bit for bit except NaN payloads.
+//
+//go:noescape
+func matmulAVX512(out, act *Lanes, w *[WeightRows][FloatLanes]float32, rows int) (nan bool)
+
 func matmul(out, act *Lanes, w *[WeightRows][FloatLanes]float32, rows int) (nan bool) {
+	if useAVX512 {
+		return matmulAVX512(out, act, w, rows)
+	}
 	if useAVX {
 		return matmulAVX(out, act, w, rows)
 	}

@@ -109,6 +109,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxAmbientSamples caps each system's ambient indicator grid, which
+// DrawWithIndicators sizes at horizon/Fault.LeadUS readings: 16 MiB of
+// samples per system at the cap.
+const maxAmbientSamples = 1 << 20
+
+// horizonUS is the simulated span in microseconds.
+func (c Config) horizonUS() float64 { return c.HorizonDays * 24 * 3600 * 1e6 }
+
 // Validate rejects non-physical configs, one named complaint per field
 // so a bad sweep point says which knob broke instead of silently
 // producing an empty report.
@@ -139,6 +147,10 @@ func (c Config) Validate() error {
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
+	}
+	if c.Fault.LeadUS > 0 && c.horizonUS()/c.Fault.LeadUS > maxAmbientSamples {
+		return fmt.Errorf("fleet: Fault.LeadUS %g gives %g ambient indicator samples per system over %g days, above the cap of %d",
+			c.Fault.LeadUS, c.horizonUS()/c.Fault.LeadUS, c.HorizonDays, maxAmbientSamples)
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return err
@@ -263,7 +275,7 @@ func newEngine(cfg Config) (*engine, *sim.RNG, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	e := &engine{cfg: cfg, horizonUS: cfg.HorizonDays * 24 * 3600 * 1e6}
+	e := &engine{cfg: cfg, horizonUS: cfg.horizonUS()}
 
 	// Per-system fault schedules, forked by stable id: order-independent,
 	// so building system 7's schedule never perturbs system 3's. The

@@ -290,6 +290,31 @@ func TestFleetConfigValidateDirect(t *testing.T) {
 	}
 }
 
+// TestFleetLeadWindowCapped pins the ambient indicator cap. The stressed
+// scenario with a 1 ns lead window passed Validate, and Run then panicked
+// sizing each system's 1.2e15-sample ambient grid; now Validate rejects
+// it, and Run returns that error. The cap itself is accepted, and the
+// check allocates nothing on a valid config.
+func TestFleetLeadWindowCapped(t *testing.T) {
+	base, _, _, _ := StressedScenario()
+	base = base.withDefaults()
+	cfg := base
+	cfg.Fault.LeadUS = 1e-3
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted LeadUS 1e-3")
+	}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Run accepted LeadUS 1e-3")
+	}
+	cfg.Fault.LeadUS = cfg.horizonUS() / maxAmbientSamples
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("LeadUS at the cap rejected: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = base.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times on the stressed scenario", n)
+	}
+}
+
 // A traffic mix is drawn from its own stream: enabling it must not
 // perturb the arrival process, and heavier mixes stretch the tail.
 func TestFleetTrafficMixSLO(t *testing.T) {

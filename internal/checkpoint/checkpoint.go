@@ -18,8 +18,8 @@
 // cycle 0 — never a panic, never a wrong answer.
 //
 // The payload has two sections. The cluster section carries the machine:
-// per-chip streams, MXM weights, ICU positions and cursors, raw SECDED
-// memory words, mailbox queues (the only in-flight link state at a window
+// per-chip stream registers, MXM weight rows, ICU positions and cursors,
+// raw SECDED memory words, mailbox queues (the only in-flight link state at a window
 // barrier — pending sends are always flushed before capture), per-link
 // error-model state including RNG cursors, FEC tallies, and the repaired
 // set. The obs section carries the recorder registry (counters, gauges,
@@ -28,14 +28,27 @@
 // the `checkpoint.bytes` counter must itself be inside the obs section:
 // it is stamped with the cluster section's length (ClusterLen) before the
 // obs view is taken, in both the straight and the restored run.
+//
+// A chip section carries only the registers and weight rows that hold a
+// nonzero bit, each behind a mask of which ones they are:
+//
+//	u64 stream mask | 320 B per set bit | 3 × u64 row mask | 320 B per set bit | units | memory
+//
+// Bit i of the stream mask stands for stream register i; bit r%64 of row
+// mask word r/64 for weight row r, and no bit at or past tsp.WeightRows is
+// set. A register or row the mask leaves out is all zero, and one it
+// names never is, so each state has one encoding. Every blob is still
+// self-contained: any capture restores on its own.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"repro/internal/c2c"
 	"repro/internal/mem"
@@ -44,10 +57,12 @@ import (
 	"repro/internal/tsp"
 )
 
-// Version is the current format version. Version 2 added per-unit stall
-// cycles to the cluster section and time series (plus the sampling
-// cadence) to the obs section.
-const Version = 2
+// Version is the current format version. Version 3 carries each chip's
+// stream registers and weight rows sparsely, behind masks (see the
+// package comment). Version 2 added per-unit stall cycles to the cluster
+// section and time series (plus the sampling cadence) to the obs section.
+// Decode reads the current version only.
+const Version = 3
 
 // magic opens every checkpoint blob.
 const magic = "TSPCKPT\x01"
@@ -118,12 +133,13 @@ const (
 	crcLen        = 4
 	clusterFixed  = 8*8 + 1 // cycles, BER, RNG flag and cursor, FEC tallies
 	unitLen       = 8 + 8 + 1 + 1 + 8 + 8
-	weightsLen    = tsp.WeightRows * tsp.FloatLanes * 4
+	rowLen        = tsp.FloatLanes * 4 // one weight row
+	rowMaskLen    = len(tsp.ChipState{}.RowMask) * 8
 	memVectorLen  = 8 + len(mem.VectorState{}.Words)*9
 	envelopeLen   = 8 + tsp.VectorBytes
 	linkEntryLen  = 6 * 8
 	linkMBELen    = 3 * 8
-	chipFixedLen  = tsp.NumStreams*tsp.VectorBytes + weightsLen + 4 + len(tsp.ChipState{}.Units)*unitLen + 8 + 8 + 4
+	chipFixedLen  = 8 + rowMaskLen + 4 + len(tsp.ChipState{}.Units)*unitLen + 8 + 8 + 4
 	histFixedLen  = 4*8 + 4
 	eventFixedLen = 1 + 4*8
 )
@@ -259,16 +275,30 @@ func ClusterLen(s *Snapshot) int {
 	return n
 }
 
-func chipLen(c *tsp.ChipState) int { return chipFixedLen + len(c.Mem.Vectors)*memVectorLen }
+func chipLen(c *tsp.ChipState) int {
+	return chipFixedLen + len(c.Streams)*tsp.VectorBytes + len(c.Rows)*rowLen + len(c.Mem.Vectors)*memVectorLen
+}
 
-// putChip writes one chip's section: streams, weights, unit cursors, and
-// the raw SECDED memory words.
+// putChip writes one chip's section: the nonzero stream registers and
+// weight rows behind their masks, unit cursors, and the raw SECDED memory
+// words.
 func putChip(w *buf, c *tsp.ChipState) {
+	// A mask that disagrees with its list is a bug, never a blob.
+	if bits.OnesCount64(c.StreamMask) != len(c.Streams) || rowCount(&c.RowMask) != len(c.Rows) {
+		panic(fmt.Sprintf("checkpoint: chip masks name %d registers and %d rows, state holds %d and %d",
+			bits.OnesCount64(c.StreamMask), rowCount(&c.RowMask), len(c.Streams), len(c.Rows)))
+	}
+	w.u64(c.StreamMask)
 	for i := range c.Streams {
 		w.bytes(c.Streams[i][:])
 	}
-	putWeights(w.b[w.off:w.off+weightsLen], c.Weights)
-	w.off += weightsLen
+	for _, m := range c.RowMask {
+		w.u64(m)
+	}
+	for i := range c.Rows {
+		putRow(w.b[w.off:w.off+rowLen], &c.Rows[i])
+		w.off += rowLen
+	}
 	w.u32(uint32(len(c.Units)))
 	for u := range c.Units {
 		us := &c.Units[u]
@@ -484,18 +514,46 @@ func (d *dec) str() string {
 	return string(b)
 }
 
-// count reads a collection length and bounds it by the bytes remaining:
-// each element is at least min bytes on the wire, so a count that could
-// not fit is corrupt, and no count can drive an allocation larger than a
-// constant times the blob (TestDecodeAllocationBounded).
-func (d *dec) count(min int) int {
-	n := int(d.u32())
+// count reads a collection length and bounds it by the bytes remaining
+// (fits).
+func (d *dec) count(min int) int { return d.fits(int(d.u32()), min) }
+
+// fits bounds an element count, read as a length or a mask, by the bytes
+// remaining: each element is at least min bytes on the wire, so a count
+// that could not fit is corrupt, and no count can drive an allocation
+// larger than a constant times the blob (TestDecodeAllocationBounded).
+func (d *dec) fits(n, min int) int {
 	if d.err == nil && n > (len(d.b)-d.off)/min {
 		d.fail("checkpoint: implausible element count %d at offset %d", n, d.off)
 		return 0
 	}
 	return n
 }
+
+// zeroEntry is what no register or row a mask names may hold.
+var zeroEntry [tsp.VectorBytes]byte
+
+// entry reads one stream register or weight row a mask names. Encode
+// writes only nonzero ones, so an all-zero entry is not a blob it wrote.
+func (d *dec) entry(what string) []byte {
+	b := d.take(tsp.VectorBytes)
+	if b != nil && bytes.Equal(b, zeroEntry[:]) {
+		d.fail("checkpoint: all-zero %s at offset %d", what, d.off-len(b))
+	}
+	return b
+}
+
+// rowCount is the number of weight rows a row mask names.
+func rowCount(m *[len(tsp.ChipState{}.RowMask)]uint64) int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// rowTail is the number of row mask bits the last mask word uses (0: all).
+const rowTail = tsp.WeightRows % 64
 
 // grow returns room for n decoded elements, and nil for none: a
 // collection Encode wrote empty decodes as a nil slice.
@@ -554,13 +612,27 @@ func Decode(blob []byte) (*Snapshot, error) {
 	}
 	for ci := 0; ci < len(s.Chips) && d.err == nil; ci++ {
 		c := &s.Chips[ci]
-		c.Streams = new([tsp.NumStreams]tsp.Vector)
-		c.Weights = new([tsp.WeightRows][tsp.FloatLanes]float32)
-		for i := range c.Streams {
-			copy(c.Streams[i][:], d.take(tsp.VectorBytes))
+		c.StreamMask = d.u64()
+		n := d.fits(bits.OnesCount64(c.StreamMask), tsp.VectorBytes)
+		c.Streams = grow[tsp.Vector](n)
+		for i := 0; i < n && d.err == nil; i++ {
+			if b := d.entry("stream register"); b != nil {
+				c.Streams = append(c.Streams, tsp.Vector(b))
+			}
 		}
-		if b := d.take(weightsLen); b != nil {
-			getWeights(c.Weights, b)
+		for w := range c.RowMask {
+			c.RowMask[w] = d.u64()
+		}
+		if last := c.RowMask[len(c.RowMask)-1]; d.err == nil && rowTail != 0 && last>>rowTail != 0 {
+			d.fail("checkpoint: chip %d row mask names rows at or past %d", ci, tsp.WeightRows)
+		}
+		n = d.fits(rowCount(&c.RowMask), rowLen)
+		c.Rows = grow[[tsp.FloatLanes]float32](n)
+		for r := 0; r < n && d.err == nil; r++ {
+			if b := d.entry("weight row"); b != nil {
+				c.Rows = append(c.Rows, [tsp.FloatLanes]float32{})
+				getRow(&c.Rows[r], b)
+			}
 		}
 		nUnits := d.count(8)
 		if d.err == nil && nUnits != len(c.Units) {

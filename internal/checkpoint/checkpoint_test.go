@@ -20,16 +20,21 @@ import (
 // format: populated chip state, queued envelopes, link models, MBE
 // records, the repaired set, and a full obs registry.
 func testSnapshot() *Snapshot {
+	// Registers 0 and 63 and weight rows 0 and 159: the first and last
+	// bit of each mask.
 	chip := tsp.ChipState{
-		Streams: new([tsp.NumStreams]tsp.Vector),
-		Weights: new([tsp.WeightRows][tsp.FloatLanes]float32),
+		StreamMask: 1 | 1<<63,
+		Streams:    make([]tsp.Vector, 2),
+		Rows:       make([][tsp.FloatLanes]float32, 2),
 	}
 	for i := range chip.Streams[0] {
 		chip.Streams[0][i] = byte(i * 3)
 	}
-	chip.Streams[63][0] = 0xAA
-	chip.Weights[0][0] = 1.5
-	chip.Weights[159][3] = -2.25
+	chip.Streams[1][0] = 0xAA
+	chip.RowMask[0] = 1
+	chip.RowMask[159/64] = 1 << (159 % 64)
+	chip.Rows[0][0] = 1.5
+	chip.Rows[1][3] = -2.25
 	chip.Units[0] = tsp.UnitState{PC: 3, Cursor: 990, Parked: true, Busy: 7}
 	chip.Units[1] = tsp.UnitState{PC: 12, Cursor: 1300, Halted: true}
 	chip.Mem.CorrectedSBEs = 4
@@ -104,9 +109,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointBytesPinned pins the SHA-256 of Encode(testSnapshot()).
 // Round trips cannot catch a layout that Encode and Decode get wrong the
-// same way, and the recorded ring's blobs hold all-zero weights and no
-// SRAM vector; this snapshot has nonzero weights at rows 0 and 159, one
-// SRAM vector and every other section populated.
+// same way, and the recorded ring's blobs hold no weight row and no SRAM
+// vector; this snapshot sets the first and last bit of both chip masks,
+// holds one SRAM vector and populates every other section.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const want = "81de0c3a87023c1d2a67ae964965dd23b4abe790e40ff46feb28802fb84c0789"
 	sum := sha256.Sum256(Encode(testSnapshot()))

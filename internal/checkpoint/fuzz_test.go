@@ -28,6 +28,7 @@ import (
 // under a correct length and checksum.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(Encode(testSnapshot()))
+	f.Add(Encode(denseSnapshot()))
 	zeroWidth := testSnapshot()
 	zeroWidth.Obs.Hists["bad"] = obs.HistState{Counts: []int64{1}}
 	f.Add(Encode(zeroWidth))
@@ -141,13 +142,15 @@ const (
 
 // TestDecodeAllocationBounded: what Decode allocates is bounded by the
 // size of its input, on every corpus seed, on valid blobs, and on crafted
-// blobs that claim, for each collection in turn, the largest count the
-// decoder lets through in front of a run of zero bytes. Each element then
+// blobs that claim, for each collection and chip mask in turn, the
+// largest count the decoder lets through in front of a run of zero
+// bytes. Each element then
 // decodes from zeros, so most of these blobs fail after the allocation
 // their count drove.
 func TestDecodeAllocationBounded(t *testing.T) {
 	blobs := readCorpus(t)
 	blobs["encoded"] = Encode(testSnapshot())
+	blobs["dense"] = Encode(denseSnapshot())
 	// Maps grow as their entries decode, so their allocation shows on an
 	// accepted blob with many short names.
 	many := testSnapshot()
@@ -214,6 +217,13 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			t.Errorf("%s: no count accepted; the crafted prefix does not reach the collection", c.name)
 		}
 		blobs["max-"+c.name] = crafted(c.prefix, n)
+	}
+	// A chip's masks count its registers and rows: full masks in front of
+	// the zero run, and in front of too few bytes for one entry.
+	for _, r := range []int{room, 300} {
+		for name, blob := range maskBlobs(r) {
+			blobs[name] = blob
+		}
 	}
 
 	for name, blob := range blobs {

@@ -8,21 +8,21 @@ import (
 	"repro/internal/tsp"
 )
 
-// On a little-endian host the weight matrix in memory already is its
-// encoding, each float32 as its little-endian IEEE-754 bits in row order,
-// so both directions are one copy (the split of tsp's codec_le.go).
+// On a little-endian host a weight row in memory already is its encoding,
+// each float32 as its little-endian IEEE-754 bits in lane order, so both
+// directions are one copy (the split of tsp's codec_le.go).
 // weights_other.go keeps the per-float loops for big-endian hosts.
 
-// The views below need the matrix to be exactly its encoding's size.
-var _ = [1]struct{}{}[unsafe.Sizeof(*tsp.ChipState{}.Weights)-weightsLen]
+// The views below need a row to be exactly its encoding's size.
+var _ = [1]struct{}{}[unsafe.Sizeof([tsp.FloatLanes]float32{})-rowLen]
 
-// weightBytes views the matrix as its encoding.
-func weightBytes(m *[tsp.WeightRows][tsp.FloatLanes]float32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(m)), weightsLen)
+// rowBytes views a weight row as its encoding.
+func rowBytes(r *[tsp.FloatLanes]float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(r)), rowLen)
 }
 
-// putWeights encodes the matrix into b, which holds weightsLen bytes.
-func putWeights(b []byte, m *[tsp.WeightRows][tsp.FloatLanes]float32) { copy(b, weightBytes(m)) }
+// putRow encodes a weight row into b, which holds rowLen bytes.
+func putRow(b []byte, r *[tsp.FloatLanes]float32) { copy(b, rowBytes(r)) }
 
-// getWeights decodes b, which holds weightsLen bytes, into the matrix.
-func getWeights(m *[tsp.WeightRows][tsp.FloatLanes]float32, b []byte) { copy(weightBytes(m), b) }
+// getRow decodes b, which holds rowLen bytes, into a weight row.
+func getRow(r *[tsp.FloatLanes]float32, b []byte) { copy(rowBytes(r), b) }

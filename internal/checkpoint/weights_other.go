@@ -9,23 +9,19 @@ import (
 	"repro/internal/tsp"
 )
 
-// putWeights encodes the matrix into b, which holds weightsLen bytes:
-// each float32 as its little-endian IEEE-754 bits, in row order.
-func putWeights(b []byte, m *[tsp.WeightRows][tsp.FloatLanes]float32) {
-	for r := range m {
-		for _, v := range m[r] {
-			binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-			b = b[4:]
-		}
+// putRow encodes a weight row into b, which holds rowLen bytes: each
+// float32 as its little-endian IEEE-754 bits, in lane order.
+func putRow(b []byte, r *[tsp.FloatLanes]float32) {
+	for _, v := range r {
+		binary.LittleEndian.PutUint32(b, math.Float32bits(v))
+		b = b[4:]
 	}
 }
 
-// getWeights decodes b, which holds weightsLen bytes, into the matrix.
-func getWeights(m *[tsp.WeightRows][tsp.FloatLanes]float32, b []byte) {
-	for r := range m {
-		for j := range m[r] {
-			m[r][j] = math.Float32frombits(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-		}
+// getRow decodes b, which holds rowLen bytes, into a weight row.
+func getRow(r *[tsp.FloatLanes]float32, b []byte) {
+	for j := range r {
+		r[j] = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		b = b[4:]
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/topo"
+	"repro/internal/tsp"
 )
 
 // ringLink returns the link chip a → chip b used by the ring workloads:
@@ -482,7 +483,9 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 		for c := range snap.Chips {
-			if *snap.Chips[c].Weights != straight.Chip(c).Weights {
+			ch := tsp.New(c, &isa.Program{}, nil)
+			ch.SetState(&snap.Chips[c])
+			if ch.Weights != straight.Chip(c).Weights {
 				t.Fatalf("checkpoint %d: chip %d weights differ from the chip's", i, c)
 			}
 		}

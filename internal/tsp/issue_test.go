@@ -1,7 +1,9 @@
 package tsp
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -171,13 +173,10 @@ func TestIssueOrderMatchesAllUnitScan(t *testing.T) {
 	}
 }
 
-// captured returns a full capture of c's state that owns its arrays, so
-// it still holds once c runs on.
+// captured returns a full capture of c's state.
 func captured(c *Chip) *ChipState {
 	s := new(ChipState)
 	c.CaptureState(s)
-	streams, weights := *s.Streams, *s.Weights
-	s.Streams, s.Weights = &streams, &weights
 	return s
 }
 
@@ -197,10 +196,26 @@ func sameEnd(t *testing.T, seed uint64, want *Chip, chips ...*Chip) {
 	ws := captured(want)
 	for _, c := range chips {
 		gs := captured(c)
-		// Units, Streams and Weights are arrays, which == compares much
-		// faster than reflect does.
-		if gs.Units != ws.Units || *gs.Streams != *ws.Streams || *gs.Weights != *ws.Weights || !reflect.DeepEqual(gs.Mem, ws.Mem) {
+		// Units and the masks are arrays, which == compares much faster
+		// than reflect does; the rows compare as bits.
+		if gs.Units != ws.Units || gs.StreamMask != ws.StreamMask || gs.RowMask != ws.RowMask ||
+			!slices.Equal(gs.Streams, ws.Streams) || !sameRows(gs.Rows, ws.Rows) || !reflect.DeepEqual(gs.Mem, ws.Mem) {
 			t.Fatalf("seed %d: final state differs: units %+v, scan %+v", seed, gs.Units, ws.Units)
 		}
 	}
+}
+
+// sameRows reports whether two weight-row lists hold the same bits.
+func sameRows(a, b [][FloatLanes]float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for j := range a[i] {
+			if math.Float32bits(a[i][j]) != math.Float32bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

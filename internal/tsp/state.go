@@ -7,17 +7,23 @@
 // at clean points — no pending fault — because a faulted attempt is
 // abandoned for replay, never checkpointed.
 //
-// A capture copies nothing it does not have to: a ChipState points at the
-// chip's own register file and weight matrix instead of holding copies,
-// and its SRAM part reuses the previous capture's encoding of every vector
-// the chip did not write since. The checkpoint encoder then copies the
-// arrays once, into the blob. A restore copies them into the chip.
+// A capture copies only the state that exists. Most stream registers and
+// nearly every weight row hold zero bits, so a ChipState lists the nonzero
+// registers and rows behind a mask of which ones they are, and a restore
+// zeroes the rest. Its SRAM part reuses the previous capture's encoding of
+// every vector the chip did not write since.
 package tsp
 
 import (
+	"math/bits"
+	"unsafe"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
+
+// The stream mask is one bit per register.
+const _ = uint64(1) << (NumStreams - 1)
 
 // UnitState is one functional unit's ICU position and timing cursor.
 type UnitState struct {
@@ -29,37 +35,63 @@ type UnitState struct {
 	Stall  int64
 }
 
-// ChipState is one chip's state mid-execution. Streams and Weights point
-// at a register file and a weight matrix: CaptureState points them at the
-// chip's own arrays, Decode at arrays of its own.
+// ChipState is one chip's state mid-execution, in sparse form. Bit i of
+// StreamMask is set when stream register i holds a nonzero bit, and
+// Streams lists those registers in ascending order. Bit r%64 of
+// RowMask[r/64] is set when weight row r holds a nonzero bit, and Rows
+// lists those rows in ascending order; RowMask has no bit at or past
+// WeightRows. Every register and row a mask leaves out is all zero.
+// Zero means zero bits: a row of -0.0 or of NaN payloads is nonzero.
 type ChipState struct {
-	Streams *[NumStreams]Vector
-	Weights *[WeightRows][FloatLanes]float32
-	Units   [isa.NumUnits]UnitState
-	Mem     mem.State
+	StreamMask uint64
+	Streams    []Vector
+	RowMask    [(WeightRows + 63) / 64]uint64
+	Rows       [][FloatLanes]float32
+	Units      [isa.NumUnits]UnitState
+	Mem        mem.State
 }
 
-// CaptureState captures the chip's state into s in place. Streams and
-// Weights point at the chip's own arrays, so s reads the chip as it is
-// until the chip runs again: encode it before then. s must be the zero
-// ChipState (a full capture) or hold this chip's immediately preceding
-// capture: the SRAM's dirty-page tracking then reuses s's encoding of
-// every vector untouched since (mem.StateDelta), so steady-cadence
-// captures pay only for the memory the chip wrote since last time. Each
-// call resets the dirty baseline. The chip must not be faulted: a fault
-// means the run is being abandoned, and the snapshot would bake the
-// poisoned state into every restore.
+// zeroVector is the all-zero vector the capture compares against. It is
+// never written.
+var zeroVector Vector
+
+// zeroRow reports whether every bit of a weight row is zero. It compares
+// the row's bytes, not its floats, so -0.0 and NaN count as nonzero.
+func zeroRow(r *[FloatLanes]float32) bool {
+	return *(*Vector)(unsafe.Pointer(r)) == zeroVector
+}
+
+// CaptureState captures the chip's state into s in place, reusing s's
+// Streams and Rows slices. s must be the zero ChipState (a full capture)
+// or hold this chip's immediately preceding capture: the SRAM's
+// dirty-page tracking then reuses s's encoding of every vector untouched
+// since (mem.StateDelta), so steady-cadence captures pay only for the
+// memory the chip wrote since last time. Each call resets the dirty
+// baseline. The chip must not be faulted: a fault means the run is being
+// abandoned, and the snapshot would bake the poisoned state into every
+// restore.
 func (c *Chip) CaptureState(s *ChipState) {
 	if c.fault != nil {
 		panic("tsp: CaptureState on a faulted chip")
 	}
+	s.StreamMask = 0
+	s.Streams = s.Streams[:0]
 	for i := range c.streams {
 		// Materialize lane-cached registers so the snapshot carries the
 		// architectural bytes — the determinism boundary.
-		c.streamBytes(i)
+		if v := c.streamBytes(i); *v != zeroVector {
+			s.StreamMask |= 1 << i
+			s.Streams = append(s.Streams, *v)
+		}
 	}
-	s.Streams = &c.streams
-	s.Weights = &c.Weights
+	clear(s.RowMask[:])
+	s.Rows = s.Rows[:0]
+	for r := range c.Weights {
+		if !zeroRow(&c.Weights[r]) {
+			s.RowMask[r/64] |= 1 << (r % 64)
+			s.Rows = append(s.Rows, c.Weights[r])
+		}
+	}
 	s.Mem = c.Mem.StateDelta(&s.Mem)
 	for u := range s.Units {
 		s.Units[u] = UnitState{
@@ -73,13 +105,27 @@ func (c *Chip) CaptureState(s *ChipState) {
 	}
 }
 
-// SetState restores a captured state into the chip. The chip must be
-// loaded with the same program the snapshot was taken under; the deskew
-// oracle (SetDeskewDelta), recorder attachment, and C2C binding are
+// SetState restores a captured state into the chip: every register and
+// weight row s's masks leave out is zeroed. s's Streams and Rows must
+// hold one entry per mask bit. The chip must be loaded with the same
+// program the snapshot was taken under; the deskew oracle
+// (SetDeskewDelta), recorder attachment, and C2C binding are
 // construction-time wiring and are left untouched.
 func (c *Chip) SetState(s *ChipState) {
-	c.streams = *s.Streams
-	c.Weights = *s.Weights
+	c.streams = [NumStreams]Vector{}
+	k := 0
+	for m := s.StreamMask; m != 0; m &= m - 1 {
+		c.streams[bits.TrailingZeros64(m)] = s.Streams[k]
+		k++
+	}
+	c.Weights = [WeightRows][FloatLanes]float32{}
+	k = 0
+	for w, m := range s.RowMask {
+		for ; m != 0; m &= m - 1 {
+			c.Weights[w*64+bits.TrailingZeros64(m)] = s.Rows[k]
+			k++
+		}
+	}
 	for i := range c.streams {
 		c.byteOK[i] = true
 		c.laneOK[i] = false

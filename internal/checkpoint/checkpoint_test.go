@@ -113,7 +113,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // vector; this snapshot sets the first and last bit of both chip masks,
 // holds one SRAM vector and populates every other section.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const want = "81de0c3a87023c1d2a67ae964965dd23b4abe790e40ff46feb28802fb84c0789"
+	const want = "1f0ecaafac4d8e3d7f8edd27b1b8cc0878b5ab8b81087fcc8dd741d7defa3b86"
 	sum := sha256.Sum256(Encode(testSnapshot()))
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("Encode(testSnapshot()) SHA-256 %s, want %s", got, want)

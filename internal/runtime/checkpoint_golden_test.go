@@ -57,7 +57,7 @@ func TestCheckpointBlobGolden(t *testing.T) {
 	const (
 		wantFinish   = 49285
 		wantCaptures = 9
-		wantSHA      = "fc467966c22d499d3c104bd374e82903162cb263fcd826de2f86b467c58f6bdd"
+		wantSHA      = "6459134717fea5c16791554e83d759a77ee10b3130a59a6e438c2535d0d2d058"
 	)
 	prev := obs.Get()
 	defer obs.Set(prev)
@@ -88,7 +88,7 @@ func TestCheckpointBlobGolden(t *testing.T) {
 // Chrome trace export at one and two workers: event order, the metadata
 // names, the counter tail and the encoder's formatting together.
 func TestRecordedRingTraceGolden(t *testing.T) {
-	const wantSHA = "7b1721496b7bde54c02b970656e2b79e71695e691656ea1e0e1ace1e5b6c7f35"
+	const wantSHA = "73a2f19b2d3c831afe80f9feaa0d377c44ebcc4b29429320b729cbdc7c33f9a2"
 	prev := obs.Get()
 	defer obs.Set(prev)
 	for _, workers := range []int{1, 2} {

@@ -33,10 +33,9 @@ import (
 
 // components partitions the chips with pending work into the connected
 // components of the static send graph, each listed in ascending chip
-// order and ordered by its lowest chip. ok is false when a program names
-// a send link its chip lacks, so the caller can fall back to one heap
-// over every chip.
-func (cl *Cluster) components() (comps [][]int, ok bool) {
+// order and ordered by its lowest chip. New has checked that every send
+// link names one of its chip's links.
+func (cl *Cluster) components() (comps [][]int) {
 	parent := cl.allChips()
 	find := func(i int) int {
 		for parent[i] != i {
@@ -47,9 +46,6 @@ func (cl *Cluster) components() (comps [][]int, ok bool) {
 	}
 	for src, chip := range cl.chips {
 		for _, link := range chip.SendLinks() {
-			if link >= len(cl.routeIDs[src]) {
-				return nil, false
-			}
 			a, b := find(src), find(int(cl.sys.Link(cl.routeIDs[src][link]).To))
 			// The lower index becomes the root, so a root is its
 			// component's lowest chip.
@@ -69,7 +65,7 @@ func (cl *Cluster) components() (comps [][]int, ok bool) {
 		}
 		comps[slot[r]-1] = append(comps[slot[r]-1], i)
 	}
-	return comps, true
+	return comps
 }
 
 // runComponents runs each component on its own sequential heap:

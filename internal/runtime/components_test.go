@@ -120,24 +120,31 @@ func TestRunExecutorChoice(t *testing.T) {
 	}
 }
 
-// TestRunMissingLinkFallsBack: a Send on a link the chip lacks keeps a
-// clean run on one heap over every chip, which raises deliver's panic.
-func TestRunMissingLinkFallsBack(t *testing.T) {
+// TestNewRejectsMissingSendLink: a program that sends or transmits on a
+// link at or past its chip's out-degree is an error from New, so no run
+// can reach a delivery on a link that does not exist.
+func TestNewRejectsMissingSendLink(t *testing.T) {
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	degree := len(sys.Out(0))
+	for _, in := range []isa.Instruction{
+		{Op: isa.Send, A: 99},
+		{Op: isa.Transmit, A: uint16(degree)},
+	} {
+		p := &isa.Program{}
+		p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Send, A: 0})
+		p.AppendTo(isa.C2C, in)
+		want := fmt.Sprintf("runtime: chip 0's program sends on link %d, but the chip has %d links", in.A, degree)
+		if _, err := New(sys, []*isa.Program{p}); err == nil || err.Error() != want {
+			t.Errorf("%v: New error %v, want %q", in, err, want)
+		}
+	}
+	// The last link is still a link.
 	p := &isa.Program{}
-	p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Send, A: 99})
-	cl, err := New(sys, []*isa.Program{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetWorkers(2)
-	if got := runRecovered(cl.Run); got != "runtime: chip 0 has no link 99" {
-		t.Errorf("Run panicked with %v", got)
-	}
-	if got, want := cl.Executor(), (Executor{"sequential", "send on a missing link", 1}); got != want {
-		t.Errorf("Executor() = %+v, want %+v", got, want)
+	p.AppendTo(isa.C2C, isa.Instruction{Op: isa.Transmit, A: uint16(degree - 1)})
+	if _, err := New(sys, []*isa.Program{p}); err != nil {
+		t.Errorf("transmit on link %d: %v", degree-1, err)
 	}
 }

@@ -210,7 +210,8 @@ func (c *chipC2C) Recv(link int, cycle int64, dst *tsp.Vector) bool {
 
 // New builds a cluster executing programs[t] on TSP t. Programs may be nil
 // for idle chips. Programs are read-only to the cluster and may be shared:
-// chips given the same *isa.Program share its program-derived tables.
+// chips given the same *isa.Program share its program-derived tables. A
+// program that sends or transmits on a link its chip lacks is an error.
 func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	if len(programs) > sys.NumTSPs() {
 		return nil, fmt.Errorf("runtime: %d programs for %d TSPs", len(programs), sys.NumTSPs())
@@ -244,8 +245,13 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 			chip = tsp.New(t, prog, port)
 			loaded[prog] = chip
 		}
+		degree := len(sys.Out(topo.TSPID(t)))
+		if links := chip.SendLinks(); len(links) > 0 && links[len(links)-1] >= degree {
+			return nil, fmt.Errorf("runtime: chip %d's program sends on link %d, but the chip has %d links",
+				t, links[len(links)-1], degree)
+		}
 		cl.chips = append(cl.chips, chip)
-		mb := &mailbox{queues: make([]linkQueue, len(sys.Out(topo.TSPID(t))))}
+		mb := &mailbox{queues: make([]linkQueue, degree)}
 		for i := range mb.queues {
 			// Seed each queue with room for a handful of in-flight vectors
 			// so steady-state traffic never pays append's growth copies.
@@ -326,9 +332,6 @@ func (cl *Cluster) SetBitErrorRate(ber float64, seed uint64) {
 // corruption is applied to the slot in place.
 func (cl *Cluster) deliver(src topo.TSPID, link int, v *tsp.Vector, cycle int64) {
 	routes := cl.routes[src]
-	if link < 0 || link >= len(routes) {
-		panic(fmt.Sprintf("runtime: chip %d has no link %d", src, link))
-	}
 	if cl.rec == nil && cl.fplan == nil && cl.ber == 0 {
 		// Clean-fabric fast path (the overwhelmingly common case): route
 		// straight to the pre-resolved destination queue. Observably
@@ -548,8 +551,8 @@ func (cl *Cluster) allChips() []int {
 //     abandons stop at the same points at every worker count.
 //   - Every other run takes RunSequential: a checkpoint or series cadence
 //     (captured at heap barriers), a recorder (one trace), a fault plan
-//     (one fault schedule), a bit error rate (one delivery-ordered error
-//     RNG), or a send on a link the chip lacks.
+//     (one fault schedule), or a bit error rate (one delivery-ordered
+//     error RNG).
 func (cl *Cluster) Run() (int64, error) {
 	var reason string
 	switch {
@@ -564,15 +567,11 @@ func (cl *Cluster) Run() (int64, error) {
 	case cl.ber != 0:
 		reason = "bit error rate"
 	default:
-		if comps, ok := cl.components(); ok {
-			cl.exec = Executor{Name: "components", Reason: "clean fabric", Components: len(comps)}
-			finish, err := cl.runComponents(comps)
-			cl.noteRunEnd(finish)
-			return finish, err
-		}
-		// A send on a link the chip lacks: one heap over every chip
-		// reaches the deliver panic in the sequential order.
-		reason = "send on a missing link"
+		comps := cl.components()
+		cl.exec = Executor{Name: "components", Reason: "clean fabric", Components: len(comps)}
+		finish, err := cl.runComponents(comps)
+		cl.noteRunEnd(finish)
+		return finish, err
 	}
 	cl.exec = Executor{Name: "sequential", Reason: reason, Components: 1}
 	return cl.RunSequential()

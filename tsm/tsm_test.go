@@ -3,6 +3,8 @@ package tsm
 import (
 	"math"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestNewSystemSizes(t *testing.T) {
@@ -290,5 +292,22 @@ func TestFunctionalEntryPointsRejectHostileShapes(t *testing.T) {
 				t.Error("accepted a malformed input")
 			}
 		})
+	}
+}
+
+// TestClusterRejectsMissingLink: the public path from assembler text to a
+// cluster reports a send on a link the chip lacks as an error, where a run
+// used to panic.
+func TestClusterRejectsMissingLink(t *testing.T) {
+	s, err := NewSystem(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Assemble("send 200 s0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cluster([]*isa.Program{p}); err == nil {
+		t.Fatal("Cluster accepted a send on link 200")
 	}
 }

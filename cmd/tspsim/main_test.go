@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -536,4 +537,41 @@ func captureStdout(t *testing.T, fn func()) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestCheckpointFileRoundTrip: a file -checkpoint-save writes restores
+// with -restore-from, and the restored run ends byte-identical to the
+// straight one. The same file relabelled as format version 2 fails with
+// an error, not a panic.
+func TestCheckpointFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ring.ckpt")
+	var errw bytes.Buffer
+	out := captureStdout(t, func() {
+		if code := run([]string{"-checkpoint-save", path}, &errw); code != 0 {
+			t.Fatalf("-checkpoint-save: exit %d: %s", code, errw.String())
+		}
+		if code := run([]string{"-restore-from", path}, &errw); code != 0 {
+			t.Fatalf("-restore-from: exit %d: %s", code, errw.String())
+		}
+	})
+	if !strings.Contains(string(out), "final state byte-identical to the straight run") {
+		t.Errorf("restore did not report byte-identical state:\n%s", out)
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[len("TSPCKPT\x01"):], 2)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errw.Reset()
+	muteStdout(t)
+	if code := run([]string{"-restore-from", path}, &errw); code != 1 {
+		t.Fatalf("-restore-from a version-2 file: exit %d, want 1", code)
+	}
+	if !strings.Contains(errw.String(), "unsupported version 2") {
+		t.Errorf("stderr does not name the version: %s", errw.String())
+	}
 }

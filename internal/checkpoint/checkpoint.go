@@ -19,12 +19,12 @@
 //
 // The payload has two sections. The cluster section carries the machine:
 // per-chip stream registers, MXM weight rows, ICU positions and cursors,
-// raw SECDED memory words, mailbox queues (the only in-flight link state at a window
-// barrier — pending sends are always flushed before capture), per-link
-// error-model state including RNG cursors, FEC tallies, and the repaired
-// set. The obs section carries the recorder registry (counters, gauges,
-// histograms, trace events, name tables) so a restored run's dumps are
-// byte-identical to the straight run's. The sections are split because
+// raw SECDED memory words, mailbox queues (the only in-flight link state
+// at a window barrier — pending sends are always flushed before capture),
+// per-link error-model state including RNG cursors, FEC tallies, and the
+// repaired set. The obs section carries the recorder registry (counters,
+// gauges, histograms, trace events, name tables) so a restored run's
+// dumps are byte-identical to the straight run's. The sections are split because
 // the `checkpoint.bytes` counter must itself be inside the obs section:
 // it is stamped with the cluster section's length (ClusterLen) before the
 // obs view is taken, in both the straight and the restored run.
@@ -285,8 +285,7 @@ func chipLen(c *tsp.ChipState) int {
 func putChip(w *buf, c *tsp.ChipState) {
 	// A mask that disagrees with its list is a bug, never a blob.
 	if bits.OnesCount64(c.StreamMask) != len(c.Streams) || rowCount(&c.RowMask) != len(c.Rows) {
-		panic(fmt.Sprintf("checkpoint: chip masks name %d registers and %d rows, state holds %d and %d",
-			bits.OnesCount64(c.StreamMask), rowCount(&c.RowMask), len(c.Streams), len(c.Rows)))
+		panic("checkpoint: a chip mask disagrees with its list")
 	}
 	w.u64(c.StreamMask)
 	for i := range c.Streams {

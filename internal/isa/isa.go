@@ -187,7 +187,11 @@ func UnitOf(op Op) Unit {
 }
 
 // Instruction is one decoded instruction. Operand meaning is per-opcode; see
-// the Op doc comments.
+// the Op doc comments. A chip reduces stream-register, weight-row and
+// memory-address operands modulo their range by design, so every value
+// names something. A link operand is not reduced: a cluster rejects a
+// program that sends or transmits on a link its chip lacks, and a Recv on
+// one underflows.
 type Instruction struct {
 	Op      Op
 	A, B, C uint16

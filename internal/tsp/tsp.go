@@ -67,7 +67,11 @@ const (
 	FloatLanes = VectorBytes / 4
 	// NumStreams is the number of stream registers.
 	NumStreams = 64
-	// WeightRows is the depth of the MXM weight buffer.
+	// WeightRows is the depth of the MXM weight buffer. MatMul reads at
+	// most FloatLanes (80) rows, but LoadWeights addresses rows mod
+	// WeightRows, so another depth would change which row a program's
+	// LoadWeights writes and what it means. Checkpoints carry only the
+	// nonzero rows, so the unread depth costs a blob nothing.
 	WeightRows = 160
 	// MaxLinks is the number of C2C links per chip (7 local + 4 global).
 	MaxLinks = 11

@@ -52,7 +52,6 @@ func fillDense(c *tsp.Chip) {
 			c.Weights[r][j] = float32(r-j) / 8
 		}
 	}
-	c.Weights[3][0] = 0.5 // row 3's diagonal lane would be 0
 }
 
 // sameWeights reports whether two weight matrices hold the same bits.

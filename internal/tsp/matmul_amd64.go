@@ -1,17 +1,15 @@
 package tsp
 
+import "repro/internal/cpuid"
+
 // useAVX512 and useAVX select the MXM kernel once, from CPUID
-// (cpuid_amd64.s): the AVX-512 one in matmul512_amd64.s where the CPU and
+// (internal/cpuid): the AVX-512 one in matmul512_amd64.s where the CPU and
 // OS support AVX-512F, else the AVX one in matmul_amd64.s where they
 // support AVX, else matmulGeneric.
 var (
-	useAVX512 = hasAVX512()
-	useAVX    = hasAVX()
+	useAVX512 = cpuid.AVX512F()
+	useAVX    = cpuid.AVX()
 )
-
-func hasAVX() bool
-
-func hasAVX512() bool
 
 // matmulAVX is matmulGeneric in AVX assembly (matmul_amd64.s), bit for bit
 // except NaN payloads.

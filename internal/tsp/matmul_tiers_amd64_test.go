@@ -31,7 +31,7 @@ func liveMatMulTier() string {
 // AVX-512 check can also run the AVX kernel, whose VEX instructions the
 // AVX-512 kernel uses as well.
 func TestAVX512ImpliesAVX(t *testing.T) {
-	if hasAVX512() && !hasAVX() {
-		t.Fatal("hasAVX512() without hasAVX()")
+	if useAVX512 && !useAVX {
+		t.Fatal("AVX-512F without AVX")
 	}
 }

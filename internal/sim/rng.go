@@ -20,7 +20,7 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // Fork derives an independent child stream from this one, keyed by id. The
 // parent's state is not advanced, so forking is order-independent.
 func (r *RNG) Fork(id uint64) *RNG {
-	mixed := r.state ^ (id+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
+	mixed := r.state ^ (id+gamma)*0xbf58476d1ce4e5b9
 	return &RNG{state: mixed}
 }
 
@@ -35,7 +35,7 @@ func (r *RNG) SetState(s uint64) { r.state = s }
 
 // Uint64 returns the next 64 uniform random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix64(r.state)
 }
 
@@ -83,19 +83,39 @@ func (r *RNG) NormFloat64() float64 {
 // FirstBernoulli makes up to n Bernoulli(p) draws and returns the index
 // of the first success, or n when none succeeds. It consumes exactly the
 // draws a loop of Float64() < p tests would: one per trial, up to and
-// including the first success.
+// including the first success. p <= 0 and NaN never succeed, so they skip
+// the n draws in O(1).
 func (r *RNG) FirstBernoulli(n int, p float64) int {
+	if n <= 0 {
+		return n
+	}
 	below := bernoulliBelow(p)
-	s := r.state
+	if below == 0 {
+		r.state += uint64(n) * gamma
+		return n
+	}
+	i, s := scanBernoulli(r.state, n, below)
+	r.state = s
+	return i
+}
+
+// gamma is SplitMix64's stream increment: draw i of a stream at state s
+// is mix64(s + (i+1)·gamma), so a scan can compute draws in any order.
+const gamma = 0x9e3779b97f4a7c15
+
+// scanBernoulliGeneric is the scan behind FirstBernoulli, one draw at a
+// time, for n > 0 and below in [1, 2^53]. It returns the index of the
+// first draw whose top 53 bits are under below, or n, and the stream
+// state after that draw. It is the only tier off amd64, and the tail of
+// the vector one.
+func scanBernoulliGeneric(s uint64, n int, below uint64) (int, uint64) {
 	for i := 0; i < n; i++ {
-		s += 0x9e3779b97f4a7c15
+		s += gamma
 		if mix64(s)>>11 < below {
-			r.state = s
-			return i
+			return i, s
 		}
 	}
-	r.state = s
-	return n
+	return n, s
 }
 
 // bernoulliBelow returns the integer form of the test Float64() < p:

@@ -262,19 +262,32 @@ func (l *Link) AlignedLatencyCycles() int {
 // detected-uncorrectable error the payload carries the best-effort decode
 // and must be treated as poisoned — the runtime must replay, because the
 // fabric never retries (§4.5).
+//
+// The error process runs first. A frame it leaves clean skips the codec:
+// decoding an unflipped SECDED word gives back its data with a zero
+// syndrome and even parity, so that frame's payload, counters and return
+// are what the full pipeline would give. Only a frame with a flipped bit
+// is encoded, injected and decoded.
 func (l *Link) TransferVector(payload *[VectorBytes]byte) (corrected int, mbe bool) {
-	fec := ecc.EncodeFrame(payload[:])
 	l.framesTx.Inc()
 	l.slotCycles.Add(VectorSlotCycles)
-	if ber := l.cfg.BitErrorRate; ber > 0 {
-		bits := VectorBytes * 8
-		// One Bernoulli(ber) draw per bit, in bit order: exact at any
-		// BER, and each draw is an integer compare. Fault-injection
-		// experiments use large BERs where exactness matters.
-		for b := l.rng.FirstBernoulli(bits, ber); b < bits; b += 1 + l.rng.FirstBernoulli(bits-b-1, ber) {
-			fec.InjectBitError(b)
-			l.bitErrsInjected.Inc()
-		}
+	const bits = VectorBytes * 8
+	// One Bernoulli(ber) draw per bit, in bit order: exact at any BER,
+	// and each draw is an integer compare. Fault-injection experiments
+	// use large BERs where exactness matters.
+	ber := l.cfg.BitErrorRate
+	b := bits
+	if ber > 0 {
+		b = l.rng.FirstBernoulli(bits, ber)
+	}
+	if b == bits {
+		l.framesRx.Inc()
+		return 0, false
+	}
+	fec := ecc.EncodeFrame(payload[:])
+	for ; b < bits; b += 1 + l.rng.FirstBernoulli(bits-b-1, ber) {
+		fec.InjectBitError(b)
+		l.bitErrsInjected.Inc()
 	}
 	for i := range fec.Words {
 		data, res := ecc.Decode(fec.Words[i])

@@ -17,6 +17,17 @@ func TestEncodeDecodeClean(t *testing.T) {
 	}
 }
 
+// Decoding an unflipped word gives back its data with OK: the clean-frame
+// bypass in c2c.Link.TransferVector skips the codec on that basis.
+func TestDecodeEncodeIsIdentity(t *testing.T) {
+	if err := quick.Check(func(d uint64) bool {
+		got, res := Decode(Encode(d))
+		return got == d && res == OK
+	}, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllSingleDataBitErrorsCorrected(t *testing.T) {
 	data := uint64(0x0123456789abcdef)
 	w := Encode(data)

@@ -25,7 +25,7 @@ func firstBernoulliLoop(s uint64, n int, p float64) (int, uint64) {
 			return i, r.state
 		}
 	}
-	return max(n, 0), r.state
+	return n, r.state
 }
 
 // unmix64 inverts mix64: each xorshift and each odd multiplier is a
@@ -87,7 +87,7 @@ func TestFirstBernoulliTiers(t *testing.T) {
 			}
 		}
 		for _, p := range bernoulliProbes {
-			cases := states
+			cases := append([]uint64(nil), states...)
 			if below := bernoulliBelow(p); below > 0 && below < 1<<53 {
 				for _, k := range ks {
 					cases = append(cases, at(k, below<<11-1), at(k, below<<11))

@@ -425,14 +425,16 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 }
 
 // TestRecordedDumpsPinned pins the SHA-256 of the -trace, -metrics and
-// -series dumps of every experiment that records serving, fault, checkpoint
-// or profile events, at -workers 1 and 4. TestExperimentOutputGolden pins
-// only stdout; these are the bytes a recorder refactor must reproduce.
+// -series dumps of every experiment that records anything, at -workers 1
+// and 4; the other experiments emit empty dumps. TestExperimentOutputGolden
+// pins only stdout; these are the bytes a recorder refactor must reproduce.
 // A change that is meant to move a dump recomputes its hash with
 // `go run ./cmd/tspsim -exp <name> -trace t.json -metrics m.json -series s.json`
 // and `sha256sum`.
 func TestRecordedDumpsPinned(t *testing.T) {
 	muteStdout(t)
+	// The series dump of a run that sampled no cluster barrier.
+	const emptySeries = "7a453a7ac67c6a3ead45f0b3e01f646113ed0b49009f8b13a2309738d5ff21c4"
 	want := map[string][3]string{ // trace, metrics, series
 		"serve": {
 			"986dd644056805b3738c6636d0dd04bfe3cb9f28b050fe87dc34ec70f5413beb",
@@ -454,9 +456,55 @@ func TestRecordedDumpsPinned(t *testing.T) {
 			"c44f370666aa77f79d08b975a0469828a336114dfeeaed9ea05ccebde88bcb42",
 			"42bbe0520f69994cb6e56cd52aaa75bb23ee330b673705a6d86e065aae1977d0",
 		},
+		"table2": {
+			"16811555b4da9a7fa4ca9accbd43df1d9b812b540fe32adf6fdf1c2a1a903851",
+			"302548bd68ffc67b7519e9eca10fb0cf1a586549ce3b6bced6e0a7486a39a9e5",
+			emptySeries,
+		},
+		"sync": {
+			"9cbcafe5c30bc3d66111ecb54b57646747ad999f94af5f2336d6938a6bcb36e3",
+			"ffa33c1c7e3814d00d006be06543d7519f7a5744ff33eeac08d7f5be62861c69",
+			emptySeries,
+		},
+		"fig16": {
+			"4935b15d82c4319938238baec6ac8061eeda404cd5909637cbedb103beef087b",
+			"afb9a0bc68d9e64041172ba97190815715d2d2ffe7d8cfd827e1479b13fc4113",
+			emptySeries,
+		},
+		"fig17": {
+			"0e42c9a57315accccfe19118679cb72a9c9820c5c642a094d46c9bf68aa6bbd6",
+			"74bcd57f193ad148843025b0ec61744336bcbc4ebf1ad6e2ce61f63ab1fe2c74",
+			emptySeries,
+		},
+		"fig19": {
+			"1c19353b93b1da552bde4d483b026704be22085b45ee8f7fe727a6ccdbfa7c79",
+			"d59a559cb3cc320d4f7faa9838c8b31d38d064d704a10c0257cb3d919e598878",
+			emptySeries,
+		},
+		"fig20": {
+			"70f31362aef673ebc9beb16740d04171aa81cb14a4e409f235f4e9635638afe2",
+			"cbf2aef50a8c6b1644a1dd347f3568611e6211c11a9b3147beafbced242b09ec",
+			emptySeries,
+		},
+		"trace": {
+			"72efb2bb48c328e85def2ebc95d140433b4a4e1677f8febede3dfcabc18274a0",
+			"ab3e81e4c63967010f23dceb7b8b3b2ab58189ea87cfc06f0972695e67a40702",
+			emptySeries,
+		},
+		"par": {
+			"9a4c508cd02a2e6013d269411c829a36d2ef98ff46e279e8ad3706a8556a6102",
+			"03f5e979140b95346cd928c65b80e636dd00bfedec1121a880d27f16ae48fd65",
+			"7260da7b6bb266bcc5170122cb887d5021d34640d64a26d6fa63bac042b21117",
+		},
+		"fleet": {
+			"ada3c4e2cf2882b9406ff30d4471927797c45c28a1e6187aa07d702ccaf2392f",
+			"4eaeacdc34ca6ca73399b593f1e2d1c5d9728f5105a3038299931b31df3a112c",
+			"d6e8d4e621cbb218bbb91139bb67ce4cccad6d233d1df547edc70c879c8284d4",
+		},
 	}
 	dir := t.TempDir()
-	for _, exp := range []string{"serve", "profile", "faults", "checkpoint"} {
+	for _, exp := range []string{"serve", "profile", "faults", "checkpoint",
+		"table2", "sync", "fig16", "fig17", "fig19", "fig20", "trace", "par", "fleet"} {
 		for _, w := range []string{"1", "4"} {
 			paths := [3]string{
 				filepath.Join(dir, exp+w+"-trace.json"),

@@ -150,7 +150,7 @@ func BenchmarkAblationCompilerPartitioner(b *testing.B) {
 	var res *workloads.Fig20Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = workloads.Fig20()
+		res, err = workloads.Fig20(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

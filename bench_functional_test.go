@@ -29,7 +29,7 @@ func BenchmarkFunctionalCholesky(b *testing.B) {
 	var cycles int64
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, cycles, err = workloads.RunCholeskyOnChip(a)
+		_, cycles, err = workloads.RunCholeskyOnChip(a, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func BenchmarkFig07Alignment(b *testing.B) {
 		}
 		tree := hac.BuildStar(devs, func(k int) *c2c.Link {
 			return c2c.New(c2c.IntraNode(), rng.Fork(uint64(100+k)))
-		}, 10_000)
+		}, 10_000, nil)
 		ar := tree.Align(0, 2, 10, 500)
 		if !ar.Converged {
 			b.Fatal("alignment failed")
@@ -203,7 +203,7 @@ func BenchmarkFig17BERTHistogram(b *testing.B) {
 	var res *workloads.Fig17Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = workloads.Fig17(24240, 2022)
+		res, err = workloads.Fig17(24240, 2022, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkFig19Cholesky(b *testing.B) {
 	var pts []workloads.Fig19Point
 	for i := 0; i < b.N; i++ {
 		pts = workloads.Fig19([]int{4096}, []int{1, 2, 4, 8})
-		if _, _, err := workloads.RunCholeskyOnChip(a); err != nil {
+		if _, _, err := workloads.RunCholeskyOnChip(a, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkFig20CompilerOpt(b *testing.B) {
 	var res *workloads.Fig20Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = workloads.Fig20()
+		res, err = workloads.Fig20(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

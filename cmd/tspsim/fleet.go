@@ -36,6 +36,7 @@ func fleetBase() fleet.Config {
 		SLOTargetUS: 6e7,   // 60s
 		ShedAboveUS: 1.2e8, // shed rather than wait 2 min for a slot
 		WarmupUS:    6e7,
+		Recorder:    recN,
 	}
 }
 
@@ -78,7 +79,9 @@ func fleetExp() error {
 // full stack with per-class priority shedding.
 func fleetPolicyAblation() error {
 	fmt.Println("\nproactive vs reactive — policy ablation, stressed two-tier mix (14 days)")
-	pts, err := fleet.PolicySweep(fleet.StressedScenario())
+	cfg, drain, adaptive, shed := fleet.StressedScenario()
+	cfg.Recorder = recN
+	pts, err := fleet.PolicySweep(cfg, drain, adaptive, shed)
 	if err != nil {
 		return err
 	}

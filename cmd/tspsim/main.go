@@ -87,14 +87,22 @@ import (
 // cluster an experiment builds, and nothing else reads it. Reset by run().
 var workersN = 1
 
+// recN is the run's recorder, set by run() when -trace, -metrics, -series
+// or -profile-report asks for a dump (nil otherwise). Every experiment
+// hands it to what it builds: clusters through newCluster, and chips,
+// links, schedules and the serving and fleet configs directly. Reset by
+// run().
+var recN *obs.Recorder
+
 // newCluster builds a cluster with the executor parallelism the -workers
-// flag selects.
-func newCluster(sys *topo.System, programs []*isa.Program) (*rtime.Cluster, error) {
+// flag selects, recording into rec.
+func newCluster(sys *topo.System, programs []*isa.Program, rec *obs.Recorder) (*rtime.Cluster, error) {
 	cl, err := rtime.New(sys, programs)
 	if err != nil {
 		return nil, err
 	}
 	cl.SetWorkers(workersN)
+	cl.SetRecorder(rec)
 	return cl, nil
 }
 
@@ -201,24 +209,23 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 
+	// Observability: when any dump is requested, one recorder records the
+	// whole run; the experiments read it from recN.
+	var rec *obs.Recorder
+	if *tracePath != "" || *metricsPath != "" || *seriesPath != "" || *profilePath != "" {
+		rec = obs.New()
+	}
+
 	// Flag values the experiments read. Reset afterwards so in-process
 	// callers (tests) see the defaults again.
 	workersN = *workers
 	checkpointEveryN = *ckptEvery
+	recN = rec
 	defer func() {
 		workersN = 1
 		checkpointEveryN = 0
+		recN = nil
 	}()
-
-	// Observability: when either output is requested, install a process-wide
-	// recorder before any experiment constructs chips, links, or clusters —
-	// every layer picks it up through obs.Get().
-	var rec *obs.Recorder
-	if *tracePath != "" || *metricsPath != "" || *seriesPath != "" || *profilePath != "" {
-		rec = obs.New()
-		obs.Set(rec)
-		defer obs.Set(nil)
-	}
 	// Time-series sampling: arming a cadence on the recorder makes every
 	// cluster built afterwards sample its counters and gauges at heap
 	// barriers. The default cadence is two C2C hops, the same grid the
@@ -336,6 +343,7 @@ func table2() error {
 	fmt.Printf("%4s %5s %8s %5s %6s\n", "link", "min", "mean", "max", "std")
 	for id := uint64(0); id < 7; id++ {
 		link := c2c.New(c2c.IntraNode(), sim.NewRNG(42).Fork(id))
+		link.Instrument(recN)
 		s := hac.CharacterizeLink(link, 100_000)
 		fmt.Printf("%4c %5.0f %8.2f %5.0f %6.2f\n", 'A'+rune(id), s.Min(), s.Mean(), s.Max(), s.Std())
 	}
@@ -352,7 +360,7 @@ func syncExp() error {
 	}
 	tree := hac.BuildStar(devs, func(i int) *c2c.Link {
 		return c2c.New(c2c.IntraNode(), rng.Fork(uint64(100+i)))
-	}, 10_000)
+	}, 10_000, recN)
 	ar := tree.Align(0, 2, 10, 500)
 	fmt.Printf("alignment: converged=%v iterations=%d final error=%d cycles\n",
 		ar.Converged, ar.Iterations, ar.FinalError)
@@ -483,7 +491,7 @@ func fig16() error {
 		return err
 	}
 	sizes := []int64{4 << 10, 32 << 10, 256 << 10, 1 << 20, 8 << 20, 64 << 20, 512 << 20, 2 << 30}
-	pts, err := workloads.Fig16(sys, sizes)
+	pts, err := workloads.Fig16(sys, sizes, recN)
 	if err != nil {
 		return err
 	}
@@ -498,7 +506,7 @@ func fig16() error {
 
 func fig17() error {
 	fmt.Println("Fig 17 — BERT-Large on 4 TSPs, 24,240 inferences, 5 µs bins")
-	res, err := workloads.Fig17(24240, 2022)
+	res, err := workloads.Fig17(24240, 2022, recN)
 	if err != nil {
 		return err
 	}
@@ -507,7 +515,7 @@ func fig17() error {
 	fmt.Printf("p99 = %.0f µs, max = %.0f µs\n", res.P99US, res.MaxUS)
 	fmt.Println("paper: 99% < 1225 µs, all < 1300 µs, estimate within 2%")
 
-	base, err := workloads.BERTBaseSingleTSP(5000, 2022)
+	base, err := workloads.BERTBaseSingleTSP(5000, 2022, recN)
 	if err != nil {
 		return err
 	}
@@ -570,7 +578,7 @@ func fig19() error {
 
 	// Functional proof on the simulated chip.
 	a := [][]float32{{25, 15, -5}, {15, 18, 0}, {-5, 0, 11}}
-	l, cycles, err := workloads.RunCholeskyOnChip(a)
+	l, cycles, err := workloads.RunCholeskyOnChip(a, recN)
 	if err != nil {
 		return err
 	}
@@ -581,7 +589,7 @@ func fig19() error {
 
 func fig20() error {
 	fmt.Println("Fig 20 — BERT-Large on 4 TSPs: FLOP-balanced vs movement-aware compiler")
-	res, err := workloads.Fig20()
+	res, err := workloads.Fig20(recN)
 	if err != nil {
 		return err
 	}
@@ -618,6 +626,7 @@ func faults() error {
 	cfg := c2c.IntraNode()
 	cfg.BitErrorRate = 1e-4
 	link := c2c.New(cfg, sim.NewRNG(5))
+	link.Instrument(recN)
 	corrected, mbes := 0, 0
 	for i := 0; i < 5000; i++ {
 		var payload [c2c.VectorBytes]byte
@@ -672,7 +681,7 @@ func ladderDemo() error {
 	if err != nil {
 		return err
 	}
-	ladder, err := ringLadder(sys, checkpointEveryN, faultplan.Event{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1})
+	ladder, err := ringLadder(sys, checkpointEveryN, recN, faultplan.Event{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1})
 	if err != nil {
 		return err
 	}
@@ -701,8 +710,8 @@ func ladderDemo() error {
 // a 7-round ring all-reduce on two nodes of sys, a link flap on the first
 // 0→1 link over cycles 1000–2000 followed by extra, a 4-MBE/one-hop
 // monitor, 4 replays and 2 failovers, seed 7, capturing a checkpoint
-// every cadence cycles (0 = off).
-func ringLadder(sys *topo.System, cadence int64, extra ...faultplan.Event) (*rtime.Ladder, error) {
+// every cadence cycles (0 = off) and recording into rec.
+func ringLadder(sys *topo.System, cadence int64, rec *obs.Recorder, extra ...faultplan.Event) (*rtime.Ladder, error) {
 	alloc, err := rtime.NewAllocation(sys, 2*topo.TSPsPerNode)
 	if err != nil {
 		return nil, err
@@ -728,12 +737,14 @@ func ringLadder(sys *topo.System, cadence int64, extra ...faultplan.Event) (*rti
 			for d := 0; d < a.Devices(); d++ {
 				placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
 			}
-			return newCluster(sys, placed)
+			// The ladder attaches its recorder to every cluster it builds.
+			return newCluster(sys, placed, nil)
 		},
 		MaxReplays:      4,
 		MaxFailovers:    2,
 		Seed:            7,
 		CheckpointEvery: cadence,
+		Recorder:        rec,
 	}, nil
 }
 
@@ -748,6 +759,7 @@ func availabilityDemo() error {
 		ArrivalRatePerSec: 5000,
 		Requests:          20_000,
 		Seed:              21,
+		Recorder:          recN,
 	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4, 1e-3}
 	pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, workloads.Checkpointing{})
@@ -777,18 +789,15 @@ func checkpointExp() error {
 	if err != nil {
 		return err
 	}
-	// One ladder run at the given cadence, under a scoped recorder so the
+	// One ladder run at the given cadence, under its own recorder so the
 	// checkpoint counters belong to this run alone.
 	runLadder := func(cadence int64) (*rtime.LadderResult, int64, int64, error) {
-		ladder, err := ringLadder(sys, cadence)
+		r := obs.New()
+		ladder, err := ringLadder(sys, cadence, r)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		prev := obs.Get()
-		r := obs.New()
-		obs.Set(r)
 		res, err := ladder.Run()
-		obs.Set(prev)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -834,6 +843,7 @@ func checkpointExp() error {
 		ArrivalRatePerSec: 5000,
 		Requests:          20_000,
 		Seed:              21,
+		Recorder:          recN,
 	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4}
 	fmt.Printf("%12s", "cadence(µs)")
@@ -868,8 +878,8 @@ func checkpointExp() error {
 
 // checkpointRing builds the canonical workload behind -checkpoint-save and
 // -restore-from: the par experiment's 16-chip ring all-reduce, seeded so
-// the reduced sums are checkable after a restore.
-func checkpointRing() (*rtime.Cluster, *topo.System, error) {
+// the reduced sums are checkable after a restore, recording into rec.
+func checkpointRing(rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
 	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		return nil, nil, err
@@ -878,7 +888,7 @@ func checkpointRing() (*rtime.Cluster, *topo.System, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cl, err := newCluster(sys, progs)
+	cl, err := newCluster(sys, progs, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -893,7 +903,7 @@ func checkpointRing() (*rtime.Cluster, *topo.System, error) {
 // saveCheckpoint runs the canonical ring workload with checkpointing
 // armed and writes the last barrier's snapshot blob to path.
 func saveCheckpoint(path string) error {
-	cl, _, err := checkpointRing()
+	cl, _, err := checkpointRing(recN)
 	if err != nil {
 		return err
 	}
@@ -940,7 +950,7 @@ func restoreFromFile(path string) error {
 	if cadence <= 0 {
 		cadence = 2 * route.HopCycles
 	}
-	ref, _, err := checkpointRing()
+	ref, _, err := checkpointRing(recN)
 	if err != nil {
 		return err
 	}
@@ -949,7 +959,7 @@ func restoreFromFile(path string) error {
 	if err != nil {
 		return err
 	}
-	cl, sys, err := checkpointRing()
+	cl, sys, err := checkpointRing(recN)
 	if err != nil {
 		return err
 	}
@@ -989,6 +999,7 @@ func traceExp() error {
 	if err != nil {
 		return err
 	}
+	cs.RecordObservability(recN)
 	if err := cs.Verify(); err != nil {
 		return err
 	}
@@ -1029,7 +1040,7 @@ func scaling() error {
 
 func serveExp() error {
 	fmt.Println("inference serving — BERT-Large on 4 TSPs under load")
-	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true)
+	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true, recN)
 	if err != nil {
 		return err
 	}
@@ -1038,7 +1049,7 @@ func serveExp() error {
 	periodUS := clock.USOfCycles(dep.Schedule.Makespan) / 4
 	fmt.Printf("pipeline period %.0f µs (capacity %.0f inf/s)\n", periodUS, 1e6/periodUS)
 	fmt.Printf("%6s %12s %10s %10s %12s\n", "load", "through/s", "p50(us)", "p99(us)", "utilization")
-	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9)
+	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, recN)
 	if err != nil {
 		return err
 	}
@@ -1083,7 +1094,7 @@ func parExp() error {
 		build func() (*rtime.Cluster, error)
 	}{
 		{"ring/16chip", ringSys, func() (*rtime.Cluster, error) {
-			cl, err := newCluster(ringSys, ringProgs)
+			cl, err := newCluster(ringSys, ringProgs, recN)
 			if err != nil {
 				return nil, err
 			}
@@ -1094,7 +1105,7 @@ func parExp() error {
 			}
 			return cl, nil
 		}},
-		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(pipeSys, pipeProgs) }},
+		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(pipeSys, pipeProgs, recN) }},
 	}
 
 	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")

@@ -6,7 +6,7 @@
 // profiler's headline invariant: the extracted critical path — compute +
 // link-transit + barrier-wait — accounts for the finish cycle exactly. A
 // second topology (the 16-chip ring all-reduce) cross-checks the same
-// invariant under a scoped recorder.
+// invariant under a recorder of its own.
 package main
 
 import (
@@ -26,10 +26,10 @@ import (
 // through the eight stages of one node.
 const profileWaves = 6
 
-// profilePipeline builds the profile experiment's pipeline workload under
-// the current recorder: one node (8 chips = 8 stages), six waves, two
+// profilePipeline builds the profile experiment's pipeline workload
+// recording into rec: one node (8 chips = 8 stages), six waves, two
 // matmuls per stage, stage 0's inputs and every stage's bias preloaded.
-func profilePipeline() (*rtime.Cluster, error) {
+func profilePipeline(rec *obs.Recorder) (*rtime.Cluster, error) {
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func profilePipeline() (*rtime.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := newCluster(sys, progs)
+	cl, err := newCluster(sys, progs, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -62,16 +62,12 @@ func pathTotal(rep *prof.Report) int64 {
 }
 
 // ringCrossCheck verifies path == finish on the canonical ring all-reduce
-// under a scoped recorder, so its spans don't dilute the pipeline report
-// a surrounding -profile-report invocation is building.
+// under a recorder of its own, so its spans don't dilute the pipeline
+// report a surrounding -profile-report invocation is building.
 func ringCrossCheck() error {
-	prev := obs.Get()
 	rec := obs.New()
 	rec.SetSeriesCadence(2 * route.HopCycles)
-	obs.Set(rec)
-	defer obs.Set(prev)
-
-	cl, _, err := checkpointRing()
+	cl, _, err := checkpointRing(rec)
 	if err != nil {
 		return err
 	}
@@ -94,29 +90,26 @@ func ringCrossCheck() error {
 	return nil
 }
 
-// profileExp runs the flight-recorder demonstration. When run() already
-// installed a recorder (-series / -profile-report / -trace / -metrics),
-// the pipeline workload runs under it so the exported files carry this
-// run; otherwise a scoped recorder keeps the experiment self-contained.
+// profileExp runs the flight-recorder demonstration. When run() made a
+// recorder (-series / -profile-report / -trace / -metrics), the pipeline
+// workload runs under it so the exported files carry this run; otherwise
+// a recorder of its own keeps the experiment self-contained.
 func profileExp() error {
 	fmt.Println("== flight recorder: barrier-sampled series + post-run profiler ==")
 
-	prev := obs.Get()
-	rec := prev
+	rec := recN
 	if rec == nil {
 		rec = obs.New()
-		obs.Set(rec)
-		defer obs.Set(prev)
 	}
 	if rec.SeriesCadence() == 0 {
 		rec.SetSeriesCadence(2 * route.HopCycles)
 	}
-	// Under `-exp all` with a global recorder, earlier experiments have
+	// Under `-exp all` with a run recorder, earlier experiments have
 	// already deposited spans; the report then profiles the whole sweep
 	// and the run-vs-report finish comparison is skipped.
 	fresh := rec.NumEvents() == 0
 
-	cl, err := profilePipeline()
+	cl, err := profilePipeline(rec)
 	if err != nil {
 		return err
 	}

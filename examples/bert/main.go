@@ -24,7 +24,7 @@ func main() {
 	// Latency distribution across 5,000 simulated inferences: all
 	// variance comes from the host PCIe side; fabric and compute are
 	// cycle-deterministic.
-	res, err := workloads.Fig17(5000, 7)
+	res, err := workloads.Fig17(5000, 7, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func main() {
 		res.P99US, res.MaxUS, 100*res.MeanErrorFrac)
 
 	// Fig 20: what the movement-aware compiler buys.
-	cmp, err := workloads.Fig20()
+	cmp, err := workloads.Fig20(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

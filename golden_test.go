@@ -85,7 +85,7 @@ func TestGoldenScheduleMakespan(t *testing.T) {
 }
 
 func TestGoldenBERT(t *testing.T) {
-	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true)
+	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestGoldenBERT(t *testing.T) {
 	if got := dep.EstimateCycles(); got != 865552 {
 		t.Errorf("BERT-Large estimate = %d cycles, pinned 865552", got)
 	}
-	res, err := workloads.Fig20()
+	res, err := workloads.Fig20(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGoldenBERT(t *testing.T) {
 
 func TestGoldenCholesky(t *testing.T) {
 	a := [][]float32{{25, 15, -5}, {15, 18, 0}, {-5, 0, 11}}
-	_, cycles, err := workloads.RunCholeskyOnChip(a)
+	_, cycles, err := workloads.RunCholeskyOnChip(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

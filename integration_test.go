@@ -26,7 +26,7 @@ func TestColdBootToInference(t *testing.T) {
 
 	// 2. Bring-up: characterize links, align HACs over the spanning
 	//    tree, establish a simultaneous program start (§3).
-	ar, ps := hac.SystemSync(sys, 1234, 5000)
+	ar, ps := hac.SystemSync(sys, 1234, 5000, nil)
 	if !ar.Converged {
 		t.Fatalf("HAC alignment failed: %+v", ar)
 	}

@@ -166,14 +166,13 @@ type Link struct {
 }
 
 // New creates a link. The RNG stream should be forked from the system seed
-// with a stable per-link identifier so runs are reproducible.
+// with a stable per-link identifier so runs are reproducible. The link
+// records nothing until its owner calls Instrument.
 func New(cfg Config, rng *sim.RNG) *Link {
 	// Per-link static variation of the mean, ±0.5 cycles, mirroring the
 	// spread of per-link means in Table 2.
 	shift := (rng.Float64() - 0.5)
-	l := &Link{cfg: cfg, rng: rng, meanShift: shift}
-	l.Instrument(obs.Get())
-	return l
+	return &Link{cfg: cfg, rng: rng, meanShift: shift}
 }
 
 // Instrument attaches observability counters, optionally label-keyed
@@ -193,6 +192,9 @@ func (l *Link) Instrument(rec *obs.Recorder, labels ...obs.Label) {
 	l.flaps = rec.Counter("c2c.link_flaps", labels...)
 	l.slotCycles = rec.Counter("c2c.slot_cycles", labels...)
 }
+
+// Recorder returns the recorder Instrument attached, or nil.
+func (l *Link) Recorder() *obs.Recorder { return l.rec }
 
 // SetHealth records a state transition. Entering a non-healthy state
 // counts as a flap; re-characterization (hac.Recharacterize) restores

@@ -122,10 +122,6 @@ func ScheduleTransfers(sys *topo.System, transfers []Transfer) (*CommSchedule, e
 		}
 		arrivals[tr.ID] = st.Arrival
 	}
-	// Feed the process-global observability sink (nil-safe no-op when no
-	// recorder is installed), so every compiled schedule in every
-	// experiment shows up in -trace/-metrics output.
-	cs.RecordObservability(obs.Get())
 	return cs, nil
 }
 
@@ -351,21 +347,27 @@ func CompileGraph(sys *topo.System, g *graph.Graph, deviceToTSP func(int) topo.T
 		os.Makespan = cs.Makespan
 	}
 	os.Comms = cs
-	if rec := obs.Get(); rec != nil {
-		// The compiled timeline: every op's statically known start and
-		// duration on its device, on a "compiled" track distinct from
-		// the functional-unit tracks actual execution writes.
-		for _, op := range g.Ops() {
-			pid := int(deviceToTSP(op.Device))
-			rec.SetProcessName(pid, fmt.Sprintf("tsp%d", pid))
-			rec.SetThreadName(pid, compiledTid, "compiled")
-			rec.SpanCycles(pid, compiledTid, op.Name, os.Starts[op.ID], op.Cycles)
-		}
-		rec.Counter("ssn.compiled_ops").Add(int64(nOps))
-		rec.Gauge("ssn.graph_makespan_cycles").Set(os.Makespan)
-		cs.RecordObservability(rec)
-	}
 	return os, nil
+}
+
+// RecordObservability exports the compiled program g (scheduled with the
+// same deviceToTSP) into rec: every op's statically known start and
+// duration on its device, on a "compiled" track distinct from the
+// functional-unit tracks actual execution writes, the op count and
+// makespan, then the communication schedule. Safe on a nil recorder.
+func (os *OpSchedule) RecordObservability(rec *obs.Recorder, g *graph.Graph, deviceToTSP func(int) topo.TSPID) {
+	if rec == nil {
+		return
+	}
+	for _, op := range g.Ops() {
+		pid := int(deviceToTSP(op.Device))
+		rec.SetProcessName(pid, fmt.Sprintf("tsp%d", pid))
+		rec.SetThreadName(pid, compiledTid, "compiled")
+		rec.SpanCycles(pid, compiledTid, op.Name, os.Starts[op.ID], op.Cycles)
+	}
+	rec.Counter("ssn.compiled_ops").Add(int64(g.NumOps()))
+	rec.Gauge("ssn.graph_makespan_cycles").Set(os.Makespan)
+	os.Comms.RecordObservability(rec)
 }
 
 // compiledTid is the per-chip trace track carrying the compiler's

@@ -22,11 +22,9 @@ type fleetDump struct {
 // on and returns its exports.
 func recordRun(tb testing.TB, run func(Config) (*SLOReport, error), cfg Config) (fleetDump, *SLOReport) {
 	tb.Helper()
-	prev := obs.Get()
-	defer obs.Set(prev)
 	rec := obs.New()
 	rec.SetSeriesCadence(1)
-	obs.Set(rec)
+	cfg.Recorder = rec
 	var d fleetDump
 	rep, err := run(cfg)
 	if err == nil {

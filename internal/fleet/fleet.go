@@ -98,6 +98,10 @@ type Config struct {
 	// pre-warming, and per-class priority shedding. The zero value
 	// reproduces the reactive-only engine byte-for-byte.
 	Policy Policy
+	// Recorder receives the fleet counters, policy instants and, when its
+	// series cadence is armed, the per-system series (nil records
+	// nothing).
+	Recorder *obs.Recorder
 }
 
 // withDefaults fills the optional knobs.
@@ -793,10 +797,10 @@ func (e *engine) instant(name string, atUS float64) {
 	e.rec.InstantCycles(obs.PidHost, fleetTid, name, clock.CyclesOfUS(atUS))
 }
 
-// wireObs resolves metric handles; all are nil-safe when no recorder is
-// installed.
+// wireObs resolves metric handles on the config's recorder; all are
+// nil-safe when it is nil.
 func (e *engine) wireObs() {
-	e.rec = obs.Get()
+	e.rec = e.cfg.Recorder
 	if e.rec == nil {
 		return
 	}

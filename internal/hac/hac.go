@@ -120,7 +120,7 @@ func signedMod(x, m int64) int64 {
 // reflects it, and the parent halves the observed round trip. It returns the
 // per-iteration latency estimates as a summary — one row of Table 2.
 func CharacterizeLink(link *c2c.Link, iters int) *stats.Summary {
-	obs.Get().Counter("hac.reflect_pings").Add(int64(iters))
+	link.Recorder().Counter("hac.reflect_pings").Add(int64(iters))
 	s := stats.NewSummary()
 	for i := 0; i < iters; i++ {
 		rtt := link.DrawLatencyCycles() + link.DrawLatencyCycles()
@@ -143,7 +143,7 @@ const RecharacterizeGuardCycles = 8
 // middle rung of the §4.5 recovery ladder. The link is marked Healthy
 // again, and the new aligned latency is returned.
 func Recharacterize(link *c2c.Link, iters int) int {
-	obs.Get().Counter("hac.recharacterizations").Inc()
+	link.Recorder().Counter("hac.recharacterizations").Inc()
 	s := CharacterizeLink(link, iters)
 	// base is the pre-margin presentation latency (characterized worst
 	// case); the new margin must cover the worst fresh draw plus guard,
@@ -222,9 +222,11 @@ type AlignResult struct {
 
 // Align runs AlignOnce once per epoch until the observed misalignment stays
 // within tol cycles for 8 consecutive iterations, or maxIters is reached.
-// The paper bounds convergence by roughly the HAC period; so do we.
+// The paper bounds convergence by roughly the HAC period; so do we. The
+// loop records into the edge's link recorder (Tree.Recorder in a built
+// tree).
 func (e *Edge) Align(start sim.Time, maxStep, tol int64, maxIters int) AlignResult {
-	rec := obs.Get()
+	rec := e.Link.Recorder()
 	if rec != nil {
 		rec.SetThreadName(e.Child.ID, hacTid, "hac")
 	}
@@ -274,6 +276,10 @@ type Tree struct {
 	// Levels holds the edges grouped by distance from the root; level i
 	// edges have parents at depth i.
 	Levels [][]*Edge
+	// Recorder is the recorder the builder instrumented every edge's link
+	// with: the edges' alignment and the program start record into it
+	// (nil records nothing).
+	Recorder *obs.Recorder
 }
 
 // Align aligns the whole tree level by level (parents must hold the

@@ -200,7 +200,7 @@ func TestAlignmentConvergesFromAnyOffset(t *testing.T) {
 func TestChainAlignment(t *testing.T) {
 	// A 4-hop chain: the root's reference must propagate to the leaf.
 	devs := newDevices(t, 5, 3)
-	tree := BuildChain(devs, func(i int) *c2c.Link { return intraNodeLink(3, uint64(i)) }, 10_000)
+	tree := BuildChain(devs, func(i int) *c2c.Link { return intraNodeLink(3, uint64(i)) }, 10_000, nil)
 	if len(tree.Levels) != 4 {
 		t.Fatalf("height = %d, want 4", len(tree.Levels))
 	}
@@ -220,7 +220,7 @@ func TestChainAlignment(t *testing.T) {
 func TestStarAlignment(t *testing.T) {
 	// The intra-node topology: TSP 0 is parent of the other seven.
 	devs := newDevices(t, 8, 4)
-	tree := BuildStar(devs, func(i int) *c2c.Link { return intraNodeLink(4, uint64(i)) }, 10_000)
+	tree := BuildStar(devs, func(i int) *c2c.Link { return intraNodeLink(4, uint64(i)) }, 10_000, nil)
 	if len(tree.Levels) != 1 {
 		t.Fatalf("height = %d, want 1", len(tree.Levels))
 	}
@@ -275,7 +275,7 @@ func TestInitialAlignmentOrderingEnforced(t *testing.T) {
 func TestAlignProgramStartTree(t *testing.T) {
 	// 8-device star: all 8 should begin computation simultaneously.
 	devs := newDevices(t, 8, 8)
-	tree := BuildStar(devs, func(i int) *c2c.Link { return intraNodeLink(8, uint64(i)) }, 10_000)
+	tree := BuildStar(devs, func(i int) *c2c.Link { return intraNodeLink(8, uint64(i)) }, 10_000, nil)
 	ar := tree.Align(0, 2, 10, 500)
 	if !ar.Converged {
 		t.Fatal("alignment failed")
@@ -297,7 +297,7 @@ func TestAlignProgramStartTree(t *testing.T) {
 func TestAlignProgramStartChain(t *testing.T) {
 	// 4-hop chain: starts still simultaneous, overhead grows with height.
 	devs := newDevices(t, 5, 9)
-	tree := BuildChain(devs, func(i int) *c2c.Link { return intraNodeLink(9, uint64(i)) }, 10_000)
+	tree := BuildChain(devs, func(i int) *c2c.Link { return intraNodeLink(9, uint64(i)) }, 10_000, nil)
 	ar := tree.Align(0, 2, 10, 500)
 	if !ar.Converged {
 		t.Fatal("alignment failed")
@@ -391,5 +391,5 @@ func TestBuildChainValidation(t *testing.T) {
 			t.Error("chain of one device should panic")
 		}
 	}()
-	BuildChain([]*Device{NewDevice(0, clock.New(0, 0))}, nil, 1)
+	BuildChain([]*Device{NewDevice(0, clock.New(0, 0))}, nil, 1, nil)
 }

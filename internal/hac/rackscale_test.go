@@ -19,7 +19,7 @@ func TestSystemSyncRackScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, ps := SystemSync(sys, 2024, 1000)
+	ar, ps := SystemSync(sys, 2024, 1000, nil)
 	if !ar.Converged {
 		t.Fatalf("rack-scale alignment failed: %+v", ar)
 	}

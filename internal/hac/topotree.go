@@ -3,6 +3,7 @@ package hac
 import (
 	"repro/internal/c2c"
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -26,9 +27,10 @@ func SystemClocks(sys *topo.System, drift clock.Drift, rng *sim.RNG) []*Device {
 // BuildFromTopology builds the HAC spanning tree rooted at the given TSP:
 // a BFS tree over the physical topology, one Edge per tree link, each
 // using a c2c link of the cable class the topology assigns to that hop.
-// Every link is characterized with charIters reflect iterations.
-func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *sim.RNG, charIters int) *Tree {
-	tree := &Tree{Root: devs[root]}
+// Every link is instrumented with rec and characterized with charIters
+// reflect iterations.
+func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *sim.RNG, charIters int, rec *obs.Recorder) *Tree {
+	tree := &Tree{Root: devs[root], Recorder: rec}
 	visited := make([]bool, sys.NumTSPs())
 	visited[root] = true
 	frontier := []topo.TSPID{root}
@@ -48,6 +50,7 @@ func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *s
 					Child:  devs[l.To],
 					Link:   c2c.New(l.Cable, rng.Fork(uint64(lid)+0x5eed)),
 				}
+				e.Link.Instrument(rec)
 				e.Characterize(charIters)
 				level = append(level, e)
 			}
@@ -61,12 +64,12 @@ func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *s
 }
 
 // SystemSync brings up a whole system: build the tree, align every HAC,
-// and perform the initial program start. It returns the alignment result
-// and the program-start result.
-func SystemSync(sys *topo.System, seed uint64, charIters int) (AlignResult, TreeAlignmentResult) {
+// and perform the initial program start, recording into rec (nil records
+// nothing). It returns the alignment result and the program-start result.
+func SystemSync(sys *topo.System, seed uint64, charIters int, rec *obs.Recorder) (AlignResult, TreeAlignmentResult) {
 	rng := sim.NewRNG(seed)
 	devs := SystemClocks(sys, clock.DefaultDrift, rng)
-	tree := BuildFromTopology(sys, devs, 0, rng, charIters)
+	tree := BuildFromTopology(sys, devs, 0, rng, charIters, rec)
 	ar := tree.Align(0, 2, 12, 600)
 	ps := AlignProgramStart(tree, ar.End)
 	return ar, ps

@@ -21,7 +21,7 @@ func TestBuildFromTopologyCoversAllTSPs(t *testing.T) {
 	sys := buildSys(t, 2)
 	rng := sim.NewRNG(3)
 	devs := SystemClocks(sys, clock.DefaultDrift, rng)
-	tree := BuildFromTopology(sys, devs, 0, rng, 1000)
+	tree := BuildFromTopology(sys, devs, 0, rng, 1000, nil)
 	// The tree must reach all 16 devices: count distinct children + root.
 	seen := map[int]bool{0: true}
 	edges := 0
@@ -47,7 +47,7 @@ func TestBuildFromTopologyUsesCableClasses(t *testing.T) {
 	sys := buildSys(t, 36) // rack regime: local, group, and optical links
 	rng := sim.NewRNG(4)
 	devs := SystemClocks(sys, clock.DefaultDrift, rng)
-	tree := BuildFromTopology(sys, devs, 0, rng, 200)
+	tree := BuildFromTopology(sys, devs, 0, rng, 200, nil)
 	// Some edge must be longer-latency than intra-node (group/global
 	// cable), proving cable classes flow into the tree.
 	shortest, longest := int64(1<<62), int64(0)
@@ -70,7 +70,7 @@ func TestBuildFromTopologyUsesCableClasses(t *testing.T) {
 // align, and start — the complete §3 story in one call.
 func TestSystemSyncNode(t *testing.T) {
 	sys := buildSys(t, 1)
-	ar, ps := SystemSync(sys, 42, 5000)
+	ar, ps := SystemSync(sys, 42, 5000, nil)
 	if !ar.Converged {
 		t.Fatalf("alignment failed: %+v", ar)
 	}
@@ -86,7 +86,7 @@ func TestSystemSyncNode(t *testing.T) {
 // simultaneous start: 3 nodes, up to 3 network hops.
 func TestSystemSyncMultiNode(t *testing.T) {
 	sys := buildSys(t, 3)
-	ar, ps := SystemSync(sys, 7, 5000)
+	ar, ps := SystemSync(sys, 7, 5000, nil)
 	if !ar.Converged {
 		t.Fatalf("alignment failed: %+v", ar)
 	}
@@ -110,8 +110,8 @@ func tree3Height(sys *topo.System) int { return sys.Eccentricity(0) }
 
 func TestSystemSyncDeterministic(t *testing.T) {
 	sys := buildSys(t, 1)
-	ar1, ps1 := SystemSync(sys, 99, 2000)
-	ar2, ps2 := SystemSync(sys, 99, 2000)
+	ar1, ps1 := SystemSync(sys, 99, 2000, nil)
+	ar2, ps2 := SystemSync(sys, 99, 2000, nil)
 	if ar1.Iterations != ar2.Iterations || ps1.Spread != ps2.Spread {
 		t.Fatal("same-seed system sync differs")
 	}

@@ -18,12 +18,8 @@ import (
 // series sampling armed and returns the finish cycle plus the obs state.
 func runRing(t *testing.T, workers int) (int64, *obs.State) {
 	t.Helper()
-	prev := obs.Get()
 	rec := obs.New()
 	rec.SetSeriesCadence(2 * route.HopCycles)
-	obs.Set(rec)
-	defer obs.Set(prev)
-
 	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +32,7 @@ func runRing(t *testing.T, workers int) (int64, *obs.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetRecorder(rec)
 	cl.SetWorkers(workers)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c)})
@@ -52,12 +49,8 @@ func runRing(t *testing.T, workers int) (int64, *obs.State) {
 // runPipeline runs the one-node 8-stage pipeline the same way.
 func runPipeline(t *testing.T) (int64, *obs.State) {
 	t.Helper()
-	prev := obs.Get()
 	rec := obs.New()
 	rec.SetSeriesCadence(2 * route.HopCycles)
-	obs.Set(rec)
-	defer obs.Set(prev)
-
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +64,7 @@ func runPipeline(t *testing.T) (int64, *obs.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetRecorder(rec)
 	for c := 0; c < sys.NumTSPs(); c++ {
 		stage := c % topo.TSPsPerNode
 		cl.Chip(c).SetStream(rtime.PipeBias, tsp.VectorOf([]float32{float32(stage + 1), 2}))

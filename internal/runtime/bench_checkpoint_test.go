@@ -18,8 +18,6 @@ import (
 )
 
 func BenchmarkCheckpointCapture(b *testing.B) {
-	prev := obs.Get()
-	defer obs.Set(prev)
 	for _, mode := range []struct {
 		name string
 		full bool

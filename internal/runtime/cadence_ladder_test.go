@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/faultplan"
+	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -53,8 +54,9 @@ func newBurstScenario(t *testing.T, workers int) *ladderScenario {
 func TestLadderBurstWalk(t *testing.T) {
 	run := func(workers int) (*LadderResult, string, string) {
 		var res *LadderResult
-		trace, metrics := withRecorder(t, func() {
+		trace, metrics := withRecorder(t, func(rec *obs.Recorder) {
 			sc := newBurstScenario(t, workers)
+			sc.ladder.Recorder = rec
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {

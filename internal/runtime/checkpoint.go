@@ -216,8 +216,9 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 // set. The cluster must be built from the same topology and programs the
 // snapshot was captured under; mismatches are reported before any state
 // is touched. The recorder is NOT restored — a ladder keeps accumulating
-// onto the live recorder; equivalence tests prime a fresh recorder with
-// the snapshot's Obs state via obs.Recorder.LoadState before building.
+// onto the live recorder. To resume the recording as well, prime a fresh
+// recorder with the snapshot's Obs state (obs.Recorder.LoadState), then
+// attach it with SetRecorder before calling RestoreSnapshot.
 func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 	if len(s.Chips) != len(cl.chips) {
 		return fmt.Errorf("runtime: snapshot has %d chips, cluster has %d", len(s.Chips), len(cl.chips))
@@ -265,22 +266,17 @@ func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 	}
 	cl.links = make(map[topo.LinkID]*c2c.Link, len(s.Links))
 	for _, le := range s.Links {
-		l := cl.sys.Link(le.ID)
-		cfg := l.Cable
-		cfg.BitErrorRate = cl.ber
 		src := cl.errRNG
 		if src == nil {
 			// Unreachable from a self-consistent snapshot (links imply an
 			// armed error process), but a decoded blob is external input.
 			src = sim.NewRNG(0)
 		}
-		// New draws the meanShift placeholder from the fork; SetState then
-		// overwrites both the shift and the RNG cursor with the captured
-		// values, so the fork source never influences restored behavior.
-		phys := c2c.New(cfg, src.Fork(uint64(le.ID)))
-		if cl.rec != nil {
-			phys.Instrument(cl.rec, obs.L("link", fmt.Sprintf("L%04d", le.ID)))
-		}
+		// newLink draws the meanShift placeholder from the fork; SetState
+		// then overwrites both the shift and the RNG cursor with the
+		// captured values, so the fork source never influences restored
+		// behavior.
+		phys := cl.newLink(cl.sys.Link(le.ID), src)
 		phys.SetState(le.State)
 		cl.links[le.ID] = phys
 	}

@@ -23,13 +23,11 @@ const (
 )
 
 // buildRecordedRing builds the recorded ring under a fresh recorder and
-// installs that recorder process-wide. The caller restores the previous
-// recorder.
+// returns both.
 func buildRecordedRing(tb testing.TB, workers int) (*Cluster, *obs.Recorder) {
 	tb.Helper()
 	rec := obs.New()
 	rec.SetSeriesCadence(recRingSeries)
-	obs.Set(rec)
 	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		tb.Fatal(err)
@@ -42,6 +40,7 @@ func buildRecordedRing(tb testing.TB, workers int) (*Cluster, *obs.Recorder) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	cl.SetRecorder(rec)
 	cl.SetWorkers(workers)
 	cl.SetCheckpointCadence(recRingCadence)
 	cl.SetBitErrorRate(recRingBER, recRingSeed)
@@ -59,8 +58,6 @@ func TestCheckpointBlobGolden(t *testing.T) {
 		wantCaptures = 9
 		wantSHA      = "6459134717fea5c16791554e83d759a77ee10b3130a59a6e438c2535d0d2d058"
 	)
-	prev := obs.Get()
-	defer obs.Set(prev)
 	for _, workers := range []int{1, 2} {
 		cl, _ := buildRecordedRing(t, workers)
 		finish, err := cl.Run()
@@ -89,8 +86,6 @@ func TestCheckpointBlobGolden(t *testing.T) {
 // names, the counter tail and the encoder's formatting together.
 func TestRecordedRingTraceGolden(t *testing.T) {
 	const wantSHA = "73a2f19b2d3c831afe80f9feaa0d377c44ebcc4b29429320b729cbdc7c33f9a2"
-	prev := obs.Get()
-	defer obs.Set(prev)
 	for _, workers := range []int{1, 2} {
 		cl, rec := buildRecordedRing(t, workers)
 		if _, err := cl.Run(); err != nil {

@@ -29,16 +29,13 @@ func ringLink(t *testing.T, sys *topo.System, a, b topo.TSPID) topo.LinkID {
 }
 
 // withPrimedRecorder is withRecorder for restored runs: the fresh
-// process-global recorder is first primed with a snapshot's obs state, so
-// the restored run accumulates on top of the straight run's history.
-func withPrimedRecorder(t *testing.T, st *obs.State, f func()) (trace, metrics string) {
+// recorder is first primed with a snapshot's obs state, so the restored
+// run accumulates on top of the straight run's history.
+func withPrimedRecorder(t *testing.T, st *obs.State, f func(rec *obs.Recorder)) (trace, metrics string) {
 	t.Helper()
-	prev := obs.Get()
 	r := obs.New()
 	r.LoadState(st)
-	obs.Set(r)
-	defer obs.Set(prev)
-	f()
+	f(r)
 	return dumpRecorder(t, r)
 }
 
@@ -98,8 +95,9 @@ func TestRestoreEquivalence(t *testing.T) {
 			var straight *Cluster
 			var sFinish int64
 			var sErr error
-			sTrace, sMetrics := withRecorder(t, func() {
+			sTrace, sMetrics := withRecorder(t, func(rec *obs.Recorder) {
 				straight, _ = build(1)
+				straight.SetRecorder(rec)
 				sFinish, sErr = straight.Run()
 			})
 			store := append([]Stored(nil), straight.Checkpoints()...)
@@ -119,9 +117,10 @@ func TestRestoreEquivalence(t *testing.T) {
 					var restored *Cluster
 					var rFinish int64
 					var rErr error
-					rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func() {
+					rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
 						var compiled *faultplan.Compiled
 						restored = buildRing(t, 2, 7, 1, workers)
+						restored.SetRecorder(rec)
 						plan := &faultplan.Plan{Events: tc.events(restored.sys)}
 						var perr error
 						compiled, perr = plan.Compile(restored.sys)
@@ -205,8 +204,9 @@ func TestLadderResumesFromCheckpoint(t *testing.T) {
 	run := func(workers int) (*ladderScenario, *LadderResult, string, string) {
 		var sc *ladderScenario
 		var res *LadderResult
-		trace, metrics := withRecorder(t, func() {
+		trace, metrics := withRecorder(t, func(rec *obs.Recorder) {
 			sc = newResumeScenario(t, workers, 650)
+			sc.ladder.Recorder = rec
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {
@@ -249,8 +249,9 @@ func TestLadderResumesFromCheckpoint(t *testing.T) {
 	sc0, res0, _, metrics0 := func() (*ladderScenario, *LadderResult, string, string) {
 		var sc *ladderScenario
 		var res *LadderResult
-		tr, me := withRecorder(t, func() {
+		tr, me := withRecorder(t, func(rec *obs.Recorder) {
 			sc = newResumeScenario(t, 1, 0)
+			sc.ladder.Recorder = rec
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {
@@ -298,8 +299,9 @@ func TestLadderResumesFromCheckpoint(t *testing.T) {
 func TestLadderCorruptCheckpointFallsBackToCycle0(t *testing.T) {
 	var sc *ladderScenario
 	var res *LadderResult
-	_, metrics := withRecorder(t, func() {
+	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
 		sc = newResumeScenario(t, 1, 650)
+		sc.ladder.Recorder = rec
 		inner := sc.ladder.Build
 		var prev *Cluster
 		sc.ladder.Build = func(a *Allocation) (*Cluster, error) {
@@ -343,8 +345,9 @@ func TestLadderCorruptCheckpointFallsBackToCycle0(t *testing.T) {
 func TestLadderNoUsableCheckpointFallsBackToCycle0(t *testing.T) {
 	var sc *ladderScenario
 	var res *LadderResult
-	_, metrics := withRecorder(t, func() {
+	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
 		sc = newResumeScenario(t, 1, 1<<30)
+		sc.ladder.Recorder = rec
 		var err error
 		res, err = sc.ladder.Run()
 		if err != nil {
@@ -464,8 +467,9 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 	var straight *Cluster
 	var sFinish int64
 	var sErr error
-	sTrace, sMetrics := withRecorder(t, func() {
+	sTrace, sMetrics := withRecorder(t, func(rec *obs.Recorder) {
 		straight = build(1, true)
+		straight.SetRecorder(rec)
 		sFinish, sErr = straight.Run()
 	})
 	if sErr != nil {
@@ -494,8 +498,9 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 			var restored *Cluster
 			var rFinish int64
 			var rErr error
-			rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func() {
+			rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
 				restored = build(workers, false)
+				restored.SetRecorder(rec)
 				if err := restored.RestoreSnapshot(snap); err != nil {
 					t.Fatalf("restore checkpoint %d: %v", i, err)
 				}

@@ -108,10 +108,8 @@ func TestRunExecutorChoice(t *testing.T) {
 	}
 
 	// A recorder keeps the run off the component executor.
-	prev := obs.Get()
-	obs.Set(obs.New())
 	cl := buildRing(t, 2, 3, 0, 2)
-	obs.Set(prev)
+	cl.SetRecorder(obs.New())
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}

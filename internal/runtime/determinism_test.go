@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/tsp"
 )
@@ -28,12 +29,13 @@ type runOutcome struct {
 func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster, run func(*Cluster) (int64, error)) runOutcome {
 	t.Helper()
 	var o runOutcome
-	exec := func() {
+	exec := func(rec *obs.Recorder) {
 		o.cl = build()
+		o.cl.SetRecorder(rec)
 		o.finish, o.err = run(o.cl)
 	}
 	if !record {
-		exec()
+		exec(nil)
 		return o
 	}
 	o.trace, o.metrics, o.series = withSeriesRecorder(t, seriesEvery, exec)

@@ -206,46 +206,28 @@ func assertSameResult(t *testing.T, label string, seq, par *Cluster, seqFinish, 
 	}
 }
 
-// withRecorder runs f with a fresh process-global recorder installed and
-// returns the trace and metrics dumps it produced.
-func withRecorder(t *testing.T, f func()) (trace, metrics string) {
+// withRecorder runs f with a fresh recorder, which f attaches to what it
+// builds, and returns the trace and metrics dumps it produced.
+func withRecorder(t *testing.T, f func(rec *obs.Recorder)) (trace, metrics string) {
 	t.Helper()
-	prev := obs.Get()
 	r := obs.New()
-	obs.Set(r)
-	defer obs.Set(prev)
-	f()
-	var tb, mb bytes.Buffer
-	if err := r.WriteTrace(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.String(), mb.String()
+	f(r)
+	return dumpRecorder(t, r)
 }
 
-// withSeriesRecorder is withRecorder with a sampling cadence armed before
-// the cluster is built, returning the series dump too.
-func withSeriesRecorder(t *testing.T, every int64, f func()) (trace, metrics, series string) {
+// withSeriesRecorder is withRecorder with a sampling cadence armed on the
+// recorder, returning the series dump too.
+func withSeriesRecorder(t *testing.T, every int64, f func(rec *obs.Recorder)) (trace, metrics, series string) {
 	t.Helper()
-	prev := obs.Get()
 	r := obs.New()
 	r.SetSeriesCadence(every)
-	obs.Set(r)
-	defer obs.Set(prev)
-	f()
-	var tb, mb, sb bytes.Buffer
-	if err := r.WriteTrace(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
+	f(r)
+	trace, metrics = dumpRecorder(t, r)
+	var sb bytes.Buffer
 	if err := r.WriteSeries(&sb); err != nil {
 		t.Fatal(err)
 	}
-	return tb.String(), mb.String(), sb.String()
+	return trace, metrics, sb.String()
 }
 
 // TestParallelMatchesSequential sweeps the axis TestDeterminismMatrix
@@ -281,12 +263,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 				var seqFinish, parFinish int64
 				var seqErr, parErr error
 				var addrs []mem.Addr
-				seqTrace, seqMetrics := withRecorder(t, func() {
+				seqTrace, seqMetrics := withRecorder(t, func(rec *obs.Recorder) {
 					seq, addrs = tc.build(t, 1)
+					seq.SetRecorder(rec)
 					seqFinish, seqErr = seq.RunSequential()
 				})
-				parTrace, parMetrics := withRecorder(t, func() {
+				parTrace, parMetrics := withRecorder(t, func(rec *obs.Recorder) {
 					par, _ = tc.build(t, workers)
+					par.SetRecorder(rec)
 					parFinish, parErr = par.Run()
 				})
 				assertSameResult(t, name, seq, par, seqFinish, parFinish, seqErr, parErr, addrs)

@@ -80,13 +80,27 @@ func (cl *Cluster) MarkLinkRepaired(l topo.LinkID) {
 func (cl *Cluster) physLink(l topo.Link) *c2c.Link {
 	phys, ok := cl.links[l.ID]
 	if !ok {
-		cfg := l.Cable
-		cfg.BitErrorRate = cl.ber
-		phys = c2c.New(cfg, cl.errRNG.Fork(uint64(l.ID)))
-		if cl.rec != nil {
-			phys.Instrument(cl.rec, obs.L("link", fmt.Sprintf("L%04d", l.ID)))
-		}
+		phys = cl.newLink(l, cl.errRNG)
 		cl.links[l.ID] = phys
+	}
+	return phys
+}
+
+// newLink builds link l's physical error model at the cluster's bit error
+// rate, its stream forked from src by link id, and instruments it with the
+// link-labelled c2c.* counters. It registers the unlabelled aggregate
+// c2c.* counters first. They stay 0, since the labelled ones take every
+// count, but every recorded cluster with a bit error rate has carried
+// them in its metrics, its series and its checkpoint blobs' obs section
+// since links registered them at construction, and the pinned dumps and
+// blobs keep them.
+func (cl *Cluster) newLink(l topo.Link, src *sim.RNG) *c2c.Link {
+	cfg := l.Cable
+	cfg.BitErrorRate = cl.ber
+	phys := c2c.New(cfg, src.Fork(uint64(l.ID)))
+	if cl.rec != nil {
+		phys.Instrument(cl.rec)
+		phys.Instrument(cl.rec, obs.L("link", fmt.Sprintf("L%04d", l.ID)))
 	}
 	return phys
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/topo"
 	"repro/internal/tsp"
@@ -233,8 +234,9 @@ func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 	var restored *Cluster
 	var rF int64
 	var rE error
-	withPrimedRecorder(t, snap.Obs, func() {
+	withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
 		restored = build(8)
+		restored.SetRecorder(rec)
 		if err := restored.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}

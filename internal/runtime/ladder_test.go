@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faultplan"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/tsp"
 )
@@ -127,8 +128,9 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	var res *LadderResult
 	var err error
 	var sc *ladderScenario
-	_, metrics := withRecorder(t, func() {
+	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
 		sc = newLadderScenario(t, 1)
+		sc.ladder.Recorder = rec
 		res, err = sc.ladder.Run()
 	})
 	if err != nil {
@@ -179,8 +181,9 @@ func TestLadderFaultWorkerInvariance(t *testing.T) {
 	}
 	run := func(workers int) outcome {
 		var o outcome
-		o.trace, o.metrics = withRecorder(t, func() {
+		o.trace, o.metrics = withRecorder(t, func(rec *obs.Recorder) {
 			o.sc = newLadderScenario(t, workers)
+			o.sc.ladder.Recorder = rec
 			res, err := o.sc.ladder.Run()
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

@@ -82,7 +82,7 @@ func TestLinkMBETriggersReplayPath(t *testing.T) {
 	}
 
 	// The §4.5 recovery: RunWithReplay retries on clean hardware.
-	finish, attempts, err := RunWithReplay(func(attempt int) (*Cluster, error) {
+	finish, attempts, err := RunWithReplay(nil, func(attempt int) (*Cluster, error) {
 		c := buildSendRecv(t, 300)
 		if attempt == 1 {
 			c.SetBitErrorRate(2e-3, 13) // transient marginal link

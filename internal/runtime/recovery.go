@@ -79,6 +79,11 @@ type Ladder struct {
 	// original cycle-0 replay rung. Corrupted or missing snapshots fall
 	// back to cycle 0 automatically (the corrupted-checkpoint rung).
 	CheckpointEvery int64
+	// Recorder records the walk (nil records nothing): Run attaches it to
+	// every cluster Build returns, so Build leaves them unrecorded, and
+	// the replay, recovery, checkpoint-restore and spare telemetry goes
+	// to it too.
+	Recorder *obs.Recorder
 }
 
 // LadderResult reports a completed ladder walk.
@@ -111,7 +116,7 @@ type LadderResult struct {
 // exhausted. On spare exhaustion the returned error wraps the allocation's
 // failure so callers can drop to degraded serving.
 func (ld *Ladder) Run() (*LadderResult, error) {
-	rec := obs.Get()
+	rec := ld.Recorder
 	rec.SetThreadName(obs.PidFabric, recoveryTid, "recovery")
 	res := &LadderResult{}
 	// Per-link physical error models live here, not on any one cluster, so
@@ -123,11 +128,12 @@ func (ld *Ladder) Run() (*LadderResult, error) {
 	var last *Cluster
 
 	for gen := 0; ; gen++ {
-		finish, _, err := RunWithReplay(func(attempt int) (*Cluster, error) {
+		finish, _, err := RunWithReplay(rec, func(attempt int) (*Cluster, error) {
 			cl, err := ld.Build(ld.Alloc)
 			if err != nil {
 				return nil, err
 			}
+			cl.SetRecorder(rec)
 			if ld.CheckpointEvery > 0 {
 				cl.SetCheckpointCadence(ld.CheckpointEvery)
 			}
@@ -235,7 +241,7 @@ func (ld *Ladder) Run() (*LadderResult, error) {
 			last.SeedCheckpoints(nil)
 		}
 		for _, n := range nf.nodes {
-			if err := ld.Alloc.FailNode(n); err != nil {
+			if err := ld.Alloc.FailNode(n, rec); err != nil {
 				return res, fmt.Errorf("runtime: failover of node %d failed: %w", n, err)
 			}
 			res.FailedNodes = append(res.FailedNodes, n)

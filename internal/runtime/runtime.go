@@ -77,7 +77,7 @@ type Cluster struct {
 	firstMBECycle int64
 	endCycle      int64
 
-	// Observability (nil-safe; attached from obs.Get at construction).
+	// Observability (nil-safe; attached by SetRecorder).
 	// linkVecs/linkSlots/linkTx are lazily resolved per-link handles: the
 	// vector counter, the occupied-slot-cycle counter, and the destination-
 	// encoded span name ("c2c.tx>dst") the profiler's critical-path walk
@@ -212,24 +212,17 @@ func (c *chipC2C) Recv(link int, cycle int64, dst *tsp.Vector) bool {
 // for idle chips. Programs are read-only to the cluster and may be shared:
 // chips given the same *isa.Program share its program-derived tables. A
 // program that sends or transmits on a link its chip lacks is an error.
+// The cluster records nothing until its owner calls SetRecorder.
 func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	if len(programs) > sys.NumTSPs() {
 		return nil, fmt.Errorf("runtime: %d programs for %d TSPs", len(programs), sys.NumTSPs())
 	}
 	cl := &Cluster{sys: sys, workers: 1, firstMBECycle: -1}
-	if rec := obs.Get(); rec != nil {
-		cl.rec = rec
-		cl.vectors = rec.Counter("runtime.vectors_delivered")
-		cl.underflows = rec.Counter("runtime.receiver_underflows")
-		cl.linkVecs = map[topo.LinkID]*obs.Counter{}
-		cl.linkSlots = map[topo.LinkID]*obs.Counter{}
-		cl.linkTx = map[topo.LinkID]string{}
-		// A recorder with an armed sampling cadence opts every cluster into
-		// barrier series capture, the same way tspsim arms checkpoints.
-		if every := rec.SeriesCadence(); every > 0 {
-			cl.SetSeriesCadence(every)
-		}
-	}
+	// The one read of the process-global recorder, kept only for
+	// bench/tspbench, which installs it before New. ROADMAP item 8a moves
+	// the bench to SetRecorder and deletes this line with obs.Set/Get.
+	// Here, before the chip loop, each chip still attaches as it is built.
+	cl.SetRecorder(obs.Get())
 	idle := &isa.Program{}
 	loaded := map[*isa.Program]*tsp.Chip{}
 	for t := 0; t < sys.NumTSPs(); t++ {
@@ -245,6 +238,7 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 			chip = tsp.New(t, prog, port)
 			loaded[prog] = chip
 		}
+		chip.AttachRecorder(cl.rec)
 		degree := len(sys.Out(topo.TSPID(t)))
 		if links := chip.SendLinks(); len(links) > 0 && links[len(links)-1] >= degree {
 			return nil, fmt.Errorf("runtime: chip %d's program sends on link %d, but the chip has %d links",
@@ -274,6 +268,29 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		}
 	}
 	return cl, nil
+}
+
+// SetRecorder attaches rec to the cluster: its delivery counters, every
+// chip, and every link model the cluster materializes from here on. A
+// recorder with an armed series cadence also arms barrier sampling at
+// that cadence. Call it before RestoreSnapshot and Run; nil leaves the
+// cluster unrecorded.
+func (cl *Cluster) SetRecorder(rec *obs.Recorder) {
+	if rec == nil {
+		return
+	}
+	cl.rec = rec
+	cl.vectors = rec.Counter("runtime.vectors_delivered")
+	cl.underflows = rec.Counter("runtime.receiver_underflows")
+	cl.linkVecs = map[topo.LinkID]*obs.Counter{}
+	cl.linkSlots = map[topo.LinkID]*obs.Counter{}
+	cl.linkTx = map[topo.LinkID]string{}
+	if every := rec.SeriesCadence(); every > 0 {
+		cl.SetSeriesCadence(every)
+	}
+	for _, c := range cl.chips {
+		c.AttachRecorder(rec)
+	}
 }
 
 // SetWorkers sets how many goroutines Run's component executor spreads
@@ -741,10 +758,10 @@ func (cl *Cluster) finish() (int64, error) {
 // the attempt and replay from scratch (the runtime re-emplaces state on
 // known-good hardware). build is called once per attempt so each replay
 // starts from clean state; it may also repair/replace the faulty
-// resources. Returns the finish cycle, the number of attempts used, and
+// resources. The replay counters and instants go to rec (nil records
+// nothing). Returns the finish cycle, the number of attempts used, and
 // the last error if all attempts failed.
-func RunWithReplay(build func(attempt int) (*Cluster, error), maxAttempts int) (int64, int, error) {
-	rec := obs.Get()
+func RunWithReplay(rec *obs.Recorder, build func(attempt int) (*Cluster, error), maxAttempts int) (int64, int, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		cl, err := build(attempt)

@@ -198,7 +198,7 @@ func TestTooManyProgramsRejected(t *testing.T) {
 // clean state succeeds.
 func TestReplayOnMemoryFault(t *testing.T) {
 	sys := node8(t)
-	finish, attempts, err := RunWithReplay(func(attempt int) (*Cluster, error) {
+	finish, attempts, err := RunWithReplay(nil, func(attempt int) (*Cluster, error) {
 		progs := make([]*isa.Program, 8)
 		progs[0] = asm(t, "read 0 0 0 s1\nvcopy s1 s2")
 		cl, err := New(sys, progs)
@@ -227,7 +227,7 @@ func TestReplayOnMemoryFault(t *testing.T) {
 
 func TestReplayBudgetExhausted(t *testing.T) {
 	sys := node8(t)
-	_, attempts, err := RunWithReplay(func(int) (*Cluster, error) {
+	_, attempts, err := RunWithReplay(nil, func(int) (*Cluster, error) {
 		progs := make([]*isa.Program, 8)
 		progs[0] = asm(t, "read 0 0 0 s1")
 		cl, cerr := New(sys, progs)
@@ -268,7 +268,7 @@ func TestAllocationSpare(t *testing.T) {
 	}
 	// Fail node 2: its 8 devices move to the spare node, same local
 	// indices.
-	if err := a.FailNode(2); err != nil {
+	if err := a.FailNode(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	for d := 16; d < 24; d++ {
@@ -305,16 +305,16 @@ func TestAllocationFailureModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.FailNode(a.spares[0]); err == nil {
+	if err := a.FailNode(a.spares[0], nil); err == nil {
 		t.Fatal("failing the spare should error")
 	}
-	if err := a.FailNode(0); err != nil {
+	if err := a.FailNode(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.FailNode(0); err == nil {
+	if err := a.FailNode(0, nil); err == nil {
 		t.Fatal("double failure should error")
 	}
-	if err := a.FailNode(1); err == nil {
+	if err := a.FailNode(1, nil); err == nil {
 		t.Fatal("second node failure with no spare should error")
 	}
 	single, err := topo.New(topo.Config{Nodes: 1})

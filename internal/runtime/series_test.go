@@ -9,30 +9,23 @@ import (
 	"repro/internal/route"
 )
 
-// seriesDump runs f under a fresh recorder with the given series cadence
-// and returns the series JSON, series CSV, trace, and metrics dumps.
-func seriesDump(t *testing.T, cadence int64, f func()) (series, csv, trace, metrics string) {
+// seriesDump runs f with a fresh recorder at the given series cadence,
+// which f attaches to what it builds, and returns the series JSON, series
+// CSV, trace, and metrics dumps.
+func seriesDump(t *testing.T, cadence int64, f func(rec *obs.Recorder)) (series, csv, trace, metrics string) {
 	t.Helper()
-	prev := obs.Get()
 	r := obs.New()
 	r.SetSeriesCadence(cadence)
-	obs.Set(r)
-	defer obs.Set(prev)
-	f()
-	var sb, cb, tb, mb strings.Builder
+	f(r)
+	var sb, cb strings.Builder
 	if err := r.WriteSeries(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.WriteSeriesCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteTrace(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String(), cb.String(), tb.String(), mb.String()
+	trace, metrics = dumpRecorder(t, r)
+	return sb.String(), cb.String(), trace, metrics
 }
 
 // TestSeriesWorkerInvariance is the tentpole invariant: the barrier-
@@ -55,8 +48,9 @@ func TestSeriesWorkerInvariance(t *testing.T) {
 			var refFinish int64
 			for i, workers := range []int{1, 1, 2, 8} {
 				var finish int64
-				s, c, tr, m := seriesDump(t, cadence, func() {
+				s, c, tr, m := seriesDump(t, cadence, func(rec *obs.Recorder) {
 					cl := wl.build(workers)
+					cl.SetRecorder(rec)
 					var err error
 					finish, err = cl.Run()
 					if err != nil {
@@ -97,13 +91,10 @@ func TestSeriesWorkerInvariance(t *testing.T) {
 // whose heap barriers take the samples — otherwise none would ever be
 // taken.
 func TestSeriesCadenceRoutesSequential(t *testing.T) {
-	prev := obs.Get()
 	r := obs.New()
 	r.SetSeriesCadence(route.HopCycles)
-	obs.Set(r)
-	defer obs.Set(prev)
-
 	cl := buildRing(t, 2, 7, 1, 1)
+	cl.SetRecorder(r)
 	if cl.seriesEvery != route.HopCycles {
 		t.Fatalf("cluster did not inherit cadence from recorder: %d", cl.seriesEvery)
 	}
@@ -130,11 +121,10 @@ func TestSeriesCadenceRoutesSequential(t *testing.T) {
 // restored executor resumes sampling on the same grid.
 func TestSeriesCheckpointRestoreEquivalence(t *testing.T) {
 	const cadence = 650
-	prev := obs.Get()
 	r := obs.New()
 	r.SetSeriesCadence(cadence)
-	obs.Set(r)
 	straight := buildRing(t, 2, 7, 1, 1)
+	straight.SetRecorder(r)
 	straight.SetCheckpointCadence(cadence)
 	if _, err := straight.Run(); err != nil {
 		t.Fatal(err)
@@ -144,7 +134,6 @@ func TestSeriesCheckpointRestoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := straight.Checkpoints()
-	obs.Set(prev)
 	if len(store) < 2 {
 		t.Fatalf("straight run captured %d checkpoints", len(store))
 	}
@@ -159,8 +148,8 @@ func TestSeriesCheckpointRestoreEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		r2 := obs.New()
 		r2.LoadState(snap.Obs)
-		obs.Set(r2)
 		restored := buildRing(t, 2, 7, 1, workers)
+		restored.SetRecorder(r2)
 		restored.SetCheckpointCadence(cadence)
 		if err := restored.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
@@ -172,7 +161,6 @@ func TestSeriesCheckpointRestoreEquivalence(t *testing.T) {
 		if err := r2.WriteSeries(&got); err != nil {
 			t.Fatal(err)
 		}
-		obs.Set(prev)
 		if got.String() != want.String() {
 			t.Errorf("workers=%d: restored series dump differs from straight run", workers)
 		}

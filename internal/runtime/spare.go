@@ -131,8 +131,9 @@ func (a *Allocation) takeSpare(n topo.NodeID) topo.NodeID {
 // (preserving local index, so the remapped program keeps its intra-node
 // communication pattern), and that spare is consumed. Failing an idle
 // spare node simply removes it from the reserve pool — unless it is the
-// last one, which would leave the system unrecoverable.
-func (a *Allocation) FailNode(n topo.NodeID) error {
+// last one, which would leave the system unrecoverable. The spare
+// counters go to rec (nil records nothing).
+func (a *Allocation) FailNode(n topo.NodeID, rec *obs.Recorder) error {
 	if a.failed[n] {
 		return fmt.Errorf("runtime: node %d already failed", n)
 	}
@@ -145,7 +146,7 @@ func (a *Allocation) FailNode(n topo.NodeID) error {
 		}
 		a.spares = append(a.spares[:i], a.spares[i+1:]...)
 		a.failed[n] = true
-		obs.Get().Counter("runtime.spares_retired").Inc()
+		rec.Counter("runtime.spares_retired").Inc()
 		return nil
 	}
 	if len(a.spares) == 0 {
@@ -161,8 +162,8 @@ func (a *Allocation) FailNode(n topo.NodeID) error {
 			moved++
 		}
 	}
-	obs.Get().Counter("runtime.spare_failovers").Inc()
-	obs.Get().Counter("runtime.devices_remapped").Add(moved)
+	rec.Counter("runtime.spare_failovers").Inc()
+	rec.Counter("runtime.devices_remapped").Add(moved)
 	return nil
 }
 

@@ -33,7 +33,7 @@ func TestAllocationPerRackSpares(t *testing.T) {
 	}
 
 	// First failure: node 3 (rack 0) must fail over to rack 0's spare.
-	if err := a.FailNode(3); err != nil {
+	if err := a.FailNode(3, nil); err != nil {
 		t.Fatalf("FailNode(3): %v", err)
 	}
 	for d := 3 * topo.TSPsPerNode; d < 4*topo.TSPsPerNode; d++ {
@@ -50,7 +50,7 @@ func TestAllocationPerRackSpares(t *testing.T) {
 	}
 
 	// Second, sequential failure in the other rack: node 12 → spare 17.
-	if err := a.FailNode(12); err != nil {
+	if err := a.FailNode(12, nil); err != nil {
 		t.Fatalf("FailNode(12): %v", err)
 	}
 	for d := 88; d < 88+topo.TSPsPerNode; d++ { // node 12 held devices 88–95
@@ -66,11 +66,11 @@ func TestAllocationPerRackSpares(t *testing.T) {
 	if len(a.spares) != 0 {
 		t.Fatalf("spares %v remain after two failovers", a.spares)
 	}
-	if err := a.FailNode(5); err == nil {
+	if err := a.FailNode(5, nil); err == nil {
 		t.Fatal("third failure should exhaust the spares")
 	}
 	// And the failed nodes stay failed.
-	if err := a.FailNode(3); err == nil {
+	if err := a.FailNode(3, nil); err == nil {
 		t.Fatal("re-failing node 3 should error")
 	}
 }
@@ -88,10 +88,10 @@ func TestAllocationCrossRackSpareFallback(t *testing.T) {
 	}
 	// Burn rack 0's spare with a rack-0 failure, then fail a second rack-0
 	// node: its devices must land on rack 1's spare (node 17).
-	if err := a.FailNode(0); err != nil {
+	if err := a.FailNode(0, nil); err != nil {
 		t.Fatalf("FailNode(0): %v", err)
 	}
-	if err := a.FailNode(1); err != nil {
+	if err := a.FailNode(1, nil); err != nil {
 		t.Fatalf("FailNode(1): %v", err)
 	}
 	for d := topo.TSPsPerNode; d < 2*topo.TSPsPerNode; d++ {
@@ -115,17 +115,17 @@ func TestAllocationSpareNodeFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAllocationWithPolicy: %v", err)
 	}
-	if err := a.FailNode(8); err != nil {
+	if err := a.FailNode(8, nil); err != nil {
 		t.Fatalf("failing idle spare 8: %v", err)
 	}
 	if len(a.spares) != 1 || a.spares[0] != 17 {
 		t.Fatalf("spares after retiring 8: %v, want [17]", a.spares)
 	}
-	if err := a.FailNode(17); err == nil {
+	if err := a.FailNode(17, nil); err == nil {
 		t.Fatal("failing the last spare should error")
 	}
 	// The remaining spare still serves a real failure.
-	if err := a.FailNode(0); err != nil {
+	if err := a.FailNode(0, nil); err != nil {
 		t.Fatalf("FailNode(0): %v", err)
 	}
 	if got := a.TSPOf(0); got.Node() != 17 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -60,8 +61,9 @@ func TestProgramsReadOnly(t *testing.T) {
 			var err error
 			var before [][sha256.Size]byte
 			var sc *ladderScenario
-			withRecorder(t, func() {
+			withRecorder(t, func(rec *obs.Recorder) {
 				sc = tc.sc(t)
+				sc.ladder.Recorder = rec
 				progs, gerr := RingAllReducePrograms(sc.sys, sc.rounds, 0)
 				if gerr != nil {
 					t.Fatal(gerr)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestServeSeriesRecorded: with a series cadence armed on the installed
+// TestServeSeriesRecorded: with a series cadence armed on the config's
 // recorder, RunDegraded lays down rate-labeled queue-depth, backlog, and
 // batch-inflight series — and two identical runs export identical bytes.
 func TestServeSeriesRecorded(t *testing.T) {
@@ -19,11 +19,9 @@ func TestServeSeriesRecorded(t *testing.T) {
 		Seed:              9,
 	}
 	dump := func() string {
-		prev := obs.Get()
 		r := obs.New()
 		r.SetSeriesCadence(650)
-		obs.Set(r)
-		defer obs.Set(prev)
+		cfg.Recorder = r
 		if _, err := RunDegraded(cfg, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +45,8 @@ func TestServeSeriesRecorded(t *testing.T) {
 // TestServeSeriesOffByDefault: without a cadence the serving loop records
 // no series — the instrumentation is strictly opt-in.
 func TestServeSeriesOffByDefault(t *testing.T) {
-	prev := obs.Get()
 	r := obs.New()
-	obs.Set(r)
-	defer obs.Set(prev)
-	cfg := Config{ServiceUS: 100, PipelineDepth: 4, ArrivalRatePerSec: 5000, Requests: 500, Seed: 1}
+	cfg := Config{ServiceUS: 100, PipelineDepth: 4, ArrivalRatePerSec: 5000, Requests: 500, Seed: 1, Recorder: r}
 	if _, err := RunDegraded(cfg, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,10 @@ type Config struct {
 	Requests int
 	// Seed drives the arrival process.
 	Seed uint64
+	// Recorder receives the run's request counters, latency histogram,
+	// spans and, when its series cadence is armed, the queue series (nil
+	// records nothing).
+	Recorder *obs.Recorder
 }
 
 // Result summarizes a serving run.
@@ -107,7 +111,7 @@ func RunDegraded(cfg Config, incidents []Incident) (DegradedResult, error) {
 	rng := sim.NewRNG(cfg.Seed)
 	meanGapUS := 1e6 / cfg.ArrivalRatePerSec
 
-	rec := obs.Get()
+	rec := cfg.Recorder
 	var reqCount, queuedCount, replayedCount, degradedCount *obs.Counter
 	var latHist *obs.Histogram
 	// Time-series telemetry (armed by a recorder sampling cadence): the
@@ -258,9 +262,10 @@ func positiveFinite(x float64) bool {
 
 // SaturationSweep runs the scenario across load levels (fractions of the
 // pipeline's capacity 1/ServiceUS), in order, and returns one Result per
-// level. Each level's Run is an independent, seed-determined simulation.
-// The first failing level's error is returned.
-func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64) ([]Result, error) {
+// level. Each level's Run is an independent, seed-determined simulation,
+// and every level records into rec (nil records nothing). The first
+// failing level's error is returned.
+func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64, rec *obs.Recorder) ([]Result, error) {
 	capacity := 1e6 / serviceUS
 	out := make([]Result, len(loads))
 	for i, load := range loads {
@@ -270,6 +275,7 @@ func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int
 			ArrivalRatePerSec: load * capacity,
 			Requests:          requests,
 			Seed:              seed,
+			Recorder:          rec,
 		})
 		if err != nil {
 			return nil, err

@@ -49,7 +49,7 @@ func TestRunHighLoadQueues(t *testing.T) {
 }
 
 func TestSaturationSweepMonotone(t *testing.T) {
-	rs, err := SaturationSweep(204, 4, []float64{0.2, 0.5, 0.8, 0.95}, 20000, 3)
+	rs, err := SaturationSweep(204, 4, []float64{0.2, 0.5, 0.8, 0.95}, 20000, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,9 +252,8 @@ type Chip struct {
 	fault *Fault
 }
 
-// New creates a chip with fresh memory, loaded with the program. The
-// process-global recorder (obs.Get), if any, is attached automatically so
-// CLI-level tracing observes every chip without plumbing. The chip only
+// New creates a chip with fresh memory, loaded with the program. It
+// records nothing until its owner calls AttachRecorder. The chip only
 // reads the program, so one program may be shared by many chips.
 func New(id int, prog *isa.Program, c2c C2C) *Chip {
 	return newChip(id, prog, scanSendLinks(prog), c2c)
@@ -283,7 +282,6 @@ func newChip(id int, prog *isa.Program, sendLinks []int, c2c C2C) *Chip {
 		c.laneOK[i] = true
 		c.nzOK[i] = true
 	}
-	c.AttachRecorder(obs.Get())
 	return c
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"repro/internal/baseline"
 	"repro/internal/collective"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -29,11 +30,12 @@ type Fig16Point struct {
 // the tests — the schedule is perfectly regular, so the formula is exact).
 const analyticThresholdVectors = 2048
 
-// Fig16 sweeps the given tensor sizes on one node.
-func Fig16(sys *topo.System, sizes []int64) ([]Fig16Point, error) {
+// Fig16 sweeps the given tensor sizes on one node, recording every
+// explicitly scheduled All-Reduce into rec (nil records nothing).
+func Fig16(sys *topo.System, sizes []int64, rec *obs.Recorder) ([]Fig16Point, error) {
 	var pts []Fig16Point
 	for _, s := range sizes {
-		cycles, err := allReduceCycles(sys, s)
+		cycles, err := allReduceCycles(sys, s, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -49,15 +51,16 @@ func Fig16(sys *topo.System, sizes []int64) ([]Fig16Point, error) {
 	return pts, nil
 }
 
-// allReduceCycles picks the explicit scheduler for small tensors and the
-// exact closed form for large ones.
-func allReduceCycles(sys *topo.System, bytes int64) (int64, error) {
+// allReduceCycles picks the explicit scheduler for small tensors, whose
+// schedule it records into rec, and the exact closed form for large ones.
+func allReduceCycles(sys *topo.System, bytes int64, rec *obs.Recorder) (int64, error) {
 	shardVecs := int((bytes/topo.TSPsPerNode + 319) / 320)
 	if shardVecs <= analyticThresholdVectors {
 		r, err := collective.NodeAllReduce(sys, 0, bytes)
 		if err != nil {
 			return 0, err
 		}
+		r.Schedule.RecordObservability(rec)
 		return r.Cycles, nil
 	}
 	return NodeAllReduceAnalyticCycles(bytes), nil

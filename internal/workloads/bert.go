@@ -47,8 +47,9 @@ type BERTDeployment struct {
 	PCIeOutCycles int64
 }
 
-// DeployBERT compiles the model onto `devices` TSPs of a single node.
-func DeployBERT(cfg compiler.BERTConfig, devices int, movementAware bool) (*BERTDeployment, error) {
+// DeployBERT compiles the model onto `devices` TSPs of a single node and
+// records the compiled schedule into rec (nil records nothing).
+func DeployBERT(cfg compiler.BERTConfig, devices int, movementAware bool, rec *obs.Recorder) (*BERTDeployment, error) {
 	part, err := compiler.PartitionBERT(cfg, devices, movementAware)
 	if err != nil {
 		return nil, err
@@ -59,10 +60,12 @@ func DeployBERT(cfg compiler.BERTConfig, devices int, movementAware bool) (*BERT
 		return nil, err
 	}
 	g := part.BuildGraph()
-	os, err := core.CompileGraph(sys, g, func(d int) topo.TSPID { return topo.TSPID(d) })
+	identity := func(d int) topo.TSPID { return topo.TSPID(d) }
+	os, err := core.CompileGraph(sys, g, identity)
 	if err != nil {
 		return nil, err
 	}
+	os.RecordObservability(rec, g, identity)
 	if err := os.Comms.Verify(); err != nil {
 		return nil, fmt.Errorf("workloads: bert schedule: %w", err)
 	}
@@ -121,24 +124,25 @@ type Fig17Result struct {
 // Fig17 executes `runs` simulated inferences of BERT-Large on 4 TSPs. The
 // fabric and compute are cycle-deterministic; all run-to-run variation
 // comes from the host-side PCIe transfers (DMA scheduling, host jitter),
-// exactly the cause the paper names for its residual variance.
-func Fig17(runs int, seed uint64) (*Fig17Result, error) {
-	return bertLatency("fig17", fig17Tid, compiler.BERTLarge(), 4, 200, runs, seed)
+// exactly the cause the paper names for its residual variance. The
+// deployment and every inference record into rec (nil records nothing).
+func Fig17(runs int, seed uint64, rec *obs.Recorder) (*Fig17Result, error) {
+	return bertLatency(rec, "fig17", fig17Tid, compiler.BERTLarge(), 4, 200, runs, seed)
 }
 
 // BERTBaseSingleTSP reproduces §5.4's companion claim: "when executing
 // BERT-Base on a single TSP, we see a similar relationship between the
 // estimated and measured latency, where their results are within 2% of
-// each other."
-func BERTBaseSingleTSP(runs int, seed uint64) (*Fig17Result, error) {
-	return bertLatency("bertbase", bertBaseTid, compiler.BERTBase(), 1, 100, runs, seed)
+// each other." It records into rec as Fig17 does.
+func BERTBaseSingleTSP(runs int, seed uint64, rec *obs.Recorder) (*Fig17Result, error) {
+	return bertLatency(rec, "bertbase", bertBaseTid, compiler.BERTBase(), 1, 100, runs, seed)
 }
 
 // bertLatency executes `runs` simulated inferences of cfg deployed on
 // devices TSPs. Its histograms start below µs under the compiler's
 // estimate; exp labels its metrics and names its host trace track tid.
-func bertLatency(exp string, tid int, cfg compiler.BERTConfig, devices int, below float64, runs int, seed uint64) (*Fig17Result, error) {
-	dep, err := DeployBERT(cfg, devices, true)
+func bertLatency(rec *obs.Recorder, exp string, tid int, cfg compiler.BERTConfig, devices int, below float64, runs int, seed uint64) (*Fig17Result, error) {
+	dep, err := DeployBERT(cfg, devices, true, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +153,7 @@ func bertLatency(exp string, tid int, cfg compiler.BERTConfig, devices int, belo
 	sum := 0.0
 	samples := make([]float64, 0, runs)
 	maxUS := 0.0
-	inst := newBERTInstrumentation(exp, tid, dep, origin)
+	inst := newBERTInstrumentation(rec, exp, tid, dep, origin)
 	for i := 0; i < runs; i++ {
 		us := dep.simulateOnce(rng)
 		hist.Add(us)
@@ -199,8 +203,7 @@ type bertInstrumentation struct {
 	t float64
 }
 
-func newBERTInstrumentation(exp string, tid int, dep *BERTDeployment, histOrigin float64) *bertInstrumentation {
-	rec := obs.Get()
+func newBERTInstrumentation(rec *obs.Recorder, exp string, tid int, dep *BERTDeployment, histOrigin float64) *bertInstrumentation {
 	if rec == nil {
 		return &bertInstrumentation{}
 	}
@@ -298,13 +301,14 @@ type Fig20Result struct {
 // the movement-aware compiler both minimizes crossings and overlaps the
 // remaining communication behind compute (§4.1: "the compiler will overlap
 // as much compute and communication to effectively hide the C2C link
-// latency"), so its period is the max of the two.
-func Fig20() (*Fig20Result, error) {
-	unopt, err := DeployBERT(compiler.BERTLarge(), 4, false)
+// latency"), so its period is the max of the two. Both deployments
+// record into rec (nil records nothing).
+func Fig20(rec *obs.Recorder) (*Fig20Result, error) {
+	unopt, err := DeployBERT(compiler.BERTLarge(), 4, false, rec)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := DeployBERT(compiler.BERTLarge(), 4, true)
+	opt, err := DeployBERT(compiler.BERTLarge(), 4, true, rec)
 	if err != nil {
 		return nil, err
 	}

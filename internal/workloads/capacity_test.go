@@ -82,7 +82,7 @@ func TestGlobalMemoryMatchesAbstract(t *testing.T) {
 }
 
 func TestBERTBaseSingleTSPEstimate(t *testing.T) {
-	res, err := BERTBaseSingleTSP(5000, 3)
+	res, err := BERTBaseSingleTSP(5000, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBERTBaseSingleTSPEstimate(t *testing.T) {
 		t.Fatalf("BERT-Base estimate error %.3f", res.MeanErrorFrac)
 	}
 	// BERT-Base is lighter than BERT-Large: latency well under it.
-	large, err := Fig17(1000, 3)
+	large, err := Fig17(1000, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

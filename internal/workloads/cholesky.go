@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/tsp"
 )
@@ -151,8 +152,9 @@ func BuildCholeskyProgram(p int) (*isa.Program, error) {
 // RunCholeskyOnChip factors the symmetric positive-definite p×p matrix a
 // (a[i][j] is row i, column j; p ≤ 80) on one simulated chip. It returns
 // the lower-triangular factor L, indexed the same way, and the chip's
-// finish cycle. A matrix that is not square is an error.
-func RunCholeskyOnChip(a [][]float32) ([][]float32, int64, error) {
+// finish cycle. The chip records into rec (nil records nothing). A matrix
+// that is not square is an error.
+func RunCholeskyOnChip(a [][]float32, rec *obs.Recorder) ([][]float32, int64, error) {
 	p := len(a)
 	for i, row := range a {
 		if len(row) != p {
@@ -164,6 +166,7 @@ func RunCholeskyOnChip(a [][]float32) ([][]float32, int64, error) {
 		return nil, 0, err
 	}
 	chip := tsp.New(0, prog, nil)
+	chip.AttachRecorder(rec)
 	// Load columns and masks.
 	for j := 0; j < p; j++ {
 		col := make([]float32, tsp.FloatLanes)

@@ -124,7 +124,7 @@ func TestFig16Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int64{4 << 10, 64 << 10, 1 << 20, 16 << 20, 256 << 20}
-	pts, err := Fig16(sys, sizes)
+	pts, err := Fig16(sys, sizes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAnalyticAllReduceMatchesScheduled(t *testing.T) {
 }
 
 func TestFig17Distribution(t *testing.T) {
-	res, err := Fig17(24240, 2022)
+	res, err := Fig17(24240, 2022, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestFig17Distribution(t *testing.T) {
 }
 
 func TestFig17Deterministic(t *testing.T) {
-	a, err := Fig17(500, 7)
+	a, err := Fig17(500, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig17(500, 7)
+	b, err := Fig17(500, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFig18LinearScaling(t *testing.T) {
 }
 
 func TestFig20CompilerContrast(t *testing.T) {
-	res, err := Fig20()
+	res, err := Fig20(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestFunctionalCholeskyCorrect(t *testing.T) {
 			a[i][j] = float32(s)
 		}
 	}
-	l, finish, err := RunCholeskyOnChip(a)
+	l, finish, err := RunCholeskyOnChip(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +361,11 @@ func TestFunctionalCholeskyCorrect(t *testing.T) {
 
 func TestFunctionalCholeskyDeterministicTiming(t *testing.T) {
 	a := [][]float32{{4, 2}, {2, 3}}
-	_, f1, err := RunCholeskyOnChip(a)
+	_, f1, err := RunCholeskyOnChip(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, f2, err := RunCholeskyOnChip(a)
+	_, f2, err := RunCholeskyOnChip(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,15 @@ type Config struct {
 	// regime, whole-rack multiples of 9 build the rack Dragonfly, up to
 	// 1305 nodes (145 racks, 10,440 TSPs).
 	Nodes int
+	// Recorder receives the schedules the system compiles and the runs of
+	// the clusters it builds (nil records nothing). See Recorder.
+	Recorder *Recorder
 }
 
 // System is a constructed multi-TSP machine.
 type System struct {
 	topo *topo.System
+	rec  *obs.Recorder
 }
 
 // NewSystem constructs and validates the topology.
@@ -48,7 +52,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{topo: t}, nil
+	return &System{topo: t, rec: cfg.Recorder}, nil
 }
 
 // Topology exposes the underlying topology for advanced use.
@@ -87,6 +91,7 @@ func (s *System) ScheduleTransfers(transfers []Transfer) (*CommSchedule, error) 
 	if err != nil {
 		return nil, err
 	}
+	cs.RecordObservability(s.rec)
 	if err := cs.Verify(); err != nil {
 		return nil, fmt.Errorf("tsm: schedule failed verification: %w", err)
 	}
@@ -115,22 +120,41 @@ func (s *System) CompileGraph(g *Graph, deviceToTSP func(int) int) (*core.OpSche
 	if m == nil {
 		m = func(d int) int { return d }
 	}
-	return core.CompileGraph(s.topo, g, func(d int) topo.TSPID { return topo.TSPID(m(d)) })
+	toTSP := func(d int) topo.TSPID { return topo.TSPID(m(d)) }
+	os, err := core.CompileGraph(s.topo, g, toTSP)
+	if err != nil {
+		return nil, err
+	}
+	os.RecordObservability(s.rec, g, toTSP)
+	return os, nil
 }
 
 // AllReduce schedules an All-Reduce of a bytes-sized tensor: 8-way within
 // one node, or the hierarchical three-stage variant across an all-to-all
 // system.
 func (s *System) AllReduce(bytes int64) (collective.Result, error) {
+	var r collective.Result
+	var err error
 	if s.topo.NumNodes() == 1 {
-		return collective.NodeAllReduce(s.topo, 0, bytes)
+		r, err = collective.NodeAllReduce(s.topo, 0, bytes)
+	} else {
+		r, err = collective.HierarchicalAllReduce(s.topo, bytes)
 	}
-	return collective.HierarchicalAllReduce(s.topo, bytes)
+	return s.recorded(r, err)
 }
 
 // Broadcast schedules a one-to-all broadcast within the root's node.
 func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
-	return collective.Broadcast(s.topo, topo.TSPID(root), bytes)
+	return s.recorded(collective.Broadcast(s.topo, topo.TSPID(root), bytes))
+}
+
+// recorded records a scheduled collective's schedule into the system's
+// recorder.
+func (s *System) recorded(r collective.Result, err error) (collective.Result, error) {
+	if err == nil {
+		r.Schedule.RecordObservability(s.rec)
+	}
+	return r, err
 }
 
 // Cluster is the functional multi-chip executor. Run picks a sequential
@@ -144,10 +168,16 @@ func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
 type Cluster = runtime.Cluster
 
 // Cluster builds a functional multi-chip executor running one program
-// binary per TSP (programs beyond the slice, or nil entries, idle). It
-// starts at one worker; configure it with SetWorkers.
+// binary per TSP (programs beyond the slice, or nil entries, idle),
+// recording into the system's recorder. It starts at one worker;
+// configure it with SetWorkers.
 func (s *System) Cluster(programs []*isa.Program) (*Cluster, error) {
-	return runtime.New(s.topo, programs)
+	cl, err := runtime.New(s.topo, programs)
+	if err != nil {
+		return nil, err
+	}
+	cl.SetRecorder(s.rec)
+	return cl, nil
 }
 
 // Assemble compiles assembler text to a single-chip program binary.
@@ -169,8 +199,9 @@ func BERTLarge() BERTConfig { return compiler.BERTLarge() }
 
 // DeployBERT compiles a BERT stack onto n TSPs of this system with the
 // movement-aware (optimized) or FLOP-balanced (unoptimized) partitioner.
+// It records nothing.
 func DeployBERT(cfg BERTConfig, devices int, movementAware bool) (*workloads.BERTDeployment, error) {
-	return workloads.DeployBERT(cfg, devices, movementAware)
+	return workloads.DeployBERT(cfg, devices, movementAware, nil)
 }
 
 // MatmulSplit re-exports the distributed-matmul decomposition planner.
@@ -178,9 +209,9 @@ type MatmulSplit = compiler.MatmulSplit
 
 // Cholesky runs a functional, statically scheduled Cholesky factorization
 // of the SPD matrix a (≤80×80) on one simulated chip, returning L and the
-// chip's deterministic finish cycle.
+// chip's deterministic finish cycle. It records nothing.
 func Cholesky(a [][]float32) ([][]float32, int64, error) {
-	return workloads.RunCholeskyOnChip(a)
+	return workloads.RunCholeskyOnChip(a, nil)
 }
 
 // EncoderParams re-exports the functional transformer-encoder weights.
@@ -203,27 +234,22 @@ func FunctionalAllReduce(inputs [][]float32) ([][]float32, int64, error) {
 }
 
 // Recorder is the deterministic observability registry and trace sink of
-// internal/obs. Install one with EnableObservability before constructing
-// systems/chips/clusters, run any workload, then write the dumps:
+// internal/obs. Hand a fresh one to the system through Config.Recorder;
+// the schedules it compiles and the clusters it builds record into it,
+// then write the dumps:
 //
-//	rec := tsm.EnableObservability()
-//	defer tsm.DisableObservability()
-//	... run experiments ...
+//	rec := tsm.NewRecorder()
+//	sys, _ := tsm.NewSystem(tsm.Config{Nodes: 1, Recorder: rec})
+//	... schedule, build and run clusters ...
 //	rec.WriteTraceFile("trace.json")   // Perfetto-loadable Chrome trace
 //	rec.WriteMetricsFile("metrics.json")
 //
-// With no recorder installed every instrumentation point is a nil-safe
-// no-op. A recorder has one writer: record into it from one goroutine at
-// a time. Its exports sort, so their bytes do not depend on the order it
-// recorded in.
+// A system built without one records nothing; every instrumentation
+// point is then a nil-safe no-op. The package-level functions (DeployBERT,
+// Cholesky, Encoder, FunctionalAllReduce) record nothing. A recorder has
+// one writer: record into it from one goroutine at a time. Its exports
+// sort, so their bytes do not depend on the order it recorded in.
 type Recorder = obs.Recorder
 
-// EnableObservability installs (and returns) a fresh process-wide recorder.
-func EnableObservability() *Recorder {
-	r := obs.New()
-	obs.Set(r)
-	return r
-}
-
-// DisableObservability removes the process-wide recorder.
-func DisableObservability() { obs.Set(nil) }
+// NewRecorder returns an empty recorder for Config.Recorder.
+func NewRecorder() *Recorder { return obs.New() }

@@ -14,9 +14,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -382,5 +384,75 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if a.claim == "" || !tests[a.test] {
 			t.Errorf("allowlist entry %s must name a paper claim and an existing test, got %+v", key, a)
 		}
+	}
+}
+
+// TestNoGlobalRecorder fails when a .go file of the module calls obs.Set
+// or obs.Get: every component records into the recorder its owner hands
+// it. The one exception is the shim in runtime.New that hands the global
+// to the new cluster, kept for bench/tspbench (its own module, not
+// scanned here) until ROADMAP item 8a deletes it.
+func TestNoGlobalRecorder(t *testing.T) {
+	shim := filepath.Join("internal", "runtime", "runtime.go")
+	shims := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		obsName := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/obs" {
+				obsName = "obs"
+				if imp.Name != nil {
+					obsName = imp.Name.Name
+				}
+			}
+		}
+		if obsName == "" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Set" && sel.Sel.Name != "Get") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != obsName {
+					return true
+				}
+				if fn, ok := decl.(*ast.FuncDecl); ok && path == shim && fn.Recv == nil && fn.Name.Name == "New" && sel.Sel.Name == "Get" {
+					shims++
+					return true
+				}
+				t.Errorf("%s: obs.%s reads or installs the process-global recorder; pass the recorder from its owner instead",
+					fset.Position(call.Pos()), sel.Sel.Name)
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shims > 1 {
+		t.Errorf("runtime.New reads the global recorder %d times; the bench shim is one read", shims)
 	}
 }

@@ -207,6 +207,8 @@ func TestGeneratorFinishClosedForm(t *testing.T) {
 
 // BenchmarkClusterSetup times a cluster's set-up for the ring-comm and
 // pipeline-compute bench shapes: topo.New, the program generator and New.
+// ring-recorded is buildRecordedRing's ring under a fresh recorder with
+// series and checkpoint cadences and a bit error rate armed.
 func BenchmarkClusterSetup(b *testing.B) {
 	for _, tc := range []struct {
 		name                  string
@@ -233,4 +235,10 @@ func BenchmarkClusterSetup(b *testing.B) {
 			}
 		})
 	}
+	b.Run("ring-recorded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buildRecordedRing(b, 1)
+		}
+	})
 }

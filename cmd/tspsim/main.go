@@ -87,11 +87,8 @@ import (
 // cluster an experiment builds, and nothing else reads it. Reset by run().
 var workersN = 1
 
-// recN is the run's recorder, set by run() when -trace, -metrics, -series
-// or -profile-report asks for a dump (nil otherwise). Every experiment
-// hands it to what it builds: clusters through newCluster, and chips,
-// links, schedules and the serving and fleet configs directly. Reset by
-// run().
+// recN is the run's recorder when a dump is requested (nil otherwise):
+// experiments hand it to everything they build. Reset by run().
 var recN *obs.Recorder
 
 // newCluster builds a cluster with the executor parallelism the -workers
@@ -209,18 +206,15 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 
-	// Observability: when any dump is requested, one recorder records the
-	// whole run; the experiments read it from recN.
-	var rec *obs.Recorder
-	if *tracePath != "" || *metricsPath != "" || *seriesPath != "" || *profilePath != "" {
-		rec = obs.New()
-	}
-
 	// Flag values the experiments read. Reset afterwards so in-process
-	// callers (tests) see the defaults again.
+	// callers (tests) see the defaults again. One recorder records the
+	// whole run when any dump is requested.
 	workersN = *workers
 	checkpointEveryN = *ckptEvery
-	recN = rec
+	if *tracePath != "" || *metricsPath != "" || *seriesPath != "" || *profilePath != "" {
+		recN = obs.New()
+	}
+	rec := recN
 	defer func() {
 		workersN = 1
 		checkpointEveryN = 0

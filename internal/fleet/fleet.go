@@ -98,9 +98,7 @@ type Config struct {
 	// pre-warming, and per-class priority shedding. The zero value
 	// reproduces the reactive-only engine byte-for-byte.
 	Policy Policy
-	// Recorder receives the fleet counters, policy instants and, when its
-	// series cadence is armed, the per-system series (nil records
-	// nothing).
+	// Recorder records the run (nil records nothing).
 	Recorder *obs.Recorder
 }
 
@@ -798,7 +796,7 @@ func (e *engine) instant(name string, atUS float64) {
 }
 
 // wireObs resolves metric handles on the config's recorder; all are
-// nil-safe when it is nil.
+// nil-safe without one.
 func (e *engine) wireObs() {
 	e.rec = e.cfg.Recorder
 	if e.rec == nil {

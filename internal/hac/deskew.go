@@ -128,7 +128,7 @@ func AlignProgramStart(tree *Tree, invoke sim.Time) TreeAlignmentResult {
 	}
 	res.Spread = maxT - minT
 	res.OverheadCycles = tree.Root.Clock.CycleAt(maxT) - tree.Root.Clock.CycleAt(invoke)
-	if rec := tree.Recorder; rec != nil {
+	if rec := tree.rec; rec != nil {
 		// Iterate in device-id order: trace event order must not depend
 		// on map iteration.
 		ids := make([]int, 0, len(res.Starts))
@@ -184,14 +184,13 @@ func BackgroundExchange(tree *Tree, start sim.Time, epochs int, maxStep int64) {
 }
 
 // BuildChain builds a linear spanning tree (a chain of devices, each the
-// parent of the next), instrumenting every link with rec and
-// characterizing it. Useful for multi-hop tests and the Fig 7
-// reproduction.
+// parent of the next), characterizing every link, instrumented with rec.
+// Useful for multi-hop tests and the Fig 7 reproduction.
 func BuildChain(devices []*Device, mkLink func(i int) *c2c.Link, charIters int, rec *obs.Recorder) *Tree {
 	if len(devices) < 2 {
 		panic("hac: chain needs at least two devices")
 	}
-	tree := &Tree{Root: devices[0], Recorder: rec}
+	tree := &Tree{Root: devices[0], rec: rec}
 	for i := 0; i < len(devices)-1; i++ {
 		e := &Edge{Parent: devices[i], Child: devices[i+1], Link: mkLink(i)}
 		e.Link.Instrument(rec)
@@ -202,13 +201,13 @@ func BuildChain(devices []*Device, mkLink func(i int) *c2c.Link, charIters int, 
 }
 
 // BuildStar builds a one-level tree: device 0 is the parent of all others
-// (the intra-node topology where the node's TSP 0 is the local reference).
-// Every link is instrumented with rec, then characterized.
+// (the intra-node topology where the node's TSP 0 is the local reference),
+// as BuildChain does.
 func BuildStar(devices []*Device, mkLink func(i int) *c2c.Link, charIters int, rec *obs.Recorder) *Tree {
 	if len(devices) < 2 {
 		panic("hac: star needs at least two devices")
 	}
-	tree := &Tree{Root: devices[0], Recorder: rec}
+	tree := &Tree{Root: devices[0], rec: rec}
 	var level []*Edge
 	for i := 1; i < len(devices); i++ {
 		e := &Edge{Parent: devices[0], Child: devices[i], Link: mkLink(i - 1)}

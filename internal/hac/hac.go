@@ -222,14 +222,11 @@ type AlignResult struct {
 
 // Align runs AlignOnce once per epoch until the observed misalignment stays
 // within tol cycles for 8 consecutive iterations, or maxIters is reached.
-// The paper bounds convergence by roughly the HAC period; so do we. The
-// loop records into the edge's link recorder (Tree.Recorder in a built
-// tree).
+// The paper bounds convergence by roughly the HAC period; so do we. It
+// records into the edge link's recorder.
 func (e *Edge) Align(start sim.Time, maxStep, tol int64, maxIters int) AlignResult {
 	rec := e.Link.Recorder()
-	if rec != nil {
-		rec.SetThreadName(e.Child.ID, hacTid, "hac")
-	}
+	rec.SetThreadName(e.Child.ID, hacTid, "hac")
 	finish := func(r AlignResult) AlignResult {
 		rec.Counter("hac.align_rounds").Add(int64(r.Iterations))
 		if r.Converged {
@@ -237,10 +234,7 @@ func (e *Edge) Align(start sim.Time, maxStep, tol int64, maxIters int) AlignResu
 		} else {
 			rec.Counter("hac.edges_diverged").Inc()
 		}
-		if rec != nil {
-			rec.SpanUS(e.Child.ID, hacTid, "hac.align",
-				start.Microseconds(), (r.End - start).Microseconds())
-		}
+		rec.SpanUS(e.Child.ID, hacTid, "hac.align", start.Microseconds(), (r.End - start).Microseconds())
 		return r
 	}
 	t := start
@@ -276,10 +270,8 @@ type Tree struct {
 	// Levels holds the edges grouped by distance from the root; level i
 	// edges have parents at depth i.
 	Levels [][]*Edge
-	// Recorder is the recorder the builder instrumented every edge's link
-	// with: the edges' alignment and the program start record into it
-	// (nil records nothing).
-	Recorder *obs.Recorder
+	// rec is the recorder every edge's link is instrumented with.
+	rec *obs.Recorder
 }
 
 // Align aligns the whole tree level by level (parents must hold the

@@ -27,10 +27,10 @@ func SystemClocks(sys *topo.System, drift clock.Drift, rng *sim.RNG) []*Device {
 // BuildFromTopology builds the HAC spanning tree rooted at the given TSP:
 // a BFS tree over the physical topology, one Edge per tree link, each
 // using a c2c link of the cable class the topology assigns to that hop.
-// Every link is instrumented with rec and characterized with charIters
-// reflect iterations.
+// Every link is characterized with charIters reflect iterations,
+// instrumented with rec.
 func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *sim.RNG, charIters int, rec *obs.Recorder) *Tree {
-	tree := &Tree{Root: devs[root], Recorder: rec}
+	tree := &Tree{Root: devs[root], rec: rec}
 	visited := make([]bool, sys.NumTSPs())
 	visited[root] = true
 	frontier := []topo.TSPID{root}
@@ -64,8 +64,8 @@ func BuildFromTopology(sys *topo.System, devs []*Device, root topo.TSPID, rng *s
 }
 
 // SystemSync brings up a whole system: build the tree, align every HAC,
-// and perform the initial program start, recording into rec (nil records
-// nothing). It returns the alignment result and the program-start result.
+// and perform the initial program start, recording into rec. It returns
+// the alignment result and the program-start result.
 func SystemSync(sys *topo.System, seed uint64, charIters int, rec *obs.Recorder) (AlignResult, TreeAlignmentResult) {
 	rng := sim.NewRNG(seed)
 	devs := SystemClocks(sys, clock.DefaultDrift, rng)

@@ -14,7 +14,7 @@ import (
 // second flap lands inside the re-based attempt's wall window (base
 // 7834, round-4 send at wall 10714), so the ladder diagnoses two faults
 // at two distinct horizons.
-func newBurstScenario(t *testing.T, workers int) *ladderScenario {
+func newBurstScenario(t *testing.T, workers int, rec *obs.Recorder) *ladderScenario {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
@@ -43,6 +43,7 @@ func newBurstScenario(t *testing.T, workers int) *ladderScenario {
 		MaxFailovers:    2,
 		Seed:            7,
 		CheckpointEvery: 650,
+		Recorder:        rec,
 	}
 	return sc
 }
@@ -55,8 +56,7 @@ func TestLadderBurstWalk(t *testing.T) {
 	run := func(workers int) (*LadderResult, string, string) {
 		var res *LadderResult
 		trace, metrics := withRecorder(t, func(rec *obs.Recorder) {
-			sc := newBurstScenario(t, workers)
-			sc.ladder.Recorder = rec
+			sc := newBurstScenario(t, workers, rec)
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {

@@ -216,9 +216,8 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 // set. The cluster must be built from the same topology and programs the
 // snapshot was captured under; mismatches are reported before any state
 // is touched. The recorder is NOT restored — a ladder keeps accumulating
-// onto the live recorder. To resume the recording as well, prime a fresh
-// recorder with the snapshot's Obs state (obs.Recorder.LoadState), then
-// attach it with SetRecorder before calling RestoreSnapshot.
+// onto the live recorder. To resume the recording too, SetRecorder a fresh
+// recorder primed with the snapshot's Obs state (LoadState) first.
 func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 	if len(s.Chips) != len(cl.chips) {
 		return fmt.Errorf("runtime: snapshot has %d chips, cluster has %d", len(s.Chips), len(cl.chips))
@@ -272,10 +271,9 @@ func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 			// armed error process), but a decoded blob is external input.
 			src = sim.NewRNG(0)
 		}
-		// newLink draws the meanShift placeholder from the fork; SetState
-		// then overwrites both the shift and the RNG cursor with the
-		// captured values, so the fork source never influences restored
-		// behavior.
+		// newLink draws the meanShift placeholder from the fork; SetState then
+		// overwrites both the shift and the RNG cursor with the captured
+		// values, so the fork source never influences restored behavior.
 		phys := cl.newLink(cl.sys.Link(le.ID), src)
 		phys.SetState(le.State)
 		cl.links[le.ID] = phys

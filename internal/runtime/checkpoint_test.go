@@ -163,7 +163,7 @@ func TestRestoreEquivalence(t *testing.T) {
 // one mid-run link flap, no node death — with checkpointing armed at the
 // given cadence, so the replay should resume from the last clean barrier
 // before the flap's first uncorrectable frame.
-func newResumeScenario(t *testing.T, workers int, cadence int64) *ladderScenario {
+func newResumeScenario(t *testing.T, workers int, cadence int64, rec *obs.Recorder) *ladderScenario {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
@@ -191,6 +191,7 @@ func newResumeScenario(t *testing.T, workers int, cadence int64) *ladderScenario
 		MaxFailovers:    2,
 		Seed:            7,
 		CheckpointEvery: cadence,
+		Recorder:        rec,
 	}
 	return sc
 }
@@ -205,8 +206,7 @@ func TestLadderResumesFromCheckpoint(t *testing.T) {
 		var sc *ladderScenario
 		var res *LadderResult
 		trace, metrics := withRecorder(t, func(rec *obs.Recorder) {
-			sc = newResumeScenario(t, workers, 650)
-			sc.ladder.Recorder = rec
+			sc = newResumeScenario(t, workers, 650, rec)
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {
@@ -250,8 +250,7 @@ func TestLadderResumesFromCheckpoint(t *testing.T) {
 		var sc *ladderScenario
 		var res *LadderResult
 		tr, me := withRecorder(t, func(rec *obs.Recorder) {
-			sc = newResumeScenario(t, 1, 0)
-			sc.ladder.Recorder = rec
+			sc = newResumeScenario(t, 1, 0, rec)
 			var err error
 			res, err = sc.ladder.Run()
 			if err != nil {
@@ -300,8 +299,7 @@ func TestLadderCorruptCheckpointFallsBackToCycle0(t *testing.T) {
 	var sc *ladderScenario
 	var res *LadderResult
 	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
-		sc = newResumeScenario(t, 1, 650)
-		sc.ladder.Recorder = rec
+		sc = newResumeScenario(t, 1, 650, rec)
 		inner := sc.ladder.Build
 		var prev *Cluster
 		sc.ladder.Build = func(a *Allocation) (*Cluster, error) {
@@ -346,8 +344,7 @@ func TestLadderNoUsableCheckpointFallsBackToCycle0(t *testing.T) {
 	var sc *ladderScenario
 	var res *LadderResult
 	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
-		sc = newResumeScenario(t, 1, 1<<30)
-		sc.ladder.Recorder = rec
+		sc = newResumeScenario(t, 1, 1<<30, rec)
 		var err error
 		res, err = sc.ladder.Run()
 		if err != nil {

@@ -38,7 +38,7 @@ func observe(t *testing.T, record bool, seriesEvery int64, build func() *Cluster
 		exec(nil)
 		return o
 	}
-	o.trace, o.metrics, o.series = withSeriesRecorder(t, seriesEvery, exec)
+	o.series, _, o.trace, o.metrics = seriesDump(t, seriesEvery, exec)
 	return o
 }
 

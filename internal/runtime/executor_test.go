@@ -215,21 +215,6 @@ func withRecorder(t *testing.T, f func(rec *obs.Recorder)) (trace, metrics strin
 	return dumpRecorder(t, r)
 }
 
-// withSeriesRecorder is withRecorder with a sampling cadence armed on the
-// recorder, returning the series dump too.
-func withSeriesRecorder(t *testing.T, every int64, f func(rec *obs.Recorder)) (trace, metrics, series string) {
-	t.Helper()
-	r := obs.New()
-	r.SetSeriesCadence(every)
-	f(r)
-	trace, metrics = dumpRecorder(t, r)
-	var sb bytes.Buffer
-	if err := r.WriteSeries(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return trace, metrics, sb.String()
-}
-
 // TestParallelMatchesSequential sweeps the axis TestDeterminismMatrix
 // holds fixed — topology size (one and two nodes, with and without
 // background matmuls) at odd worker counts: through Run, a recorded run

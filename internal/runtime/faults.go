@@ -86,14 +86,10 @@ func (cl *Cluster) physLink(l topo.Link) *c2c.Link {
 	return phys
 }
 
-// newLink builds link l's physical error model at the cluster's bit error
-// rate, its stream forked from src by link id, and instruments it with the
-// link-labelled c2c.* counters. It registers the unlabelled aggregate
-// c2c.* counters first. They stay 0, since the labelled ones take every
-// count, but every recorded cluster with a bit error rate has carried
-// them in its metrics, its series and its checkpoint blobs' obs section
-// since links registered them at construction, and the pinned dumps and
-// blobs keep them.
+// newLink builds link l's error model, its stream forked from src by link
+// id, with link-labelled c2c.* counters. The unlabelled aggregate keys it
+// registers first stay 0, but every recorded cluster with a bit error
+// rate has always exported them (metrics, series, checkpoint blobs).
 func (cl *Cluster) newLink(l topo.Link, src *sim.RNG) *c2c.Link {
 	cfg := l.Cable
 	cfg.BitErrorRate = cl.ber

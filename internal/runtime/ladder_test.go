@@ -31,7 +31,7 @@ type ladderScenario struct {
 
 const ladderDevices = 2 * topo.TSPsPerNode
 
-func newLadderScenario(t *testing.T, workers int) *ladderScenario {
+func newLadderScenario(t *testing.T, workers int, rec *obs.Recorder) *ladderScenario {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
@@ -65,6 +65,7 @@ func newLadderScenario(t *testing.T, workers int) *ladderScenario {
 		MaxReplays:   4,
 		MaxFailovers: 2,
 		Seed:         7,
+		Recorder:     rec,
 	}
 	return sc
 }
@@ -129,8 +130,7 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	var err error
 	var sc *ladderScenario
 	_, metrics := withRecorder(t, func(rec *obs.Recorder) {
-		sc = newLadderScenario(t, 1)
-		sc.ladder.Recorder = rec
+		sc = newLadderScenario(t, 1, rec)
 		res, err = sc.ladder.Run()
 	})
 	if err != nil {
@@ -182,8 +182,7 @@ func TestLadderFaultWorkerInvariance(t *testing.T) {
 	run := func(workers int) outcome {
 		var o outcome
 		o.trace, o.metrics = withRecorder(t, func(rec *obs.Recorder) {
-			o.sc = newLadderScenario(t, workers)
-			o.sc.ladder.Recorder = rec
+			o.sc = newLadderScenario(t, workers, rec)
 			res, err := o.sc.ladder.Run()
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)

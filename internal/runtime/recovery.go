@@ -79,10 +79,8 @@ type Ladder struct {
 	// original cycle-0 replay rung. Corrupted or missing snapshots fall
 	// back to cycle 0 automatically (the corrupted-checkpoint rung).
 	CheckpointEvery int64
-	// Recorder records the walk (nil records nothing): Run attaches it to
-	// every cluster Build returns, so Build leaves them unrecorded, and
-	// the replay, recovery, checkpoint-restore and spare telemetry goes
-	// to it too.
+	// Recorder records the walk; Run attaches it to every cluster Build
+	// returns.
 	Recorder *obs.Recorder
 }
 

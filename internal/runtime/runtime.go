@@ -218,10 +218,8 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		return nil, fmt.Errorf("runtime: %d programs for %d TSPs", len(programs), sys.NumTSPs())
 	}
 	cl := &Cluster{sys: sys, workers: 1, firstMBECycle: -1}
-	// The one read of the process-global recorder, kept only for
-	// bench/tspbench, which installs it before New. ROADMAP item 8a moves
-	// the bench to SetRecorder and deletes this line with obs.Set/Get.
-	// Here, before the chip loop, each chip still attaches as it is built.
+	// Kept only for bench/tspbench, which installs the global before New,
+	// until ROADMAP item 8a deletes it with obs.Set/Get.
 	cl.SetRecorder(obs.Get())
 	idle := &isa.Program{}
 	loaded := map[*isa.Program]*tsp.Chip{}
@@ -270,11 +268,9 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	return cl, nil
 }
 
-// SetRecorder attaches rec to the cluster: its delivery counters, every
-// chip, and every link model the cluster materializes from here on. A
-// recorder with an armed series cadence also arms barrier sampling at
-// that cadence. Call it before RestoreSnapshot and Run; nil leaves the
-// cluster unrecorded.
+// SetRecorder attaches rec to the cluster, its chips and the link models
+// it builds from here on, and arms rec's series cadence, if any. Call it
+// before RestoreSnapshot and Run; nil is a no-op.
 func (cl *Cluster) SetRecorder(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -758,9 +754,8 @@ func (cl *Cluster) finish() (int64, error) {
 // the attempt and replay from scratch (the runtime re-emplaces state on
 // known-good hardware). build is called once per attempt so each replay
 // starts from clean state; it may also repair/replace the faulty
-// resources. The replay counters and instants go to rec (nil records
-// nothing). Returns the finish cycle, the number of attempts used, and
-// the last error if all attempts failed.
+// resources. It records into rec. Returns the finish cycle, the number of
+// attempts used, and the last error if all attempts failed.
 func RunWithReplay(rec *obs.Recorder, build func(attempt int) (*Cluster, error), maxAttempts int) (int64, int, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {

@@ -131,8 +131,8 @@ func (a *Allocation) takeSpare(n topo.NodeID) topo.NodeID {
 // (preserving local index, so the remapped program keeps its intra-node
 // communication pattern), and that spare is consumed. Failing an idle
 // spare node simply removes it from the reserve pool — unless it is the
-// last one, which would leave the system unrecoverable. The spare
-// counters go to rec (nil records nothing).
+// last one, which would leave the system unrecoverable. It records into
+// rec.
 func (a *Allocation) FailNode(n topo.NodeID, rec *obs.Recorder) error {
 	if a.failed[n] {
 		return fmt.Errorf("runtime: node %d already failed", n)

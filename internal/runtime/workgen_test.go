@@ -49,12 +49,12 @@ func distinctPrograms(progs []*isa.Program) int {
 func TestProgramsReadOnly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		sc   func(t *testing.T) *ladderScenario
+		sc   func(t *testing.T, rec *obs.Recorder) *ladderScenario
 		// the ladder walk the scenario must take
 		replays, failovers, resumes int
 	}{
-		{"replay-failover", func(t *testing.T) *ladderScenario { return newLadderScenario(t, 1) }, 2, 1, 0},
-		{"checkpoint-resume", func(t *testing.T) *ladderScenario { return newResumeScenario(t, 1, 650) }, 1, 0, 1},
+		{"replay-failover", func(t *testing.T, rec *obs.Recorder) *ladderScenario { return newLadderScenario(t, 1, rec) }, 2, 1, 0},
+		{"checkpoint-resume", func(t *testing.T, rec *obs.Recorder) *ladderScenario { return newResumeScenario(t, 1, 650, rec) }, 1, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res *LadderResult
@@ -62,8 +62,7 @@ func TestProgramsReadOnly(t *testing.T) {
 			var before [][sha256.Size]byte
 			var sc *ladderScenario
 			withRecorder(t, func(rec *obs.Recorder) {
-				sc = tc.sc(t)
-				sc.ladder.Recorder = rec
+				sc = tc.sc(t, rec)
 				progs, gerr := RingAllReducePrograms(sc.sys, sc.rounds, 0)
 				if gerr != nil {
 					t.Fatal(gerr)

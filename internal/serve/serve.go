@@ -41,9 +41,7 @@ type Config struct {
 	Requests int
 	// Seed drives the arrival process.
 	Seed uint64
-	// Recorder receives the run's request counters, latency histogram,
-	// spans and, when its series cadence is armed, the queue series (nil
-	// records nothing).
+	// Recorder records the run (nil records nothing).
 	Recorder *obs.Recorder
 }
 
@@ -262,9 +260,8 @@ func positiveFinite(x float64) bool {
 
 // SaturationSweep runs the scenario across load levels (fractions of the
 // pipeline's capacity 1/ServiceUS), in order, and returns one Result per
-// level. Each level's Run is an independent, seed-determined simulation,
-// and every level records into rec (nil records nothing). The first
-// failing level's error is returned.
+// level. Each level's Run is an independent, seed-determined simulation
+// recorded into rec. The first failing level's error is returned.
 func SaturationSweep(serviceUS float64, depth int, loads []float64, requests int, seed uint64, rec *obs.Recorder) ([]Result, error) {
 	capacity := 1e6 / serviceUS
 	out := make([]Result, len(loads))

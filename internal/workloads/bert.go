@@ -153,7 +153,19 @@ func bertLatency(rec *obs.Recorder, exp string, tid int, cfg compiler.BERTConfig
 	sum := 0.0
 	samples := make([]float64, 0, runs)
 	maxUS := 0.0
-	inst := newBERTInstrumentation(rec, exp, tid, dep, origin)
+	// The recorded view: an inference counter, a latency histogram on the
+	// experiment's binning, and per-inference spans laid end to end on the
+	// host timeline from cursor t (µs), since inferences are sequential.
+	label := obs.L("exp", exp)
+	if rec != nil {
+		rec.SetProcessName(obs.PidHost, "host")
+		rec.SetThreadName(obs.PidHost, tid, "bert:"+exp)
+		rec.Gauge("bert.estimate_cycles", label).Set(dep.EstimateCycles())
+	}
+	inferences := rec.Counter("bert.inferences", label)
+	latency := rec.Histogram("bert.latency_us", origin, 5, latencyBins, label)
+	suppressed := rec.Counter("bert.inference_spans_suppressed", label)
+	t := 0.0
 	for i := 0; i < runs; i++ {
 		us := dep.simulateOnce(rng)
 		hist.Add(us)
@@ -162,7 +174,14 @@ func bertLatency(rec *obs.Recorder, exp string, tid int, cfg compiler.BERTConfig
 		if us > maxUS {
 			maxUS = us
 		}
-		inst.record(i, us)
+		inferences.Inc()
+		latency.Add(us)
+		if rec != nil && i < maxInferenceSpans {
+			rec.SpanUS(obs.PidHost, tid, fmt.Sprintf("inf%d", i), t, us)
+		} else {
+			suppressed.Inc()
+		}
+		t += us
 	}
 	mean := sum / float64(runs)
 	return &Fig17Result{
@@ -187,50 +206,6 @@ func (d *BERTDeployment) simulateOnce(rng *sim.RNG) float64 {
 		jitter += 20 + rng.Float64()*40
 	}
 	return base + jitter
-}
-
-// bertInstrumentation feeds one latency experiment into the obs registry:
-// an inference counter, a latency histogram mirroring the experiment's
-// binning, and back-to-back per-inference spans on the host timeline.
-type bertInstrumentation struct {
-	rec        *obs.Recorder
-	tid        int
-	inferences *obs.Counter
-	latency    *obs.Histogram
-	suppressed *obs.Counter
-	// t is the host-timeline cursor in µs: inferences are drawn
-	// sequentially, so spans are laid end to end.
-	t float64
-}
-
-func newBERTInstrumentation(rec *obs.Recorder, exp string, tid int, dep *BERTDeployment, histOrigin float64) *bertInstrumentation {
-	if rec == nil {
-		return &bertInstrumentation{}
-	}
-	rec.SetProcessName(obs.PidHost, "host")
-	rec.SetThreadName(obs.PidHost, tid, "bert:"+exp)
-	rec.Gauge("bert.estimate_cycles", obs.L("exp", exp)).Set(dep.EstimateCycles())
-	return &bertInstrumentation{
-		rec:        rec,
-		tid:        tid,
-		inferences: rec.Counter("bert.inferences", obs.L("exp", exp)),
-		latency:    rec.Histogram("bert.latency_us", histOrigin, 5, latencyBins, obs.L("exp", exp)),
-		suppressed: rec.Counter("bert.inference_spans_suppressed", obs.L("exp", exp)),
-	}
-}
-
-func (b *bertInstrumentation) record(i int, us float64) {
-	if b.rec == nil {
-		return
-	}
-	b.inferences.Inc()
-	b.latency.Add(us)
-	if i < maxInferenceSpans {
-		b.rec.SpanUS(obs.PidHost, b.tid, fmt.Sprintf("inf%d", i), b.t, us)
-	} else {
-		b.suppressed.Inc()
-	}
-	b.t += us
 }
 
 // Fig18Point is one bar of Fig 18: encoders scaled with devices.

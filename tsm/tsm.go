@@ -35,8 +35,7 @@ type Config struct {
 	// regime, whole-rack multiples of 9 build the rack Dragonfly, up to
 	// 1305 nodes (145 racks, 10,440 TSPs).
 	Nodes int
-	// Recorder receives the schedules the system compiles and the runs of
-	// the clusters it builds (nil records nothing). See Recorder.
+	// Recorder records the system's schedules and cluster runs.
 	Recorder *Recorder
 }
 
@@ -133,14 +132,10 @@ func (s *System) CompileGraph(g *Graph, deviceToTSP func(int) int) (*core.OpSche
 // one node, or the hierarchical three-stage variant across an all-to-all
 // system.
 func (s *System) AllReduce(bytes int64) (collective.Result, error) {
-	var r collective.Result
-	var err error
 	if s.topo.NumNodes() == 1 {
-		r, err = collective.NodeAllReduce(s.topo, 0, bytes)
-	} else {
-		r, err = collective.HierarchicalAllReduce(s.topo, bytes)
+		return s.recorded(collective.NodeAllReduce(s.topo, 0, bytes))
 	}
-	return s.recorded(r, err)
+	return s.recorded(collective.HierarchicalAllReduce(s.topo, bytes))
 }
 
 // Broadcast schedules a one-to-all broadcast within the root's node.
@@ -148,8 +143,7 @@ func (s *System) Broadcast(root int, bytes int64) (collective.Result, error) {
 	return s.recorded(collective.Broadcast(s.topo, topo.TSPID(root), bytes))
 }
 
-// recorded records a scheduled collective's schedule into the system's
-// recorder.
+// recorded records a collective's schedule into the system's recorder.
 func (s *System) recorded(r collective.Result, err error) (collective.Result, error) {
 	if err == nil {
 		r.Schedule.RecordObservability(s.rec)
@@ -168,9 +162,8 @@ func (s *System) recorded(r collective.Result, err error) (collective.Result, er
 type Cluster = runtime.Cluster
 
 // Cluster builds a functional multi-chip executor running one program
-// binary per TSP (programs beyond the slice, or nil entries, idle),
-// recording into the system's recorder. It starts at one worker;
-// configure it with SetWorkers.
+// binary per TSP (programs beyond the slice, or nil entries, idle). It
+// starts at one worker; configure it with SetWorkers.
 func (s *System) Cluster(programs []*isa.Program) (*Cluster, error) {
 	cl, err := runtime.New(s.topo, programs)
 	if err != nil {

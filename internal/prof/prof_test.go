@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -14,17 +15,17 @@ import (
 	"repro/internal/tsp"
 )
 
-// runRing runs the two-node ring all-reduce under a fresh recorder with
-// series sampling armed and returns the finish cycle plus the obs state.
-func runRing(t *testing.T, workers int) (int64, *obs.State) {
+// runRecorded builds the programs gen makes for a system of nodes nodes,
+// preloads each chip, and runs the cluster at workers under a fresh
+// recorder with series sampling armed. It returns the finish cycle and the
+// obs state.
+func runRecorded(t *testing.T, nodes, workers int, gen func(*topo.System) ([]*isa.Program, error), preload func(cl *rtime.Cluster, c int)) (int64, *obs.State) {
 	t.Helper()
-	rec := obs.New()
-	rec.SetSeriesCadence(2 * route.HopCycles)
-	sys, err := topo.New(topo.Config{Nodes: 2})
+	sys, err := topo.New(topo.Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := rtime.RingAllReducePrograms(sys, 7, 2)
+	progs, err := gen(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +33,12 @@ func runRing(t *testing.T, workers int) (int64, *obs.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.New()
+	rec.SetSeriesCadence(2 * route.HopCycles)
 	cl.SetRecorder(rec)
 	cl.SetWorkers(workers)
 	for c := 0; c < sys.NumTSPs(); c++ {
-		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c)})
-		cl.Chip(c).SetStream(rtime.RingCur, v)
-		cl.Chip(c).SetStream(rtime.RingAcc, v)
+		preload(cl, c)
 	}
 	finish, err := cl.Run()
 	if err != nil {
@@ -46,40 +47,28 @@ func runRing(t *testing.T, workers int) (int64, *obs.State) {
 	return finish, rec.State()
 }
 
-// runPipeline runs the one-node 8-stage pipeline the same way.
+// runRing runs the two-node ring all-reduce.
+func runRing(t *testing.T, workers int) (int64, *obs.State) {
+	gen := func(sys *topo.System) ([]*isa.Program, error) { return rtime.RingAllReducePrograms(sys, 7, 2) }
+	return runRecorded(t, 2, workers, gen, func(cl *rtime.Cluster, c int) {
+		v := tsp.VectorOf([]float32{float32(c + 1), 0.5 * float32(c)})
+		cl.Chip(c).SetStream(rtime.RingCur, v)
+		cl.Chip(c).SetStream(rtime.RingAcc, v)
+	})
+}
+
+// runPipeline runs the one-node 8-stage pipeline, four waves deep.
 func runPipeline(t *testing.T) (int64, *obs.State) {
-	t.Helper()
-	rec := obs.New()
-	rec.SetSeriesCadence(2 * route.HopCycles)
-	sys, err := topo.New(topo.Config{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const waves = 4
-	progs, err := rtime.PipelinePrograms(sys, waves, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := rtime.New(sys, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetRecorder(rec)
-	for c := 0; c < sys.NumTSPs(); c++ {
+	gen := func(sys *topo.System) ([]*isa.Program, error) { return rtime.PipelinePrograms(sys, waves, 2) }
+	return runRecorded(t, 1, 1, gen, func(cl *rtime.Cluster, c int) {
 		stage := c % topo.TSPsPerNode
 		cl.Chip(c).SetStream(rtime.PipeBias, tsp.VectorOf([]float32{float32(stage + 1), 2}))
-		if stage == 0 {
-			for w := 0; w < waves; w++ {
-				in := tsp.VectorOf([]float32{float32(w + 1), float32(w)})
-				cl.Chip(c).Mem.Write(mem.Addr{Offset: w}, in[:])
-			}
+		for w := 0; stage == 0 && w < waves; w++ {
+			in := tsp.VectorOf([]float32{float32(w + 1), float32(w)})
+			cl.Chip(c).Mem.Write(mem.Addr{Offset: w}, in[:])
 		}
-	}
-	finish, err := cl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return finish, rec.State()
+	})
 }
 
 func pathTotal(r *prof.Report) int64 {

@@ -28,17 +28,6 @@ func ringLink(t *testing.T, sys *topo.System, a, b topo.TSPID) topo.LinkID {
 	return ls[0]
 }
 
-// withPrimedRecorder is withRecorder for restored runs: the fresh
-// recorder is first primed with a snapshot's obs state, so the restored
-// run accumulates on top of the straight run's history.
-func withPrimedRecorder(t *testing.T, st *obs.State, f func(rec *obs.Recorder)) (trace, metrics string) {
-	t.Helper()
-	r := obs.New()
-	r.LoadState(st)
-	f(r)
-	return dumpRecorder(t, r)
-}
-
 func dumpRecorder(t *testing.T, r *obs.Recorder) (trace, metrics string) {
 	t.Helper()
 	var tb, mb strings.Builder
@@ -117,7 +106,10 @@ func TestRestoreEquivalence(t *testing.T) {
 					var restored *Cluster
 					var rFinish int64
 					var rErr error
-					rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
+					// The restored run records on top of the straight run's
+					// history, primed from the snapshot.
+					rTrace, rMetrics := withRecorder(t, func(rec *obs.Recorder) {
+						rec.LoadState(snap.Obs)
 						var compiled *faultplan.Compiled
 						restored = buildRing(t, 2, 7, 1, workers)
 						restored.SetRecorder(rec)
@@ -495,7 +487,8 @@ func TestRestoreEquivalenceNonzeroState(t *testing.T) {
 			var restored *Cluster
 			var rFinish int64
 			var rErr error
-			rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
+			rTrace, rMetrics := withRecorder(t, func(rec *obs.Recorder) {
+				rec.LoadState(snap.Obs)
 				restored = build(workers, false)
 				restored.SetRecorder(rec)
 				if err := restored.RestoreSnapshot(snap); err != nil {

@@ -234,7 +234,8 @@ func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 	var restored *Cluster
 	var rF int64
 	var rE error
-	withPrimedRecorder(t, snap.Obs, func(rec *obs.Recorder) {
+	withRecorder(t, func(rec *obs.Recorder) {
+		rec.LoadState(snap.Obs)
 		restored = build(8)
 		restored.SetRecorder(rec)
 		if err := restored.RestoreSnapshot(snap); err != nil {

@@ -238,7 +238,7 @@ type engine struct {
 	noClass classPlan
 	classes []classPlan
 	report  SLOReport
-	// obs handles (nil-safe when no recorder is installed).
+	// obs handles (nil-safe without a recorder).
 	rec                                         *obs.Recorder
 	reqCount, shedCount, rebalCount, violCount  *obs.Counter
 	incCount, replayCount, failCount, lossCount *obs.Counter

@@ -425,8 +425,8 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 }
 
 // TestRecordedDumpsPinned pins the SHA-256 of the -trace, -metrics and
-// -series dumps of every experiment that records anything, at -workers 1
-// and 4; the other experiments emit empty dumps. TestExperimentOutputGolden
+// -series dumps of every experiment that records anything, and of -exp all,
+// at -workers 1 and 4; the other experiments emit empty dumps. TestExperimentOutputGolden
 // pins only stdout; these are the bytes a recorder refactor must reproduce.
 // A change that is meant to move a dump recomputes its hash with
 // `go run ./cmd/tspsim -exp <name> -trace t.json -metrics m.json -series s.json`
@@ -501,10 +501,15 @@ func TestRecordedDumpsPinned(t *testing.T) {
 			"4eaeacdc34ca6ca73399b593f1e2d1c5d9728f5105a3038299931b31df3a112c",
 			"d6e8d4e621cbb218bbb91139bb67ce4cccad6d233d1df547edc70c879c8284d4",
 		},
+		"all": {
+			"0806ebe22cbcbbfd893ce500a34ad9471ffaa66e7152b4101ae6a51b830f4c9c",
+			"9434a17c202b7ee6b88f03cd1282352a27207c9dae7d711c514e0a192c71e48b",
+			"67478ef5a868a49afdf11c2b54ba45701bef414a495b1e656882ce54cb24a43f",
+		},
 	}
 	dir := t.TempDir()
 	for _, exp := range []string{"serve", "profile", "faults", "checkpoint",
-		"table2", "sync", "fig16", "fig17", "fig19", "fig20", "trace", "par", "fleet"} {
+		"table2", "sync", "fig16", "fig17", "fig19", "fig20", "trace", "par", "fleet", "all"} {
 		for _, w := range []string{"1", "4"} {
 			paths := [3]string{
 				filepath.Join(dir, exp+w+"-trace.json"),

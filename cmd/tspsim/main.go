@@ -83,35 +83,31 @@ import (
 	"repro/internal/workloads"
 )
 
-// workersN is the -workers flag value: newCluster applies it to every
-// cluster an experiment builds, and nothing else reads it. Reset by run().
-var workersN = 1
-
-// recN is the run's recorder when a dump is requested (nil otherwise):
-// experiments hand it to everything they build. Reset by run().
-var recN *obs.Recorder
+// env is what one run hands each experiment: the experiments read no
+// other state, so every run's output and dumps follow from its flags.
+type env struct {
+	out             io.Writer     // experiment output
+	rec             *obs.Recorder // the run's recorder; nil unless a dump was asked for
+	workers         int           // -workers: executor parallelism of every cluster built
+	checkpointEvery int64         // -checkpoint-every: ladder checkpoint cadence (0 = off)
+}
 
 // newCluster builds a cluster with the executor parallelism the -workers
 // flag selects, recording into rec.
-func newCluster(sys *topo.System, programs []*isa.Program, rec *obs.Recorder) (*rtime.Cluster, error) {
+func newCluster(e *env, sys *topo.System, programs []*isa.Program, rec *obs.Recorder) (*rtime.Cluster, error) {
 	cl, err := rtime.New(sys, programs)
 	if err != nil {
 		return nil, err
 	}
-	cl.SetWorkers(workersN)
+	cl.SetWorkers(e.workers)
 	cl.SetRecorder(rec)
 	return cl, nil
 }
 
-// checkpointEveryN is the -checkpoint-every flag value: the epoch-barrier
-// checkpoint cadence in cycles armed on the recovery-ladder experiments
-// (0 = off, replays restart from cycle 0). Reset by run().
-var checkpointEveryN int64
-
 var experiments = []struct {
 	name string
 	desc string
-	run  func() error
+	run  func(*env) error
 }{
 	{"fig2", "global bandwidth profile per TSP", fig2},
 	{"table1", "ISA support for determinism", table1},
@@ -142,13 +138,13 @@ var experiments = []struct {
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main minus the process boundary, so tests can drive the CLI
-// in-process. Experiment output goes to os.Stdout as always; driver
-// diagnostics (errors, the usage listing) go to errw.
-func run(argv []string, errw io.Writer) int {
+// in-process. All experiment output goes to out; driver diagnostics
+// (errors, the usage listing) go to errw.
+func run(argv []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("tspsim", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	exp := fs.String("exp", "all", "experiment to run (or 'all')")
@@ -206,30 +202,21 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 
-	// Flag values the experiments read. Reset afterwards so in-process
-	// callers (tests) see the defaults again. One recorder records the
-	// whole run when any dump is requested.
-	workersN = *workers
-	checkpointEveryN = *ckptEvery
+	// One recorder records the whole run when any dump is requested.
+	e := &env{out: out, workers: *workers, checkpointEvery: *ckptEvery}
 	if *tracePath != "" || *metricsPath != "" || *seriesPath != "" || *profilePath != "" {
-		recN = obs.New()
+		e.rec = obs.New()
 	}
-	rec := recN
-	defer func() {
-		workersN = 1
-		checkpointEveryN = 0
-		recN = nil
-	}()
 	// Time-series sampling: arming a cadence on the recorder makes every
 	// cluster built afterwards sample its counters and gauges at heap
 	// barriers. The default cadence is two C2C hops, the same grid the
 	// checkpoint ladder uses.
-	if rec != nil && (*seriesPath != "" || *profilePath != "" || *seriesEvery > 0) {
+	if e.rec != nil && (*seriesPath != "" || *profilePath != "" || *seriesEvery > 0) {
 		every := *seriesEvery
 		if every == 0 {
 			every = 2 * route.HopCycles
 		}
-		rec.SetSeriesCadence(every)
+		e.rec.SetSeriesCadence(every)
 	}
 
 	// The snapshot round-trip modes replace the experiment sweep: save
@@ -238,43 +225,43 @@ func run(argv []string, errw io.Writer) int {
 	code := 0
 	if *ckptSave != "" || *restoreFrom != "" {
 		if *ckptSave != "" {
-			if err := saveCheckpoint(*ckptSave); err != nil {
+			if err := saveCheckpoint(e, *ckptSave); err != nil {
 				fmt.Fprintf(errw, "checkpoint-save: %v\n", err)
 				return 1
 			}
 		}
 		if *restoreFrom != "" {
-			if err := restoreFromFile(*restoreFrom); err != nil {
+			if err := restoreFromFile(e, *restoreFrom); err != nil {
 				fmt.Fprintf(errw, "restore-from: %v\n", err)
 				return 1
 			}
 		}
 	} else {
-		code = runExperiments(*exp, errw)
+		code = runExperiments(e, *exp, errw)
 	}
 	if code != 0 {
 		return code
 	}
 	if *tracePath != "" {
-		if err := rec.WriteTraceFile(*tracePath); err != nil {
+		if err := e.rec.WriteTraceFile(*tracePath); err != nil {
 			fmt.Fprintf(errw, "trace: %v\n", err)
 			return 1
 		}
 	}
 	if *metricsPath != "" {
-		if err := rec.WriteMetricsFile(*metricsPath); err != nil {
+		if err := e.rec.WriteMetricsFile(*metricsPath); err != nil {
 			fmt.Fprintf(errw, "metrics: %v\n", err)
 			return 1
 		}
 	}
 	if *seriesPath != "" {
-		if err := rec.WriteSeriesFile(*seriesPath); err != nil {
+		if err := e.rec.WriteSeriesFile(*seriesPath); err != nil {
 			fmt.Fprintf(errw, "series: %v\n", err)
 			return 1
 		}
 	}
 	if *profilePath != "" {
-		rep, err := prof.Analyze(rec.State(), prof.Options{})
+		rep, err := prof.Analyze(e.rec.State(), prof.Options{})
 		if err != nil {
 			fmt.Fprintf(errw, "profile-report: %v\n", err)
 			return 1
@@ -287,66 +274,66 @@ func run(argv []string, errw io.Writer) int {
 	return 0
 }
 
-func runExperiments(exp string, errw io.Writer) int {
+func runExperiments(e *env, exp string, errw io.Writer) int {
 	if exp == "all" {
-		for _, e := range experiments {
-			fmt.Printf("==== %s — %s ====\n", e.name, e.desc)
-			if err := e.run(); err != nil {
-				fmt.Fprintf(errw, "%s: %v\n", e.name, err)
+		for _, x := range experiments {
+			fmt.Fprintf(e.out, "==== %s — %s ====\n", x.name, x.desc)
+			if err := x.run(e); err != nil {
+				fmt.Fprintf(errw, "%s: %v\n", x.name, err)
 				return 1
 			}
-			fmt.Println()
+			fmt.Fprintln(e.out)
 		}
 		return 0
 	}
-	for _, e := range experiments {
-		if e.name == exp {
-			if err := e.run(); err != nil {
-				fmt.Fprintf(errw, "%s: %v\n", e.name, err)
+	for _, x := range experiments {
+		if x.name == exp {
+			if err := x.run(e); err != nil {
+				fmt.Fprintf(errw, "%s: %v\n", x.name, err)
 				return 1
 			}
 			return 0
 		}
 	}
 	fmt.Fprintf(errw, "unknown experiment %q; known:\n", exp)
-	for _, e := range experiments {
-		fmt.Fprintf(errw, "  %-8s %s\n", e.name, e.desc)
+	for _, x := range experiments {
+		fmt.Fprintf(errw, "  %-8s %s\n", x.name, x.desc)
 	}
 	return 2
 }
 
-func fig2() error {
-	fmt.Println("Fig 2 — global bandwidth per TSP vs system size")
-	fmt.Printf("%8s %6s %16s %10s\n", "TSPs", "nodes", "regime", "GB/s/TSP")
+func fig2(e *env) error {
+	fmt.Fprintln(e.out, "Fig 2 — global bandwidth per TSP vs system size")
+	fmt.Fprintf(e.out, "%8s %6s %16s %10s\n", "TSPs", "nodes", "regime", "GB/s/TSP")
 	pts := topo.BandwidthProfile()
 	// Print the cliff edges plus sparse interior samples.
 	last := ""
 	for i, p := range pts {
 		key := p.Regime.String()
 		if key != last || i == len(pts)-1 || i%16 == 0 {
-			fmt.Printf("%8d %6d %16s %10.1f\n", p.TSPs, p.Nodes, p.Regime, p.GBps)
+			fmt.Fprintf(e.out, "%8d %6d %16s %10.1f\n", p.TSPs, p.Nodes, p.Regime, p.GBps)
 			last = key
 		}
 	}
-	fmt.Println("paper: ~87 GB/s single node, ~50 GB/s to 264 TSPs, ~14 GB/s to 10,440")
+	fmt.Fprintln(e.out, "paper: ~87 GB/s single node, ~50 GB/s to 264 TSPs, ~14 GB/s to 10,440")
 	return nil
 }
 
-func table2() error {
-	fmt.Println("Table 2 — HAC characterization of 7 intra-node links, 100K iterations (cycles)")
-	fmt.Printf("%4s %5s %8s %5s %6s\n", "link", "min", "mean", "max", "std")
+func table2(e *env) error {
+	fmt.Fprintln(e.out, "Table 2 — HAC characterization of 7 intra-node links, 100K iterations (cycles)")
+	fmt.Fprintf(e.out, "%4s %5s %8s %5s %6s\n", "link", "min", "mean", "max", "std")
 	for id := uint64(0); id < 7; id++ {
 		link := c2c.New(c2c.IntraNode(), sim.NewRNG(42).Fork(id))
-		link.Instrument(recN)
+		link.Instrument(e.rec)
 		s := hac.CharacterizeLink(link, 100_000)
-		fmt.Printf("%4c %5.0f %8.2f %5.0f %6.2f\n", 'A'+rune(id), s.Min(), s.Mean(), s.Max(), s.Std())
+		fmt.Fprintf(e.out, "%4c %5.0f %8.2f %5.0f %6.2f\n", 'A'+rune(id), s.Min(), s.Mean(), s.Max(), s.Std())
 	}
-	fmt.Println("paper: min 209-211, mean ~216.3-217.4, max 225-228, std 2.6-2.9")
+	fmt.Fprintln(e.out, "paper: min 209-211, mean ~216.3-217.4, max 225-228, std 2.6-2.9")
 	return nil
 }
 
-func syncExp() error {
-	fmt.Println("Fig 7 — HAC alignment and initial program start across an 8-TSP node")
+func syncExp(e *env) error {
+	fmt.Fprintln(e.out, "Fig 7 — HAC alignment and initial program start across an 8-TSP node")
 	rng := sim.NewRNG(7)
 	devs := make([]*hac.Device, 8)
 	for i := range devs {
@@ -354,19 +341,19 @@ func syncExp() error {
 	}
 	tree := hac.BuildStar(devs, func(i int) *c2c.Link {
 		return c2c.New(c2c.IntraNode(), rng.Fork(uint64(100+i)))
-	}, 10_000, recN)
+	}, 10_000, e.rec)
 	ar := tree.Align(0, 2, 10, 500)
-	fmt.Printf("alignment: converged=%v iterations=%d final error=%d cycles\n",
+	fmt.Fprintf(e.out, "alignment: converged=%v iterations=%d final error=%d cycles\n",
 		ar.Converged, ar.Iterations, ar.FinalError)
 	res := hac.AlignProgramStart(tree, ar.End)
-	fmt.Printf("program start: %d devices, spread %v, overhead %d cycles (%.1f epochs)\n",
+	fmt.Fprintf(e.out, "program start: %d devices, spread %v, overhead %d cycles (%.1f epochs)\n",
 		len(res.Starts), res.Spread, res.OverheadCycles,
 		float64(res.OverheadCycles)/hac.Period)
 	return nil
 }
 
-func fig8() error {
-	fmt.Println("Fig 8 — arrival variance under contention: dynamic baseline vs SSN")
+func fig8(e *env) error {
+	fmt.Fprintln(e.out, "Fig 8 — arrival variance under contention: dynamic baseline vs SSN")
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return err
@@ -406,121 +393,121 @@ func fig8() error {
 		return arr
 	}
 	a1, a2 := ssnArrival(), ssnArrival()
-	fmt.Printf("dynamic baseline, vector B25 over 50 runs: %s\n", dynSummary)
-	fmt.Printf("SSN, vector B25: run1 arrival=%d run2 arrival=%d (std = 0 by construction)\n", a1, a2)
+	fmt.Fprintf(e.out, "dynamic baseline, vector B25 over 50 runs: %s\n", dynSummary)
+	fmt.Fprintf(e.out, "SSN, vector B25: run1 arrival=%d run2 arrival=%d (std = 0 by construction)\n", a1, a2)
 	return nil
 }
 
-func fig10() error {
-	fmt.Println("Fig 10 — speedup from non-minimal routing (fully connected 8-TSP node)")
-	fmt.Printf("%10s", "msg bytes")
+func fig10(e *env) error {
+	fmt.Fprintln(e.out, "Fig 10 — speedup from non-minimal routing (fully connected 8-TSP node)")
+	fmt.Fprintf(e.out, "%10s", "msg bytes")
 	for _, k := range []int{1, 2, 4, 7} {
-		fmt.Printf("  k=%d paths", k)
+		fmt.Fprintf(e.out, "  k=%d paths", k)
 	}
-	fmt.Println()
+	fmt.Fprintln(e.out)
 	for _, size := range []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20} {
-		fmt.Printf("%10d", size)
+		fmt.Fprintf(e.out, "%10d", size)
 		for _, k := range []int{1, 2, 4, 7} {
-			fmt.Printf("%10.2f", route.Speedup(size, k))
+			fmt.Fprintf(e.out, "%10.2f", route.Speedup(size, k))
 		}
-		fmt.Println()
+		fmt.Fprintln(e.out)
 	}
-	fmt.Printf("crossover: %d bytes (paper: ~8 KB)\n", route.CrossoverBytes())
+	fmt.Fprintf(e.out, "crossover: %d bytes (paper: ~8 KB)\n", route.CrossoverBytes())
 	return nil
 }
 
-func fig11() error {
-	fmt.Println("Fig 11 — vector frame format")
-	fmt.Printf("payload %d B + overhead %d B = %d B on wire; efficiency %.1f%%\n",
+func fig11(e *env) error {
+	fmt.Fprintln(e.out, "Fig 11 — vector frame format")
+	fmt.Fprintf(e.out, "payload %d B + overhead %d B = %d B on wire; efficiency %.1f%%\n",
 		c2c.VectorBytes, c2c.FrameBytes-c2c.VectorBytes, c2c.FrameBytes,
 		100*c2c.EncodingEfficiency())
 	payload := make([]byte, c2c.VectorBytes)
 	f := ecc.EncodeFrame(payload)
 	f.InjectBitError(100)
 	_, corrected, mbe := ecc.DecodeFrame(f)
-	fmt.Printf("FEC demo: 1 injected bit error → corrected=%d mbe=%v\n", corrected, mbe)
+	fmt.Fprintf(e.out, "FEC demo: 1 injected bit error → corrected=%d mbe=%v\n", corrected, mbe)
 	return nil
 }
 
-func fig13() error {
-	fmt.Println("Fig 13 — [2304×4096]×[4096×N] utilization, single TSP vs A100")
-	fmt.Printf("%6s %9s %9s\n", "N", "TSP", "A100")
+func fig13(e *env) error {
+	fmt.Fprintln(e.out, "Fig 13 — [2304×4096]×[4096×N] utilization, single TSP vs A100")
+	fmt.Fprintf(e.out, "%6s %9s %9s\n", "N", "TSP", "A100")
 	for _, p := range workloads.Fig13(128) {
-		fmt.Printf("%6d %8.1f%% %8.1f%%\n", p.N, 100*p.TSPUtil, 100*p.A100Util)
+		fmt.Fprintf(e.out, "%6d %8.1f%% %8.1f%%\n", p.N, 100*p.TSPUtil, 100*p.A100Util)
 	}
-	fmt.Println("paper: TSP consistently ≥80%, A100 sawtooths with tile/wave quantization")
+	fmt.Fprintln(e.out, "paper: TSP consistently ≥80%, A100 sawtooths with tile/wave quantization")
 	return nil
 }
 
-func fig14() error {
-	fmt.Println("Fig 14 — [800×32576]×[32576×8192], 8 column splits × R row splits")
+func fig14(e *env) error {
+	fmt.Fprintln(e.out, "Fig 14 — [800×32576]×[32576×8192], 8 column splits × R row splits")
 	pts, err := workloads.Fig14(13)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%3s %5s %12s %10s %6s\n", "R", "TSPs", "latency(us)", "TFLOPs", "util")
+	fmt.Fprintf(e.out, "%3s %5s %12s %10s %6s\n", "R", "TSPs", "latency(us)", "TFLOPs", "util")
 	for _, p := range pts {
-		fmt.Printf("%3d %5d %12.1f %10.1f %5.1f%%\n",
+		fmt.Fprintf(e.out, "%3d %5d %12.1f %10.1f %5.1f%%\n",
 			p.RowSplits, p.TSPs, p.LatencyUS, p.TFlops, 100*p.Utilization)
 	}
-	fmt.Println("paper: latency falls and throughput rises as row splits add TSPs")
+	fmt.Fprintln(e.out, "paper: latency falls and throughput rises as row splits add TSPs")
 	return nil
 }
 
-func fig15() error {
-	fmt.Println("Fig 15 — [N×N]×[N×N] FP16 throughput, column splits only")
-	fmt.Printf("%5s %8s %12s %8s\n", "TSPs", "N", "TFLOPs", "vs V100s")
+func fig15(e *env) error {
+	fmt.Fprintln(e.out, "Fig 15 — [N×N]×[N×N] FP16 throughput, column splits only")
+	fmt.Fprintf(e.out, "%5s %8s %12s %8s\n", "TSPs", "N", "TFLOPs", "vs V100s")
 	pts := workloads.Fig15([]int{100, 200, 300}, []int{65000, 130000, 325000, 650000})
 	for _, p := range pts {
-		fmt.Printf("%5d %8d %12.0f %7.1fx\n", p.TSPs, p.N, p.TFlops, p.SpeedupVsV100Cluster)
+		fmt.Fprintf(e.out, "%5d %8d %12.0f %7.1fx\n", p.TSPs, p.N, p.TFlops, p.SpeedupVsV100Cluster)
 	}
-	fmt.Println("paper: large multiple of the 432-GPU V100 cluster's ~2800 TFLOPs")
+	fmt.Fprintln(e.out, "paper: large multiple of the 432-GPU V100 cluster's ~2800 TFLOPs")
 	return nil
 }
 
-func fig16() error {
-	fmt.Println("Fig 16 — 8-way All-Reduce realized bus bandwidth (GB/s)")
+func fig16(e *env) error {
+	fmt.Fprintln(e.out, "Fig 16 — 8-way All-Reduce realized bus bandwidth (GB/s)")
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return err
 	}
 	sizes := []int64{4 << 10, 32 << 10, 256 << 10, 1 << 20, 8 << 20, 64 << 20, 512 << 20, 2 << 30}
-	pts, err := workloads.Fig16(sys, sizes, recN)
+	pts, err := workloads.Fig16(sys, sizes, e.rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%12s %10s %12s %10s %12s\n", "bytes", "TSP", "TSP lat(us)", "A100", "A100 norm")
+	fmt.Fprintf(e.out, "%12s %10s %12s %10s %12s\n", "bytes", "TSP", "TSP lat(us)", "A100", "A100 norm")
 	for _, p := range pts {
-		fmt.Printf("%12d %10.1f %12.1f %10.1f %12.1f\n",
+		fmt.Fprintf(e.out, "%12d %10.1f %12.1f %10.1f %12.1f\n",
 			p.Bytes, p.TSPBusBW, p.TSPLatencyUS, p.A100BusBW, p.A100NormBusBW)
 	}
-	fmt.Println("paper: TSP saturates early and dominates small tensors; normalized A100 matches only at large sizes")
+	fmt.Fprintln(e.out, "paper: TSP saturates early and dominates small tensors; normalized A100 matches only at large sizes")
 	return nil
 }
 
-func fig17() error {
-	fmt.Println("Fig 17 — BERT-Large on 4 TSPs, 24,240 inferences, 5 µs bins")
-	res, err := workloads.Fig17(24240, 2022, recN)
+func fig17(e *env) error {
+	fmt.Fprintln(e.out, "Fig 17 — BERT-Large on 4 TSPs, 24,240 inferences, 5 µs bins")
+	res, err := workloads.Fig17(24240, 2022, e.rec)
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Hist.Render(60, "%7.0f"))
-	fmt.Printf("compiler estimate: %.0f µs; mean error %.2f%%\n", res.EstimateUS, 100*res.MeanErrorFrac)
-	fmt.Printf("p99 = %.0f µs, max = %.0f µs\n", res.P99US, res.MaxUS)
-	fmt.Println("paper: 99% < 1225 µs, all < 1300 µs, estimate within 2%")
+	fmt.Fprint(e.out, res.Hist.Render(60, "%7.0f"))
+	fmt.Fprintf(e.out, "compiler estimate: %.0f µs; mean error %.2f%%\n", res.EstimateUS, 100*res.MeanErrorFrac)
+	fmt.Fprintf(e.out, "p99 = %.0f µs, max = %.0f µs\n", res.P99US, res.MaxUS)
+	fmt.Fprintln(e.out, "paper: 99% < 1225 µs, all < 1300 µs, estimate within 2%")
 
-	base, err := workloads.BERTBaseSingleTSP(5000, 2022, recN)
+	base, err := workloads.BERTBaseSingleTSP(5000, 2022, e.rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("BERT-Base on 1 TSP, 5,000 runs: estimate %.0f µs, mean error %.2f%% (paper: within 2%%)\n",
+	fmt.Fprintf(e.out, "BERT-Base on 1 TSP, 5,000 runs: estimate %.0f µs, mean error %.2f%% (paper: within 2%%)\n",
 		base.EstimateUS, 100*base.MeanErrorFrac)
 	return nil
 }
 
-func fit() error {
-	fmt.Println("Model capacity planning — global SRAM grows 220 MiB per TSP")
-	fmt.Printf("%18s %6s %10s %7s %10s\n", "model", "dtype", "TSPs", "nodes", "deployable")
+func fit(e *env) error {
+	fmt.Fprintln(e.out, "Model capacity planning — global SRAM grows 220 MiB per TSP")
+	fmt.Fprintf(e.out, "%18s %6s %10s %7s %10s\n", "model", "dtype", "TSPs", "nodes", "deployable")
 	rows := []struct {
 		name   string
 		params int64
@@ -541,86 +528,86 @@ func fit() error {
 		if r.bpp == 2 {
 			dtype = "fp16"
 		}
-		fmt.Printf("%18s %6s %10d %7d %10v\n", r.name, dtype, f.TSPsNeeded, f.Nodes, f.Deployable)
+		fmt.Fprintf(e.out, "%18s %6s %10d %7d %10v\n", r.name, dtype, f.TSPsNeeded, f.Nodes, f.Deployable)
 	}
-	fmt.Println("abstract: >2 TB of global memory at 10,440 TSPs, capacity limited only by scale")
+	fmt.Fprintln(e.out, "abstract: >2 TB of global memory at 10,440 TSPs, capacity limited only by scale")
 	return nil
 }
 
-func fig18() error {
-	fmt.Println("Fig 18 — BERT encoders scaled with TSPs (6 per device)")
+func fig18(e *env) error {
+	fmt.Fprintln(e.out, "Fig 18 — BERT encoders scaled with TSPs (6 per device)")
 	pts, err := workloads.Fig18()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%5s %9s %13s %11s\n", "TSPs", "encoders", "realizedTOPs", "normalized")
+	fmt.Fprintf(e.out, "%5s %9s %13s %11s\n", "TSPs", "encoders", "realizedTOPs", "normalized")
 	for _, p := range pts {
-		fmt.Printf("%5d %9d %13.1f %10.2fx\n", p.TSPs, p.Encoders, p.RealizedTOPs, p.NormalizedThroughput)
+		fmt.Fprintf(e.out, "%5d %9d %13.1f %10.2fx\n", p.TSPs, p.Encoders, p.RealizedTOPs, p.NormalizedThroughput)
 	}
-	fmt.Println("paper: linear scaling — 4 TSPs realize 4x the single-TSP throughput")
+	fmt.Fprintln(e.out, "paper: linear scaling — 4 TSPs realize 4x the single-TSP throughput")
 	return nil
 }
 
-func fig19() error {
-	fmt.Println("Fig 19 — Cholesky factorization scaling (block-cyclic 320-row distribution)")
-	fmt.Printf("%6s %5s %10s %8s %8s\n", "p", "TSPs", "time(ms)", "speedup", "TFLOPs")
+func fig19(e *env) error {
+	fmt.Fprintln(e.out, "Fig 19 — Cholesky factorization scaling (block-cyclic 320-row distribution)")
+	fmt.Fprintf(e.out, "%6s %5s %10s %8s %8s\n", "p", "TSPs", "time(ms)", "speedup", "TFLOPs")
 	for _, p := range workloads.Fig19([]int{2048, 4096, 8192}, []int{1, 2, 4, 8}) {
-		fmt.Printf("%6d %5d %10.2f %7.2fx %8.1f\n",
+		fmt.Fprintf(e.out, "%6d %5d %10.2f %7.2fx %8.1f\n",
 			p.P, p.TSPs, p.Seconds*1e3, p.Speedup, p.TFlops)
 	}
-	fmt.Println("paper: speedups 1.2/1.4/1.5x on 2/4/8 TSPs; 14.9 → 22.4 TFLOPs from 4 → 8")
+	fmt.Fprintln(e.out, "paper: speedups 1.2/1.4/1.5x on 2/4/8 TSPs; 14.9 → 22.4 TFLOPs from 4 → 8")
 
 	// Functional proof on the simulated chip.
 	a := [][]float32{{25, 15, -5}, {15, 18, 0}, {-5, 0, 11}}
-	l, cycles, err := workloads.RunCholeskyOnChip(a, recN)
+	l, cycles, err := workloads.RunCholeskyOnChip(a, e.rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("functional 3x3 on one simulated chip (%d cycles): L = %v %v %v\n",
+	fmt.Fprintf(e.out, "functional 3x3 on one simulated chip (%d cycles): L = %v %v %v\n",
 		cycles, l[0][:1], l[1][:2], l[2][:3])
 	return nil
 }
 
-func fig20() error {
-	fmt.Println("Fig 20 — BERT-Large on 4 TSPs: FLOP-balanced vs movement-aware compiler")
-	res, err := workloads.Fig20(recN)
+func fig20(e *env) error {
+	fmt.Fprintln(e.out, "Fig 20 — BERT-Large on 4 TSPs: FLOP-balanced vs movement-aware compiler")
+	res, err := workloads.Fig20(e.rec)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%22s %12s %12s\n", "", "unoptimized", "optimized")
-	fmt.Printf("%22s %12d %12d\n", "activation crossings", res.UnoptimizedCrossings, res.OptimizedCrossings)
+	fmt.Fprintf(e.out, "%22s %12s %12s\n", "", "unoptimized", "optimized")
+	fmt.Fprintf(e.out, "%22s %12d %12d\n", "activation crossings", res.UnoptimizedCrossings, res.OptimizedCrossings)
 	for d := range res.UnoptComputeUS {
-		fmt.Printf("TSP%d compute/C2C (us) %6.0f/%-5.0f %6.0f/%-5.0f\n",
+		fmt.Fprintf(e.out, "TSP%d compute/C2C (us) %6.0f/%-5.0f %6.0f/%-5.0f\n",
 			d, res.UnoptComputeUS[d], res.UnoptCommUS[d],
 			res.OptComputeUS[d], res.OptCommUS[d])
 	}
-	fmt.Printf("%22s %12.1f %12.1f\n", "pipeline period (us)", res.UnoptimizedPeriodUS, res.OptimizedPeriodUS)
-	fmt.Printf("realized throughput improvement: %.1f%% (paper: ~26%%)\n", 100*res.ThroughputGain)
+	fmt.Fprintf(e.out, "%22s %12.1f %12.1f\n", "pipeline period (us)", res.UnoptimizedPeriodUS, res.OptimizedPeriodUS)
+	fmt.Fprintf(e.out, "realized throughput improvement: %.1f%% (paper: ~26%%)\n", 100*res.ThroughputGain)
 	return nil
 }
 
-func sec56() error {
-	fmt.Println("§5.6 — fine-grained All-Reduce latency bound")
+func sec56(e *env) error {
+	fmt.Fprintln(e.out, "§5.6 — fine-grained All-Reduce latency bound")
 	for _, nodes := range []int{32, 33} {
 		sys, err := topo.New(topo.Config{Nodes: nodes})
 		if err != nil {
 			return err
 		}
 		cyc := collective.LatencyBoundCycles(sys)
-		fmt.Printf("%4d TSPs: %d hops × %d cycles/hop = %d cycles = %.2f µs\n",
+		fmt.Fprintf(e.out, "%4d TSPs: %d hops × %d cycles/hop = %d cycles = %.2f µs\n",
 			sys.NumTSPs(), sys.PackagingDiameter(), route.HopCycles, cyc, clock.USOfCycles(cyc))
 	}
-	fmt.Println("paper: 3 hops × 722 ns ≈ 2.1 µs at 256 TSPs")
+	fmt.Fprintln(e.out, "paper: 3 hops × 722 ns ≈ 2.1 µs at 256 TSPs")
 	return nil
 }
 
-func faults() error {
-	fmt.Println("§4.5 — FEC on links, SECDED in memory, N+1 failover")
+func faults(e *env) error {
+	fmt.Fprintln(e.out, "§4.5 — FEC on links, SECDED in memory, N+1 failover")
 	// Link fault injection.
 	cfg := c2c.IntraNode()
 	cfg.BitErrorRate = 1e-4
 	link := c2c.New(cfg, sim.NewRNG(5))
-	link.Instrument(recN)
+	link.Instrument(e.rec)
 	corrected, mbes := 0, 0
 	for i := 0; i < 5000; i++ {
 		var payload [c2c.VectorBytes]byte
@@ -630,73 +617,73 @@ func faults() error {
 			mbes++
 		}
 	}
-	fmt.Printf("5000 frames at BER 1e-4: %d SBEs corrected in situ, %d detected MBEs → replay\n",
+	fmt.Fprintf(e.out, "5000 frames at BER 1e-4: %d SBEs corrected in situ, %d detected MBEs → replay\n",
 		corrected, mbes)
 
-	fmt.Printf("cable inventory (9 racks): ")
+	fmt.Fprintf(e.out, "cable inventory (9 racks): ")
 	big, err := topo.New(topo.Config{Nodes: 81})
 	if err != nil {
 		return err
 	}
 	st := big.Cables()
-	fmt.Printf("%d cables, %.0f%% electrical (paper: 73%% per node)\n",
+	fmt.Fprintf(e.out, "%d cables, %.0f%% electrical (paper: 73%% per node)\n",
 		st.Total, 100*float64(st.Electrical)/float64(st.Total))
-	fmt.Println("(node-level failover exercised in internal/runtime tests)")
+	fmt.Fprintln(e.out, "(node-level failover exercised in internal/runtime tests)")
 
 	// Reliability-limited scale (§4.5): goodput vs system size at
 	// different link BERs, 1 MB of traffic per TSP per inference.
-	fmt.Printf("\n%10s %10s %12s %10s\n", "BER", "TSPs", "P(replay)", "goodput")
+	fmt.Fprintf(e.out, "\n%10s %10s %12s %10s\n", "BER", "TSPs", "P(replay)", "goodput")
 	for _, ber := range []float64{1e-12, 1e-9, 1e-6} {
 		pts, err := workloads.Reliability(ber, 1<<20, []int{264, 10440})
 		if err != nil {
 			return err
 		}
 		for _, pt := range pts {
-			fmt.Printf("%10.0e %10d %12.2e %9.3f%%\n",
+			fmt.Fprintf(e.out, "%10.0e %10d %12.2e %9.3f%%\n",
 				ber, pt.TSPs, pt.ReplayProb, 100*pt.GoodputFrac)
 		}
 	}
 	if max, err := workloads.MaxScaleForGoodput(1e-6, 1<<20, 0.9); err == nil {
-		fmt.Printf("at BER 1e-6, 90%% goodput caps the machine at %d TSPs — reliability, not topology, limits scale\n", max)
+		fmt.Fprintf(e.out, "at BER 1e-6, 90%% goodput caps the machine at %d TSPs — reliability, not topology, limits scale\n", max)
 	}
 
-	if err := ladderDemo(); err != nil {
+	if err := ladderDemo(e); err != nil {
 		return err
 	}
-	return availabilityDemo()
+	return availabilityDemo(e)
 }
 
 // ladderDemo walks the §4.5 recovery ladder end to end on a seeded fault
 // plan: a mid-run link flap (detected as MBEs, repaired and replayed) and
 // a node death (detected by heartbeat timeout, failed over to the spare).
-func ladderDemo() error {
-	fmt.Println("\nrecovery ladder — detect → replay → failover, one seeded scenario")
+func ladderDemo(e *env) error {
+	fmt.Fprintln(e.out, "\nrecovery ladder — detect → replay → failover, one seeded scenario")
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
 		return err
 	}
-	ladder, err := ringLadder(sys, checkpointEveryN, recN, faultplan.Event{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1})
+	ladder, err := ringLadder(e, sys, e.checkpointEvery, e.rec, faultplan.Event{Cycle: 9000, Kind: faultplan.NodeDeath, Node: 1})
 	if err != nil {
 		return err
 	}
-	for _, e := range ladder.Plan.Events() {
-		fmt.Printf("  plan: %s\n", e)
+	for _, ev := range ladder.Plan.Events() {
+		fmt.Fprintf(e.out, "  plan: %s\n", ev)
 	}
 	res, err := ladder.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  ladder: %d attempts, %d replays (link repaired + re-characterized), %d failover\n",
+	fmt.Fprintf(e.out, "  ladder: %d attempts, %d replays (link repaired + re-characterized), %d failover\n",
 		res.Attempts, res.Replays, res.Failovers)
 	if res.Resumes > 0 {
-		fmt.Printf("  checkpointing (cadence %d): %d of those replays resumed from barriers %v instead of cycle 0\n",
-			checkpointEveryN, res.Resumes, res.ResumedFrom)
+		fmt.Fprintf(e.out, "  checkpointing (cadence %d): %d of those replays resumed from barriers %v instead of cycle 0\n",
+			e.checkpointEvery, res.Resumes, res.ResumedFrom)
 	}
-	fmt.Printf("  repaired links: %v; failed nodes: %v → remapped onto spare node %d's chips\n",
+	fmt.Fprintf(e.out, "  repaired links: %v; failed nodes: %v → remapped onto spare node %d's chips\n",
 		res.RepairedLinks, res.FailedNodes, sys.NumNodes()-1)
-	fmt.Printf("  final attempt finished at run-local cycle %d (wall cycle %d, %.2f µs of recovery re-basing)\n",
+	fmt.Fprintf(e.out, "  final attempt finished at run-local cycle %d (wall cycle %d, %.2f µs of recovery re-basing)\n",
 		res.Finish, res.Base+res.Finish, clock.USOfCycles(res.Base))
-	fmt.Println("  identical seed ⇒ byte-identical counters/traces at any -workers count, faults included")
+	fmt.Fprintln(e.out, "  identical seed ⇒ byte-identical counters/traces at any -workers count, faults included")
 	return nil
 }
 
@@ -705,7 +692,7 @@ func ladderDemo() error {
 // 0→1 link over cycles 1000–2000 followed by extra, a 4-MBE/one-hop
 // monitor, 4 replays and 2 failovers, seed 7, capturing a checkpoint
 // every cadence cycles (0 = off) and recording into rec.
-func ringLadder(sys *topo.System, cadence int64, rec *obs.Recorder, extra ...faultplan.Event) (*rtime.Ladder, error) {
+func ringLadder(e *env, sys *topo.System, cadence int64, rec *obs.Recorder, extra ...faultplan.Event) (*rtime.Ladder, error) {
 	alloc, err := rtime.NewAllocation(sys, 2*topo.TSPsPerNode)
 	if err != nil {
 		return nil, err
@@ -732,7 +719,7 @@ func ringLadder(sys *topo.System, cadence int64, rec *obs.Recorder, extra ...fau
 				placed[a.TSPOf(d)] = progs[a.TSPOf(d)]
 			}
 			// The ladder attaches its recorder to every cluster it builds.
-			return newCluster(sys, placed, nil)
+			return newCluster(e, sys, placed, nil)
 		},
 		MaxReplays:      4,
 		MaxFailovers:    2,
@@ -745,29 +732,29 @@ func ringLadder(sys *topo.System, cadence int64, rec *obs.Recorder, extra ...fau
 // availabilityDemo sweeps mean-time-between-faults over one serving
 // scenario: each fault becomes a replay stall (or a failover once the
 // spare is gone), and the serving percentiles absorb the recovery tail.
-func availabilityDemo() error {
-	fmt.Println("\navailability vs MTBF — recovery incidents inside a serving run")
+func availabilityDemo(e *env) error {
+	fmt.Fprintln(e.out, "\navailability vs MTBF — recovery incidents inside a serving run")
 	cfg := serve.Config{
 		ServiceUS:         100,
 		PipelineDepth:     4,
 		ArrivalRatePerSec: 5000,
 		Requests:          20_000,
 		Seed:              21,
-		Recorder:          recN,
+		Recorder:          e.rec,
 	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4, 1e-3}
 	pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, workloads.Checkpointing{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%12s %7s %8s %10s %12s %10s %10s\n",
+	fmt.Fprintf(e.out, "%12s %7s %8s %10s %12s %10s %10s\n",
 		"MTBF(h)", "faults", "replays", "failovers", "avail", "p99(µs)", "degraded")
 	for _, p := range pts {
-		fmt.Printf("%12.0e %7d %8d %10d %11.4f%% %10.0f %9.1f%%\n",
+		fmt.Fprintf(e.out, "%12.0e %7d %8d %10d %11.4f%% %10.0f %9.1f%%\n",
 			p.MTBFHours, p.Faults, p.Replays, p.Failovers,
 			100*p.AvailableFrac, p.P99US, 100*p.DegradedFrac)
 	}
-	fmt.Println("replays cost a stall; post-spare failovers shed capacity — availability is spent on recovery long before hardware runs out")
+	fmt.Fprintln(e.out, "replays cost a stall; post-spare failovers shed capacity — availability is spent on recovery long before hardware runs out")
 	return nil
 }
 
@@ -777,8 +764,8 @@ func availabilityDemo() error {
 // work shrinks to the mid-epoch remainder while the final state stays
 // byte-identical. A second table feeds the same shape into the
 // serving-availability model.
-func checkpointExp() error {
-	fmt.Println("epoch checkpointing — resume the recovery ladder from the last good barrier")
+func checkpointExp(e *env) error {
+	fmt.Fprintln(e.out, "epoch checkpointing — resume the recovery ladder from the last good barrier")
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
 		return err
@@ -787,7 +774,7 @@ func checkpointExp() error {
 	// checkpoint counters belong to this run alone.
 	runLadder := func(cadence int64) (*rtime.LadderResult, int64, int64, error) {
 		r := obs.New()
-		ladder, err := ringLadder(sys, cadence, r)
+		ladder, err := ringLadder(e, sys, cadence, r)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -803,13 +790,13 @@ func checkpointExp() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario: link flap cycles 1000-2000 on a 16-chip ring all-reduce; %d replay needed\n", base.Replays)
-	fmt.Printf("%9s %9s %10s %13s %9s %7s\n",
+	fmt.Fprintf(e.out, "scenario: link flap cycles 1000-2000 on a 16-chip ring all-reduce; %d replay needed\n", base.Replays)
+	fmt.Fprintf(e.out, "%9s %9s %10s %13s %9s %7s\n",
 		"cadence", "captures", "ckpt KiB", "resumed-from", "replayed", "saved")
-	fmt.Printf("%9s %9d %10s %13s %9d %7s\n", "off", 0, "-", "cycle 0", base.Finish, "-")
+	fmt.Fprintf(e.out, "%9s %9d %10s %13s %9d %7s\n", "off", 0, "-", "cycle 0", base.Finish, "-")
 	cadences := []int64{route.HopCycles, 2 * route.HopCycles, 4 * route.HopCycles, 8 * route.HopCycles}
-	if checkpointEveryN > 0 {
-		cadences = append(cadences, checkpointEveryN)
+	if e.checkpointEvery > 0 {
+		cadences = append(cadences, e.checkpointEvery)
 	}
 	for _, cadence := range cadences {
 		res, captures, ckptBytes, err := runLadder(cadence)
@@ -820,31 +807,31 @@ func checkpointExp() error {
 			return fmt.Errorf("checkpoint: resumed finish %d != cycle-0 finish %d", res.Finish, base.Finish)
 		}
 		if res.Resumes == 0 {
-			fmt.Printf("%9d %9d %10.1f %13s %9d %7s\n",
+			fmt.Fprintf(e.out, "%9d %9d %10.1f %13s %9d %7s\n",
 				cadence, captures, float64(ckptBytes)/1024, "cycle 0", res.Finish, "-")
 			continue
 		}
 		from := res.ResumedFrom[0]
-		fmt.Printf("%9d %9d %10.1f %13d %9d %7d\n",
+		fmt.Fprintf(e.out, "%9d %9d %10.1f %13d %9d %7d\n",
 			cadence, captures, float64(ckptBytes)/1024, from, res.Finish-from, from)
 	}
-	fmt.Println("finish cycle and final state are byte-identical on every row; only the re-executed work changes")
+	fmt.Fprintln(e.out, "finish cycle and final state are byte-identical on every row; only the re-executed work changes")
 
-	fmt.Println("\nmodeled serving availability — replay stall = restore cost + mid-epoch remainder")
+	fmt.Fprintln(e.out, "\nmodeled serving availability — replay stall = restore cost + mid-epoch remainder")
 	cfg := serve.Config{
 		ServiceUS:         100,
 		PipelineDepth:     4,
 		ArrivalRatePerSec: 5000,
 		Requests:          20_000,
 		Seed:              21,
-		Recorder:          recN,
+		Recorder:          e.rec,
 	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4}
-	fmt.Printf("%12s", "cadence(µs)")
+	fmt.Fprintf(e.out, "%12s", "cadence(µs)")
 	for _, m := range mtbfs {
-		fmt.Printf("  avail@MTBF %.0e", m)
+		fmt.Fprintf(e.out, "  avail@MTBF %.0e", m)
 	}
-	fmt.Println()
+	fmt.Fprintln(e.out)
 	rows := []workloads.Checkpointing{
 		{},
 		{CadenceUS: 8000, RestoreUS: 500},
@@ -860,20 +847,20 @@ func checkpointExp() error {
 		if ck.CadenceUS > 0 {
 			label = fmt.Sprintf("%.0f", ck.CadenceUS)
 		}
-		fmt.Printf("%12s", label)
+		fmt.Fprintf(e.out, "%12s", label)
 		for _, p := range pts {
-			fmt.Printf("  %15.4f%%", 100*p.AvailableFrac)
+			fmt.Fprintf(e.out, "  %15.4f%%", 100*p.AvailableFrac)
 		}
-		fmt.Println()
+		fmt.Fprintln(e.out)
 	}
-	fmt.Println("tighter cadences shorten every replay stall; failovers are untouched (the remap invalidates snapshots)")
+	fmt.Fprintln(e.out, "tighter cadences shorten every replay stall; failovers are untouched (the remap invalidates snapshots)")
 	return nil
 }
 
 // checkpointRing builds the canonical workload behind -checkpoint-save and
 // -restore-from: the par experiment's 16-chip ring all-reduce, seeded so
 // the reduced sums are checkable after a restore, recording into rec.
-func checkpointRing(rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
+func checkpointRing(e *env, rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
 	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		return nil, nil, err
@@ -882,7 +869,7 @@ func checkpointRing(rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cl, err := newCluster(sys, progs, rec)
+	cl, err := newCluster(e, sys, progs, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -896,12 +883,12 @@ func checkpointRing(rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
 
 // saveCheckpoint runs the canonical ring workload with checkpointing
 // armed and writes the last barrier's snapshot blob to path.
-func saveCheckpoint(path string) error {
-	cl, _, err := checkpointRing(recN)
+func saveCheckpoint(e *env, path string) error {
+	cl, _, err := checkpointRing(e, e.rec)
 	if err != nil {
 		return err
 	}
-	cadence := checkpointEveryN
+	cadence := e.checkpointEvery
 	if cadence == 0 {
 		cadence = 2 * route.HopCycles
 	}
@@ -918,9 +905,9 @@ func saveCheckpoint(path string) error {
 	if err := os.WriteFile(path, last.Blob, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("ring all-reduce ran to cycle %d at cadence %d: %d barriers captured\n",
+	fmt.Fprintf(e.out, "ring all-reduce ran to cycle %d at cadence %d: %d barriers captured\n",
 		finish, cadence, len(stored))
-	fmt.Printf("wrote the cycle-%d snapshot (%d bytes) to %s\n", last.Cycle, len(last.Blob), path)
+	fmt.Fprintf(e.out, "wrote the cycle-%d snapshot (%d bytes) to %s\n", last.Cycle, len(last.Blob), path)
 	return nil
 }
 
@@ -929,7 +916,7 @@ func saveCheckpoint(path string) error {
 // result byte-for-byte against a straight run — the CLI face of the
 // restore-equivalence property the runtime tests prove exhaustively. A
 // damaged or mismatched file is reported and rejected, never restored.
-func restoreFromFile(path string) error {
+func restoreFromFile(e *env, path string) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -938,13 +925,13 @@ func restoreFromFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %v (the ladder discards damaged snapshots and replays from cycle 0)", path, err)
 	}
-	fmt.Printf("%s decodes clean: barrier cycle %d, cadence %d, %d chips, %d link models, %d MBEs outstanding, %d bytes\n",
+	fmt.Fprintf(e.out, "%s decodes clean: barrier cycle %d, cadence %d, %d chips, %d link models, %d MBEs outstanding, %d bytes\n",
 		path, snap.CaptureCycle, snap.Cadence, len(snap.Chips), len(snap.Links), snap.MBEs, len(blob))
 	cadence := snap.Cadence
 	if cadence <= 0 {
 		cadence = 2 * route.HopCycles
 	}
-	ref, _, err := checkpointRing(recN)
+	ref, _, err := checkpointRing(e, e.rec)
 	if err != nil {
 		return err
 	}
@@ -953,7 +940,7 @@ func restoreFromFile(path string) error {
 	if err != nil {
 		return err
 	}
-	cl, sys, err := checkpointRing(recN)
+	cl, sys, err := checkpointRing(e, e.rec)
 	if err != nil {
 		return err
 	}
@@ -973,14 +960,14 @@ func restoreFromFile(path string) error {
 			return fmt.Errorf("chip %d state diverged after restore", c)
 		}
 	}
-	fmt.Printf("restored at barrier %d, ran to finish cycle %d: %d cycles replayed, %d skipped\n",
+	fmt.Fprintf(e.out, "restored at barrier %d, ran to finish cycle %d: %d cycles replayed, %d skipped\n",
 		snap.CaptureCycle, finish, finish-snap.CaptureCycle, snap.CaptureCycle)
-	fmt.Println("final state byte-identical to the straight run")
+	fmt.Fprintln(e.out, "final state byte-identical to the straight run")
 	return nil
 }
 
-func traceExp() error {
-	fmt.Println("schedule waterfall — three tensors through one node, SSN-resolved")
+func traceExp(e *env) error {
+	fmt.Fprintln(e.out, "schedule waterfall — three tensors through one node, SSN-resolved")
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return err
@@ -993,66 +980,66 @@ func traceExp() error {
 	if err != nil {
 		return err
 	}
-	cs.RecordObservability(recN)
+	cs.RecordObservability(e.rec)
 	if err := cs.Verify(); err != nil {
 		return err
 	}
-	fmt.Print(cs.Trace(sys, core.TraceOptions{CyclesPerChar: 96, Links: cs.BusiestLinks(8)}))
+	fmt.Fprint(e.out, cs.Trace(sys, core.TraceOptions{CyclesPerChar: 96, Links: cs.BusiestLinks(8)}))
 	occ := cs.LinkOccupancy()
-	fmt.Println("\nbusiest links (reserved slots → busy time at the nominal clock):")
+	fmt.Fprintln(e.out, "\nbusiest links (reserved slots → busy time at the nominal clock):")
 	for _, l := range cs.BusiestLinks(5) {
 		link := sys.Link(l)
 		busy := int64(occ[l]) * route.SlotCycles
-		fmt.Printf("  L%04d %3d→%-3d %4d slots = %5d cycles (%.2f µs)\n",
+		fmt.Fprintf(e.out, "  L%04d %3d→%-3d %4d slots = %5d cycles (%.2f µs)\n",
 			l, link.From, link.To, occ[l], busy, clock.USOfCycles(busy))
 	}
 	return nil
 }
 
-func scaling() error {
-	fmt.Println("capability vs capacity — strong and weak scaling on one fabric")
-	fmt.Println("\nstrong scaling (fixed [800×32576]×[32576×8192], more TSPs):")
+func scaling(e *env) error {
+	fmt.Fprintln(e.out, "capability vs capacity — strong and weak scaling on one fabric")
+	fmt.Fprintln(e.out, "\nstrong scaling (fixed [800×32576]×[32576×8192], more TSPs):")
 	strong, err := workloads.StrongScaling(8)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%6s %12s %11s\n", "TSPs", "latency(us)", "efficiency")
+	fmt.Fprintf(e.out, "%6s %12s %11s\n", "TSPs", "latency(us)", "efficiency")
 	for _, p := range strong {
-		fmt.Printf("%6d %12.1f %10.0f%%\n", p.TSPs, p.LatencyUS, 100*p.Efficiency)
+		fmt.Fprintf(e.out, "%6d %12.1f %10.0f%%\n", p.TSPs, p.LatencyUS, 100*p.Efficiency)
 	}
-	fmt.Println("\nweak scaling (data-parallel training, 64 MB gradients, 50 ms steps):")
+	fmt.Fprintln(e.out, "\nweak scaling (data-parallel training, 64 MB gradients, 50 ms steps):")
 	weak, err := workloads.WeakScaling(64<<20, 45_000_000, 8)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%6s %13s %11s\n", "TSPs", "allreduce(us)", "efficiency")
+	fmt.Fprintf(e.out, "%6s %13s %11s\n", "TSPs", "allreduce(us)", "efficiency")
 	for _, p := range weak {
-		fmt.Printf("%6d %13.0f %10.1f%%\n", p.TSPs, p.AllReduceUS, 100*p.Efficiency)
+		fmt.Fprintf(e.out, "%6d %13.0f %10.1f%%\n", p.TSPs, p.AllReduceUS, 100*p.Efficiency)
 	}
 	return nil
 }
 
-func serveExp() error {
-	fmt.Println("inference serving — BERT-Large on 4 TSPs under load")
-	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true, recN)
+func serveExp(e *env) error {
+	fmt.Fprintln(e.out, "inference serving — BERT-Large on 4 TSPs under load")
+	dep, err := workloads.DeployBERT(compiler.BERTLarge(), 4, true, e.rec)
 	if err != nil {
 		return err
 	}
 	// Steady-state pipeline period bounds throughput; one inference is
 	// in flight per stage.
 	periodUS := clock.USOfCycles(dep.Schedule.Makespan) / 4
-	fmt.Printf("pipeline period %.0f µs (capacity %.0f inf/s)\n", periodUS, 1e6/periodUS)
-	fmt.Printf("%6s %12s %10s %10s %12s\n", "load", "through/s", "p50(us)", "p99(us)", "utilization")
-	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, recN)
+	fmt.Fprintf(e.out, "pipeline period %.0f µs (capacity %.0f inf/s)\n", periodUS, 1e6/periodUS)
+	fmt.Fprintf(e.out, "%6s %12s %10s %10s %12s\n", "load", "through/s", "p50(us)", "p99(us)", "utilization")
+	rs, err := serve.SaturationSweep(periodUS, 4, []float64{0.2, 0.5, 0.8, 0.95}, 50_000, 9, e.rec)
 	if err != nil {
 		return err
 	}
 	for i, load := range []float64{0.2, 0.5, 0.8, 0.95} {
 		r := rs[i]
-		fmt.Printf("%5.0f%% %12.0f %10.0f %10.0f %11.0f%%\n",
+		fmt.Fprintf(e.out, "%5.0f%% %12.0f %10.0f %10.0f %11.0f%%\n",
 			100*load, r.Throughput, r.P50US, r.P99US, 100*r.Utilization)
 	}
-	fmt.Println("the machine contributes zero variance; every microsecond of spread is queueing")
+	fmt.Fprintln(e.out, "the machine contributes zero variance; every microsecond of spread is queueing")
 	return nil
 }
 
@@ -1064,8 +1051,8 @@ func serveExp() error {
 // graph on its own sequential heap, with no barriers between them. Every
 // run's finish cycle and stream registers must match the sequential run
 // exactly.
-func parExp() error {
-	fmt.Println("executor equivalence — sequential heap vs Run()")
+func parExp(e *env) error {
+	fmt.Fprintln(e.out, "executor equivalence — sequential heap vs Run()")
 	ringSys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
 		return err
@@ -1088,7 +1075,7 @@ func parExp() error {
 		build func() (*rtime.Cluster, error)
 	}{
 		{"ring/16chip", ringSys, func() (*rtime.Cluster, error) {
-			cl, err := newCluster(ringSys, ringProgs, recN)
+			cl, err := newCluster(e, ringSys, ringProgs, e.rec)
 			if err != nil {
 				return nil, err
 			}
@@ -1099,12 +1086,12 @@ func parExp() error {
 			}
 			return cl, nil
 		}},
-		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(pipeSys, pipeProgs, recN) }},
+		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(e, pipeSys, pipeProgs, e.rec) }},
 	}
 
-	fmt.Println("workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
-	fmt.Println("           8-stage pipeline (6 waves, 50 matmuls/stage)")
-	fmt.Printf("%-16s %-10s %8s\n", "workload", "executor", "finish")
+	fmt.Fprintln(e.out, "workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
+	fmt.Fprintln(e.out, "           8-stage pipeline (6 waves, 50 matmuls/stage)")
+	fmt.Fprintf(e.out, "%-16s %-10s %8s\n", "workload", "executor", "finish")
 	identical := true
 	var ring *rtime.Cluster
 	var routes []string
@@ -1129,7 +1116,7 @@ func parExp() error {
 		if err != nil {
 			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
 		}
-		fmt.Printf("%-16s %-10s %8d\n", wl.name, "sequential", seqFinish)
+		fmt.Fprintf(e.out, "%-16s %-10s %8d\n", wl.name, "sequential", seqFinish)
 		cl, err := wl.build()
 		if err != nil {
 			return err
@@ -1139,7 +1126,7 @@ func parExp() error {
 			return fmt.Errorf("par: %s Run: %w", wl.name, err)
 		}
 		ex := cl.Executor()
-		fmt.Printf("%-16s %-10s %8d\n", wl.name, ex.Name, finish)
+		fmt.Fprintf(e.out, "%-16s %-10s %8d\n", wl.name, ex.Name, finish)
 		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
 		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {
@@ -1156,27 +1143,27 @@ func parExp() error {
 		reduced = ring.Chip(c).StreamFloats(rtime.RingAcc)[0] == sum
 	}
 	for _, r := range routes {
-		fmt.Println(r)
+		fmt.Fprintln(e.out, r)
 	}
-	fmt.Printf("state byte-identical: %v   all-reduce sums correct: %v\n", identical, reduced)
+	fmt.Fprintf(e.out, "state byte-identical: %v   all-reduce sums correct: %v\n", identical, reduced)
 	if !identical || !reduced {
 		return fmt.Errorf("par: executor equivalence violated")
 	}
 	return nil
 }
 
-func fig9() error {
-	fmt.Println("Fig 9 — remote read: request/reply + flags vs scheduled push")
-	fmt.Printf("%10s %10s %10s %9s\n", "bytes", "pull(us)", "push(us)", "speedup")
+func fig9(e *env) error {
+	fmt.Fprintln(e.out, "Fig 9 — remote read: request/reply + flags vs scheduled push")
+	fmt.Fprintf(e.out, "%10s %10s %10s %9s\n", "bytes", "pull(us)", "push(us)", "speedup")
 	for _, p := range workloads.Fig9([]int64{320, 4 << 10, 64 << 10, 1 << 20}) {
-		fmt.Printf("%10d %10.2f %10.2f %8.1fx\n", p.Bytes, p.PullUS, p.PushUS, p.Speedup)
+		fmt.Fprintf(e.out, "%10d %10.2f %10.2f %8.1fx\n", p.Bytes, p.PullUS, p.PushUS, p.Speedup)
 	}
-	fmt.Println("paper: the push model eliminates the request leg and the mutex/flag handshake")
+	fmt.Fprintln(e.out, "paper: the push model eliminates the request leg and the mutex/flag handshake")
 	return nil
 }
 
-func table1() error {
-	fmt.Println("Table 1 — ISA support for a deterministic scale-out system")
+func table1(e *env) error {
+	fmt.Fprintln(e.out, "Table 1 — ISA support for a deterministic scale-out system")
 	rows := []struct{ name, desc string }{
 		{"HAC", "hardware aligned counter (internal/hac.Device, 252-cycle epoch)"},
 		{"SAC", "software aligned counter (free-running; HAC−SAC = drift)"},
@@ -1187,7 +1174,7 @@ func table1() error {
 		{"RUNTIME_DESKEW t", "stall t ± (SAC−HAC) cycles, rebasing local time"},
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-18s %s\n", r.name, r.desc)
+		fmt.Fprintf(e.out, "  %-18s %s\n", r.name, r.desc)
 	}
 	// Round-trip a program using every Table 1 instruction through the
 	// assembler and executor.
@@ -1207,7 +1194,7 @@ halt
 	if _, err := isa.DecodeProgram(bin); err != nil {
 		return err
 	}
-	fmt.Printf("assembled+encoded a program using all of them: %d instructions, %d bytes\n",
+	fmt.Fprintf(e.out, "assembled+encoded a program using all of them: %d instructions, %d bytes\n",
 		prog.Len(), len(bin))
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,26 +16,9 @@ import (
 	"repro/internal/obs"
 )
 
-// muteStdout redirects the experiments' report output to /dev/null for the
-// duration of a test (run() intentionally keeps printing to os.Stdout).
-func muteStdout(t *testing.T) {
-	t.Helper()
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = devnull
-	t.Cleanup(func() {
-		os.Stdout = old
-		devnull.Close()
-	})
-}
-
 func TestUnknownExperimentExitsWithUsage(t *testing.T) {
-	muteStdout(t)
 	var errw bytes.Buffer
-	code := run([]string{"-exp", "nonesuch"}, &errw)
+	code := run([]string{"-exp", "nonesuch"}, io.Discard, &errw)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
@@ -51,9 +35,8 @@ func TestUnknownExperimentExitsWithUsage(t *testing.T) {
 }
 
 func TestBadFlagExitsNonzero(t *testing.T) {
-	muteStdout(t)
 	var errw bytes.Buffer
-	if code := run([]string{"-nonsense"}, &errw); code != 2 {
+	if code := run([]string{"-nonsense"}, io.Discard, &errw); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
 }
@@ -62,9 +45,8 @@ func TestBadFlagExitsNonzero(t *testing.T) {
 // a negative cadence is a usage error, reported before any experiment
 // runs.
 func TestNegativeSeriesEveryRejected(t *testing.T) {
-	muteStdout(t)
 	var errw bytes.Buffer
-	if code := run([]string{"-exp", "fig11", "-series-every", "-1"}, &errw); code != 2 {
+	if code := run([]string{"-exp", "fig11", "-series-every", "-1"}, io.Discard, &errw); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
 	if !strings.Contains(errw.String(), "-series-every must be >= 0") {
@@ -75,9 +57,8 @@ func TestNegativeSeriesEveryRejected(t *testing.T) {
 // TestNegativeCheckpointEveryRejected pins the guard the series flag
 // mirrors.
 func TestNegativeCheckpointEveryRejected(t *testing.T) {
-	muteStdout(t)
 	var errw bytes.Buffer
-	if code := run([]string{"-exp", "fig11", "-checkpoint-every", "-650"}, &errw); code != 2 {
+	if code := run([]string{"-exp", "fig11", "-checkpoint-every", "-650"}, io.Discard, &errw); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
 	if !strings.Contains(errw.String(), "-checkpoint-every must be >= 0") {
@@ -88,10 +69,9 @@ func TestNegativeCheckpointEveryRejected(t *testing.T) {
 // TestBadWorkersRejected: zero or negative workers is a usage error, not
 // a silent fallback to sequential.
 func TestBadWorkersRejected(t *testing.T) {
-	muteStdout(t)
 	for _, w := range []string{"0", "-3"} {
 		var errw bytes.Buffer
-		if code := run([]string{"-exp", "fig11", "-workers", w}, &errw); code != 2 {
+		if code := run([]string{"-exp", "fig11", "-workers", w}, io.Discard, &errw); code != 2 {
 			t.Fatalf("-workers %s: exit code = %d, want 2", w, code)
 		}
 		if !strings.Contains(errw.String(), "-workers must be >= 1") {
@@ -104,10 +84,9 @@ func TestBadWorkersRejected(t *testing.T) {
 // gone (no workload set them), so any use of one is an unknown-flag
 // usage error.
 func TestBadFleetPolicyFlagsRejected(t *testing.T) {
-	muteStdout(t)
 	for _, name := range []string{"fleet-drain-threshold", "fleet-cadence-min", "fleet-cadence-max"} {
 		var errw bytes.Buffer
-		if code := run([]string{"-exp", "fleet", "-" + name, "1"}, &errw); code != 2 {
+		if code := run([]string{"-exp", "fleet", "-" + name, "1"}, io.Discard, &errw); code != 2 {
 			t.Fatalf("-%s: exit code = %d, want 2", name, code)
 		}
 		if !strings.Contains(errw.String(), "flag provided but not defined: -"+name) {
@@ -119,10 +98,9 @@ func TestBadFleetPolicyFlagsRejected(t *testing.T) {
 // TestBadWindowMaxRejected: -window-max is gone along with the window
 // executor it capped, so any use of it is an unknown-flag usage error.
 func TestBadWindowMaxRejected(t *testing.T) {
-	muteStdout(t)
 	for _, v := range []string{"0", "649", "650"} {
 		var errw bytes.Buffer
-		if code := run([]string{"-exp", "fig11", "-window-max", v}, &errw); code != 2 {
+		if code := run([]string{"-exp", "fig11", "-window-max", v}, io.Discard, &errw); code != 2 {
 			t.Fatalf("-window-max %s: exit code = %d, want 2", v, code)
 		}
 		if !strings.Contains(errw.String(), "flag provided but not defined: -window-max") {
@@ -134,7 +112,6 @@ func TestBadWindowMaxRejected(t *testing.T) {
 // TestBadSpeculateFlagsRejected: the removed speculation toggle and depth
 // flags are unknown flags — -workers is the only executor setting.
 func TestBadSpeculateFlagsRejected(t *testing.T) {
-	muteStdout(t)
 	cases := []struct {
 		name string
 		argv []string
@@ -149,7 +126,7 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var errw bytes.Buffer
-		if code := run(tc.argv, &errw); code != 2 {
+		if code := run(tc.argv, io.Discard, &errw); code != 2 {
 			t.Fatalf("%s: exit code = %d, want 2; stderr:\n%s", tc.name, code, errw.String())
 		}
 		if !strings.Contains(errw.String(), tc.want) {
@@ -161,7 +138,6 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 // TestSpeculateSingleWorkerFallsBack: the exported metrics do not depend
 // on the worker count, whichever executor it makes Run pick.
 func TestSpeculateSingleWorkerFallsBack(t *testing.T) {
-	muteStdout(t)
 	var want []byte
 	for i, flags := range [][]string{
 		nil,
@@ -170,7 +146,7 @@ func TestSpeculateSingleWorkerFallsBack(t *testing.T) {
 	} {
 		mp := filepath.Join(t.TempDir(), "m.json")
 		var errw bytes.Buffer
-		if code := run(append([]string{"-exp", "profile", "-metrics", mp}, flags...), &errw); code != 0 {
+		if code := run(append([]string{"-exp", "profile", "-metrics", mp}, flags...), io.Discard, &errw); code != 0 {
 			t.Fatalf("%v: exit code = %d, want 0; stderr:\n%s", flags, code, errw.String())
 		}
 		got, err := os.ReadFile(mp)
@@ -188,10 +164,9 @@ func TestSpeculateSingleWorkerFallsBack(t *testing.T) {
 // TestProfileReportWithoutSpansFails: -profile-report on an experiment
 // that never builds a cluster has nothing to profile and must say so.
 func TestProfileReportWithoutSpansFails(t *testing.T) {
-	muteStdout(t)
 	var errw bytes.Buffer
 	rp := filepath.Join(t.TempDir(), "r.txt")
-	if code := run([]string{"-exp", "fig11", "-profile-report", rp}, &errw); code != 1 {
+	if code := run([]string{"-exp", "fig11", "-profile-report", rp}, io.Discard, &errw); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "profile-report:") {
@@ -205,7 +180,6 @@ func TestProfileReportWithoutSpansFails(t *testing.T) {
 // series JSON parses with the documented shape, and the report carries an
 // exact critical path.
 func TestSeriesAndProfileGolden(t *testing.T) {
-	muteStdout(t)
 	dir := t.TempDir()
 	type dump struct{ series, metrics, report []byte }
 	runOnce := func(tag string, workers string) dump {
@@ -214,7 +188,7 @@ func TestSeriesAndProfileGolden(t *testing.T) {
 		rp := filepath.Join(dir, "r"+tag+".txt")
 		var errw bytes.Buffer
 		code := run([]string{"-exp", "profile", "-workers", workers,
-			"-series", sp, "-metrics", mp, "-profile-report", rp}, &errw)
+			"-series", sp, "-metrics", mp, "-profile-report", rp}, io.Discard, &errw)
 		if code != 0 {
 			t.Fatalf("workers=%s exit code = %d, stderr:\n%s", workers, code, errw.String())
 		}
@@ -298,7 +272,7 @@ func TestSeriesAndProfileGolden(t *testing.T) {
 	// CSV flavor: same data, spreadsheet shape.
 	cp := filepath.Join(dir, "s.csv")
 	var errw bytes.Buffer
-	if code := run([]string{"-exp", "profile", "-series", cp}, &errw); code != 0 {
+	if code := run([]string{"-exp", "profile", "-series", cp}, io.Discard, &errw); code != 0 {
 		t.Fatalf("csv run exit code = %d, stderr:\n%s", code, errw.String())
 	}
 	csv, err := os.ReadFile(cp)
@@ -314,7 +288,6 @@ func TestSeriesAndProfileGolden(t *testing.T) {
 // same-seed runs of fig17 must produce byte-identical trace and metrics
 // files, and the trace must be valid Chrome trace-event JSON.
 func TestTraceAndMetricsDeterministic(t *testing.T) {
-	muteStdout(t)
 	dir := t.TempDir()
 	paths := func(i int) (string, string) {
 		return filepath.Join(dir, "t"+string(rune('0'+i))+".json"),
@@ -323,7 +296,7 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		tr, me := paths(i)
 		var errw bytes.Buffer
-		if code := run([]string{"-exp", "fig17", "-trace", tr, "-metrics", me}, &errw); code != 0 {
+		if code := run([]string{"-exp", "fig17", "-trace", tr, "-metrics", me}, io.Discard, &errw); code != 0 {
 			t.Fatalf("run %d exit code = %d, stderr:\n%s", i, code, errw.String())
 		}
 	}
@@ -432,7 +405,6 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 // `go run ./cmd/tspsim -exp <name> -trace t.json -metrics m.json -series s.json`
 // and `sha256sum`.
 func TestRecordedDumpsPinned(t *testing.T) {
-	muteStdout(t)
 	// The series dump of a run that sampled no cluster barrier.
 	const emptySeries = "7a453a7ac67c6a3ead45f0b3e01f646113ed0b49009f8b13a2309738d5ff21c4"
 	want := map[string][3]string{ // trace, metrics, series
@@ -518,7 +490,7 @@ func TestRecordedDumpsPinned(t *testing.T) {
 			}
 			var errw bytes.Buffer
 			if code := run([]string{"-exp", exp, "-workers", w,
-				"-trace", paths[0], "-metrics", paths[1], "-series", paths[2]}, &errw); code != 0 {
+				"-trace", paths[0], "-metrics", paths[1], "-series", paths[2]}, io.Discard, &errw); code != 0 {
 				t.Fatalf("-exp %s -workers %s: exit code = %d, stderr:\n%s", exp, w, code, errw.String())
 			}
 			for i, p := range paths {
@@ -547,12 +519,11 @@ func TestRecordedDumpsPinned(t *testing.T) {
 // only when a change is meant to move a number.
 func TestExperimentOutputGolden(t *testing.T) {
 	runExp := func(args ...string) []byte {
-		return captureStdout(t, func() {
-			var errw bytes.Buffer
-			if code := run(args, &errw); code != 0 {
-				t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errw.String())
-			}
-		})
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errw.String())
+		}
+		return out.Bytes()
 	}
 	var all bytes.Buffer
 	for _, e := range experiments {
@@ -572,43 +543,21 @@ func TestExperimentOutputGolden(t *testing.T) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected to a temporary file and
-// returns what fn printed.
-func captureStdout(t *testing.T, fn func()) []byte {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	old := os.Stdout
-	os.Stdout = f
-	defer func() { os.Stdout = old }()
-	fn()
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestCheckpointFileRoundTrip: a file -checkpoint-save writes restores
 // with -restore-from, and the restored run ends byte-identical to the
 // straight one. The same file relabelled as format version 2 fails with
 // an error, not a panic.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ring.ckpt")
-	var errw bytes.Buffer
-	out := captureStdout(t, func() {
-		if code := run([]string{"-checkpoint-save", path}, &errw); code != 0 {
-			t.Fatalf("-checkpoint-save: exit %d: %s", code, errw.String())
-		}
-		if code := run([]string{"-restore-from", path}, &errw); code != 0 {
-			t.Fatalf("-restore-from: exit %d: %s", code, errw.String())
-		}
-	})
-	if !strings.Contains(string(out), "final state byte-identical to the straight run") {
-		t.Errorf("restore did not report byte-identical state:\n%s", out)
+	var out, errw bytes.Buffer
+	if code := run([]string{"-checkpoint-save", path}, &out, &errw); code != 0 {
+		t.Fatalf("-checkpoint-save: exit %d: %s", code, errw.String())
+	}
+	if code := run([]string{"-restore-from", path}, &out, &errw); code != 0 {
+		t.Fatalf("-restore-from: exit %d: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "final state byte-identical to the straight run") {
+		t.Errorf("restore did not report byte-identical state:\n%s", out.String())
 	}
 
 	blob, err := os.ReadFile(path)
@@ -620,8 +569,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	errw.Reset()
-	muteStdout(t)
-	if code := run([]string{"-restore-from", path}, &errw); code != 1 {
+	if code := run([]string{"-restore-from", path}, io.Discard, &errw); code != 1 {
 		t.Fatalf("-restore-from a version-2 file: exit %d, want 1", code)
 	}
 	if !strings.Contains(errw.String(), "unsupported version 2") {

@@ -11,7 +11,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -29,7 +28,7 @@ const profileWaves = 6
 // profilePipeline builds the profile experiment's pipeline workload
 // recording into rec: one node (8 chips = 8 stages), six waves, two
 // matmuls per stage, stage 0's inputs and every stage's bias preloaded.
-func profilePipeline(rec *obs.Recorder) (*rtime.Cluster, error) {
+func profilePipeline(e *env, rec *obs.Recorder) (*rtime.Cluster, error) {
 	sys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return nil, err
@@ -38,7 +37,7 @@ func profilePipeline(rec *obs.Recorder) (*rtime.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := newCluster(sys, progs, rec)
+	cl, err := newCluster(e, sys, progs, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -64,10 +63,10 @@ func pathTotal(rep *prof.Report) int64 {
 // ringCrossCheck verifies path == finish on the canonical ring all-reduce
 // under a recorder of its own, so its spans don't dilute the pipeline
 // report a surrounding -profile-report invocation is building.
-func ringCrossCheck() error {
+func ringCrossCheck(e *env) error {
 	rec := obs.New()
 	rec.SetSeriesCadence(2 * route.HopCycles)
-	cl, _, err := checkpointRing(rec)
+	cl, _, err := checkpointRing(e, rec)
 	if err != nil {
 		return err
 	}
@@ -80,13 +79,13 @@ func ringCrossCheck() error {
 		return err
 	}
 	total := pathTotal(rep)
-	fmt.Printf("ring all-reduce cross-check: finish %d, critical path %d (compute %d + link %d + wait %d): ",
+	fmt.Fprintf(e.out, "ring all-reduce cross-check: finish %d, critical path %d (compute %d + link %d + wait %d): ",
 		finish, total, rep.ComputeCycles, rep.LinkCycles, rep.WaitCycles)
 	if total != finish {
-		fmt.Println("MISMATCH")
+		fmt.Fprintln(e.out, "MISMATCH")
 		return fmt.Errorf("profile: ring critical path %d != finish %d", total, finish)
 	}
-	fmt.Println("exact")
+	fmt.Fprintln(e.out, "exact")
 	return nil
 }
 
@@ -94,10 +93,10 @@ func ringCrossCheck() error {
 // recorder (-series / -profile-report / -trace / -metrics), the pipeline
 // workload runs under it so the exported files carry this run; otherwise
 // a recorder of its own keeps the experiment self-contained.
-func profileExp() error {
-	fmt.Println("== flight recorder: barrier-sampled series + post-run profiler ==")
+func profileExp(e *env) error {
+	fmt.Fprintln(e.out, "== flight recorder: barrier-sampled series + post-run profiler ==")
 
-	rec := recN
+	rec := e.rec
 	if rec == nil {
 		rec = obs.New()
 	}
@@ -109,7 +108,7 @@ func profileExp() error {
 	// and the run-vs-report finish comparison is skipped.
 	fresh := rec.NumEvents() == 0
 
-	cl, err := profilePipeline(rec)
+	cl, err := profilePipeline(e, rec)
 	if err != nil {
 		return err
 	}
@@ -121,22 +120,22 @@ func profileExp() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pipeline workload: 8 stages x %d waves, finish cycle %d, %d series sampled every %d cycles\n\n",
+	fmt.Fprintf(e.out, "pipeline workload: 8 stages x %d waves, finish cycle %d, %d series sampled every %d cycles\n\n",
 		profileWaves, finish, rec.NumSeries(), rec.SeriesCadence())
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := rep.Render(e.out); err != nil {
 		return err
 	}
 
 	total := pathTotal(rep)
-	fmt.Printf("\ncritical path total %d vs report finish %d: ", total, rep.FinishCycle)
+	fmt.Fprintf(e.out, "\ncritical path total %d vs report finish %d: ", total, rep.FinishCycle)
 	if total != rep.FinishCycle {
-		fmt.Println("MISMATCH")
+		fmt.Fprintln(e.out, "MISMATCH")
 		return fmt.Errorf("profile: critical path %d != finish %d", total, rep.FinishCycle)
 	}
-	fmt.Println("exact")
+	fmt.Fprintln(e.out, "exact")
 	if fresh && rep.FinishCycle != finish {
 		return fmt.Errorf("profile: report finish %d != run finish %d", rep.FinishCycle, finish)
 	}
 
-	return ringCrossCheck()
+	return ringCrossCheck(e)
 }

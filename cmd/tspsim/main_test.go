@@ -576,3 +576,24 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Errorf("stderr does not name the version: %s", errw.String())
 	}
 }
+
+// TestProfileLeavesNoCadence: profileExp arms a series cadence only for
+// its own pipeline run, so an experiment after it on the same recorder
+// records no series nobody asked for.
+func TestProfileLeavesNoCadence(t *testing.T) {
+	e := &env{out: io.Discard, rec: obs.New(), workers: 1}
+	if err := profileExp(e); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.rec.SeriesCadence(); c != 0 {
+		t.Errorf("series cadence after profile = %d, want 0", c)
+	}
+	if err := fleetExp(e); err != nil {
+		t.Fatal(err)
+	}
+	for name := range e.rec.State().Series {
+		if strings.HasPrefix(name, "fleet.") {
+			t.Fatalf("fleet registered series %s with no cadence asked for", name)
+		}
+	}
+}

@@ -100,8 +100,11 @@ func profileExp(e *env) error {
 	if rec == nil {
 		rec = obs.New()
 	}
+	// Arm a cadence only for this experiment, so the experiments after
+	// it on the run's recorder sample no series nobody asked for.
 	if rec.SeriesCadence() == 0 {
 		rec.SetSeriesCadence(2 * route.HopCycles)
+		defer rec.SetSeriesCadence(0)
 	}
 	// Under `-exp all` with a run recorder, earlier experiments have
 	// already deposited spans; the report then profiles the whole sweep

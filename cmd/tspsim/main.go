@@ -734,16 +734,7 @@ func ringLadder(e *env, sys *topo.System, cadence int64, rec *obs.Recorder, extr
 // spare is gone), and the serving percentiles absorb the recovery tail.
 func availabilityDemo(e *env) error {
 	fmt.Fprintln(e.out, "\navailability vs MTBF — recovery incidents inside a serving run")
-	cfg := serve.Config{
-		ServiceUS:         100,
-		PipelineDepth:     4,
-		ArrivalRatePerSec: 5000,
-		Requests:          20_000,
-		Seed:              21,
-		Recorder:          e.rec,
-	}
-	mtbfs := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, workloads.Checkpointing{})
+	pts, err := availability(e, []float64{1e-6, 1e-5, 1e-4, 1e-3}, workloads.Checkpointing{})
 	if err != nil {
 		return err
 	}
@@ -756,6 +747,22 @@ func availabilityDemo(e *env) error {
 	}
 	fmt.Fprintln(e.out, "replays cost a stall; post-spare failovers shed capacity — availability is spent on recovery long before hardware runs out")
 	return nil
+}
+
+// availability runs the serving-availability model the faults and
+// checkpoint experiments share at each MTBF (hours) under ck: 20,000
+// requests of 100 µs service through a 4-deep pipeline at 5,000/s, one
+// spare, 70% of faults recovered by a 10 ms replay.
+func availability(e *env, mtbfs []float64, ck workloads.Checkpointing) ([]workloads.AvailabilityPoint, error) {
+	cfg := serve.Config{
+		ServiceUS:         100,
+		PipelineDepth:     4,
+		ArrivalRatePerSec: 5000,
+		Requests:          20_000,
+		Seed:              21,
+		Recorder:          e.rec,
+	}
+	return workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, ck)
 }
 
 // checkpointExp quantifies what epoch-barrier checkpointing buys the
@@ -818,14 +825,6 @@ func checkpointExp(e *env) error {
 	fmt.Fprintln(e.out, "finish cycle and final state are byte-identical on every row; only the re-executed work changes")
 
 	fmt.Fprintln(e.out, "\nmodeled serving availability — replay stall = restore cost + mid-epoch remainder")
-	cfg := serve.Config{
-		ServiceUS:         100,
-		PipelineDepth:     4,
-		ArrivalRatePerSec: 5000,
-		Requests:          20_000,
-		Seed:              21,
-		Recorder:          e.rec,
-	}
 	mtbfs := []float64{1e-6, 1e-5, 1e-4}
 	fmt.Fprintf(e.out, "%12s", "cadence(µs)")
 	for _, m := range mtbfs {
@@ -839,7 +838,7 @@ func checkpointExp(e *env) error {
 		{CadenceUS: 500, RestoreUS: 500},
 	}
 	for _, ck := range rows {
-		pts, err := workloads.AvailabilityVsMTBF(cfg, mtbfs, 1, 0.7, 10_000, 5, ck)
+		pts, err := availability(e, mtbfs, ck)
 		if err != nil {
 			return err
 		}
@@ -857,9 +856,10 @@ func checkpointExp(e *env) error {
 	return nil
 }
 
-// checkpointRing builds the canonical workload behind -checkpoint-save and
-// -restore-from: the par experiment's 16-chip ring all-reduce, seeded so
-// the reduced sums are checkable after a restore, recording into rec.
+// checkpointRing builds the canonical 16-chip ring all-reduce of the par
+// experiment, the profile cross-check, -checkpoint-save and -restore-from:
+// 7 rounds of 2 matmuls, seeded so the reduced sums are checkable,
+// recording into rec.
 func checkpointRing(e *env, rec *obs.Recorder) (*rtime.Cluster, *topo.System, error) {
 	sys, err := topo.New(topo.Config{Nodes: 2})
 	if err != nil {
@@ -1053,14 +1053,6 @@ func serveExp(e *env) error {
 // exactly.
 func parExp(e *env) error {
 	fmt.Fprintln(e.out, "executor equivalence — sequential heap vs Run()")
-	ringSys, err := topo.New(topo.Config{Nodes: 2})
-	if err != nil {
-		return err
-	}
-	ringProgs, err := rtime.RingAllReducePrograms(ringSys, 7, 2)
-	if err != nil {
-		return err
-	}
 	pipeSys, err := topo.New(topo.Config{Nodes: 1})
 	if err != nil {
 		return err
@@ -1071,22 +1063,13 @@ func parExp(e *env) error {
 	}
 	workloads := []struct {
 		name  string
-		sys   *topo.System
-		build func() (*rtime.Cluster, error)
+		build func() (*rtime.Cluster, *topo.System, error)
 	}{
-		{"ring/16chip", ringSys, func() (*rtime.Cluster, error) {
-			cl, err := newCluster(e, ringSys, ringProgs, e.rec)
-			if err != nil {
-				return nil, err
-			}
-			for c := 0; c < ringSys.NumTSPs(); c++ {
-				v := tsp.VectorOf([]float32{float32(c + 1), float32(c) * 0.5})
-				cl.Chip(c).SetStream(rtime.RingCur, v)
-				cl.Chip(c).SetStream(rtime.RingAcc, v)
-			}
-			return cl, nil
+		{"ring/16chip", func() (*rtime.Cluster, *topo.System, error) { return checkpointRing(e, e.rec) }},
+		{"pipeline/8stage", func() (*rtime.Cluster, *topo.System, error) {
+			cl, err := newCluster(e, pipeSys, pipeProgs, e.rec)
+			return cl, pipeSys, err
 		}},
-		{"pipeline/8stage", pipeSys, func() (*rtime.Cluster, error) { return newCluster(e, pipeSys, pipeProgs, e.rec) }},
 	}
 
 	fmt.Fprintln(e.out, "workloads: 16-chip ring all-reduce (7 rounds, 2 matmuls/round);")
@@ -1094,9 +1077,10 @@ func parExp(e *env) error {
 	fmt.Fprintf(e.out, "%-16s %-10s %8s\n", "workload", "executor", "finish")
 	identical := true
 	var ring *rtime.Cluster
+	var ringSys *topo.System
 	var routes []string
 	for _, wl := range workloads {
-		seq, err := wl.build()
+		seq, sys, err := wl.build()
 		if err != nil {
 			return err
 		}
@@ -1104,7 +1088,7 @@ func parExp(e *env) error {
 			if finish != seqFinish {
 				return false
 			}
-			for c := 0; c < wl.sys.NumTSPs(); c++ {
+			for c := 0; c < sys.NumTSPs(); c++ {
 				if seq.Chip(c).Streams() != cl.Chip(c).Streams() ||
 					seq.Chip(c).FinishCycle() != cl.Chip(c).FinishCycle() {
 					return false
@@ -1117,7 +1101,7 @@ func parExp(e *env) error {
 			return fmt.Errorf("par: %s sequential: %w", wl.name, err)
 		}
 		fmt.Fprintf(e.out, "%-16s %-10s %8d\n", wl.name, "sequential", seqFinish)
-		cl, err := wl.build()
+		cl, _, err := wl.build()
 		if err != nil {
 			return err
 		}
@@ -1130,7 +1114,7 @@ func parExp(e *env) error {
 		routes = append(routes, fmt.Sprintf("Run() on %s: %s (%s), chip groups %d", wl.name, ex.Name, ex.Reason, ex.Components))
 		identical = identical && same(cl, finish, seqFinish)
 		if ring == nil {
-			ring = seq
+			ring, ringSys = seq, sys
 		}
 	}
 	// After 7 rounds of the 8-chip ring, RingAcc is the node sum.

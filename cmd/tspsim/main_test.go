@@ -17,6 +17,7 @@ import (
 )
 
 func TestUnknownExperimentExitsWithUsage(t *testing.T) {
+	t.Parallel()
 	var errw bytes.Buffer
 	code := run([]string{"-exp", "nonesuch"}, io.Discard, &errw)
 	if code != 2 {
@@ -39,6 +40,7 @@ func TestUnknownExperimentExitsWithUsage(t *testing.T) {
 // workload set them), -window-max (its window executor is gone) and the
 // speculation toggle and depth (-workers is the only executor setting).
 func TestBadFlagExitsNonzero(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"nonsense", "fleet-drain-threshold", "fleet-cadence-min",
 		"fleet-cadence-max", "window-max", "speculate-depth", "speculate"} {
 		var errw bytes.Buffer
@@ -55,6 +57,7 @@ func TestBadFlagExitsNonzero(t *testing.T) {
 // a negative cadence is a usage error, reported before any experiment
 // runs.
 func TestNegativeSeriesEveryRejected(t *testing.T) {
+	t.Parallel()
 	var errw bytes.Buffer
 	if code := run([]string{"-exp", "fig11", "-series-every", "-1"}, io.Discard, &errw); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
@@ -67,6 +70,7 @@ func TestNegativeSeriesEveryRejected(t *testing.T) {
 // TestNegativeCheckpointEveryRejected pins the guard the series flag
 // mirrors.
 func TestNegativeCheckpointEveryRejected(t *testing.T) {
+	t.Parallel()
 	var errw bytes.Buffer
 	if code := run([]string{"-exp", "fig11", "-checkpoint-every", "-650"}, io.Discard, &errw); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
@@ -79,6 +83,7 @@ func TestNegativeCheckpointEveryRejected(t *testing.T) {
 // TestBadWorkersRejected: zero or negative workers is a usage error, not
 // a silent fallback to sequential.
 func TestBadWorkersRejected(t *testing.T) {
+	t.Parallel()
 	for _, w := range []string{"0", "-3"} {
 		var errw bytes.Buffer
 		if code := run([]string{"-exp", "fig11", "-workers", w}, io.Discard, &errw); code != 2 {
@@ -94,6 +99,7 @@ func TestBadWorkersRejected(t *testing.T) {
 // metrics dump does not depend on the worker count, whichever executor it
 // makes Run pick.
 func TestProfileMetricsIndependentOfWorkers(t *testing.T) {
+	t.Parallel()
 	var want []byte
 	for i, flags := range [][]string{
 		nil,
@@ -120,6 +126,7 @@ func TestProfileMetricsIndependentOfWorkers(t *testing.T) {
 // TestProfileReportWithoutSpansFails: -profile-report on an experiment
 // that never builds a cluster has nothing to profile and must say so.
 func TestProfileReportWithoutSpansFails(t *testing.T) {
+	t.Parallel()
 	var errw bytes.Buffer
 	rp := filepath.Join(t.TempDir(), "r.txt")
 	if code := run([]string{"-exp", "fig11", "-profile-report", rp}, io.Discard, &errw); code != 1 {
@@ -136,6 +143,7 @@ func TestProfileReportWithoutSpansFails(t *testing.T) {
 // series JSON parses with the documented shape, and the report carries an
 // exact critical path.
 func TestSeriesAndProfileGolden(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	type dump struct{ series, metrics, report []byte }
 	runOnce := func(tag string, workers string) dump {
@@ -244,6 +252,7 @@ func TestSeriesAndProfileGolden(t *testing.T) {
 // same-seed runs of fig17 must produce byte-identical trace and metrics
 // files, and the trace must be valid Chrome trace-event JSON.
 func TestTraceAndMetricsDeterministic(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	paths := func(i int) (string, string) {
 		return filepath.Join(dir, "t"+string(rune('0'+i))+".json"),
@@ -361,6 +370,7 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 // `go run ./cmd/tspsim -exp <name> -trace t.json -metrics m.json -series s.json`
 // and `sha256sum`.
 func TestRecordedDumpsPinned(t *testing.T) {
+	t.Parallel()
 	// The series dump of a run that sampled no cluster barrier.
 	const emptySeries = "7a453a7ac67c6a3ead45f0b3e01f646113ed0b49009f8b13a2309738d5ff21c4"
 	want := map[string][3]string{ // trace, metrics, series
@@ -439,26 +449,29 @@ func TestRecordedDumpsPinned(t *testing.T) {
 	for _, exp := range []string{"serve", "profile", "faults", "checkpoint",
 		"table2", "sync", "fig16", "fig17", "fig19", "fig20", "trace", "par", "fleet", "all"} {
 		for _, w := range []string{"1", "4"} {
-			paths := [3]string{
-				filepath.Join(dir, exp+w+"-trace.json"),
-				filepath.Join(dir, exp+w+"-metrics.json"),
-				filepath.Join(dir, exp+w+"-series.json"),
-			}
-			var errw bytes.Buffer
-			if code := run([]string{"-exp", exp, "-workers", w,
-				"-trace", paths[0], "-metrics", paths[1], "-series", paths[2]}, io.Discard, &errw); code != 0 {
-				t.Fatalf("-exp %s -workers %s: exit code = %d, stderr:\n%s", exp, w, code, errw.String())
-			}
-			for i, p := range paths {
-				raw, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
+			t.Run(exp+"-w"+w, func(t *testing.T) {
+				t.Parallel()
+				paths := [3]string{
+					filepath.Join(dir, exp+w+"-trace.json"),
+					filepath.Join(dir, exp+w+"-metrics.json"),
+					filepath.Join(dir, exp+w+"-series.json"),
 				}
-				sum := sha256.Sum256(raw)
-				if got := hex.EncodeToString(sum[:]); got != want[exp][i] {
-					t.Errorf("-exp %s -workers %s: %s hash %s, want %s", exp, w, filepath.Base(p), got, want[exp][i])
+				var errw bytes.Buffer
+				if code := run([]string{"-exp", exp, "-workers", w,
+					"-trace", paths[0], "-metrics", paths[1], "-series", paths[2]}, io.Discard, &errw); code != 0 {
+					t.Fatalf("exit code = %d, stderr:\n%s", code, errw.String())
 				}
-			}
+				for i, p := range paths {
+					raw, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(raw)
+					if got := hex.EncodeToString(sum[:]); got != want[exp][i] {
+						t.Errorf("%s hash %s, want %s", filepath.Base(p), got, want[exp][i])
+					}
+				}
+			})
 		}
 	}
 }
@@ -474,12 +487,19 @@ func TestRecordedDumpsPinned(t *testing.T) {
 // `go run ./cmd/tspsim -exp <name> > cmd/tspsim/testdata/<name>.golden`
 // only when a change is meant to move a number.
 func TestExperimentOutputGolden(t *testing.T) {
-	runExp := func(args ...string) []byte {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 0 {
-			t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errw.String())
-		}
-		return out.Bytes()
+	t.Parallel()
+	// Each subtest checks the stdout of one run against want.
+	check := func(name string, want []byte, args ...string) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var out, errw bytes.Buffer
+			if code := run(args, &out, &errw); code != 0 {
+				t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errw.String())
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("%v: stdout differs from the golden\n--- got ---\n%s", args, out.Bytes())
+			}
+		})
 	}
 	var all bytes.Buffer
 	for _, e := range experiments {
@@ -487,15 +507,11 @@ func TestExperimentOutputGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := runExp("-exp", e.name); !bytes.Equal(got, want) {
-			t.Errorf("-exp %s: stdout differs from testdata/%s.golden\n--- got ---\n%s", e.name, e.name, got)
-		}
+		check(e.name, want, "-exp", e.name)
 		fmt.Fprintf(&all, "==== %s — %s ====\n%s\n", e.name, e.desc, want)
 	}
 	for _, w := range []string{"1", "4"} {
-		if got := runExp("-exp", "all", "-workers", w); !bytes.Equal(got, all.Bytes()) {
-			t.Errorf("-exp all -workers %s: stdout differs from the joined goldens", w)
-		}
+		check("all-w"+w, all.Bytes(), "-exp", "all", "-workers", w)
 	}
 }
 
@@ -504,6 +520,7 @@ func TestExperimentOutputGolden(t *testing.T) {
 // straight one. The same file relabelled as format version 2 fails with
 // an error, not a panic.
 func TestCheckpointFileRoundTrip(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "ring.ckpt")
 	var out, errw bytes.Buffer
 	if code := run([]string{"-checkpoint-save", path}, &out, &errw); code != 0 {
@@ -537,6 +554,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 // its own pipeline run, so an experiment after it on the same recorder
 // records no series nobody asked for.
 func TestProfileLeavesNoCadence(t *testing.T) {
+	t.Parallel()
 	e := &env{out: io.Discard, rec: obs.New(), workers: 1}
 	if err := profileExp(e); err != nil {
 		t.Fatal(err)

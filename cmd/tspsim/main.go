@@ -27,6 +27,13 @@
 //	tspsim -exp profile  flight-recorder series + critical-path profiler
 //	tspsim -exp fleet    fleet-level SLO: months of incidents across N systems
 //
+// Each run builds one environment from its flags and hands it to every
+// experiment: the writer all experiment output goes to (standard output
+// for the command), the recorder when a dump is asked for, the -workers
+// count and the -checkpoint-every cadence. The experiments read no other
+// state, so one run does not depend on what another in the same process
+// did.
+//
 // The -workers flag sets the cluster executor parallelism for every
 // cluster an experiment builds. On a clean fabric (no recorder, fault
 // plan, bit error rate or cadence) each independent chip group runs on
@@ -83,8 +90,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// env is what one run hands each experiment: the experiments read no
-// other state, so every run's output and dumps follow from its flags.
+// env is the environment run builds from its flags and hands to every
+// experiment (see the package doc).
 type env struct {
 	out             io.Writer     // experiment output
 	rec             *obs.Recorder // the run's recorder; nil unless a dump was asked for

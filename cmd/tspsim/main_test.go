@@ -35,21 +35,15 @@ func TestUnknownExperimentExitsWithUsage(t *testing.T) {
 	}
 }
 
-// TestBadFlagExitsNonzero: an unknown flag is a usage error. The table
-// keeps the removed flags unknown: the -fleet-* policy overrides (no
-// workload set them), -window-max (its window executor is gone) and the
-// speculation toggle and depth (-workers is the only executor setting).
+// TestBadFlagExitsNonzero: an unknown flag is a usage error.
 func TestBadFlagExitsNonzero(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"nonsense", "fleet-drain-threshold", "fleet-cadence-min",
-		"fleet-cadence-max", "window-max", "speculate-depth", "speculate"} {
-		var errw bytes.Buffer
-		if code := run([]string{"-exp", "fig11", "-" + name, "1"}, io.Discard, &errw); code != 2 {
-			t.Fatalf("-%s: exit code = %d, want 2", name, code)
-		}
-		if want := "flag provided but not defined: -" + name; !strings.Contains(errw.String(), want) {
-			t.Errorf("-%s: stderr missing %q:\n%s", name, want, errw.String())
-		}
+	var errw bytes.Buffer
+	if code := run([]string{"-exp", "fig11", "-nonsense", "1"}, io.Discard, &errw); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	if want := "flag provided but not defined: -nonsense"; !strings.Contains(errw.String(), want) {
+		t.Errorf("stderr missing %q:\n%s", want, errw.String())
 	}
 }
 
@@ -91,6 +85,64 @@ func TestBadWorkersRejected(t *testing.T) {
 		}
 		if !strings.Contains(errw.String(), "-workers must be >= 1") {
 			t.Errorf("-workers %s: stderr missing workers message:\n%s", w, errw.String())
+		}
+	}
+}
+
+// TestBadFleetPolicyFlagsRejected: the -fleet-* policy overrides are
+// gone (no workload set them), so any use of one is an unknown-flag
+// usage error.
+func TestBadFleetPolicyFlagsRejected(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"fleet-drain-threshold", "fleet-cadence-min", "fleet-cadence-max"} {
+		var errw bytes.Buffer
+		if code := run([]string{"-exp", "fleet", "-" + name, "1"}, io.Discard, &errw); code != 2 {
+			t.Fatalf("-%s: exit code = %d, want 2", name, code)
+		}
+		if !strings.Contains(errw.String(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s: stderr missing the unknown-flag message:\n%s", name, errw.String())
+		}
+	}
+}
+
+// TestBadWindowMaxRejected: -window-max is gone along with the window
+// executor it capped, so any use of it is an unknown-flag usage error.
+func TestBadWindowMaxRejected(t *testing.T) {
+	t.Parallel()
+	for _, v := range []string{"0", "649", "650"} {
+		var errw bytes.Buffer
+		if code := run([]string{"-exp", "fig11", "-window-max", v}, io.Discard, &errw); code != 2 {
+			t.Fatalf("-window-max %s: exit code = %d, want 2", v, code)
+		}
+		if !strings.Contains(errw.String(), "flag provided but not defined: -window-max") {
+			t.Errorf("-window-max %s: stderr missing the unknown-flag message:\n%s", v, errw.String())
+		}
+	}
+}
+
+// TestBadSpeculateFlagsRejected: the removed speculation toggle and depth
+// flags are unknown flags — -workers is the only executor setting.
+func TestBadSpeculateFlagsRejected(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		argv []string
+		want string
+	}{
+		{"removed depth",
+			[]string{"-exp", "fig11", "-workers", "2", "-speculate-depth", "4"},
+			"flag provided but not defined: -speculate-depth"},
+		{"removed toggle",
+			[]string{"-exp", "fig11", "-speculate", "-workers", "2"},
+			"flag provided but not defined: -speculate"},
+	}
+	for _, tc := range cases {
+		var errw bytes.Buffer
+		if code := run(tc.argv, io.Discard, &errw); code != 2 {
+			t.Fatalf("%s: exit code = %d, want 2; stderr:\n%s", tc.name, code, errw.String())
+		}
+		if !strings.Contains(errw.String(), tc.want) {
+			t.Errorf("%s: stderr missing %q:\n%s", tc.name, tc.want, errw.String())
 		}
 	}
 }

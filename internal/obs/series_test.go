@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,88 @@ func TestSampleSeriesSnapshotsCountersAndGauges(t *testing.T) {
 	gs := st.Series["runtime.mailbox_depth{chip=1}"]
 	if len(gs.Samples) != 2 || gs.Samples[1].Value != 0 {
 		t.Errorf("gauge samples = %v", gs.Samples)
+	}
+}
+
+// mapWalkSample samples the way SampleSeries once did: a walk of the
+// counter and then the gauge map, each key looked up in the series map by
+// string. The walk order within a map does not matter, because no two
+// counters (or gauges) share a key.
+func mapWalkSample(r *Recorder, cycle int64) {
+	for k, c := range r.counters {
+		r.Series(k, PidFabric).Add(cycle, c.v)
+	}
+	for k, g := range r.gauges {
+		r.Series(k, PidFabric).Add(cycle, g.v)
+	}
+}
+
+// TestSampleSeriesMatchesMapWalk drives two recorders through the same
+// run, one sampling with SampleSeries and one with mapWalkSample, and
+// requires the same state after every barrier: metrics registered between
+// barriers, a counter and a gauge sharing one key (the gauge, sampled
+// last, wins), a series made under a counter's key with another pid
+// before the counter's first sample, a barrier sampled twice, and a
+// LoadState of the recorder's own state mid-run.
+func TestSampleSeriesMatchesMapWalk(t *testing.T) {
+	drive := func(r *Recorder, sample func(*Recorder, int64)) []*State {
+		var states []*State
+		barrier := func(cycle int64) {
+			sample(r, cycle)
+			states = append(states, r.State())
+		}
+		busy := r.Counter("tsp.busy_cycles", Li("chip", 0))
+		depth := r.Gauge("runtime.mailbox_depth", Li("chip", 0))
+		busy.Add(5)
+		depth.Set(2)
+		barrier(1300)
+
+		sent := r.Counter("c2c.frames_tx", Li("link", 3))
+		inflight := r.Gauge("runtime.inflight_vectors")
+		sent.Add(7)
+		inflight.Set(4)
+		busy.Add(1)
+		barrier(2600)
+
+		shared, sharedGauge := r.Counter("shared.key"), r.Gauge("shared.key")
+		shared.Add(10)
+		sharedGauge.Set(-3)
+		late := r.Counter("serve.queue_depth", L("rate", "125000"))
+		late.Add(9)
+		r.Series("serve.queue_depth", PidHost, L("rate", "125000")).Add(900, 1)
+		barrier(3900)
+
+		busy.Add(2)
+		sharedGauge.Set(8)
+		barrier(3900)
+
+		// A restored recorder has new handles; resolve them again.
+		r.LoadState(r.State())
+		busy = r.Counter("tsp.busy_cycles", Li("chip", 0))
+		sharedGauge = r.Gauge("shared.key")
+		busy.Add(4)
+		sharedGauge.Set(1)
+		r.Counter("c2c.frames_rx", Li("link", 3)).Add(6)
+		r.Gauge("runtime.mailbox_depth", Li("chip", 1)).Set(3)
+		barrier(5200)
+
+		r.Counter("shared.key").Add(1)
+		barrier(6500)
+		return states
+	}
+	got := drive(New(), (*Recorder).SampleSeries)
+	want := drive(New(), mapWalkSample)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("barrier %d: SampleSeries state\n%+v\nmap walk state\n%+v", i, got[i], want[i])
+		}
+	}
+	shared := got[len(got)-1].Series["shared.key"].Samples
+	if last := shared[len(shared)-1]; last != (SamplePoint{Cycle: 6500, Value: 1}) {
+		t.Errorf("shared.key last sample %v, want the gauge's {6500 1}", last)
+	}
+	if pid := got[len(got)-1].Series["serve.queue_depth{rate=125000}"].Pid; pid != PidHost {
+		t.Errorf("pre-made series pid %d, want %d", pid, PidHost)
 	}
 }
 

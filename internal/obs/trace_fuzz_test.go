@@ -102,7 +102,8 @@ func checkTrace(t *testing.T, r *Recorder) {
 // and the trace is checked once more at the end. The seeds in
 // testdata/fuzz/FuzzWriteTrace cover hostile names, every Ph byte, both
 // sides of the float format switches, non-finite values, series samples,
-// and exports between batches of appends.
+// exports between batches of appends, and timestamps repeated across
+// chips, signed zeros and a shared series grid (repeated-ts).
 func FuzzWriteTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := &traceOps{b: data}
@@ -170,6 +171,47 @@ func TestWriteTraceNonFinite(t *testing.T) {
 		r.events = append(r.events, EventState{Name: "dur", Ph: 'i', Dur: bad})
 		checkTrace(t, r)
 	}
+}
+
+// TestWriteTraceRepeatedTimestamps holds WriteTrace to the oracle on the
+// timestamps a lockstep run repeats: 16 chips' spans and instants at the
+// same cycles, +0 and -0 side by side in both orders (equal as numbers,
+// printed differently), timestamps in both of appendFloat's 'e' ranges
+// next to equal ones, and series on one shared sampling grid beside one
+// off it.
+func TestWriteTraceRepeatedTimestamps(t *testing.T) {
+	r := New()
+	for round := int64(0); round < 4; round++ {
+		for chip := 0; chip < 16; chip++ {
+			r.SpanCycles(chip, 0, "matmul", round*650, 320)
+			r.SpanCycles(chip, TidLinkBase, "send", round*650+320, 330)
+			r.InstantCycles(chip, 1, "deskew", round*650)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	r.SpanUS(0, 2, "zero", 0, 1)
+	r.SpanUS(0, 2, "zero", negZero, 1)
+	r.SpanUS(1, 2, "zero", 0, negZero)
+	r.SpanUS(2, 2, "zero", negZero, 0)
+	r.InstantUS(3, 2, "zero", 0)
+	for _, ts := range []float64{1e-7, -1e-7, 5e-324, 1e21, 1e21, -1e21, 1e22} {
+		r.SpanUS(0, 3, "e", ts, ts)
+		r.SpanUS(1, 3, "e", ts, 1)
+	}
+	for s := 0; s < 12; s++ {
+		sr := r.Series("tsp.instructions", PidFabric, Li("chip", s))
+		for c := int64(0); c < 9; c++ {
+			sr.Add(c*1300, c*int64(s))
+		}
+	}
+	off := r.Series("serve.queue_depth", PidHost)
+	for c := int64(0); c < 9; c++ {
+		off.Add(c*1300+7, c)
+	}
+	r.Series("runtime.negative", PidFabric).Add(-1300, 1)
+	checkTrace(t, r)
+	// A second export of the same recorder writes the same bytes.
+	checkTrace(t, r)
 }
 
 // ringRecorder fills a recorder shaped like the recorded 16-chip ring's:

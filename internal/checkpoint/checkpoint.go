@@ -142,6 +142,7 @@ const (
 	chipFixedLen  = 8 + rowMaskLen + 4 + len(tsp.ChipState{}.Units)*unitLen + 8 + 8 + 4
 	histFixedLen  = 4*8 + 4
 	eventFixedLen = 1 + 4*8
+	sampleLen     = 8 + 8 // one series sample: cycle, value
 )
 
 // buf writes little-endian fields into a blob allocated at its exact
@@ -356,7 +357,7 @@ func obsLen(v *obs.View) int {
 	}
 	n += 8 + 4
 	for _, e := range v.Series {
-		n += 4 + len(e.Key) + 8 + 4 + len(e.Val.Samples)*16
+		n += 4 + len(e.Key) + 8 + 4 + len(e.Val.Samples)*sampleLen
 	}
 	return n
 }
@@ -419,10 +420,9 @@ func putObs(w *buf, v *obs.View) {
 		w.str(e.Key)
 		w.i64(int64(e.Val.Pid))
 		w.u32(uint32(len(e.Val.Samples)))
-		for _, p := range e.Val.Samples {
-			w.i64(p.Cycle)
-			w.i64(p.Value)
-		}
+		n := len(e.Val.Samples) * sampleLen
+		putSamples(w.b[w.off:w.off+n], e.Val.Samples)
+		w.off += n
 	}
 }
 
@@ -801,10 +801,10 @@ func decodeObs(d *dec) *obs.State {
 		d.ascending(i == 0 || k > last, "series")
 		last = k
 		sr := obs.SeriesState{Pid: int(d.i64())}
-		ns := d.count(16)
-		sr.Samples = grow[obs.SamplePoint](ns)
-		for j := 0; j < ns && d.err == nil; j++ {
-			sr.Samples = append(sr.Samples, obs.SamplePoint{Cycle: d.i64(), Value: d.i64()})
+		ns := d.count(sampleLen)
+		if b := d.take(ns * sampleLen); b != nil {
+			sr.Samples = grow[obs.SamplePoint](ns)[:ns]
+			getSamples(sr.Samples, b)
 		}
 		s.Series[k] = sr
 	}

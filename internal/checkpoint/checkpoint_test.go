@@ -240,8 +240,9 @@ func TestCheckpointNonFiniteEventRejected(t *testing.T) {
 // TestCheckpointEncodeViewMatchesEncode: encoding the obs section from a
 // live recorder's View gives the bytes Encode gives for the State the
 // recorder exports, before and after the recorder grows new names (which
-// its kept name order must place), and ClusterLen is the length of the
-// cluster section.
+// its kept name order must place), renames a process and a thread and
+// loads a state again, and ClusterLen is the length of the cluster
+// section.
 func TestCheckpointEncodeViewMatchesEncode(t *testing.T) {
 	s := testSnapshot()
 	r := obs.New()
@@ -271,4 +272,13 @@ func TestCheckpointEncodeViewMatchesEncode(t *testing.T) {
 	r.SetProcessName(0, "chip 0")
 	r.SetThreadName(0, 3, "mxm")
 	check("grown")
+	// The kept process and thread order survives a repeated name and
+	// follows a renamed one.
+	r.SetThreadName(0, 3, "mxm")
+	check("repeated")
+	r.SetProcessName(2, "fabric, renamed")
+	r.SetThreadName(2, 4, "captures")
+	check("renamed")
+	r.LoadState(testSnapshot().Obs)
+	check("reloaded")
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,6 +34,14 @@ var traceBufPool sync.Pool // of *[]byte
 // to w in one Write. A NaN or infinite timestamp or duration has no JSON
 // form: WriteTrace then returns an error and writes nothing.
 // Timestamps are microseconds, the format's native unit.
+//
+// Each distinct timestamp is formatted about once per call: an event
+// whose ts has the same bits as the event before it (chips in lockstep)
+// copies that event's bytes, and series samples, which barrier sampling
+// puts on one grid of cycles, copy the bytes of the first sample at their
+// cycle. The pooled buffer and its growth stay as they are: a smaller
+// heap lets the runtime return pages that the next cluster set-up faults
+// back in (traceBufPool).
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ns"}`+"\n")
@@ -59,22 +66,35 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	b = append(b, `{"traceEvents":[`...)
 	first := len(b) // events after the first are preceded by a comma
 	// Metadata: process and thread names, sorted for stable output.
-	for _, p := range entries(r.procs, cmp.Compare[int]) {
+	for _, p := range r.procEntries() {
 		b = append(openEvent(b, first), `"process_name","ph":"M","ts":0`...)
 		b = appendNameArgs(appendPidTid(b, p.Key, 0), p.Val)
 	}
-	for _, t := range entries(r.threads, compareTracks) {
+	for _, t := range r.threadEntries() {
 		b = append(openEvent(b, first), `"thread_name","ph":"M","ts":0`...)
 		b = appendNameArgs(appendPidTid(b, t.Key[0], t.Key[1]), t.Val)
 	}
 	r.sortEvents()
+	// Chips in lockstep record events at the same cycles, which sort next
+	// to each other: an event whose ts has the bits of the one before
+	// copies its bytes, b[tsAt:tsEnd]. The bits, not ==: -0 and +0
+	// compare equal, sort together and print differently.
+	var tsBits uint64
+	tsAt, tsEnd := 0, 0
 	for _, e := range r.events {
 		if !finite(e.TS) || e.Ph == 'X' && !finite(e.Dur) {
 			return b, fmt.Errorf("obs: trace event %q at ts %v, dur %v: JSON has no form for NaN or ±Inf", e.Name, e.TS, e.Dur)
 		}
 		b = appendString(openEvent(b, first), e.Name)
 		b = appendString(append(b, `,"ph":`...), string(e.Ph))
-		b = appendFloat(append(b, `,"ts":`...), e.TS)
+		b = append(b, `,"ts":`...)
+		if bits := math.Float64bits(e.TS); tsEnd != 0 && bits == tsBits {
+			b = append(b, b[tsAt:tsEnd]...)
+		} else {
+			tsAt = len(b)
+			b = appendFloat(b, e.TS)
+			tsBits, tsEnd = bits, len(b)
+		}
 		if e.Ph == 'X' {
 			b = appendFloat(append(b, `,"dur":`...), e.Dur)
 		}
@@ -88,14 +108,23 @@ func (r *Recorder) appendTrace(b []byte) ([]byte, error) {
 	// renders live utilization lanes next to the spans. Grouped by sorted
 	// series name, samples in cycle order — a deterministic tail that is
 	// absent entirely when no series were recorded, keeping pre-series
-	// traces byte-identical.
+	// traces byte-identical. Barrier sampling puts every series on one
+	// grid of cycles, so each cycle's ts is formatted once: at[cycle]
+	// holds where in b it was written.
 	var name []byte // a series' name, escaped once for all its samples
+	at := map[int64][2]int{}
 	for _, e := range r.byName.series.sorted() {
 		s := e.Val
 		name = appendString(name[:0], e.Key)
 		for _, p := range s.samples {
 			b = append(append(openEvent(b, first), name...), `,"ph":"C","ts":`...)
-			b = appendFloat(b, clock.USOfCycles(p.Cycle))
+			if ts, ok := at[p.Cycle]; ok {
+				b = append(b, b[ts[0]:ts[1]]...)
+			} else {
+				n := len(b)
+				b = appendFloat(b, clock.USOfCycles(p.Cycle))
+				at[p.Cycle] = [2]int{n, len(b)}
+			}
 			b = append(appendPidTid(b, s.pid, 0), `,"args":{"value":`...)
 			b = append(strconv.AppendInt(b, p.Value, 10), "}}"...)
 		}

@@ -18,11 +18,13 @@
 //     given recorder, and exports it, at a time. Exports write too: State,
 //     View and WriteTrace put the recorder's event list into compareEvents
 //     order in place, sorting only the events appended since the last
-//     export, and View, WriteTrace and WriteSeriesCSV sort the kept name
-//     order of a registry that grew. The cluster runtime sends every
-//     recorded run to its sequential executor, and serve sweeps its load
-//     levels in order. A parallel traced run would need one recorder per
-//     component, merged at export.
+//     export. View, WriteTrace, WriteSeriesCSV and SampleSeries sort the
+//     kept name order of a registry that grew, and View and WriteTrace
+//     sort the process and thread names again after one was added or
+//     changed. The cluster runtime sends every recorded run to its
+//     sequential executor, and serve sweeps its load levels in order. A
+//     parallel traced run would need one recorder per component, merged
+//     at export.
 //
 //  3. Zero cost when disabled. Every handle (*Counter, *Gauge,
 //     *Histogram) and the *Recorder itself are nil-safe: methods on nil
@@ -114,7 +116,10 @@ func key(name string, labels []Label) string {
 // valid no-op sink. Two call sites that resolve the same key share one
 // counter, so their counts add up. It is a plain integer: only the one
 // goroutine that records into its Recorder may add to it.
-type Counter struct{ v int64 }
+type Counter struct {
+	v int64
+	s *Series // the series SampleSeries feeds, resolved at its first sample
+}
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
@@ -128,7 +133,10 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Gauge is a last-value-wins integer. The nil gauge is a valid no-op
 // sink.
-type Gauge struct{ v int64 }
+type Gauge struct {
+	v int64
+	s *Series // as Counter's
+}
 
 // Set records the gauge value.
 func (g *Gauge) Set(v int64) {
@@ -168,6 +176,11 @@ type Recorder struct {
 	sorted  int
 	procs   map[int]string
 	threads map[[2]int]string
+	// procOrder and threadOrder are procs and threads in ascending key
+	// order for View and WriteTrace, nil from a name that is new or
+	// changed until the next export sorts them again (state.go).
+	procOrder   []Entry[int, string]
+	threadOrder []Entry[[2]int, string]
 	// series and the sampling cadence live in series.go; the cadence is
 	// advisory metadata the cluster runtime reads to schedule SampleSeries
 	// calls at heap barriers.
@@ -250,7 +263,10 @@ func (r *Recorder) SetProcessName(pid int, name string) {
 	if r == nil {
 		return
 	}
-	r.procs[pid] = name
+	if old, ok := r.procs[pid]; !ok || old != name {
+		r.procs[pid] = name
+		r.procOrder = nil
+	}
 }
 
 // SetThreadName names a (pid, tid) track.
@@ -258,7 +274,11 @@ func (r *Recorder) SetThreadName(pid, tid int, name string) {
 	if r == nil {
 		return
 	}
-	r.threads[[2]int{pid, tid}] = name
+	k := [2]int{pid, tid}
+	if old, ok := r.threads[k]; !ok || old != name {
+		r.threads[k] = name
+		r.threadOrder = nil
+	}
 }
 
 // SpanUS records a complete span with microsecond start and duration.

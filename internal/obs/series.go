@@ -97,14 +97,29 @@ func (r *Recorder) NumSeries() int {
 // sight of a metric. Call it only from points where the counter values
 // are execution-order invariant — heap barriers — so the resulting
 // series match across worker counts. Nil-recorder calls are no-ops.
+//
+// It walks the counters and then the gauges in name order (the kept
+// order View uses, sorted again only after a registry grew). Each handle
+// keeps the series it feeds from its first sample on, so a barrier looks
+// up no name. Counters go before gauges: a counter and a gauge with the
+// same key feed one series, and the gauge, written last, wins. LoadState
+// makes new handles, which resolve again at their first sample.
 func (r *Recorder) SampleSeries(cycle int64) {
 	if r == nil {
 		return
 	}
-	for k, c := range r.counters {
-		r.Series(k, PidFabric).Add(cycle, c.v)
+	for _, e := range r.byName.counters.sorted() {
+		c := e.Val
+		if c.s == nil {
+			c.s = r.Series(e.Key, PidFabric)
+		}
+		c.s.Add(cycle, c.v)
 	}
-	for k, g := range r.gauges {
-		r.Series(k, PidFabric).Add(cycle, g.v)
+	for _, e := range r.byName.gauges.sorted() {
+		g := e.Val
+		if g.s == nil {
+			g.s = r.Series(e.Key, PidFabric)
+		}
+		g.s.Add(cycle, g.v)
 	}
 }

@@ -225,6 +225,7 @@ func (r *Recorder) LoadState(s *State) {
 	for k, name := range s.Threads {
 		r.threads[k] = name
 	}
+	r.procOrder, r.threadOrder = nil, nil
 	r.series = make(map[string]*Series, len(s.Series))
 	for k, ss := range s.Series {
 		r.series[k] = &Series{
@@ -263,9 +264,11 @@ type View struct {
 // copying its history: the events are the recorder's own list, put into
 // compareEvents order in place as State does, and every series' samples
 // are its own slice. Names come from the recorder's kept order, which is
-// sorted again only after a registry grew. Like State, View writes to the
-// recorder; the view holds only until the recorder's next write. Returns
-// nil on a nil recorder.
+// sorted again only after a registry grew, and the process and thread
+// names from an order kept until a name is added or changed (a
+// SetThreadName that repeats a name keeps it). Like State, View writes to
+// the recorder; the view holds only until the recorder's next write.
+// Returns nil on a nil recorder.
 func (r *Recorder) View() *View {
 	if r == nil {
 		return nil
@@ -276,8 +279,8 @@ func (r *Recorder) View() *View {
 		Gauges:        mapValues(r.byName.gauges.sorted(), func(g *Gauge) int64 { return g.v }),
 		Hists:         mapValues(r.byName.hists.sorted(), histState),
 		Events:        r.events,
-		Procs:         entries(r.procs, cmp.Compare[int]),
-		Threads:       entries(r.threads, compareTracks),
+		Procs:         r.procEntries(),
+		Threads:       r.threadEntries(),
 		SeriesCadence: r.seriesEvery,
 		Series: mapValues(r.byName.series.sorted(), func(s *Series) SeriesState {
 			return SeriesState{Pid: s.pid, Samples: s.samples}
@@ -353,6 +356,24 @@ func entries[K comparable, V any](m map[K]V, compare func(a, b K) int) []Entry[K
 	}
 	slices.SortFunc(out, func(a, b Entry[K, V]) int { return compare(a.Key, b.Key) })
 	return out
+}
+
+// procEntries returns the process names in ascending pid order, sorted
+// again only after a name was added or changed.
+func (r *Recorder) procEntries() []Entry[int, string] {
+	if r.procOrder == nil {
+		r.procOrder = entries(r.procs, cmp.Compare[int])
+	}
+	return r.procOrder
+}
+
+// threadEntries returns the thread names in ascending (pid, tid) order,
+// sorted again only after a name was added or changed.
+func (r *Recorder) threadEntries() []Entry[[2]int, string] {
+	if r.threadOrder == nil {
+		r.threadOrder = entries(r.threads, compareTracks)
+	}
+	return r.threadOrder
 }
 
 // compareTracks orders (pid, tid) trace tracks by pid, then tid.

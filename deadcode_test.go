@@ -15,6 +15,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -114,11 +115,12 @@ type listedPackage struct {
 }
 
 // goList lists the packages of the module rooted at dir, with the file
-// sets the build constraints select on this host.
-func goList(t *testing.T, dir string) []listedPackage {
+// sets the build constraints select for goarch.
+func goList(t *testing.T, dir, goarch string) []listedPackage {
 	t.Helper()
 	cmd := exec.Command("go", "list", "-json", "./...")
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOARCH="+goarch)
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("go list in %s: %v", dir, err)
@@ -203,26 +205,92 @@ func satisfiesInterface(m *types.Func, ifaces []*types.Interface) bool {
 	return false
 }
 
+// ciArches are the GOARCHes CI builds the module for: amd64 runs the
+// suite, 386 runs it on the portable kernels, and arm64 and s390x are
+// vetted and built. A name non-test code reaches under any of them is
+// live: the amd64-only kernel selection is the only caller of the CPUID
+// feature tests, and no 386 file calls them.
+var ciArches = []string{"amd64", "386", "arm64", "s390x"}
+
+// archScan is what one GOARCH's file sets declare and reach.
+type archScan struct {
+	decls   map[string]token.Position // exported internal/ declarations, by key
+	reached map[string]bool           // keys shipping code reaches, or an interface exempts
+	tests   map[string]bool           // test function names
+}
+
 // TestNoTestOnlyExports fails when an exported function, method or type in
-// internal/ is referenced only by _test.go files (or not at all). Roots are
-// everything that ships: the commands, the examples, the public tsm
-// package, the benchmark program, and internal code itself. A reference
-// from inside a declaration's own body does not count. A method is exempt
-// when its receiver type implements an interface that has the method
-// (String, Error, heap.Interface, the chip-to-chip link interface).
+// internal/ is referenced only by _test.go files (or not at all) under
+// every GOARCH in ciArches. Roots are everything that ships: the
+// commands, the examples, the public tsm package, the benchmark program,
+// and internal code itself. A reference from inside a declaration's own
+// body does not count. A method is exempt when its receiver type
+// implements an interface that has the method (String, Error,
+// heap.Interface, the chip-to-chip link interface).
 func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	decls := map[string]token.Position{}
+	reached := map[string]bool{}
+	tests := map[string]bool{}
+	for _, goarch := range ciArches {
+		sc := scanArch(t, goarch, fset, std)
+		for k, pos := range sc.decls {
+			if _, ok := decls[k]; !ok {
+				decls[k] = pos
+			}
+		}
+		for k := range sc.reached {
+			reached[k] = true
+		}
+		for k := range sc.tests {
+			tests[k] = true
+		}
+	}
+
+	var dead []string
+	for key, pos := range decls {
+		_, allowed := deadExportAllowlist[key]
+		if reached[key] {
+			if allowed {
+				t.Errorf("%s is on the allowlist but shipping code uses it; drop the entry", key)
+			}
+			continue
+		}
+		if !allowed {
+			dead = append(dead, fmt.Sprintf("%s (%s)", key, pos))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("exported %s is reached only from tests: delete it, or allowlist it with the paper claim a test checks through it", d)
+	}
+	for key, a := range deadExportAllowlist {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("allowlist entry %s names no exported declaration", key)
+		}
+		if a.claim == "" || !tests[a.test] {
+			t.Errorf("allowlist entry %s must name a paper claim and an existing test, got %+v", key, a)
+		}
+	}
+}
+
+// scanArch type-checks the repository's packages with the files goarch
+// builds and reports their exported internal/ declarations and which of
+// them shipping code reaches.
+func scanArch(t *testing.T, goarch string, fset *token.FileSet, std types.Importer) archScan {
+	t.Helper()
 	listed := map[string]listedPackage{}
 	var paths []string
 	for _, dir := range []string{".", "bench"} {
-		for _, p := range goList(t, dir) {
+		for _, p := range goList(t, dir, goarch) {
 			listed[p.ImportPath] = p
 			paths = append(paths, p.ImportPath)
 		}
 	}
-	fset := token.NewFileSet()
 	c := &repoChecker{
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     std,
 		listed:  listed,
 		checked: map[string]*types.Package{},
 		files:   map[string][]*ast.File{},
@@ -233,10 +301,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for _, path := range paths {
 		if _, err := c.check(path); err != nil {
-			t.Fatal(err)
+			t.Fatalf("GOARCH=%s: %v", goarch, err)
 		}
 	}
-
 	// Declarations in internal/ and the source range of each, so a
 	// reference from inside its own body can be discounted. A method's
 	// receiver does not count as a use of its type either.
@@ -355,36 +422,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	var dead []string
-	found := map[string]bool{}
+	sc := archScan{decls: map[string]token.Position{}, reached: map[string]bool{}, tests: tests}
 	for i, d := range decls {
-		found[d.key] = true
-		_, allowed := deadExportAllowlist[d.key]
+		sc.decls[d.key] = fset.Position(d.from)
 		if used[i] {
-			if allowed {
-				t.Errorf("%s is on the allowlist but shipping code uses it; drop the entry", d.key)
-			}
-			continue
-		}
-		if fn, ok := d.obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfiesInterface(fn, ifaces) {
-			continue
-		}
-		if !allowed {
-			dead = append(dead, fmt.Sprintf("%s (%s)", d.key, fset.Position(d.from)))
+			sc.reached[d.key] = true
+		} else if fn, ok := d.obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfiesInterface(fn, ifaces) {
+			sc.reached[d.key] = true
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("exported %s is reached only from tests: delete it, or allowlist it with the paper claim a test checks through it", d)
-	}
-	for key, a := range deadExportAllowlist {
-		if !found[key] {
-			t.Errorf("allowlist entry %s names no exported declaration", key)
-		}
-		if a.claim == "" || !tests[a.test] {
-			t.Errorf("allowlist entry %s must name a paper claim and an existing test, got %+v", key, a)
-		}
-	}
+	return sc
 }
 
 // TestNoGlobalRecorder fails when a .go file of the module calls obs.Set

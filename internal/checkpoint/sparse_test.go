@@ -40,6 +40,7 @@ func denseSnapshot() *Snapshot {
 
 // fillDense writes every stream register and weight row of c.
 func fillDense(c *tsp.Chip) {
+	setWeights(c, func(r, j int) float32 { return float32(r-j) / 8 })
 	for i := 0; i < tsp.NumStreams; i++ {
 		var v tsp.Vector
 		for k := range v {
@@ -47,11 +48,41 @@ func fillDense(c *tsp.Chip) {
 		}
 		c.SetStream(i, v)
 	}
-	for r := range c.Weights {
-		for j := range c.Weights[r] {
-			c.Weights[r][j] = float32(r-j) / 8
+}
+
+// setWeights restores into c a state whose weight rows hold w(r, j) and
+// whose every other register, cursor and memory word is zero. The
+// restored mask names every row that holds a nonzero bit.
+func setWeights(c *tsp.Chip, w func(r, j int) float32) {
+	var st tsp.ChipState
+	for r := 0; r < tsp.WeightRows; r++ {
+		var row [tsp.FloatLanes]float32
+		nonzero := false
+		for j := range row {
+			row[j] = w(r, j)
+			nonzero = nonzero || math.Float32bits(row[j]) != 0
+		}
+		if nonzero {
+			st.RowMask[r/64] |= 1 << (r % 64)
+			st.Rows = append(st.Rows, row)
 		}
 	}
+	c.SetState(&st)
+}
+
+// weightsOf reads c's weight matrix back through a full capture.
+func weightsOf(c *tsp.Chip) *[tsp.WeightRows][tsp.FloatLanes]float32 {
+	var st tsp.ChipState
+	c.CaptureState(&st)
+	w := new([tsp.WeightRows][tsp.FloatLanes]float32)
+	k := 0
+	for r := range w {
+		if st.RowMask[r/64]>>(r%64)&1 != 0 {
+			w[r] = st.Rows[k]
+			k++
+		}
+	}
+	return w
 }
 
 // sameWeights reports whether two weight matrices hold the same bits.
@@ -83,19 +114,22 @@ func TestChipStateSparseRoundTrip(t *testing.T) {
 		{"zero", func(*tsp.Chip) {}, 0, 0},
 		{"dense", fillDense, tsp.NumStreams, tsp.WeightRows},
 		{"negative-zero-rows", func(c *tsp.Chip) {
-			for r := range c.Weights {
-				for j := range c.Weights[r] {
-					c.Weights[r][j] = negZero
-				}
-			}
+			setWeights(c, func(int, int) float32 { return negZero })
 		}, 0, tsp.WeightRows},
 		{"nan-payloads", func(c *tsp.Chip) {
 			nans := []uint32{0x7f800001, 0x7fbfffff, 0xff800123, 0x7fc00000 | 0x2a, 0xffffffff}
+			setWeights(c, func(r, j int) float32 {
+				for i, bits := range nans {
+					if r == i*31 && j == i*17%tsp.FloatLanes {
+						return math.Float32frombits(bits)
+					}
+				}
+				return 0
+			})
 			for i, bits := range nans {
 				var v tsp.Vector
 				binary.LittleEndian.PutUint32(v[4*(i*9%tsp.FloatLanes):], bits)
 				c.SetStream(i*13, v)
-				c.Weights[i*31][i*17%tsp.FloatLanes] = math.Float32frombits(bits)
 			}
 		}, 5, 5},
 	} {
@@ -121,7 +155,7 @@ func TestChipStateSparseRoundTrip(t *testing.T) {
 		if dst.Streams() != src.Streams() {
 			t.Errorf("%s: restored stream registers differ", tc.name)
 		}
-		if !sameWeights(&dst.Weights, &src.Weights) {
+		if !sameWeights(weightsOf(dst), weightsOf(src)) {
 			t.Errorf("%s: restored weights differ", tc.name)
 		}
 		var again tsp.ChipState

@@ -173,7 +173,10 @@ type Recorder struct {
 	events   []EventState
 	// sorted is the watermark of events: events[:sorted] are in
 	// compareEvents order, left so by the last export (sortEvents).
+	// buf and idx are the merge buffers sortEvents keeps between exports.
 	sorted  int
+	buf     []EventState
+	idx     []int32
 	procs   map[int]string
 	threads map[[2]int]string
 	// procOrder and threadOrder are procs and threads in ascending key

@@ -99,10 +99,13 @@ func compareEvents(a, b EventState) int {
 
 // sortEvents puts the recorder's event list into compareEvents order in
 // place. Events below the watermark are already in order from the last
-// export, so it sorts only the events appended since and merges them in.
-// New events almost always sort after the old ones: the run that follows
-// the watermark in order joins it with one compare per event, and a
-// binary search finds where the rest start to interleave with the prefix.
+// export, so it orders only the events appended since and merges them in.
+// The run that follows the watermark in order joins it with one compare
+// per event. The rest arrive as ascending runs: the chips of a lockstep
+// run record in turn, each in time order (the recorded ring's 577-event
+// batches hold about 90 runs). So they are merged run by run rather than
+// sorted (mergeRuns), and a binary search finds where they start to
+// interleave with the prefix.
 func (r *Recorder) sortEvents() {
 	ev := r.events
 	n := r.sorted
@@ -110,18 +113,76 @@ func (r *Recorder) sortEvents() {
 		n++
 	}
 	if n < len(ev) {
-		slices.SortFunc(ev[n:], compareEvents)
+		r.mergeRuns(ev[n:])
 		p, _ := slices.BinarySearchFunc(ev[:n], ev[n], compareEvents)
-		mergeEvents(ev[p:], n-p)
+		r.mergeEvents(ev[p:], n-p)
 	}
 	r.sorted = len(ev)
 }
 
+// mergeRuns sorts ev, a list of ascending runs, by merging the runs
+// pairwise, pass by pass. The passes merge positions, not events: they
+// move 4-byte indices between the halves of the recorder's index buffer,
+// and each event moves once at the end, through its event buffer.
+func (r *Recorder) mergeRuns(ev []EventState) {
+	var runs [256]int // room for a lockstep run's tail on the stack
+	bounds := append(runs[:0], 0)
+	for i := 1; i < len(ev); i++ {
+		if compareEvents(ev[i-1], ev[i]) > 0 {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(ev))
+	if len(bounds) == 2 {
+		return
+	}
+	r.idx = slices.Grow(r.idx[:0], 2*len(ev))[:2*len(ev)]
+	src, dst := r.idx[:len(ev)], r.idx[len(ev):]
+	for i := range src {
+		src[i] = int32(i)
+	}
+	for len(bounds) > 2 {
+		next := bounds[:1] // written behind the reads
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, hi := bounds[i], bounds[i+1]
+			if i+2 < len(bounds) {
+				mid := hi
+				hi = bounds[i+2]
+				mergeIndices(ev, dst[lo:hi], src[lo:mid], src[mid:hi])
+			} else {
+				copy(dst[lo:hi], src[lo:hi])
+			}
+			next = append(next, hi)
+		}
+		bounds, src, dst = next, dst, src
+	}
+	r.buf = append(r.buf[:0], ev...)
+	for k, i := range src {
+		ev[k] = r.buf[i]
+	}
+}
+
+// mergeIndices merges a and b, indices of ev in ascending event order,
+// into out, which is exactly as long as both.
+func mergeIndices(ev []EventState, out, a, b []int32) {
+	i, j := 0, 0
+	for k := range out {
+		if j == len(b) || i < len(a) && compareEvents(ev[b[j]], ev[a[i]]) >= 0 {
+			out[k] = a[i]
+			i++
+		} else {
+			out[k] = b[j]
+			j++
+		}
+	}
+}
+
 // mergeEvents merges the sorted runs ev[:m] and ev[m:] in place. Only the
-// first run is copied out: the merge writes forward, never past the next
-// unread event of the second.
-func mergeEvents(ev []EventState, m int) {
-	left := slices.Clone(ev[:m])
+// first run is copied out, into the recorder's buffer: the merge writes
+// forward, never past the next unread event of the second.
+func (r *Recorder) mergeEvents(ev []EventState, m int) {
+	r.buf = append(r.buf[:0], ev[:m]...)
+	left := r.buf
 	i, j, k := 0, m, 0
 	for ; i < len(left) && j < len(ev); k++ {
 		if compareEvents(ev[j], left[i]) < 0 {
@@ -262,7 +323,9 @@ type View struct {
 
 // View returns the recorder's state for a checkpoint capture without
 // copying its history: the events are the recorder's own list, put into
-// compareEvents order in place as State does, and every series' samples
+// compareEvents order in place as State does (sortEvents: only the events
+// recorded since the last export are ordered, by merging their ascending
+// runs, then merged into the ordered rest), and every series' samples
 // are its own slice. Names come from the recorder's kept order, which is
 // sorted again only after a registry grew, and the process and thread
 // names from an order kept until a name is added or changed (a

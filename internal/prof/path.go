@@ -19,6 +19,8 @@
 package prof
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,53 +37,56 @@ func (r *Report) analyzePath(spans []span) {
 	// transfer spans delivering into chip p. Both sorted by (end, pid,
 	// tid, start, name) so "latest predecessor" is a binary search and
 	// ties resolve identically on every run.
-	byChip := map[int][]span{}
-	txByDst := map[int][]span{}
-	for _, s := range spans {
-		if s.tid >= obs.TidLinkBase {
-			if !strings.HasPrefix(s.name, linkTxPrefix) {
-				continue // foreign link-track span (e.g. core.RecordObservability)
-			}
-			dst := 0
-			ok := true
-			for _, ch := range s.name[len(linkTxPrefix):] {
-				if ch < '0' || ch > '9' {
-					ok = false
-					break
-				}
-				dst = dst*10 + int(ch-'0')
-			}
-			if !ok {
-				continue
-			}
-			txByDst[dst] = append(txByDst[dst], s)
-		} else {
-			byChip[s.pid] = append(byChip[s.pid], s)
+	// Each span is counted into its list first, so every list is
+	// allocated once at its length.
+	dsts := make([]int, len(spans))
+	nChip, nTx := map[int]int{}, map[int]int{}
+	for i, s := range spans {
+		dsts[i] = txDst(s)
+		switch d := dsts[i]; {
+		case d == onChip:
+			nChip[s.pid]++
+		case d >= 0:
+			nTx[d]++
 		}
 	}
-	order := func(list []span) {
-		sort.Slice(list, func(i, j int) bool {
-			a, b := list[i], list[j]
-			if a.end != b.end {
-				return a.end < b.end
-			}
-			if a.pid != b.pid {
-				return a.pid < b.pid
-			}
-			if a.tid != b.tid {
-				return a.tid < b.tid
-			}
-			if a.start != b.start {
-				return a.start < b.start
-			}
-			return a.name < b.name
-		})
+	byChip := make(map[int][]span, len(nChip))
+	for p, n := range nChip {
+		byChip[p] = make([]span, 0, n)
+	}
+	txByDst := make(map[int][]span, len(nTx))
+	for p, n := range nTx {
+		txByDst[p] = make([]span, 0, n)
+	}
+	for i, s := range spans {
+		switch d := dsts[i]; {
+		case d == onChip:
+			byChip[s.pid] = append(byChip[s.pid], s)
+		case d >= 0:
+			txByDst[d] = append(txByDst[d], s)
+		}
+	}
+	// Spans that compare equal are equal, so any sort gives one order.
+	order := func(a, b span) int {
+		if c := cmp.Compare(a.end, b.end); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.pid, b.pid); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.tid, b.tid); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
 	}
 	for _, list := range byChip {
-		order(list)
+		slices.SortFunc(list, order)
 	}
 	for _, list := range txByDst {
-		order(list)
+		slices.SortFunc(list, order)
 	}
 
 	// Anchor: the span that sets the finish cycle (latest end; ties break
@@ -138,6 +143,33 @@ func (r *Report) analyzePath(spans []span) {
 			r.WaitCycles += seg.End - seg.Start
 		}
 	}
+}
+
+// onChip and offPath are txDst's answers for a span that is not a
+// transfer: chip-local work, or a foreign link-track span (e.g.
+// core.RecordObservability) the path does not follow.
+const (
+	onChip  = -1
+	offPath = -2
+)
+
+// txDst is the chip a transfer span delivers into, read from its
+// "c2c.tx>dst" name, or onChip or offPath.
+func txDst(s span) int {
+	if s.tid < obs.TidLinkBase {
+		return onChip
+	}
+	if !strings.HasPrefix(s.name, linkTxPrefix) {
+		return offPath
+	}
+	dst := 0
+	for _, ch := range s.name[len(linkTxPrefix):] {
+		if ch < '0' || ch > '9' {
+			return offPath
+		}
+		dst = dst*10 + int(ch-'0')
+	}
+	return dst
 }
 
 func kindOf(s span) SegKind {

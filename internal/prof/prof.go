@@ -122,15 +122,24 @@ type span struct {
 	start, end int64
 }
 
-// splitKey parses a canonical metric key "name{k1=v1,k2=v2}".
+// metricName is the name part of a canonical metric key
+// "name{k1=v1,k2=v2}": the whole key when it carries no labels.
+func metricName(k string) string {
+	if i := strings.IndexByte(k, '{'); i >= 0 && strings.HasSuffix(k, "}") {
+		return k[:i]
+	}
+	return k
+}
+
+// splitKey parses a canonical metric key "name{k1=v1,k2=v2}". Callers
+// test metricName first and parse only the keys they read.
 func splitKey(k string) (name string, labels map[string]string) {
-	i := strings.IndexByte(k, '{')
-	if i < 0 || !strings.HasSuffix(k, "}") {
+	name = metricName(k)
+	if name == k {
 		return k, nil
 	}
-	name = k[:i]
 	labels = map[string]string{}
-	for _, kv := range strings.Split(k[i+1:len(k)-1], ",") {
+	for _, kv := range strings.Split(k[len(name)+1:len(k)-1], ",") {
 		if j := strings.IndexByte(kv, '='); j >= 0 {
 			labels[kv[:j]] = kv[j+1:]
 		}
@@ -154,7 +163,7 @@ func Analyze(st *obs.State, opt Options) (*Report, error) {
 
 	// Chip spans in integer cycles. Host (serving) and fabric (checkpoint
 	// bookkeeping) pseudo-processes are not machine timeline.
-	var spans []span
+	spans := make([]span, 0, len(st.Events))
 	for _, e := range st.Events {
 		if e.Ph != 'X' || e.Pid >= obs.PidHost {
 			continue
@@ -190,10 +199,10 @@ func (r *Report) analyzeOccupancy(st *obs.State) {
 	busy := map[cu]int64{}
 	stall := map[cu]int64{}
 	for k, v := range st.Counters {
-		name, labels := splitKey(k)
-		if name != "tsp.busy_cycles" && name != "tsp.stall_cycles" {
+		if name := metricName(k); name != "tsp.busy_cycles" && name != "tsp.stall_cycles" {
 			continue
 		}
+		name, labels := splitKey(k)
 		var chip int
 		if _, err := fmt.Sscanf(labels["chip"], "%d", &chip); err != nil {
 			continue
@@ -246,11 +255,12 @@ func (r *Report) analyzeLinks(st *obs.State) {
 	vec := map[string]int64{}
 	slots := map[string]int64{}
 	for k, v := range st.Counters {
-		name, labels := splitKey(k)
-		switch name {
+		switch metricName(k) {
 		case "runtime.link_vectors":
+			_, labels := splitKey(k)
 			vec[labels["link"]] = v
 		case "runtime.link_slot_cycles":
+			_, labels := splitKey(k)
 			slots[labels["link"]] = v
 		}
 	}
@@ -356,8 +366,7 @@ func (r *Report) analyzePhases(st *obs.State) {
 	grid := map[int64]bool{}
 	var busySeries, commSeries []obs.SeriesState
 	for k, ss := range st.Series {
-		name, _ := splitKey(k)
-		switch name {
+		switch metricName(k) {
 		case "tsp.busy_cycles":
 			busySeries = append(busySeries, ss)
 			for _, p := range ss.Samples {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/prof"
 )
 
 // BenchmarkRecordedRingBarriers runs the recorded ring once, then times
@@ -48,4 +49,21 @@ func BenchmarkRecordedRingBarriers(b *testing.B) {
 			checkpoint.EncodeView(last, rec.View())
 		}
 	})
+}
+
+// BenchmarkProfileAnalyze times the post-run profiler, prof.Analyze, on
+// the finished recorded ring's state: its spans, counters and series.
+func BenchmarkProfileAnalyze(b *testing.B) {
+	cl, rec := buildRecordedRing(b, 1)
+	if _, err := cl.Run(); err != nil {
+		b.Fatal(err)
+	}
+	st := rec.State()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prof.Analyze(st, prof.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

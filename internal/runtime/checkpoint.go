@@ -13,15 +13,22 @@
 // line, so a long quiet-phase batch can never step a chip past a due
 // capture (TestCheckpointCadenceMidExtendedWindow).
 //
-// A capture costs about the bytes it writes. Each chip captures in place
-// into its delta baseline, which the snapshot's Chips then are: the
-// baseline copies only the chip's nonzero stream registers and weight
-// rows, into the slices the previous capture filled, and re-encodes only
-// the SRAM vectors the chip wrote since the last capture. The blob is
-// allocated once at its exact size and encoded straight from the baseline
-// and from the live recorder's View, which shares the event list and
-// series samples instead of copying them and keeps its names sorted
-// between captures (checkpoint.EncodeView).
+// A capture costs about the bytes it writes, plus what changed since the
+// last one. Each chip captures in place into its delta baseline, which
+// the snapshot's Chips then are: the baseline copies only the chip's
+// nonzero stream registers and weight rows, into the slices the previous
+// capture filled, testing only the weight rows a LoadWeights or restore
+// may have made nonzero, and re-encodes only the SRAM vectors the chip
+// wrote since the last capture. The blob is allocated once at its exact
+// size and encoded straight from the baseline and from the live
+// recorder's View, which shares the event list and series samples instead
+// of copying them and keeps its names sorted between captures
+// (checkpoint.EncodeView). The View orders only the events recorded
+// since the last capture, merging the ascending runs the lockstep chips
+// record them in. Every event is still encoded again at every capture:
+// copying the last blob's bytes for the events that did not move was
+// measured and did not pay, because writing the blob's bytes, not
+// encoding them, is what the obs section costs.
 //
 // The counter circularity — `checkpoint.bytes` must itself appear in the
 // snapshot's obs section — is resolved by a fixed order: build the

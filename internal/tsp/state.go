@@ -67,9 +67,10 @@ func zeroRow(r *[FloatLanes]float32) bool {
 // dirty-page tracking then reuses s's encoding of every vector untouched
 // since (mem.StateDelta), so steady-cadence captures pay only for the
 // memory the chip wrote since last time. Each call resets the dirty
-// baseline. The chip must not be faulted: a fault means the run is being
-// abandoned, and the snapshot would bake the poisoned state into every
-// restore.
+// baseline. It tests only the weight rows a LoadWeights or SetState may
+// have left nonzero, so a chip that loads no weights scans none. The chip
+// must not be faulted: a fault means the run is being abandoned, and the
+// snapshot would bake the poisoned state into every restore.
 func (c *Chip) CaptureState(s *ChipState) {
 	if c.fault != nil {
 		panic("tsp: CaptureState on a faulted chip")
@@ -84,14 +85,20 @@ func (c *Chip) CaptureState(s *ChipState) {
 			s.Streams = append(s.Streams, *v)
 		}
 	}
+	// Only the rows wmask names can be nonzero. A named row that holds
+	// zero bits again leaves the mask, so the next capture skips it.
 	clear(s.RowMask[:])
 	s.Rows = s.Rows[:0]
-	for r := range c.Weights {
-		if !zeroRow(&c.Weights[r]) {
-			s.RowMask[r/64] |= 1 << (r % 64)
-			s.Rows = append(s.Rows, c.Weights[r])
+	for w, m := range c.wmask {
+		for ; m != 0; m &= m - 1 {
+			r := w*64 + bits.TrailingZeros64(m)
+			if !zeroRow(&c.weights[r]) {
+				s.RowMask[w] |= 1 << (r % 64)
+				s.Rows = append(s.Rows, c.weights[r])
+			}
 		}
 	}
+	c.wmask = s.RowMask
 	s.Mem = c.Mem.StateDelta(&s.Mem)
 	for u := range s.Units {
 		s.Units[u] = UnitState{
@@ -118,11 +125,18 @@ func (c *Chip) SetState(s *ChipState) {
 		c.streams[bits.TrailingZeros64(m)] = s.Streams[k]
 		k++
 	}
-	c.Weights = [WeightRows][FloatLanes]float32{}
+	// Every row outside wmask is zero already: clear the rows it names,
+	// then write s's.
+	for w, m := range c.wmask {
+		for ; m != 0; m &= m - 1 {
+			c.weights[w*64+bits.TrailingZeros64(m)] = [FloatLanes]float32{}
+		}
+	}
+	c.wmask = s.RowMask
 	k = 0
 	for w, m := range s.RowMask {
 		for ; m != 0; m &= m - 1 {
-			c.Weights[w*64+bits.TrailingZeros64(m)] = s.Rows[k]
+			c.weights[w*64+bits.TrailingZeros64(m)] = s.Rows[k]
 			k++
 		}
 	}

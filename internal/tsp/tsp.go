@@ -184,7 +184,12 @@ func init() {
 type Chip struct {
 	ID      int
 	Mem     *mem.SRAM
-	Weights [WeightRows][FloatLanes]float32
+	weights [WeightRows][FloatLanes]float32
+	// wmask has bit r%64 of word r/64 set for every weight row that may
+	// hold a nonzero bit: LoadWeights sets a row's bit and SetState sets
+	// the restored rows', so a row it leaves out is all zero and
+	// CaptureState visits only the rows it names.
+	wmask [(WeightRows + 63) / 64]uint64
 
 	// Stream registers, dual-representation (see the package comment):
 	// streams[i] holds the architectural bytes when byteOK[i], lanes[i]
@@ -643,7 +648,9 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		c.Mem.Write(memAddr(in), c.streamBytes(int(in.Imm) % NumStreams)[:])
 
 	case isa.LoadWeights:
-		c.Weights[int(in.B)%WeightRows] = *c.streamLanes(int(in.A) % NumStreams)
+		r := int(in.B) % WeightRows
+		c.weights[r] = *c.streamLanes(int(in.A) % NumStreams)
+		c.wmask[r/64] |= 1 << (r % 64)
 
 	case isa.MatMul:
 		rows := int(in.Imm)
@@ -670,12 +677,12 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		// from a non-finite input, so the canonicalizing scrub rarely runs.
 		if bi := int(in.B) % NumStreams; bi != ai {
 			out := c.laneWrite(bi)
-			if matmul(out, act, &c.Weights, rows) {
+			if matmul(out, act, &c.weights, rows) {
 				canonNaNLanes(out)
 			}
 		} else {
 			var out Lanes
-			if matmul(&out, act, &c.Weights, rows) {
+			if matmul(&out, act, &c.weights, rows) {
 				canonNaNLanes(&out)
 			}
 			*c.laneWrite(bi) = out

@@ -36,30 +36,20 @@ func (r *Report) analyzePath(spans []span) {
 	// Index: byChip[p] = compute spans executed on chip p; txByDst[p] =
 	// transfer spans delivering into chip p. Both sorted by (end, pid,
 	// tid, start, name) so "latest predecessor" is a binary search and
-	// ties resolve identically on every run.
-	// Each span is counted into its list first, so every list is
-	// allocated once at its length.
-	dsts := make([]int, len(spans))
+	// ties resolve identically on every run. Each list is allocated once
+	// at its length, counted first.
 	nChip, nTx := map[int]int{}, map[int]int{}
-	for i, s := range spans {
-		dsts[i] = txDst(s)
-		switch d := dsts[i]; {
+	for _, s := range spans {
+		switch d := txDst(s); {
 		case d == onChip:
 			nChip[s.pid]++
 		case d >= 0:
 			nTx[d]++
 		}
 	}
-	byChip := make(map[int][]span, len(nChip))
-	for p, n := range nChip {
-		byChip[p] = make([]span, 0, n)
-	}
-	txByDst := make(map[int][]span, len(nTx))
-	for p, n := range nTx {
-		txByDst[p] = make([]span, 0, n)
-	}
-	for i, s := range spans {
-		switch d := dsts[i]; {
+	byChip, txByDst := presized(nChip), presized(nTx)
+	for _, s := range spans {
+		switch d := txDst(s); {
 		case d == onChip:
 			byChip[s.pid] = append(byChip[s.pid], s)
 		case d >= 0:
@@ -143,6 +133,16 @@ func (r *Report) analyzePath(spans []span) {
 			r.WaitCycles += seg.End - seg.Start
 		}
 	}
+}
+
+// presized returns an empty span list per key of counts, with room for
+// its count.
+func presized(counts map[int]int) map[int][]span {
+	lists := make(map[int][]span, len(counts))
+	for k, n := range counts {
+		lists[k] = make([]span, 0, n)
+	}
+	return lists
 }
 
 // onChip and offPath are txDst's answers for a span that is not a
